@@ -80,7 +80,7 @@ pub use kernel::{
 pub use min::OptimalFullyAssociative;
 pub use policy::{
     batch_bwcost, batch_ehc, simulate_policy, BwCostPolicy, DePolicy, DmPolicy, EhcPolicy,
-    OptPolicy, ReplacementPolicy, VictimChoice, EHC_HORIZON_FRAMES, NO_LINE, STARVE_LIMIT,
+    ReplacementPolicy, VictimChoice, EHC_HORIZON_FRAMES, NO_LINE, STARVE_LIMIT,
 };
 pub use rng::SplitMix64;
 pub use setassoc::{Replacement, SetAssociative};

@@ -14,11 +14,12 @@
 //!   pass that owns the tag array and the [`CacheStats`] accounting
 //!   (including the fills / writebacks / probes bandwidth counters) and
 //!   delegates every decision to the policy.
-//! * [`DmPolicy`] / [`DePolicy`] / [`OptPolicy`] — the paper's three
-//!   policies re-expressed through the trait. They are *proven* equivalent
-//!   to the spec simulators and the batch kernels by this module's tests
-//!   and by `tests/kernel_differential.rs`; the fast paths in
-//!   [`crate::kernel`] remain the specialized kernels.
+//! * [`DmPolicy`] / [`DePolicy`] — the paper's direct-mapped and
+//!   dynamic-exclusion policies re-expressed through the trait, so the
+//!   driver's traffic counters cover them (the bandwidth figure reads
+//!   their fills). They are *proven* equivalent to the batch kernels by
+//!   this module's tests; the fast paths in [`crate::kernel`] remain the
+//!   specialized kernels.
 //! * [`EhcPolicy`] / [`batch_ehc`] — Expected-Hit-Count replacement
 //!   ("Making Belady-Inspired Replacement Policies More Effective Using
 //!   Expected Hit Count", arXiv 1808.05024): rank the incoming block
@@ -44,8 +45,7 @@ use dynex_obs::span;
 use crate::batch::CHUNK_LEN;
 use crate::direct::INVALID_LINE;
 use crate::kernel::{
-    de_fsm_index, decode_chunk, max_line, next_use, DeFsmRow, HitLastArena, DE_FSM_TABLE,
-    MAX_FLAT_LINES, NEVER,
+    de_fsm_index, decode_chunk, max_line, DeFsmRow, HitLastArena, DE_FSM_TABLE, MAX_FLAT_LINES,
 };
 use crate::{CacheConfig, CacheStats};
 
@@ -232,56 +232,6 @@ impl ReplacementPolicy for DePolicy {
             self.arena.set(victim, self.h_copy[set]);
         }
         self.h_copy[set] = self.row.hit_last_value;
-    }
-}
-
-/// Belady's optimal direct-mapped policy through the trait: keep whichever
-/// of {resident, incoming} is referenced sooner, bypass otherwise.
-/// Bit-identical in its decisions to `OptimalDirectMapped` and
-/// [`crate::batch_opt`].
-#[derive(Debug, Clone)]
-pub struct OptPolicy {
-    next: Vec<u32>,
-    resident_next: Vec<u32>,
-}
-
-impl OptPolicy {
-    /// Builds the next-use oracle for the trace (one reverse scan, shared
-    /// machinery with the fused kernel).
-    pub fn new(config: CacheConfig, addrs: &[u32]) -> OptPolicy {
-        let offset_bits = config.geometry().offset_bits();
-        let lines: Vec<u32> = addrs.iter().map(|&a| a >> offset_bits).collect();
-        let top = lines.iter().copied().max().unwrap_or(0);
-        let next = {
-            let _next_use = span::span("kernel.next-use");
-            next_use(&lines, top)
-        };
-        OptPolicy {
-            next,
-            // An invalid resident is "never used again", so any incoming
-            // block wins the greedy comparison.
-            resident_next: vec![NEVER; config.n_sets() as usize],
-        }
-    }
-}
-
-impl ReplacementPolicy for OptPolicy {
-    fn on_lookup(&mut self, pos: usize, set: usize, _line: u32, hit_way: Option<usize>) {
-        if hit_way.is_some() {
-            self.resident_next[set] = self.next[pos];
-        }
-    }
-
-    fn victim(&mut self, pos: usize, set: usize, _line: u32, _resident: &[u32]) -> VictimChoice {
-        if self.next[pos] < self.resident_next[set] {
-            VictimChoice::Install { way: 0 }
-        } else {
-            VictimChoice::Bypass
-        }
-    }
-
-    fn on_fill(&mut self, pos: usize, set: usize, _line: u32, _way: usize, _evicted: Option<u32>) {
-        self.resident_next[set] = self.next[pos];
     }
 }
 
@@ -661,17 +611,6 @@ mod tests {
         // bypasses are the remaining misses.
         assert_eq!(via_trait.fills(), via_kernel.loads);
         assert_eq!(via_trait.misses() - via_trait.fills(), via_kernel.bypasses);
-    }
-
-    #[test]
-    fn opt_policy_matches_batch_kernel() {
-        let config = config(1024, 4);
-        let addrs = trace(20_000);
-        let mut policy = OptPolicy::new(config, &addrs);
-        let via_trait = simulate_policy(config, &addrs, &mut policy);
-        let via_kernel = batch_opt(config, &addrs);
-        assert_eq!(via_trait.accesses(), via_kernel.accesses());
-        assert_eq!(via_trait.misses(), via_kernel.misses());
     }
 
     #[test]

@@ -67,11 +67,16 @@ impl PerfectStore {
     }
 }
 
+// The store sits on every DE miss of simulators instantiated in other
+// crates; `#[inline]` lets each of them inline it instead of depending on
+// link-time import decisions, which shift with unrelated code.
 impl HitLastStore for PerfectStore {
+    #[inline]
     fn get(&self, line_addr: u32) -> bool {
         *self.bits.get(&line_addr).unwrap_or(&self.initial)
     }
 
+    #[inline]
     fn set(&mut self, line_addr: u32, value: bool) {
         self.bits.insert(line_addr, value);
     }
@@ -146,10 +151,12 @@ impl HashedStore {
 }
 
 impl HitLastStore for HashedStore {
+    #[inline]
     fn get(&self, line_addr: u32) -> bool {
         self.bits[self.slot(line_addr)]
     }
 
+    #[inline]
     fn set(&mut self, line_addr: u32, value: bool) {
         let slot = self.slot(line_addr);
         self.bits[slot] = value;

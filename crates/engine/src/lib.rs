@@ -13,10 +13,12 @@
 //! * [`Job`] / [`PolicyKind`] — the sweep-point vocabulary: a cache
 //!   configuration under one member of the replacement-policy zoo (the
 //!   paper's direct-mapped / dynamic-exclusion / optimal policies and
-//!   their last-line variants, plus the Expected-Hit-Count and
-//!   bandwidth-cost additions). Each policy declares per-kernel
-//!   [`KernelSupport`]; unsupported combinations return a structured
-//!   [`PolicyError`] instead of silently falling back.
+//!   their last-line variants, the Expected-Hit-Count and bandwidth-cost
+//!   additions, and the set-associative / victim / stream comparisons).
+//!   [`PolicyKind::run`] is the one dispatch every front end calls; it
+//!   returns a [`PolicyRun`] (label, statistics, DE counters). Each policy
+//!   declares per-kernel [`KernelSupport`]; unsupported combinations
+//!   return a structured [`PolicyError`] instead of silently falling back.
 //! * [`shard_by_set`] / [`sharded_policy_stats`] — set-partitioned
 //!   parallelism *within* one long trace: for policies whose per-set state
 //!   is independent (DM, DE, OPT) the trace is split by set index, shards
@@ -80,9 +82,4 @@ pub use resilience::{
     execute_resilient, JobError, JobFailure, Resilience, SweepCounts, SweepOutcome,
 };
 pub use shard::{shard_by_set, sharded_policy_stats, simulate_sharded};
-pub use sweep::{Job, KernelSupport, PolicyError, PolicyKind, SweepPlan};
-
-/// Pre-PR-10 name of [`PolicyKind`], kept so downstream code compiles while
-/// it migrates to the policy-zoo vocabulary.
-#[deprecated(note = "renamed to `PolicyKind`; use the policy-zoo descriptor API")]
-pub type Policy = PolicyKind;
+pub use sweep::{Job, KernelSupport, PolicyError, PolicyKind, PolicyRun, SweepPlan};

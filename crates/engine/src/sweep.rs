@@ -1,28 +1,36 @@
 //! Sweep plans: (cache config × trace × policy) points executed on the pool.
 //!
-//! Since PR 10 the policy vocabulary is the open [`PolicyKind`] descriptor
-//! instead of a closed dm/de/opt enum: each kind names a member of the
+//! [`PolicyKind`] is the one policy vocabulary the request API, the engine,
+//! the service and `simcache` share. Each kind names a member of the
 //! replacement-policy zoo in `dynex-cache` (the paper's three policies, the
-//! Section 6 last-line variants, and the EHC / bandwidth-cost additions)
-//! and *declares* how each kernel runs it via [`KernelSupport`]. A kernel
-//! either has a specialized fast path, falls back to the reference
-//! simulator by declaration, or is unsupported — in which case simulation
-//! returns a structured [`PolicyError`] naming the supported set, never a
-//! silent gap.
+//! Section 6 last-line variants, the EHC / bandwidth-cost additions, and
+//! the set-associative and buffered comparisons), owns its label and
+//! associativity, and *declares* how each kernel runs it via
+//! [`KernelSupport`]. A kernel either has a specialized fast path, falls
+//! back to the reference simulator by declaration, or is unsupported — in
+//! which case simulation returns a structured [`PolicyError`] naming the
+//! supported set, never a silent gap. [`PolicyKind::run`] is the single
+//! dispatch every front end calls.
 
-use dynex::{DeCache, LastLineDeCache, OptimalDirectMapped};
+use dynex::{DeCache, DeStats, LastLineDeCache, OptimalDirectMapped};
 use dynex_cache::{
     batch_bwcost, batch_de, batch_dm, batch_ehc, batch_opt, batch_sweep, run_addrs,
-    simulate_policy, BwCostPolicy, CacheConfig, CacheStats, DirectMapped, EhcPolicy, Kernel,
-    SweepPoint, SweepPolicy,
+    simulate_policy, BwCostPolicy, CacheConfig, CacheSim, CacheStats, DirectMapped, EhcPolicy,
+    Kernel, Replacement, SetAssociative, StreamBuffer, SweepPoint, SweepPolicy, VictimCache,
 };
 
 use crate::kernel::default_kernel;
 use crate::pool::execute;
 
-/// The replacement/bypass policy a [`Job`] simulates: the descriptor half
-/// of the policy zoo (the stateful halves live in `dynex-cache` behind
-/// [`dynex_cache::ReplacementPolicy`]).
+/// Entries in the `victim` policy's victim buffer.
+const VICTIM_ENTRIES: usize = 4;
+
+/// Depth of the `stream` policy's stream buffer.
+const STREAM_DEPTH: usize = 4;
+
+/// The replacement/bypass policy a [`Job`] or request simulates: the
+/// descriptor half of the policy zoo (the stateful halves live in
+/// `dynex-cache` and `dynex-core`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Conventional direct-mapped (the paper's baseline).
@@ -43,6 +51,27 @@ pub enum PolicyKind {
     /// Bandwidth-aware selective fill (arXiv 1907.02167): install only
     /// blocks that proved reuse; measured in bandwidth transfers.
     BandwidthCost,
+    /// Two-way set-associative, LRU.
+    TwoWay,
+    /// Four-way set-associative, LRU.
+    FourWay,
+    /// Direct-mapped plus a 4-entry victim buffer.
+    Victim,
+    /// Direct-mapped plus a 4-deep stream buffer.
+    Stream,
+}
+
+/// One simulated point as every front end reports it: the organization
+/// label, the statistics, and the exclusion counters (reported by `de`
+/// only).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PolicyRun {
+    /// Human-readable organization label.
+    pub label: String,
+    /// Hit/miss (and, for traffic-accounting policies, traffic) counters.
+    pub stats: CacheStats,
+    /// Dynamic-exclusion load/bypass counters; `Some` for `de` only.
+    pub de: Option<DeStats>,
 }
 
 /// How a kernel runs one [`PolicyKind`] — the capability a policy declares
@@ -117,7 +146,7 @@ impl std::error::Error for PolicyError {}
 
 impl PolicyKind {
     /// Every member of the policy zoo, in presentation order.
-    pub const ALL: [PolicyKind; 7] = [
+    pub const ALL: [PolicyKind; 11] = [
         PolicyKind::DirectMapped,
         PolicyKind::DynamicExclusion,
         PolicyKind::DeLastLine,
@@ -125,6 +154,10 @@ impl PolicyKind {
         PolicyKind::OptimalDmLastLine,
         PolicyKind::ExpectedHitCount,
         PolicyKind::BandwidthCost,
+        PolicyKind::TwoWay,
+        PolicyKind::FourWay,
+        PolicyKind::Victim,
+        PolicyKind::Stream,
     ];
 
     /// Stable lowercase name (used in labels, wire requests, journal keys,
@@ -138,6 +171,10 @@ impl PolicyKind {
             PolicyKind::OptimalDmLastLine => "opt-lastline",
             PolicyKind::ExpectedHitCount => "ehc",
             PolicyKind::BandwidthCost => "bwcost",
+            PolicyKind::TwoWay => "2way",
+            PolicyKind::FourWay => "4way",
+            PolicyKind::Victim => "victim",
+            PolicyKind::Stream => "stream",
         }
     }
 
@@ -156,6 +193,33 @@ impl PolicyKind {
             })
     }
 
+    /// The cache associativity this policy simulates (1 = direct-mapped).
+    pub fn associativity(self) -> u32 {
+        match self {
+            PolicyKind::TwoWay => 2,
+            PolicyKind::FourWay => 4,
+            _ => 1,
+        }
+    }
+
+    /// The human-readable organization label reported for `config`.
+    pub fn label(self, config: CacheConfig) -> String {
+        match self {
+            PolicyKind::DirectMapped => DirectMapped::new(config).label(),
+            PolicyKind::DynamicExclusion => DeCache::new(config).label(),
+            PolicyKind::DeLastLine => LastLineDeCache::new(config).label(),
+            PolicyKind::OptimalDm => "optimal direct-mapped".to_owned(),
+            PolicyKind::OptimalDmLastLine => "optimal direct-mapped + last-line".to_owned(),
+            PolicyKind::ExpectedHitCount => "expected-hit-count direct-mapped".to_owned(),
+            PolicyKind::BandwidthCost => "bandwidth-aware direct-mapped".to_owned(),
+            PolicyKind::TwoWay | PolicyKind::FourWay => {
+                SetAssociative::new(config, Replacement::Lru).label()
+            }
+            PolicyKind::Victim => VictimCache::new(config, VICTIM_ENTRIES).label(),
+            PolicyKind::Stream => StreamBuffer::new(config, STREAM_DEPTH).label(),
+        }
+    }
+
     /// Whether a single trace under this policy may be split by set index
     /// and simulated shard-by-shard with exact results (see
     /// [`crate::shard`]).
@@ -163,10 +227,11 @@ impl PolicyKind {
     /// True for the plain direct-mapped, DE, and optimal caches, whose
     /// per-set state is fully independent. False for the last-line
     /// variants (their buffer holds the single most recent line
-    /// *globally*) and for the bandwidth-cost policy (its starvation
-    /// counter is global). The EHC oracle is per-set in principle but is
-    /// not wired into the sharded path, so it stays declared unshardable
-    /// rather than silently diverging.
+    /// *globally*), for the bandwidth-cost policy (its starvation counter
+    /// is global), and for the victim and stream buffers (shared across
+    /// sets). The EHC oracle and the set-associative caches are per-set in
+    /// principle but are not wired into the sharded path, so they stay
+    /// declared unshardable rather than silently diverging.
     pub fn supports_set_sharding(self) -> bool {
         matches!(
             self,
@@ -177,30 +242,28 @@ impl PolicyKind {
     /// The sweep-kernel policy this policy maps to, if the one-pass
     /// multi-configuration kernel specializes it.
     ///
-    /// `None` for the last-line variants (single global buffer) and for
-    /// the EHC / bandwidth-cost members (their oracles and counters are
-    /// not fused into the multi-configuration walk yet — the capability
-    /// matrix declares the gap loudly instead).
+    /// `None` for every member but dm, de and opt: the last-line variants
+    /// (single global buffer), the EHC / bandwidth-cost members (their
+    /// oracles and counters are not fused into the multi-configuration
+    /// walk yet), and the set-associative and buffered comparisons.
     pub fn sweep_policy(self) -> Option<SweepPolicy> {
         match self {
             PolicyKind::DirectMapped => Some(SweepPolicy::DirectMapped),
             PolicyKind::DynamicExclusion => Some(SweepPolicy::DynamicExclusion),
             PolicyKind::OptimalDm => Some(SweepPolicy::Optimal),
-            PolicyKind::DeLastLine
-            | PolicyKind::OptimalDmLastLine
-            | PolicyKind::ExpectedHitCount
-            | PolicyKind::BandwidthCost => None,
+            _ => None,
         }
     }
 
     /// The declared capability of `kernel` for this policy — the whole
     /// capability matrix in one place.
     ///
-    /// | policy        | reference   | batch             | sweep             |
-    /// |---------------|-------------|-------------------|-------------------|
-    /// | dm, de, opt   | specialized | specialized       | specialized       |
-    /// | *-lastline    | specialized | reference fallback| reference fallback|
-    /// | ehc, bwcost   | specialized | specialized       | unsupported       |
+    /// | policy                      | reference   | batch              | sweep              |
+    /// |-----------------------------|-------------|--------------------|--------------------|
+    /// | dm, de, opt                 | specialized | specialized        | specialized        |
+    /// | *-lastline                  | specialized | reference fallback | reference fallback |
+    /// | ehc, bwcost                 | specialized | specialized        | unsupported        |
+    /// | 2way, 4way, victim, stream  | specialized | reference fallback | reference fallback |
     pub fn kernel_support(self, kernel: Kernel) -> KernelSupport {
         match (self, kernel) {
             // The reference simulators are the spec: every policy has one.
@@ -209,22 +272,28 @@ impl PolicyKind {
                 PolicyKind::DirectMapped | PolicyKind::DynamicExclusion | PolicyKind::OptimalDm,
                 Kernel::Batch | Kernel::Sweep,
             ) => KernelSupport::Specialized,
-            // The last-line buffer is global state: the chunked per-set
-            // loops cannot specialize it, so both fast kernels declare the
-            // reference fallback (identical output, reference throughput).
-            (PolicyKind::DeLastLine | PolicyKind::OptimalDmLastLine, _) => {
-                KernelSupport::ReferenceFallback
+            (PolicyKind::ExpectedHitCount | PolicyKind::BandwidthCost, Kernel::Batch) => {
+                KernelSupport::Specialized
             }
-            (
-                PolicyKind::ExpectedHitCount | PolicyKind::BandwidthCost,
-                Kernel::Batch,
-            ) => KernelSupport::Specialized,
             // The one-pass sweep kernel does not fuse the EHC oracle or
             // the bandwidth counters; declared unsupported, not silently
             // approximated.
             (PolicyKind::ExpectedHitCount | PolicyKind::BandwidthCost, Kernel::Sweep) => {
                 KernelSupport::Unsupported
             }
+            // The last-line buffer is global state, and the set-associative
+            // and buffered caches have no chunked per-set loop: both fast
+            // kernels declare the reference fallback (identical output,
+            // reference throughput).
+            (
+                PolicyKind::DeLastLine
+                | PolicyKind::OptimalDmLastLine
+                | PolicyKind::TwoWay
+                | PolicyKind::FourWay
+                | PolicyKind::Victim
+                | PolicyKind::Stream,
+                Kernel::Batch | Kernel::Sweep,
+            ) => KernelSupport::ReferenceFallback,
         }
     }
 
@@ -249,8 +318,9 @@ impl PolicyKind {
         self.simulate_kernel(default_kernel(), config, addrs)
     }
 
-    /// Simulates this policy over a byte-address trace with an explicit
-    /// kernel.
+    /// Simulates one point with an explicit kernel: the single dispatch
+    /// behind `api::execute`, the service and `simcache`. Returns the
+    /// label, the statistics, and (for `de`) the exclusion counters.
     ///
     /// All supporting kernels are bit-identical in output (the
     /// differential wall in `tests/kernel_differential.rs` enforces the
@@ -265,12 +335,41 @@ impl PolicyKind {
     /// [`PolicyError::UnsupportedKernel`] when the policy declares
     /// [`KernelSupport::Unsupported`] for `kernel`; the error lists the
     /// kernels that do support it.
+    pub fn run(
+        self,
+        kernel: Kernel,
+        config: CacheConfig,
+        addrs: &[u32],
+    ) -> Result<PolicyRun, PolicyError> {
+        let (stats, de) = self.counters(kernel, config, addrs)?;
+        Ok(PolicyRun {
+            label: self.label(config),
+            stats,
+            de,
+        })
+    }
+
+    /// The statistics-only view of [`PolicyKind::run`].
+    ///
+    /// # Errors
+    ///
+    /// As [`PolicyKind::run`].
     pub fn simulate_kernel(
         self,
         kernel: Kernel,
         config: CacheConfig,
         addrs: &[u32],
     ) -> Result<CacheStats, PolicyError> {
+        self.counters(kernel, config, addrs).map(|(stats, _)| stats)
+    }
+
+    /// [`PolicyKind::run`] without the label.
+    fn counters(
+        self,
+        kernel: Kernel,
+        config: CacheConfig,
+        addrs: &[u32],
+    ) -> Result<(CacheStats, Option<DeStats>), PolicyError> {
         match self.kernel_support(kernel) {
             KernelSupport::Unsupported => {
                 return Err(PolicyError::UnsupportedKernel {
@@ -279,58 +378,62 @@ impl PolicyKind {
                     supported: self.supported_kernels(),
                 })
             }
-            KernelSupport::ReferenceFallback => return Ok(self.reference_simulate(config, addrs)),
+            KernelSupport::ReferenceFallback => return Ok(self.reference(config, addrs)),
             KernelSupport::Specialized => {}
         }
+        let de_counters = |loads, bypasses| Some(DeStats { loads, bypasses });
         Ok(match (kernel, self) {
-            (Kernel::Batch, PolicyKind::DirectMapped) => batch_dm(config, addrs),
-            (Kernel::Batch, PolicyKind::DynamicExclusion) => batch_de(config, addrs).stats,
-            (Kernel::Batch, PolicyKind::OptimalDm) => batch_opt(config, addrs),
-            (Kernel::Batch, PolicyKind::ExpectedHitCount) => batch_ehc(config, addrs),
-            (Kernel::Batch, PolicyKind::BandwidthCost) => batch_bwcost(config, addrs),
+            (Kernel::Batch, PolicyKind::DirectMapped) => (batch_dm(config, addrs), None),
+            (Kernel::Batch, PolicyKind::DynamicExclusion) => {
+                let result = batch_de(config, addrs);
+                (result.stats, de_counters(result.loads, result.bypasses))
+            }
+            (Kernel::Batch, PolicyKind::OptimalDm) => (batch_opt(config, addrs), None),
+            (Kernel::Batch, PolicyKind::ExpectedHitCount) => (batch_ehc(config, addrs), None),
+            (Kernel::Batch, PolicyKind::BandwidthCost) => (batch_bwcost(config, addrs), None),
             (Kernel::Sweep, _) => {
                 let point = SweepPoint::new(
                     config,
                     self.sweep_policy()
                         .expect("sweep is specialized only for sweepable policies"),
                 );
-                batch_sweep(&[point], addrs)[0].stats()
+                let result = batch_sweep(&[point], addrs)[0];
+                let de = result.de().and_then(|r| de_counters(r.loads, r.bypasses));
+                (result.stats(), de)
             }
-            (Kernel::Reference, _) | (Kernel::Batch, _) => self.reference_simulate(config, addrs),
+            (Kernel::Reference, _) | (Kernel::Batch, _) => self.reference(config, addrs),
         })
     }
 
     /// The spec simulator for this policy — the bit-exactness baseline
     /// every specialized kernel is measured against.
-    fn reference_simulate(self, config: CacheConfig, addrs: &[u32]) -> CacheStats {
-        match self {
-            PolicyKind::DirectMapped => {
-                let mut sim = DirectMapped::new(config);
-                run_addrs(&mut sim, addrs.iter().copied())
-            }
+    fn reference(self, config: CacheConfig, addrs: &[u32]) -> (CacheStats, Option<DeStats>) {
+        let refs = addrs.iter().copied();
+        let stats = match self {
+            PolicyKind::DirectMapped => run_addrs(&mut DirectMapped::new(config), refs),
             PolicyKind::DynamicExclusion => {
                 let mut sim = DeCache::new(config);
-                run_addrs(&mut sim, addrs.iter().copied())
+                let stats = run_addrs(&mut sim, refs);
+                return (stats, Some(sim.de_stats()));
             }
-            PolicyKind::DeLastLine => {
-                let mut sim = LastLineDeCache::new(config);
-                run_addrs(&mut sim, addrs.iter().copied())
-            }
-            PolicyKind::OptimalDm => {
-                OptimalDirectMapped::simulate(config, addrs.iter().copied())
-            }
+            PolicyKind::DeLastLine => run_addrs(&mut LastLineDeCache::new(config), refs),
+            PolicyKind::OptimalDm => OptimalDirectMapped::simulate(config, refs),
             PolicyKind::OptimalDmLastLine => {
-                OptimalDirectMapped::simulate_with_lastline(config, addrs.iter().copied())
+                OptimalDirectMapped::simulate_with_lastline(config, refs)
             }
             PolicyKind::ExpectedHitCount => {
-                let mut policy = EhcPolicy::new(config, addrs);
-                simulate_policy(config, addrs, &mut policy)
+                simulate_policy(config, addrs, &mut EhcPolicy::new(config, addrs))
             }
             PolicyKind::BandwidthCost => {
-                let mut policy = BwCostPolicy::new(config, addrs);
-                simulate_policy(config, addrs, &mut policy)
+                simulate_policy(config, addrs, &mut BwCostPolicy::new(config, addrs))
             }
-        }
+            PolicyKind::TwoWay | PolicyKind::FourWay => {
+                run_addrs(&mut SetAssociative::new(config, Replacement::Lru), refs)
+            }
+            PolicyKind::Victim => run_addrs(&mut VictimCache::new(config, VICTIM_ENTRIES), refs),
+            PolicyKind::Stream => run_addrs(&mut StreamBuffer::new(config, STREAM_DEPTH), refs),
+        };
+        (stats, None)
     }
 }
 

@@ -29,27 +29,26 @@
 //!   journal), and [`install_session`] applies the session-wide knobs
 //!   (worker count, kernel, resume journal) exactly once.
 //!
-//! The sweep entry points [`sweep_triples`] / [`sweep_triples_lastline`] /
-//! [`run_triple`] are the non-deprecated homes of the old
-//! `runner::{triples, triples_lastline, triple_kernel}` free functions.
+//! The policy vocabulary is the engine's [`PolicyKind`]; [`execute`] hands
+//! every request to its single dispatch, [`PolicyKind::run`]. The sweep
+//! entry points [`sweep_triples`] / [`sweep_triples_lastline`] /
+//! [`run_triple`] run the paper's DM/DE/OPT comparison over many points.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use dynex::DeStats;
-use dynex::{DeCache, LastLineDeCache, OptimalDirectMapped};
 use dynex_cache::{
-    batch_de, batch_dm, batch_opt, batch_sweep, batch_triple, decode_addrs, run as sim_run,
-    CacheConfig, CacheSim, CacheStats, DirectMapped, Kernel, KindFilter, Replacement,
-    SetAssociative, StreamBuffer, SweepPoint, SweepPolicy, VictimCache,
+    batch_sweep, batch_triple, decode_addrs, CacheConfig, CacheStats, Kernel, KindFilter,
+    SweepPoint, SweepPolicy,
 };
 use dynex_engine::{
     default_jobs, default_kernel, execute as pool_execute, job_key, trace_digest,
-    with_global_journal, Journal, PolicyError, PolicyKind,
+    with_global_journal, Journal, PolicyError, PolicyKind, PolicyRun,
 };
 use dynex_obs::json::{self, Json};
 use dynex_obs::NoopProbe;
-use dynex_trace::{io as trace_io, Access, ReadPolicy, Trace};
+use dynex_trace::{io as trace_io, ReadPolicy, Trace};
 
 use crate::runner::{triple_lastline, Triple};
 
@@ -125,98 +124,6 @@ impl From<PolicyError> for ApiError {
     }
 }
 
-/// The cache policy/organization a request simulates — the `--policy`
-/// vocabulary (`--org` is the legacy alias).
-///
-/// Direct-mapped members delegate to the engine's [`PolicyKind`] zoo (see
-/// [`Org::policy_kind`]); the set-associative and buffered organizations
-/// (`2way`, `4way`, `victim`, `stream`) are request-API comparisons that
-/// run their reference simulators directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Org {
-    /// Conventional direct-mapped (the paper's baseline).
-    #[default]
-    Dm,
-    /// Dynamic exclusion with the perfect hit-last store.
-    De,
-    /// Dynamic exclusion with the Section 6 last-line buffer.
-    DeLastLine,
-    /// Optimal direct-mapped with bypass (the oracle bound).
-    Opt,
-    /// Expected-Hit-Count replacement (arXiv 1808.05024).
-    Ehc,
-    /// Bandwidth-aware selective fill (arXiv 1907.02167).
-    BwCost,
-    /// Two-way set-associative, LRU.
-    TwoWay,
-    /// Four-way set-associative, LRU.
-    FourWay,
-    /// Direct-mapped + 4-entry victim cache.
-    Victim,
-    /// Direct-mapped + 4-entry stream buffer.
-    Stream,
-}
-
-/// The supported `--policy` values, for error messages and usage text.
-pub const POLICY_CHOICES: &str = "dm|de|de-lastline|opt|ehc|bwcost|2way|4way|victim|stream";
-
-impl Org {
-    /// The engine [`PolicyKind`] this request policy delegates to, or
-    /// `None` for the set-associative/buffered organizations that live
-    /// only in the request API's reference arms.
-    pub fn policy_kind(self) -> Option<PolicyKind> {
-        match self {
-            Org::Dm => Some(PolicyKind::DirectMapped),
-            Org::De => Some(PolicyKind::DynamicExclusion),
-            Org::DeLastLine => Some(PolicyKind::DeLastLine),
-            Org::Opt => Some(PolicyKind::OptimalDm),
-            Org::Ehc => Some(PolicyKind::ExpectedHitCount),
-            Org::BwCost => Some(PolicyKind::BandwidthCost),
-            Org::TwoWay | Org::FourWay | Org::Victim | Org::Stream => None,
-        }
-    }
-
-    /// The sweep-kernel policy this organization maps to, if the one-pass
-    /// multi-configuration kernel specializes it ([`execute_many`] coalesces
-    /// only these).
-    pub fn sweep_policy(self) -> Option<SweepPolicy> {
-        self.policy_kind().and_then(PolicyKind::sweep_policy)
-    }
-
-    /// Stable lowercase name, exactly the `--policy` argument value.
-    pub fn name(self) -> &'static str {
-        match self {
-            Org::Dm => "dm",
-            Org::De => "de",
-            Org::DeLastLine => "de-lastline",
-            Org::Opt => "opt",
-            Org::Ehc => "ehc",
-            Org::BwCost => "bwcost",
-            Org::TwoWay => "2way",
-            Org::FourWay => "4way",
-            Org::Victim => "victim",
-            Org::Stream => "stream",
-        }
-    }
-
-    /// Parses a `--policy` (or legacy `--org`) argument.
-    pub fn parse(s: &str) -> Option<Org> {
-        Some(match s {
-            "dm" => Org::Dm,
-            "de" => Org::De,
-            "de-lastline" => Org::DeLastLine,
-            "opt" => Org::Opt,
-            "ehc" => Org::Ehc,
-            "bwcost" => Org::BwCost,
-            "2way" => Org::TwoWay,
-            "4way" => Org::FourWay,
-            "victim" => Org::Victim,
-            "stream" => Org::Stream,
-            _ => return None,
-        })
-    }
-}
-
 /// Where a request's reference stream comes from.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum TraceSource {
@@ -275,8 +182,8 @@ pub fn parse_size(text: &str) -> Option<u32> {
 /// [`SimulationRequest::to_json`] makes forgetting a compile error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimulationRequest {
-    /// The cache organization to simulate.
-    pub org: Org,
+    /// The policy (and with it, the cache organization) to simulate.
+    pub policy: PolicyKind,
     /// Cache capacity in bytes.
     pub size_bytes: u32,
     /// Line size in bytes.
@@ -305,7 +212,7 @@ pub struct SimulationRequest {
 impl Default for SimulationRequest {
     fn default() -> SimulationRequest {
         SimulationRequest {
-            org: Org::Dm,
+            policy: PolicyKind::DirectMapped,
             size_bytes: crate::HEADLINE_SIZE,
             line_bytes: 4,
             kinds: KindFilter::All,
@@ -327,14 +234,14 @@ impl SimulationRequest {
     }
 
     /// The validated cache configuration this request simulates
-    /// (associativity follows the organization).
+    /// (associativity follows the policy).
     pub fn cache_config(&self) -> Result<CacheConfig, ApiError> {
-        let ways = match self.org {
-            Org::TwoWay => 2,
-            Org::FourWay => 4,
-            _ => 1,
-        };
-        CacheConfig::new(self.size_bytes, self.line_bytes, ways).map_err(|e| ApiError::Invalid {
+        CacheConfig::new(
+            self.size_bytes,
+            self.line_bytes,
+            self.policy.associativity(),
+        )
+        .map_err(|e| ApiError::Invalid {
             field: "size/line",
             message: e.to_string(),
         })
@@ -349,7 +256,7 @@ impl SimulationRequest {
         verify_key_schema(self)?;
         Ok(job_key(&[
             "simcache/v1",
-            self.org.name(),
+            self.policy.name(),
             kinds_name(self.kinds),
             &format!("size={} line={}", self.size_bytes, self.line_bytes),
             &format!("{:016x}", trace_digest(addrs)),
@@ -401,7 +308,7 @@ impl SimulationRequest {
         };
         Ok(job_key(&[
             "route/v1",
-            self.org.name(),
+            self.policy.name(),
             kinds_name(self.kinds),
             &format!("size={} line={}", self.size_bytes, self.line_bytes),
             &trace_part,
@@ -419,7 +326,7 @@ impl SimulationRequest {
         // field to SimulationRequest fails to compile here until the field
         // is serialized below AND classified in the key schema.
         let SimulationRequest {
-            org,
+            policy,
             size_bytes,
             line_bytes,
             kinds,
@@ -458,7 +365,7 @@ impl SimulationRequest {
                 r#""kernel":"{}","jobs":{},"refs":{},"trace":{},"#,
                 r#""max_skipped":{},"deadline_ms":{},"resume":{}}}"#
             ),
-            org.name(),
+            policy.name(),
             size_bytes,
             line_bytes,
             kinds_name(*kinds),
@@ -676,7 +583,7 @@ pub fn verify_key_schema(request: &SimulationRequest) -> Result<(), ApiError> {
 /// `DYNEX_REFS` environment overrides exactly once — loudly.
 #[derive(Debug, Default, Clone)]
 pub struct RequestBuilder {
-    org: Option<String>,
+    policy: Option<String>,
     size: Option<String>,
     line: Option<u32>,
     kinds: Option<String>,
@@ -690,16 +597,10 @@ pub struct RequestBuilder {
 }
 
 impl RequestBuilder {
-    /// Sets the policy from its `--policy` string.
+    /// Sets the policy from its `--policy` (or legacy `--org`) string.
     pub fn policy(&mut self, policy: &str) -> &mut Self {
-        self.org = Some(policy.to_owned());
+        self.policy = Some(policy.to_owned());
         self
-    }
-
-    /// Sets the organization from its `--org` string (the pre-PR-10 name
-    /// of [`RequestBuilder::policy`], kept for CLI and wire compatibility).
-    pub fn org(&mut self, org: &str) -> &mut Self {
-        self.policy(org)
     }
 
     /// Sets the cache size from a `--size` string (`"32K"`, `"1M"`, bytes).
@@ -786,11 +687,11 @@ impl RequestBuilder {
         let env_jobs = dynex_engine::env_jobs().map_err(ApiError::Env)?;
         let env_refs = env_refs().map_err(ApiError::Env)?;
 
-        let org = match &self.org {
-            None => Org::default(),
-            Some(raw) => Org::parse(raw).ok_or_else(|| ApiError::Invalid {
+        let policy = match &self.policy {
+            None => PolicyKind::DirectMapped,
+            Some(raw) => PolicyKind::parse(raw).map_err(|e| ApiError::Invalid {
                 field: "--policy",
-                message: format!("unknown policy {raw:?} ({POLICY_CHOICES})"),
+                message: e.to_string(),
             })?,
         };
         let size_bytes = match &self.size {
@@ -857,7 +758,7 @@ impl RequestBuilder {
         }
 
         let request = SimulationRequest {
-            org,
+            policy,
             size_bytes,
             line_bytes,
             kinds,
@@ -1067,9 +968,8 @@ pub fn result_from_journal(v: &Json) -> Option<(String, CacheStats, Option<DeSta
 /// A loaded, filtered, decoded reference stream.
 #[derive(Debug, Clone)]
 pub struct LoadedTrace {
-    /// The filtered accesses (reference simulators replay these).
-    pub accesses: Vec<Access>,
-    /// The decoded byte-address stream (batch kernels and digests use it).
+    /// The decoded byte-address stream: every simulator and the content
+    /// digest read only addresses, so this is the trace's one copy.
     pub addrs: Vec<u32>,
     /// Corrupt records skipped during a lenient read (0 under strict).
     pub skipped: u64,
@@ -1116,16 +1016,8 @@ pub fn load(request: &SimulationRequest) -> Result<LoadedTrace, ApiError> {
 /// Applies the kind filter to a loaded trace and decodes the byte-address
 /// stream (shared with callers that load traces themselves).
 pub fn filter_trace(trace: &Trace, kinds: KindFilter, skipped: u64) -> LoadedTrace {
-    let accesses: Vec<Access> = match kinds {
-        KindFilter::All => trace.iter().collect(),
-        KindFilter::Instructions => dynex_trace::filter::instructions(trace.iter()).collect(),
-        KindFilter::Data => dynex_trace::filter::data(trace.iter()).collect(),
-    };
-    let addrs = decode_addrs(trace.as_packed(), kinds);
-    debug_assert_eq!(addrs.len(), accesses.len());
     LoadedTrace {
-        accesses,
-        addrs,
+        addrs: decode_addrs(trace.as_packed(), kinds),
         skipped,
     }
 }
@@ -1146,91 +1038,8 @@ fn execute_with_key(
     key: String,
 ) -> Result<SimulationResponse, ApiError> {
     let config = request.cache_config()?;
-    let kernel = request.kernel;
-    let accesses = &trace.accesses;
-    let addrs = &trace.addrs;
-    let (label, stats, de) = match request.org {
-        Org::Dm => {
-            let mut cache = DirectMapped::new(config);
-            let stats = match kernel {
-                Kernel::Batch => batch_dm(config, addrs),
-                Kernel::Sweep => {
-                    let point = SweepPoint::new(config, SweepPolicy::DirectMapped);
-                    batch_sweep(&[point], addrs)[0].stats()
-                }
-                Kernel::Reference => sim_run(&mut cache, accesses.iter().copied()),
-            };
-            (cache.label(), stats, None)
-        }
-        Org::De => {
-            let mut cache = DeCache::new(config);
-            let (stats, de) = match kernel {
-                Kernel::Batch | Kernel::Sweep => {
-                    let result = if kernel == Kernel::Batch {
-                        batch_de(config, addrs)
-                    } else {
-                        let point = SweepPoint::new(config, SweepPolicy::DynamicExclusion);
-                        batch_sweep(&[point], addrs)[0]
-                            .de()
-                            .expect("a DE sweep point yields DE counters")
-                    };
-                    (
-                        result.stats,
-                        DeStats {
-                            loads: result.loads,
-                            bypasses: result.bypasses,
-                        },
-                    )
-                }
-                Kernel::Reference => {
-                    let stats = sim_run(&mut cache, accesses.iter().copied());
-                    (stats, cache.de_stats())
-                }
-            };
-            (cache.label(), stats, Some(de))
-        }
-        Org::DeLastLine => {
-            let mut cache = LastLineDeCache::new(config);
-            let stats = sim_run(&mut cache, accesses.iter().copied());
-            (cache.label(), stats, None)
-        }
-        Org::Opt => {
-            let stats = match kernel {
-                Kernel::Batch => batch_opt(config, addrs),
-                Kernel::Sweep => {
-                    let point = SweepPoint::new(config, SweepPolicy::Optimal);
-                    batch_sweep(&[point], addrs)[0].stats()
-                }
-                Kernel::Reference => {
-                    OptimalDirectMapped::simulate(config, accesses.iter().map(|a| a.addr()))
-                }
-            };
-            ("optimal direct-mapped".to_owned(), stats, None)
-        }
-        Org::Ehc => {
-            let stats = PolicyKind::ExpectedHitCount.simulate_kernel(kernel, config, addrs)?;
-            ("expected-hit-count direct-mapped".to_owned(), stats, None)
-        }
-        Org::BwCost => {
-            let stats = PolicyKind::BandwidthCost.simulate_kernel(kernel, config, addrs)?;
-            ("bandwidth-aware direct-mapped".to_owned(), stats, None)
-        }
-        Org::TwoWay | Org::FourWay => {
-            let mut cache = SetAssociative::new(config, Replacement::Lru);
-            let stats = sim_run(&mut cache, accesses.iter().copied());
-            (cache.label(), stats, None)
-        }
-        Org::Victim => {
-            let mut cache = VictimCache::new(config, 4);
-            let stats = sim_run(&mut cache, accesses.iter().copied());
-            (cache.label(), stats, None)
-        }
-        Org::Stream => {
-            let mut cache = StreamBuffer::new(config, 4);
-            let stats = sim_run(&mut cache, accesses.iter().copied());
-            (cache.label(), stats, None)
-        }
-    };
+    let PolicyRun { label, stats, de } =
+        request.policy.run(request.kernel, config, &trace.addrs)?;
     Ok(SimulationResponse {
         label,
         stats,
@@ -1248,8 +1057,8 @@ fn execute_with_key(
 ///
 /// The caller (the `dynex-serve` dispatcher) is responsible for grouping:
 /// every request in the batch must decode to the same reference stream —
-/// `trace` is simulated once for all of them. Requests whose organization
-/// has no sweep specialization ([`Org::sweep_policy`] is `None`) are
+/// `trace` is simulated once for all of them. Requests whose policy
+/// has no sweep specialization ([`PolicyKind::sweep_policy`] is `None`) are
 /// rejected with [`ApiError::Invalid`]; the caller falls back to per-request
 /// execution for those.
 pub fn execute_many(
@@ -1261,11 +1070,11 @@ pub fn execute_many(
     for request in requests {
         let config = request.cache_config()?;
         let policy = request
-            .org
+            .policy
             .sweep_policy()
             .ok_or_else(|| ApiError::Invalid {
                 field: "--policy",
-                message: format!("{:?} has no sweep specialization", request.org.name()),
+                message: format!("{:?} has no sweep specialization", request.policy.name()),
             })?;
         keys.push(request.content_key(&trace.addrs)?);
         points.push(SweepPoint::new(config, policy));
@@ -1276,30 +1085,17 @@ pub fn execute_many(
         .zip(points)
         .zip(results)
         .zip(keys)
-        .map(|(((request, point), result), key)| {
-            // Labels come from the same constructors `execute` uses, so the
-            // coalesced and per-request paths stay byte-identical.
-            let (label, de) = match request.org {
-                Org::Dm => (DirectMapped::new(point.config).label(), None),
-                Org::De => {
-                    let counters = result.de().expect("a DE sweep point yields DE counters");
-                    (
-                        DeCache::new(point.config).label(),
-                        Some(DeStats {
-                            loads: counters.loads,
-                            bypasses: counters.bypasses,
-                        }),
-                    )
-                }
-                _ => ("optimal direct-mapped".to_owned(), None),
-            };
-            SimulationResponse {
-                label,
-                stats: result.stats(),
-                de,
-                key,
-                cached: false,
-            }
+        .map(|(((request, point), result), key)| SimulationResponse {
+            // The label and DE counters are the ones `execute` reports, so
+            // the coalesced and per-request paths stay byte-identical.
+            label: request.policy.label(point.config),
+            stats: result.stats(),
+            de: result.de().map(|de| DeStats {
+                loads: de.loads,
+                bypasses: de.bypasses,
+            }),
+            key,
+            cached: false,
         })
         .collect())
 }
@@ -1392,8 +1188,7 @@ pub fn install_session(request: &SimulationRequest) -> Result<SessionReport, Api
     })
 }
 
-/// Runs the three-way DM/DE/OPT comparison with an explicit kernel — the
-/// request-API home of the deprecated `runner::triple_kernel`.
+/// Runs the three-way DM/DE/OPT comparison with an explicit kernel.
 ///
 /// Under [`Kernel::Batch`] the three policies run through
 /// [`dynex_cache::batch_triple`]: one fused pass over one decoded stream.
@@ -1455,8 +1250,7 @@ pub fn run_triples_sweep(configs: &[CacheConfig], addrs: &[u32]) -> Vec<Triple> 
 }
 
 /// Runs [`crate::triple`] over many `(config, trace)` sweep points on the
-/// engine's worker pool — the request-API home of the deprecated
-/// `runner::triples`.
+/// engine's worker pool.
 ///
 /// Results are in point order and bit-identical for every worker count.
 /// When a sweep journal is installed ([`install_session`] with `resume`),
@@ -1617,6 +1411,7 @@ pub(crate) static JOURNAL_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::ne
 mod tests {
     use super::*;
     use crate::runner::triple;
+    use dynex_trace::Access;
 
     fn thrash() -> Vec<u32> {
         (0..40).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect()
@@ -1629,7 +1424,7 @@ mod tests {
         trace_io::write_binary(&mut bytes, &trace).unwrap();
         std::fs::write(&path, bytes).unwrap();
         let mut b = SimulationRequest::builder();
-        b.org("de").size("64").line(4).trace_path(&path).jobs(1);
+        b.policy("de").size("64").line(4).trace_path(&path).jobs(1);
         (b.build().unwrap(), path)
     }
 
@@ -1643,7 +1438,7 @@ mod tests {
     #[test]
     fn builder_defaults_and_validation() {
         let request = SimulationRequest::builder().build().unwrap();
-        assert_eq!(request.org, Org::Dm);
+        assert_eq!(request.policy, PolicyKind::DirectMapped);
         assert_eq!(request.size_bytes, crate::HEADLINE_SIZE);
         assert_eq!(request.line_bytes, 4);
         assert_eq!(request.kernel, Kernel::Batch);
@@ -1651,7 +1446,7 @@ mod tests {
         assert_eq!(request.trace, TraceSource::Workloads);
 
         let err = SimulationRequest::builder()
-            .org("plaid")
+            .policy("plaid")
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("plaid"));
@@ -1685,7 +1480,7 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_every_field() {
         let mut b = SimulationRequest::builder();
-        b.org("de")
+        b.policy("de")
             .size("32K")
             .line(16)
             .kinds("instr")
@@ -1749,7 +1544,7 @@ mod tests {
     fn routing_key_tracks_content_determinants_only() {
         let build = |f: &dyn Fn(&mut RequestBuilder)| {
             let mut b = SimulationRequest::builder();
-            b.org("de")
+            b.policy("de")
                 .size("64")
                 .line(4)
                 .jobs(1)
@@ -1779,7 +1574,7 @@ mod tests {
         assert_ne!(
             base,
             build(&|b| {
-                b.org("dm");
+                b.policy("dm");
             })
         );
         assert_ne!(
@@ -1810,7 +1605,7 @@ mod tests {
         // lenient-read budget is not (skips change the decoded stream).
         let file = |f: &dyn Fn(&mut RequestBuilder)| {
             let mut b = SimulationRequest::builder();
-            b.org("de")
+            b.policy("de")
                 .size("64")
                 .line(4)
                 .jobs(1)
@@ -1837,7 +1632,7 @@ mod tests {
     fn content_key_matches_pr3_simcache_keys() {
         let addrs = thrash();
         let mut b = SimulationRequest::builder();
-        b.org("de").size("64").line(4).jobs(1).profile("gcc");
+        b.policy("de").size("64").line(4).jobs(1).profile("gcc");
         let request = b.build().unwrap();
         // The PR 3 derivation, verbatim.
         let legacy = job_key(&[
@@ -1855,7 +1650,7 @@ mod tests {
         let addrs = thrash();
         let build = |f: &dyn Fn(&mut RequestBuilder)| {
             let mut b = SimulationRequest::builder();
-            b.org("de").size("64").line(4).jobs(1).profile("gcc");
+            b.policy("de").size("64").line(4).jobs(1).profile("gcc");
             f(&mut b);
             b.build().unwrap().content_key(&addrs).unwrap()
         };
@@ -1875,7 +1670,7 @@ mod tests {
         assert_ne!(
             base,
             build(&|b| {
-                b.org("dm");
+                b.policy("dm");
             })
         );
         assert_ne!(
@@ -1891,7 +1686,7 @@ mod tests {
         let dir = scratch("execute");
         let (request, _path) = thrash_request(&dir);
         let trace = load(&request).unwrap();
-        assert_eq!(trace.accesses.len(), 40);
+        assert_eq!(trace.addrs.len(), 40);
         assert_eq!(trace.skipped, 0);
 
         let batch = execute(&request, &trace).unwrap();
@@ -1994,9 +1789,14 @@ mod tests {
         let trace = load(&base).unwrap();
 
         let mut requests = Vec::new();
-        for (org, size) in [(Org::Dm, 64), (Org::De, 64), (Org::De, 256), (Org::Opt, 64)] {
+        for (policy, size) in [
+            (PolicyKind::DirectMapped, 64),
+            (PolicyKind::DynamicExclusion, 64),
+            (PolicyKind::DynamicExclusion, 256),
+            (PolicyKind::OptimalDm, 64),
+        ] {
             let mut r = base.clone();
-            r.org = org;
+            r.policy = policy;
             r.size_bytes = size;
             requests.push(r);
         }
@@ -2005,7 +1805,7 @@ mod tests {
         assert_eq!(fused.len(), requests.len());
         for (request, got) in requests.iter().zip(&fused) {
             let single = execute(request, &trace).unwrap();
-            assert_eq!(got.stats, single.stats, "{}", request.org.name());
+            assert_eq!(got.stats, single.stats, "{}", request.policy.name());
             assert_eq!(got.label, single.label);
             assert_eq!(got.de, single.de);
             assert!(!got.cached);
@@ -2013,7 +1813,7 @@ mod tests {
 
         // Unsweepable organizations are rejected up front, not silently run.
         let mut lastline = base.clone();
-        lastline.org = Org::DeLastLine;
+        lastline.policy = PolicyKind::DeLastLine;
         let err = execute_many(&[&lastline], &trace).unwrap_err();
         assert!(matches!(err, ApiError::Invalid { field, .. } if field == "--policy"));
         std::fs::remove_dir_all(&dir).ok();

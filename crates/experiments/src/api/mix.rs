@@ -35,7 +35,7 @@ pub struct MixConfig {
     pub deadline_fraction: f64,
     /// The deadline attached to that fraction, in milliseconds.
     pub deadline_ms: u64,
-    /// Organizations to spread over (`--org` strings).
+    /// Policies to spread over (`--policy` strings).
     pub orgs: Vec<String>,
     /// Cache sizes to spread over (`--size` strings such as `"8K"`).
     pub sizes: Vec<String>,
@@ -130,9 +130,9 @@ impl RequestMix {
         for profile in &config.profiles {
             for size in &config.sizes {
                 for &line in &config.lines {
-                    for org in &config.orgs {
+                    for policy in &config.orgs {
                         let request = SimulationRequest::builder()
-                            .org(org)
+                            .policy(policy)
                             .size(size)
                             .line(line)
                             .profile(profile)

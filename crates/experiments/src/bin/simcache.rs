@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! simcache <trace.dxt|trace.txt> --size 32K --line 4 \
-//!          [--policy dm|de|de-lastline|opt|ehc|bwcost|2way|4way|victim|stream] \
+//!          [--policy dm|de|de-lastline|opt|opt-lastline|ehc|bwcost|2way|4way|victim|stream] \
 //!          [--kinds all|instr|data] \
 //!          [--kernel reference|batch|sweep] [--sweep 1K,2K,4K,...] \
 //!          [--jobs N] [--shard-sets] [--job-retries N] [--job-timeout-ms N] \
@@ -20,7 +20,8 @@
 //! the `dm`, `de`, and `opt` policies (default `batch`). Each policy
 //! declares its per-kernel support: `ehc` and `bwcost` run under
 //! `reference` and `batch` but reject `sweep` with a structured error, and
-//! the last-line variants always run their reference simulators.
+//! the last-line variants and the `2way`/`4way`/`victim`/`stream`
+//! organizations always run their reference simulators.
 //! All supported combinations produce bit-identical
 //! statistics, exclusion counters, and observability output — including
 //! under `--shard-sets` and `--resume` (journal keys do not encode the
@@ -51,7 +52,7 @@
 //! `--shard-sets` splits the trace by cache-set index and simulates the
 //! shards concurrently on `--jobs` workers (default: `DYNEX_JOBS` or all
 //! cores). This is exact — per-set state is independent — and therefore only
-//! supported for `--org dm|de|opt`; the other organizations have cross-set
+//! supported for `--policy dm|de|opt`; the other policies have cross-set
 //! state (last-line buffers, victim/stream buffers, hashed stores) that
 //! sharding would perturb. Statistics and observability outputs are merged
 //! deterministically: counters and histograms sum, and the events JSONL is
@@ -77,16 +78,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dynex::DeStats;
-use dynex::{DeCache, LastLineDeCache, OptimalDirectMapped, PerfectStore};
+use dynex::{DeCache, LastLineDeCache, PerfectStore};
 use dynex_cache::{
-    batch_de, batch_de_probed, batch_dm_probed, batch_opt, batch_sweep, batch_sweep_probed, run,
-    run_addrs, CacheConfig, CacheSim, CacheStats, DirectMapped, Kernel, Replacement,
-    SetAssociative, StreamBuffer, SweepPoint, SweepPolicy, VictimCache,
+    batch_de_probed, batch_dm_probed, batch_sweep_probed, run_addrs, CacheConfig, CacheSim,
+    CacheStats, DirectMapped, Kernel, Replacement, SetAssociative, StreamBuffer, SweepPoint,
+    SweepPolicy, VictimCache,
 };
 use dynex_engine::{
-    default_kernel, execute, execute_resilient, shard_by_set, PolicyKind, Resilience,
+    default_kernel, execute, execute_resilient, shard_by_set, PolicyKind, PolicyRun, Resilience,
 };
-use dynex_experiments::api::{self, parse_size, Org, SimulationRequest};
+use dynex_experiments::api::{self, parse_size, SimulationRequest};
 use dynex_experiments::Triple;
 use dynex_obs::{export, Collector, CountingProbe, Event, EventLog};
 use dynex_trace::{io as trace_io, ReadPolicy, Trace, TraceStats};
@@ -108,7 +109,7 @@ fn load_trace(path: &str, policy: ReadPolicy) -> Result<(Trace, u64), String> {
 fn usage() {
     eprintln!(
         "usage: simcache <trace-file> --size <bytes|NK|NM> [--line N] \
-         [--policy dm|de|de-lastline|opt|ehc|bwcost|2way|4way|victim|stream] \
+         [--policy dm|de|de-lastline|opt|opt-lastline|ehc|bwcost|2way|4way|victim|stream] \
          [--org <policy>  (legacy alias)] [--kinds all|instr|data] \
          [--kernel reference|batch|sweep] [--sweep <size,size,...>] \
          [--jobs N] [--shard-sets] [--job-retries N] [--job-timeout-ms N] \
@@ -183,28 +184,25 @@ fn injected_fault(env: &str) -> Option<usize> {
 /// `--shard-sets`: split the trace by set index, simulate the shards on the
 /// engine's worker pool, and merge statistics (and probes) exactly.
 ///
-/// Only `dm`, `de`, and `opt` are accepted — every other organization has
+/// Only `dm`, `de`, and `opt` are accepted
+/// ([`PolicyKind::supports_set_sharding`]) — every other policy has
 /// cross-set state that set partitioning would perturb.
 fn run_sharded(
-    org: &str,
+    policy: PolicyKind,
     config: CacheConfig,
     addrs: &[u32],
     jobs: usize,
     obs: &ObsConfig,
     resilience: Resilience,
 ) -> ExitCode {
-    let policy = match org {
-        "dm" => PolicyKind::DirectMapped,
-        "de" => PolicyKind::DynamicExclusion,
-        "opt" => PolicyKind::OptimalDm,
-        other => {
-            eprintln!(
-                "error: --shard-sets supports --policy dm|de|opt only (got {other:?}; \
-                 its cross-set state cannot be partitioned exactly)"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
+    if !policy.supports_set_sharding() {
+        eprintln!(
+            "error: --shard-sets supports --policy dm|de|opt only (got {:?}; \
+             its cross-set state cannot be partitioned exactly)",
+            policy.name()
+        );
+        return ExitCode::FAILURE;
+    }
     let n_shards = jobs;
     eprintln!("set-sharded run: {n_shards} shard(s) on {jobs} worker(s)");
 
@@ -347,38 +345,10 @@ fn run_sharded_resilient(
         if Some(*index) == inject_hang {
             std::thread::sleep(Duration::from_secs(3600));
         }
-        match (default_kernel(), policy) {
-            (Kernel::Batch, PolicyKind::DynamicExclusion) => {
-                let result = batch_de(config, shard);
-                let de_stats = DeStats {
-                    loads: result.loads,
-                    bypasses: result.bypasses,
-                };
-                (result.stats, Some(de_stats))
-            }
-            (Kernel::Sweep, PolicyKind::DynamicExclusion) => {
-                let point = SweepPoint::new(config, SweepPolicy::DynamicExclusion);
-                let results = batch_sweep(&[point], shard);
-                let result = results[0].de().expect("DE sweep point yields DE result");
-                let de_stats = DeStats {
-                    loads: result.loads,
-                    bypasses: result.bypasses,
-                };
-                (result.stats, Some(de_stats))
-            }
-            (Kernel::Reference, PolicyKind::DynamicExclusion) => {
-                let mut cache = DeCache::new(config);
-                let stats = run_addrs(&mut cache, shard.iter().copied());
-                (stats, Some(cache.de_stats()))
-            }
-            // PolicyKind::simulate is itself kernel-aware for dm and opt.
-            _ => (
-                policy
-                    .simulate(config, shard)
-                    .expect("dm/de/opt run on every kernel"),
-                None,
-            ),
-        }
+        let PolicyRun { stats, de, .. } = policy
+            .run(default_kernel(), config, shard)
+            .expect("dm/de/opt run on every kernel");
+        (stats, de)
     });
 
     let mut merged = CacheStats::new();
@@ -684,11 +654,7 @@ fn main() -> ExitCode {
         eprintln!("lenient read: {skipped} corrupt record(s) skipped");
         eprintln!("trace: {stats}");
     }
-    eprintln!(
-        "{} references selected from {}",
-        loaded.accesses.len(),
-        path
-    );
+    eprintln!("{} references selected from {}", loaded.addrs.len(), path);
 
     // Apply the session knobs (worker count, kernel, resume journal) from
     // the request in one place.
@@ -730,7 +696,7 @@ fn main() -> ExitCode {
     if shard_sets {
         // --jobs (or the resolved session default) doubles as the shard count.
         return run_sharded(
-            request.org.name(),
+            request.policy,
             dm_config,
             &loaded.addrs,
             request.jobs,
@@ -763,7 +729,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let accesses = &loaded.accesses;
     let addrs = &loaded.addrs;
     let report = |label: String, stats: CacheStats| {
         println!(
@@ -780,7 +745,7 @@ fn main() -> ExitCode {
     macro_rules! simulate_observed {
         ($cache:expr) => {{
             let mut cache = $cache;
-            let stats = run(&mut cache, accesses.iter().copied());
+            let stats = run_addrs(&mut cache, addrs.iter().copied());
             report(cache.label(), stats);
             let (collector, log) = cache.into_probe();
             if let Err(e) = obs.write(&collector, log.events()) {
@@ -790,8 +755,8 @@ fn main() -> ExitCode {
         }};
     }
 
-    match request.org {
-        Org::Dm => match default_kernel() {
+    match request.policy {
+        PolicyKind::DirectMapped => match default_kernel() {
             Kernel::Batch => {
                 let mut probe = obs.probe();
                 let stats = batch_dm_probed(dm_config, addrs, &mut probe);
@@ -817,7 +782,7 @@ fn main() -> ExitCode {
                 simulate_observed!(DirectMapped::with_probe(dm_config, obs.probe()));
             }
         },
-        Org::De => {
+        PolicyKind::DynamicExclusion => {
             let (label, stats, de_stats, collector, log) = match default_kernel() {
                 Kernel::Batch => {
                     let mut probe = obs.probe();
@@ -845,7 +810,7 @@ fn main() -> ExitCode {
                 }
                 Kernel::Reference => {
                     let mut cache = DeCache::with_probe(dm_config, obs.probe());
-                    let stats = run(&mut cache, accesses.iter().copied());
+                    let stats = run_addrs(&mut cache, addrs.iter().copied());
                     let label = cache.label();
                     let de_stats = cache.de_stats();
                     let (collector, log) = cache.into_probe();
@@ -859,62 +824,14 @@ fn main() -> ExitCode {
             }
             println!("  loads {} bypasses {}", de_stats.loads, de_stats.bypasses);
         }
-        Org::DeLastLine => {
+        PolicyKind::DeLastLine => {
             simulate_observed!(LastLineDeCache::with_store_and_probe(
                 dm_config,
                 PerfectStore::new(),
                 obs.probe()
             ));
         }
-        Org::Opt => {
-            eprintln!(
-                "note: --policy opt is a two-pass oracle without a probed hot path; \
-                 observability outputs are not written"
-            );
-            let stats = match default_kernel() {
-                Kernel::Batch => batch_opt(dm_config, addrs),
-                Kernel::Sweep => {
-                    let point = SweepPoint::new(dm_config, SweepPolicy::Optimal);
-                    batch_sweep(&[point], addrs)[0].stats()
-                }
-                Kernel::Reference => {
-                    OptimalDirectMapped::simulate(dm_config, accesses.iter().map(|a| a.addr()))
-                }
-            };
-            report("optimal direct-mapped".to_owned(), stats);
-        }
-        Org::Ehc | Org::BwCost => {
-            eprintln!(
-                "note: --policy {} runs the policy-zoo driver without a probed hot \
-                 path; observability outputs are not written",
-                request.org.name()
-            );
-            let kind = request
-                .org
-                .policy_kind()
-                .expect("ehc/bwcost are zoo policies");
-            let label = if request.org == Org::Ehc {
-                "expected-hit-count direct-mapped"
-            } else {
-                "bandwidth-aware direct-mapped"
-            };
-            match kind.simulate_kernel(default_kernel(), dm_config, addrs) {
-                Ok(stats) => {
-                    report(label.to_owned(), stats);
-                    println!(
-                        "  fills {} writebacks {} bandwidth {:.1} transfers/kiloref",
-                        stats.fills(),
-                        stats.writebacks(),
-                        stats.bandwidth_per_kiloref()
-                    );
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        Org::TwoWay | Org::FourWay => {
+        PolicyKind::TwoWay | PolicyKind::FourWay => {
             let config = match request.cache_config() {
                 Ok(c) => c,
                 Err(e) => {
@@ -928,11 +845,30 @@ fn main() -> ExitCode {
                 obs.probe()
             ));
         }
-        Org::Victim => {
+        PolicyKind::Victim => {
             simulate_observed!(VictimCache::with_probe(dm_config, 4, obs.probe()));
         }
-        Org::Stream => {
+        PolicyKind::Stream => {
             simulate_observed!(StreamBuffer::with_probe(dm_config, 4, obs.probe()));
+        }
+        // The oracles and the policy-zoo driver have no probed hot path:
+        // they run through the plain request path instead.
+        PolicyKind::OptimalDm
+        | PolicyKind::OptimalDmLastLine
+        | PolicyKind::ExpectedHitCount
+        | PolicyKind::BandwidthCost => {
+            eprintln!(
+                "note: --policy {} has no probed hot path; observability outputs \
+                 are not written",
+                request.policy.name()
+            );
+            match api::execute(&request, &loaded) {
+                Ok(response) => print!("{}", response.render_text()),
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
         }
     }
     ExitCode::SUCCESS

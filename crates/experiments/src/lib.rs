@@ -28,10 +28,9 @@ mod runner;
 mod table;
 mod workloads;
 
-#[allow(deprecated)]
 pub use runner::{
-    triple, triple_kernel, triple_lastline, triple_observed, triple_to_json, triples,
-    triples_lastline, triples_to_jsonl, ObservedTriple, Triple,
+    triple, triple_lastline, triple_observed, triple_to_json, triples_to_jsonl, ObservedTriple,
+    Triple,
 };
 pub use table::Table;
 pub use workloads::Workloads;

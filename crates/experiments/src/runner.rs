@@ -6,15 +6,11 @@
 //! [`dynex_engine::PolicyKind`], and the sweep entry points fan the points out
 //! over the engine's deterministic worker pool. Results are in plan order
 //! and bit-identical for every worker count, so figures built on these
-//! functions never depend on `--jobs`.
-//!
-//! Since PR 5 the ad-hoc sweep entry points (`triples`, `triples_lastline`,
-//! `triple_kernel`) are deprecated shims over [`crate::api`] — the typed
-//! request API that every driver, example, and the `dynex-serve` service
-//! construct requests through.
+//! functions never depend on `--jobs`. The sweep entry points and the
+//! explicit-kernel triple live in [`crate::api`].
 
 use dynex::{DeCache, OptimalDirectMapped};
-use dynex_cache::{run_addrs, CacheConfig, CacheStats, Kernel};
+use dynex_cache::{run_addrs, CacheConfig, CacheStats};
 use dynex_engine::{default_kernel, PolicyKind};
 use dynex_obs::{CountingProbe, EventCounts};
 
@@ -47,38 +43,6 @@ impl Triple {
 /// the session's [`dynex_engine::default_kernel`].
 pub fn triple(config: CacheConfig, addrs: &[u32]) -> Triple {
     crate::api::run_triple(default_kernel(), config, addrs)
-}
-
-/// Runs the three-way comparison with an explicit kernel.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dynex_experiments::api::run_triple` — the request API \
-            replaces the loose free-function entry points"
-)]
-pub fn triple_kernel(kernel: Kernel, config: CacheConfig, addrs: &[u32]) -> Triple {
-    crate::api::run_triple(kernel, config, addrs)
-}
-
-/// Runs [`triple`] over many `(config, trace)` sweep points on the engine's
-/// worker pool.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dynex_experiments::api::sweep_triples` — the request API \
-            replaces the loose free-function entry points"
-)]
-pub fn triples(points: &[(CacheConfig, &[u32])]) -> Vec<Triple> {
-    crate::api::sweep_triples(points)
-}
-
-/// Runs [`triple_lastline`] over many `(config, trace)` sweep points on the
-/// engine's worker pool.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dynex_experiments::api::sweep_triples_lastline` — the \
-            request API replaces the loose free-function entry points"
-)]
-pub fn triples_lastline(points: &[(CacheConfig, &[u32])]) -> Vec<Triple> {
-    crate::api::sweep_triples_lastline(points)
 }
 
 /// One labelled triple as a JSON object (a JSONL line, without the newline).
@@ -218,23 +182,6 @@ mod tests {
         assert!(t.de.misses() < t.dm.misses());
         assert!(t.de_reduction() > 0.0);
         assert!(t.opt_reduction() >= t.de_reduction());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_agree_with_the_request_api() {
-        let config = CacheConfig::direct_mapped(64, 4).unwrap();
-        let addrs = thrash();
-        assert_eq!(
-            triple_kernel(Kernel::Batch, config, &addrs),
-            crate::api::run_triple(Kernel::Batch, config, &addrs)
-        );
-        let points: Vec<(CacheConfig, &[u32])> = vec![(config, &addrs)];
-        assert_eq!(triples(&points), crate::api::sweep_triples(&points));
-        assert_eq!(
-            triples_lastline(&points),
-            crate::api::sweep_triples_lastline(&points)
-        );
     }
 
     #[test]

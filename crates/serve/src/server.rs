@@ -701,11 +701,11 @@ impl Unit {
     }
 }
 
-/// Plans a dispatcher batch into units: jobs whose organization has a sweep
+/// Plans a dispatcher batch into units: jobs whose policy has a sweep
 /// specialization and whose kernel is not `reference` are grouped by decoded
 /// trace content; a group of two or more becomes one fused unit so the whole
 /// group rides a single `batch_sweep` traversal. Everything else (reference
-/// runs, last-line organizations, singleton groups) stays a per-job unit.
+/// runs, last-line policies, singleton groups) stays a per-job unit.
 /// Grouping is by digest *and* a content check, so a digest collision can
 /// never fuse jobs over different traces.
 fn plan_units(batch: &[SimJob]) -> Vec<Unit> {
@@ -714,7 +714,7 @@ fn plan_units(batch: &[SimJob]) -> Vec<Unit> {
     let mut groups: Vec<(u64, usize, Vec<usize>)> = Vec::new();
     for (index, job) in batch.iter().enumerate() {
         let sweepable =
-            job.request.org.sweep_policy().is_some() && job.request.kernel != Kernel::Reference;
+            job.request.policy.sweep_policy().is_some() && job.request.kernel != Kernel::Reference;
         if !sweepable {
             units.push(Unit::Single(index));
             continue;
@@ -890,17 +890,13 @@ mod tests {
     use dynex_experiments::api::SimulationRequest;
 
     /// A minimal queued job over the given decoded addresses.
-    fn job(org: &str, kernel: &str, addrs: Vec<u32>) -> SimJob {
+    fn job(policy: &str, kernel: &str, addrs: Vec<u32>) -> SimJob {
         let mut builder = SimulationRequest::builder();
-        builder.org(org).kernel(kernel);
+        builder.policy(policy).kernel(kernel);
         SimJob {
-            key: format!("{org}/{kernel}/{}", addrs.len()),
+            key: format!("{policy}/{kernel}/{}", addrs.len()),
             request: builder.build().expect("valid request"),
-            trace: LoadedTrace {
-                accesses: Vec::new(),
-                addrs,
-                skipped: 0,
-            },
+            trace: LoadedTrace { addrs, skipped: 0 },
             flight: Arc::new(Flight::new()),
             deadline: None,
             ctx: None,
@@ -935,7 +931,7 @@ mod tests {
             job("dm", "batch", shared.clone()),
             job("de", "batch", shared),
         ];
-        // The reference run and the last-line organization stay per-job
+        // The reference run and the last-line policy stay per-job
         // units (in batch order, ahead of the groups); only 2/3 fuse.
         assert_eq!(
             shape(&plan_units(&batch)),

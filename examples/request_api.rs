@@ -26,7 +26,7 @@ fn main() {
     // geometry, over a synthetic `espresso` profile trace.
     let mut builder = SimulationRequest::builder();
     builder
-        .org("de")
+        .policy("de")
         .size("32K")
         .line(4)
         .profile("espresso")

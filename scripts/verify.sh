@@ -4,8 +4,8 @@
 #   scripts/verify.sh          # fmt + clippy + release build + tests
 #   scripts/verify.sh --quick  # skip the release build
 #
-# The workspace is hermetic (no registry access needed); property tests and
-# the Criterion benches are opt-in and NOT covered here.
+# The workspace is hermetic (no registry access needed); the property tests
+# are opt-in and NOT covered here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +30,12 @@ cargo test --workspace -q
 # explicitly so a resilience regression is impossible to miss in the log.
 echo "==> cargo test --test resilience (fault isolation, resume, lenient ingest)"
 cargo test -q -p dynex-experiments --test resilience
+
+# perfbench is a separate package (its own workspace, outside the workspace
+# build above) that calls the public APIs of every crate: build it and run
+# its harness tests so an API change cannot silently break the benchmark.
+echo "==> cargo test --manifest-path perfbench/Cargo.toml"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 # Bench smoke: scripts/bench.sh at tiny budgets into a throwaway directory.
 # This is a does-it-run gate, not a performance gate — it fails on a panic,

@@ -259,7 +259,7 @@ fn resume_journal_replays_across_kernels() {
 
     let build = |kernel: &str| {
         let mut b = SimulationRequest::builder();
-        b.org("de")
+        b.policy("de")
             .size("2K")
             .line(4)
             .profile("espresso")
@@ -294,7 +294,7 @@ fn resume_journal_replays_across_kernels() {
     // batch with the same key and payload.
     let journal2 = dir.join("journal2.jsonl");
     let mut b = SimulationRequest::builder();
-    b.org("de")
+    b.policy("de")
         .size("2K")
         .line(4)
         .profile("espresso")
@@ -418,46 +418,80 @@ fn fused_triple_matches_on_data_streams() {
     }
 }
 
-/// The policy-matrix leg of the wall: every member of the policy zoo runs
-/// bit-identically on every kernel that declares support for it, and every
-/// declared-unsupported combination fails with the structured capability
-/// error (never a silent fallback). This is the CI policy-matrix job's
-/// anchor test.
+/// The policy-matrix leg of the wall: every member of the policy zoo, at
+/// its own geometry, answers the full request path (`api::execute`: label,
+/// statistics, DE counters, content key) bit-identically on every kernel
+/// that declares support for it, and every declared-unsupported
+/// combination fails with the structured capability error (never a silent
+/// fallback). The coalesced `execute_many` path answers the sweepable
+/// members exactly as per-request `execute` does. This is the CI
+/// policy-matrix job's anchor test.
 #[test]
 fn policy_matrix_is_bit_identical_on_every_supporting_kernel() {
     let workloads = workloads();
     let names: Vec<String> = workloads.iter().map(|(n, _)| n.to_owned()).collect();
     for name in names.iter().take(4) {
-        let addrs = workloads.instr_addrs(name);
-        for size in [1024u32, 8 * 1024] {
-            let config = CacheConfig::direct_mapped(size, 4).unwrap();
+        let trace = api::LoadedTrace {
+            addrs: workloads.instr_addrs(name),
+            skipped: 0,
+        };
+        for size in ["1K", "8K"] {
+            let request = |policy: PolicyKind, kernel: Kernel| {
+                let mut b = SimulationRequest::builder();
+                b.policy(policy.name())
+                    .size(size)
+                    .line(4)
+                    .kernel(kernel.name())
+                    .jobs(1);
+                b.build().expect("every zoo member builds")
+            };
             for policy in PolicyKind::ALL {
-                let reference = policy
-                    .simulate_kernel(Kernel::Reference, config, &addrs)
+                let reference_request = request(policy, Kernel::Reference);
+                let config = reference_request.cache_config().unwrap();
+                assert_eq!(config.associativity(), policy.associativity());
+                let reference = api::execute(&reference_request, &trace)
                     .expect("the reference kernel runs every policy");
+                assert_eq!(reference.label, policy.label(config));
+                assert_eq!(
+                    reference.de.is_some(),
+                    policy == PolicyKind::DynamicExclusion,
+                    "{name}: only de reports exclusion counters"
+                );
                 for kernel in [Kernel::Batch, Kernel::Sweep] {
+                    let result = api::execute(&request(policy, kernel), &trace);
                     match policy.kernel_support(kernel) {
                         KernelSupport::Unsupported => {
-                            let err = policy
-                                .simulate_kernel(kernel, config, &addrs)
-                                .expect_err("declared-unsupported combos must error");
-                            let message = err.to_string();
-                            assert!(
-                                message.contains(policy.name()),
-                                "{name}: {message}"
-                            );
+                            let message = result
+                                .expect_err("declared-unsupported combos must error")
+                                .to_string();
+                            assert!(message.contains(policy.name()), "{name}: {message}");
                             assert!(message.contains("reference"), "{name}: {message}");
                         }
                         KernelSupport::Specialized | KernelSupport::ReferenceFallback => {
                             assert_eq!(
-                                policy.simulate_kernel(kernel, config, &addrs).unwrap(),
+                                result.unwrap(),
                                 reference,
-                                "{name}: {} @ {config} kernel={kernel}",
+                                "{name}: {} @ {size} kernel={kernel}",
                                 policy.name()
                             );
                         }
                     }
                 }
+            }
+            let sweepable: Vec<SimulationRequest> = PolicyKind::ALL
+                .into_iter()
+                .filter(|policy| policy.sweep_policy().is_some())
+                .map(|policy| request(policy, Kernel::Batch))
+                .collect();
+            let batch: Vec<&SimulationRequest> = sweepable.iter().collect();
+            let fused = api::execute_many(&batch, &trace).unwrap();
+            for (request, got) in sweepable.iter().zip(&fused) {
+                assert_eq!(
+                    *got,
+                    api::execute(request, &trace).unwrap(),
+                    "{name}: {} @ {size} via execute_many",
+                    request.policy.name()
+                );
             }
         }
     }

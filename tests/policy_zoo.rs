@@ -11,10 +11,10 @@
 //!   panic, never a silent fallback.
 //! * The wire format round-trips through the new `policy` field and still
 //!   accepts the legacy `org` spelling.
+//! * Every `PolicyKind` member is requestable, `opt-lastline` included.
 
-use dynex_experiments::api::{
-    self, verify_key_schema, ApiError, SimulationRequest, POLICY_CHOICES,
-};
+use dynex_engine::PolicyKind;
+use dynex_experiments::api::{self, verify_key_schema, ApiError, SimulationRequest};
 
 /// Journal lines captured from a pre-PR-10 build (wire field `org`, no
 /// traffic counters) for `--profile gcc --refs 20000 --size 1K --line 4`
@@ -113,7 +113,9 @@ fn unknown_policy_is_a_loud_structured_error() {
         ApiError::Invalid { field, message } => {
             assert_eq!(*field, "--policy");
             assert!(message.contains("lru"), "{message}");
-            assert!(message.contains(POLICY_CHOICES), "{message}");
+            for kind in PolicyKind::ALL {
+                assert!(message.contains(kind.name()), "{message}");
+            }
         }
         other => panic!("expected Invalid, got {other:?}"),
     }
@@ -197,4 +199,32 @@ fn wire_format_prefers_policy_and_accepts_legacy_org() {
     let both = json.replace(r#""policy":"ehc""#, r#""policy":"ehc","org":"dm""#);
     let from_both = SimulationRequest::from_json(&both).unwrap();
     assert_eq!(from_both, request);
+}
+
+#[test]
+fn opt_lastline_is_requestable_on_every_kernel() {
+    let build = |policy: &str, kernel: &str| {
+        let mut b = SimulationRequest::builder();
+        b.policy(policy)
+            .size("4K")
+            .line(16)
+            .profile("gcc")
+            .refs(20_000)
+            .jobs(1)
+            .kernel(kernel);
+        b.build().expect("opt-lastline builds")
+    };
+    let trace = api::load(&build("opt-lastline", "batch")).unwrap();
+    let responses: Vec<_> = ["reference", "batch", "sweep"]
+        .map(|kernel| api::execute(&build("opt-lastline", kernel), &trace).unwrap())
+        .into();
+    assert_eq!(responses[0].label, "optimal direct-mapped + last-line");
+    assert_eq!(responses[0], responses[1], "batch");
+    assert_eq!(responses[0], responses[2], "sweep");
+    assert!(responses[0].de.is_none());
+    let opt = api::execute(&build("opt", "batch"), &trace).unwrap();
+    assert_ne!(
+        responses[0].key, opt.key,
+        "opt-lastline has its own content key"
+    );
 }

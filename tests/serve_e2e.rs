@@ -630,7 +630,7 @@ fn request_round_trips_through_the_wire_format() {
     // an API client can parrot a canonicalized request back.
     let mut builder = SimulationRequest::builder();
     builder
-        .org("de")
+        .policy("de")
         .size("8K")
         .line(4)
         .profile("espresso")
