@@ -41,6 +41,7 @@ use dynex_obs::{Cause, Event, NoopProbe, Outcome, Probe};
 
 use crate::batch::CHUNK_LEN;
 use crate::direct::INVALID_LINE;
+use crate::line_table::LineTable;
 use crate::{CacheConfig, CacheStats};
 
 /// One row of the precomputed dynamic-exclusion transition table
@@ -360,7 +361,7 @@ pub(crate) fn decode_chunk(chunk: &[u32], offset_bits: u32, line_buf: &mut [u32;
 }
 
 /// Largest line address in the trace (0 for an empty trace); sizes the
-/// hit-last arena and the opt kernel's next-use map.
+/// hit-last arena.
 pub(crate) fn max_line(addrs: &[u32], offset_bits: u32) -> u32 {
     addrs.iter().map(|&a| a >> offset_bits).max().unwrap_or(0)
 }
@@ -477,61 +478,65 @@ pub fn batch_de_probed<P: Probe>(
 /// Bit-identical to the reference `OptimalDirectMapped::simulate`. Like the
 /// reference it is a two-pass oracle: pass one chains each reference to its
 /// block's next use, pass two applies the greedy keep-whichever-is-used-
-/// sooner rule. The next-use chain is built on a flat array over the line
-/// space when the trace's footprint allows, falling back to the reference's
-/// hash map for pathologically sparse address ranges.
+/// sooner rule. The next-use chain is built on a paged [`LineTable`], so
+/// its cost follows the lines the trace touches, not the span of its
+/// address space.
 pub fn batch_opt(config: CacheConfig, addrs: &[u32]) -> CacheStats {
     let geometry = config.geometry();
     let offset_bits = geometry.offset_bits();
     let index_mask = (1u32 << geometry.index_bits()) - 1;
 
-    let mut lines: Vec<u32> = Vec::with_capacity(addrs.len());
-    let mut line_buf = [0u32; CHUNK_LEN];
-    for chunk in addrs.chunks(CHUNK_LEN) {
-        let _decode = span::span("kernel.decode");
-        decode_chunk(chunk, offset_bits, &mut line_buf);
-        lines.extend_from_slice(&line_buf[..chunk.len()]);
-    }
-    let max_line = lines.iter().copied().max().unwrap_or(0);
     let next = {
         let _next_use = span::span("kernel.next-use");
-        next_use(&lines, max_line)
+        next_use(addrs, offset_bits)
     };
 
     let mut state = OptState::new(config.n_sets() as usize);
-    for (lines_chunk, next_chunk) in lines.chunks(CHUNK_LEN).zip(next.chunks(CHUNK_LEN)) {
+    let mut line_buf = [0u32; CHUNK_LEN];
+    for (chunk, next_chunk) in addrs.chunks(CHUNK_LEN).zip(next.chunks(CHUNK_LEN)) {
+        {
+            let _decode = span::span("kernel.decode");
+            decode_chunk(chunk, offset_bits, &mut line_buf);
+        }
         let _simulate = span::span("kernel.simulate");
-        for (&line, &next) in lines_chunk.iter().zip(next_chunk) {
+        for (&line, &next) in line_buf.iter().zip(next_chunk) {
             state.step(line, next, index_mask);
         }
     }
-    CacheStats::from_counts(lines.len() as u64, state.misses)
+    CacheStats::from_counts(addrs.len() as u64, state.misses)
 }
 
-/// `next[i]` = position of the next reference to `lines[i]` (`NEVER` if
-/// none). Flat-array variant of the reference oracle's reverse-scan map.
+/// The next-use sentinel: the block is never referenced again.
 pub(crate) const NEVER: u32 = u32::MAX;
 
-/// Above this line-space footprint the flat next-use array (4 bytes per
-/// possible line) would cost more than the hash map it replaces.
-pub(crate) const MAX_FLAT_LINES: usize = 1 << 26;
+/// Checks that every trace position fits a `u32` distinct from [`NEVER`]:
+/// the oracles store positions (and counts bounded by the trace length) in
+/// 32 bits, so a longer trace would wrap silently.
+pub(crate) fn assert_positions_fit(len: usize) {
+    assert!(
+        len < NEVER as usize,
+        "trace of {len} references is too long for the whole-trace oracles \
+         (positions are 32-bit; at most {} references)",
+        NEVER - 1
+    );
+}
 
-pub(crate) fn next_use(lines: &[u32], max_line: u32) -> Vec<u32> {
-    let mut next = vec![NEVER; lines.len()];
-    if (max_line as usize) < MAX_FLAT_LINES {
-        let mut upcoming = vec![NEVER; max_line as usize + 1];
-        for (i, &line) in lines.iter().enumerate().rev() {
-            next[i] = upcoming[line as usize];
-            upcoming[line as usize] = i as u32;
-        }
-    } else {
-        let mut upcoming: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-        for (i, &line) in lines.iter().enumerate().rev() {
-            if let Some(&j) = upcoming.get(&line) {
-                next[i] = j;
-            }
-            upcoming.insert(line, i as u32);
-        }
+/// `next[i]` = position of the next reference to the line of `addrs[i]`
+/// (`NEVER` if none), with lines decoded as `addr >> offset_bits`: one
+/// reverse scan carrying each line's upcoming position in a [`LineTable`].
+/// Decoding on the fly spares the caller a whole-trace line buffer.
+///
+/// # Panics
+///
+/// Panics if the trace has `u32::MAX` or more references.
+pub(crate) fn next_use(addrs: &[u32], offset_bits: u32) -> Vec<u32> {
+    assert_positions_fit(addrs.len());
+    let mut next = vec![NEVER; addrs.len()];
+    let mut upcoming = LineTable::new(NEVER);
+    for (i, &addr) in addrs.iter().enumerate().rev() {
+        let slot = upcoming.slot(addr >> offset_bits);
+        next[i] = *slot;
+        *slot = i as u32;
     }
     next
 }
@@ -606,34 +611,26 @@ pub fn batch_triple(config: CacheConfig, addrs: &[u32]) -> BatchTriple {
     let offset_bits = geometry.offset_bits();
     let index_mask = (1u32 << geometry.index_bits()) - 1;
 
-    // Shared decode: one pass materializes the line addresses (the opt
-    // oracle needs the whole stream for its next-use chain anyway) and finds
-    // the footprint that sizes the DE arena.
-    let mut lines: Vec<u32> = Vec::with_capacity(addrs.len());
-    let mut line_buf = [0u32; CHUNK_LEN];
-    let mut max_line = 0u32;
-    for chunk in addrs.chunks(CHUNK_LEN) {
-        let _decode = span::span("kernel.decode");
-        decode_chunk(chunk, offset_bits, &mut line_buf);
-        for &line in &line_buf[..chunk.len()] {
-            max_line = max_line.max(line);
-        }
-        lines.extend_from_slice(&line_buf[..chunk.len()]);
-    }
     let next = {
         let _next_use = span::span("kernel.next-use");
-        next_use(&lines, max_line)
+        next_use(addrs, offset_bits)
     };
 
     let n_sets = config.n_sets() as usize;
     let mut dm = DmState::new(n_sets);
-    let mut de = DeState::new(n_sets, max_line);
+    let mut de = DeState::new(n_sets, max_line(addrs, offset_bits));
     let mut opt = OptState::new(n_sets);
-    // Chunked like the decode pass so the simulate span opens at chunk
-    // boundaries only; the fused inner loop stays branchless.
-    for (lines_chunk, next_chunk) in lines.chunks(CHUNK_LEN).zip(next.chunks(CHUNK_LEN)) {
+    // One shared decode per chunk feeds all three policies; the simulate
+    // span opens at chunk boundaries only, so the fused inner loop stays
+    // branchless.
+    let mut line_buf = [0u32; CHUNK_LEN];
+    for (chunk, next_chunk) in addrs.chunks(CHUNK_LEN).zip(next.chunks(CHUNK_LEN)) {
+        {
+            let _decode = span::span("kernel.decode");
+            decode_chunk(chunk, offset_bits, &mut line_buf);
+        }
         let _simulate = span::span("kernel.simulate");
-        for (&line, &next) in lines_chunk.iter().zip(next_chunk) {
+        for (&line, &next) in line_buf.iter().zip(next_chunk) {
             // The fused pass never needs the byte address back: probes are
             // not attached here (sweeps are uninstrumented), so the addr
             // argument is dead and compiles away.
@@ -643,7 +640,7 @@ pub fn batch_triple(config: CacheConfig, addrs: &[u32]) -> BatchTriple {
         }
     }
 
-    let accesses = lines.len() as u64;
+    let accesses = addrs.len() as u64;
     BatchTriple {
         dm: CacheStats::from_counts(accesses, dm.misses),
         de: de.result(accesses),
@@ -654,6 +651,7 @@ pub fn batch_triple(config: CacheConfig, addrs: &[u32]) -> BatchTriple {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::line_table::sparse_lines;
     use crate::{run_addrs, DirectMapped, SplitMix64};
 
     fn config(size: u32, line: u32) -> CacheConfig {
@@ -795,16 +793,49 @@ mod tests {
         assert_eq!(stats.accesses(), 110);
     }
 
+    /// The definition `next_use` implements, quadratically: the position
+    /// of the first later reference to the same line.
+    fn naive_next_use(lines: &[u32]) -> Vec<u32> {
+        (0..lines.len())
+            .map(|i| {
+                (i + 1..lines.len())
+                    .find(|&j| lines[j] == lines[i])
+                    .map_or(NEVER, |j| j as u32)
+            })
+            .collect()
+    }
+
     #[test]
-    fn next_use_flat_and_hashed_agree() {
-        let lines = [5u32, 7, 5, 5, 7, 2];
-        let flat = next_use(&lines, 7);
-        assert_eq!(flat, vec![2, 4, 3, NEVER, NEVER, NEVER]);
-        // Force the hash fallback by lying about the footprint ceiling: use
-        // a line beyond MAX_FLAT_LINES.
-        let sparse = [(MAX_FLAT_LINES as u32) + 5, 0, (MAX_FLAT_LINES as u32) + 5];
-        let next = next_use(&sparse, (MAX_FLAT_LINES as u32) + 5);
-        assert_eq!(next, vec![2, NEVER, NEVER]);
+    fn next_use_matches_its_definition() {
+        assert_eq!(next_use(&[], 2), Vec::<u32>::new());
+        assert_eq!(
+            next_use(&[5, 7, 5, 5, 7, 2], 0),
+            vec![2, 4, 3, NEVER, NEVER, NEVER]
+        );
+        // Lines, not byte addresses: 20 and 23 share a 4-byte line.
+        assert_eq!(next_use(&[20, 23, 24], 2), vec![1, NEVER, NEVER]);
+        for seed in 0..8u64 {
+            for len in [1usize, 2, 17, 300] {
+                let lines = sparse_lines(seed, len);
+                assert_eq!(
+                    next_use(&lines, 0),
+                    naive_next_use(&lines),
+                    "seed {seed} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn positions_up_to_never_minus_one_fit() {
+        assert_positions_fit(0);
+        assert_positions_fit(NEVER as usize - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "too long for the whole-trace oracles")]
+    fn a_trace_of_u32_max_references_is_rejected() {
+        assert_positions_fit(NEVER as usize);
     }
 
     #[test]

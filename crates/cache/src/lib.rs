@@ -55,6 +55,7 @@ mod fully;
 mod hierarchy;
 mod instrument;
 mod kernel;
+mod line_table;
 mod min;
 mod policy;
 mod rng;

@@ -45,8 +45,10 @@ use dynex_obs::span;
 use crate::batch::CHUNK_LEN;
 use crate::direct::INVALID_LINE;
 use crate::kernel::{
-    de_fsm_index, decode_chunk, max_line, DeFsmRow, HitLastArena, DE_FSM_TABLE, MAX_FLAT_LINES,
+    assert_positions_fit, de_fsm_index, decode_chunk, max_line, DeFsmRow, HitLastArena,
+    DE_FSM_TABLE,
 };
+use crate::line_table::LineTable;
 use crate::{CacheConfig, CacheStats};
 
 /// The sentinel line address marking an empty way in the resident slice
@@ -173,7 +175,14 @@ impl ReplacementPolicy for DmPolicy {
         VictimChoice::Install { way: 0 }
     }
 
-    fn on_fill(&mut self, _pos: usize, _set: usize, _line: u32, _way: usize, _evicted: Option<u32>) {
+    fn on_fill(
+        &mut self,
+        _pos: usize,
+        _set: usize,
+        _line: u32,
+        _way: usize,
+        _evicted: Option<u32>,
+    ) {
     }
 }
 
@@ -235,8 +244,9 @@ impl ReplacementPolicy for DePolicy {
     }
 }
 
-/// `uses[i]` = number of references to `lines[i]` in the window
-/// `(i, i + horizon]` — the expected-hit-count oracle.
+/// `uses[i]` = number of references to the line of `addrs[i]` in the
+/// window `(i, i + horizon]`, with lines decoded as `addr >> offset_bits`
+/// — the expected-hit-count oracle.
 ///
 /// The finite horizon is what makes the count a usable ranking: a block's
 /// *lifetime* reference total says nothing about whether those references
@@ -246,46 +256,34 @@ impl ReplacementPolicy for DePolicy {
 /// residency*; a capacity-scaled window is the oracle analogue. Pass
 /// `usize::MAX` for the degenerate whole-trace count.
 ///
-/// One reverse sliding-window scan, with the same flat-array / hash-map
-/// footprint split as the next-use oracle.
-pub(crate) fn windowed_uses(lines: &[u32], horizon: usize) -> Vec<u32> {
-    let n = lines.len();
+/// One reverse sliding-window scan, counting in a [`LineTable`] like the
+/// next-use oracle and decoding on the fly like it. Counts never exceed the
+/// trace length, so they cannot overflow once the length check has passed.
+///
+/// # Panics
+///
+/// Panics if the trace has `u32::MAX` or more references.
+pub(crate) fn windowed_uses(addrs: &[u32], offset_bits: u32, horizon: usize) -> Vec<u32> {
+    assert_positions_fit(addrs.len());
+    let n = addrs.len();
+    let line = |i: usize| addrs[i] >> offset_bits;
     let mut uses = vec![0u32; n];
-    let top = lines.iter().copied().max().unwrap_or(0);
-    // Index that leaves the window `(i, i + horizon]` when moving from
-    // position i+1 down to i; None when the window still covers trace end.
-    let leaving = |i: usize| {
-        i.checked_add(horizon)
+    let mut count = LineTable::new(0);
+    for i in (0..n).rev() {
+        if i + 1 < n {
+            *count.slot(line(i + 1)) += 1;
+        }
+        // The reference that leaves the window `(i, i + horizon]` when it
+        // moves from position i+1 down to i, if the window ends inside the
+        // trace. It entered at an earlier step, so its count is positive.
+        if let Some(out) = i
+            .checked_add(horizon)
             .and_then(|h| h.checked_add(1))
             .filter(|&out| out < n)
-    };
-    if (top as usize) < MAX_FLAT_LINES {
-        let mut cnt = vec![0u32; top as usize + 1];
-        for i in (0..n).rev() {
-            if i + 1 < n {
-                cnt[lines[i + 1] as usize] = cnt[lines[i + 1] as usize].saturating_add(1);
-            }
-            if let Some(out) = leaving(i) {
-                cnt[lines[out] as usize] -= 1;
-            }
-            uses[i] = cnt[lines[i] as usize];
+        {
+            *count.slot(line(out)) -= 1;
         }
-    } else {
-        let mut cnt: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-        for i in (0..n).rev() {
-            if i + 1 < n {
-                let entry = cnt.entry(lines[i + 1]).or_insert(0);
-                *entry = entry.saturating_add(1);
-            }
-            if let Some(out) = leaving(i) {
-                // The leaving line entered the window at reverse step out-1,
-                // so the entry always exists.
-                if let Some(entry) = cnt.get_mut(&lines[out]) {
-                    *entry -= 1;
-                }
-            }
-            uses[i] = cnt.get(&lines[i]).copied().unwrap_or(0);
-        }
+        uses[i] = *count.slot(line(i));
     }
     uses
 }
@@ -325,11 +323,9 @@ pub struct EhcPolicy {
 impl EhcPolicy {
     /// Builds the windowed-use oracle for the trace.
     pub fn new(config: CacheConfig, addrs: &[u32]) -> EhcPolicy {
-        let offset_bits = config.geometry().offset_bits();
-        let lines: Vec<u32> = addrs.iter().map(|&a| a >> offset_bits).collect();
         let hits_left = {
             let _next_use = span::span("kernel.next-use");
-            windowed_uses(&lines, ehc_horizon(config))
+            windowed_uses(addrs, config.geometry().offset_bits(), ehc_horizon(config))
         };
         EhcPolicy {
             hits_left,
@@ -438,10 +434,9 @@ pub fn batch_ehc(config: CacheConfig, addrs: &[u32]) -> CacheStats {
     let geometry = config.geometry();
     let offset_bits = geometry.offset_bits();
     let index_mask = (1u32 << geometry.index_bits()) - 1;
-    let lines = decode_all(addrs, offset_bits);
     let hits_left = {
         let _next_use = span::span("kernel.next-use");
-        windowed_uses(&lines, ehc_horizon(config))
+        windowed_uses(addrs, offset_bits, ehc_horizon(config))
     };
 
     let n_sets = config.n_sets() as usize;
@@ -450,9 +445,14 @@ pub fn batch_ehc(config: CacheConfig, addrs: &[u32]) -> CacheStats {
     let mut misses = 0u64;
     let mut fills = 0u64;
     let mut writebacks = 0u64;
-    for (lines_chunk, hits_chunk) in lines.chunks(CHUNK_LEN).zip(hits_left.chunks(CHUNK_LEN)) {
+    let mut line_buf = [0u32; CHUNK_LEN];
+    for (chunk, hits_chunk) in addrs.chunks(CHUNK_LEN).zip(hits_left.chunks(CHUNK_LEN)) {
+        {
+            let _decode = span::span("kernel.decode");
+            decode_chunk(chunk, offset_bits, &mut line_buf);
+        }
         let _simulate = span::span("kernel.simulate");
-        for (&line, &h) in lines_chunk.iter().zip(hits_chunk) {
+        for (&line, &h) in line_buf.iter().zip(hits_chunk) {
             let set = (line & index_mask) as usize;
             if resident[set] == line {
                 resident_hits[set] = h;
@@ -540,22 +540,10 @@ pub fn batch_bwcost(config: CacheConfig, addrs: &[u32]) -> CacheStats {
     )
 }
 
-/// Decodes the whole trace into line addresses, chunked like the batch
-/// kernels so the decode spans stay comparable.
-fn decode_all(addrs: &[u32], offset_bits: u32) -> Vec<u32> {
-    let mut lines: Vec<u32> = Vec::with_capacity(addrs.len());
-    let mut line_buf = [0u32; CHUNK_LEN];
-    for chunk in addrs.chunks(CHUNK_LEN) {
-        let _decode = span::span("kernel.decode");
-        decode_chunk(chunk, offset_bits, &mut line_buf);
-        lines.extend_from_slice(&line_buf[..chunk.len()]);
-    }
-    lines
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::line_table::sparse_lines;
     use crate::{batch_de, batch_dm, batch_opt, SplitMix64};
 
     fn config(size: u32, line: u32) -> CacheConfig {
@@ -690,30 +678,44 @@ mod tests {
     fn windowed_uses_counts_references_inside_the_horizon() {
         let lines = [7u32, 3, 7, 7, 3];
         // An unbounded horizon counts every future reference.
-        assert_eq!(windowed_uses(&lines, usize::MAX), vec![2, 1, 1, 0, 0]);
+        assert_eq!(windowed_uses(&lines, 0, usize::MAX), vec![2, 1, 1, 0, 0]);
         // A 2-reference window only sees uses at i+1 and i+2.
-        assert_eq!(windowed_uses(&lines, 2), vec![1, 0, 1, 0, 0]);
+        assert_eq!(windowed_uses(&lines, 0, 2), vec![1, 0, 1, 0, 0]);
         // A 1-reference window only sees immediate reuse.
-        assert_eq!(windowed_uses(&lines, 1), vec![0, 0, 1, 0, 0]);
-        assert_eq!(windowed_uses(&[], 4), Vec::<u32>::new());
+        assert_eq!(windowed_uses(&lines, 0, 1), vec![0, 0, 1, 0, 0]);
+        assert_eq!(windowed_uses(&[], 0, 4), Vec::<u32>::new());
+        // Lines, not byte addresses: 28 and 31 share a 4-byte line.
+        assert_eq!(windowed_uses(&[28, 12, 31], 2, 2), vec![1, 0, 0]);
+    }
+
+    /// The definition `windowed_uses` implements, quadratically: the
+    /// references to the same line in the window `(i, i + horizon]`.
+    fn naive_windowed_uses(lines: &[u32], horizon: usize) -> Vec<u32> {
+        (0..lines.len())
+            .map(|i| {
+                let end = i.saturating_add(horizon).min(lines.len() - 1);
+                lines[i + 1..=end]
+                    .iter()
+                    .filter(|&&l| l == lines[i])
+                    .count() as u32
+            })
+            .collect()
     }
 
     #[test]
-    fn windowed_uses_flat_and_hashed_paths_agree() {
-        // Shift one line address above MAX_FLAT_LINES to force the hashed
-        // footprint path, then compare against the flat path on the same
-        // relative pattern.
-        let flat: Vec<u32> = [7u32, 3, 7, 9, 3, 7, 7, 9, 3, 7].to_vec();
-        let hashed: Vec<u32> = flat
-            .iter()
-            .map(|&l| if l == 9 { MAX_FLAT_LINES as u32 + 1 } else { l })
-            .collect();
-        for horizon in [1usize, 2, 3, 8, usize::MAX] {
-            assert_eq!(
-                windowed_uses(&flat, horizon),
-                windowed_uses(&hashed, horizon),
-                "horizon {horizon}"
-            );
+    fn windowed_uses_matches_its_definition() {
+        for horizon in [1usize, 2, 8, usize::MAX] {
+            assert_eq!(windowed_uses(&[], 0, horizon), Vec::<u32>::new());
+            for seed in 0..8u64 {
+                for len in [1usize, 2, 17, 300] {
+                    let lines = sparse_lines(seed, len);
+                    assert_eq!(
+                        windowed_uses(&lines, 0, horizon),
+                        naive_windowed_uses(&lines, horizon),
+                        "seed {seed} len {len} horizon {horizon}"
+                    );
+                }
+            }
         }
     }
 

@@ -469,7 +469,7 @@ pub fn batch_sweep_probed<P: Probe>(
     for (point, &oi) in points.iter().zip(&offset_of) {
         if point.policy == SweepPolicy::Optimal && next_by[oi].is_none() {
             let _next_use = span::span("kernel.next-use");
-            next_by[oi] = Some(next_use(&lines_by[oi], max_by[oi]));
+            next_by[oi] = Some(next_use(addrs, offsets[oi]));
         }
     }
 

@@ -767,7 +767,9 @@ mod tests {
         let config = CacheConfig::direct_mapped(64, 16).unwrap();
         let addrs: Vec<u32> = (0..200).map(|i| (i % 32) * 4).collect();
         let de = PolicyKind::DeLastLine.simulate(config, &addrs).unwrap();
-        let opt = PolicyKind::OptimalDmLastLine.simulate(config, &addrs).unwrap();
+        let opt = PolicyKind::OptimalDmLastLine
+            .simulate(config, &addrs)
+            .unwrap();
         assert_eq!(de.accesses(), 200);
         assert!(opt.misses() <= de.misses());
     }

@@ -44,7 +44,9 @@ fn main() {
     let serial = plan.run(1, |job| job.run(&addrs).expect("dm/de/opt run everywhere"));
     let serial_time = started.elapsed();
     let started = Instant::now();
-    let parallel = plan.run(cores, |job| job.run(&addrs).expect("dm/de/opt run everywhere"));
+    let parallel = plan.run(cores, |job| {
+        job.run(&addrs).expect("dm/de/opt run everywhere")
+    });
     let parallel_time = started.elapsed();
 
     assert_eq!(serial, parallel, "the engine is deterministic");

@@ -14,7 +14,9 @@
 //! * `--resume` journals recorded under one kernel and replayed under
 //!   another (journal keys are kernel-agnostic),
 //! * decode edge cases — empty traces, shorter-than-a-chunk traces,
-//!   chunk-boundary-straddling loops, all-filtering kind filters.
+//!   chunk-boundary-straddling loops, all-filtering kind filters,
+//! * the whole-trace oracles (opt's next-use, EHC's windowed uses) on a
+//!   trace whose line addresses span past 2^26.
 //!
 //! Tests that flip the session-wide kernel/jobs globals serialize behind
 //! [`GLOBALS`] and restore the defaults before releasing it, so the rest of
@@ -23,19 +25,20 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use dynex::DeCache;
+use dynex::{DeCache, OptimalDirectMapped};
 use dynex_cache::{
-    batch_de, batch_de_probed, batch_triple, decode_addrs, run_addrs, CacheConfig, Kernel,
-    KindFilter, SplitMix64, CHUNK_LEN,
+    batch_de, batch_de_probed, batch_ehc, batch_opt, batch_sweep, batch_triple, decode_addrs,
+    run_addrs, simulate_policy, CacheConfig, EhcPolicy, Kernel, KindFilter, SplitMix64, SweepPoint,
+    SweepPointResult, SweepPolicy, CHUNK_LEN,
 };
 use dynex_engine::{
-    execute, set_default_jobs, set_default_kernel, sharded_policy_stats, KernelSupport,
-    PolicyKind,
+    execute, set_default_jobs, set_default_kernel, sharded_policy_stats, KernelSupport, PolicyKind,
 };
 use dynex_experiments::api::{self, run_triple, SimulationRequest};
 use dynex_experiments::{figures, Workloads};
 use dynex_obs::{export, Collector, EventLog};
 use dynex_trace::{Access, PackedAccess};
+use dynex_workload::AppParams;
 
 /// Shared reduced-budget workloads (every built-in profile).
 fn workloads() -> &'static Workloads {
@@ -73,16 +76,21 @@ fn every_profile_and_geometry_is_bit_identical_across_kernels() {
                     PolicyKind::DynamicExclusion,
                     PolicyKind::OptimalDm,
                 ] {
-                    let reference =
-                        policy.simulate_kernel(Kernel::Reference, config, &addrs).unwrap();
+                    let reference = policy
+                        .simulate_kernel(Kernel::Reference, config, &addrs)
+                        .unwrap();
                     assert_eq!(
-                        policy.simulate_kernel(Kernel::Batch, config, &addrs).unwrap(),
+                        policy
+                            .simulate_kernel(Kernel::Batch, config, &addrs)
+                            .unwrap(),
                         reference,
                         "{name}: {} @ {config} (batch)",
                         policy.name()
                     );
                     assert_eq!(
-                        policy.simulate_kernel(Kernel::Sweep, config, &addrs).unwrap(),
+                        policy
+                            .simulate_kernel(Kernel::Sweep, config, &addrs)
+                            .unwrap(),
                         reference,
                         "{name}: {} @ {config} (sweep)",
                         policy.name()
@@ -369,6 +377,58 @@ fn decode_edge_cases_agree_across_all_kernels() {
                 "{tag}: triple kernel={kernel}"
             );
         }
+    }
+}
+
+/// The whole-trace oracles on a sparse line space: a phased-application
+/// trace whose stack sits near `0x7fff_f000`, so at 4-byte lines its line
+/// addresses reach past 2^26 while it touches only a few thousand lines.
+/// Every fast opt path (single kernel, fused triple, the sweep's oracle
+/// shared per line size) must equal the reference `OptimalDirectMapped`,
+/// and the EHC batch kernel must equal its trait-driven reference.
+#[test]
+fn oracles_agree_on_a_sparse_address_space() {
+    let addrs: Vec<u32> = AppParams::new(7)
+        .build()
+        .trace(40_000)
+        .iter()
+        .map(|a| a.addr())
+        .collect();
+    let top_line = addrs.iter().map(|&a| a >> 2).max().unwrap();
+    assert!(top_line >= 1 << 26, "stack lines {top_line:#x} below 2^26");
+
+    let configs: Vec<CacheConfig> = [4u32, 64]
+        .into_iter()
+        .flat_map(|line| {
+            [1024u32, 8 * 1024, 32 * 1024]
+                .map(|size| CacheConfig::direct_mapped(size, line).unwrap())
+        })
+        .collect();
+    let points: Vec<SweepPoint> = configs
+        .iter()
+        .map(|&config| SweepPoint::new(config, SweepPolicy::Optimal))
+        .collect();
+    let swept = batch_sweep(&points, &addrs);
+    for (&config, swept) in configs.iter().zip(&swept) {
+        let reference = OptimalDirectMapped::simulate(config, addrs.iter().copied());
+        assert_eq!(batch_opt(config, &addrs), reference, "batch opt @ {config}");
+        assert_eq!(
+            batch_triple(config, &addrs).opt,
+            reference,
+            "triple opt @ {config}"
+        );
+        assert_eq!(
+            *swept,
+            SweepPointResult::Opt(reference),
+            "sweep opt @ {config}"
+        );
+
+        let mut ehc = EhcPolicy::new(config, &addrs);
+        assert_eq!(
+            batch_ehc(config, &addrs),
+            simulate_policy(config, &addrs, &mut ehc),
+            "ehc @ {config}"
+        );
     }
 }
 

@@ -75,7 +75,10 @@ fn pre_pr10_journal_replays_byte_identically() {
         assert_eq!(response.stats.accesses(), 20_000, "{policy}");
         assert_eq!(response.stats.misses(), misses, "{policy}");
         if policy == "dm" || policy == "de" {
-            assert!(response.cached, "{policy}: pre-PR journal entry must replay");
+            assert!(
+                response.cached,
+                "{policy}: pre-PR journal entry must replay"
+            );
         }
         // Replayed legacy entries carry no traffic counters.
         assert_eq!(response.stats.fills(), 0, "{policy}");
@@ -179,7 +182,12 @@ fn zoo_policies_run_end_to_end_and_kernels_agree() {
 #[test]
 fn wire_format_prefers_policy_and_accepts_legacy_org() {
     let mut b = SimulationRequest::builder();
-    b.policy("ehc").size("2K").line(4).profile("gcc").refs(5_000).jobs(1);
+    b.policy("ehc")
+        .size("2K")
+        .line(4)
+        .profile("gcc")
+        .refs(5_000)
+        .jobs(1);
     let request = b.build().unwrap();
 
     // The new wire format spells the field `policy`.

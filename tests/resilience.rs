@@ -77,7 +77,9 @@ fn resilient_sweep_isolates_panic_and_hang_over_real_simulation_jobs() {
         .iter()
         .map(|&s| {
             let config = CacheConfig::direct_mapped(s, 4).unwrap();
-            PolicyKind::DynamicExclusion.simulate(config, &addrs).unwrap()
+            PolicyKind::DynamicExclusion
+                .simulate(config, &addrs)
+                .unwrap()
         })
         .collect();
 
@@ -90,7 +92,9 @@ fn resilient_sweep_isolates_panic_and_hang_over_real_simulation_jobs() {
             Resilience::default().deadline(Duration::from_millis(250)),
             |(size, addrs)| {
                 let config = CacheConfig::direct_mapped(*size, 4).unwrap();
-                PolicyKind::DynamicExclusion.simulate(config, addrs).unwrap()
+                PolicyKind::DynamicExclusion
+                    .simulate(config, addrs)
+                    .unwrap()
             },
         );
         // No faults injected here: a clean resilient sweep must equal serial.
@@ -119,7 +123,9 @@ fn resilient_sweep_isolates_panic_and_hang_over_real_simulation_jobs() {
                     std::thread::sleep(Duration::from_secs(600));
                 }
                 let config = CacheConfig::direct_mapped(*size, 4).unwrap();
-                PolicyKind::DynamicExclusion.simulate(config, addrs).unwrap()
+                PolicyKind::DynamicExclusion
+                    .simulate(config, addrs)
+                    .unwrap()
             },
         );
         let counts = outcome.counts();
