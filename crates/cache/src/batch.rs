@@ -169,7 +169,7 @@ impl<'a> ChunkedDecoder<'a> {
 
 /// Materializes a whole packed trace as word-aligned byte addresses,
 /// applying `filter`. Built on [`ChunkedDecoder`]; this is the shape the
-/// batch kernels and the sharded engine paths consume.
+/// batch kernels and the request API's trace loader consume.
 ///
 /// # Examples
 ///

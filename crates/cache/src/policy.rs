@@ -371,8 +371,7 @@ impl ReplacementPolicy for EhcPolicy {
 /// set (`r_copy`); on eviction it is written back to the arena for the
 /// next residency decision. The starvation counter is deliberately
 /// *global* (the policy trades a little per-set precision for a 3-bit
-/// hardware budget), which is also why this policy declares itself
-/// non-set-shardable.
+/// hardware budget), so its state is not independent across sets.
 #[derive(Debug, Clone)]
 pub struct BwCostPolicy {
     reuse: HitLastArena,

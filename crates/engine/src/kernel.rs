@@ -3,8 +3,8 @@
 //!
 //! The `--kernel {reference,batch,sweep}` flag is parsed once by the
 //! drivers and stored here; deep call chains ([`crate::PolicyKind::simulate`],
-//! the figure sweeps, the sharded paths) pick it up without plumbing a
-//! parameter through every signature. All kernels are bit-identical in
+//! the figure sweeps) pick it up without plumbing a parameter through every
+//! signature. All kernels are bit-identical in
 //! output, so this setting is purely a performance choice — journal keys
 //! and resumed sweeps are unaffected by it.
 

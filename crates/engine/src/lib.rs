@@ -19,11 +19,6 @@
 //!   returns a [`PolicyRun`] (label, statistics, DE counters). Each policy
 //!   declares per-kernel [`KernelSupport`]; unsupported combinations
 //!   return a structured [`PolicyError`] instead of silently falling back.
-//! * [`shard_by_set`] / [`sharded_policy_stats`] — set-partitioned
-//!   parallelism *within* one long trace: for policies whose per-set state
-//!   is independent (DM, DE, OPT) the trace is split by set index, shards
-//!   are simulated concurrently, and their [`CacheStats`] merged exactly
-//!   (debug builds assert equality with the serial run).
 //! * [`default_kernel`] / [`set_default_kernel`] — session-wide selection
 //!   between the reference simulators and the bit-identical batch kernels
 //!   from `dynex-cache` (the `--kernel` flag; batch is the default).
@@ -67,7 +62,6 @@ mod journal;
 mod kernel;
 mod pool;
 mod resilience;
-mod shard;
 mod sweep;
 
 pub use dynex_cache::{CacheStats, Kernel};
@@ -81,5 +75,4 @@ pub use pool::{available_jobs, default_jobs, env_jobs, execute, set_default_jobs
 pub use resilience::{
     execute_resilient, JobError, JobFailure, Resilience, SweepCounts, SweepOutcome,
 };
-pub use shard::{shard_by_set, sharded_policy_stats, simulate_sharded};
 pub use sweep::{Job, KernelSupport, PolicyError, PolicyKind, PolicyRun, SweepPlan};

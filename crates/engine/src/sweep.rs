@@ -220,25 +220,6 @@ impl PolicyKind {
         }
     }
 
-    /// Whether a single trace under this policy may be split by set index
-    /// and simulated shard-by-shard with exact results (see
-    /// [`crate::shard`]).
-    ///
-    /// True for the plain direct-mapped, DE, and optimal caches, whose
-    /// per-set state is fully independent. False for the last-line
-    /// variants (their buffer holds the single most recent line
-    /// *globally*), for the bandwidth-cost policy (its starvation counter
-    /// is global), and for the victim and stream buffers (shared across
-    /// sets). The EHC oracle and the set-associative caches are per-set in
-    /// principle but are not wired into the sharded path, so they stay
-    /// declared unshardable rather than silently diverging.
-    pub fn supports_set_sharding(self) -> bool {
-        matches!(
-            self,
-            PolicyKind::DirectMapped | PolicyKind::DynamicExclusion | PolicyKind::OptimalDm
-        )
-    }
-
     /// The sweep-kernel policy this policy maps to, if the one-pass
     /// multi-configuration kernel specializes it.
     ///
@@ -596,15 +577,11 @@ mod tests {
     }
 
     #[test]
-    fn policy_names_and_sharding_support() {
+    fn policy_names() {
         assert_eq!(PolicyKind::DirectMapped.name(), "dm");
         assert_eq!(PolicyKind::OptimalDmLastLine.name(), "opt-lastline");
         assert_eq!(PolicyKind::ExpectedHitCount.name(), "ehc");
         assert_eq!(PolicyKind::BandwidthCost.name(), "bwcost");
-        assert!(PolicyKind::DynamicExclusion.supports_set_sharding());
-        assert!(!PolicyKind::DeLastLine.supports_set_sharding());
-        assert!(!PolicyKind::OptimalDmLastLine.supports_set_sharding());
-        assert!(!PolicyKind::BandwidthCost.supports_set_sharding());
     }
 
     #[test]

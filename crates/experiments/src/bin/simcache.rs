@@ -5,8 +5,7 @@
 //!          [--policy dm|de|de-lastline|opt|opt-lastline|ehc|bwcost|2way|4way|victim|stream] \
 //!          [--kinds all|instr|data] \
 //!          [--kernel reference|batch|sweep] [--sweep 1K,2K,4K,...] \
-//!          [--jobs N] [--shard-sets] [--job-retries N] [--job-timeout-ms N] \
-//!          [--lenient N] [--resume journal.jsonl] \
+//!          [--jobs N] [--lenient N] [--resume journal.jsonl] \
 //!          [--events-out e.jsonl] [--metrics-out m.json] \
 //!          [--intervals-out i.csv] [--interval N]
 //! ```
@@ -24,8 +23,8 @@
 //! organizations always run their reference simulators.
 //! All supported combinations produce bit-identical
 //! statistics, exclusion counters, and observability output — including
-//! under `--shard-sets` and `--resume` (journal keys do not encode the
-//! kernel, so a run checkpointed under one kernel replays under any other).
+//! under `--resume` (journal keys do not encode the kernel, so a run
+//! checkpointed under one kernel replays under any other).
 //!
 //! `--sweep 1K,2K,4K,...` simulates the full dm/de/opt triple at *every*
 //! listed size in one session (duplicate sizes are allowed and keep
@@ -35,8 +34,8 @@
 //! byte-identical across kernels; stderr reports aggregate throughput where
 //! one "reference" is one trace reference carried through one size's triple
 //! — this is the N-configuration scaling probe `scripts/bench.sh` uses.
-//! Plain runs only: `--sweep` combines with neither `--shard-sets`,
-//! `--resume`, nor the observability outputs.
+//! Plain runs only: `--sweep` combines with neither `--resume` nor the
+//! observability outputs.
 //!
 //! `--lenient N` tolerates up to `N` corrupt records in the trace: bad
 //! packed words / malformed text lines are skipped and counted (reported via
@@ -46,24 +45,8 @@
 //! `--resume journal.jsonl` checkpoints the run's final statistics into an
 //! append-only journal keyed by a content hash of the organization,
 //! configuration, and trace; re-running with the same journal replays the
-//! result without simulating, byte-identical. Plain runs only (it combines
-//! with neither `--shard-sets` nor the observability outputs).
-//!
-//! `--shard-sets` splits the trace by cache-set index and simulates the
-//! shards concurrently on `--jobs` workers (default: `DYNEX_JOBS` or all
-//! cores). This is exact — per-set state is independent — and therefore only
-//! supported for `--policy dm|de|opt`; the other policies have cross-set
-//! state (last-line buffers, victim/stream buffers, hashed stores) that
-//! sharding would perturb. Statistics and observability outputs are merged
-//! deterministically: counters and histograms sum, and the events JSONL is
-//! the concatenation of the shard logs in shard order (not interleaved by
-//! global access order).
-//!
-//! Uninstrumented sharded runs are *fault-isolated*: each shard job runs
-//! under panic containment with a bounded retry budget (`--job-retries`) and
-//! an optional soft deadline (`--job-timeout-ms`). A panicking or hung shard
-//! fails alone — the remaining shards complete, a per-cell summary table is
-//! printed, and the exit status is nonzero only when failures remain.
+//! result without simulating, byte-identical. Plain runs only (it does not
+//! combine with the observability outputs).
 //!
 //! Any of the `--*-out` flags attaches a probe to the simulated cache:
 //! `--events-out` streams every [`dynex_obs::Event`] as JSONL,
@@ -72,10 +55,10 @@
 //! miss rates as CSV. `--interval` sets the window size in accesses
 //! (default 1000). Without these flags the run is completely
 //! uninstrumented — the probe type monomorphizes to a no-op.
+//!
+//! Any other argument that starts with `--` is rejected as an unknown flag.
 
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::Duration;
 
 use dynex::DeStats;
 use dynex::{DeCache, LastLineDeCache, PerfectStore};
@@ -84,9 +67,7 @@ use dynex_cache::{
     CacheStats, DirectMapped, Kernel, Replacement, SetAssociative, StreamBuffer, SweepPoint,
     SweepPolicy, VictimCache,
 };
-use dynex_engine::{
-    default_kernel, execute, execute_resilient, shard_by_set, PolicyKind, PolicyRun, Resilience,
-};
+use dynex_engine::{default_kernel, PolicyKind};
 use dynex_experiments::api::{self, parse_size, SimulationRequest};
 use dynex_experiments::Triple;
 use dynex_obs::{export, Collector, CountingProbe, Event, EventLog};
@@ -112,8 +93,7 @@ fn usage() {
          [--policy dm|de|de-lastline|opt|opt-lastline|ehc|bwcost|2way|4way|victim|stream] \
          [--org <policy>  (legacy alias)] [--kinds all|instr|data] \
          [--kernel reference|batch|sweep] [--sweep <size,size,...>] \
-         [--jobs N] [--shard-sets] [--job-retries N] [--job-timeout-ms N] \
-         [--lenient <max-skipped>] [--resume <journal.jsonl>] \
+         [--jobs N] [--lenient <max-skipped>] [--resume <journal.jsonl>] \
          [--events-out <file.jsonl>] [--metrics-out <file.json>] \
          [--intervals-out <file.csv>] [--interval <N>] [--trace-out <file.jsonl>]"
     );
@@ -162,246 +142,68 @@ impl ObsConfig {
     }
 }
 
-/// Reports merged statistics for a set-sharded run.
-fn report_sharded(policy: PolicyKind, config: CacheConfig, n_shards: usize, stats: CacheStats) {
-    println!(
-        "{} [set-sharded x{n_shards}] {config}: {} accesses, {} misses, miss rate {:.4}%",
-        policy.name(),
-        stats.accesses(),
-        stats.misses(),
-        stats.miss_rate_percent()
-    );
-}
-
-/// Fault-injection hooks for the resilient sharded path, driven by the
-/// `DYNEX_INJECT_PANIC_SHARD` / `DYNEX_INJECT_HANG_SHARD` environment
-/// variables (shard index each). Test-only: they exist so the CLI-level
-/// resilience tests can exercise real panics and hangs end to end.
-fn injected_fault(env: &str) -> Option<usize> {
-    std::env::var(env).ok().and_then(|v| v.parse().ok())
-}
-
-/// `--shard-sets`: split the trace by set index, simulate the shards on the
-/// engine's worker pool, and merge statistics (and probes) exactly.
-///
-/// Only `dm`, `de`, and `opt` are accepted
-/// ([`PolicyKind::supports_set_sharding`]) — every other policy has
-/// cross-set state that set partitioning would perturb.
-fn run_sharded(
+/// Runs `policy` (dm or de) over `addrs` on the probed hot path of
+/// `kernel`, with one `(Collector, EventLog)` probe attached. Returns the
+/// statistics, the DE exclusion counters (de only), and the probe. Every
+/// kernel yields the same statistics, counters, and events.
+fn simulate_probed(
+    kernel: Kernel,
     policy: PolicyKind,
     config: CacheConfig,
     addrs: &[u32],
-    jobs: usize,
     obs: &ObsConfig,
-    resilience: Resilience,
-) -> ExitCode {
-    if !policy.supports_set_sharding() {
-        eprintln!(
-            "error: --shard-sets supports --policy dm|de|opt only (got {:?}; \
-             its cross-set state cannot be partitioned exactly)",
-            policy.name()
-        );
-        return ExitCode::FAILURE;
-    }
-    let n_shards = jobs;
-    eprintln!("set-sharded run: {n_shards} shard(s) on {jobs} worker(s)");
-
-    // OPT is a two-pass oracle without a probed hot path (same as serially).
-    if policy == PolicyKind::OptimalDm && obs.active() {
-        eprintln!(
-            "note: --policy opt is a two-pass oracle without a probed hot path; \
-             observability outputs are not written"
-        );
-    }
-
-    if !obs.active() || policy == PolicyKind::OptimalDm {
-        return run_sharded_resilient(policy, config, addrs, n_shards, jobs, resilience);
-    }
-
-    // Probed shards: one collector + event log per shard, merged in shard
-    // order (counters and histograms sum; the event stream is the
-    // concatenation of the shard logs, not a global-order interleave).
-    let shards = shard_by_set(config.geometry(), addrs, n_shards);
-    let outputs = execute(&shards, jobs, |shard| {
-        let _shard_span = dynex_obs::span::span("engine.shard-simulate");
-        match (default_kernel(), policy) {
-            (Kernel::Batch, PolicyKind::DirectMapped) => {
-                let mut probe = obs.probe();
-                let stats = batch_dm_probed(config, shard, &mut probe);
-                let (collector, log) = probe;
-                (stats, None, collector, log)
-            }
-            (Kernel::Batch, _) => {
-                let mut probe = obs.probe();
-                let result = batch_de_probed(config, shard, &mut probe);
-                let (collector, log) = probe;
-                let de_stats = DeStats {
-                    loads: result.loads,
-                    bypasses: result.bypasses,
-                };
-                (result.stats, Some(de_stats), collector, log)
-            }
-            (Kernel::Sweep, PolicyKind::DirectMapped) => {
-                let mut probes = [obs.probe()];
-                let point = SweepPoint::new(config, SweepPolicy::DirectMapped);
-                let results = batch_sweep_probed(&[point], shard, &mut probes);
-                let [(collector, log)] = probes;
-                (results[0].stats(), None, collector, log)
-            }
-            (Kernel::Sweep, _) => {
-                let mut probes = [obs.probe()];
-                let point = SweepPoint::new(config, SweepPolicy::DynamicExclusion);
-                let results = batch_sweep_probed(&[point], shard, &mut probes);
-                let [(collector, log)] = probes;
-                let result = results[0].de().expect("DE sweep point yields DE result");
-                let de_stats = DeStats {
-                    loads: result.loads,
-                    bypasses: result.bypasses,
-                };
-                (result.stats, Some(de_stats), collector, log)
-            }
-            (Kernel::Reference, PolicyKind::DirectMapped) => {
-                let mut cache = DirectMapped::with_probe(config, obs.probe());
-                let stats = run_addrs(&mut cache, shard.iter().copied());
-                let (collector, log) = cache.into_probe();
-                (stats, None, collector, log)
-            }
-            (Kernel::Reference, _) => {
-                let mut cache = DeCache::with_probe(config, obs.probe());
-                let stats = run_addrs(&mut cache, shard.iter().copied());
-                let de_stats = cache.de_stats();
-                let (collector, log) = cache.into_probe();
-                (stats, Some(de_stats), collector, log)
-            }
+) -> (CacheStats, Option<DeStats>, Collector, EventLog) {
+    match (kernel, policy) {
+        (Kernel::Batch, PolicyKind::DirectMapped) => {
+            let mut probe = obs.probe();
+            let stats = batch_dm_probed(config, addrs, &mut probe);
+            let (collector, log) = probe;
+            (stats, None, collector, log)
         }
-    });
-
-    let mut outputs = outputs.into_iter();
-    let Some((mut stats, mut de_stats, mut collector, first_log)) = outputs.next() else {
-        // shard_by_set always returns n_shards >= 1 shards; reaching this
-        // means the sharding layer broke its contract — fail cleanly rather
-        // than panicking in a release binary.
-        eprintln!(
-            "error: set-sharded run produced no shard outputs \
-             (internal error: n_shards={n_shards})"
-        );
-        return ExitCode::FAILURE;
-    };
-    let merge_span = dynex_obs::span::span("engine.merge");
-    let mut events: Vec<Event> = first_log.into_events();
-    for (s, d, c, log) in outputs {
-        stats.merge(&s);
-        if let (Some(acc), Some(d)) = (de_stats.as_mut(), d) {
-            acc.loads += d.loads;
-            acc.bypasses += d.bypasses;
+        (Kernel::Batch, PolicyKind::DynamicExclusion) => {
+            let mut probe = obs.probe();
+            let result = batch_de_probed(config, addrs, &mut probe);
+            let (collector, log) = probe;
+            let de_stats = DeStats {
+                loads: result.loads,
+                bypasses: result.bypasses,
+            };
+            (result.stats, Some(de_stats), collector, log)
         }
-        collector.merge(&c);
-        events.extend(log.into_events());
-    }
-    drop(merge_span);
-    debug_assert_eq!(
-        stats,
-        policy
-            .simulate(config, addrs)
-            .expect("dm/de/opt run on every kernel"),
-        "set-sharded statistics diverged from the serial run"
-    );
-
-    report_sharded(policy, config, n_shards, stats);
-    if let Some(de_stats) = de_stats {
-        println!("  loads {} bypasses {}", de_stats.loads, de_stats.bypasses);
-    }
-    if let Err(e) = obs.write(&collector, &events) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// The fault-isolated sharded path (uninstrumented runs): shards execute
-/// under panic containment / retry / soft deadline; a failing shard fails
-/// alone and the run reports partial statistics plus a per-cell table.
-fn run_sharded_resilient(
-    policy: PolicyKind,
-    config: CacheConfig,
-    addrs: &[u32],
-    n_shards: usize,
-    jobs: usize,
-    resilience: Resilience,
-) -> ExitCode {
-    let inject_panic = injected_fault("DYNEX_INJECT_PANIC_SHARD");
-    let inject_hang = injected_fault("DYNEX_INJECT_HANG_SHARD");
-    let items: Arc<Vec<(usize, Vec<u32>)>> = Arc::new(
-        shard_by_set(config.geometry(), addrs, n_shards)
-            .into_iter()
-            .enumerate()
-            .collect(),
-    );
-    let outcome = execute_resilient(items, jobs, resilience, move |(index, shard)| {
-        let _shard_span = dynex_obs::span::span("engine.shard-simulate");
-        if Some(*index) == inject_panic {
-            panic!("injected fault: panic in shard {index}");
+        (Kernel::Sweep, PolicyKind::DirectMapped) => {
+            let mut probes = [obs.probe()];
+            let point = SweepPoint::new(config, SweepPolicy::DirectMapped);
+            let results = batch_sweep_probed(&[point], addrs, &mut probes);
+            let [(collector, log)] = probes;
+            (results[0].stats(), None, collector, log)
         }
-        if Some(*index) == inject_hang {
-            std::thread::sleep(Duration::from_secs(3600));
+        (Kernel::Sweep, PolicyKind::DynamicExclusion) => {
+            let mut probes = [obs.probe()];
+            let point = SweepPoint::new(config, SweepPolicy::DynamicExclusion);
+            let results = batch_sweep_probed(&[point], addrs, &mut probes);
+            let [(collector, log)] = probes;
+            let result = results[0].de().expect("DE sweep point yields DE result");
+            let de_stats = DeStats {
+                loads: result.loads,
+                bypasses: result.bypasses,
+            };
+            (result.stats, Some(de_stats), collector, log)
         }
-        let PolicyRun { stats, de, .. } = policy
-            .run(default_kernel(), config, shard)
-            .expect("dm/de/opt run on every kernel");
-        (stats, de)
-    });
-
-    let mut merged = CacheStats::new();
-    let mut de_merged: Option<DeStats> = None;
-    {
-        let _merge_span = dynex_obs::span::span("engine.merge");
-        for (stats, de) in outcome.results().iter().flatten() {
-            merged.merge(stats);
-            if let Some(de) = de {
-                let acc = de_merged.get_or_insert_with(DeStats::default);
-                acc.loads += de.loads;
-                acc.bypasses += de.bypasses;
-            }
+        (Kernel::Reference, PolicyKind::DirectMapped) => {
+            let mut cache = DirectMapped::with_probe(config, obs.probe());
+            let stats = run_addrs(&mut cache, addrs.iter().copied());
+            let (collector, log) = cache.into_probe();
+            (stats, None, collector, log)
         }
-    }
-
-    if !outcome.has_failures() {
-        debug_assert_eq!(
-            merged,
-            policy
-                .simulate(config, addrs)
-                .expect("dm/de/opt run on every kernel"),
-            "set-sharded statistics diverged from the serial run"
-        );
-        report_sharded(policy, config, n_shards, merged);
-        if let Some(de) = de_merged {
-            println!("  loads {} bypasses {}", de.loads, de.bypasses);
+        (Kernel::Reference, PolicyKind::DynamicExclusion) => {
+            let mut cache = DeCache::with_probe(config, obs.probe());
+            let stats = run_addrs(&mut cache, addrs.iter().copied());
+            let de_stats = cache.de_stats();
+            let (collector, log) = cache.into_probe();
+            (stats, Some(de_stats), collector, log)
         }
-        return ExitCode::SUCCESS;
+        (_, other) => unreachable!("{} has no probed dm/de hot path", other.name()),
     }
-
-    // Partial results: the merged statistics cover only the surviving
-    // shards, so they are labelled as such rather than passed off as the
-    // full-trace numbers.
-    let counts = outcome.counts();
-    eprintln!("sweep summary: {}", outcome.summary());
-    if let Some(table) = outcome.failure_table(|i| format!("shard {i}")) {
-        eprint!("{table}");
-    }
-    println!(
-        "{} [set-sharded, PARTIAL {}/{} shards] {config}: {} accesses, {} misses, \
-         miss rate {:.4}%",
-        policy.name(),
-        counts.ok,
-        n_shards,
-        merged.accesses(),
-        merged.misses(),
-        merged.miss_rate_percent()
-    );
-    if let Some(de) = de_merged {
-        println!("  loads {} bypasses {} (partial)", de.loads, de.bypasses);
-    }
-    ExitCode::FAILURE
 }
 
 /// `--sweep`: simulate the dm/de/opt triple at every listed size in one
@@ -456,14 +258,12 @@ fn run_size_sweep(
 fn main() -> ExitCode {
     // Every session flag funnels into one SimulationRequest: validation and
     // the DYNEX_JOBS/DYNEX_REFS environment overrides live in the request
-    // builder, not here. Mode flags (sharding, resilience, observability)
+    // builder, not here. Mode flags (sweep, observability)
     // stay local — they select *how* the request runs, not *what* it means.
     let mut builder = SimulationRequest::builder();
     let mut path = None;
     let mut saw_size = false;
-    let mut shard_sets = false;
     let mut sweep_sizes: Option<Vec<u32>> = None;
-    let mut resilience = Resilience::default();
     let mut obs = ObsConfig {
         events_out: None,
         metrics_out: None,
@@ -528,25 +328,6 @@ fn main() -> ExitCode {
                 };
                 builder.jobs(jobs);
             }
-            "--shard-sets" => shard_sets = true,
-            "--job-retries" => {
-                resilience.max_retries = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => v,
-                    None => {
-                        eprintln!("error: --job-retries needs a number");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--job-timeout-ms" => {
-                resilience.deadline = match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                    Some(v) if v > 0 => Some(Duration::from_millis(v)),
-                    _ => {
-                        eprintln!("error: --job-timeout-ms needs a positive number");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--lenient" => {
                 let max_skipped: u64 = match it.next().and_then(|v| v.parse().ok()) {
                     Some(v) => v,
@@ -598,6 +379,10 @@ fn main() -> ExitCode {
                 usage();
                 return ExitCode::SUCCESS;
             }
+            other if other.starts_with("--") => {
+                eprintln!("error: unknown flag {other:?}");
+                return ExitCode::FAILURE;
+            }
             other if path.is_none() => path = Some(other.to_owned()),
             other => {
                 eprintln!("error: unexpected argument {other:?}");
@@ -621,17 +406,17 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if request.resume.is_some() && (shard_sets || obs.active()) {
+    if request.resume.is_some() && obs.active() {
         eprintln!(
-            "error: --resume checkpoints plain runs only; it combines with \
-             neither --shard-sets nor the observability outputs"
+            "error: --resume checkpoints plain runs only; it does not combine \
+             with the observability outputs"
         );
         return ExitCode::FAILURE;
     }
-    if sweep_sizes.is_some() && (shard_sets || obs.active() || request.resume.is_some()) {
+    if sweep_sizes.is_some() && (obs.active() || request.resume.is_some()) {
         eprintln!(
             "error: --sweep runs plain multi-size sweeps only; it combines with \
-             none of --shard-sets, --resume, or the observability outputs"
+             neither --resume nor the observability outputs"
         );
         return ExitCode::FAILURE;
     }
@@ -693,18 +478,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if shard_sets {
-        // --jobs (or the resolved session default) doubles as the shard count.
-        return run_sharded(
-            request.policy,
-            dm_config,
-            &loaded.addrs,
-            request.jobs,
-            &obs,
-            resilience,
-        );
-    }
-
     if !obs.active() {
         // The uninstrumented single run shares api::execute with --resume
         // and the dynex-serve service.
@@ -756,73 +529,21 @@ fn main() -> ExitCode {
     }
 
     match request.policy {
-        PolicyKind::DirectMapped => match default_kernel() {
-            Kernel::Batch => {
-                let mut probe = obs.probe();
-                let stats = batch_dm_probed(dm_config, addrs, &mut probe);
-                report(DirectMapped::new(dm_config).label(), stats);
-                let (collector, log) = probe;
-                if let Err(e) = obs.write(&collector, log.events()) {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            Kernel::Sweep => {
-                let mut probes = [obs.probe()];
-                let point = SweepPoint::new(dm_config, SweepPolicy::DirectMapped);
-                let results = batch_sweep_probed(&[point], addrs, &mut probes);
-                report(DirectMapped::new(dm_config).label(), results[0].stats());
-                let [(collector, log)] = probes;
-                if let Err(e) = obs.write(&collector, log.events()) {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            Kernel::Reference => {
-                simulate_observed!(DirectMapped::with_probe(dm_config, obs.probe()));
-            }
-        },
-        PolicyKind::DynamicExclusion => {
-            let (label, stats, de_stats, collector, log) = match default_kernel() {
-                Kernel::Batch => {
-                    let mut probe = obs.probe();
-                    let result = batch_de_probed(dm_config, addrs, &mut probe);
-                    let (collector, log) = probe;
-                    let de_stats = DeStats {
-                        loads: result.loads,
-                        bypasses: result.bypasses,
-                    };
-                    let label = DeCache::new(dm_config).label();
-                    (label, result.stats, de_stats, collector, log)
-                }
-                Kernel::Sweep => {
-                    let mut probes = [obs.probe()];
-                    let point = SweepPoint::new(dm_config, SweepPolicy::DynamicExclusion);
-                    let results = batch_sweep_probed(&[point], addrs, &mut probes);
-                    let [(collector, log)] = probes;
-                    let result = results[0].de().expect("DE sweep point yields DE result");
-                    let de_stats = DeStats {
-                        loads: result.loads,
-                        bypasses: result.bypasses,
-                    };
-                    let label = DeCache::new(dm_config).label();
-                    (label, result.stats, de_stats, collector, log)
-                }
-                Kernel::Reference => {
-                    let mut cache = DeCache::with_probe(dm_config, obs.probe());
-                    let stats = run_addrs(&mut cache, addrs.iter().copied());
-                    let label = cache.label();
-                    let de_stats = cache.de_stats();
-                    let (collector, log) = cache.into_probe();
-                    (label, stats, de_stats, collector, log)
-                }
+        PolicyKind::DirectMapped | PolicyKind::DynamicExclusion => {
+            let (stats, de_stats, collector, log) =
+                simulate_probed(default_kernel(), request.policy, dm_config, addrs, &obs);
+            let label = match de_stats {
+                Some(_) => DeCache::new(dm_config).label(),
+                None => DirectMapped::new(dm_config).label(),
             };
             report(label, stats);
             if let Err(e) = obs.write(&collector, log.events()) {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;
             }
-            println!("  loads {} bypasses {}", de_stats.loads, de_stats.bypasses);
+            if let Some(de_stats) = de_stats {
+                println!("  loads {} bypasses {}", de_stats.loads, de_stats.bypasses);
+            }
         }
         PolicyKind::DeLastLine => {
             simulate_observed!(LastLineDeCache::with_store_and_probe(

@@ -71,43 +71,6 @@ impl Collector {
         }
     }
 
-    /// Folds another collector into this one (shard/job merging).
-    ///
-    /// Counters, per-set conflict counts, the reuse-distance histogram, and
-    /// the interval series are all merged with their own `merge` semantics.
-    /// Reuse distances remain as recorded by each collector — for
-    /// set-sharded runs they are measured in shard-local access counts, and
-    /// `other`'s per-address last-touch positions are not carried over (they
-    /// index into `other`'s private access counter).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interval window sizes differ.
-    pub fn merge(&mut self, other: &Collector) {
-        self.accesses += other.accesses;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.sticky_flips += other.sticky_flips;
-        self.hit_last_updates += other.hit_last_updates;
-        self.exclusion_loads += other.exclusion_loads;
-        self.exclusion_bypasses += other.exclusion_bypasses;
-        self.trace_skips += other.trace_skips;
-        self.reuse.merge(&other.reuse);
-        if other.conflicts_by_set.len() > self.conflicts_by_set.len() {
-            self.conflicts_by_set
-                .resize(other.conflicts_by_set.len(), 0);
-        }
-        for (c, o) in self
-            .conflicts_by_set
-            .iter_mut()
-            .zip(&other.conflicts_by_set)
-        {
-            *c += o;
-        }
-        self.intervals.merge(&other.intervals);
-    }
-
     /// Evictions per set, indexed by set number (sets never evicted from may
     /// be absent from the tail).
     pub fn conflicts_by_set(&self) -> &[u64] {
@@ -284,47 +247,6 @@ mod tests {
         assert!(m.histogram("reuse-distance").is_some());
         let sc = m.histogram("set-conflicts").unwrap();
         assert_eq!(sc.counts()[1], 1, "set 1 suffered the eviction");
-    }
-
-    #[test]
-    fn merged_collectors_sum_counters_conflicts_and_reuse() {
-        let mut a = Collector::new(10);
-        a.emit(access(0, Outcome::Miss));
-        a.emit(access(0, Outcome::Hit)); // reuse distance 1
-        a.emit(Event::Eviction {
-            set: 0,
-            victim: 1,
-            replacement: 2,
-        });
-        let mut b = Collector::new(10);
-        b.emit(access(4, Outcome::Miss));
-        b.emit(access(4, Outcome::Hit)); // reuse distance 1
-        b.emit(Event::Eviction {
-            set: 3,
-            victim: 5,
-            replacement: 6,
-        });
-        b.emit(Event::ExclusionDecision {
-            set: 3,
-            line: 6,
-            loaded: true,
-        });
-        a.merge(&b);
-        let m = a.registry();
-        assert_eq!(m.counter("accesses"), 4);
-        assert_eq!(m.counter("hits"), 2);
-        assert_eq!(m.counter("misses"), 2);
-        assert_eq!(m.counter("evictions"), 2);
-        assert_eq!(m.counter("exclusion-loads"), 1);
-        assert_eq!(a.conflicts_by_set(), &[1, 0, 0, 1]);
-        assert_eq!(a.reuse_distance().total(), 2);
-        assert_eq!(a.reuse_distance().counts()[0], 2, "both distance-1 gaps");
-    }
-
-    #[test]
-    #[should_panic(expected = "different window sizes")]
-    fn merge_rejects_mismatched_interval_windows() {
-        Collector::new(10).merge(&Collector::new(20));
     }
 
     #[test]

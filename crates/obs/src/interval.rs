@@ -105,39 +105,6 @@ impl IntervalSeries {
         self.cur_misses = 0;
     }
 
-    /// Folds another series into this one, treating `other` as the
-    /// continuation of this run (shard/job merging).
-    ///
-    /// Both series must use the same window size. Any partial trailing
-    /// window on `self` is flushed first, so window boundaries restart at
-    /// the seam — the merged series has the same per-window counts as the
-    /// two runs concatenated with a window reset in between. `other`'s
-    /// in-progress window (if any) becomes the merged series'
-    /// in-progress window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window sizes differ.
-    pub fn merge(&mut self, other: &IntervalSeries) {
-        assert_eq!(
-            self.window, other.window,
-            "cannot merge interval series with different window sizes"
-        );
-        self.flush();
-        for p in &other.points {
-            let index = self.points.len() as u64;
-            self.points.push(IntervalPoint {
-                index,
-                start: index * self.window,
-                accesses: p.accesses,
-                misses: p.misses,
-            });
-        }
-        self.cur_accesses = other.cur_accesses;
-        self.cur_misses = other.cur_misses;
-        self.total_accesses += other.total_accesses;
-    }
-
     /// Completed windows so far (excludes the in-progress one).
     pub fn points(&self) -> &[IntervalPoint] {
         &self.points
@@ -179,19 +146,6 @@ impl IntervalSeries {
             ));
         }
         out
-    }
-}
-
-impl std::ops::AddAssign<&IntervalSeries> for IntervalSeries {
-    /// `s += &other` is [`IntervalSeries::merge`].
-    fn add_assign(&mut self, rhs: &IntervalSeries) {
-        self.merge(rhs);
-    }
-}
-
-impl std::ops::AddAssign for IntervalSeries {
-    fn add_assign(&mut self, rhs: IntervalSeries) {
-        self.merge(&rhs);
     }
 }
 
@@ -240,58 +194,5 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_window_rejected() {
         IntervalSeries::new(0);
-    }
-
-    #[test]
-    fn merge_concatenates_with_window_reset() {
-        // Left: 3 accesses at window 2 => one full window + one partial.
-        let mut left = IntervalSeries::new(2);
-        left.record(true);
-        left.record(false);
-        left.record(true);
-        // Right: 5 accesses => two full windows + one partial.
-        let mut right = IntervalSeries::new(2);
-        for miss in [false, false, true, true, false] {
-            right.record(miss);
-        }
-        left.merge(&right);
-        assert_eq!(left.total_accesses(), 8);
-        // Points: left's full window, left's flushed partial, right's two.
-        let pts = left.points();
-        assert_eq!(pts.len(), 4);
-        assert_eq!((pts[0].accesses, pts[0].misses), (2, 1));
-        assert_eq!((pts[1].accesses, pts[1].misses), (1, 1)); // seam flush
-        assert_eq!((pts[2].accesses, pts[2].misses), (2, 0));
-        assert_eq!((pts[3].accesses, pts[3].misses), (2, 2));
-        // Indices and starts were rewritten consecutively.
-        for (i, p) in pts.iter().enumerate() {
-            assert_eq!(p.index, i as u64);
-            assert_eq!(p.start, i as u64 * 2);
-        }
-        // Right's partial window carries over as the in-progress window.
-        let all = left.finish();
-        assert_eq!(all.len(), 5);
-        assert_eq!((all[4].accesses, all[4].misses), (1, 0));
-    }
-
-    #[test]
-    fn merge_into_empty_is_a_copy() {
-        let mut right = IntervalSeries::new(4);
-        for i in 0..9 {
-            right.record(i % 3 == 0);
-        }
-        let mut empty = IntervalSeries::new(4);
-        empty.merge(&right);
-        assert_eq!(empty, right);
-        // AddAssign forms agree.
-        let mut a = IntervalSeries::new(4);
-        a += &right;
-        assert_eq!(a, right);
-    }
-
-    #[test]
-    #[should_panic(expected = "different window sizes")]
-    fn merge_rejects_mismatched_windows() {
-        IntervalSeries::new(2).merge(&IntervalSeries::new(3));
     }
 }

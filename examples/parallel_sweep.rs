@@ -2,15 +2,14 @@
 //!
 //! Sweeps cache size × policy over one synthetic instruction stream, first
 //! serially, then on all available cores, and shows that the results are
-//! identical — the engine's determinism contract. Also demonstrates
-//! set-partitioned parallelism inside a single long trace.
+//! identical — the engine's determinism contract.
 //!
 //! Run with: `cargo run --example parallel_sweep`
 
 use std::time::Instant;
 
 use dynex_cache::CacheConfig;
-use dynex_engine::{available_jobs, sharded_policy_stats, Job, PolicyKind, SweepPlan};
+use dynex_engine::{available_jobs, Job, PolicyKind, SweepPlan};
 use dynex_workload::spec;
 
 fn main() {
@@ -67,17 +66,4 @@ fn main() {
             stats.miss_rate_percent()
         );
     }
-
-    // Set-partitioned parallelism: one trace, many shards, exact merge.
-    let config = CacheConfig::direct_mapped(32 * 1024, 4).expect("valid config");
-    let serial = PolicyKind::DynamicExclusion
-        .simulate(config, &addrs)
-        .expect("de runs on every kernel");
-    let sharded = sharded_policy_stats(config, PolicyKind::DynamicExclusion, &addrs, cores, cores);
-    assert_eq!(serial, sharded);
-    println!(
-        "\nset-sharded DE @ 32K across {} shard(s): {} misses — exactly the serial count",
-        cores,
-        sharded.misses()
-    );
 }

@@ -15,8 +15,8 @@
 #   DYNEX_BENCH_OUT_DIR=DIR     where the JSON lands (default results/)
 #
 # Sections:
-#   pr2  engine scaling: sweep fan-out and set-sharded single-trace runs at
-#        jobs=1 vs jobs=N (see EXPERIMENTS.md "Engine scaling")
+#   pr2  engine scaling: fig5 sweep fan-out at jobs=1 vs jobs=N
+#        (see EXPERIMENTS.md "Engine scaling")
 #   pr4  batch kernel: reference vs batch refs-per-second on dm/de/opt single
 #        traces and on a full figure sweep (fused triple), both at jobs=1 so
 #        the kernel, not the pool, is the measured variable
@@ -79,7 +79,7 @@ gcc_trace() {
 }
 
 # ---------------------------------------------------------------------------
-# pr2: engine scaling (sweep fan-out, set-sharded single trace)
+# pr2: engine scaling (sweep fan-out)
 # ---------------------------------------------------------------------------
 bench_pr2() {
     local out="$OUT_DIR/BENCH_PR2.json"
@@ -93,13 +93,6 @@ bench_pr2() {
     diff "$TMP/sweep1.txt" "$TMP/sweepN.txt" >/dev/null \
         || { echo "bench: sweep output differs between jobs=1 and jobs=$JOBS_N" >&2; exit 1; }
 
-    echo "==> [pr2] single trace ($TRACE_REFS refs, 32K de) serial vs --shard-sets --jobs $JOBS_N"
-    gcc_trace
-    t0=$(now); "$SIMCACHE" "$GCC_TRACE" --size 32K --org de --jobs 1 >"$TMP/trace1.txt"; t1=$(now)
-    local trace_s1; trace_s1=$(elapsed "$t0" "$t1")
-    t0=$(now); "$SIMCACHE" "$GCC_TRACE" --size 32K --org de --shard-sets --jobs "$JOBS_N" >"$TMP/traceN.txt"; t1=$(now)
-    local trace_sn; trace_sn=$(elapsed "$t0" "$t1")
-
     cat >"$out" <<EOF
 {
   "bench": "dynex-engine scaling (PR 2)",
@@ -110,16 +103,6 @@ bench_pr2() {
     "seconds_jobs_1": $sweep_s1,
     "seconds_jobs_n": $sweep_sn,
     "speedup": $(ratio "$sweep_s1" "$sweep_sn")
-  },
-  "single_trace_set_sharded": {
-    "trace": "gcc",
-    "accesses": $TRACE_REFS,
-    "config": "32K de",
-    "seconds_serial": $trace_s1,
-    "seconds_sharded_jobs_n": $trace_sn,
-    "accesses_per_second_serial": $(rate "$TRACE_REFS" "$trace_s1"),
-    "accesses_per_second_sharded": $(rate "$TRACE_REFS" "$trace_sn"),
-    "speedup": $(ratio "$trace_s1" "$trace_sn")
   }
 }
 EOF

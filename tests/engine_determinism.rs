@@ -1,15 +1,10 @@
-//! Integration: the sweep engine's two parallelism axes are deterministic.
-//!
-//! * Plan-level parallelism: a figure-style sweep produces bit-identical
-//!   `Triple`s — and byte-identical exported JSONL — for every worker count.
-//! * Set-level parallelism: sharding one trace by set index and merging the
-//!   shard statistics reproduces the serial run exactly, on the paper's
-//!   Section 3 loop patterns and on random traces, for DM, DE, and OPT.
+//! Integration: the sweep engine's plan-level parallelism is deterministic.
+//! A figure-style sweep produces bit-identical `Triple`s — and
+//! byte-identical exported JSONL — for every worker count.
 
 use dynex_cache::{CacheConfig, CacheStats, SplitMix64};
-use dynex_engine::{execute, shard_by_set, sharded_policy_stats, Job, PolicyKind, SweepPlan};
+use dynex_engine::{execute, Job, PolicyKind, SweepPlan};
 use dynex_experiments::{triple, triples_to_jsonl, Triple, Workloads};
-use dynex_workload::patterns;
 
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -76,79 +71,6 @@ fn sweep_plan_of_jobs_is_deterministic() {
             plan.run(jobs, |job| job.run(&trace).unwrap()),
             serial,
             "jobs={jobs}"
-        );
-    }
-}
-
-#[test]
-fn section3_loop_patterns_shard_exactly() {
-    // The paper's Section 3 conflict patterns, at a size where the two
-    // blocks collide; sharding must not change a single count.
-    let size = 1024u32;
-    let config = CacheConfig::direct_mapped(size, 4).unwrap();
-    let (a, b) = patterns::conflicting_pair(size);
-    let traces = [
-        patterns::conflict_between_loops(a, b, 10, 10),
-        patterns::conflict_between_loop_levels(a, b, 10, 10),
-        patterns::conflict_within_loop(a, b, 50),
-        patterns::three_way_loop(a, b, b + size, 25),
-    ];
-    for (i, trace) in traces.iter().enumerate() {
-        let addrs: Vec<u32> = trace.iter().map(|x| x.addr()).collect();
-        for policy in [
-            PolicyKind::DirectMapped,
-            PolicyKind::DynamicExclusion,
-            PolicyKind::OptimalDm,
-        ] {
-            let serial = policy.simulate(config, &addrs).unwrap();
-            for shards in [2usize, 4, 8] {
-                for jobs in JOB_COUNTS {
-                    assert_eq!(
-                        sharded_policy_stats(config, policy, &addrs, shards, jobs),
-                        serial,
-                        "pattern {i}, {} with {shards} shards, {jobs} jobs",
-                        policy.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn random_traces_shard_exactly() {
-    let config = CacheConfig::direct_mapped(4 * 1024, 4).unwrap();
-    for seed in [1u64, 2, 3] {
-        let addrs = random_trace(seed, 30_000, 8 * 1024);
-        for policy in [
-            PolicyKind::DirectMapped,
-            PolicyKind::DynamicExclusion,
-            PolicyKind::OptimalDm,
-        ] {
-            let serial = policy.simulate(config, &addrs).unwrap();
-            for shards in [2usize, 7, 32] {
-                assert_eq!(
-                    sharded_policy_stats(config, policy, &addrs, shards, 4),
-                    serial,
-                    "seed {seed}, {} with {shards} shards",
-                    policy.name()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn shards_partition_the_trace() {
-    let config = CacheConfig::direct_mapped(1024, 4).unwrap();
-    let addrs = random_trace(9, 10_000, 2_048);
-    for shards in [1usize, 3, 16] {
-        let parts = shard_by_set(config.geometry(), &addrs, shards);
-        assert_eq!(parts.len(), shards);
-        assert_eq!(
-            parts.iter().map(Vec::len).sum::<usize>(),
-            addrs.len(),
-            "{shards} shards"
         );
     }
 }

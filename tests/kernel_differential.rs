@@ -31,9 +31,7 @@ use dynex_cache::{
     run_addrs, simulate_policy, CacheConfig, EhcPolicy, Kernel, KindFilter, SplitMix64, SweepPoint,
     SweepPointResult, SweepPolicy, CHUNK_LEN,
 };
-use dynex_engine::{
-    execute, set_default_jobs, set_default_kernel, sharded_policy_stats, KernelSupport, PolicyKind,
-};
+use dynex_engine::{execute, set_default_jobs, set_default_kernel, KernelSupport, PolicyKind};
 use dynex_experiments::api::{self, run_triple, SimulationRequest};
 use dynex_experiments::{figures, Workloads};
 use dynex_obs::{export, Collector, EventLog};
@@ -164,37 +162,40 @@ fn probe_events_and_interval_csv_are_byte_identical() {
     assert_eq!(csv(&batch_collector), csv(&ref_collector));
 }
 
-/// Set-sharded runs agree across kernels at 1 and 4 workers: the sharded
-/// path goes through `PolicyKind::simulate`, so this exercises the engine-level
-/// kernel dispatch end to end.
+/// dm/de/opt agree across kernels on a seeded random trace, run through
+/// the engine's pool at 1 and 4 workers: `PolicyKind::simulate` picks the
+/// session kernel, so this exercises the engine-level kernel dispatch end
+/// to end.
 #[test]
-fn sharded_stats_agree_across_kernels_at_jobs_1_and_4() {
+fn random_trace_stats_agree_across_kernels_at_jobs_1_and_4() {
     let _guard = lock_globals();
     let mut rng = SplitMix64::new(77);
     let addrs: Vec<u32> = (0..30_000).map(|_| (rng.below(8_192) as u32) * 4).collect();
     let config = CacheConfig::direct_mapped(4 * 1024, 4).unwrap();
-    for policy in [
+    let policies = [
         PolicyKind::DirectMapped,
         PolicyKind::DynamicExclusion,
         PolicyKind::OptimalDm,
-    ] {
-        let mut per_kernel = Vec::new();
-        for kernel in [Kernel::Reference, Kernel::Batch, Kernel::Sweep] {
-            set_default_kernel(kernel);
-            let serial = policy.simulate(config, &addrs).unwrap();
-            for jobs in [1usize, 4] {
-                assert_eq!(
-                    sharded_policy_stats(config, policy, &addrs, 4, jobs),
-                    serial,
-                    "{} kernel={kernel} jobs={jobs}",
-                    policy.name()
-                );
-            }
-            per_kernel.push(serial);
+    ];
+    let mut per_kernel = Vec::new();
+    for kernel in [Kernel::Reference, Kernel::Batch, Kernel::Sweep] {
+        set_default_kernel(kernel);
+        let serial: Vec<_> = policies
+            .iter()
+            .map(|p| p.simulate(config, &addrs).unwrap())
+            .collect();
+        for jobs in [1usize, 4] {
+            let pooled = execute(&policies, jobs, |p| p.simulate(config, &addrs).unwrap());
+            assert_eq!(pooled, serial, "kernel={kernel} jobs={jobs}");
         }
-        set_default_kernel(Kernel::default());
-        assert_eq!(per_kernel[0], per_kernel[1], "{}", policy.name());
-        assert_eq!(per_kernel[0], per_kernel[2], "{} (sweep)", policy.name());
+        per_kernel.push((kernel, serial));
+    }
+    set_default_kernel(Kernel::default());
+    let (_, reference) = &per_kernel[0];
+    for (kernel, stats) in &per_kernel[1..] {
+        for ((policy, got), want) in policies.iter().zip(stats).zip(reference) {
+            assert_eq!(got, want, "{} kernel={kernel}", policy.name());
+        }
     }
 }
 
