@@ -16,8 +16,7 @@
 //! *hits* (cyclic sweeps slightly above capacity). Those "anti-conflict"
 //! events are counted separately rather than silently folded in.
 
-use std::collections::HashSet;
-
+use crate::line_table::LineTable;
 use crate::{CacheConfig, FullyAssociative, Replacement};
 
 /// Per-category miss counts from [`classify_direct_mapped`].
@@ -92,14 +91,15 @@ where
     let mut dm = crate::DirectMapped::new(config);
     let mut fa = FullyAssociative::new(config.size_bytes(), config.line_bytes(), Replacement::Lru)
         .expect("config already validated");
-    let mut seen: HashSet<u32> = HashSet::new();
+    // One first-touch flag per line.
+    let mut seen = LineTable::new(0);
     let mut result = MissClassification::default();
 
     for addr in addrs {
         use crate::CacheSim;
         result.accesses += 1;
         let line = geometry.line_addr(addr);
-        let first_touch = seen.insert(line);
+        let first_touch = std::mem::replace(seen.slot(line), 1) == 0;
         let dm_miss = dm.access(addr).is_miss();
         let fa_miss = fa.access(addr).is_miss();
         match (dm_miss, fa_miss, first_touch) {
@@ -145,14 +145,15 @@ pub fn classify_direct_mapped_optimal(config: CacheConfig, addrs: &[u32]) -> Mis
     )
     .expect("config already validated");
     let mut dm = crate::DirectMapped::new(config);
-    let mut seen: HashSet<u32> = HashSet::new();
+    // One first-touch flag per line.
+    let mut seen = LineTable::new(0);
     let mut result = MissClassification::default();
 
     for (&addr, min_outcome) in addrs.iter().zip(min_outcomes) {
         use crate::CacheSim;
         result.accesses += 1;
         let line = geometry.line_addr(addr);
-        let first_touch = seen.insert(line);
+        let first_touch = std::mem::replace(seen.slot(line), 1) == 0;
         let dm_miss = dm.access(addr).is_miss();
         match (dm_miss, min_outcome.is_miss(), first_touch) {
             (true, _, true) => result.compulsory += 1,

@@ -1,5 +1,7 @@
 //! A sparse per-line `u32` table: the storage behind the whole-trace
-//! oracles (OPT's next-use chain and EHC's windowed-use counts).
+//! oracles (OPT's next-use chain and EHC's windowed-use counts), the
+//! fully-associative cache's line-to-slot map and the 3C classifiers'
+//! first-touch flags.
 //!
 //! Line addresses span up to 30 bits (a byte address shifted right by at
 //! least the 4-byte word offset), but a trace touches only a few dense
@@ -50,6 +52,19 @@ impl LineTable {
             _ => self.alloc(page),
         };
         &mut self.store[(base << PAGE_BITS) | (line as usize & (PAGE_LEN - 1))]
+    }
+
+    /// The value of `line`'s slot without allocating: the fill value for a
+    /// line whose page was never touched.
+    #[inline]
+    pub(crate) fn get(&self, line: u32) -> u32 {
+        match self.dir.get((line >> PAGE_BITS) as usize) {
+            Some(&entry) if entry != 0 => {
+                let base = entry as usize - 1;
+                self.store[(base << PAGE_BITS) | (line as usize & (PAGE_LEN - 1))]
+            }
+            _ => self.fill,
+        }
     }
 
     /// Allocates the page for directory slot `page`, returning its index in
@@ -113,6 +128,9 @@ mod tests {
         assert_eq!((*table.slot(0), *table.slot(1)), (7, 8));
         assert_eq!(*table.slot(2), u32::MAX, "neighbours untouched");
         assert_eq!(table.pages(), 1);
+        assert_eq!((table.get(0), table.get(2)), (7, u32::MAX));
+        assert_eq!(table.get(PAGE_LEN as u32), u32::MAX, "untouched page");
+        assert_eq!(table.pages(), 1, "reads allocate nothing");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use crate::{AccessOutcome, CacheStats, ConfigError};
+use crate::{kernel, AccessOutcome, CacheStats, ConfigError};
 
 const NEVER: u64 = u64::MAX;
 
@@ -63,6 +63,11 @@ impl OptimalFullyAssociative {
     /// # Errors
     ///
     /// Same as [`OptimalFullyAssociative::simulate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace has `u32::MAX` or more references (positions
+    /// are 32-bit).
     pub fn outcomes<I>(
         capacity_lines: usize,
         line_bytes: u32,
@@ -78,25 +83,23 @@ impl OptimalFullyAssociative {
             return Err(ConfigError::LineTooSmall { line_bytes });
         }
         let shift = line_bytes.trailing_zeros();
-        let lines: Vec<u32> = addrs.into_iter().map(|a| a >> shift).collect();
+        let addrs: Vec<u32> = addrs.into_iter().collect();
 
-        // next[i]: position of the next reference to lines[i] (NEVER if none).
-        let mut next = vec![NEVER; lines.len()];
-        let mut upcoming: HashMap<u32, usize> = HashMap::new();
-        for (i, &l) in lines.iter().enumerate().rev() {
-            if let Some(&j) = upcoming.get(&l) {
-                next[i] = j as u64;
-            }
-            upcoming.insert(l, i);
-        }
+        // next[i]: position of the next reference to the line of addrs[i]
+        // (NEVER if none).
+        let next: Vec<u64> = kernel::next_use(&addrs, shift)
+            .into_iter()
+            .map(|j| if j == kernel::NEVER { NEVER } else { j as u64 })
+            .collect();
+        let lines = addrs.iter().map(|&a| a >> shift);
 
         // Resident set, ordered by next use (ties impossible: positions are
         // unique; NEVER ties broken by the line id).
         let mut by_next_use: BTreeSet<(u64, u32)> = BTreeSet::new();
         let mut resident_key: HashMap<u32, u64> = HashMap::new();
-        let mut outcomes = Vec::with_capacity(lines.len());
+        let mut outcomes = Vec::with_capacity(addrs.len());
 
-        for (i, &line) in lines.iter().enumerate() {
+        for (i, line) in lines.enumerate() {
             if let Some(&key) = resident_key.get(&line) {
                 outcomes.push(AccessOutcome::Hit);
                 by_next_use.remove(&(key, line));

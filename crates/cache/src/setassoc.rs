@@ -17,7 +17,7 @@ pub enum Replacement {
 }
 
 impl Replacement {
-    fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Replacement::Lru => "LRU",
             Replacement::Fifo => "FIFO",

@@ -72,7 +72,5 @@ pub use journal::{
 };
 pub use kernel::{default_kernel, set_default_kernel};
 pub use pool::{available_jobs, default_jobs, env_jobs, execute, set_default_jobs};
-pub use resilience::{
-    execute_resilient, JobError, JobFailure, Resilience, SweepCounts, SweepOutcome,
-};
+pub use resilience::{execute_resilient, JobError, JobFailure, Resilience, SweepOutcome};
 pub use sweep::{Job, KernelSupport, PolicyError, PolicyKind, PolicyRun, SweepPlan};

@@ -47,17 +47,6 @@ pub enum JobFailure {
     },
 }
 
-impl JobFailure {
-    /// Stable lowercase tag (`"panicked"` / `"timed-out"`), used by summary
-    /// tables.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            JobFailure::Panicked { .. } => "panicked",
-            JobFailure::TimedOut { .. } => "timed-out",
-        }
-    }
-}
-
 /// A failed sweep slot: which plan point, what happened, how long it ran.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobError {
@@ -132,110 +121,16 @@ impl Resilience {
     }
 }
 
-/// Aggregate counts of a resilient sweep, for summary lines.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SweepCounts {
-    /// Slots that produced a result.
-    pub ok: usize,
-    /// Slots that exhausted their attempts panicking.
-    pub panicked: usize,
-    /// Slots marked overdue by the watchdog.
-    pub timed_out: usize,
-    /// Total retry attempts performed across all slots.
-    pub retries: u64,
-}
-
-/// The outcome of [`execute_resilient`]: per-slot results in plan order plus
-/// retry accounting.
+/// The outcome of [`execute_resilient`]: per-slot results in plan order.
 #[derive(Debug)]
 pub struct SweepOutcome<R> {
     results: Vec<Result<R, JobError>>,
-    retries: u64,
 }
 
 impl<R> SweepOutcome<R> {
     /// Per-slot results, in plan order.
     pub fn results(&self) -> &[Result<R, JobError>] {
         &self.results
-    }
-
-    /// Consumes the outcome, returning the per-slot results in plan order.
-    pub fn into_results(self) -> Vec<Result<R, JobError>> {
-        self.results
-    }
-
-    /// The failed slots, in plan order.
-    pub fn failures(&self) -> impl Iterator<Item = &JobError> {
-        self.results.iter().filter_map(|r| r.as_err())
-    }
-
-    /// `true` if any slot failed.
-    pub fn has_failures(&self) -> bool {
-        self.results.iter().any(|r| r.is_err())
-    }
-
-    /// Ok/panicked/timed-out/retry totals.
-    pub fn counts(&self) -> SweepCounts {
-        let mut c = SweepCounts {
-            retries: self.retries,
-            ..SweepCounts::default()
-        };
-        for r in &self.results {
-            match r {
-                Ok(_) => c.ok += 1,
-                Err(e) => match e.failure {
-                    JobFailure::Panicked { .. } => c.panicked += 1,
-                    JobFailure::TimedOut { .. } => c.timed_out += 1,
-                },
-            }
-        }
-        c
-    }
-
-    /// One-line summary: `ok 12 | retried 2 | panicked 1 | timed-out 1`.
-    pub fn summary(&self) -> String {
-        let c = self.counts();
-        format!(
-            "ok {} | retried {} | panicked {} | timed-out {}",
-            c.ok, c.retries, c.panicked, c.timed_out
-        )
-    }
-
-    /// A per-cell failure table (one line per failed slot, labelled by
-    /// `label`), or `None` when every slot succeeded.
-    pub fn failure_table<L: Fn(usize) -> String>(&self, label: L) -> Option<String> {
-        if !self.has_failures() {
-            return None;
-        }
-        let mut out = String::from("slot | cell | outcome | attempts | detail\n");
-        for e in self.failures() {
-            let detail = match &e.failure {
-                JobFailure::Panicked { payload } => payload.clone(),
-                JobFailure::TimedOut { limit } => {
-                    format!("deadline {:.1?}, ran {:.1?}", limit, e.elapsed)
-                }
-            };
-            out.push_str(&format!(
-                "{} | {} | {} | {} | {}\n",
-                e.plan_index,
-                label(e.plan_index),
-                e.failure.kind(),
-                e.attempts,
-                detail
-            ));
-        }
-        Some(out)
-    }
-}
-
-/// `Result::as_err` is unstable; a local helper keeps `failures()` tidy.
-trait AsErr<E> {
-    fn as_err(&self) -> Option<&E>;
-}
-
-impl<R, E> AsErr<E> for Result<R, E> {
-    fn as_err(&self) -> Option<&E> {
-        self.as_ref().err()
     }
 }
 
@@ -360,7 +255,6 @@ where
     if n == 0 {
         return SweepOutcome {
             results: Vec::new(),
-            retries: 0,
         };
     }
     let jobs = jobs.clamp(1, n);
@@ -383,7 +277,6 @@ where
     let mut results: Vec<Option<Result<R, JobError>>> = Vec::with_capacity(n);
     results.resize_with(n, || None);
     let mut resolved = 0usize;
-    let mut retries = 0u64;
     let tick = resilience.watchdog_tick.max(Duration::from_millis(1));
 
     while resolved < n {
@@ -399,7 +292,6 @@ where
                     }
                     Err(payload) => {
                         if done.attempt <= resilience.max_retries {
-                            retries += 1;
                             dynex_obs::span::record_stage("engine.retry", done.elapsed);
                             task_tx
                                 .send((done.index, done.attempt + 1))
@@ -458,7 +350,6 @@ where
             .into_iter()
             .map(|slot| slot.expect("all slots resolved"))
             .collect(),
-        retries,
     }
 }
 
@@ -476,11 +367,10 @@ mod tests {
                 execute_resilient(Arc::new(items.clone()), jobs, Resilience::default(), |&x| {
                     x * 7 + 1
                 });
-            assert!(!outcome.has_failures());
             let values: Vec<u64> = outcome
-                .into_results()
-                .into_iter()
-                .map(|r| r.unwrap())
+                .results()
+                .iter()
+                .map(|r| *r.as_ref().unwrap())
                 .collect();
             assert_eq!(values, serial, "jobs={jobs}");
         }
@@ -495,7 +385,6 @@ mod tests {
             |&x| x,
         );
         assert!(outcome.results().is_empty());
-        assert_eq!(outcome.counts(), SweepCounts::default());
     }
 
     #[test]
@@ -507,10 +396,11 @@ mod tests {
             }
             x + 100
         });
-        let counts = outcome.counts();
-        assert_eq!(counts.ok, 7);
-        assert_eq!(counts.panicked, 1);
-        assert_eq!(counts.timed_out, 0);
+        for (i, r) in outcome.results().iter().enumerate() {
+            if i != 5 {
+                assert_eq!(*r, Ok(i as u64 + 100));
+            }
+        }
         let err = outcome.results()[5].as_ref().unwrap_err();
         assert_eq!(err.plan_index, 5);
         assert_eq!(err.attempts, 1);
@@ -518,10 +408,6 @@ mod tests {
             &err.failure,
             JobFailure::Panicked { payload } if payload.contains("exploded")
         ));
-        assert!(outcome.summary().contains("panicked 1"));
-        let table = outcome.failure_table(|i| format!("cell{i}")).unwrap();
-        assert!(table.contains("cell5"));
-        assert!(table.contains("panicked"));
     }
 
     #[test]
@@ -534,9 +420,9 @@ mod tests {
             }
             x
         });
-        assert!(!outcome.has_failures());
-        assert_eq!(outcome.counts().retries, 2);
-        assert_eq!(outcome.results()[2], Ok(2));
+        // Two panicking attempts, then the rescuing third.
+        assert_eq!(FLAKY_CALLS.load(Ordering::SeqCst), 3);
+        assert_eq!(outcome.results(), &[Ok(0), Ok(1), Ok(2), Ok(3)]);
     }
 
     #[test]
@@ -549,7 +435,6 @@ mod tests {
         );
         let err = outcome.results()[0].as_ref().unwrap_err();
         assert_eq!(err.attempts, 3); // 1 initial + 2 retries
-        assert_eq!(outcome.counts().retries, 2);
     }
 
     #[test]
@@ -566,9 +451,6 @@ mod tests {
                 x * 2
             },
         );
-        let counts = outcome.counts();
-        assert_eq!(counts.timed_out, 1);
-        assert_eq!(counts.ok, 5);
         let err = outcome.results()[1].as_ref().unwrap_err();
         assert!(matches!(err.failure, JobFailure::TimedOut { .. }));
         // Every other slot is intact and correctly valued.
@@ -601,10 +483,6 @@ mod tests {
                     x + 7
                 },
             );
-            let counts = outcome.counts();
-            assert_eq!(counts.panicked, 1, "jobs={jobs}");
-            assert_eq!(counts.timed_out, 1, "jobs={jobs}");
-            assert_eq!(counts.ok, 8, "jobs={jobs}");
             for (i, r) in outcome.results().iter().enumerate() {
                 match i {
                     3 => assert!(

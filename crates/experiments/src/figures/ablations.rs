@@ -4,7 +4,7 @@ use dynex::{DeCache, HashedStore, MultiStickyDeCache};
 use dynex_cache::{run, run_addrs, CacheConfig, DirectMapped, StreamBuffer, VictimCache};
 use dynex_workload::patterns as pat;
 
-use crate::runner::reduction;
+use crate::runner::{bench_means, miss_rate, per_benchmark, push_benchmark_rows, reduction};
 use crate::{Table, Workloads, HEADLINE_SIZE};
 
 /// Multi-level sticky counters (Section 4 / \[McF91a\]).
@@ -27,17 +27,15 @@ pub fn ablate_sticky(workloads: &Workloads) -> Table {
             "avg SPEC I-miss % @32KB",
         ],
     );
-    for depth in 1u8..=4 {
+    const DEPTHS: [u8; 4] = [1, 2, 3, 4];
+    let per_bench = per_benchmark(workloads, |addrs| {
+        DEPTHS
+            .map(|depth| [miss_rate(MultiStickyDeCache::new(config, depth), addrs)])
+            .to_vec()
+    });
+    for (depth, [avg]) in DEPTHS.into_iter().zip(bench_means(&per_bench)) {
         let mut pattern_cache = MultiStickyDeCache::new(small, depth);
         let pattern_stats = run(&mut pattern_cache, abc.iter());
-
-        let mut avg = 0.0;
-        for (name, _) in workloads.iter() {
-            let mut cache = MultiStickyDeCache::new(config, depth);
-            avg += run_addrs(&mut cache, workloads.instr_addrs(name)).miss_rate_percent();
-        }
-        avg /= workloads.len() as f64;
-
         table.push_row(vec![
             depth.to_string(),
             format!("{:.1}", pattern_stats.miss_rate_percent()),
@@ -55,20 +53,21 @@ pub fn ablate_hashwidth(workloads: &Workloads) -> Table {
         "Ablation: hashed hit-last bits per line (S=32KB, b=4B)",
         vec!["bits/line", "avg I-miss %", "vs perfect store %"],
     );
-    let mut perfect_avg = 0.0;
-    for (name, _) in workloads.iter() {
-        let mut cache = DeCache::new(config);
-        perfect_avg += run_addrs(&mut cache, workloads.instr_addrs(name)).miss_rate_percent();
-    }
-    perfect_avg /= workloads.len() as f64;
-
-    for bits in [1u32, 2, 4, 8] {
-        let mut avg = 0.0;
-        for (name, _) in workloads.iter() {
-            let mut cache = DeCache::with_store(config, HashedStore::new(config, bits));
-            avg += run_addrs(&mut cache, workloads.instr_addrs(name)).miss_rate_percent();
-        }
-        avg /= workloads.len() as f64;
+    const BITS: [u32; 4] = [1, 2, 4, 8];
+    // Per benchmark: the perfect store, then each hashed width.
+    let per_bench = per_benchmark(workloads, |addrs| {
+        let perfect = [miss_rate(DeCache::new(config), addrs)];
+        let hashed = BITS.map(|bits| {
+            [miss_rate(
+                DeCache::with_store(config, HashedStore::new(config, bits)),
+                addrs,
+            )]
+        });
+        std::iter::once(perfect).chain(hashed).collect::<Vec<_>>()
+    });
+    let means = bench_means(&per_bench);
+    let [perfect_avg] = means[0];
+    for (bits, &[avg]) in BITS.into_iter().zip(&means[1..]) {
         table.push_row(vec![
             bits.to_string(),
             format!("{avg:.3}"),
@@ -100,23 +99,21 @@ pub fn victim(workloads: &Workloads) -> Table {
             "DE red. %",
         ],
     );
-    for (name, _) in workloads.iter() {
-        let addrs = workloads.instr_addrs(name);
+    push_benchmark_rows(&mut table, workloads, |addrs| {
         let mut dm = DirectMapped::new(config);
         let dm_stats = run_addrs(&mut dm, addrs.iter().copied());
         let mut vc = VictimCache::new(config, 4);
         let vc_stats = run_addrs(&mut vc, addrs.iter().copied());
         let mut de = DeCache::new(config);
         let de_stats = run_addrs(&mut de, addrs.iter().copied());
-        table.push_row(vec![
-            name.to_owned(),
+        vec![
             format!("{:.3}", dm_stats.miss_rate_percent()),
             format!("{:.3}", vc_stats.miss_rate_percent()),
             format!("{:.3}", de_stats.miss_rate_percent()),
             format!("{:.1}", vc_stats.percent_reduction_vs(&dm_stats)),
             format!("{:.1}", de_stats.percent_reduction_vs(&dm_stats)),
-        ]);
-    }
+        ]
+    });
     table
 }
 
@@ -136,23 +133,21 @@ pub fn streambuf(workloads: &Workloads) -> Table {
             "DE bypasses",
         ],
     );
-    for (name, _) in workloads.iter() {
-        let addrs = workloads.instr_addrs(name);
+    push_benchmark_rows(&mut table, workloads, |addrs| {
         let mut dm = DirectMapped::new(config);
         let dm_stats = run_addrs(&mut dm, addrs.iter().copied());
         let mut sb = StreamBuffer::new(config, 4);
         let sb_stats = run_addrs(&mut sb, addrs.iter().copied());
         let mut de = DeCache::new(config);
         let de_stats = run_addrs(&mut de, addrs.iter().copied());
-        table.push_row(vec![
-            name.to_owned(),
+        vec![
             format!("{:.3}", dm_stats.miss_rate_percent()),
             format!("{:.3}", sb_stats.miss_rate_percent()),
             format!("{:.3}", de_stats.miss_rate_percent()),
             sb.stream_stats().stream_hits.to_string(),
             de.de_stats().bypasses.to_string(),
-        ]);
-    }
+        ]
+    });
     table
 }
 

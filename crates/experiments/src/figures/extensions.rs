@@ -8,7 +8,7 @@ use dynex_cache::{
     SetAssociative,
 };
 
-use crate::runner::reduction;
+use crate::runner::{bench_means, miss_rate, per_benchmark, push_benchmark_rows, reduction};
 use crate::{Table, Workloads, HEADLINE_SIZE};
 
 /// Miss anatomy: the 3C classification of every benchmark's direct-mapped
@@ -31,24 +31,22 @@ pub fn conflicts(workloads: &Workloads) -> Table {
             "OPT removes %",
         ],
     );
-    for (name, _) in workloads.iter() {
-        let addrs = workloads.instr_addrs(name);
+    push_benchmark_rows(&mut table, workloads, |addrs| {
         let classes = classify_direct_mapped(config, addrs.iter().copied());
         let total = classes.total_misses().max(1) as f64;
         let mut de = DeCache::new(config);
         let de_stats = run_addrs(&mut de, addrs.iter().copied());
         let opt = OptimalDirectMapped::simulate(config, addrs.iter().copied());
         let removed = |m: u64| (classes.total_misses() as f64 - m as f64) / total * 100.0;
-        table.push_row(vec![
-            name.to_owned(),
+        vec![
             format!("{:.3}", classes.miss_rate_percent()),
             format!("{:.1}", classes.compulsory as f64 / total * 100.0),
             format!("{:.1}", classes.capacity as f64 / total * 100.0),
             format!("{:.1}", classes.conflict as f64 / total * 100.0),
             format!("{:.1}", removed(de_stats.misses())),
             format!("{:.1}", removed(opt.misses())),
-        ]);
-    }
+        ]
+    });
     table
 }
 
@@ -67,24 +65,23 @@ pub fn assoc(workloads: &Workloads) -> Table {
             "DE closes gap %",
         ],
     );
-    for kb in [8u32, 16, 32, 64] {
-        let dm_cfg = CacheConfig::direct_mapped(kb * 1024, 4).expect("valid config");
-        let w2 = CacheConfig::new(kb * 1024, 4, 2).expect("valid config");
-        let w4 = CacheConfig::new(kb * 1024, 4, 4).expect("valid config");
-        let n = workloads.len() as f64;
-        let (mut dm_a, mut de_a, mut a2, mut a4) = (0.0, 0.0, 0.0, 0.0);
-        for (name, _) in workloads.iter() {
-            let addrs = workloads.instr_addrs(name);
-            let mut dm = DirectMapped::new(dm_cfg);
-            dm_a += run_addrs(&mut dm, addrs.iter().copied()).miss_rate_percent();
-            let mut de = DeCache::new(dm_cfg);
-            de_a += run_addrs(&mut de, addrs.iter().copied()).miss_rate_percent();
-            let mut c2 = SetAssociative::new(w2, Replacement::Lru);
-            a2 += run_addrs(&mut c2, addrs.iter().copied()).miss_rate_percent();
-            let mut c4 = SetAssociative::new(w4, Replacement::Lru);
-            a4 += run_addrs(&mut c4, addrs.iter().copied()).miss_rate_percent();
-        }
-        let (dm_a, de_a, a2, a4) = (dm_a / n, de_a / n, a2 / n, a4 / n);
+    const SIZES_KB: [u32; 4] = [8, 16, 32, 64];
+    let per_bench = per_benchmark(workloads, |addrs| {
+        SIZES_KB
+            .map(|kb| {
+                let dm_cfg = CacheConfig::direct_mapped(kb * 1024, 4).expect("valid config");
+                let w2 = CacheConfig::new(kb * 1024, 4, 2).expect("valid config");
+                let w4 = CacheConfig::new(kb * 1024, 4, 4).expect("valid config");
+                [
+                    miss_rate(DirectMapped::new(dm_cfg), addrs),
+                    miss_rate(DeCache::new(dm_cfg), addrs),
+                    miss_rate(SetAssociative::new(w2, Replacement::Lru), addrs),
+                    miss_rate(SetAssociative::new(w4, Replacement::Lru), addrs),
+                ]
+            })
+            .to_vec()
+    });
+    for (kb, [dm_a, de_a, a2, a4]) in SIZES_KB.into_iter().zip(bench_means(&per_bench)) {
         // How much of the DM -> 2-way gap DE closes (can exceed 100% if DE
         // beats 2-way).
         let gap = dm_a - a2;
@@ -120,8 +117,7 @@ pub fn coldstart(workloads: &Workloads) -> Table {
             "steady-state red. %",
         ],
     );
-    for (name, _) in workloads.iter() {
-        let addrs = workloads.instr_addrs(name);
+    push_benchmark_rows(&mut table, workloads, |addrs| {
         let split = addrs.len() / 10;
         let mut dm = DirectMapped::new(config);
         let mut de = DeCache::new(config);
@@ -143,13 +139,12 @@ pub fn coldstart(workloads: &Workloads) -> Table {
         } else {
             0.0
         };
-        table.push_row(vec![
-            name.to_owned(),
+        vec![
             (de_head - dm_head).to_string(),
             (de_tail - dm_tail).to_string(),
             format!("{steady_red:.1}"),
-        ]);
-    }
+        ]
+    });
     table
 }
 
@@ -169,22 +164,21 @@ pub fn ablate_linebuf(workloads: &Workloads) -> Table {
             "stream red. %",
         ],
     );
-    for kb in [8u32, 16, 32, 64] {
-        let config = CacheConfig::direct_mapped(kb * 1024, 16).expect("valid config");
-        let n = workloads.len() as f64;
-        let (mut dm_a, mut reg_a, mut ll_a, mut sb_a) = (0.0, 0.0, 0.0, 0.0);
-        for (name, _) in workloads.iter() {
-            let addrs = workloads.instr_addrs(name);
-            let mut dm = DirectMapped::new(config);
-            dm_a += run_addrs(&mut dm, addrs.iter().copied()).miss_rate_percent();
-            let mut reg = InstrRegisterDeCache::new(config);
-            reg_a += run_addrs(&mut reg, addrs.iter().copied()).miss_rate_percent();
-            let mut ll = LastLineDeCache::new(config);
-            ll_a += run_addrs(&mut ll, addrs.iter().copied()).miss_rate_percent();
-            let mut sb = DeStreamBuffer::new(config, 4);
-            sb_a += run_addrs(&mut sb, addrs.iter().copied()).miss_rate_percent();
-        }
-        let (dm_a, reg_a, ll_a, sb_a) = (dm_a / n, reg_a / n, ll_a / n, sb_a / n);
+    const SIZES_KB: [u32; 4] = [8, 16, 32, 64];
+    let per_bench = per_benchmark(workloads, |addrs| {
+        SIZES_KB
+            .map(|kb| {
+                let config = CacheConfig::direct_mapped(kb * 1024, 16).expect("valid config");
+                [
+                    miss_rate(DirectMapped::new(config), addrs),
+                    miss_rate(InstrRegisterDeCache::new(config), addrs),
+                    miss_rate(LastLineDeCache::new(config), addrs),
+                    miss_rate(DeStreamBuffer::new(config, 4), addrs),
+                ]
+            })
+            .to_vec()
+    });
+    for (kb, [dm_a, reg_a, ll_a, sb_a]) in SIZES_KB.into_iter().zip(bench_means(&per_bench)) {
         table.push_row(vec![
             kb.to_string(),
             format!("{dm_a:.3}"),

@@ -4,7 +4,7 @@
 use dynex::{DeHierarchy, HitLastStrategy};
 use dynex_cache::{run_addrs, CacheConfig, DirectMapped, TwoLevel};
 
-use crate::runner::reduction;
+use crate::runner::{bench_means, per_benchmark, reduction};
 use crate::{Table, Workloads, HEADLINE_SIZE, L2_RATIO_SWEEP};
 
 /// Average L1/L2 miss-rate percentages across benchmarks for one
@@ -33,41 +33,38 @@ pub const STRATEGIES: [HitLastStrategy; 3] = [
 /// ratios of Figures 7–9. Shared by [`fig7`], [`fig8`], and [`fig9`].
 pub fn l2_sweep(workloads: &Workloads) -> Vec<L2Point> {
     let l1 = CacheConfig::direct_mapped(HEADLINE_SIZE, 4).expect("valid config");
-    L2_RATIO_SWEEP
-        .iter()
-        .map(|&ratio| {
-            let l2 = CacheConfig::direct_mapped(HEADLINE_SIZE * ratio, 4).expect("valid config");
-            let n = workloads.len() as f64;
-            let mut dm_l1 = 0.0;
-            let mut dm_l2 = 0.0;
-            let mut de = [(0.0, 0.0); 3];
-            for (name, _) in workloads.iter() {
-                let addrs = workloads.instr_addrs(name);
+    // Per benchmark and ratio: the conventional L1 and global L2 rates,
+    // then each strategy's L1 and global L2 rates.
+    let per_bench = per_benchmark(workloads, |addrs| {
+        L2_RATIO_SWEEP
+            .map(|ratio| {
+                let l2 =
+                    CacheConfig::direct_mapped(HEADLINE_SIZE * ratio, 4).expect("valid config");
+                let mut rates = [0.0; 8];
                 let mut baseline = TwoLevel::new(DirectMapped::new(l1), DirectMapped::new(l2));
                 run_addrs(&mut baseline, addrs.iter().copied());
                 let b = baseline.hierarchy_stats();
-                dm_l1 += b.l1.miss_rate_percent();
-                dm_l2 += b.global_l2_miss_rate() * 100.0;
+                rates[0] = b.l1.miss_rate_percent();
+                rates[1] = b.global_l2_miss_rate() * 100.0;
                 for (k, &strategy) in STRATEGIES.iter().enumerate() {
                     let mut h = DeHierarchy::new(l1, l2, strategy).expect("valid hierarchy");
                     run_addrs(&mut h, addrs.iter().copied());
                     let s = h.hierarchy_stats();
-                    de[k].0 += s.l1.miss_rate_percent();
-                    de[k].1 += s.l2.misses() as f64 / s.l1.accesses().max(1) as f64 * 100.0;
+                    rates[2 + 2 * k] = s.l1.miss_rate_percent();
+                    rates[3 + 2 * k] = s.l2.misses() as f64 / s.l1.accesses().max(1) as f64 * 100.0;
                 }
-            }
-            dm_l1 /= n;
-            dm_l2 /= n;
-            for entry in &mut de {
-                entry.0 /= n;
-                entry.1 /= n;
-            }
-            L2Point {
-                ratio,
-                dm_l1,
-                dm_l2,
-                de,
-            }
+                rates
+            })
+            .to_vec()
+    });
+    L2_RATIO_SWEEP
+        .into_iter()
+        .zip(bench_means(&per_bench))
+        .map(|(ratio, m)| L2Point {
+            ratio,
+            dm_l1: m[0],
+            dm_l2: m[1],
+            de: [(m[2], m[3]), (m[4], m[5]), (m[6], m[7])],
         })
         .collect()
 }

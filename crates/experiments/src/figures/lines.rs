@@ -1,11 +1,10 @@
 //! Figures 11–13: line sizes above one word.
 
 use dynex::{HashedStore, LastLineDeCache};
-use dynex_cache::{run_addrs, CacheConfig, DirectMapped};
-use dynex_engine::{default_jobs, execute};
+use dynex_cache::{CacheConfig, DirectMapped};
 
 use crate::api::sweep_triples_lastline;
-use crate::runner::{average_rates, reduction};
+use crate::runner::{average_rates, bench_means, miss_rate, per_benchmark, reduction};
 use crate::{Table, Workloads, HEADLINE_SIZE, LINE_SWEEP_BYTES, SIZE_SWEEP_KB};
 
 /// The lastline sweep shared by Figures 11 and 12: every (config, benchmark)
@@ -101,31 +100,17 @@ pub fn fig13(workloads: &Workloads) -> Table {
     let base8 = CacheConfig::direct_mapped(8 * 1024, 16).expect("valid config");
     let dm16 = CacheConfig::direct_mapped(16 * 1024, 16).expect("valid config");
 
-    let n = workloads.len() as f64;
-    let traces: Vec<Vec<u32>> = workloads
-        .iter()
-        .map(|(name, _)| workloads.instr_addrs(name))
-        .collect();
-    // One pool job per benchmark; summing in plan order keeps the float
-    // accumulation identical to the serial loop.
-    let per_bench = execute(&traces, default_jobs(), |addrs| {
-        let mut dm8 = DirectMapped::new(base8);
-        let dm8_rate = run_addrs(&mut dm8, addrs.iter().copied()).miss_rate_percent();
-        let mut de8 = LastLineDeCache::with_store(base8, HashedStore::new(base8, 4));
-        let de8_rate = run_addrs(&mut de8, addrs.iter().copied()).miss_rate_percent();
-        let mut dm16_cache = DirectMapped::new(dm16);
-        let dm16_rate = run_addrs(&mut dm16_cache, addrs.iter().copied()).miss_rate_percent();
-        (dm8_rate, de8_rate, dm16_rate)
+    let per_bench = per_benchmark(workloads, |addrs| {
+        vec![[
+            miss_rate(DirectMapped::new(base8), addrs),
+            miss_rate(
+                LastLineDeCache::with_store(base8, HashedStore::new(base8, 4)),
+                addrs,
+            ),
+            miss_rate(DirectMapped::new(dm16), addrs),
+        ]]
     });
-    let (mut dm8_rate, mut de8_rate, mut dm16_rate) = (0.0, 0.0, 0.0);
-    for (a, b, c) in per_bench {
-        dm8_rate += a;
-        de8_rate += b;
-        dm16_rate += c;
-    }
-    dm8_rate /= n;
-    de8_rate /= n;
-    dm16_rate /= n;
+    let [dm8_rate, de8_rate, dm16_rate] = bench_means(&per_bench)[0];
 
     // Storage accounting: the baseline cache's data + tag + valid bits vs the
     // DE additions (last-line buffer, sticky, hashed hit-last bits).

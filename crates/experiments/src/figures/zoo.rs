@@ -22,7 +22,7 @@
 use dynex_cache::{simulate_policy, CacheConfig, CacheStats, DePolicy, DmPolicy};
 use dynex_engine::{default_kernel, Kernel, KernelSupport, PolicyKind};
 
-use crate::runner::reduction;
+use crate::runner::{bench_means, per_benchmark, reduction};
 use crate::{Table, Workloads};
 
 /// Cache sizes the zoo figures sweep: small enough that conflict misses
@@ -59,18 +59,21 @@ pub fn ehc(workloads: &Workloads) -> Table {
             "EHC red %",
         ],
     );
-    for kb in ZOO_SIZES_KB {
-        let config = CacheConfig::direct_mapped(kb * 1024, 4).expect("valid config");
-        let n = workloads.len() as f64;
-        let (mut dm_a, mut de_a, mut ehc_a, mut opt_a) = (0.0, 0.0, 0.0, 0.0);
-        for (name, _) in workloads.iter() {
-            let addrs = workloads.instr_addrs(name);
-            dm_a += zoo_stats(PolicyKind::DirectMapped, config, &addrs).miss_rate_percent();
-            de_a += zoo_stats(PolicyKind::DynamicExclusion, config, &addrs).miss_rate_percent();
-            ehc_a += zoo_stats(PolicyKind::ExpectedHitCount, config, &addrs).miss_rate_percent();
-            opt_a += zoo_stats(PolicyKind::OptimalDm, config, &addrs).miss_rate_percent();
-        }
-        let (dm_a, de_a, ehc_a, opt_a) = (dm_a / n, de_a / n, ehc_a / n, opt_a / n);
+    let per_bench = per_benchmark(workloads, |addrs| {
+        ZOO_SIZES_KB
+            .map(|kb| {
+                let config = CacheConfig::direct_mapped(kb * 1024, 4).expect("valid config");
+                [
+                    PolicyKind::DirectMapped,
+                    PolicyKind::DynamicExclusion,
+                    PolicyKind::ExpectedHitCount,
+                    PolicyKind::OptimalDm,
+                ]
+                .map(|kind| zoo_stats(kind, config, addrs).miss_rate_percent())
+            })
+            .to_vec()
+    });
+    for (kb, [dm_a, de_a, ehc_a, opt_a]) in ZOO_SIZES_KB.into_iter().zip(bench_means(&per_bench)) {
         table.push_row(vec![
             kb.to_string(),
             format!("{dm_a:.3}"),
@@ -109,30 +112,33 @@ pub fn bwcost(workloads: &Workloads) -> Table {
             "BW bw saved %",
         ],
     );
-    for kb in ZOO_SIZES_KB {
-        let config = CacheConfig::direct_mapped(kb * 1024, 4).expect("valid config");
-        let n = workloads.len() as f64;
-        let (mut dm_bw, mut de_bw, mut bw_bw) = (0.0, 0.0, 0.0);
-        let (mut dm_miss, mut bw_miss) = (0.0, 0.0);
-        for (name, _) in workloads.iter() {
-            let addrs = workloads.instr_addrs(name);
-            let dm = simulate_policy(config, &addrs, &mut DmPolicy);
-            let de = simulate_policy(config, &addrs, &mut DePolicy::new(config, &addrs));
-            let bw = zoo_stats(PolicyKind::BandwidthCost, config, &addrs);
-            dm_bw += dm.bandwidth_per_kiloref();
-            de_bw += de.bandwidth_per_kiloref();
-            bw_bw += bw.bandwidth_per_kiloref();
-            dm_miss += dm.miss_rate_percent();
-            bw_miss += bw.miss_rate_percent();
-        }
-        let (dm_bw, de_bw, bw_bw) = (dm_bw / n, de_bw / n, bw_bw / n);
+    let per_bench = per_benchmark(workloads, |addrs| {
+        ZOO_SIZES_KB
+            .map(|kb| {
+                let config = CacheConfig::direct_mapped(kb * 1024, 4).expect("valid config");
+                let dm = simulate_policy(config, addrs, &mut DmPolicy);
+                let de = simulate_policy(config, addrs, &mut DePolicy::new(config, addrs));
+                let bw = zoo_stats(PolicyKind::BandwidthCost, config, addrs);
+                [
+                    dm.bandwidth_per_kiloref(),
+                    de.bandwidth_per_kiloref(),
+                    bw.bandwidth_per_kiloref(),
+                    dm.miss_rate_percent(),
+                    bw.miss_rate_percent(),
+                ]
+            })
+            .to_vec()
+    });
+    for (kb, [dm_bw, de_bw, bw_bw, dm_miss, bw_miss]) in
+        ZOO_SIZES_KB.into_iter().zip(bench_means(&per_bench))
+    {
         table.push_row(vec![
             kb.to_string(),
             format!("{dm_bw:.1}"),
             format!("{de_bw:.1}"),
             format!("{bw_bw:.1}"),
-            format!("{:.3}", dm_miss / n),
-            format!("{:.3}", bw_miss / n),
+            format!("{dm_miss:.3}"),
+            format!("{bw_miss:.3}"),
             format!("{:.1}", reduction(dm_bw, de_bw)),
             format!("{:.1}", reduction(dm_bw, bw_bw)),
         ]);

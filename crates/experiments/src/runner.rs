@@ -7,12 +7,17 @@
 //! over the engine's deterministic worker pool. Results are in plan order
 //! and bit-identical for every worker count, so figures built on these
 //! functions never depend on `--jobs`. The sweep entry points and the
-//! explicit-kernel triple live in [`crate::api`].
+//! explicit-kernel triple live in [`crate::api`]. Figures that are not
+//! triple sweeps fan out one pool job per benchmark through
+//! `per_benchmark` and average with `bench_means`, under the same
+//! guarantee.
 
 use dynex::{DeCache, OptimalDirectMapped};
-use dynex_cache::{run_addrs, CacheConfig, CacheStats};
-use dynex_engine::{default_kernel, PolicyKind};
+use dynex_cache::{run_addrs, CacheConfig, CacheSim, CacheStats};
+use dynex_engine::{default_jobs, default_kernel, execute, PolicyKind};
 use dynex_obs::{CountingProbe, EventCounts};
+
+use crate::{Table, Workloads};
 
 /// Results of one workload under the three caches the paper compares
 /// throughout: conventional direct-mapped, dynamic exclusion, and optimal
@@ -157,6 +162,59 @@ pub fn average_rates(triples: &[Triple]) -> (f64, f64, f64) {
     (dm, de, opt)
 }
 
+/// Runs `f` over every benchmark's instruction stream on the engine's
+/// worker pool ([`execute`] at [`default_jobs`]) and returns the results in
+/// benchmark order. Each job materializes its own stream, so only as many
+/// streams as workers are live at once.
+pub(crate) fn per_benchmark<R, F>(workloads: &Workloads, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&[u32]) -> R + Sync,
+{
+    let names: Vec<&str> = workloads.iter().map(|(name, _)| name).collect();
+    execute(&names, default_jobs(), |name| {
+        f(&workloads.instr_addrs(name))
+    })
+}
+
+/// Appends one row per benchmark to `table`: the benchmark's name, then the
+/// cells `f` renders from its instruction stream (via [`per_benchmark`]).
+pub(crate) fn push_benchmark_rows<F>(table: &mut Table, workloads: &Workloads, f: F)
+where
+    F: Fn(&[u32]) -> Vec<String> + Sync,
+{
+    let names = workloads.iter().map(|(name, _)| name);
+    for (name, cells) in names.zip(per_benchmark(workloads, f)) {
+        table.push_row(std::iter::once(name.to_owned()).chain(cells).collect());
+    }
+}
+
+/// The miss rate (%) of a fresh `cache` over `addrs`.
+pub(crate) fn miss_rate<S: CacheSim>(mut cache: S, addrs: &[u32]) -> f64 {
+    run_addrs(&mut cache, addrs.iter().copied()).miss_rate_percent()
+}
+
+/// Benchmark averages of a per-benchmark grid: `per_bench[b][c]` holds
+/// benchmark `b`'s `K` values at configuration `c`, and the result holds
+/// their means per configuration. Each sum runs from zero in benchmark
+/// order, exactly like a serial `+=` loop over the benchmarks, so the
+/// means are bit-identical for every worker count.
+pub(crate) fn bench_means<const K: usize>(per_bench: &[Vec<[f64; K]>]) -> Vec<[f64; K]> {
+    let n = per_bench.len() as f64;
+    let configs = per_bench.first().map_or(0, Vec::len);
+    (0..configs)
+        .map(|c| {
+            let mut sums = [0.0; K];
+            for bench in per_bench {
+                for (sum, value) in sums.iter_mut().zip(bench[c]) {
+                    *sum += value;
+                }
+            }
+            sums.map(|sum| sum / n)
+        })
+        .collect()
+}
+
 /// Percentage reduction of `new` vs `base` miss-rate percentages.
 pub fn reduction(base: f64, new: f64) -> f64 {
     if base == 0.0 {
@@ -248,6 +306,27 @@ mod tests {
         assert!(lines[1].starts_with(r#"{"label":"with \"quotes\"","#));
         assert!(lines[0].contains(r#""de_reduction":"#));
         assert_eq!(jsonl, format!("{}\n{}\n", lines[0], lines[1]));
+    }
+
+    #[test]
+    fn bench_means_sum_in_benchmark_order() {
+        // Two benchmarks, two configurations, two values each.
+        let per_bench = vec![vec![[0.1, 1.0], [3.0, 0.0]], vec![[0.2, 3.0], [5.0, 0.0]]];
+        assert_eq!(
+            bench_means(&per_bench),
+            vec![[(0.0 + 0.1 + 0.2) / 2.0, 2.0], [4.0, 0.0]]
+        );
+        assert!(bench_means::<3>(&[]).is_empty());
+    }
+
+    #[test]
+    fn per_benchmark_is_in_benchmark_order() {
+        let w = Workloads::generate(300);
+        let lens: Vec<usize> = w
+            .iter()
+            .map(|(name, _)| w.instr_addrs(name).len())
+            .collect();
+        assert_eq!(per_benchmark(&w, |addrs| addrs.len()), lens);
     }
 
     #[test]

@@ -67,6 +67,21 @@ if [ "$quick" -eq 0 ]; then
     scripts/chaos_smoke.sh
 fi
 
+# Figure jobs-invariance: the whole figure set at one and two workers must
+# write byte-identical CSVs (every per-benchmark fan-out sums its results in
+# benchmark order). (Skipped under --quick: needs the release binary.)
+if [ "$quick" -eq 0 ]; then
+    echo "==> figure jobs-invariance (experiments all, --jobs 1 vs --jobs 2)"
+    inv_dir=$(mktemp -d)
+    target/release/experiments --jobs 1 --refs 20000 --out "$inv_dir/A" all >/dev/null
+    target/release/experiments --jobs 2 --refs 20000 --out "$inv_dir/B" all >/dev/null
+    if ! diff -r "$inv_dir/A" "$inv_dir/B"; then
+        echo "verify: figure CSVs differ between --jobs 1 and --jobs 2" >&2
+        exit 1
+    fi
+    rm -rf "$inv_dir"
+fi
+
 if [ "$quick" -eq 0 ]; then
     echo "==> bench smoke (tiny budgets)"
     smoke_dir=$(mktemp -d)

@@ -1,10 +1,10 @@
 //! Integration: the sweep engine's plan-level parallelism is deterministic.
 //! A figure-style sweep produces bit-identical `Triple`s — and
-//! byte-identical exported JSONL — for every worker count.
+//! byte-identical exported JSONL and figure CSVs — for every worker count.
 
 use dynex_cache::{CacheConfig, CacheStats, SplitMix64};
-use dynex_engine::{execute, Job, PolicyKind, SweepPlan};
-use dynex_experiments::{triple, triples_to_jsonl, Triple, Workloads};
+use dynex_engine::{execute, set_default_jobs, Job, PolicyKind, SweepPlan};
+use dynex_experiments::{figures, triple, triples_to_jsonl, Triple, Workloads};
 
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -31,6 +31,26 @@ fn figure_sweep_triples_identical_for_every_worker_count() {
         let parallel = execute(&points, jobs, |&(c, a)| triple(c, a));
         assert_eq!(parallel, serial, "jobs={jobs}");
     }
+}
+
+/// Every figure renders the same CSV bytes at one and two workers: the
+/// per-benchmark fan-outs sum their results in benchmark order, so the
+/// float averages cannot depend on which worker finished first.
+#[test]
+fn every_figure_csv_is_identical_at_jobs_1_and_2() {
+    let workloads = Workloads::generate(2_000);
+    let csv_at = |id: &str, jobs: usize| {
+        set_default_jobs(jobs);
+        let table = figures::run(id, &workloads).expect("known id");
+        let mut bytes = Vec::new();
+        table.write_csv(&mut bytes).unwrap();
+        bytes
+    };
+    for id in figures::ALL_IDS {
+        let serial = csv_at(id, 1);
+        assert_eq!(csv_at(id, 2), serial, "{id}");
+    }
+    set_default_jobs(0);
 }
 
 #[test]

@@ -90,7 +90,7 @@ fn resilient_sweep_isolates_panic_and_hang_over_real_simulation_jobs() {
             },
         );
         // No faults injected here: a clean resilient sweep must equal serial.
-        assert!(!outcome.has_failures(), "jobs={jobs}");
+        assert_eq!(outcome.results().len(), serial.len(), "jobs={jobs}");
         for (slot, expected) in outcome.results().iter().zip(&serial) {
             assert_eq!(slot.as_ref().unwrap(), expected, "jobs={jobs}");
         }
@@ -120,10 +120,7 @@ fn resilient_sweep_isolates_panic_and_hang_over_real_simulation_jobs() {
                     .unwrap()
             },
         );
-        let counts = outcome.counts();
-        assert_eq!(counts.panicked, 1, "jobs={jobs}");
-        assert_eq!(counts.timed_out, 1, "jobs={jobs}");
-        assert_eq!(counts.ok, sizes.len() - 2, "jobs={jobs}");
+        assert_eq!(outcome.results().len(), sizes.len(), "jobs={jobs}");
         for (i, slot) in outcome.results().iter().enumerate() {
             match i {
                 3 => assert!(matches!(
