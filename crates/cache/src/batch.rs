@@ -2,11 +2,12 @@
 //!
 //! The simulators in this workspace consume traces in two shapes: the
 //! reference path pulls one [`Access`] at a time through an iterator, while
-//! the batch kernels in [`crate::kernel`] want flat `&[u32]` address slices.
-//! This module provides the bridge — [`ChunkedDecoder`] turns a packed trace
-//! into reusable chunks of byte addresses without a per-reference virtual
-//! call, and [`decode_addrs`] materializes a whole stream when a kernel
-//! needs it resident (the optimal oracle always does).
+//! the fast kernels ([`crate::batch_sweep`], [`crate::batch_ehc`],
+//! [`crate::batch_bwcost`]) want flat `&[u32]` address slices. This module
+//! provides the bridge — [`ChunkedDecoder`] turns a packed trace into
+//! reusable chunks of byte addresses without a per-reference virtual call,
+//! and [`decode_addrs`] materializes a whole stream when a kernel needs it
+//! resident (the whole-trace oracles always do).
 //!
 //! It also defines [`Kernel`], the `--kernel {reference,batch,sweep}`
 //! selector the CLIs and the engine share.
@@ -23,22 +24,21 @@ pub const CHUNK_LEN: usize = 4096;
 /// Which simulation implementation to run.
 ///
 /// Every kernel produces bit-identical statistics, event streams, and CSV
-/// output (`tests/kernel_differential.rs` enforces the three-way matrix);
-/// the choice is purely a performance one. `Reference` remains available as
-/// the differential oracle and for policies the fast paths do not
-/// specialize; `Batch` fuses one geometry's dm/de/opt triple into one
-/// traversal; `Sweep` carries a whole multi-geometry plan through a single
-/// traversal (see [`crate::sweep`]).
+/// output (`tests/kernel_differential.rs` enforces the matrix); the choice
+/// is purely a performance one. `Reference` runs the spec simulators and
+/// remains the differential oracle. `Batch` and `Sweep` are two names for
+/// one fast path: dm/de/opt run through [`crate::batch_sweep`] (a single
+/// point as a one-point sweep, a figure's many points sharing one trace
+/// walk), ehc/bwcost through their chunked kernels, and every other policy
+/// through its reference simulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Per-reference `access()` simulators (the spec implementations).
     Reference,
-    /// Table-driven chunked kernels from [`crate::kernel`] (the default).
+    /// The fast path (the default).
     #[default]
     Batch,
-    /// One-pass multi-configuration kernel from [`crate::sweep`]: shares the
-    /// decode, the next-use oracle, and the trace walk across every point of
-    /// a sweep.
+    /// The fast path, under its older multi-configuration name.
     Sweep,
 }
 

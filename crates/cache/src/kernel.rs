@@ -1,11 +1,11 @@
-//! Batch simulation kernels: the fast path behind `--kernel batch`.
+//! Building blocks of the fast kernels: the dm/de/opt sweep kernel in
+//! [`crate::sweep`] and the EHC / bandwidth-cost kernels in
+//! [`crate::policy`].
 //!
 //! The reference simulators ([`crate::DirectMapped`], the DE cache in
 //! `dynex-core`, and its optimal oracle) are written for clarity: one
 //! `access()` call per reference, a branchy FSM, and a `HashMap`-backed
-//! hit-last store. Every figure in the paper compares dm/de/opt on the *same*
-//! reference stream, so the sweeps pay that per-reference overhead three
-//! times per point. The kernels in this module trade none of the semantics
+//! hit-last store. The pieces in this module trade none of the semantics
 //! for throughput:
 //!
 //! * **table-driven FSM** — the eight-entry Figure 1 transition table is
@@ -13,36 +13,24 @@
 //!   chain. The table is an *independent* re-derivation of the paper's
 //!   Figure 1; the `dynex-core` test suite drives it in lockstep against the
 //!   spec `fsm::step` over all eight `(hit, sticky, hit_last)` inputs.
-//! * **precomputed decode masks** — the offset shift and index mask are
-//!   hoisted out of the loop instead of re-derived per access.
 //! * **flat hit-last arena** — [`HitLastArena`] replaces the perfect store's
 //!   `HashMap<u32, bool>` with a bitmap over the trace's line-address range
 //!   (identical semantics: both start all-false and are written only on
 //!   displacement).
-//! * **chunked decode** — addresses are decoded into a reusable line-address
-//!   buffer one chunk at a time (see [`crate::batch`]) instead of per
-//!   reference.
-//! * **fused single pass** — [`batch_triple`] simulates dm + de + opt over
-//!   one decoded chunk stream, sharing the decode and the opt oracle's
-//!   next-use precomputation.
+//! * **chunked decode** — [`decode_chunk`] turns one chunk of byte addresses
+//!   into a reusable line-address buffer (see [`crate::batch`]).
+//! * **next-use oracle** — [`next_use`] chains each reference to its
+//!   block's next use in one reverse scan: the first pass of the optimal
+//!   policy, shared by every optimal point at one line size.
 //!
-//! Every kernel is **bit-identical** to its reference simulator: same
-//! statistics, same probe event stream (the probed variants emit exactly the
-//! events the reference path emits, in the same order), same exclusion
-//! counters. `tests/kernel_differential.rs` at the repository root enforces
-//! this across workload profiles, cache geometries, and worker counts. With
-//! the default [`NoopProbe`] the probed code monomorphizes down to the bare
-//! counting loop, exactly as in the reference simulators.
-//!
-//! [`NoopProbe`]: dynex_obs::NoopProbe
-
-use dynex_obs::span;
-use dynex_obs::{Cause, Event, NoopProbe, Outcome, Probe};
+//! The kernels built from them are **bit-identical** to their reference
+//! simulators; `tests/kernel_differential.rs` at the repository root
+//! enforces this across workload profiles, cache geometries, and worker
+//! counts.
 
 use crate::batch::CHUNK_LEN;
-use crate::direct::INVALID_LINE;
 use crate::line_table::LineTable;
-use crate::{CacheConfig, CacheStats};
+use crate::CacheStats;
 
 /// One row of the precomputed dynamic-exclusion transition table
 /// (Figure 1 of the paper), indexed by [`de_fsm_index`].
@@ -149,18 +137,13 @@ impl HitLastArena {
     /// the kernel's trace prescan ([`max_line`]), not from a constant.
     pub(crate) fn new(max_line: u32) -> HitLastArena {
         HitLastArena {
-            words: vec![0u64; (max_line as usize >> 6) + 1],
+            words: vec![0u64; hit_last_words(max_line)],
         }
     }
 
     #[inline]
     pub(crate) fn get(&self, line: u32) -> bool {
-        match self.words.get(line as usize >> 6) {
-            Some(word) => (word >> (line & 63)) & 1 == 1,
-            // Beyond the sized range nothing has ever been displaced, and
-            // the perfect store reads absent as false.
-            None => false,
-        }
+        hit_last_bit(&self.words, line)
     }
 
     #[inline]
@@ -169,14 +152,52 @@ impl HitLastArena {
         if index >= self.words.len() {
             self.words.resize(index + 1, 0);
         }
-        let word = &mut self.words[index];
-        let bit = line & 63;
-        *word = (*word & !(1u64 << bit)) | ((value as u64) << bit);
+        set_hit_last_bit(&mut self.words, line, value);
     }
 }
 
-/// Dynamic-exclusion counters produced by the batch DE kernel, mirroring
+/// Words a hit-last bitmap over line addresses `[0, max_line]` needs.
+pub(crate) fn hit_last_words(max_line: u32) -> usize {
+    (max_line as usize >> 6) + 1
+}
+
+/// Bit `line` of a hit-last bitmap. Beyond the bitmap nothing has ever
+/// been displaced, and the perfect store reads absent as false.
+#[inline]
+pub(crate) fn hit_last_bit(words: &[u64], line: u32) -> bool {
+    match words.get(line as usize >> 6) {
+        Some(word) => (word >> (line & 63)) & 1 == 1,
+        None => false,
+    }
+}
+
+/// Writes bit `line` of a hit-last bitmap.
+///
+/// # Panics
+///
+/// Panics if `line` lies beyond the bitmap.
+#[inline]
+pub(crate) fn set_hit_last_bit(words: &mut [u64], line: u32, value: bool) {
+    let word = &mut words[line as usize >> 6];
+    let bit = line & 63;
+    *word = (*word & !(1u64 << bit)) | ((value as u64) << bit);
+}
+
+/// Dynamic-exclusion counters of one DE sweep point, mirroring
 /// `dynex::DeStats` (which lives upstream of this crate).
+///
+/// ```
+/// use dynex_cache::{batch_sweep, CacheConfig, SweepPoint, SweepPolicy};
+///
+/// // (a b)^10 on one line: a settles in, b bypasses.
+/// let config = CacheConfig::direct_mapped(64, 4)?;
+/// let addrs: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
+/// let point = SweepPoint::new(config, SweepPolicy::DynamicExclusion);
+/// let de = batch_sweep(&[point], &addrs)[0].de().unwrap();
+/// assert_eq!(de.stats.misses(), 11);
+/// assert_eq!(de.bypasses, 10);
+/// # Ok::<(), dynex_cache::ConfigError>(())
+/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchDeResult {
     /// Hit/miss accounting.
@@ -187,172 +208,8 @@ pub struct BatchDeResult {
     pub bypasses: u64,
 }
 
-/// The three-way dm/de/opt comparison produced by the fused kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchTriple {
-    /// Conventional direct-mapped.
-    pub dm: CacheStats,
-    /// Dynamic exclusion (perfect hit-last store semantics).
-    pub de: BatchDeResult,
-    /// Optimal direct-mapped with bypass.
-    pub opt: CacheStats,
-}
-
-/// Per-set state of the batch direct-mapped loop.
-struct DmState {
-    lines: Vec<u32>,
-    misses: u64,
-}
-
-impl DmState {
-    fn new(n_sets: usize) -> DmState {
-        DmState {
-            lines: vec![INVALID_LINE; n_sets],
-            misses: 0,
-        }
-    }
-
-    /// One conventional direct-mapped access, emitting exactly the events of
-    /// [`crate::DirectMapped`].
-    #[inline]
-    fn step<P: Probe>(&mut self, addr: u32, line: u32, index_mask: u32, probe: &mut P) {
-        let set = (line & index_mask) as usize;
-        let resident = self.lines[set];
-        if resident == line {
-            probe.emit(Event::Access {
-                addr,
-                set: set as u32,
-                outcome: Outcome::Hit,
-                cause: Cause::Resident,
-            });
-        } else {
-            let cause = if resident == INVALID_LINE {
-                Cause::Cold
-            } else {
-                probe.emit(Event::Eviction {
-                    set: set as u32,
-                    victim: resident,
-                    replacement: line,
-                });
-                Cause::Replace
-            };
-            self.lines[set] = line;
-            self.misses += 1;
-            probe.emit(Event::Access {
-                addr,
-                set: set as u32,
-                outcome: Outcome::Miss,
-                cause,
-            });
-        }
-    }
-}
-
-/// Per-set state of the batch dynamic-exclusion loop.
-struct DeState {
-    lines: Vec<u32>,
-    sticky: Vec<bool>,
-    h_copy: Vec<bool>,
-    arena: HitLastArena,
-    misses: u64,
-    loads: u64,
-}
-
-impl DeState {
-    fn new(n_sets: usize, max_line: u32) -> DeState {
-        DeState {
-            lines: vec![INVALID_LINE; n_sets],
-            sticky: vec![false; n_sets],
-            h_copy: vec![false; n_sets],
-            arena: HitLastArena::new(max_line),
-            misses: 0,
-            loads: 0,
-        }
-    }
-
-    /// One dynamic-exclusion access through the precomputed table, emitting
-    /// exactly the events (and in the order) of the reference
-    /// `DeCache`/`DeLines`/`fsm::step_probed` stack.
-    #[inline]
-    fn step<P: Probe>(&mut self, addr: u32, line: u32, index_mask: u32, probe: &mut P) {
-        let set = (line & index_mask) as usize;
-        let resident = self.lines[set];
-        let hit = resident == line;
-        let sticky = self.sticky[set];
-        let h_pred = self.arena.get(line);
-        let row = DE_FSM_TABLE[de_fsm_index(hit, sticky, h_pred)];
-
-        if row.is_miss {
-            probe.emit(Event::ExclusionDecision {
-                set: set as u32,
-                line,
-                loaded: row.installs,
-            });
-        }
-        if row.sticky_after != sticky {
-            probe.emit(Event::StickyFlip {
-                set: set as u32,
-                sticky: row.sticky_after,
-            });
-        }
-        if row.writes_hit_last {
-            probe.emit(Event::HitLastUpdate {
-                line,
-                hit_last: row.hit_last_value,
-            });
-        }
-        self.sticky[set] = row.sticky_after;
-        self.misses += row.is_miss as u64;
-
-        let cause = if hit {
-            // The resident block's in-line hit-last copy is re-armed.
-            self.h_copy[set] = true;
-            Cause::Resident
-        } else if row.installs {
-            self.loads += 1;
-            let cause = if resident == INVALID_LINE {
-                Cause::Cold
-            } else {
-                // Figure 6 "transfer on replacement": the victim's in-line
-                // copy goes back to the arena.
-                self.arena.set(resident, self.h_copy[set]);
-                probe.emit(Event::Eviction {
-                    set: set as u32,
-                    victim: resident,
-                    replacement: line,
-                });
-                Cause::Replace
-            };
-            self.lines[set] = line;
-            self.h_copy[set] = row.hit_last_value;
-            cause
-        } else {
-            Cause::Bypass
-        };
-        probe.emit(Event::Access {
-            addr,
-            set: set as u32,
-            outcome: if row.is_miss {
-                Outcome::Miss
-            } else {
-                Outcome::Hit
-            },
-            cause,
-        });
-    }
-
-    fn result(&self, accesses: u64) -> BatchDeResult {
-        BatchDeResult {
-            stats: CacheStats::from_counts(accesses, self.misses),
-            loads: self.loads,
-            bypasses: self.misses - self.loads,
-        }
-    }
-}
-
 /// Decodes one chunk of byte addresses into the reusable line-address
 /// buffer (the shift is the whole "decode": line = addr >> offset_bits).
-/// Shared with the multi-configuration sweep kernel in [`crate::sweep`].
 #[inline]
 pub(crate) fn decode_chunk(chunk: &[u32], offset_bits: u32, line_buf: &mut [u32; CHUNK_LEN]) {
     for (dst, &addr) in line_buf.iter_mut().zip(chunk) {
@@ -364,146 +221,6 @@ pub(crate) fn decode_chunk(chunk: &[u32], offset_bits: u32, line_buf: &mut [u32;
 /// hit-last arena.
 pub(crate) fn max_line(addrs: &[u32], offset_bits: u32) -> u32 {
     addrs.iter().map(|&a| a >> offset_bits).max().unwrap_or(0)
-}
-
-/// Batch kernel for the conventional direct-mapped cache.
-///
-/// Bit-identical to running [`crate::DirectMapped`] over the same stream.
-///
-/// # Panics
-///
-/// Panics if `config.associativity() != 1`, like the reference simulator.
-///
-/// # Examples
-///
-/// ```
-/// use dynex_cache::{batch_dm, CacheConfig};
-///
-/// let config = CacheConfig::direct_mapped(64, 4)?;
-/// let stats = batch_dm(config, &[0, 0, 64, 0]);
-/// assert_eq!(stats.misses(), 3); // cold, hit, conflict, conflict
-/// # Ok::<(), dynex_cache::ConfigError>(())
-/// ```
-pub fn batch_dm(config: CacheConfig, addrs: &[u32]) -> CacheStats {
-    batch_dm_probed(config, addrs, &mut NoopProbe)
-}
-
-/// [`batch_dm`] with event emission (same events as the reference path).
-pub fn batch_dm_probed<P: Probe>(config: CacheConfig, addrs: &[u32], probe: &mut P) -> CacheStats {
-    assert_eq!(
-        config.associativity(),
-        1,
-        "DirectMapped requires associativity 1"
-    );
-    let geometry = config.geometry();
-    let offset_bits = geometry.offset_bits();
-    let index_mask = (1u32 << geometry.index_bits()) - 1;
-    let mut dm = DmState::new(config.n_sets() as usize);
-    let mut line_buf = [0u32; CHUNK_LEN];
-    // Spans open at chunk boundaries only (two relaxed atomic loads per
-    // 4096 references when tracing is off); the inner loop stays branchless.
-    for chunk in addrs.chunks(CHUNK_LEN) {
-        {
-            let _decode = span::span("kernel.decode");
-            decode_chunk(chunk, offset_bits, &mut line_buf);
-        }
-        let _simulate = span::span("kernel.simulate");
-        for (&addr, &line) in chunk.iter().zip(&line_buf) {
-            dm.step(addr, line, index_mask, probe);
-        }
-    }
-    CacheStats::from_counts(addrs.len() as u64, dm.misses)
-}
-
-/// Batch kernel for the dynamic-exclusion cache (perfect hit-last store
-/// semantics).
-///
-/// Bit-identical to the reference `DeCache` in `dynex-core`: same hit/miss
-/// statistics and the same load/bypass split.
-///
-/// # Panics
-///
-/// Panics if `config.associativity() != 1` — dynamic exclusion is a
-/// direct-mapped technique, as in the reference simulator.
-///
-/// # Examples
-///
-/// ```
-/// use dynex_cache::{batch_de, CacheConfig};
-///
-/// // (a b)^10 on one line: a settles in, b bypasses.
-/// let config = CacheConfig::direct_mapped(64, 4)?;
-/// let addrs: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
-/// let de = batch_de(config, &addrs);
-/// assert_eq!(de.stats.misses(), 11);
-/// assert_eq!(de.bypasses, 10);
-/// # Ok::<(), dynex_cache::ConfigError>(())
-/// ```
-pub fn batch_de(config: CacheConfig, addrs: &[u32]) -> BatchDeResult {
-    batch_de_probed(config, addrs, &mut NoopProbe)
-}
-
-/// [`batch_de`] with event emission (same events as the reference path).
-pub fn batch_de_probed<P: Probe>(
-    config: CacheConfig,
-    addrs: &[u32],
-    probe: &mut P,
-) -> BatchDeResult {
-    assert_eq!(
-        config.associativity(),
-        1,
-        "dynamic exclusion applies to direct-mapped caches"
-    );
-    let geometry = config.geometry();
-    let offset_bits = geometry.offset_bits();
-    let index_mask = (1u32 << geometry.index_bits()) - 1;
-    let mut de = DeState::new(config.n_sets() as usize, max_line(addrs, offset_bits));
-    let mut line_buf = [0u32; CHUNK_LEN];
-    for chunk in addrs.chunks(CHUNK_LEN) {
-        {
-            let _decode = span::span("kernel.decode");
-            decode_chunk(chunk, offset_bits, &mut line_buf);
-        }
-        let _simulate = span::span("kernel.simulate");
-        for (&addr, &line) in chunk.iter().zip(&line_buf) {
-            de.step(addr, line, index_mask, probe);
-        }
-    }
-    de.result(addrs.len() as u64)
-}
-
-/// Batch kernel for the optimal direct-mapped cache (Belady's MIN with
-/// bypass, specialized to one line per set).
-///
-/// Bit-identical to the reference `OptimalDirectMapped::simulate`. Like the
-/// reference it is a two-pass oracle: pass one chains each reference to its
-/// block's next use, pass two applies the greedy keep-whichever-is-used-
-/// sooner rule. The next-use chain is built on a paged [`LineTable`], so
-/// its cost follows the lines the trace touches, not the span of its
-/// address space.
-pub fn batch_opt(config: CacheConfig, addrs: &[u32]) -> CacheStats {
-    let geometry = config.geometry();
-    let offset_bits = geometry.offset_bits();
-    let index_mask = (1u32 << geometry.index_bits()) - 1;
-
-    let next = {
-        let _next_use = span::span("kernel.next-use");
-        next_use(addrs, offset_bits)
-    };
-
-    let mut state = OptState::new(config.n_sets() as usize);
-    let mut line_buf = [0u32; CHUNK_LEN];
-    for (chunk, next_chunk) in addrs.chunks(CHUNK_LEN).zip(next.chunks(CHUNK_LEN)) {
-        {
-            let _decode = span::span("kernel.decode");
-            decode_chunk(chunk, offset_bits, &mut line_buf);
-        }
-        let _simulate = span::span("kernel.simulate");
-        for (&line, &next) in line_buf.iter().zip(next_chunk) {
-            state.step(line, next, index_mask);
-        }
-    }
-    CacheStats::from_counts(addrs.len() as u64, state.misses)
 }
 
 /// The next-use sentinel: the block is never referenced again.
@@ -541,121 +258,59 @@ pub(crate) fn next_use(addrs: &[u32], offset_bits: u32) -> Vec<u32> {
     next
 }
 
-/// Per-set state of the batch optimal loop.
-struct OptState {
-    resident: Vec<u32>,
-    resident_next: Vec<u32>,
-    misses: u64,
-}
-
-impl OptState {
-    fn new(n_sets: usize) -> OptState {
-        OptState {
-            resident: vec![INVALID_LINE; n_sets],
-            // An invalid resident is "never used again", so any incoming
-            // block wins the greedy comparison.
-            resident_next: vec![NEVER; n_sets],
-            misses: 0,
-        }
-    }
-
-    #[inline]
-    fn step(&mut self, line: u32, next: u32, index_mask: u32) {
-        let set = (line & index_mask) as usize;
-        if self.resident[set] == line {
-            self.resident_next[set] = next;
-        } else {
-            self.misses += 1;
-            // Keep whichever of {resident, incoming} is referenced sooner.
-            if next < self.resident_next[set] {
-                self.resident[set] = line;
-                self.resident_next[set] = next;
-            }
-        }
-    }
-}
-
-/// The fused single-pass kernel: dm + de + opt over one decoded chunk
-/// stream.
-///
-/// The three policies keep independent per-set state, so interleaving their
-/// updates in one loop changes nothing about any of them — the outputs are
-/// bit-identical to three separate runs (reference or batch). What fusion
-/// buys is doing the address decode and the trace walk once instead of three
-/// times, which is the shape of every figure sweep in the paper.
-///
-/// # Panics
-///
-/// Panics if `config.associativity() != 1`.
-///
-/// # Examples
-///
-/// ```
-/// use dynex_cache::{batch_triple, CacheConfig};
-///
-/// let config = CacheConfig::direct_mapped(64, 4)?;
-/// let addrs: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
-/// let t = batch_triple(config, &addrs);
-/// assert_eq!(t.dm.misses(), 20); // DM thrashes
-/// assert_eq!(t.de.stats.misses(), 11);
-/// assert_eq!(t.opt.misses(), 11);
-/// # Ok::<(), dynex_cache::ConfigError>(())
-/// ```
-pub fn batch_triple(config: CacheConfig, addrs: &[u32]) -> BatchTriple {
-    assert_eq!(
-        config.associativity(),
-        1,
-        "the dm/de/opt triple is a direct-mapped comparison"
-    );
-    let geometry = config.geometry();
-    let offset_bits = geometry.offset_bits();
-    let index_mask = (1u32 << geometry.index_bits()) - 1;
-
-    let next = {
-        let _next_use = span::span("kernel.next-use");
-        next_use(addrs, offset_bits)
-    };
-
-    let n_sets = config.n_sets() as usize;
-    let mut dm = DmState::new(n_sets);
-    let mut de = DeState::new(n_sets, max_line(addrs, offset_bits));
-    let mut opt = OptState::new(n_sets);
-    // One shared decode per chunk feeds all three policies; the simulate
-    // span opens at chunk boundaries only, so the fused inner loop stays
-    // branchless.
-    let mut line_buf = [0u32; CHUNK_LEN];
-    for (chunk, next_chunk) in addrs.chunks(CHUNK_LEN).zip(next.chunks(CHUNK_LEN)) {
-        {
-            let _decode = span::span("kernel.decode");
-            decode_chunk(chunk, offset_bits, &mut line_buf);
-        }
-        let _simulate = span::span("kernel.simulate");
-        for (&line, &next) in line_buf.iter().zip(next_chunk) {
-            // The fused pass never needs the byte address back: probes are
-            // not attached here (sweeps are uninstrumented), so the addr
-            // argument is dead and compiles away.
-            dm.step(0, line, index_mask, &mut NoopProbe);
-            de.step(0, line, index_mask, &mut NoopProbe);
-            opt.step(line, next, index_mask);
-        }
-    }
-
-    let accesses = addrs.len() as u64;
-    BatchTriple {
-        dm: CacheStats::from_counts(accesses, dm.misses),
-        de: de.result(accesses),
-        opt: CacheStats::from_counts(accesses, opt.misses),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::line_table::sparse_lines;
-    use crate::{run_addrs, DirectMapped, SplitMix64};
+    use crate::{
+        batch_sweep, batch_sweep_probed, run_addrs, CacheConfig, DirectMapped, SplitMix64,
+        SweepPoint, SweepPointResult, SweepPolicy,
+    };
+    use dynex_obs::Probe;
 
     fn config(size: u32, line: u32) -> CacheConfig {
         CacheConfig::direct_mapped(size, line).unwrap()
+    }
+
+    /// `policy` at `cfg` as a one-point sweep, observed by `probe`.
+    fn alone_probed<P: Probe>(
+        policy: SweepPolicy,
+        cfg: CacheConfig,
+        addrs: &[u32],
+        probe: P,
+    ) -> (SweepPointResult, P) {
+        let mut probes = [probe];
+        let results = batch_sweep_probed(&[SweepPoint::new(cfg, policy)], addrs, &mut probes);
+        let [probe] = probes;
+        (results[0], probe)
+    }
+
+    fn dm(cfg: CacheConfig, addrs: &[u32]) -> CacheStats {
+        batch_sweep(&[SweepPoint::new(cfg, SweepPolicy::DirectMapped)], addrs)[0].stats()
+    }
+
+    fn de(cfg: CacheConfig, addrs: &[u32]) -> BatchDeResult {
+        batch_sweep(
+            &[SweepPoint::new(cfg, SweepPolicy::DynamicExclusion)],
+            addrs,
+        )[0]
+        .de()
+        .expect("a DE point reports DE counters")
+    }
+
+    fn opt(cfg: CacheConfig, addrs: &[u32]) -> CacheStats {
+        batch_sweep(&[SweepPoint::new(cfg, SweepPolicy::Optimal)], addrs)[0].stats()
+    }
+
+    /// dm, de and opt at one geometry in one three-point sweep.
+    fn triple(cfg: CacheConfig, addrs: &[u32]) -> Vec<SweepPointResult> {
+        let points = [
+            SweepPolicy::DirectMapped,
+            SweepPolicy::DynamicExclusion,
+            SweepPolicy::Optimal,
+        ]
+        .map(|policy| SweepPoint::new(cfg, policy));
+        batch_sweep(&points, addrs)
     }
 
     fn random_addrs(seed: u64, len: usize, span: u64) -> Vec<u32> {
@@ -720,8 +375,9 @@ mod tests {
     fn de_kernels_handle_line_indices_beyond_200() {
         // Regression for the arena sizing: an address stream whose line
         // indices run far past 200 (the capacity the unit tests above size
-        // for) must agree between the single DE kernel, the fused triple,
-        // and the arena-free invariants, with no out-of-range access.
+        // for) must agree between the DE point swept alone, the DE point of
+        // the fused triple, and the arena-free invariants, with no
+        // out-of-range access.
         let mut addrs = Vec::new();
         let mut rng = SplitMix64::new(99);
         for _ in 0..20_000 {
@@ -733,9 +389,9 @@ mod tests {
         addrs.push(65_535 * 4);
         addrs.push(65_535 * 4);
         let cfg = config(256, 4);
-        let de = batch_de(cfg, &addrs);
-        let fused = batch_triple(cfg, &addrs);
-        assert_eq!(de, fused.de);
+        let de = de(cfg, &addrs);
+        let fused = triple(cfg, &addrs);
+        assert_eq!(Some(de), fused[1].de());
         assert_eq!(de.loads + de.bypasses, de.stats.misses());
         assert_eq!(de.stats.accesses(), addrs.len() as u64);
     }
@@ -747,7 +403,7 @@ mod tests {
             for cfg in [config(64, 4), config(1024, 16), config(32 * 1024, 4)] {
                 let mut reference = DirectMapped::new(cfg);
                 let expected = run_addrs(&mut reference, addrs.iter().copied());
-                assert_eq!(batch_dm(cfg, &addrs), expected, "seed {seed} cfg {cfg}");
+                assert_eq!(dm(cfg, &addrs), expected, "seed {seed} cfg {cfg}");
             }
         }
     }
@@ -758,11 +414,11 @@ mod tests {
         // tests/kernel_differential.rs; here the kernel's own invariants.
         let addrs = random_addrs(7, 30_000, 256);
         let cfg = config(256, 4);
-        let de = batch_de(cfg, &addrs);
+        let de = de(cfg, &addrs);
         assert_eq!(de.stats.accesses(), 30_000);
         assert_eq!(de.loads + de.bypasses, de.stats.misses());
-        let dm = batch_dm(cfg, &addrs);
-        let opt = batch_opt(cfg, &addrs);
+        let dm = dm(cfg, &addrs);
+        let opt = opt(cfg, &addrs);
         assert!(opt.misses() <= de.stats.misses());
         assert!(
             de.stats.misses() <= dm.misses() + 2 * 64,
@@ -774,7 +430,7 @@ mod tests {
     fn de_kernel_learns_the_within_loop_pattern() {
         let cfg = config(64, 4);
         let addrs: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
-        let de = batch_de(cfg, &addrs);
+        let de = de(cfg, &addrs);
         assert_eq!(de.stats.misses(), 11);
         assert_eq!(de.loads, 1);
         assert_eq!(de.bypasses, 10);
@@ -788,7 +444,7 @@ mod tests {
             addrs.extend(std::iter::repeat_n(0u32, 10));
             addrs.push(64);
         }
-        let stats = batch_opt(config(64, 4), &addrs);
+        let stats = opt(config(64, 4), &addrs);
         assert_eq!(stats.misses(), 11);
         assert_eq!(stats.accesses(), 110);
     }
@@ -843,10 +499,12 @@ mod tests {
         for seed in [11u64, 12, 13] {
             let addrs = random_addrs(seed, 10_000, 2_048);
             for cfg in [config(64, 4), config(1024, 4), config(4096, 16)] {
-                let fused = batch_triple(cfg, &addrs);
-                assert_eq!(fused.dm, batch_dm(cfg, &addrs));
-                assert_eq!(fused.de, batch_de(cfg, &addrs));
-                assert_eq!(fused.opt, batch_opt(cfg, &addrs));
+                // Every point of the three-point sweep equals that point
+                // swept alone: the points share no state.
+                let fused = triple(cfg, &addrs);
+                assert_eq!(fused[0].stats(), dm(cfg, &addrs));
+                assert_eq!(fused[1].de(), Some(de(cfg, &addrs)));
+                assert_eq!(fused[2].stats(), opt(cfg, &addrs));
             }
         }
     }
@@ -854,11 +512,11 @@ mod tests {
     #[test]
     fn empty_trace_is_all_zero() {
         let cfg = config(64, 4);
-        assert_eq!(batch_dm(cfg, &[]).accesses(), 0);
-        assert_eq!(batch_de(cfg, &[]).stats.accesses(), 0);
-        assert_eq!(batch_opt(cfg, &[]).accesses(), 0);
-        let t = batch_triple(cfg, &[]);
-        assert_eq!(t.dm.accesses(), 0);
+        assert_eq!(dm(cfg, &[]).accesses(), 0);
+        assert_eq!(de(cfg, &[]).stats.accesses(), 0);
+        assert_eq!(opt(cfg, &[]).accesses(), 0);
+        let t = triple(cfg, &[]);
+        assert_eq!(t[0].stats().accesses(), 0);
     }
 
     #[test]
@@ -866,24 +524,30 @@ mod tests {
         use dynex_obs::CountingProbe;
         let addrs = random_addrs(21, 5_000, 512);
         let cfg = config(256, 4);
-        let mut probe = CountingProbe::new();
-        let probed = batch_de_probed(cfg, &addrs, &mut probe);
-        assert_eq!(probed, batch_de(cfg, &addrs));
+        let (probed, probe) = alone_probed(
+            SweepPolicy::DynamicExclusion,
+            cfg,
+            &addrs,
+            CountingProbe::new(),
+        );
+        let probed = probed.de().expect("a DE point reports DE counters");
+        assert_eq!(probed, de(cfg, &addrs));
         let counts = probe.counts();
         assert_eq!(counts.accesses, probed.stats.accesses());
         assert_eq!(counts.misses, probed.stats.misses());
         assert_eq!(counts.exclusion_loads, probed.loads);
         assert_eq!(counts.exclusion_bypasses, probed.bypasses);
-        let mut dm_probe = CountingProbe::new();
-        let dm = batch_dm_probed(cfg, &addrs, &mut dm_probe);
-        assert_eq!(dm, batch_dm(cfg, &addrs));
-        assert_eq!(dm_probe.counts().misses, dm.misses());
-        assert!(dm_probe.counts().evictions <= dm.misses());
+        let (probed_dm, dm_probe) =
+            alone_probed(SweepPolicy::DirectMapped, cfg, &addrs, CountingProbe::new());
+        let bare_dm = dm(cfg, &addrs);
+        assert_eq!(probed_dm.stats(), bare_dm);
+        assert_eq!(dm_probe.counts().misses, bare_dm.misses());
+        assert!(dm_probe.counts().evictions <= bare_dm.misses());
     }
 
     #[test]
     #[should_panic(expected = "direct-mapped")]
     fn de_kernel_rejects_associative_config() {
-        batch_de(CacheConfig::new(64, 4, 2).unwrap(), &[0]);
+        de(CacheConfig::new(64, 4, 2).unwrap(), &[0]);
     }
 }

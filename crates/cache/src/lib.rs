@@ -16,11 +16,10 @@
 //!   type's `with_probe` constructor) for cause-attributed events,
 //! * the [`CacheSim`] trait and [`run`] driver shared by every simulator in
 //!   the workspace (including the dynamic-exclusion caches in `dynex-core`),
-//! * batch kernels ([`batch_dm`], [`batch_de`], [`batch_opt`], fused
-//!   [`batch_triple`]) and the [`Kernel`]/[`ChunkedDecoder`] selection and
-//!   decode machinery — a bit-identical fast path behind `--kernel batch`,
-//! * the one-pass multi-configuration sweep kernel ([`batch_sweep`]) behind
-//!   `--kernel sweep` — N geometries through a single trace traversal,
+//! * the fast dm/de/opt kernel ([`batch_sweep`]) behind `--kernel batch`
+//!   and `--kernel sweep` — N geometries through a single trace traversal,
+//!   a single point being a one-point sweep — and the
+//!   [`Kernel`]/[`ChunkedDecoder`] selection and decode machinery,
 //! * the replacement-policy zoo ([`ReplacementPolicy`] + [`simulate_policy`])
 //!   — first-class stateful policies with per-set lookup/victim/fill hooks,
 //!   shipping Expected-Hit-Count ([`EhcPolicy`] / [`batch_ehc`]) and
@@ -74,10 +73,7 @@ pub use direct::DirectMapped;
 pub use fully::FullyAssociative;
 pub use hierarchy::{HierarchyStats, TwoLevel};
 pub use instrument::Instrumented;
-pub use kernel::{
-    batch_de, batch_de_probed, batch_dm, batch_dm_probed, batch_opt, batch_triple, de_fsm_index,
-    BatchDeResult, BatchTriple, DeFsmRow, DE_FSM_TABLE,
-};
+pub use kernel::{de_fsm_index, BatchDeResult, DeFsmRow, DE_FSM_TABLE};
 pub use min::OptimalFullyAssociative;
 pub use policy::{
     batch_bwcost, batch_ehc, simulate_policy, BwCostPolicy, DePolicy, DmPolicy, EhcPolicy,
@@ -88,8 +84,6 @@ pub use setassoc::{Replacement, SetAssociative};
 pub use sim::{run, run_addrs, AccessOutcome, CacheSim};
 pub use stats::CacheStats;
 pub use stream_buffer::{StreamBuffer, StreamBufferStats};
-pub use sweep::{
-    batch_sweep, batch_sweep_packed, batch_sweep_probed, SweepPoint, SweepPointResult, SweepPolicy,
-};
+pub use sweep::{batch_sweep, batch_sweep_probed, SweepPoint, SweepPointResult, SweepPolicy};
 pub use victim::VictimCache;
 pub use write::{MemoryTraffic, WriteMode, WritebackCache};

@@ -17,9 +17,9 @@
 //! * [`DmPolicy`] / [`DePolicy`] — the paper's direct-mapped and
 //!   dynamic-exclusion policies re-expressed through the trait, so the
 //!   driver's traffic counters cover them (the bandwidth figure reads
-//!   their fills). They are *proven* equivalent to the batch kernels by
-//!   this module's tests; the fast paths in [`crate::kernel`] remain the
-//!   specialized kernels.
+//!   their fills). They are *proven* equivalent to the fast dm/de points
+//!   of [`crate::batch_sweep`] by this module's tests; that sweep kernel
+//!   remains their fast path.
 //! * [`EhcPolicy`] / [`batch_ehc`] — Expected-Hit-Count replacement
 //!   ("Making Belady-Inspired Replacement Policies More Effective Using
 //!   Expected Hit Count", arXiv 1808.05024): rank the incoming block
@@ -187,9 +187,9 @@ impl ReplacementPolicy for DmPolicy {
 }
 
 /// Dynamic exclusion through the trait: the Figure 1 FSM with the perfect
-/// hit-last store, bit-identical in its decisions to `DeCache` and
-/// [`crate::batch_de`] (the driver's miss count equals theirs; its fill
-/// count equals the DE load counter).
+/// hit-last store, bit-identical in its decisions to `DeCache` and the DE
+/// points of [`crate::batch_sweep`] (the driver's miss count equals theirs;
+/// its fill count equals the DE load counter).
 #[derive(Debug, Clone)]
 pub struct DePolicy {
     sticky: Vec<bool>,
@@ -543,7 +543,7 @@ pub fn batch_bwcost(config: CacheConfig, addrs: &[u32]) -> CacheStats {
 mod tests {
     use super::*;
     use crate::line_table::sparse_lines;
-    use crate::{batch_de, batch_dm, batch_opt, SplitMix64};
+    use crate::{batch_sweep, SplitMix64, SweepPoint, SweepPointResult, SweepPolicy};
 
     fn config(size: u32, line: u32) -> CacheConfig {
         CacheConfig::direct_mapped(size, line).unwrap()
@@ -572,12 +572,17 @@ mod tests {
         (0..40).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect()
     }
 
+    /// `policy` at `config` through the fast kernel, as a one-point sweep.
+    fn alone(policy: SweepPolicy, config: CacheConfig, addrs: &[u32]) -> SweepPointResult {
+        batch_sweep(&[SweepPoint::new(config, policy)], addrs)[0]
+    }
+
     #[test]
     fn dm_policy_matches_batch_kernel() {
         let config = config(1024, 4);
         let addrs = trace(20_000);
         let via_trait = simulate_policy(config, &addrs, &mut DmPolicy);
-        let via_kernel = batch_dm(config, &addrs);
+        let via_kernel = alone(SweepPolicy::DirectMapped, config, &addrs).stats();
         assert_eq!(via_trait.accesses(), via_kernel.accesses());
         assert_eq!(via_trait.misses(), via_kernel.misses());
         // The driver accounts bandwidth; DM fills on every miss.
@@ -591,7 +596,9 @@ mod tests {
         let addrs = trace(20_000);
         let mut policy = DePolicy::new(config, &addrs);
         let via_trait = simulate_policy(config, &addrs, &mut policy);
-        let via_kernel = batch_de(config, &addrs);
+        let via_kernel = alone(SweepPolicy::DynamicExclusion, config, &addrs)
+            .de()
+            .expect("a DE point reports DE counters");
         assert_eq!(via_trait.accesses(), via_kernel.stats.accesses());
         assert_eq!(via_trait.misses(), via_kernel.stats.misses());
         // The driver's fill counter is exactly DE's load counter; the
@@ -629,8 +636,8 @@ mod tests {
         let config = config(1024, 4);
         let addrs = trace(30_000);
         let ehc = batch_ehc(config, &addrs);
-        let opt = batch_opt(config, &addrs);
-        let dm = batch_dm(config, &addrs);
+        let opt = alone(SweepPolicy::Optimal, config, &addrs).stats();
+        let dm = alone(SweepPolicy::DirectMapped, config, &addrs).stats();
         assert!(opt.misses() <= ehc.misses());
         // On this loopy trace the hit-count oracle beats blind replacement.
         assert!(ehc.misses() < dm.misses());
@@ -643,7 +650,10 @@ mod tests {
         let config = config(64, 4);
         let addrs = thrash();
         assert_eq!(batch_ehc(config, &addrs).misses(), 21);
-        assert_eq!(batch_opt(config, &addrs).misses(), 21);
+        assert_eq!(
+            alone(SweepPolicy::Optimal, config, &addrs).stats().misses(),
+            21
+        );
     }
 
     #[test]

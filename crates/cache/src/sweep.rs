@@ -1,67 +1,60 @@
-//! One-pass multi-configuration sweep kernel: the fast path behind
-//! `--kernel sweep`.
+//! The fast dm/de/opt kernel behind `--kernel batch` and `--kernel sweep`
+//! (two names for this one code path).
 //!
 //! Every figure in the paper replays *one* trace across *many* (size, line,
-//! policy) points. [`crate::kernel::batch_triple`] fused the three policies
-//! of a single geometry into one traversal; [`batch_sweep`] goes the rest of
-//! the way and carries N arbitrary geometries through a single pass:
+//! policy) points. [`batch_sweep`] carries N such points through a single
+//! pass of the trace; a single point is simply a one-point sweep.
 //!
-//! * **one decode per geometry** — the byte-address stream is decoded into a
-//!   line-address stream once per *distinct* line size (`line = addr >>
-//!   offset_bits` depends only on `offset_bits`), not once per point, via the
-//!   same chunked decode the batch kernels use.
-//! * **one next-use oracle per geometry** — the optimal policy's
+//! * **per-chunk decode per line size** — each [`CHUNK_LEN`] window of byte
+//!   addresses is decoded into a reusable line-address buffer once per
+//!   *distinct* line size (`line = addr >> offset_bits` depends only on
+//!   `offset_bits`), not once per point, and no whole-trace line stream is
+//!   ever built.
+//! * **one next-use oracle per line size** — the optimal policy's
 //!   reverse-scan chain likewise depends only on the line size, so a 16-size
 //!   sweep at one line size builds it once and shares it 16 ways.
-//! * **struct-of-arrays point state** — each point owns flat tag / sticky /
-//!   hit-last-copy vectors ([`DmSweep`]-style per-set arrays, matching the
-//!   batch kernels' layout), kept in a single `Vec` indexed by point so the
-//!   chunk loop walks them contiguously.
-//! * **one hit-last slab** — the dynamic-exclusion points' hit-last bitmaps
-//!   are carved, as disjoint per-point views, out of a single `Vec<u64>`
-//!   allocation sized once from the trace prescan (see [`slab
-//!   views`](#hit-last-slab)).
-//! * **table-driven FSM across configs** — within a chunk every DE point
-//!   steps through the same precomputed eight-row
-//!   [`DE_FSM_TABLE`](crate::DE_FSM_TABLE); the inner loops carry no
-//!   per-reference branches beyond the table row itself.
+//! * **flat per-point state** — each point owns flat tag / sticky /
+//!   hit-last-copy vectors, and each dynamic-exclusion point its own
+//!   hit-last bitmap over its line size's footprint (prescanned only for
+//!   line sizes that have a DE point).
+//! * **one hit-last allocation** — the DE bitmaps are disjoint views of
+//!   one zeroed allocation. A bitmap spans the trace's whole line range
+//!   (megabytes when a stack sits near the top of memory), yet only the
+//!   words of displaced lines are written: one large zeroed allocation
+//!   arrives as fresh pages that stay untouched until then, while separate
+//!   mid-size ones may come from recycled heap the allocator must clear,
+//!   making them resident in full (a bitmap per point tripled the peak RSS
+//!   of a two-worker figure pass).
+//! * **table-driven FSM** — every DE point steps through the same
+//!   precomputed eight-row [`DE_FSM_TABLE`](crate::DE_FSM_TABLE); the inner
+//!   loops carry no per-reference branches beyond the table row itself.
 //! * **chunk-boundary merges** — per-point hit/miss tallies accumulate in
 //!   registers inside a chunk and merge into the per-point totals only at
-//!   chunk boundaries, exactly where the batch kernels open their
-//!   observability spans.
+//!   chunk boundaries, where the observability spans open.
 //!
-//! The kernel is **bit-identical** per point to the corresponding
-//! single-point kernel ([`crate::batch_dm`] / [`crate::batch_de`] /
-//! [`crate::batch_opt`]) and therefore to the reference simulators: same
-//! statistics, same load/bypass split, and — through
-//! [`batch_sweep_probed`] — the same per-point probe event stream in the
-//! same order. `tests/kernel_differential.rs` and the property suite
+//! Every point is **bit-identical** to the reference simulator of its
+//! policy ([`crate::DirectMapped`], and `DeCache` / `OptimalDirectMapped` in
+//! `dynex-core`): same statistics, same load/bypass split, and — through
+//! [`batch_sweep_probed`] — the same probe event stream in the same order.
+//! Points share no state, so each one also equals that point swept alone.
+//! `tests/kernel_differential.rs` and the property suite
 //! `crates/cache/tests/prop_sweep_lockstep.rs` enforce this.
-//!
-//! # Hit-last slab
-//!
-//! Each DE point needs a hit-last bit per line address its geometry can
-//! produce from the trace. Rather than one allocation per point, the sweep
-//! sizes a single `u64` slab at setup (sum over DE points of each point's
-//! prescan footprint, the largest geometry dominating) and hands every point
-//! a disjoint word range. Views never overlap — two points with identical
-//! geometry still get separate ranges, because their FSMs diverge the moment
-//! their set counts differ and must never share exclusion state.
 
 use dynex_obs::span;
 use dynex_obs::{Cause, Event, NoopProbe, Outcome, Probe};
 
-use crate::batch::{ChunkedDecoder, KindFilter, CHUNK_LEN};
+use crate::batch::CHUNK_LEN;
 use crate::direct::INVALID_LINE;
-use crate::kernel::{de_fsm_index, decode_chunk, next_use, BatchDeResult, DE_FSM_TABLE, NEVER};
+use crate::kernel::{
+    de_fsm_index, decode_chunk, hit_last_bit, hit_last_words, max_line, next_use, set_hit_last_bit,
+    BatchDeResult, DE_FSM_TABLE, NEVER,
+};
 use crate::{CacheConfig, CacheStats};
-use dynex_trace::PackedAccess;
 
 /// The replacement/bypass policy of one sweep point.
 ///
-/// These are the three policies the paper's figures compare and the batch
-/// kernels specialize; the last-line variants keep global state across sets
-/// and stay on the reference path (as with `--kernel batch`).
+/// These are the three policies the paper's figures compare; the last-line
+/// variants keep global state across sets and stay on the reference path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SweepPolicy {
     /// Conventional direct-mapped (the paper's baseline).
@@ -85,6 +78,16 @@ impl SweepPolicy {
 
 /// One point of a multi-configuration sweep: a cache geometry under a
 /// policy.
+///
+/// ```
+/// use dynex_cache::{batch_sweep, CacheConfig, SweepPoint, SweepPolicy};
+///
+/// let config = CacheConfig::direct_mapped(64, 4)?;
+/// let point = SweepPoint::new(config, SweepPolicy::DirectMapped);
+/// let stats = batch_sweep(&[point], &[0, 0, 64, 0])[0].stats();
+/// assert_eq!(stats.misses(), 3); // cold, hit, conflict, conflict
+/// # Ok::<(), dynex_cache::ConfigError>(())
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SweepPoint {
     /// The cache geometry to simulate.
@@ -100,16 +103,34 @@ impl SweepPoint {
     }
 }
 
-/// Per-point output of [`batch_sweep`], carrying exactly what the
-/// corresponding single-point kernel returns.
+/// Per-point output of [`batch_sweep`].
+///
+/// ```
+/// use dynex_cache::{batch_sweep, CacheConfig, SweepPoint, SweepPolicy};
+///
+/// // (a b)^10 on one line: the dm/de/opt triple of the paper's figures.
+/// let config = CacheConfig::direct_mapped(64, 4)?;
+/// let addrs: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
+/// let points = [
+///     SweepPoint::new(config, SweepPolicy::DirectMapped),
+///     SweepPoint::new(config, SweepPolicy::DynamicExclusion),
+///     SweepPoint::new(config, SweepPolicy::Optimal),
+/// ];
+/// let results = batch_sweep(&points, &addrs);
+/// assert_eq!(results[0].stats().misses(), 20); // DM thrashes
+/// assert_eq!(results[1].stats().misses(), 11);
+/// assert_eq!(results[1].de().unwrap().bypasses, 10);
+/// assert_eq!(results[2].stats().misses(), 11);
+/// assert!(results[0].de().is_none());
+/// # Ok::<(), dynex_cache::ConfigError>(())
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepPointResult {
-    /// Conventional direct-mapped statistics ([`crate::batch_dm`]).
+    /// Conventional direct-mapped statistics.
     Dm(CacheStats),
-    /// Dynamic-exclusion statistics with the load/bypass split
-    /// ([`crate::batch_de`]).
+    /// Dynamic-exclusion statistics with the load/bypass split.
     De(BatchDeResult),
-    /// Optimal direct-mapped statistics ([`crate::batch_opt`]).
+    /// Optimal direct-mapped statistics.
     Opt(CacheStats),
 }
 
@@ -148,7 +169,7 @@ impl DmSweep {
     }
 
     /// One chunk of conventional direct-mapped accesses, emitting exactly
-    /// the events of [`crate::batch_dm_probed`]. The miss tally lives in a
+    /// the events of [`crate::DirectMapped`]. The miss tally lives in a
     /// register inside the loop and merges at the chunk boundary.
     fn run_chunk<P: Probe>(&mut self, addrs: &[u32], lines: &[u32], probe: &mut P) {
         let mask = self.index_mask;
@@ -188,43 +209,38 @@ impl DmSweep {
     }
 }
 
-/// Per-set state of one dynamic-exclusion sweep point. The hit-last bitmap
-/// is a view into the shared slab starting at `slab_off` words.
-struct DeSweep {
+/// Per-set state of one dynamic-exclusion sweep point, with its own
+/// hit-last bitmap for the blocks that are not resident (a view of the
+/// sweep's one hit-last allocation).
+struct DeSweep<'a> {
     lines: Vec<u32>,
     sticky: Vec<bool>,
     h_copy: Vec<bool>,
+    hit_last: &'a mut [u64],
     index_mask: u32,
-    slab_off: usize,
     misses: u64,
     loads: u64,
 }
 
-impl DeSweep {
-    fn new(n_sets: usize, index_mask: u32, slab_off: usize) -> DeSweep {
+impl<'a> DeSweep<'a> {
+    fn new(n_sets: usize, index_mask: u32, hit_last: &'a mut [u64]) -> DeSweep<'a> {
         DeSweep {
             lines: vec![INVALID_LINE; n_sets],
             sticky: vec![false; n_sets],
             h_copy: vec![false; n_sets],
+            hit_last,
             index_mask,
-            slab_off,
             misses: 0,
             loads: 0,
         }
     }
 
     /// One chunk of dynamic-exclusion accesses through the precomputed
-    /// table, emitting exactly the events (and in the order) of
-    /// [`crate::batch_de_probed`]. Tallies merge at the chunk boundary.
-    fn run_chunk<P: Probe>(
-        &mut self,
-        addrs: &[u32],
-        lines: &[u32],
-        slab: &mut [u64],
-        probe: &mut P,
-    ) {
+    /// table, emitting exactly the events (and in the order) of the
+    /// reference `DeCache`/`DeLines`/`fsm::step_probed` stack. Tallies merge
+    /// at the chunk boundary.
+    fn run_chunk<P: Probe>(&mut self, addrs: &[u32], lines: &[u32], probe: &mut P) {
         let mask = self.index_mask;
-        let base = self.slab_off;
         let mut misses = 0u64;
         let mut loads = 0u64;
         for (&addr, &line) in addrs.iter().zip(lines) {
@@ -232,7 +248,7 @@ impl DeSweep {
             let resident = self.lines[set];
             let hit = resident == line;
             let sticky = self.sticky[set];
-            let h_pred = (slab[base + (line as usize >> 6)] >> (line & 63)) & 1 == 1;
+            let h_pred = hit_last_bit(self.hit_last, line);
             let row = DE_FSM_TABLE[de_fsm_index(hit, sticky, h_pred)];
 
             if row.is_miss {
@@ -267,10 +283,8 @@ impl DeSweep {
                     Cause::Cold
                 } else {
                     // Figure 6 "transfer on replacement": the victim's
-                    // in-line copy goes back to this point's slab view.
-                    let word = &mut slab[base + (resident as usize >> 6)];
-                    let bit = resident & 63;
-                    *word = (*word & !(1u64 << bit)) | ((self.h_copy[set] as u64) << bit);
+                    // in-line copy goes back to the bitmap.
+                    set_hit_last_bit(self.hit_last, resident, self.h_copy[set]);
                     probe.emit(Event::Eviction {
                         set: set as u32,
                         victim: resident,
@@ -312,14 +326,17 @@ impl OptSweep {
     fn new(n_sets: usize, index_mask: u32) -> OptSweep {
         OptSweep {
             resident: vec![INVALID_LINE; n_sets],
+            // An invalid resident is "never used again", so any incoming
+            // block wins the greedy comparison.
             resident_next: vec![NEVER; n_sets],
             index_mask,
             misses: 0,
         }
     }
 
-    /// One chunk of greedy keep-whichever-is-used-sooner accesses, identical
-    /// to [`crate::batch_opt`]'s second pass. Tallies merge at the chunk
+    /// One chunk of the greedy keep-whichever-is-used-sooner rule: the
+    /// second pass of the reference `OptimalDirectMapped::simulate`, whose
+    /// first pass is the shared next-use oracle. Tallies merge at the chunk
     /// boundary.
     fn run_chunk(&mut self, lines: &[u32], next: &[u32]) {
         let mask = self.index_mask;
@@ -340,33 +357,32 @@ impl OptSweep {
     }
 }
 
-enum PointState {
+enum PointState<'a> {
     Dm(DmSweep),
-    De(DeSweep),
+    De(DeSweep<'a>),
     Opt(OptSweep),
 }
 
 /// Carries N cache geometries through a single trace traversal.
 ///
-/// Bit-identical per point to running the corresponding single-point batch
-/// kernel (and therefore the reference simulator) over the same stream; what
-/// the sweep buys is decoding each distinct line size once, building each
-/// distinct next-use oracle once, and walking the trace once for the whole
-/// plan instead of once per point.
+/// Bit-identical per point to the reference simulator of its policy; what
+/// the sweep buys is decoding each chunk once per distinct line size,
+/// building each distinct next-use oracle once, and walking the trace once
+/// for the whole plan instead of once per point.
 ///
-/// Points may repeat geometries (each keeps fully independent state) and may
-/// be a degenerate single-point vector, in which case the output equals the
-/// single kernel's exactly.
+/// Points may repeat geometries (each keeps fully independent state) and
+/// may be a single point, which is how every one-point dm/de/opt
+/// simulation in the workspace runs.
 ///
 /// # Panics
 ///
-/// Panics if any point's `config.associativity() != 1`, like the single
-/// kernels.
+/// Panics if any point's `config.associativity() != 1`, like the reference
+/// simulators.
 ///
 /// # Examples
 ///
 /// ```
-/// use dynex_cache::{batch_dm, batch_sweep, CacheConfig, SweepPoint, SweepPolicy};
+/// use dynex_cache::{batch_sweep, CacheConfig, SweepPoint, SweepPolicy};
 ///
 /// let small = CacheConfig::direct_mapped(64, 4)?;
 /// let large = CacheConfig::direct_mapped(256, 4)?;
@@ -376,8 +392,9 @@ enum PointState {
 ///     SweepPoint::new(large, SweepPolicy::DirectMapped),
 /// ];
 /// let results = batch_sweep(&points, &addrs);
-/// assert_eq!(results[0].stats(), batch_dm(small, &addrs));
-/// assert_eq!(results[1].stats(), batch_dm(large, &addrs));
+/// // Points share no state: each equals that point swept alone.
+/// assert_eq!(results[0], batch_sweep(&points[..1], &addrs)[0]);
+/// assert_eq!(results[1], batch_sweep(&points[1..], &addrs)[0]);
 /// # Ok::<(), dynex_cache::ConfigError>(())
 /// ```
 pub fn batch_sweep(points: &[SweepPoint], addrs: &[u32]) -> Vec<SweepPointResult> {
@@ -385,29 +402,10 @@ pub fn batch_sweep(points: &[SweepPoint], addrs: &[u32]) -> Vec<SweepPointResult
     batch_sweep_probed(points, addrs, &mut probes)
 }
 
-/// [`batch_sweep`] over a packed trace: one [`ChunkedDecoder`] pass feeds
-/// every point in the plan.
-pub fn batch_sweep_packed(
-    points: &[SweepPoint],
-    packed: &[PackedAccess],
-    filter: KindFilter,
-) -> Vec<SweepPointResult> {
-    let mut addrs = Vec::with_capacity(if filter == KindFilter::All {
-        packed.len()
-    } else {
-        0
-    });
-    let mut decoder = ChunkedDecoder::new(packed, filter);
-    while let Some(chunk) = decoder.next_chunk() {
-        addrs.extend_from_slice(chunk);
-    }
-    batch_sweep(points, &addrs)
-}
-
 /// [`batch_sweep`] with per-point event emission: `probes[i]` receives
-/// exactly the events the single-point probed kernel would emit for
-/// `points[i]`, in the same order (the optimal policy emits none, as in the
-/// reference path).
+/// exactly the events the reference simulator would emit for `points[i]`,
+/// in the same order (the optimal policy emits none, as in the reference
+/// path).
 ///
 /// # Panics
 ///
@@ -445,37 +443,38 @@ pub fn batch_sweep_probed<P: Probe>(
         })
         .collect();
 
-    // Shared decode: one chunked pass materializes every distinct line
-    // stream and the footprint that sizes each DE slab view.
-    let mut lines_by: Vec<Vec<u32>> = offsets
-        .iter()
-        .map(|_| Vec::with_capacity(addrs.len()))
-        .collect();
-    let mut max_by: Vec<u32> = vec![0; offsets.len()];
-    let mut line_buf = [0u32; CHUNK_LEN];
-    for chunk in addrs.chunks(CHUNK_LEN) {
-        let _decode = span::span("kernel.decode");
-        for (oi, &offset_bits) in offsets.iter().enumerate() {
-            decode_chunk(chunk, offset_bits, &mut line_buf);
-            for &line in &line_buf[..chunk.len()] {
-                max_by[oi] = max_by[oi].max(line);
-            }
-            lines_by[oi].extend_from_slice(&line_buf[..chunk.len()]);
-        }
-    }
-
-    // One next-use oracle per geometry that has an optimal point.
+    // Whole-trace work per line size, done only where a point needs it: the
+    // footprint prescan that sizes the DE bitmaps, and the next-use oracle of
+    // the optimal points.
+    let mut max_by: Vec<Option<u32>> = vec![None; offsets.len()];
     let mut next_by: Vec<Option<Vec<u32>>> = vec![None; offsets.len()];
     for (point, &oi) in points.iter().zip(&offset_of) {
-        if point.policy == SweepPolicy::Optimal && next_by[oi].is_none() {
-            let _next_use = span::span("kernel.next-use");
-            next_by[oi] = Some(next_use(addrs, offsets[oi]));
+        match point.policy {
+            SweepPolicy::DynamicExclusion if max_by[oi].is_none() => {
+                let _decode = span::span("kernel.decode");
+                max_by[oi] = Some(max_line(addrs, offsets[oi]));
+            }
+            SweepPolicy::Optimal if next_by[oi].is_none() => {
+                let _next_use = span::span("kernel.next-use");
+                next_by[oi] = Some(next_use(addrs, offsets[oi]));
+            }
+            _ => {}
         }
     }
 
-    // Carve the shared hit-last slab: each DE point gets a disjoint word
-    // range sized by its geometry's trace footprint.
-    let mut slab_words = 0usize;
+    // One zeroed allocation holds every DE point's bitmap (see the module
+    // docs); each point takes the next disjoint slice of it.
+    let words_of = |oi: usize| {
+        hit_last_words(max_by[oi].expect("footprint prescanned for every DE line size"))
+    };
+    let slab_words = points
+        .iter()
+        .zip(&offset_of)
+        .filter(|(point, _)| point.policy == SweepPolicy::DynamicExclusion)
+        .map(|(_, &oi)| words_of(oi))
+        .sum();
+    let mut slab = vec![0u64; slab_words];
+    let mut unclaimed: &mut [u64] = &mut slab;
     let mut state: Vec<PointState> = points
         .iter()
         .zip(&offset_of)
@@ -485,42 +484,46 @@ pub fn batch_sweep_probed<P: Probe>(
             match point.policy {
                 SweepPolicy::DirectMapped => PointState::Dm(DmSweep::new(n_sets, index_mask)),
                 SweepPolicy::DynamicExclusion => {
-                    let off = slab_words;
-                    slab_words += (max_by[oi] as usize >> 6) + 1;
-                    PointState::De(DeSweep::new(n_sets, index_mask, off))
+                    let (hit_last, rest) =
+                        std::mem::take(&mut unclaimed).split_at_mut(words_of(oi));
+                    unclaimed = rest;
+                    PointState::De(DeSweep::new(n_sets, index_mask, hit_last))
                 }
                 SweepPolicy::Optimal => PointState::Opt(OptSweep::new(n_sets, index_mask)),
             }
         })
         .collect();
-    let mut slab = vec![0u64; slab_words];
 
-    // The one-pass walk: every point consumes the same chunk window before
-    // the window advances, so each point's per-set state is touched in the
-    // same order as its single-point run while the window stays in cache.
-    let total = addrs.len();
-    let mut pos = 0usize;
-    while pos < total {
-        let len = CHUNK_LEN.min(total - pos);
+    // The one-pass walk: each chunk is decoded once per line size, then
+    // every point consumes it before the window advances, so each point's
+    // per-set state is touched in trace order while the window stays in
+    // cache. Spans open at chunk boundaries only (two relaxed atomic loads
+    // per chunk when tracing is off); the inner loops stay branchless.
+    let mut line_bufs = vec![[0u32; CHUNK_LEN]; offsets.len()];
+    for (pos, chunk) in (0..).step_by(CHUNK_LEN).zip(addrs.chunks(CHUNK_LEN)) {
+        {
+            let _decode = span::span("kernel.decode");
+            for (buf, &offset_bits) in line_bufs.iter_mut().zip(&offsets) {
+                decode_chunk(chunk, offset_bits, buf);
+            }
+        }
         let _simulate = span::span("kernel.simulate");
-        let addr_chunk = &addrs[pos..pos + len];
-        for (i, point_state) in state.iter_mut().enumerate() {
-            let lines = &lines_by[offset_of[i]][pos..pos + len];
+        for ((point_state, &oi), probe) in state.iter_mut().zip(&offset_of).zip(probes.iter_mut()) {
+            let lines = &line_bufs[oi][..chunk.len()];
             match point_state {
-                PointState::Dm(dm) => dm.run_chunk(addr_chunk, lines, &mut probes[i]),
-                PointState::De(de) => de.run_chunk(addr_chunk, lines, &mut slab, &mut probes[i]),
+                PointState::Dm(dm) => dm.run_chunk(chunk, lines, probe),
+                PointState::De(de) => de.run_chunk(chunk, lines, probe),
                 PointState::Opt(opt) => {
-                    let next = next_by[offset_of[i]]
-                        .as_ref()
-                        .expect("next-use oracle built for every optimal geometry");
-                    opt.run_chunk(lines, &next[pos..pos + len]);
+                    let next = next_by[oi]
+                        .as_deref()
+                        .expect("next-use oracle built for every optimal line size");
+                    opt.run_chunk(lines, &next[pos..pos + chunk.len()]);
                 }
             }
         }
-        pos += len;
     }
 
-    let accesses = total as u64;
+    let accesses = addrs.len() as u64;
     state
         .into_iter()
         .map(|point_state| match point_state {
@@ -542,7 +545,7 @@ pub fn batch_sweep_probed<P: Probe>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{batch_de, batch_dm, batch_opt, batch_triple, SplitMix64};
+    use crate::SplitMix64;
     use dynex_obs::EventLog;
 
     fn config(size: u32, line: u32) -> CacheConfig {
@@ -562,36 +565,19 @@ mod tests {
         ]
     }
 
+    /// Every point of the sweep equals that point swept alone: points share
+    /// no state.
     fn assert_matches_single(points: &[SweepPoint], addrs: &[u32]) {
         let results = batch_sweep(points, addrs);
         assert_eq!(results.len(), points.len());
         for (point, result) in points.iter().zip(&results) {
-            match point.policy {
-                SweepPolicy::DirectMapped => {
-                    assert_eq!(
-                        *result,
-                        SweepPointResult::Dm(batch_dm(point.config, addrs)),
-                        "dm @ {}",
-                        point.config
-                    );
-                }
-                SweepPolicy::DynamicExclusion => {
-                    assert_eq!(
-                        *result,
-                        SweepPointResult::De(batch_de(point.config, addrs)),
-                        "de @ {}",
-                        point.config
-                    );
-                }
-                SweepPolicy::Optimal => {
-                    assert_eq!(
-                        *result,
-                        SweepPointResult::Opt(batch_opt(point.config, addrs)),
-                        "opt @ {}",
-                        point.config
-                    );
-                }
-            }
+            assert_eq!(
+                *result,
+                batch_sweep(&[*point], addrs)[0],
+                "{} @ {}",
+                point.policy.name(),
+                point.config
+            );
         }
     }
 
@@ -637,13 +623,18 @@ mod tests {
 
     #[test]
     fn sweep_agrees_with_fused_triple() {
+        // The fused dm/de/opt triple: each of its points equals that point
+        // swept alone.
         let addrs = random_addrs(17, 20_000, 8_192);
         let cfg = config(4096, 4);
         let results = batch_sweep(&all_policies(cfg), &addrs);
-        let fused = batch_triple(cfg, &addrs);
-        assert_eq!(results[0].stats(), fused.dm);
-        assert_eq!(results[1].de().unwrap(), fused.de);
-        assert_eq!(results[2].stats(), fused.opt);
+        let alone = |policy| batch_sweep(&[SweepPoint::new(cfg, policy)], &addrs)[0];
+        assert_eq!(results[0].stats(), alone(SweepPolicy::DirectMapped).stats());
+        assert_eq!(
+            results[1].de().unwrap(),
+            alone(SweepPolicy::DynamicExclusion).de().unwrap()
+        );
+        assert_eq!(results[2].stats(), alone(SweepPolicy::Optimal).stats());
     }
 
     #[test]
@@ -688,58 +679,16 @@ mod tests {
         let mut probes = [EventLog::new(), EventLog::new(), EventLog::new()];
         let results = batch_sweep_probed(&points, &addrs, &mut probes);
 
-        let mut dm_log = EventLog::new();
-        let dm = crate::batch_dm_probed(points[0].config, &addrs, &mut dm_log);
-        assert_eq!(results[0], SweepPointResult::Dm(dm));
-        assert_eq!(probes[0].events(), dm_log.events());
-
-        let mut de_log = EventLog::new();
-        let de = crate::batch_de_probed(points[1].config, &addrs, &mut de_log);
-        assert_eq!(results[1], SweepPointResult::De(de));
-        assert_eq!(probes[1].events(), de_log.events());
+        for (i, point) in points.iter().enumerate().take(2) {
+            let mut log = [EventLog::new()];
+            let alone = batch_sweep_probed(&[*point], &addrs, &mut log);
+            assert_eq!(results[i], alone[0]);
+            assert_eq!(probes[i].events(), log[0].events());
+            assert!(!log[0].events().is_empty());
+        }
+        assert!(results[1].de().is_some());
 
         assert!(probes[2].events().is_empty(), "optimal emits no events");
-    }
-
-    #[test]
-    fn packed_sweep_decodes_once_for_every_point() {
-        use dynex_trace::Access;
-        let accesses: Vec<PackedAccess> = (0..2_000)
-            .map(|i| {
-                let addr = (i as u32 % 700) * 4;
-                PackedAccess::pack(if i % 3 == 0 {
-                    Access::fetch(addr)
-                } else {
-                    Access::read(addr)
-                })
-            })
-            .collect();
-        let points = all_policies(config(256, 4));
-        for filter in [KindFilter::All, KindFilter::Instructions, KindFilter::Data] {
-            let addrs = crate::decode_addrs(&accesses, filter);
-            assert_eq!(
-                batch_sweep_packed(&points, &accesses, filter),
-                batch_sweep(&points, &addrs),
-                "{filter:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn all_filtered_trace_yields_zero_stats_for_every_point() {
-        use dynex_trace::Access;
-        let accesses: Vec<PackedAccess> = (0..500)
-            .map(|i| PackedAccess::pack(Access::read((i as u32) * 4)))
-            .collect();
-        let results = batch_sweep_packed(
-            &all_policies(config(64, 4)),
-            &accesses,
-            KindFilter::Instructions,
-        );
-        for result in &results {
-            assert_eq!(result.stats().accesses(), 0);
-            assert_eq!(result.stats().misses(), 0);
-        }
     }
 
     #[test]

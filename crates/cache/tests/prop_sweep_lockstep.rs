@@ -1,5 +1,5 @@
-//! Property tests: the one-pass multi-configuration sweep kernel stays in
-//! lockstep with the single-point kernels — statistics and probe event
+//! Property tests: every point of a multi-configuration sweep stays in
+//! lockstep with that point swept alone — statistics and probe event
 //! streams both — for arbitrary address streams and config vectors.
 
 // Gated: requires the `proptest` feature (and the proptest dev-dependency,
@@ -7,9 +7,8 @@
 #![cfg(feature = "proptest")]
 
 use dynex_cache::{
-    batch_de, batch_de_probed, batch_dm, batch_dm_probed, batch_opt, batch_sweep,
-    batch_sweep_probed, run_addrs, CacheConfig, DirectMapped, SweepPoint, SweepPointResult,
-    SweepPolicy,
+    batch_sweep, batch_sweep_probed, run_addrs, CacheConfig, DirectMapped, SweepPoint,
+    SweepPointResult, SweepPolicy,
 };
 use dynex_obs::EventLog;
 use proptest::prelude::*;
@@ -44,19 +43,15 @@ fn arb_points() -> impl Strategy<Value = Vec<SweepPoint>> {
     )
 }
 
-/// The single-point kernel result for one sweep point.
+/// The result of one sweep point swept alone.
 fn single_point(point: &SweepPoint, addrs: &[u32]) -> SweepPointResult {
-    match point.policy {
-        SweepPolicy::DirectMapped => SweepPointResult::Dm(batch_dm(point.config, addrs)),
-        SweepPolicy::DynamicExclusion => SweepPointResult::De(batch_de(point.config, addrs)),
-        SweepPolicy::Optimal => SweepPointResult::Opt(batch_opt(point.config, addrs)),
-    }
+    batch_sweep(&[*point], addrs)[0]
 }
 
 proptest! {
-    /// `batch_sweep` is bit-identical per point to the single-point batch
-    /// kernels (which the workspace differential wall in turn pins to the
-    /// reference simulators) for any plan, duplicates included.
+    /// `batch_sweep` is bit-identical per point to that point swept alone
+    /// (which the workspace differential wall in turn pins to the reference
+    /// simulators) for any plan, duplicates included.
     #[test]
     fn sweep_matches_single_point_kernels(addrs in arb_addrs(), points in arb_points()) {
         let swept = batch_sweep(&points, &addrs);
@@ -82,7 +77,7 @@ proptest! {
         prop_assert_eq!(swept[0].stats(), stats);
     }
 
-    /// The probed sweep replays each point's single-kernel event stream
+    /// The probed sweep replays each point's event stream swept alone
     /// exactly — same events, same order, per point.
     #[test]
     fn probed_sweep_replays_single_kernel_event_streams(
@@ -92,20 +87,14 @@ proptest! {
         let mut probes: Vec<EventLog> = points.iter().map(|_| EventLog::new()).collect();
         let swept = batch_sweep_probed(&points, &addrs, &mut probes);
         for ((point, got), log) in points.iter().zip(&swept).zip(&probes) {
-            let mut single = EventLog::new();
-            let expected = match point.policy {
-                SweepPolicy::DirectMapped => {
-                    SweepPointResult::Dm(batch_dm_probed(point.config, &addrs, &mut single))
-                }
-                SweepPolicy::DynamicExclusion => {
-                    SweepPointResult::De(batch_de_probed(point.config, &addrs, &mut single))
-                }
-                // The optimal oracle has no probed hot path; its sweep
-                // points emit no events either.
-                SweepPolicy::Optimal => SweepPointResult::Opt(batch_opt(point.config, &addrs)),
-            };
+            let mut single = [EventLog::new()];
+            let expected = batch_sweep_probed(&[*point], &addrs, &mut single)[0];
             prop_assert_eq!(got, &expected);
-            prop_assert_eq!(log.events(), single.events());
+            prop_assert_eq!(log.events(), single[0].events());
+            // The optimal oracle has no probed hot path: it emits no events.
+            if point.policy == SweepPolicy::Optimal {
+                prop_assert!(log.events().is_empty());
+            }
         }
     }
 

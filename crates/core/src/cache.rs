@@ -344,13 +344,13 @@ mod tests {
         assert_eq!(bypassed, 1);
     }
 
-    /// The batch DE kernel must replicate this cache bit-for-bit: same
-    /// statistics, same load/bypass split, and the same event stream in the
-    /// same order. This is the unit-level anchor of the differential wall in
-    /// `tests/kernel_differential.rs`.
+    /// The fast kernel's DE points must replicate this cache bit-for-bit:
+    /// same statistics, same load/bypass split, and the same event stream in
+    /// the same order. This is the unit-level anchor of the differential
+    /// wall in `tests/kernel_differential.rs`.
     #[test]
     fn batch_kernel_matches_reference_events_and_stats() {
-        use dynex_cache::{batch_de_probed, run_addrs, SplitMix64};
+        use dynex_cache::{batch_sweep_probed, run_addrs, SplitMix64, SweepPoint, SweepPolicy};
         use dynex_obs::EventLog;
         for (seed, span, size) in [(17u64, 64u64, 64u32), (18, 512, 256), (19, 4096, 1024)] {
             let cfg = CacheConfig::direct_mapped(size, 4).unwrap();
@@ -362,8 +362,12 @@ mod tests {
             let ref_de = reference.de_stats();
             let ref_events = reference.into_probe().into_events();
 
-            let mut log = EventLog::new();
-            let batch = batch_de_probed(cfg, &addrs, &mut log);
+            let mut logs = [EventLog::new()];
+            let point = SweepPoint::new(cfg, SweepPolicy::DynamicExclusion);
+            let batch = batch_sweep_probed(&[point], &addrs, &mut logs)[0]
+                .de()
+                .expect("a DE point reports DE counters");
+            let [log] = logs;
             assert_eq!(batch.stats, ref_stats, "seed {seed}");
             assert_eq!(batch.loads, ref_de.loads, "seed {seed}");
             assert_eq!(batch.bypasses, ref_de.bypasses, "seed {seed}");

@@ -4,8 +4,9 @@
 //! The `--kernel {reference,batch,sweep}` flag is parsed once by the
 //! drivers and stored here; deep call chains ([`crate::PolicyKind::simulate`],
 //! the figure sweeps) pick it up without plumbing a parameter through every
-//! signature. All kernels are bit-identical in
-//! output, so this setting is purely a performance choice — journal keys
+//! signature. The choice is between the reference simulators and the fast
+//! path, which `batch` and `sweep` both name. All kernels are bit-identical
+//! in output, so this setting is purely a performance choice — journal keys
 //! and resumed sweeps are unaffected by it.
 
 use std::sync::atomic::{AtomicU8, Ordering};

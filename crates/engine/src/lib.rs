@@ -16,12 +16,12 @@
 //!   their last-line variants, the Expected-Hit-Count and bandwidth-cost
 //!   additions, and the set-associative / victim / stream comparisons).
 //!   [`PolicyKind::run`] is the one dispatch every front end calls; it
-//!   returns a [`PolicyRun`] (label, statistics, DE counters). Each policy
-//!   declares per-kernel [`KernelSupport`]; unsupported combinations
-//!   return a structured [`PolicyError`] instead of silently falling back.
+//!   returns a [`PolicyRun`] (label, statistics, DE counters), and every
+//!   kernel runs every policy.
 //! * [`default_kernel`] / [`set_default_kernel`] — session-wide selection
-//!   between the reference simulators and the bit-identical batch kernels
-//!   from `dynex-cache` (the `--kernel` flag; batch is the default).
+//!   between the reference simulators and the bit-identical fast path
+//!   from `dynex-cache` (the `--kernel` flag; `batch` and `sweep` both name
+//!   the fast path, and `batch` is the default).
 //! * [`execute_resilient`] — the fault-isolated sibling of [`execute`]:
 //!   panics are contained to their slot ([`JobError`]), panicked jobs get a
 //!   bounded retry budget, and a soft per-job deadline marks hung jobs
@@ -73,4 +73,4 @@ pub use journal::{
 pub use kernel::{default_kernel, set_default_kernel};
 pub use pool::{available_jobs, default_jobs, env_jobs, execute, set_default_jobs};
 pub use resilience::{execute_resilient, JobError, JobFailure, Resilience, SweepOutcome};
-pub use sweep::{Job, KernelSupport, PolicyError, PolicyKind, PolicyRun, SweepPlan};
+pub use sweep::{Job, PolicyError, PolicyKind, PolicyRun, SweepPlan};

@@ -4,19 +4,19 @@
 //! the service and `simcache` share. Each kind names a member of the
 //! replacement-policy zoo in `dynex-cache` (the paper's three policies, the
 //! Section 6 last-line variants, the EHC / bandwidth-cost additions, and
-//! the set-associative and buffered comparisons), owns its label and
-//! associativity, and *declares* how each kernel runs it via
-//! [`KernelSupport`]. A kernel either has a specialized fast path, falls
-//! back to the reference simulator by declaration, or is unsupported — in
-//! which case simulation returns a structured [`PolicyError`] naming the
-//! supported set, never a silent gap. [`PolicyKind::run`] is the single
-//! dispatch every front end calls.
+//! the set-associative and buffered comparisons) and owns its label and
+//! associativity. [`PolicyKind::run`] is the single dispatch every front
+//! end calls. Every kernel runs every policy: [`Kernel::Reference`] runs
+//! the spec simulator, and the fast path ([`Kernel::Batch`] and
+//! [`Kernel::Sweep`], two names for the same code) runs dm/de/opt as a
+//! one-point [`batch_sweep`], ehc/bwcost through their chunked kernels, and
+//! every other policy through its reference simulator.
 
 use dynex::{DeCache, DeStats, LastLineDeCache, OptimalDirectMapped};
 use dynex_cache::{
-    batch_bwcost, batch_de, batch_dm, batch_ehc, batch_opt, batch_sweep, run_addrs,
-    simulate_policy, BwCostPolicy, CacheConfig, CacheSim, CacheStats, DirectMapped, EhcPolicy,
-    Kernel, Replacement, SetAssociative, StreamBuffer, SweepPoint, SweepPolicy, VictimCache,
+    batch_bwcost, batch_ehc, batch_sweep, run_addrs, simulate_policy, BwCostPolicy, CacheConfig,
+    CacheSim, CacheStats, DirectMapped, EhcPolicy, Kernel, Replacement, SetAssociative,
+    StreamBuffer, SweepPoint, SweepPolicy, VictimCache,
 };
 
 use crate::kernel::default_kernel;
@@ -74,43 +74,15 @@ pub struct PolicyRun {
     pub de: Option<DeStats>,
 }
 
-/// How a kernel runs one [`PolicyKind`] — the capability a policy declares
-/// per kernel so that gaps are loud contracts instead of silent fallbacks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelSupport {
-    /// The kernel has a dedicated implementation of this policy
-    /// (bit-identical to the reference simulator; the differential wall
-    /// enforces it).
-    Specialized,
-    /// The kernel has no dedicated implementation and — by declaration —
-    /// runs the reference simulator instead. Output is identical; only
-    /// throughput differs.
-    ReferenceFallback,
-    /// The combination is not available; simulation returns a
-    /// [`PolicyError`] naming the kernels that do support the policy.
-    Unsupported,
-}
-
-/// A structured policy-surface error: an unknown policy name, or a
-/// (policy, kernel) combination without [`KernelSupport`]. Every variant
-/// names the supported set, so CLI and service callers can surface an
-/// actionable message without pattern-matching internals.
+/// A structured policy-surface error: an unknown policy name. It names the
+/// supported set, so CLI and service callers can surface an actionable
+/// message without pattern-matching internals.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PolicyError {
     /// The name matched no member of the policy zoo.
     UnknownPolicy {
         /// The offending name, verbatim.
         name: String,
-    },
-    /// The policy exists but declares [`KernelSupport::Unsupported`] for
-    /// the requested kernel.
-    UnsupportedKernel {
-        /// The policy's stable name.
-        policy: &'static str,
-        /// The kernel that was requested.
-        kernel: Kernel,
-        /// The kernels that do support the policy.
-        supported: Vec<Kernel>,
     },
 }
 
@@ -123,19 +95,6 @@ impl std::fmt::Display for PolicyError {
                     f,
                     "unknown policy {name:?} (supported: {})",
                     supported.join("|")
-                )
-            }
-            PolicyError::UnsupportedKernel {
-                policy,
-                kernel,
-                supported,
-            } => {
-                let names: Vec<String> = supported.iter().map(|k| k.to_string()).collect();
-                write!(
-                    f,
-                    "policy {policy:?} has no {kernel} kernel support \
-                     (supported kernels: {})",
-                    names.join("|")
                 )
             }
         }
@@ -220,13 +179,12 @@ impl PolicyKind {
         }
     }
 
-    /// The sweep-kernel policy this policy maps to, if the one-pass
-    /// multi-configuration kernel specializes it.
+    /// The sweep-kernel policy this policy maps to, if the fast dm/de/opt
+    /// kernel ([`batch_sweep`]) runs it.
     ///
     /// `None` for every member but dm, de and opt: the last-line variants
-    /// (single global buffer), the EHC / bandwidth-cost members (their
-    /// oracles and counters are not fused into the multi-configuration
-    /// walk yet), and the set-associative and buffered comparisons.
+    /// (single global buffer), the EHC / bandwidth-cost members (their own
+    /// chunked kernels), and the set-associative and buffered comparisons.
     pub fn sweep_policy(self) -> Option<SweepPolicy> {
         match self {
             PolicyKind::DirectMapped => Some(SweepPolicy::DirectMapped),
@@ -236,65 +194,12 @@ impl PolicyKind {
         }
     }
 
-    /// The declared capability of `kernel` for this policy — the whole
-    /// capability matrix in one place.
-    ///
-    /// | policy                      | reference   | batch              | sweep              |
-    /// |-----------------------------|-------------|--------------------|--------------------|
-    /// | dm, de, opt                 | specialized | specialized        | specialized        |
-    /// | *-lastline                  | specialized | reference fallback | reference fallback |
-    /// | ehc, bwcost                 | specialized | specialized        | unsupported        |
-    /// | 2way, 4way, victim, stream  | specialized | reference fallback | reference fallback |
-    pub fn kernel_support(self, kernel: Kernel) -> KernelSupport {
-        match (self, kernel) {
-            // The reference simulators are the spec: every policy has one.
-            (_, Kernel::Reference) => KernelSupport::Specialized,
-            (
-                PolicyKind::DirectMapped | PolicyKind::DynamicExclusion | PolicyKind::OptimalDm,
-                Kernel::Batch | Kernel::Sweep,
-            ) => KernelSupport::Specialized,
-            (PolicyKind::ExpectedHitCount | PolicyKind::BandwidthCost, Kernel::Batch) => {
-                KernelSupport::Specialized
-            }
-            // The one-pass sweep kernel does not fuse the EHC oracle or
-            // the bandwidth counters; declared unsupported, not silently
-            // approximated.
-            (PolicyKind::ExpectedHitCount | PolicyKind::BandwidthCost, Kernel::Sweep) => {
-                KernelSupport::Unsupported
-            }
-            // The last-line buffer is global state, and the set-associative
-            // and buffered caches have no chunked per-set loop: both fast
-            // kernels declare the reference fallback (identical output,
-            // reference throughput).
-            (
-                PolicyKind::DeLastLine
-                | PolicyKind::OptimalDmLastLine
-                | PolicyKind::TwoWay
-                | PolicyKind::FourWay
-                | PolicyKind::Victim
-                | PolicyKind::Stream,
-                Kernel::Batch | Kernel::Sweep,
-            ) => KernelSupport::ReferenceFallback,
-        }
-    }
-
-    /// The kernels that can run this policy (capability not
-    /// [`KernelSupport::Unsupported`]), in the canonical
-    /// reference/batch/sweep order.
-    pub fn supported_kernels(self) -> Vec<Kernel> {
-        [Kernel::Reference, Kernel::Batch, Kernel::Sweep]
-            .into_iter()
-            .filter(|&k| self.kernel_support(k) != KernelSupport::Unsupported)
-            .collect()
-    }
-
     /// Simulates this policy over a byte-address trace with the session's
     /// [`default_kernel`].
     ///
     /// # Errors
     ///
-    /// [`PolicyError::UnsupportedKernel`] when the session kernel declares
-    /// no support for this policy.
+    /// None today: every kernel runs every policy.
     pub fn simulate(self, config: CacheConfig, addrs: &[u32]) -> Result<CacheStats, PolicyError> {
         self.simulate_kernel(default_kernel(), config, addrs)
     }
@@ -303,19 +208,17 @@ impl PolicyKind {
     /// behind `api::execute`, the service and `simcache`. Returns the
     /// label, the statistics, and (for `de`) the exclusion counters.
     ///
-    /// All supporting kernels are bit-identical in output (the
-    /// differential wall in `tests/kernel_differential.rs` enforces the
-    /// policy × kernel matrix); batch and sweep are the fast paths. A
-    /// single point handed to the sweep kernel runs as a degenerate
-    /// one-point sweep — the real sharing comes from plan-level entry
-    /// points like [`SweepPlan::run_one_pass`]. Policies declaring
-    /// [`KernelSupport::ReferenceFallback`] run the reference simulator.
+    /// Every kernel is bit-identical in output (the differential wall in
+    /// `tests/kernel_differential.rs` enforces the policy × kernel matrix).
+    /// On the fast path (batch or sweep) dm/de/opt run as a one-point
+    /// [`batch_sweep`] — the sharing across points comes from plan-level
+    /// entry points like [`SweepPlan::run_one_pass`] — ehc and bwcost run
+    /// [`batch_ehc`] / [`batch_bwcost`], and every other policy runs its
+    /// reference simulator.
     ///
     /// # Errors
     ///
-    /// [`PolicyError::UnsupportedKernel`] when the policy declares
-    /// [`KernelSupport::Unsupported`] for `kernel`; the error lists the
-    /// kernels that do support it.
+    /// None today: every kernel runs every policy.
     pub fn run(
         self,
         kernel: Kernel,
@@ -351,38 +254,24 @@ impl PolicyKind {
         config: CacheConfig,
         addrs: &[u32],
     ) -> Result<(CacheStats, Option<DeStats>), PolicyError> {
-        match self.kernel_support(kernel) {
-            KernelSupport::Unsupported => {
-                return Err(PolicyError::UnsupportedKernel {
-                    policy: self.name(),
-                    kernel,
-                    supported: self.supported_kernels(),
-                })
-            }
-            KernelSupport::ReferenceFallback => return Ok(self.reference(config, addrs)),
-            KernelSupport::Specialized => {}
+        if kernel == Kernel::Reference {
+            return Ok(self.reference(config, addrs));
         }
-        let de_counters = |loads, bypasses| Some(DeStats { loads, bypasses });
-        Ok(match (kernel, self) {
-            (Kernel::Batch, PolicyKind::DirectMapped) => (batch_dm(config, addrs), None),
-            (Kernel::Batch, PolicyKind::DynamicExclusion) => {
-                let result = batch_de(config, addrs);
-                (result.stats, de_counters(result.loads, result.bypasses))
-            }
-            (Kernel::Batch, PolicyKind::OptimalDm) => (batch_opt(config, addrs), None),
-            (Kernel::Batch, PolicyKind::ExpectedHitCount) => (batch_ehc(config, addrs), None),
-            (Kernel::Batch, PolicyKind::BandwidthCost) => (batch_bwcost(config, addrs), None),
-            (Kernel::Sweep, _) => {
-                let point = SweepPoint::new(
-                    config,
-                    self.sweep_policy()
-                        .expect("sweep is specialized only for sweepable policies"),
-                );
-                let result = batch_sweep(&[point], addrs)[0];
-                let de = result.de().and_then(|r| de_counters(r.loads, r.bypasses));
-                (result.stats(), de)
-            }
-            (Kernel::Reference, _) | (Kernel::Batch, _) => self.reference(config, addrs),
+        if let Some(policy) = self.sweep_policy() {
+            let result = batch_sweep(&[SweepPoint::new(config, policy)], addrs)[0];
+            let de = result.de().map(|r| DeStats {
+                loads: r.loads,
+                bypasses: r.bypasses,
+            });
+            return Ok((result.stats(), de));
+        }
+        Ok(match self {
+            PolicyKind::ExpectedHitCount => (batch_ehc(config, addrs), None),
+            PolicyKind::BandwidthCost => (batch_bwcost(config, addrs), None),
+            // The last-line buffer is global state, and the set-associative
+            // and buffered caches have no chunked per-set loop: the fast
+            // path runs their reference simulators.
+            _ => self.reference(config, addrs),
         })
     }
 
@@ -442,8 +331,7 @@ impl Job {
     ///
     /// # Errors
     ///
-    /// [`PolicyError::UnsupportedKernel`] when the session kernel declares
-    /// no support for the job's policy.
+    /// None today: every kernel runs every policy.
     pub fn run(&self, addrs: &[u32]) -> Result<CacheStats, PolicyError> {
         self.policy.simulate(self.config, addrs)
     }
@@ -531,11 +419,11 @@ impl SweepPlan<Job> {
     /// [`batch_sweep`] traversal of the shared trace.
     ///
     /// Returns `None` (caller falls back to per-point execution) if any
-    /// point's policy has no sweep specialization
-    /// ([`PolicyKind::sweep_policy`]). Results are in plan order and
-    /// bit-identical to [`SweepPlan::run`] with any kernel — the whole plan
-    /// simply costs one decode, one next-use oracle per distinct line size,
-    /// and one trace walk.
+    /// point's policy is not dm, de or opt ([`PolicyKind::sweep_policy`]).
+    /// Results are in plan order and bit-identical to [`SweepPlan::run`]
+    /// with any kernel — the whole plan simply costs one decode per chunk
+    /// and line size, one next-use oracle per distinct line size, and one
+    /// trace walk.
     ///
     /// # Examples
     ///
@@ -608,49 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_kernel_error_lists_the_supported_kernels() {
-        let config = CacheConfig::direct_mapped(64, 4).unwrap();
-        let err = PolicyKind::ExpectedHitCount
-            .simulate_kernel(Kernel::Sweep, config, &[0, 4])
-            .unwrap_err();
-        match &err {
-            PolicyError::UnsupportedKernel {
-                policy,
-                kernel,
-                supported,
-            } => {
-                assert_eq!(*policy, "ehc");
-                assert_eq!(*kernel, Kernel::Sweep);
-                assert_eq!(supported, &[Kernel::Reference, Kernel::Batch]);
-            }
-            other => panic!("wrong error shape: {other:?}"),
-        }
-        let message = err.to_string();
-        assert!(message.contains("ehc"), "{message}");
-        assert!(message.contains("reference"), "{message}");
-        assert!(message.contains("batch"), "{message}");
-    }
-
-    #[test]
-    fn capability_matrix_has_no_silent_gaps() {
-        let config = CacheConfig::direct_mapped(64, 4).unwrap();
-        let addrs = thrash();
-        for kind in PolicyKind::ALL {
-            for kernel in [Kernel::Reference, Kernel::Batch, Kernel::Sweep] {
-                let result = kind.simulate_kernel(kernel, config, &addrs);
-                match kind.kernel_support(kernel) {
-                    KernelSupport::Unsupported => {
-                        assert!(result.is_err(), "{kind:?} under {kernel} must error loudly")
-                    }
-                    _ => assert!(result.is_ok(), "{kind:?} under {kernel} must simulate"),
-                }
-            }
-            // Every policy runs somewhere, and reference is always there.
-            assert!(kind.supported_kernels().contains(&Kernel::Reference));
-        }
-    }
-
-    #[test]
     fn job_matches_direct_simulation() {
         let config = CacheConfig::direct_mapped(64, 4).unwrap();
         let addrs = thrash();
@@ -682,7 +527,48 @@ mod tests {
     }
 
     #[test]
+    fn ehc_and_bwcost_on_sweep_match_reference() {
+        // The sweep kernel runs the EHC and bandwidth-cost policies through
+        // their fast kernels and agrees with the reference simulator.
+        let config = CacheConfig::direct_mapped(64, 4).unwrap();
+        for policy in [PolicyKind::ExpectedHitCount, PolicyKind::BandwidthCost] {
+            assert_eq!(
+                policy
+                    .simulate_kernel(Kernel::Sweep, config, &[0, 4])
+                    .unwrap(),
+                policy
+                    .simulate_kernel(Kernel::Reference, config, &[0, 4])
+                    .unwrap(),
+                "{}",
+                policy.name()
+            );
+        }
+    }
+
+    #[test]
+    fn capability_matrix_has_no_silent_gaps() {
+        // Every cell of the policy x kernel matrix simulates and agrees with
+        // the reference simulator.
+        let config = CacheConfig::direct_mapped(64, 4).unwrap();
+        let addrs = thrash();
+        for kind in PolicyKind::ALL {
+            let reference = kind
+                .simulate_kernel(Kernel::Reference, config, &addrs)
+                .unwrap();
+            for kernel in [Kernel::Reference, Kernel::Batch, Kernel::Sweep] {
+                let result = kind.simulate_kernel(kernel, config, &addrs);
+                assert_eq!(
+                    result.as_ref().ok(),
+                    Some(&reference),
+                    "{kind:?} under {kernel} must simulate"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn kernels_agree_for_every_policy() {
+        // Every kernel runs every policy, and all three agree bit for bit.
         let mut rng = dynex_cache::SplitMix64::new(41);
         let addrs: Vec<u32> = (0..8000).map(|_| (rng.below(2048) as u32) * 4).collect();
         for policy in PolicyKind::ALL {
@@ -693,7 +579,7 @@ mod tests {
                 let reference = policy
                     .simulate_kernel(Kernel::Reference, config, &addrs)
                     .unwrap();
-                for kernel in policy.supported_kernels() {
+                for kernel in [Kernel::Reference, Kernel::Batch, Kernel::Sweep] {
                     assert_eq!(
                         policy.simulate_kernel(kernel, config, &addrs).unwrap(),
                         reference,

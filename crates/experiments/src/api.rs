@@ -39,8 +39,7 @@ use std::path::{Path, PathBuf};
 
 use dynex::DeStats;
 use dynex_cache::{
-    batch_sweep, batch_triple, decode_addrs, CacheConfig, CacheStats, Kernel, KindFilter,
-    SweepPoint, SweepPolicy,
+    batch_sweep, decode_addrs, CacheConfig, CacheStats, Kernel, KindFilter, SweepPoint, SweepPolicy,
 };
 use dynex_engine::{
     default_jobs, default_kernel, execute as pool_execute, job_key, trace_digest,
@@ -73,7 +72,7 @@ const KEY_COVERED: &[&str] = &["policy", "kinds", "size_bytes", "line_bytes"];
 const KEY_VIA_DIGEST: &[&str] = &["trace", "refs", "max_skipped"];
 
 /// Fields intentionally excluded from the key because they cannot change
-/// the result: both kernels are bit-identical, the engine is deterministic
+/// the result: every kernel is bit-identical, the engine is deterministic
 /// for every worker count, and deadlines/resume only decide whether a
 /// result is produced, never its value.
 const KEY_EXCLUDED: &[&str] = &["kernel", "jobs", "deadline_ms", "resume"];
@@ -98,8 +97,7 @@ pub enum ApiError {
     /// A request field is not covered by the key-derivation schema (see
     /// [`verify_key_schema`]).
     KeySchema(String),
-    /// A policy-surface failure from the engine: an unknown policy name or
-    /// a (policy, kernel) combination without declared kernel support.
+    /// A policy-surface failure from the engine: an unknown policy name.
     Policy(PolicyError),
 }
 
@@ -1190,23 +1188,14 @@ pub fn install_session(request: &SimulationRequest) -> Result<SessionReport, Api
 
 /// Runs the three-way DM/DE/OPT comparison with an explicit kernel.
 ///
-/// Under [`Kernel::Batch`] the three policies run through
-/// [`dynex_cache::batch_triple`]: one fused pass over one decoded stream.
-/// Under [`Kernel::Sweep`] the point runs as a degenerate one-config sweep
-/// through [`dynex_cache::batch_sweep`]. Under [`Kernel::Reference`] each
-/// policy runs its spec simulator. All produce bit-identical [`Triple`]s,
-/// so journal keys and resumed sweeps are kernel-agnostic.
+/// On the fast path ([`Kernel::Batch`] or [`Kernel::Sweep`]) the three
+/// policies run as one three-point [`dynex_cache::batch_sweep`]: one fused
+/// pass over one decoded stream. Under [`Kernel::Reference`] each policy
+/// runs its spec simulator. Both produce bit-identical [`Triple`]s, so
+/// journal keys and resumed sweeps are kernel-agnostic.
 pub fn run_triple(kernel: Kernel, config: CacheConfig, addrs: &[u32]) -> Triple {
     match kernel {
-        Kernel::Batch => {
-            let fused = batch_triple(config, addrs);
-            Triple {
-                dm: fused.dm,
-                de: fused.de.stats,
-                opt: fused.opt,
-            }
-        }
-        Kernel::Sweep => run_triples_sweep(&[config], addrs)
+        Kernel::Batch | Kernel::Sweep => run_triples_sweep(&[config], addrs)
             .pop()
             .expect("one config in, one triple out"),
         Kernel::Reference => {
@@ -1225,8 +1214,8 @@ pub fn run_triple(kernel: Kernel, config: CacheConfig, addrs: &[u32]) -> Triple 
 }
 
 /// Runs the DM/DE/OPT triple for *many* configurations over one shared
-/// trace in a single [`dynex_cache::batch_sweep`] traversal: the sweep
-/// kernel's plan-level entry point.
+/// trace in a single [`dynex_cache::batch_sweep`] traversal: the fast
+/// path's plan-level entry point.
 ///
 /// Bit-identical per configuration to [`run_triple`] with any kernel; the
 /// whole vector costs one decode per distinct line size, one next-use
@@ -1300,13 +1289,13 @@ fn journaled_triples(
 
     let missing: Vec<usize> = (0..points.len()).filter(|&i| slots[i].is_none()).collect();
     let todo: Vec<(CacheConfig, &[u32])> = missing.iter().map(|&i| points[i]).collect();
-    // Under `--kernel sweep` the plain-triple sweep takes the one-pass fast
-    // path: every missing point sharing a trace runs in a single
-    // `batch_sweep` traversal. The journal keys above are computed per point
-    // and are kernel-agnostic, so `--resume` replays byte-identically no
-    // matter which kernel recorded a point. (The last-line tag has no sweep
-    // specialization and always runs per point.)
-    let fresh = if tag == "triple/v1" && default_kernel() == Kernel::Sweep {
+    // On the fast path the plain-triple sweep runs one pass per trace: every
+    // missing point sharing a trace rides a single `batch_sweep` traversal.
+    // The reference kernel runs per point. The journal keys above are
+    // computed per point and are kernel-agnostic, so `--resume` replays
+    // byte-identically no matter which kernel recorded a point. (The
+    // last-line tag has no sweep specialization and always runs per point.)
+    let fresh = if tag == "triple/v1" && default_kernel() != Kernel::Reference {
         sweep_grouped(&todo)
     } else {
         pool_execute(&todo, default_jobs(), |&(config, addrs)| f(config, addrs))
@@ -1330,7 +1319,7 @@ fn journaled_triples(
         .collect()
 }
 
-/// One-pass execution of missing sweep points under [`Kernel::Sweep`]:
+/// One-pass execution of missing sweep points on the fast path:
 /// points sharing a trace are grouped and each group runs as one
 /// [`dynex_cache::batch_sweep`] traversal on the pool. Point order is
 /// preserved, so the output is bit-identical to per-point execution for
@@ -1834,11 +1823,16 @@ mod tests {
             (large, &addrs),
             (large, &other),
         ];
-        let batch = sweep_triples(&points);
+        dynex_engine::set_default_kernel(Kernel::Reference);
+        let per_point = sweep_triples(&points);
         dynex_engine::set_default_kernel(Kernel::Sweep);
         let swept = sweep_triples(&points);
         dynex_engine::set_default_kernel(Kernel::Batch);
-        assert_eq!(swept, batch, "grouped sweep is bit-identical to batch");
+        assert_eq!(
+            swept, per_point,
+            "grouped sweep is bit-identical to per-point reference runs"
+        );
+        assert_eq!(sweep_triples(&points), per_point, "batch groups too");
     }
 
     #[test]

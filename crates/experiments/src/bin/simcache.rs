@@ -14,23 +14,22 @@
 //! the magic), simulates, and prints hit/miss statistics.
 //!
 //! `--policy` selects a member of the replacement-policy zoo (`--org` is
-//! the legacy alias). `--kernel` selects between the reference simulators,
-//! the batch kernels, and the one-pass multi-configuration sweep kernel for
-//! the `dm`, `de`, and `opt` policies (default `batch`). Each policy
-//! declares its per-kernel support: `ehc` and `bwcost` run under
-//! `reference` and `batch` but reject `sweep` with a structured error, and
-//! the last-line variants and the `2way`/`4way`/`victim`/`stream`
-//! organizations always run their reference simulators.
-//! All supported combinations produce bit-identical
+//! the legacy alias). `--kernel` selects between the reference simulators
+//! and the fast path, which `batch` and `sweep` both name (default
+//! `batch`): `dm`, `de` and `opt` run as a one-point `batch_sweep`, `ehc`
+//! and `bwcost` run their chunked kernels, and the last-line variants and
+//! the `2way`/`4way`/`victim`/`stream` organizations always run their
+//! reference simulators. Every policy runs on every kernel, and all
+//! combinations produce bit-identical
 //! statistics, exclusion counters, and observability output — including
 //! under `--resume` (journal keys do not encode the kernel, so a run
 //! checkpointed under one kernel replays under any other).
 //!
 //! `--sweep 1K,2K,4K,...` simulates the full dm/de/opt triple at *every*
 //! listed size in one session (duplicate sizes are allowed and keep
-//! independent state). Under `--kernel sweep` the whole list rides a single
-//! trace traversal via `batch_sweep`; under `reference`/`batch` each size
-//! runs point-by-point. Stdout (one line per size, in list order) is
+//! independent state). On the fast path the whole list rides a single
+//! trace traversal via `batch_sweep`; under `reference` each size runs
+//! point-by-point. Stdout (one line per size, in list order) is
 //! byte-identical across kernels; stderr reports aggregate throughput where
 //! one "reference" is one trace reference carried through one size's triple
 //! — this is the N-configuration scaling probe `scripts/bench.sh` uses.
@@ -63,9 +62,8 @@ use std::process::ExitCode;
 use dynex::DeStats;
 use dynex::{DeCache, LastLineDeCache, PerfectStore};
 use dynex_cache::{
-    batch_de_probed, batch_dm_probed, batch_sweep_probed, run_addrs, CacheConfig, CacheSim,
-    CacheStats, DirectMapped, Kernel, Replacement, SetAssociative, StreamBuffer, SweepPoint,
-    SweepPolicy, VictimCache,
+    batch_sweep_probed, run_addrs, CacheConfig, CacheSim, CacheStats, DirectMapped, Kernel,
+    Replacement, SetAssociative, StreamBuffer, SweepPoint, VictimCache,
 };
 use dynex_engine::{default_kernel, PolicyKind};
 use dynex_experiments::api::{self, parse_size, SimulationRequest};
@@ -154,41 +152,6 @@ fn simulate_probed(
     obs: &ObsConfig,
 ) -> (CacheStats, Option<DeStats>, Collector, EventLog) {
     match (kernel, policy) {
-        (Kernel::Batch, PolicyKind::DirectMapped) => {
-            let mut probe = obs.probe();
-            let stats = batch_dm_probed(config, addrs, &mut probe);
-            let (collector, log) = probe;
-            (stats, None, collector, log)
-        }
-        (Kernel::Batch, PolicyKind::DynamicExclusion) => {
-            let mut probe = obs.probe();
-            let result = batch_de_probed(config, addrs, &mut probe);
-            let (collector, log) = probe;
-            let de_stats = DeStats {
-                loads: result.loads,
-                bypasses: result.bypasses,
-            };
-            (result.stats, Some(de_stats), collector, log)
-        }
-        (Kernel::Sweep, PolicyKind::DirectMapped) => {
-            let mut probes = [obs.probe()];
-            let point = SweepPoint::new(config, SweepPolicy::DirectMapped);
-            let results = batch_sweep_probed(&[point], addrs, &mut probes);
-            let [(collector, log)] = probes;
-            (results[0].stats(), None, collector, log)
-        }
-        (Kernel::Sweep, PolicyKind::DynamicExclusion) => {
-            let mut probes = [obs.probe()];
-            let point = SweepPoint::new(config, SweepPolicy::DynamicExclusion);
-            let results = batch_sweep_probed(&[point], addrs, &mut probes);
-            let [(collector, log)] = probes;
-            let result = results[0].de().expect("DE sweep point yields DE result");
-            let de_stats = DeStats {
-                loads: result.loads,
-                bypasses: result.bypasses,
-            };
-            (result.stats, Some(de_stats), collector, log)
-        }
         (Kernel::Reference, PolicyKind::DirectMapped) => {
             let mut cache = DirectMapped::with_probe(config, obs.probe());
             let stats = run_addrs(&mut cache, addrs.iter().copied());
@@ -202,14 +165,28 @@ fn simulate_probed(
             let (collector, log) = cache.into_probe();
             (stats, Some(de_stats), collector, log)
         }
+        (_, PolicyKind::DirectMapped | PolicyKind::DynamicExclusion) => {
+            let mut probes = [obs.probe()];
+            let point = SweepPoint::new(
+                config,
+                policy.sweep_policy().expect("dm and de are sweep policies"),
+            );
+            let result = batch_sweep_probed(&[point], addrs, &mut probes)[0];
+            let [(collector, log)] = probes;
+            let de_stats = result.de().map(|r| DeStats {
+                loads: r.loads,
+                bypasses: r.bypasses,
+            });
+            (result.stats(), de_stats, collector, log)
+        }
         (_, other) => unreachable!("{} has no probed dm/de hot path", other.name()),
     }
 }
 
 /// `--sweep`: simulate the dm/de/opt triple at every listed size in one
-/// session. Under [`Kernel::Sweep`] the whole list shares a single trace
-/// traversal ([`api::run_triples_sweep`]); under the other kernels each size
-/// runs point-by-point. Stdout is byte-identical across kernels; the stderr
+/// session. On the fast path the whole list shares a single trace traversal
+/// ([`api::run_triples_sweep`]); under [`Kernel::Reference`] each size runs
+/// point-by-point. Stdout is byte-identical across kernels; the stderr
 /// `sim:` line counts one reference per trace reference per size, so its
 /// refs/s figure measures N-configuration throughput (`scripts/bench.sh`
 /// parses it).
@@ -230,11 +207,11 @@ fn run_size_sweep(
     }
     let started = std::time::Instant::now();
     let triples: Vec<Triple> = match default_kernel() {
-        Kernel::Sweep => api::run_triples_sweep(&configs, &loaded.addrs),
-        kernel => configs
+        Kernel::Reference => configs
             .iter()
-            .map(|&config| api::run_triple(kernel, config, &loaded.addrs))
+            .map(|&config| api::run_triple(Kernel::Reference, config, &loaded.addrs))
             .collect(),
+        _ => api::run_triples_sweep(&configs, &loaded.addrs),
     };
     let seconds = started.elapsed().as_secs_f64();
     let refs = loaded.addrs.len() as u64 * configs.len() as u64;

@@ -16,11 +16,11 @@
 //!   where DE's exclusion bypass wins.
 //!
 //! Both figures dispatch through [`PolicyKind`], so they exercise the same
-//! capability-checked path the serve tier uses; the goldens under
-//! `results/golden/` pin the bytes under the differential wall.
+//! path the serve tier uses; the goldens under `results/golden/` pin the
+//! bytes under the differential wall.
 
 use dynex_cache::{simulate_policy, CacheConfig, CacheStats, DePolicy, DmPolicy};
-use dynex_engine::{default_kernel, Kernel, KernelSupport, PolicyKind};
+use dynex_engine::PolicyKind;
 
 use crate::runner::{bench_means, per_benchmark, reduction};
 use crate::{Table, Workloads};
@@ -29,17 +29,10 @@ use crate::{Table, Workloads};
 /// dominate and the policies separate, up to the paper's headline 32KB.
 const ZOO_SIZES_KB: [u32; 6] = [1, 2, 4, 8, 16, 32];
 
-/// Runs one zoo policy on the session's default kernel, falling back to the
-/// reference kernel for declared-unsupported combinations (the sweep kernel
-/// has no EHC/bwcost fast path). Never a silent gap: anything else is a bug
-/// in the capability matrix and panics loudly.
+/// Runs one zoo policy on the session's default kernel.
 fn zoo_stats(kind: PolicyKind, config: CacheConfig, addrs: &[u32]) -> CacheStats {
-    let kernel = match kind.kernel_support(default_kernel()) {
-        KernelSupport::Unsupported => Kernel::Reference,
-        _ => default_kernel(),
-    };
-    kind.simulate_kernel(kernel, config, addrs)
-        .expect("capability-checked kernel selection cannot fail")
+    kind.simulate(config, addrs)
+        .expect("every kernel runs every policy")
 }
 
 /// Expected-Hit-Count comparison (b=4B lines): average I-stream miss rates

@@ -10,12 +10,11 @@
 //! the `DYNEX_REFS` environment variable); `--jobs` sets the worker count
 //! for the sweep engine (default: the `DYNEX_JOBS` environment variable, or
 //! all available cores — results are bit-identical for any value);
-//! `--kernel` selects the reference simulators, the fused batch kernel, or
-//! the one-pass multi-configuration sweep kernel — under `sweep`, every
-//! journaled figure sweep groups its points by trace and carries each group
-//! through a single traversal (default `batch`; output is bit-identical for
-//! any choice); `--out`
-//! writes one CSV per experiment into the directory; `--resume` checkpoints
+//! `--kernel` selects the reference simulators or the fast path, which
+//! `batch` and `sweep` both name — on the fast path every journaled figure
+//! sweep groups its points by trace and carries each group through a single
+//! traversal (default `batch`; output is bit-identical for any choice);
+//! `--out` writes one CSV per experiment into the directory; `--resume` checkpoints
 //! every completed sweep point into an append-only journal and replays it on
 //! the next run, so an interrupted sweep picks up where it left off and
 //! produces byte-identical output. Ids: see `experiments list`.
@@ -106,8 +105,8 @@ fn print_help() {
          [--resume FILE] [--trace-out FILE] <id>... | all | list"
     );
     println!();
-    println!("  --kernel K     simulation kernel (default batch); both kernels produce");
-    println!("                 bit-identical results, batch is the fast fused path");
+    println!("  --kernel K     simulation kernel (default batch); all three kernels produce");
+    println!("                 bit-identical results, batch and sweep both name the fast path");
     println!("  --resume FILE  checkpoint completed sweep points into FILE (JSONL)");
     println!("                 and replay them on the next run with the same FILE");
     println!("  --trace-out FILE  stream closed tracing spans into FILE (JSONL)");

@@ -23,12 +23,15 @@
 #   pr6  tracing overhead: the fused batch kernel with tracing off vs a full
 #        --trace-out span stream on the same trace (outputs diffed for
 #        bit-identity), plus the span_report.sh self-profile of the stream
-#   pr9  sweep kernel: the one-pass multi-configuration sweep vs per-point
-#        batch kernels on fig5 and the full figure set, plus refs/s scaling
-#        at N = 1/4/16/64 simultaneous configs via `simcache --sweep`
-#   pr10 policy zoo: reference vs batch refs-per-second for every policy the
-#        capability matrix specializes on both kernels (dm/de/opt plus the
-#        ehc and bwcost zoo members), outputs diffed for bit-identity
+#   pr9  sweep kernel: fig5 and the full figure set under reference, batch
+#        and sweep, plus refs/s scaling at N = 1/4/16/64 simultaneous configs
+#        via `simcache --sweep`. Batch and sweep now name one code path (the
+#        one-pass multi-configuration kernel), so their rows should agree;
+#        the section records that they do
+#   pr10 policy zoo: reference vs batch refs-per-second for every policy
+#        with a fast kernel (dm/de/opt plus the ehc and bwcost zoo members),
+#        outputs diffed for bit-identity, and ehc on the sweep kernel diffed
+#        against reference
 #
 # Every timed pair also diffs its outputs: the benchmarks double as
 # determinism/bit-identity checks, so a silent divergence fails the script.
@@ -268,8 +271,8 @@ run_figures() {
 }
 
 # run_sweep KERNEL SIZES TAG: one `simcache --sweep` run at jobs=1 — N
-# dm/de/opt triples over SIZES in whatever pass structure KERNEL uses (the
-# sweep kernel rides one traversal; the batch kernel runs per point). Sets
+# dm/de/opt triples over SIZES (both fast kernel names ride one traversal;
+# reference runs per point). Sets
 # SWEEP_SECS and SWEEP_RATE like run_kernel, from the same stderr `sim:` line
 # (refs there = trace length x N configs, so the rate is cross-N comparable).
 run_sweep() {
@@ -287,7 +290,7 @@ bench_pr9() {
     local out="$OUT_DIR/BENCH_PR9.json"
     gcc_trace
 
-    echo "==> [pr9] figure sweep (fig5, $SWEEP_REFS refs, jobs=1): reference vs batch triple vs one-pass sweep"
+    echo "==> [pr9] figure sweep (fig5, $SWEEP_REFS refs, jobs=1): reference vs batch vs sweep"
     run_figures reference fig5 "pr9-fig5-ref";   local fig5_sr=$FIG_SECS
     run_figures batch     fig5 "pr9-fig5-batch"; local fig5_sb=$FIG_SECS
     run_figures sweep     fig5 "pr9-fig5-sweep"; local fig5_ss=$FIG_SECS
@@ -297,7 +300,7 @@ bench_pr9() {
     diff "$TMP/pr9-fig5-batch.txt" "$TMP/pr9-fig5-sweep.txt" >/dev/null \
         || { echo "bench: fig5 output differs between batch and sweep kernels" >&2; exit 1; }
 
-    echo "==> [pr9] full figure set ($SWEEP_REFS refs, jobs=1): batch triple vs one-pass sweep"
+    echo "==> [pr9] full figure set ($SWEEP_REFS refs, jobs=1): batch vs sweep"
     run_figures batch all "pr9-all-batch"; local all_sb=$FIG_SECS
     run_figures sweep all "pr9-all-sweep"; local all_ss=$FIG_SECS
     diff "$TMP/pr9-all-batch.txt" "$TMP/pr9-all-sweep.txt" >/dev/null \
@@ -346,17 +349,17 @@ bench_pr9() {
     "experiment": "fig5",
     "refs_per_benchmark": $SWEEP_REFS,
     "seconds_reference": $fig5_sr,
-    "seconds_batch_triple": $fig5_sb,
+    "seconds_batch": $fig5_sb,
     "seconds_sweep": $fig5_ss,
     "speedup_vs_reference": $(ratio "$fig5_sr" "$fig5_ss"),
-    "speedup_vs_batch_triple": $(ratio "$fig5_sb" "$fig5_ss")
+    "speedup_vs_batch": $(ratio "$fig5_sb" "$fig5_ss")
   },
   "figure_set": {
     "experiment": "all",
     "refs_per_benchmark": $SWEEP_REFS,
-    "seconds_batch_triple": $all_sb,
+    "seconds_batch": $all_sb,
     "seconds_sweep": $all_ss,
-    "speedup_vs_batch_triple": $(ratio "$all_sb" "$all_ss")
+    "speedup_vs_batch": $(ratio "$all_sb" "$all_ss")
   },
   "n_config_scaling": {
     "trace": "gcc",
@@ -371,8 +374,8 @@ EOF
 }
 
 # ---------------------------------------------------------------------------
-# pr10: policy zoo (reference vs batch refs/s for every batch-specialized
-# policy, bit-identity enforced per policy)
+# pr10: policy zoo (reference vs batch refs/s for every policy with a fast
+# kernel, bit-identity enforced per policy)
 # ---------------------------------------------------------------------------
 bench_pr10() {
     local out="$OUT_DIR/BENCH_PR10.json"
@@ -382,9 +385,8 @@ bench_pr10() {
     # trace pays the page-cache fill.
     "$SIMCACHE" "$GCC_TRACE" --size 32K --policy dm --kernel batch --jobs 1 >/dev/null 2>&1
 
-    # Every policy with a batch specialization in the capability matrix; the
-    # sweep kernel deliberately has no ehc/bwcost support, so the zoo rows
-    # compare the two kernels that do.
+    # Every policy with a fast kernel of its own (the others run their
+    # reference simulators on every kernel).
     local policies_json=""
     local policy sr sb rr rb
     for policy in dm de opt ehc bwcost; do
@@ -407,15 +409,12 @@ bench_pr10() {
     }"
     done
 
-    # The declared-unsupported combination must fail loudly, not fall back:
-    # a capability error naming the supported kernels, and a non-zero exit.
-    echo "==> [pr10] capability wall: ehc on the sweep kernel must refuse"
-    if "$SIMCACHE" "$GCC_TRACE" --size 32K --policy ehc --kernel sweep --jobs 1 \
-        >/dev/null 2>"$TMP/pr10-ehc-sweep.err"; then
-        echo "bench: ehc on the sweep kernel should have failed" >&2; exit 1
-    fi
-    grep -q "supported kernels" "$TMP/pr10-ehc-sweep.err" \
-        || { echo "bench: ehc sweep refusal is not the capability error: $(cat "$TMP/pr10-ehc-sweep.err")" >&2; exit 1; }
+    # Every kernel runs every policy: ehc on the sweep kernel must print
+    # exactly what the reference kernel prints.
+    echo "==> [pr10] ehc on the sweep kernel vs reference"
+    run_kernel ehc sweep "pr10-ehc-sweep"
+    diff "$TMP/pr10-ehc-ref.txt" "$TMP/pr10-ehc-sweep.txt" >/dev/null \
+        || { echo "bench: ehc output differs between the sweep and reference kernels" >&2; exit 1; }
 
     cat >"$out" <<JSONEOF
 {
@@ -428,9 +427,9 @@ bench_pr10() {
     "policies": {$policies_json
     }
   },
-  "capability_wall": {
+  "ehc_on_sweep": {
     "combo": "ehc x sweep kernel",
-    "refused_with_capability_error": true
+    "identical_to_reference": true
   }
 }
 JSONEOF

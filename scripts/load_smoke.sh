@@ -44,7 +44,7 @@ boot_serve "$serve_bin" "$log" --port 0 --shards 2 --batch-window-ms 0 \
 # 1-core box stays ahead of the schedule, duplicate-heavy so the result
 # caches see hits, no deadlines so nothing can legitimately 504. The mix
 # spreads over the full policy zoo: the paper's dm/de/opt plus the PR-10
-# ehc and bwcost members, so the smoke exercises the capability-checked
+# ehc and bwcost members, so the smoke exercises the one policy
 # dispatch path for every policy the serve tier accepts.
 "$load_bin" --target "127.0.0.1:$serve_port" \
     --rate 40 --duration-s 5 --senders 4 \

@@ -1,13 +1,15 @@
 //! The differential-testing wall for the fast simulation kernels.
 //!
-//! The `--kernel batch` and `--kernel sweep` fast paths are only admissible
-//! because they are **bit-identical** to the reference simulators. This
-//! suite holds that line as a three-way Reference × Batch × Sweep matrix
-//! along every axis the drivers expose:
+//! The fast path (`--kernel batch` and `--kernel sweep` both name it) is
+//! only admissible because it is **bit-identical** to the reference
+//! simulators. This suite holds that line as a three-way Reference × Batch
+//! × Sweep matrix along every axis the drivers expose:
 //!
 //! * `CacheStats` (and DE load/bypass counters) for every built-in workload
 //!   profile across a grid of cache sizes and line sizes,
 //! * the fused dm+de+opt triple against three separate reference runs,
+//! * a sweep mixing line sizes, decoded chunk by chunk up to a partial last
+//!   chunk,
 //! * probe event streams and interval-series CSV bytes,
 //! * figure CSV output with the kernel and worker count flipped through the
 //!   session globals, at `--jobs 1` and `--jobs 4`,
@@ -27,11 +29,11 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use dynex::{DeCache, OptimalDirectMapped};
 use dynex_cache::{
-    batch_de, batch_de_probed, batch_ehc, batch_opt, batch_sweep, batch_triple, decode_addrs,
-    run_addrs, simulate_policy, CacheConfig, EhcPolicy, Kernel, KindFilter, SplitMix64, SweepPoint,
-    SweepPointResult, SweepPolicy, CHUNK_LEN,
+    batch_ehc, batch_sweep, batch_sweep_probed, decode_addrs, run_addrs, simulate_policy,
+    BatchDeResult, CacheConfig, DirectMapped, EhcPolicy, Kernel, KindFilter, SplitMix64,
+    SweepPoint, SweepPointResult, SweepPolicy, CHUNK_LEN,
 };
-use dynex_engine::{execute, set_default_jobs, set_default_kernel, KernelSupport, PolicyKind};
+use dynex_engine::{execute, set_default_jobs, set_default_kernel, PolicyKind};
 use dynex_experiments::api::{self, run_triple, SimulationRequest};
 use dynex_experiments::{figures, Workloads};
 use dynex_obs::{export, Collector, EventLog};
@@ -56,6 +58,14 @@ fn lock_globals() -> MutexGuard<'static, ()> {
 
 const SIZES: [u32; 3] = [1024, 8 * 1024, 32 * 1024];
 const LINES: [u32; 2] = [4, 16];
+
+/// The fast kernel's DE point at `config`, swept alone.
+fn de_alone(config: CacheConfig, addrs: &[u32]) -> BatchDeResult {
+    let point = SweepPoint::new(config, SweepPolicy::DynamicExclusion);
+    batch_sweep(&[point], addrs)[0]
+        .de()
+        .expect("a DE point reports DE counters")
+}
 
 /// Every workload profile × size × line × policy: batch == reference, and
 /// the fused triple == three reference runs. This is the acceptance-criteria
@@ -122,16 +132,16 @@ fn de_exclusion_counters_agree_across_kernels() {
         let addrs = workloads.instr_addrs(name);
         let mut reference = DeCache::new(config);
         let ref_stats = run_addrs(&mut reference, addrs.iter().copied());
-        let batch = batch_de(config, &addrs);
+        let batch = de_alone(config, &addrs);
         assert_eq!(batch.stats, ref_stats, "{name}");
         assert_eq!(batch.loads, reference.de_stats().loads, "{name}");
         assert_eq!(batch.bypasses, reference.de_stats().bypasses, "{name}");
     }
 }
 
-/// Probe parity: the batch DE kernel must emit the reference cache's exact
-/// event stream, and the interval series built from it must serialize to the
-/// same CSV bytes.
+/// Probe parity: the fast kernel's DE point must emit the reference
+/// cache's exact event stream, and the interval series built from it must
+/// serialize to the same CSV bytes.
 #[test]
 fn probe_events_and_interval_csv_are_byte_identical() {
     let workloads = workloads();
@@ -144,11 +154,12 @@ fn probe_events_and_interval_csv_are_byte_identical() {
     let ref_stats = run_addrs(&mut reference, addrs.iter().copied());
     let (ref_collector, ref_log) = reference.into_probe();
 
-    let mut probe = (Collector::new(WINDOW), EventLog::new());
-    let batch = batch_de_probed(config, &addrs, &mut probe);
-    let (batch_collector, batch_log) = probe;
+    let mut probes = [(Collector::new(WINDOW), EventLog::new())];
+    let point = SweepPoint::new(config, SweepPolicy::DynamicExclusion);
+    let batch = batch_sweep_probed(&[point], &addrs, &mut probes)[0];
+    let [(batch_collector, batch_log)] = probes;
 
-    assert_eq!(batch.stats, ref_stats);
+    assert_eq!(batch.stats(), ref_stats);
     let ref_events = ref_log.into_events();
     let batch_events = batch_log.into_events();
     assert_eq!(batch_events.len(), ref_events.len());
@@ -381,12 +392,81 @@ fn decode_edge_cases_agree_across_all_kernels() {
     }
 }
 
+/// A sweep mixing 4-byte and 16-byte lines, with dm, de and opt at each
+/// line size, over a trace whose length is not a multiple of `CHUNK_LEN`:
+/// every line size is decoded chunk by chunk, the partial last chunk
+/// included, and each point must reproduce its reference simulator —
+/// statistics, DE counters and probe event stream.
+#[test]
+fn mixed_line_size_sweep_matches_reference_at_a_partial_last_chunk() {
+    let addrs: Vec<u32> = AppParams::new(11)
+        .build()
+        .trace(3 * CHUNK_LEN + 1_234)
+        .iter()
+        .map(|a| a.addr())
+        .collect();
+    assert!(addrs.len() > CHUNK_LEN && !addrs.len().is_multiple_of(CHUNK_LEN));
+
+    // Line sizes interleaved, so the points of one line size are not
+    // adjacent in the plan.
+    let mut points = Vec::new();
+    for (size, line) in [(1024, 4), (2048, 16), (8 * 1024, 4), (8 * 1024, 16)] {
+        let config = CacheConfig::direct_mapped(size, line).unwrap();
+        for policy in [
+            SweepPolicy::DirectMapped,
+            SweepPolicy::DynamicExclusion,
+            SweepPolicy::Optimal,
+        ] {
+            points.push(SweepPoint::new(config, policy));
+        }
+    }
+    let mut logs: Vec<EventLog> = points.iter().map(|_| EventLog::new()).collect();
+    let swept = batch_sweep_probed(&points, &addrs, &mut logs);
+
+    for ((point, got), log) in points.iter().zip(&swept).zip(&logs) {
+        let config = point.config;
+        let what = format!("{} @ {config}", point.policy.name());
+        let refs = addrs.iter().copied();
+        let (expected, ref_events) = match point.policy {
+            SweepPolicy::DirectMapped => {
+                let mut cache = DirectMapped::with_probe(config, EventLog::new());
+                let stats = run_addrs(&mut cache, refs);
+                (
+                    SweepPointResult::Dm(stats),
+                    cache.into_probe().into_events(),
+                )
+            }
+            SweepPolicy::DynamicExclusion => {
+                let mut cache = DeCache::with_probe(config, EventLog::new());
+                let stats = run_addrs(&mut cache, refs);
+                let de = cache.de_stats();
+                let result = BatchDeResult {
+                    stats,
+                    loads: de.loads,
+                    bypasses: de.bypasses,
+                };
+                (
+                    SweepPointResult::De(result),
+                    cache.into_probe().into_events(),
+                )
+            }
+            SweepPolicy::Optimal => (
+                SweepPointResult::Opt(OptimalDirectMapped::simulate(config, refs)),
+                Vec::new(),
+            ),
+        };
+        assert_eq!(*got, expected, "{what}");
+        assert_eq!(log.events(), &ref_events[..], "{what}");
+    }
+}
+
 /// The whole-trace oracles on a sparse line space: a phased-application
 /// trace whose stack sits near `0x7fff_f000`, so at 4-byte lines its line
 /// addresses reach past 2^26 while it touches only a few thousand lines.
-/// Every fast opt path (single kernel, fused triple, the sweep's oracle
-/// shared per line size) must equal the reference `OptimalDirectMapped`,
-/// and the EHC batch kernel must equal its trait-driven reference.
+/// Every fast opt path (the point swept alone, inside the fused triple, and
+/// inside a sweep sharing the oracle per line size) must equal the
+/// reference `OptimalDirectMapped`, and the EHC batch kernel must equal its
+/// trait-driven reference.
 #[test]
 fn oracles_agree_on_a_sparse_address_space() {
     let addrs: Vec<u32> = AppParams::new(7)
@@ -412,9 +492,10 @@ fn oracles_agree_on_a_sparse_address_space() {
     let swept = batch_sweep(&points, &addrs);
     for (&config, swept) in configs.iter().zip(&swept) {
         let reference = OptimalDirectMapped::simulate(config, addrs.iter().copied());
-        assert_eq!(batch_opt(config, &addrs), reference, "batch opt @ {config}");
+        let alone = batch_sweep(&[SweepPoint::new(config, SweepPolicy::Optimal)], &addrs);
+        assert_eq!(alone[0].stats(), reference, "batch opt @ {config}");
         assert_eq!(
-            batch_triple(config, &addrs).opt,
+            run_triple(Kernel::Batch, config, &addrs).opt,
             reference,
             "triple opt @ {config}"
         );
@@ -457,7 +538,7 @@ fn all_filtering_kind_filter_agrees_across_kernels() {
     }
 }
 
-/// The fused triple agrees with three independent batch runs on data
+/// The fused triple agrees with three independent reference runs on data
 /// streams too (the instruction/data split is a different reference mix).
 #[test]
 fn fused_triple_matches_on_data_streams() {
@@ -466,14 +547,9 @@ fn fused_triple_matches_on_data_streams() {
     let config = CacheConfig::direct_mapped(8 * 1024, 4).unwrap();
     for name in &names {
         let addrs = workloads.data_addrs(name);
-        let fused = batch_triple(config, &addrs);
         assert_eq!(
             run_triple(Kernel::Reference, config, &addrs),
-            dynex_experiments::Triple {
-                dm: fused.dm,
-                de: fused.de.stats,
-                opt: fused.opt,
-            },
+            run_triple(Kernel::Batch, config, &addrs),
             "{name}"
         );
     }
@@ -481,10 +557,8 @@ fn fused_triple_matches_on_data_streams() {
 
 /// The policy-matrix leg of the wall: every member of the policy zoo, at
 /// its own geometry, answers the full request path (`api::execute`: label,
-/// statistics, DE counters, content key) bit-identically on every kernel
-/// that declares support for it, and every declared-unsupported
-/// combination fails with the structured capability error (never a silent
-/// fallback). The coalesced `execute_many` path answers the sweepable
+/// statistics, DE counters, content key) bit-identically on every kernel.
+/// The coalesced `execute_many` path answers the sweepable
 /// members exactly as per-request `execute` does. This is the CI
 /// policy-matrix job's anchor test.
 #[test]
@@ -520,23 +594,12 @@ fn policy_matrix_is_bit_identical_on_every_supporting_kernel() {
                 );
                 for kernel in [Kernel::Batch, Kernel::Sweep] {
                     let result = api::execute(&request(policy, kernel), &trace);
-                    match policy.kernel_support(kernel) {
-                        KernelSupport::Unsupported => {
-                            let message = result
-                                .expect_err("declared-unsupported combos must error")
-                                .to_string();
-                            assert!(message.contains(policy.name()), "{name}: {message}");
-                            assert!(message.contains("reference"), "{name}: {message}");
-                        }
-                        KernelSupport::Specialized | KernelSupport::ReferenceFallback => {
-                            assert_eq!(
-                                result.unwrap(),
-                                reference,
-                                "{name}: {} @ {size} kernel={kernel}",
-                                policy.name()
-                            );
-                        }
-                    }
+                    assert_eq!(
+                        result.unwrap(),
+                        reference,
+                        "{name}: {} @ {size} kernel={kernel}",
+                        policy.name()
+                    );
                 }
             }
             let sweepable: Vec<SimulationRequest> = PolicyKind::ALL

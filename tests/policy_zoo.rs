@@ -6,9 +6,10 @@
 //!   byte-identically: same content keys, same labels, same statistics.
 //! * The `ehc` content key is pinned to an exact string, so a request
 //!   journaled today replays in every future session.
-//! * Unknown policies and declared-unsupported kernel/policy combinations
-//!   fail with loud structured errors that name the supported set — never a
-//!   panic, never a silent fallback.
+//! * Unknown policies fail with a loud structured error that names the
+//!   supported set — never a panic, never a silent fallback.
+//! * Every policy runs on every kernel: `ehc` and `bwcost` on the sweep
+//!   kernel answer exactly as on the reference kernel.
 //! * The wire format round-trips through the new `policy` field and still
 //!   accepts the legacy `org` spelling.
 //! * Every `PolicyKind` member is requestable, `opt-lastline` included.
@@ -127,27 +128,28 @@ fn unknown_policy_is_a_loud_structured_error() {
 }
 
 #[test]
-fn unsupported_kernel_combo_is_a_loud_structured_error() {
-    // ehc and bwcost declare no sweep-kernel support; requesting the combo
-    // through the full request API must fail with the capability error that
-    // names the kernels that *do* work — never a panic or a silent
-    // reference fallback.
+fn ehc_and_bwcost_on_sweep_match_reference() {
+    // The sweep kernel is the fast path, which runs ehc and bwcost through
+    // their chunked kernels: through the full request API the response
+    // (label, statistics, content key) equals the reference kernel's.
     for policy in ["ehc", "bwcost"] {
-        let mut b = SimulationRequest::builder();
-        b.policy(policy)
-            .size("1K")
-            .line(4)
-            .profile("gcc")
-            .refs(5_000)
-            .jobs(1)
-            .kernel("sweep");
-        let request = b.build().unwrap();
-        let err = api::run(&request).expect_err("sweep kernel has no ehc/bwcost path");
-        let message = err.to_string();
-        assert!(message.contains(policy), "{message}");
-        assert!(message.contains("sweep"), "{message}");
-        assert!(message.contains("reference"), "{message}");
-        assert!(message.contains("batch"), "{message}");
+        let request = |kernel: &str| {
+            let mut b = SimulationRequest::builder();
+            b.policy(policy)
+                .size("1K")
+                .line(4)
+                .profile("gcc")
+                .refs(5_000)
+                .jobs(1)
+                .kernel(kernel);
+            b.build().unwrap()
+        };
+        let swept = api::run(&request("sweep")).expect("sweep runs every policy");
+        let reference = api::run(&request("reference")).expect("reference runs every policy");
+        assert!(!swept.cached, "{policy}: simulated, not replayed");
+        assert_eq!(swept, reference, "{policy}");
+        assert_eq!(swept.to_json(), reference.to_json(), "{policy}");
+        assert_eq!(swept.stats.probes(), 5_000, "{policy}");
     }
 }
 

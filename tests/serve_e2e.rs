@@ -12,7 +12,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use dynex_experiments::api::{SimulationRequest, SimulationResponse};
+use dynex_experiments::api::{self, SimulationRequest, SimulationResponse};
 use dynex_serve::{ServeConfig, Server};
 
 /// Sends one `Connection: close` HTTP request, returns `(status, body)`.
@@ -673,18 +673,28 @@ fn policy_zoo_requests_flow_through_the_service() {
     assert_eq!(bw.label, "bandwidth-aware direct-mapped");
     assert!(bw.stats.misses() <= ehc.stats.misses() || bw.stats.misses() > 0);
 
-    // A declared-unsupported kernel/policy combo is a loud structured
-    // failure naming the supported kernels — never a silent fallback. (A
-    // fresh geometry: content keys are kernel-independent, so reusing the
-    // 1K point above would legitimately answer from the result cache.)
+    // ehc on the sweep kernel answers exactly as on the reference kernel.
+    // (A fresh geometry: content keys are kernel-independent, so reusing
+    // the 1K point above would legitimately answer from the result cache.)
     let (status, body) = post_simulate(
         addr,
         r#"{"policy":"ehc","kernel":"sweep","size":"2K","line":4,"trace":{"source":"profile","profile":"espresso"},"refs":50000}"#,
     );
-    assert_eq!(status, 500, "{body}");
-    assert!(body.contains("ehc"), "{body}");
-    assert!(body.contains("reference"), "{body}");
-    assert!(body.contains("batch"), "{body}");
+    assert_eq!(status, 200, "{body}");
+    let swept = SimulationResponse::from_json(&body).expect("response JSON");
+    assert!(!swept.cached, "the first 2K request simulates");
+    let reference = api::run(
+        &SimulationRequest::from_json(
+            r#"{"policy":"ehc","kernel":"reference","size":"2K","line":4,"trace":{"source":"profile","profile":"espresso"},"refs":50000}"#,
+        )
+        .expect("valid request"),
+    )
+    .expect("the reference kernel runs ehc");
+    assert_eq!(
+        body,
+        reference.to_json(),
+        "sweep body is the reference body"
+    );
 
     server.shutdown();
     server.join();
