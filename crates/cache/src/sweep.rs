@@ -12,7 +12,16 @@
 //!   ever built.
 //! * **one next-use oracle per line size** — the optimal policy's
 //!   reverse-scan chain likewise depends only on the line size, so a 16-size
-//!   sweep at one line size builds it once and shares it 16 ways.
+//!   sweep at one line size builds it once and shares it 16 ways (plain and
+//!   last-line optimal points alike).
+//! * **last-line runs per line size** — the Section 6 last-line buffer
+//!   serves every reference that repeats the line before it, so a run
+//!   boundary (`line[i] != line[i-1]`) depends only on the line size. Each
+//!   chunk's run starts are listed once per line size that has a
+//!   last-line DE point; the DE FSM steps only at those positions, and
+//!   every other reference is a buffer hit. A last-line optimal point
+//!   decides once per run, at the run's last position, whose next use is
+//!   the start of that line's next run.
 //! * **flat per-point state** — each point owns flat tag / sticky /
 //!   hit-last-copy vectors, and each dynamic-exclusion point its own
 //!   hit-last bitmap over its line size's footprint (prescanned only for
@@ -33,8 +42,9 @@
 //!   chunk boundaries, where the observability spans open.
 //!
 //! Every point is **bit-identical** to the reference simulator of its
-//! policy ([`crate::DirectMapped`], and `DeCache` / `OptimalDirectMapped` in
-//! `dynex-core`): same statistics, same load/bypass split, and — through
+//! policy ([`crate::DirectMapped`], and `DeCache` / `LastLineDeCache` /
+//! `OptimalDirectMapped` in `dynex-core`): same statistics, same load/bypass
+//! split, and — through
 //! [`batch_sweep_probed`] — the same probe event stream in the same order.
 //! Points share no state, so each one also equals that point swept alone.
 //! `tests/kernel_differential.rs` and the property suite
@@ -47,14 +57,15 @@ use crate::batch::CHUNK_LEN;
 use crate::direct::INVALID_LINE;
 use crate::kernel::{
     de_fsm_index, decode_chunk, hit_last_bit, hit_last_words, max_line, next_use, set_hit_last_bit,
-    BatchDeResult, DE_FSM_TABLE, NEVER,
+    BatchDeResult, DeFsmRow, DE_FSM_TABLE, NEVER,
 };
 use crate::{CacheConfig, CacheStats};
 
 /// The replacement/bypass policy of one sweep point.
 ///
-/// These are the three policies the paper's figures compare; the last-line
-/// variants keep global state across sets and stay on the reference path.
+/// These are the three policies the paper's figures compare, and the
+/// Section 6 last-line variants of DE and OPT that Figures 11 and 12 use
+/// for multi-word lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SweepPolicy {
     /// Conventional direct-mapped (the paper's baseline).
@@ -63,6 +74,11 @@ pub enum SweepPolicy {
     DynamicExclusion,
     /// The future-knowing optimal direct-mapped cache with bypass.
     Optimal,
+    /// Dynamic exclusion behind a last-line buffer (`LastLineDeCache`).
+    DeLastLine,
+    /// Optimal direct-mapped behind a last-line buffer
+    /// (`OptimalDirectMapped::simulate_with_lastline`).
+    OptimalLastLine,
 }
 
 impl SweepPolicy {
@@ -72,7 +88,22 @@ impl SweepPolicy {
             SweepPolicy::DirectMapped => "dm",
             SweepPolicy::DynamicExclusion => "de",
             SweepPolicy::Optimal => "opt",
+            SweepPolicy::DeLastLine => "de-lastline",
+            SweepPolicy::OptimalLastLine => "opt-lastline",
         }
+    }
+
+    /// Runs the DE state machine (and so owns a hit-last bitmap).
+    fn is_de(self) -> bool {
+        matches!(
+            self,
+            SweepPolicy::DynamicExclusion | SweepPolicy::DeLastLine
+        )
+    }
+
+    /// Reads the next-use oracle of its line size.
+    fn is_optimal(self) -> bool {
+        matches!(self, SweepPolicy::Optimal | SweepPolicy::OptimalLastLine)
     }
 }
 
@@ -128,9 +159,11 @@ impl SweepPoint {
 pub enum SweepPointResult {
     /// Conventional direct-mapped statistics.
     Dm(CacheStats),
-    /// Dynamic-exclusion statistics with the load/bypass split.
+    /// Dynamic-exclusion statistics with the load/bypass split (a
+    /// last-line point counts one load or bypass per line run).
     De(BatchDeResult),
-    /// Optimal direct-mapped statistics.
+    /// Optimal direct-mapped statistics, with or without the last-line
+    /// buffer.
     Opt(CacheStats),
 }
 
@@ -143,7 +176,7 @@ impl SweepPointResult {
         }
     }
 
-    /// The dynamic-exclusion counters, if this point ran the DE policy.
+    /// The dynamic-exclusion counters, if this point ran a DE policy.
     pub fn de(&self) -> Option<BatchDeResult> {
         match *self {
             SweepPointResult::De(de) => Some(de),
@@ -240,77 +273,128 @@ impl<'a> DeSweep<'a> {
     /// reference `DeCache`/`DeLines`/`fsm::step_probed` stack. Tallies merge
     /// at the chunk boundary.
     fn run_chunk<P: Probe>(&mut self, addrs: &[u32], lines: &[u32], probe: &mut P) {
-        let mask = self.index_mask;
         let mut misses = 0u64;
         let mut loads = 0u64;
         for (&addr, &line) in addrs.iter().zip(lines) {
-            let set = (line & mask) as usize;
-            let resident = self.lines[set];
-            let hit = resident == line;
-            let sticky = self.sticky[set];
-            let h_pred = hit_last_bit(self.hit_last, line);
-            let row = DE_FSM_TABLE[de_fsm_index(hit, sticky, h_pred)];
-
-            if row.is_miss {
-                probe.emit(Event::ExclusionDecision {
-                    set: set as u32,
-                    line,
-                    loaded: row.installs,
-                });
-            }
-            if row.sticky_after != sticky {
-                probe.emit(Event::StickyFlip {
-                    set: set as u32,
-                    sticky: row.sticky_after,
-                });
-            }
-            if row.writes_hit_last {
-                probe.emit(Event::HitLastUpdate {
-                    line,
-                    hit_last: row.hit_last_value,
-                });
-            }
-            self.sticky[set] = row.sticky_after;
+            let row = self.step(addr, line, probe);
             misses += row.is_miss as u64;
-
-            let cause = if hit {
-                // The resident block's in-line hit-last copy is re-armed.
-                self.h_copy[set] = true;
-                Cause::Resident
-            } else if row.installs {
-                loads += 1;
-                let cause = if resident == INVALID_LINE {
-                    Cause::Cold
-                } else {
-                    // Figure 6 "transfer on replacement": the victim's
-                    // in-line copy goes back to the bitmap.
-                    set_hit_last_bit(self.hit_last, resident, self.h_copy[set]);
-                    probe.emit(Event::Eviction {
-                        set: set as u32,
-                        victim: resident,
-                        replacement: line,
-                    });
-                    Cause::Replace
-                };
-                self.lines[set] = line;
-                self.h_copy[set] = row.hit_last_value;
-                cause
-            } else {
-                Cause::Bypass
-            };
-            probe.emit(Event::Access {
-                addr,
-                set: set as u32,
-                outcome: if row.is_miss {
-                    Outcome::Miss
-                } else {
-                    Outcome::Hit
-                },
-                cause,
-            });
+            loads += row.installs as u64;
         }
         self.misses += misses;
         self.loads += loads;
+    }
+
+    /// One chunk behind the last-line buffer, emitting exactly the events
+    /// of the reference `LastLineDeCache`: the FSM steps only at the
+    /// chunk's run starts (`starts`, ascending offsets into the chunk), as
+    /// the inner cache does for a line address (`line << offset_bits`);
+    /// every other reference is a buffer hit.
+    fn run_chunk_lastline<P: Probe>(
+        &mut self,
+        addrs: &[u32],
+        lines: &[u32],
+        starts: &[u32],
+        offset_bits: u32,
+        probe: &mut P,
+    ) {
+        let mut misses = 0u64;
+        let mut loads = 0u64;
+        let mut cursor = 0;
+        for &start in starts {
+            let start = start as usize;
+            self.buffer_hits(&addrs[cursor..start], &lines[cursor..start], probe);
+            let line = lines[start];
+            let row = self.step(line << offset_bits, line, probe);
+            misses += row.is_miss as u64;
+            loads += row.installs as u64;
+            cursor = start + 1;
+        }
+        self.buffer_hits(&addrs[cursor..], &lines[cursor..], probe);
+        self.misses += misses;
+        self.loads += loads;
+    }
+
+    /// References served by the last-line buffer: hits that touch no DE
+    /// state (and compile to nothing under a no-op probe).
+    #[inline(always)]
+    fn buffer_hits<P: Probe>(&self, addrs: &[u32], lines: &[u32], probe: &mut P) {
+        for (&addr, &line) in addrs.iter().zip(lines) {
+            probe.emit(Event::Access {
+                addr,
+                set: line & self.index_mask,
+                outcome: Outcome::Hit,
+                cause: Cause::LineBuffer,
+            });
+        }
+    }
+
+    /// One reference through the Figure 1 table; returns the row taken
+    /// (`installs` is set only for misses that load).
+    #[inline(always)]
+    fn step<P: Probe>(&mut self, addr: u32, line: u32, probe: &mut P) -> DeFsmRow {
+        let set = (line & self.index_mask) as usize;
+        let resident = self.lines[set];
+        let hit = resident == line;
+        let sticky = self.sticky[set];
+        let h_pred = hit_last_bit(self.hit_last, line);
+        let row = DE_FSM_TABLE[de_fsm_index(hit, sticky, h_pred)];
+
+        if row.is_miss {
+            probe.emit(Event::ExclusionDecision {
+                set: set as u32,
+                line,
+                loaded: row.installs,
+            });
+        }
+        if row.sticky_after != sticky {
+            probe.emit(Event::StickyFlip {
+                set: set as u32,
+                sticky: row.sticky_after,
+            });
+        }
+        if row.writes_hit_last {
+            probe.emit(Event::HitLastUpdate {
+                line,
+                hit_last: row.hit_last_value,
+            });
+        }
+        self.sticky[set] = row.sticky_after;
+
+        let cause = if hit {
+            // The resident block's in-line hit-last copy is re-armed.
+            self.h_copy[set] = true;
+            Cause::Resident
+        } else if row.installs {
+            let cause = if resident == INVALID_LINE {
+                Cause::Cold
+            } else {
+                // Figure 6 "transfer on replacement": the victim's
+                // in-line copy goes back to the bitmap.
+                set_hit_last_bit(self.hit_last, resident, self.h_copy[set]);
+                probe.emit(Event::Eviction {
+                    set: set as u32,
+                    victim: resident,
+                    replacement: line,
+                });
+                Cause::Replace
+            };
+            self.lines[set] = line;
+            self.h_copy[set] = row.hit_last_value;
+            cause
+        } else {
+            Cause::Bypass
+        };
+        probe.emit(Event::Access {
+            addr,
+            set: set as u32,
+            outcome: if row.is_miss {
+                Outcome::Miss
+            } else {
+                Outcome::Hit
+            },
+            cause,
+        });
+        row
     }
 }
 
@@ -355,12 +439,75 @@ impl OptSweep {
         }
         self.misses += misses;
     }
+
+    /// One chunk behind the last-line buffer: the greedy rule runs once per
+    /// line run, at the run's last position — the one whose next use is
+    /// not the very next reference. That next use is the start of the
+    /// line's next run, and run index → start position is strictly
+    /// increasing, so every comparison matches the reference
+    /// `OptimalDirectMapped::simulate_with_lastline` over run indices. The
+    /// rest of the run hits the buffer and touches no set state, so
+    /// deciding at the run's end instead of its start changes nothing.
+    /// `pos` is the chunk's first trace position.
+    fn run_chunk_lastline(&mut self, lines: &[u32], next: &[u32], pos: u32) {
+        let mask = self.index_mask;
+        let mut misses = 0u64;
+        for ((&line, &next), at) in lines.iter().zip(next).zip(pos + 1..) {
+            if next == at {
+                continue;
+            }
+            let set = (line & mask) as usize;
+            if self.resident[set] == line {
+                self.resident_next[set] = next;
+            } else {
+                misses += 1;
+                if next < self.resident_next[set] {
+                    self.resident[set] = line;
+                    self.resident_next[set] = next;
+                }
+            }
+        }
+        self.misses += misses;
+    }
+}
+
+/// The run starts of one line size's decoded chunks: the offsets whose line
+/// differs from the reference before it, carried across chunk boundaries.
+/// These are exactly the references a last-line buffer misses.
+#[derive(Clone)]
+struct RunStarts {
+    prev: Option<u32>,
+    starts: Vec<u32>,
+}
+
+impl RunStarts {
+    fn new() -> RunStarts {
+        RunStarts {
+            prev: None,
+            starts: Vec::with_capacity(CHUNK_LEN),
+        }
+    }
+
+    /// Lists the run starts of the next chunk of `lines`.
+    fn scan(&mut self, lines: &[u32]) {
+        self.starts.clear();
+        let mut prev = self.prev;
+        for (i, &line) in (0..).zip(lines) {
+            if prev != Some(line) {
+                self.starts.push(i);
+            }
+            prev = Some(line);
+        }
+        self.prev = prev;
+    }
 }
 
 enum PointState<'a> {
     Dm(DmSweep),
     De(DeSweep<'a>),
     Opt(OptSweep),
+    DeLastLine(DeSweep<'a>),
+    OptLastLine(OptSweep),
 }
 
 /// Carries N cache geometries through a single trace traversal.
@@ -444,21 +591,22 @@ pub fn batch_sweep_probed<P: Probe>(
         .collect();
 
     // Whole-trace work per line size, done only where a point needs it: the
-    // footprint prescan that sizes the DE bitmaps, and the next-use oracle of
-    // the optimal points.
+    // footprint prescan that sizes the DE bitmaps, the next-use oracle of
+    // the optimal points, and the run starts of the last-line DE points.
     let mut max_by: Vec<Option<u32>> = vec![None; offsets.len()];
     let mut next_by: Vec<Option<Vec<u32>>> = vec![None; offsets.len()];
+    let mut runs_by: Vec<Option<RunStarts>> = vec![None; offsets.len()];
     for (point, &oi) in points.iter().zip(&offset_of) {
-        match point.policy {
-            SweepPolicy::DynamicExclusion if max_by[oi].is_none() => {
-                let _decode = span::span("kernel.decode");
-                max_by[oi] = Some(max_line(addrs, offsets[oi]));
-            }
-            SweepPolicy::Optimal if next_by[oi].is_none() => {
-                let _next_use = span::span("kernel.next-use");
-                next_by[oi] = Some(next_use(addrs, offsets[oi]));
-            }
-            _ => {}
+        if point.policy.is_de() && max_by[oi].is_none() {
+            let _decode = span::span("kernel.decode");
+            max_by[oi] = Some(max_line(addrs, offsets[oi]));
+        }
+        if point.policy.is_optimal() && next_by[oi].is_none() {
+            let _next_use = span::span("kernel.next-use");
+            next_by[oi] = Some(next_use(addrs, offsets[oi]));
+        }
+        if point.policy == SweepPolicy::DeLastLine && runs_by[oi].is_none() {
+            runs_by[oi] = Some(RunStarts::new());
         }
     }
 
@@ -470,7 +618,7 @@ pub fn batch_sweep_probed<P: Probe>(
     let slab_words = points
         .iter()
         .zip(&offset_of)
-        .filter(|(point, _)| point.policy == SweepPolicy::DynamicExclusion)
+        .filter(|(point, _)| point.policy.is_de())
         .map(|(_, &oi)| words_of(oi))
         .sum();
     let mut slab = vec![0u64; slab_words];
@@ -481,15 +629,19 @@ pub fn batch_sweep_probed<P: Probe>(
         .map(|(point, &oi)| {
             let n_sets = point.config.n_sets() as usize;
             let index_mask = (1u32 << point.config.geometry().index_bits()) - 1;
+            let mut de = || {
+                let (hit_last, rest) = std::mem::take(&mut unclaimed).split_at_mut(words_of(oi));
+                unclaimed = rest;
+                DeSweep::new(n_sets, index_mask, hit_last)
+            };
             match point.policy {
                 SweepPolicy::DirectMapped => PointState::Dm(DmSweep::new(n_sets, index_mask)),
-                SweepPolicy::DynamicExclusion => {
-                    let (hit_last, rest) =
-                        std::mem::take(&mut unclaimed).split_at_mut(words_of(oi));
-                    unclaimed = rest;
-                    PointState::De(DeSweep::new(n_sets, index_mask, hit_last))
-                }
+                SweepPolicy::DynamicExclusion => PointState::De(de()),
                 SweepPolicy::Optimal => PointState::Opt(OptSweep::new(n_sets, index_mask)),
+                SweepPolicy::DeLastLine => PointState::DeLastLine(de()),
+                SweepPolicy::OptimalLastLine => {
+                    PointState::OptLastLine(OptSweep::new(n_sets, index_mask))
+                }
             }
         })
         .collect();
@@ -506,19 +658,32 @@ pub fn batch_sweep_probed<P: Probe>(
             for (buf, &offset_bits) in line_bufs.iter_mut().zip(&offsets) {
                 decode_chunk(chunk, offset_bits, buf);
             }
+            for (runs, buf) in runs_by.iter_mut().zip(&line_bufs) {
+                if let Some(runs) = runs {
+                    runs.scan(&buf[..chunk.len()]);
+                }
+            }
         }
         let _simulate = span::span("kernel.simulate");
         for ((point_state, &oi), probe) in state.iter_mut().zip(&offset_of).zip(probes.iter_mut()) {
             let lines = &line_bufs[oi][..chunk.len()];
+            let next = || {
+                let next = next_by[oi]
+                    .as_deref()
+                    .expect("next-use oracle built for every optimal line size");
+                &next[pos..pos + chunk.len()]
+            };
             match point_state {
                 PointState::Dm(dm) => dm.run_chunk(chunk, lines, probe),
                 PointState::De(de) => de.run_chunk(chunk, lines, probe),
-                PointState::Opt(opt) => {
-                    let next = next_by[oi]
-                        .as_deref()
-                        .expect("next-use oracle built for every optimal line size");
-                    opt.run_chunk(lines, &next[pos..pos + chunk.len()]);
+                PointState::Opt(opt) => opt.run_chunk(lines, next()),
+                PointState::DeLastLine(de) => {
+                    let runs = runs_by[oi]
+                        .as_ref()
+                        .expect("run starts listed for every last-line DE line size");
+                    de.run_chunk_lastline(chunk, lines, &runs.starts, offsets[oi], probe);
                 }
+                PointState::OptLastLine(opt) => opt.run_chunk_lastline(lines, next(), pos as u32),
             }
         }
     }
@@ -530,12 +695,14 @@ pub fn batch_sweep_probed<P: Probe>(
             PointState::Dm(dm) => {
                 SweepPointResult::Dm(CacheStats::from_counts(accesses, dm.misses))
             }
-            PointState::De(de) => SweepPointResult::De(BatchDeResult {
-                stats: CacheStats::from_counts(accesses, de.misses),
-                loads: de.loads,
-                bypasses: de.misses - de.loads,
-            }),
-            PointState::Opt(opt) => {
+            PointState::De(de) | PointState::DeLastLine(de) => {
+                SweepPointResult::De(BatchDeResult {
+                    stats: CacheStats::from_counts(accesses, de.misses),
+                    loads: de.loads,
+                    bypasses: de.misses - de.loads,
+                })
+            }
+            PointState::Opt(opt) | PointState::OptLastLine(opt) => {
                 SweepPointResult::Opt(CacheStats::from_counts(accesses, opt.misses))
             }
         })
@@ -689,6 +856,201 @@ mod tests {
         assert!(results[1].de().is_some());
 
         assert!(probes[2].events().is_empty(), "optimal emits no events");
+    }
+
+    /// Instruction-like fetches: sequential word runs of 1..=12 words from
+    /// random starting words, so runs cross 16 B and 64 B line boundaries.
+    fn fetch_addrs(seed: u64, len: usize, span: u64) -> Vec<u32> {
+        let mut rng = SplitMix64::new(seed);
+        let mut addrs = Vec::with_capacity(len);
+        while addrs.len() < len {
+            let start = rng.below(span) as u32;
+            let run = 1 + rng.below(12) as u32;
+            addrs.extend(
+                (start..start + run)
+                    .map(|word| word * 4)
+                    .take(len - addrs.len()),
+            );
+        }
+        addrs
+    }
+
+    /// The last-line buffer by definition: the references that start a
+    /// line run, as the line-aligned addresses the inner cache sees.
+    fn run_start_addrs(addrs: &[u32], line_bytes: u32) -> Vec<u32> {
+        let offset_bits = line_bytes.trailing_zeros();
+        let mut prev = None;
+        let mut starts = Vec::new();
+        for &addr in addrs {
+            let line = addr >> offset_bits;
+            if prev != Some(line) {
+                starts.push(line << offset_bits);
+            }
+            prev = Some(line);
+        }
+        starts
+    }
+
+    /// A last-line point equals its plain policy over the run starts alone
+    /// (the inner cache's view), with every other reference a hit.
+    fn assert_lastline_matches_definition(cfg: CacheConfig, addrs: &[u32]) {
+        let starts = run_start_addrs(addrs, cfg.line_bytes());
+        let accesses = addrs.len() as u64;
+        let results = batch_sweep(
+            &[
+                SweepPoint::new(cfg, SweepPolicy::DeLastLine),
+                SweepPoint::new(cfg, SweepPolicy::OptimalLastLine),
+            ],
+            addrs,
+        );
+        let inner = batch_sweep(
+            &[
+                SweepPoint::new(cfg, SweepPolicy::DynamicExclusion),
+                SweepPoint::new(cfg, SweepPolicy::Optimal),
+            ],
+            &starts,
+        );
+        let (de, inner_de) = (results[0].de().unwrap(), inner[0].de().unwrap());
+        assert_eq!(de.stats.accesses(), accesses, "de-lastline @ {cfg}");
+        assert_eq!(
+            de.stats.misses(),
+            inner_de.stats.misses(),
+            "de-lastline @ {cfg}"
+        );
+        assert_eq!(de.loads, inner_de.loads, "de-lastline @ {cfg}");
+        assert_eq!(de.bypasses, inner_de.bypasses, "de-lastline @ {cfg}");
+        let opt = results[1].stats();
+        assert!(results[1].de().is_none());
+        assert_eq!(opt.accesses(), accesses, "opt-lastline @ {cfg}");
+        assert_eq!(
+            opt.misses(),
+            inner[1].stats().misses(),
+            "opt-lastline @ {cfg}"
+        );
+    }
+
+    #[test]
+    fn lastline_points_match_their_definition_at_4_16_and_64_byte_lines() {
+        for (seed, span) in [(31u64, 600u64), (32, 6_000), (33, 60_000)] {
+            let addrs = fetch_addrs(seed, 25_000, span);
+            for line in [4u32, 16, 64] {
+                for size in [256u32, 4096, 32 * 1024] {
+                    assert_lastline_matches_definition(config(size, line), &addrs);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lastline_run_straddling_a_chunk_boundary_matches() {
+        // One 16 B line repeated across the chunk boundary, then a tight
+        // two-line loop of multi-word runs across the next boundary: the
+        // buffer's last tag must carry from one chunk into the next.
+        let mut addrs = fetch_addrs(34, CHUNK_LEN - 5, 512);
+        addrs.extend(std::iter::repeat_n(0x40, 11));
+        while addrs.len() < 2 * CHUNK_LEN + 40 {
+            for base in [0x1000u32, 0x1400] {
+                addrs.extend((0..6).map(|w| base + w * 4));
+            }
+        }
+        addrs.extend(fetch_addrs(35, CHUNK_LEN / 2, 512));
+        for line in [4u32, 16, 64] {
+            assert_lastline_matches_definition(config(1024, line), &addrs);
+        }
+        let mut points = Vec::new();
+        for line in [4u32, 16, 64] {
+            points.push(SweepPoint::new(config(1024, line), SweepPolicy::DeLastLine));
+            points.push(SweepPoint::new(
+                config(1024, line),
+                SweepPolicy::OptimalLastLine,
+            ));
+        }
+        assert_matches_single(&points, &addrs);
+    }
+
+    #[test]
+    fn mixed_line_sizes_and_policies_share_one_sweep() {
+        // Last-line points beside plain ones, at interleaved line sizes:
+        // every point equals that point swept alone.
+        let addrs = fetch_addrs(36, 3 * CHUNK_LEN + 123, 8_192);
+        let mut points = Vec::new();
+        for (size, line) in [(1024u32, 16u32), (4096, 4), (8192, 64), (32 * 1024, 16)] {
+            points.extend(all_policies(config(size, line)));
+            points.push(SweepPoint::new(config(size, line), SweepPolicy::DeLastLine));
+            points.push(SweepPoint::new(
+                config(size, line),
+                SweepPolicy::OptimalLastLine,
+            ));
+        }
+        assert_matches_single(&points, &addrs);
+        for point in &points {
+            assert_lastline_matches_definition(point.config, &addrs);
+        }
+    }
+
+    #[test]
+    fn lastline_probe_stream_interleaves_buffer_hits_with_the_inner_cache() {
+        let addrs = fetch_addrs(37, 2 * CHUNK_LEN + 77, 2_048);
+        for line in [4u32, 16, 64] {
+            let cfg = config(512, line);
+            let mut probes = [EventLog::new(), EventLog::new()];
+            let points = [
+                SweepPoint::new(cfg, SweepPolicy::DeLastLine),
+                SweepPoint::new(cfg, SweepPolicy::OptimalLastLine),
+            ];
+            batch_sweep_probed(&points, &addrs, &mut probes);
+            let [de_log, opt_log] = probes;
+            assert!(opt_log.events().is_empty(), "optimal emits no events");
+
+            // Expected: the plain DE stream over the run starts, with a
+            // buffer hit for every reference inside a run.
+            let starts = run_start_addrs(&addrs, line);
+            let mut inner = [EventLog::new()];
+            batch_sweep_probed(
+                &[SweepPoint::new(cfg, SweepPolicy::DynamicExclusion)],
+                &starts,
+                &mut inner,
+            );
+            let [inner] = inner;
+            let mut inner = inner.into_events().into_iter();
+            let mut expected = Vec::new();
+            let mut prev = None;
+            for &addr in &addrs {
+                let line_addr = addr >> cfg.geometry().offset_bits();
+                if prev == Some(line_addr) {
+                    expected.push(Event::Access {
+                        addr,
+                        set: line_addr & (cfg.n_sets() - 1),
+                        outcome: Outcome::Hit,
+                        cause: Cause::LineBuffer,
+                    });
+                } else {
+                    for event in inner.by_ref() {
+                        let done = matches!(event, Event::Access { .. });
+                        expected.push(event);
+                        if done {
+                            break;
+                        }
+                    }
+                }
+                prev = Some(line_addr);
+            }
+            assert!(inner.next().is_none());
+            let buffered = expected
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e,
+                        Event::Access {
+                            cause: Cause::LineBuffer,
+                            ..
+                        }
+                    )
+                })
+                .count();
+            assert_eq!(buffered, addrs.len() - starts.len(), "{line} B lines");
+            assert_eq!(de_log.events(), expected.as_slice(), "{line} B lines");
+        }
     }
 
     #[test]

@@ -263,6 +263,45 @@ mod tests {
         assert_eq!(accesses, 4);
     }
 
+    /// The fast kernel's last-line DE points must replicate this cache
+    /// bit-for-bit at every line size: statistics, run-level load/bypass
+    /// split, and the event stream with its buffer hits.
+    #[test]
+    fn sweep_kernel_matches_reference_events_and_stats() {
+        use dynex_cache::{batch_sweep_probed, SplitMix64, SweepPoint, SweepPolicy};
+        use dynex_obs::EventLog;
+        let mut rng = SplitMix64::new(29);
+        let mut addrs = Vec::new();
+        while addrs.len() < 9_000 {
+            let start = rng.below(4_096) as u32;
+            addrs.extend((start..start + 1 + rng.below(10) as u32).map(|w| w * 4));
+        }
+        for line in [4u32, 16, 64] {
+            for size in [256u32, 2048] {
+                let cfg = CacheConfig::direct_mapped(size, line).unwrap();
+                let mut reference = LastLineDeCache::with_store_and_probe(
+                    cfg,
+                    PerfectStore::new(),
+                    EventLog::new(),
+                );
+                let ref_stats = run_addrs(&mut reference, addrs.iter().copied());
+                let ref_de = reference.de_stats();
+                let ref_events = reference.into_probe().into_events();
+
+                let mut logs = [EventLog::new()];
+                let point = SweepPoint::new(cfg, SweepPolicy::DeLastLine);
+                let swept = batch_sweep_probed(&[point], &addrs, &mut logs)[0]
+                    .de()
+                    .expect("a last-line DE point reports DE counters");
+                let [log] = logs;
+                assert_eq!(swept.stats, ref_stats, "{cfg}");
+                assert_eq!(swept.loads, ref_de.loads, "{cfg}");
+                assert_eq!(swept.bypasses, ref_de.bypasses, "{cfg}");
+                assert_eq!(log.into_events(), ref_events, "{cfg}");
+            }
+        }
+    }
+
     #[test]
     fn probed_and_bare_runs_are_identical() {
         use dynex_obs::CountingProbe;

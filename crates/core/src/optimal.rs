@@ -243,6 +243,31 @@ mod tests {
     }
 
     #[test]
+    fn sweep_kernel_lastline_matches_reference() {
+        // The fast kernel's last-line optimal points decide once per run
+        // at the run's last position; the counts must equal this run-index
+        // oracle at every line size.
+        use dynex_cache::{batch_sweep, SplitMix64, SweepPoint, SweepPolicy};
+        let mut rng = SplitMix64::new(30);
+        let mut addrs = Vec::new();
+        while addrs.len() < 9_000 {
+            let start = rng.below(4_096) as u32;
+            addrs.extend((start..start + 1 + rng.below(10) as u32).map(|w| w * 4));
+        }
+        for line in [4u32, 16, 64] {
+            for size in [256u32, 2048] {
+                let cfg = config(size, line);
+                let point = SweepPoint::new(cfg, SweepPolicy::OptimalLastLine);
+                assert_eq!(
+                    batch_sweep(&[point], &addrs)[0].stats(),
+                    OptimalDirectMapped::simulate_with_lastline(cfg, addrs.iter().copied()),
+                    "{cfg}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn lastline_variant_counts_runs() {
         // Two conflicting 16B lines, 4-word runs, alternating 10 times:
         // optimal keeps one line => misses: other line per run + 1 cold.

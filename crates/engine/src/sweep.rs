@@ -8,15 +8,16 @@
 //! associativity. [`PolicyKind::run`] is the single dispatch every front
 //! end calls. Every kernel runs every policy: [`Kernel::Reference`] runs
 //! the spec simulator, and the fast path ([`Kernel::Batch`] and
-//! [`Kernel::Sweep`], two names for the same code) runs dm/de/opt as a
-//! one-point [`batch_sweep`], ehc/bwcost through their chunked kernels, and
-//! every other policy through its reference simulator.
+//! [`Kernel::Sweep`], two names for the same code) runs dm/de/opt and their
+//! last-line variants as a one-point [`batch_sweep`], ehc/bwcost through
+//! their chunked kernels, and every other policy through its reference
+//! simulator.
 
 use dynex::{DeCache, DeStats, LastLineDeCache, OptimalDirectMapped};
 use dynex_cache::{
     batch_bwcost, batch_ehc, batch_sweep, run_addrs, simulate_policy, BwCostPolicy, CacheConfig,
     CacheSim, CacheStats, DirectMapped, EhcPolicy, Kernel, Replacement, SetAssociative,
-    StreamBuffer, SweepPoint, SweepPolicy, VictimCache,
+    StreamBuffer, SweepPoint, SweepPointResult, SweepPolicy, VictimCache,
 };
 
 use crate::kernel::default_kernel;
@@ -182,16 +183,33 @@ impl PolicyKind {
     /// The sweep-kernel policy this policy maps to, if the fast dm/de/opt
     /// kernel ([`batch_sweep`]) runs it.
     ///
-    /// `None` for every member but dm, de and opt: the last-line variants
-    /// (single global buffer), the EHC / bandwidth-cost members (their own
-    /// chunked kernels), and the set-associative and buffered comparisons.
+    /// `Some` for dm, de, opt and their last-line variants; `None` for the
+    /// EHC / bandwidth-cost members (their own chunked kernels) and the
+    /// set-associative and buffered comparisons.
     pub fn sweep_policy(self) -> Option<SweepPolicy> {
         match self {
             PolicyKind::DirectMapped => Some(SweepPolicy::DirectMapped),
             PolicyKind::DynamicExclusion => Some(SweepPolicy::DynamicExclusion),
+            PolicyKind::DeLastLine => Some(SweepPolicy::DeLastLine),
             PolicyKind::OptimalDm => Some(SweepPolicy::Optimal),
+            PolicyKind::OptimalDmLastLine => Some(SweepPolicy::OptimalLastLine),
             _ => None,
         }
+    }
+
+    /// The statistics and reported exclusion counters of one sweep point
+    /// run under this policy. Only `de` reports counters: `de-lastline`
+    /// computes them too (one load or bypass per line run), but its
+    /// responses never carried them.
+    pub fn sweep_counters(self, result: SweepPointResult) -> (CacheStats, Option<DeStats>) {
+        let de = result
+            .de()
+            .filter(|_| self == PolicyKind::DynamicExclusion)
+            .map(|r| DeStats {
+                loads: r.loads,
+                bypasses: r.bypasses,
+            });
+        (result.stats(), de)
     }
 
     /// Simulates this policy over a byte-address trace with the session's
@@ -210,8 +228,9 @@ impl PolicyKind {
     ///
     /// Every kernel is bit-identical in output (the differential wall in
     /// `tests/kernel_differential.rs` enforces the policy × kernel matrix).
-    /// On the fast path (batch or sweep) dm/de/opt run as a one-point
-    /// [`batch_sweep`] — the sharing across points comes from plan-level
+    /// On the fast path (batch or sweep) dm/de/opt and their last-line
+    /// variants run as a one-point [`batch_sweep`] — the sharing across
+    /// points comes from plan-level
     /// entry points like [`SweepPlan::run_one_pass`] — ehc and bwcost run
     /// [`batch_ehc`] / [`batch_bwcost`], and every other policy runs its
     /// reference simulator.
@@ -259,18 +278,13 @@ impl PolicyKind {
         }
         if let Some(policy) = self.sweep_policy() {
             let result = batch_sweep(&[SweepPoint::new(config, policy)], addrs)[0];
-            let de = result.de().map(|r| DeStats {
-                loads: r.loads,
-                bypasses: r.bypasses,
-            });
-            return Ok((result.stats(), de));
+            return Ok(self.sweep_counters(result));
         }
         Ok(match self {
             PolicyKind::ExpectedHitCount => (batch_ehc(config, addrs), None),
             PolicyKind::BandwidthCost => (batch_bwcost(config, addrs), None),
-            // The last-line buffer is global state, and the set-associative
-            // and buffered caches have no chunked per-set loop: the fast
-            // path runs their reference simulators.
+            // The set-associative and buffered caches have no chunked
+            // per-set loop: the fast path runs their reference simulators.
             _ => self.reference(config, addrs),
         })
     }
@@ -419,7 +433,8 @@ impl SweepPlan<Job> {
     /// [`batch_sweep`] traversal of the shared trace.
     ///
     /// Returns `None` (caller falls back to per-point execution) if any
-    /// point's policy is not dm, de or opt ([`PolicyKind::sweep_policy`]).
+    /// point's policy has no sweep specialization
+    /// ([`PolicyKind::sweep_policy`]).
     /// Results are in plan order and bit-identical to [`SweepPlan::run`]
     /// with any kernel — the whole plan simply costs one decode per chunk
     /// and line size, one next-use oracle per distinct line size, and one
@@ -616,13 +631,47 @@ mod tests {
         let config = CacheConfig::direct_mapped(64, 16).unwrap();
         let plan = SweepPlan::from_points([
             Job::new(config, PolicyKind::DirectMapped),
-            Job::new(config, PolicyKind::DeLastLine),
+            Job::new(config, PolicyKind::ExpectedHitCount),
         ]);
         assert!(plan.run_one_pass(&[0, 4, 8]).is_none());
-        assert!(PolicyKind::DeLastLine.sweep_policy().is_none());
-        assert!(PolicyKind::OptimalDmLastLine.sweep_policy().is_none());
+        assert_eq!(
+            PolicyKind::DeLastLine.sweep_policy(),
+            Some(SweepPolicy::DeLastLine)
+        );
+        assert_eq!(
+            PolicyKind::OptimalDmLastLine.sweep_policy(),
+            Some(SweepPolicy::OptimalLastLine)
+        );
         assert!(PolicyKind::ExpectedHitCount.sweep_policy().is_none());
         assert!(PolicyKind::BandwidthCost.sweep_policy().is_none());
+    }
+
+    #[test]
+    fn one_pass_plan_runs_lastline_policies() {
+        // Fetch-like runs at 16 B lines: the last-line variants ride the
+        // one-pass plan, equal their reference simulators, and only `de`
+        // reports exclusion counters.
+        let addrs: Vec<u32> = (0..600).map(|i| (i % 7) * 4 + (i / 21 % 3) * 64).collect();
+        let config = CacheConfig::direct_mapped(64, 16).unwrap();
+        let policies = [
+            PolicyKind::DeLastLine,
+            PolicyKind::OptimalDmLastLine,
+            PolicyKind::DynamicExclusion,
+        ];
+        let plan = SweepPlan::from_points(policies.map(|p| Job::new(config, p)));
+        let reference: Vec<CacheStats> = policies
+            .iter()
+            .map(|p| {
+                p.simulate_kernel(Kernel::Reference, config, &addrs)
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(plan.run_one_pass(&addrs).unwrap(), reference);
+        for policy in policies {
+            let run = policy.run(Kernel::Sweep, config, &addrs).unwrap();
+            assert_eq!(run, policy.run(Kernel::Reference, config, &addrs).unwrap());
+            assert_eq!(run.de.is_some(), policy == PolicyKind::DynamicExclusion);
+        }
     }
 
     #[test]

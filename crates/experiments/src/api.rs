@@ -31,15 +31,15 @@
 //!
 //! The policy vocabulary is the engine's [`PolicyKind`]; [`execute`] hands
 //! every request to its single dispatch, [`PolicyKind::run`]. The sweep
-//! entry points [`sweep_triples`] / [`sweep_triples_lastline`] /
-//! [`run_triple`] run the paper's DM/DE/OPT comparison over many points.
+//! entry points [`sweep_triples`] / [`run_triples`] run the paper's
+//! DM/DE/OPT comparison over many points.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use dynex::DeStats;
 use dynex_cache::{
-    batch_sweep, decode_addrs, CacheConfig, CacheStats, Kernel, KindFilter, SweepPoint, SweepPolicy,
+    batch_sweep, decode_addrs, CacheConfig, CacheStats, Kernel, KindFilter, SweepPoint,
 };
 use dynex_engine::{
     default_jobs, default_kernel, execute as pool_execute, job_key, trace_digest,
@@ -49,7 +49,7 @@ use dynex_obs::json::{self, Json};
 use dynex_obs::NoopProbe;
 use dynex_trace::{io as trace_io, ReadPolicy, Trace};
 
-use crate::runner::{triple_lastline, Triple};
+use crate::runner::Triple;
 
 pub mod mix;
 
@@ -1083,17 +1083,17 @@ pub fn execute_many(
         .zip(points)
         .zip(results)
         .zip(keys)
-        .map(|(((request, point), result), key)| SimulationResponse {
+        .map(|(((request, point), result), key)| {
             // The label and DE counters are the ones `execute` reports, so
             // the coalesced and per-request paths stay byte-identical.
-            label: request.policy.label(point.config),
-            stats: result.stats(),
-            de: result.de().map(|de| DeStats {
-                loads: de.loads,
-                bypasses: de.bypasses,
-            }),
-            key,
-            cached: false,
+            let (stats, de) = request.policy.sweep_counters(result);
+            SimulationResponse {
+                label: request.policy.label(point.config),
+                stats,
+                de,
+                key,
+                cached: false,
+            }
         })
         .collect())
 }
@@ -1186,54 +1186,106 @@ pub fn install_session(request: &SimulationRequest) -> Result<SessionReport, Api
     })
 }
 
-/// Runs the three-way DM/DE/OPT comparison with an explicit kernel.
-///
-/// On the fast path ([`Kernel::Batch`] or [`Kernel::Sweep`]) the three
-/// policies run as one three-point [`dynex_cache::batch_sweep`]: one fused
-/// pass over one decoded stream. Under [`Kernel::Reference`] each policy
-/// runs its spec simulator. Both produce bit-identical [`Triple`]s, so
-/// journal keys and resumed sweeps are kernel-agnostic.
-pub fn run_triple(kernel: Kernel, config: CacheConfig, addrs: &[u32]) -> Triple {
-    match kernel {
-        Kernel::Batch | Kernel::Sweep => run_triples_sweep(&[config], addrs)
-            .pop()
-            .expect("one config in, one triple out"),
-        Kernel::Reference => {
-            let simulate = |policy: PolicyKind| {
-                policy
-                    .simulate_kernel(kernel, config, addrs)
-                    .expect("dm/de/opt run on every kernel")
-            };
-            Triple {
-                dm: simulate(PolicyKind::DirectMapped),
-                de: simulate(PolicyKind::DynamicExclusion),
-                opt: simulate(PolicyKind::OptimalDm),
-            }
+/// Which three policies a figure [`Triple`] compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TripleKind {
+    /// DM, DE and OPT: the word-line figures (3–5, 14, 15).
+    Plain,
+    /// DM, with DE and OPT behind the Section 6 last-line buffer: the
+    /// multi-word-line figures (11, 12).
+    LastLine,
+}
+
+impl TripleKind {
+    /// The `dm`, `de` and `opt` members of the triple, in that order.
+    fn policies(self) -> [PolicyKind; 3] {
+        match self {
+            TripleKind::Plain => [
+                PolicyKind::DirectMapped,
+                PolicyKind::DynamicExclusion,
+                PolicyKind::OptimalDm,
+            ],
+            TripleKind::LastLine => [
+                PolicyKind::DirectMapped,
+                PolicyKind::DeLastLine,
+                PolicyKind::OptimalDmLastLine,
+            ],
+        }
+    }
+
+    /// The journal tag that leads every checkpoint key of this triple.
+    fn journal_tag(self) -> &'static str {
+        match self {
+            TripleKind::Plain => "triple/v1",
+            TripleKind::LastLine => "triple-lastline/v1",
         }
     }
 }
 
+/// Runs the three-way DM/DE/OPT comparison with an explicit kernel: a
+/// one-configuration [`run_triples`].
+pub fn run_triple(kernel: Kernel, config: CacheConfig, addrs: &[u32]) -> Triple {
+    run_triples(kernel, &[config], addrs)
+        .pop()
+        .expect("one config in, one triple out")
+}
+
 /// Runs the DM/DE/OPT triple for *many* configurations over one shared
-/// trace in a single [`dynex_cache::batch_sweep`] traversal: the fast
-/// path's plan-level entry point.
+/// trace with an explicit kernel.
 ///
-/// Bit-identical per configuration to [`run_triple`] with any kernel; the
-/// whole vector costs one decode per distinct line size, one next-use
-/// oracle per distinct line size, and one trace walk.
-pub fn run_triples_sweep(configs: &[CacheConfig], addrs: &[u32]) -> Vec<Triple> {
-    let mut points = Vec::with_capacity(configs.len() * 3);
-    for &config in configs {
-        points.push(SweepPoint::new(config, SweepPolicy::DirectMapped));
-        points.push(SweepPoint::new(config, SweepPolicy::DynamicExclusion));
-        points.push(SweepPoint::new(config, SweepPolicy::Optimal));
-    }
-    let results = batch_sweep(&points, addrs);
-    results
+/// On the fast path ([`Kernel::Batch`] or [`Kernel::Sweep`]) every policy
+/// of every configuration rides a single [`dynex_cache::batch_sweep`]
+/// traversal: one decode per chunk and distinct line size, one next-use
+/// oracle per distinct line size, and one trace walk. Under
+/// [`Kernel::Reference`] each policy runs its spec simulator. Both produce
+/// bit-identical [`Triple`]s, so journal keys and resumed sweeps are
+/// kernel-agnostic.
+pub fn run_triples(kernel: Kernel, configs: &[CacheConfig], addrs: &[u32]) -> Vec<Triple> {
+    triples_of(TripleKind::Plain, kernel, configs, addrs)
+}
+
+/// [`run_triples`] for either [`TripleKind`].
+pub(crate) fn triples_of(
+    kind: TripleKind,
+    kernel: Kernel,
+    configs: &[CacheConfig],
+    addrs: &[u32],
+) -> Vec<Triple> {
+    let policies = kind.policies();
+    let stats: Vec<CacheStats> = if kernel == Kernel::Reference {
+        configs
+            .iter()
+            .flat_map(|&config| {
+                policies.map(|policy| {
+                    policy
+                        .simulate_kernel(kernel, config, addrs)
+                        .expect("every kernel runs every policy")
+                })
+            })
+            .collect()
+    } else {
+        let points: Vec<SweepPoint> = configs
+            .iter()
+            .flat_map(|&config| {
+                policies.map(|policy| {
+                    let policy = policy
+                        .sweep_policy()
+                        .expect("every triple policy has a sweep specialization");
+                    SweepPoint::new(config, policy)
+                })
+            })
+            .collect();
+        batch_sweep(&points, addrs)
+            .iter()
+            .map(|r| r.stats())
+            .collect()
+    };
+    stats
         .chunks_exact(3)
         .map(|chunk| Triple {
-            dm: chunk[0].stats(),
-            de: chunk[1].stats(),
-            opt: chunk[2].stats(),
+            dm: chunk[0],
+            de: chunk[1],
+            opt: chunk[2],
         })
         .collect()
 }
@@ -1246,70 +1298,47 @@ pub fn run_triples_sweep(configs: &[CacheConfig], addrs: &[u32]) -> Vec<Triple> 
 /// previously completed points are replayed from the checkpoint instead of
 /// re-simulated.
 pub fn sweep_triples(points: &[(CacheConfig, &[u32])]) -> Vec<Triple> {
-    journaled_triples(points, "triple/v1", crate::runner::triple)
+    journaled_triples(points, TripleKind::Plain)
 }
 
-/// Runs [`triple_lastline`] over many sweep points on the engine's worker
-/// pool, like [`sweep_triples`] (journal-aware in the same way).
-pub fn sweep_triples_lastline(points: &[(CacheConfig, &[u32])]) -> Vec<Triple> {
-    journaled_triples(points, "triple-lastline/v1", triple_lastline)
-}
-
-/// The journal-aware sweep shared by [`sweep_triples`] and
-/// [`sweep_triples_lastline`]: replay checkpointed points, run only the
-/// missing ones on the pool, and append the fresh results.
-fn journaled_triples(
-    points: &[(CacheConfig, &[u32])],
-    tag: &str,
-    f: fn(CacheConfig, &[u32]) -> Triple,
-) -> Vec<Triple> {
-    let keys: Vec<String> = points
-        .iter()
-        .map(|(config, addrs)| {
-            // Exact fields, not the Display label (which rounds the size to
-            // whole KB and would collide sub-KB configurations).
-            job_key(&[
-                tag,
-                &format!(
-                    "size={} line={} ways={}",
-                    config.size_bytes(),
-                    config.line_bytes(),
-                    config.associativity()
-                ),
-                &format!("{:016x}", trace_digest(addrs)),
-            ])
-        })
-        .collect();
+/// The journal-aware sweep behind [`sweep_triples`] and the averaged
+/// figure sweeps, for either [`TripleKind`]: replay checkpointed points,
+/// run only the missing ones, and append the fresh results.
+///
+/// Keys are built only when a journal is installed, with one trace digest
+/// per distinct trace slice rather than one per point.
+pub(crate) fn journaled_triples(points: &[(CacheConfig, &[u32])], kind: TripleKind) -> Vec<Triple> {
+    let keys = match with_global_journal(|_| ()) {
+        Some(()) => journal_keys(points, kind.journal_tag()),
+        None => Vec::new(),
+    };
     let mut slots: Vec<Option<Triple>> = with_global_journal(|journal| {
         keys.iter()
             .map(|k| journal.lookup(k).and_then(|v| triple_from_journal(&v)))
             .collect()
     })
-    .unwrap_or_else(|| vec![None; points.len()]);
+    .unwrap_or_default();
+    slots.resize(points.len(), None);
 
     let missing: Vec<usize> = (0..points.len()).filter(|&i| slots[i].is_none()).collect();
     let todo: Vec<(CacheConfig, &[u32])> = missing.iter().map(|&i| points[i]).collect();
-    // On the fast path the plain-triple sweep runs one pass per trace: every
-    // missing point sharing a trace rides a single `batch_sweep` traversal.
-    // The reference kernel runs per point. The journal keys above are
-    // computed per point and are kernel-agnostic, so `--resume` replays
-    // byte-identically no matter which kernel recorded a point. (The
-    // last-line tag has no sweep specialization and always runs per point.)
-    let fresh = if tag == "triple/v1" && default_kernel() != Kernel::Reference {
-        sweep_grouped(&todo)
-    } else {
-        pool_execute(&todo, default_jobs(), |&(config, addrs)| f(config, addrs))
-    };
+    // Points sharing a trace run as one group: on the fast path a single
+    // `batch_sweep` traversal, under the reference kernel per point. The
+    // keys are kernel-agnostic, so `--resume` replays byte-identically no
+    // matter which kernel recorded a point.
+    let fresh = sweep_grouped(&todo, kind);
 
-    with_global_journal(|journal| {
-        for (&i, t) in missing.iter().zip(&fresh) {
-            if let Err(e) = journal.record(&keys[i], &triple_to_journal(t)) {
-                // A checkpoint append failure must not abort the sweep; the
-                // point simply will not be resumable.
-                eprintln!("warning: {e}");
+    if !keys.is_empty() {
+        with_global_journal(|journal| {
+            for (&i, t) in missing.iter().zip(&fresh) {
+                if let Err(e) = journal.record(&keys[i], &triple_to_journal(t)) {
+                    // A checkpoint append failure must not abort the sweep;
+                    // the point simply will not be resumable.
+                    eprintln!("warning: {e}");
+                }
             }
-        }
-    });
+        });
+    }
     for (i, t) in missing.into_iter().zip(fresh) {
         slots[i] = Some(t);
     }
@@ -1319,19 +1348,39 @@ fn journaled_triples(
         .collect()
 }
 
-/// One-pass execution of missing sweep points on the fast path:
-/// points sharing a trace are grouped and each group runs as one
-/// [`dynex_cache::batch_sweep`] traversal on the pool. Point order is
-/// preserved, so the output is bit-identical to per-point execution for
-/// every worker count.
-fn sweep_grouped(todo: &[(CacheConfig, &[u32])]) -> Vec<Triple> {
-    // Group by trace slice identity (pointer + length): the figure sweeps
-    // fan one slice per benchmark across many geometries, so identity
-    // captures exactly the sharing available. Equal-content slices at
-    // different addresses merely land in different groups, which costs
-    // speed, never correctness.
+/// The checkpoint key of every point: the triple's tag, the exact geometry
+/// fields, and the trace digest, hashed once per distinct trace slice.
+fn journal_keys(points: &[(CacheConfig, &[u32])], tag: &str) -> Vec<String> {
+    let mut keys = vec![String::new(); points.len()];
+    for (addrs, members) in trace_groups(points) {
+        let digest = format!("{:016x}", trace_digest(addrs));
+        for i in members {
+            let config = points[i].0;
+            // Exact fields, not the Display label (which rounds the size to
+            // whole KB and would collide sub-KB configurations).
+            keys[i] = job_key(&[
+                tag,
+                &format!(
+                    "size={} line={} ways={}",
+                    config.size_bytes(),
+                    config.line_bytes(),
+                    config.associativity()
+                ),
+                &digest,
+            ]);
+        }
+    }
+    keys
+}
+
+/// Groups points by trace slice identity (pointer + length), in
+/// first-appearance order: the figure sweeps fan one slice per benchmark
+/// across many geometries, so identity captures exactly the sharing
+/// available. Equal-content slices at different addresses merely land in
+/// different groups, which costs speed, never correctness.
+fn trace_groups<'a>(points: &[(CacheConfig, &'a [u32])]) -> Vec<(&'a [u32], Vec<usize>)> {
     let mut groups: Vec<(&[u32], Vec<usize>)> = Vec::new();
-    for (i, &(_, addrs)) in todo.iter().enumerate() {
+    for (i, &(_, addrs)) in points.iter().enumerate() {
         match groups
             .iter_mut()
             .find(|(t, _)| t.as_ptr() == addrs.as_ptr() && t.len() == addrs.len())
@@ -1340,9 +1389,19 @@ fn sweep_grouped(todo: &[(CacheConfig, &[u32])]) -> Vec<Triple> {
             None => groups.push((addrs, vec![i])),
         }
     }
+    groups
+}
+
+/// Runs sweep points grouped by trace, one pool job per group, each group
+/// through [`triples_of`] with the session kernel. Point order is
+/// preserved, so the output is bit-identical to per-point execution for
+/// every worker count.
+fn sweep_grouped(todo: &[(CacheConfig, &[u32])], kind: TripleKind) -> Vec<Triple> {
+    let groups = trace_groups(todo);
+    let kernel = default_kernel();
     let per_group = pool_execute(&groups, default_jobs(), |(addrs, members)| {
         let configs: Vec<CacheConfig> = members.iter().map(|&i| todo[i].0).collect();
-        run_triples_sweep(&configs, addrs)
+        triples_of(kind, kernel, &configs, addrs)
     });
     let mut slots: Vec<Option<Triple>> = vec![None; todo.len()];
     for ((_, members), triples) in groups.iter().zip(per_group) {
@@ -1399,7 +1458,7 @@ pub(crate) static JOURNAL_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::ne
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::triple;
+    use crate::runner::{triple, triple_lastline};
     use dynex_trace::Access;
 
     fn thrash() -> Vec<u32> {
@@ -1763,12 +1822,12 @@ mod tests {
             CacheConfig::direct_mapped(1024, 4).unwrap(), // duplicate point
             CacheConfig::direct_mapped(8192, 16).unwrap(),
         ];
-        let swept = run_triples_sweep(&configs, &addrs);
+        let swept = run_triples(Kernel::Sweep, &configs, &addrs);
         assert_eq!(swept.len(), configs.len());
         for (config, got) in configs.iter().zip(&swept) {
             assert_eq!(*got, run_triple(Kernel::Batch, *config, &addrs), "{config}");
         }
-        assert_eq!(run_triples_sweep(&[], &addrs), Vec::new());
+        assert_eq!(run_triples(Kernel::Sweep, &[], &addrs), Vec::new());
     }
 
     #[test]
@@ -1783,6 +1842,8 @@ mod tests {
             (PolicyKind::DynamicExclusion, 64),
             (PolicyKind::DynamicExclusion, 256),
             (PolicyKind::OptimalDm, 64),
+            (PolicyKind::DeLastLine, 64),
+            (PolicyKind::OptimalDmLastLine, 256),
         ] {
             let mut r = base.clone();
             r.policy = policy;
@@ -1801,9 +1862,9 @@ mod tests {
         }
 
         // Unsweepable organizations are rejected up front, not silently run.
-        let mut lastline = base.clone();
-        lastline.policy = PolicyKind::DeLastLine;
-        let err = execute_many(&[&lastline], &trace).unwrap_err();
+        let mut unsweepable = base.clone();
+        unsweepable.policy = PolicyKind::ExpectedHitCount;
+        let err = execute_many(&[&unsweepable], &trace).unwrap_err();
         assert!(matches!(err, ApiError::Invalid { field, .. } if field == "--policy"));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1845,7 +1906,7 @@ mod tests {
         assert_eq!(parallel.len(), 2);
         assert_eq!(parallel[0], triple(small, &addrs));
         assert_eq!(parallel[1], triple(large, &addrs));
-        let lastline = sweep_triples_lastline(&points);
+        let lastline = journaled_triples(&points, TripleKind::LastLine);
         assert_eq!(lastline[0], triple_lastline(small, &addrs));
         assert_eq!(lastline[1], triple_lastline(large, &addrs));
     }
@@ -1869,6 +1930,61 @@ mod tests {
         assert_eq!(recorded, bare);
         assert_eq!(replayed_triples, bare);
         assert!(replayed >= points.len() as u64);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn figure_sweep_journal_keys_are_pinned() {
+        // Literal keys recorded by earlier builds: a change here orphans
+        // every checkpoint written by `experiments --resume`.
+        let config = CacheConfig::direct_mapped(1024, 16).unwrap();
+        let addrs = thrash();
+        let points: Vec<(CacheConfig, &[u32])> = vec![(config, &addrs)];
+        assert_eq!(
+            journal_keys(&points, TripleKind::Plain.journal_tag()),
+            ["2504f3998353246d"]
+        );
+        assert_eq!(
+            journal_keys(&points, TripleKind::LastLine.journal_tag()),
+            ["ddd8e8f4640a9c16"]
+        );
+        // One digest per distinct slice: a repeated slice keys like itself.
+        let word = CacheConfig::direct_mapped(64, 4).unwrap();
+        let points: Vec<(CacheConfig, &[u32])> = vec![(config, &addrs), (word, &addrs)];
+        assert_eq!(
+            journal_keys(&points, TripleKind::Plain.journal_tag()),
+            ["2504f3998353246d", "148262f7aad96ad1"]
+        );
+    }
+
+    #[test]
+    fn journaled_sweep_records_and_replays_every_point() {
+        let _guard = JOURNAL_TEST_LOCK.lock().unwrap();
+        let path =
+            std::env::temp_dir().join(format!("dynex-api-journal-8-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let addrs = thrash();
+        let other: Vec<u32> = (0..60).map(|i| (i % 7) * 64).collect();
+        let mut points: Vec<(CacheConfig, &[u32])> = Vec::new();
+        for size in [64u32, 128, 256, 512] {
+            let config = CacheConfig::direct_mapped(size, 16).unwrap();
+            points.push((config, &addrs));
+            points.push((config, &other));
+        }
+        for kind in [TripleKind::Plain, TripleKind::LastLine] {
+            let bare = journaled_triples(&points, kind);
+            let _ = std::fs::remove_file(&path);
+            dynex_engine::set_global_journal(Some(Journal::open(&path).unwrap()));
+            let recorded = journaled_triples(&points, kind);
+            let entries = with_global_journal(|j| j.entries().count()).unwrap();
+            let replayed = journaled_triples(&points, kind);
+            let replays = with_global_journal(|j| j.replayed()).unwrap();
+            dynex_engine::set_global_journal(None);
+            assert_eq!(entries, 8, "{kind:?}: two traces x four configs");
+            assert_eq!(replays, 8, "{kind:?}: the second call replays all 8");
+            assert_eq!(recorded, bare, "{kind:?}");
+            assert_eq!(replayed, bare, "{kind:?}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -184,8 +184,8 @@ fn simulate_probed(
 }
 
 /// `--sweep`: simulate the dm/de/opt triple at every listed size in one
-/// session. On the fast path the whole list shares a single trace traversal
-/// ([`api::run_triples_sweep`]); under [`Kernel::Reference`] each size runs
+/// session ([`api::run_triples`]). On the fast path the whole list shares a
+/// single trace traversal; under [`Kernel::Reference`] each size runs
 /// point-by-point. Stdout is byte-identical across kernels; the stderr
 /// `sim:` line counts one reference per trace reference per size, so its
 /// refs/s figure measures N-configuration throughput (`scripts/bench.sh`
@@ -206,13 +206,7 @@ fn run_size_sweep(
         }
     }
     let started = std::time::Instant::now();
-    let triples: Vec<Triple> = match default_kernel() {
-        Kernel::Reference => configs
-            .iter()
-            .map(|&config| api::run_triple(Kernel::Reference, config, &loaded.addrs))
-            .collect(),
-        _ => api::run_triples_sweep(&configs, &loaded.addrs),
-    };
+    let triples: Vec<Triple> = api::run_triples(default_kernel(), &configs, &loaded.addrs);
     let seconds = started.elapsed().as_secs_f64();
     let refs = loaded.addrs.len() as u64 * configs.len() as u64;
     eprintln!(

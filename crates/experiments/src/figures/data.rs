@@ -1,38 +1,12 @@
 //! Figures 14–15: data and combined caches.
 
-use dynex_cache::CacheConfig;
-
-use crate::api::sweep_triples;
-use crate::runner::{average_rates, reduction};
+use crate::api::TripleKind;
+use crate::runner::{averaged_sweep, reduction, size_configs};
 use crate::{Table, Workloads, SIZE_SWEEP_KB};
 
-fn sweep(
-    workloads: &Workloads,
-    select: impl Fn(&Workloads, &str) -> Vec<u32>,
-) -> Vec<(u32, f64, f64, f64)> {
-    // Materialize each benchmark's stream once, then run every
-    // (size, benchmark) point on the engine's worker pool.
-    let traces: Vec<Vec<u32>> = workloads
-        .iter()
-        .map(|(name, _)| select(workloads, name))
-        .collect();
-    let mut points: Vec<(CacheConfig, &[u32])> = Vec::new();
-    for &kb in &SIZE_SWEEP_KB {
-        let config = CacheConfig::direct_mapped(kb * 1024, 4).expect("valid config");
-        points.extend(traces.iter().map(|t| (config, t.as_slice())));
-    }
-    let results = sweep_triples(&points);
-    SIZE_SWEEP_KB
-        .iter()
-        .zip(results.chunks(traces.len()))
-        .map(|(&kb, per_bench)| {
-            let (dm, de, opt) = average_rates(per_bench);
-            (kb, dm, de, opt)
-        })
-        .collect()
-}
-
-fn render(title: &str, points: Vec<(u32, f64, f64, f64)>) -> Table {
+/// The size sweep of one stream at 4-byte lines, rendered as a table of
+/// average miss rates and DE's reduction.
+fn render(title: &str, workloads: &Workloads, stream: fn(&Workloads, &str) -> Vec<u32>) -> Table {
     let mut table = Table::new(
         title,
         vec![
@@ -43,7 +17,8 @@ fn render(title: &str, points: Vec<(u32, f64, f64, f64)>) -> Table {
             "DE red. %",
         ],
     );
-    for (kb, dm, de, opt) in points {
+    let rates = averaged_sweep(workloads, stream, TripleKind::Plain, &size_configs(4));
+    for (kb, (dm, de, opt)) in SIZE_SWEEP_KB.iter().zip(rates) {
         table.push_row(vec![
             kb.to_string(),
             format!("{dm:.3}"),
@@ -65,7 +40,8 @@ fn render(title: &str, points: Vec<(u32, f64, f64, f64)>) -> Table {
 pub fn fig14(workloads: &Workloads) -> Table {
     render(
         "Figure 14: average DATA-cache miss rate vs size, b=4B",
-        sweep(workloads, |w, name| w.data_addrs(name)),
+        workloads,
+        Workloads::data_addrs,
     )
 }
 
@@ -77,7 +53,8 @@ pub fn fig14(workloads: &Workloads) -> Table {
 pub fn fig15(workloads: &Workloads) -> Table {
     render(
         "Figure 15: average COMBINED I+D cache miss rate vs size, b=4B",
-        sweep(workloads, |w, name| w.all_addrs(name)),
+        workloads,
+        Workloads::all_addrs,
     )
 }
 

@@ -2,8 +2,8 @@
 
 use dynex_cache::CacheConfig;
 
-use crate::api::sweep_triples;
-use crate::runner::{average_rates, reduction};
+use crate::api::{sweep_triples, TripleKind};
+use crate::runner::{averaged_sweep, reduction, size_configs};
 use crate::{Table, Workloads, HEADLINE_SIZE, SIZE_SWEEP_KB};
 
 fn pct(v: f64) -> String {
@@ -45,28 +45,15 @@ pub fn fig3(workloads: &Workloads) -> Table {
 }
 
 /// The size sweep shared by Figures 4 and 5: average miss-rate percentages
-/// `(size KB, dm, de, opt)` across the ten benchmarks, 4-byte lines.
-pub fn size_sweep(workloads: &Workloads) -> Vec<(u32, f64, f64, f64)> {
-    // Materialize each benchmark's instruction stream once, then fan every
-    // (size, benchmark) point out over the engine's worker pool.
-    let traces: Vec<Vec<u32>> = workloads
-        .iter()
-        .map(|(name, _)| workloads.instr_addrs(name))
-        .collect();
-    let mut points: Vec<(CacheConfig, &[u32])> = Vec::new();
-    for &kb in &SIZE_SWEEP_KB {
-        let config = CacheConfig::direct_mapped(kb * 1024, 4).expect("valid config");
-        points.extend(traces.iter().map(|t| (config, t.as_slice())));
-    }
-    let results = sweep_triples(&points);
-    SIZE_SWEEP_KB
-        .iter()
-        .zip(results.chunks(traces.len()))
-        .map(|(&kb, per_bench)| {
-            let (dm, de, opt) = average_rates(per_bench);
-            (kb, dm, de, opt)
-        })
-        .collect()
+/// `(dm, de, opt)` across the ten benchmarks per [`SIZE_SWEEP_KB`] size,
+/// 4-byte lines.
+fn size_sweep(workloads: &Workloads) -> Vec<(f64, f64, f64)> {
+    averaged_sweep(
+        workloads,
+        Workloads::instr_addrs,
+        TripleKind::Plain,
+        &size_configs(4),
+    )
 }
 
 /// Figure 4: average instruction-cache miss rate vs cache size (4B lines).
@@ -80,7 +67,7 @@ pub fn fig4(workloads: &Workloads) -> Table {
             "optimal DM",
         ],
     );
-    for (kb, dm, de, opt) in size_sweep(workloads) {
+    for (kb, (dm, de, opt)) in SIZE_SWEEP_KB.iter().zip(size_sweep(workloads)) {
         table.push_row(vec![kb.to_string(), pct(dm), pct(de), pct(opt)]);
     }
     table
@@ -93,7 +80,7 @@ pub fn fig5(workloads: &Workloads) -> Table {
         "Figure 5: % reduction of average I-cache miss rate vs size, b=4B",
         vec!["size KB", "dynamic exclusion %", "optimal DM %"],
     );
-    for (kb, dm, de, opt) in size_sweep(workloads) {
+    for (kb, (dm, de, opt)) in SIZE_SWEEP_KB.iter().zip(size_sweep(workloads)) {
         table.push_row(vec![
             kb.to_string(),
             pct1(reduction(dm, de)),
@@ -138,7 +125,7 @@ mod tests {
 
     #[test]
     fn opt_never_above_dm_in_sweep() {
-        for (_, dm, _, opt) in size_sweep(&tiny()) {
+        for (dm, _, opt) in size_sweep(&tiny()) {
             assert!(opt <= dm + 1e-9);
         }
     }

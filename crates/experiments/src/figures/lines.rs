@@ -3,23 +3,21 @@
 use dynex::{HashedStore, LastLineDeCache};
 use dynex_cache::{CacheConfig, DirectMapped};
 
-use crate::api::sweep_triples_lastline;
-use crate::runner::{average_rates, bench_means, miss_rate, per_benchmark, reduction};
+use crate::api::TripleKind;
+use crate::runner::{
+    averaged_sweep, bench_means, miss_rate, per_benchmark, reduction, size_configs,
+};
 use crate::{Table, Workloads, HEADLINE_SIZE, LINE_SWEEP_BYTES, SIZE_SWEEP_KB};
 
-/// The lastline sweep shared by Figures 11 and 12: every (config, benchmark)
-/// point on the engine's pool, averaged per config in plan order.
+/// The last-line sweep shared by Figures 11 and 12: benchmark-average
+/// `(dm, de, opt)` instruction-stream miss rates per config.
 fn lastline_sweep(workloads: &Workloads, configs: &[CacheConfig]) -> Vec<(f64, f64, f64)> {
-    let traces: Vec<Vec<u32>> = workloads
-        .iter()
-        .map(|(name, _)| workloads.instr_addrs(name))
-        .collect();
-    let mut points: Vec<(CacheConfig, &[u32])> = Vec::new();
-    for &config in configs {
-        points.extend(traces.iter().map(|t| (config, t.as_slice())));
-    }
-    let results = sweep_triples_lastline(&points);
-    results.chunks(traces.len()).map(average_rates).collect()
+    averaged_sweep(
+        workloads,
+        Workloads::instr_addrs,
+        TripleKind::LastLine,
+        configs,
+    )
 }
 
 /// Figure 11: average I-cache performance vs line size at 32KB. DE and OPT
@@ -70,13 +68,9 @@ pub fn fig12(workloads: &Workloads) -> Table {
             "DE red. %",
         ],
     );
-    let configs: Vec<CacheConfig> = SIZE_SWEEP_KB
-        .iter()
-        .map(|&kb| CacheConfig::direct_mapped(kb * 1024, 16).expect("valid config"))
-        .collect();
     for (&kb, (dm, de, opt)) in SIZE_SWEEP_KB
         .iter()
-        .zip(lastline_sweep(workloads, &configs))
+        .zip(lastline_sweep(workloads, &size_configs(16)))
     {
         table.push_row(vec![
             kb.to_string(),

@@ -39,7 +39,7 @@ pub use ablations::{ablate_hashwidth, ablate_sticky, streambuf, victim};
 pub use data::{fig14, fig15};
 pub use extensions::{ablate_linebuf, assoc, coldstart, conflicts};
 pub use hierarchy::{fig7, fig8, fig9, l2_sweep};
-pub use instr::{fig3, fig4, fig5, size_sweep};
+pub use instr::{fig3, fig4, fig5};
 pub use lines::{fig11, fig12, fig13};
 pub use patterns::{fig2, patterns};
 pub use zoo::{bwcost, ehc};

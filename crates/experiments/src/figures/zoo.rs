@@ -20,8 +20,9 @@
 //! bytes under the differential wall.
 
 use dynex_cache::{simulate_policy, CacheConfig, CacheStats, DePolicy, DmPolicy};
-use dynex_engine::PolicyKind;
+use dynex_engine::{default_kernel, PolicyKind};
 
+use crate::api::run_triples;
 use crate::runner::{bench_means, per_benchmark, reduction};
 use crate::{Table, Workloads};
 
@@ -52,19 +53,21 @@ pub fn ehc(workloads: &Workloads) -> Table {
             "EHC red %",
         ],
     );
+    let configs =
+        ZOO_SIZES_KB.map(|kb| CacheConfig::direct_mapped(kb * 1024, 4).expect("valid config"));
     let per_bench = per_benchmark(workloads, |addrs| {
-        ZOO_SIZES_KB
-            .map(|kb| {
-                let config = CacheConfig::direct_mapped(kb * 1024, 4).expect("valid config");
-                [
-                    PolicyKind::DirectMapped,
-                    PolicyKind::DynamicExclusion,
-                    PolicyKind::ExpectedHitCount,
-                    PolicyKind::OptimalDm,
-                ]
-                .map(|kind| zoo_stats(kind, config, addrs).miss_rate_percent())
+        // The dm/de/opt columns of every size share one triple call (one
+        // trace walk and one next-use oracle on the fast path); EHC runs
+        // per size.
+        let triples = run_triples(default_kernel(), &configs, addrs);
+        configs
+            .iter()
+            .zip(triples)
+            .map(|(&config, t)| {
+                let ehc = zoo_stats(PolicyKind::ExpectedHitCount, config, addrs);
+                [t.dm, t.de, ehc, t.opt].map(|stats| stats.miss_rate_percent())
             })
-            .to_vec()
+            .collect()
     });
     for (kb, [dm_a, de_a, ehc_a, opt_a]) in ZOO_SIZES_KB.into_iter().zip(bench_means(&per_bench)) {
         table.push_row(vec![

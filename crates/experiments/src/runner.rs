@@ -14,10 +14,11 @@
 
 use dynex::{DeCache, OptimalDirectMapped};
 use dynex_cache::{run_addrs, CacheConfig, CacheSim, CacheStats};
-use dynex_engine::{default_jobs, default_kernel, execute, PolicyKind};
+use dynex_engine::{default_jobs, default_kernel, execute};
 use dynex_obs::{CountingProbe, EventCounts};
 
-use crate::{Table, Workloads};
+use crate::api::{journaled_triples, triples_of, TripleKind};
+use crate::{Table, Workloads, SIZE_SWEEP_KB};
 
 /// Results of one workload under the three caches the paper compares
 /// throughout: conventional direct-mapped, dynamic exclusion, and optimal
@@ -128,16 +129,9 @@ pub fn triple_observed(config: CacheConfig, addrs: &[u32]) -> ObservedTriple {
 /// Runs the three-way comparison for multi-word lines: DE and OPT both get
 /// the Section 6 last-line buffer; the conventional cache stays bare.
 pub fn triple_lastline(config: CacheConfig, addrs: &[u32]) -> Triple {
-    let simulate = |policy: PolicyKind| {
-        policy
-            .simulate(config, addrs)
-            .expect("dm and the lastline variants run on every kernel")
-    };
-    Triple {
-        dm: simulate(PolicyKind::DirectMapped),
-        de: simulate(PolicyKind::DeLastLine),
-        opt: simulate(PolicyKind::OptimalDmLastLine),
-    }
+    triples_of(TripleKind::LastLine, default_kernel(), &[config], addrs)
+        .pop()
+        .expect("one config in, one triple out")
 }
 
 /// Averages miss-rate percentages across per-benchmark triples (the paper's
@@ -160,6 +154,40 @@ pub fn average_rates(triples: &[Triple]) -> (f64, f64, f64) {
         .sum::<f64>()
         / n;
     (dm, de, opt)
+}
+
+/// The direct-mapped configurations of the size axis ([`SIZE_SWEEP_KB`])
+/// at `line_bytes` lines.
+pub(crate) fn size_configs(line_bytes: u32) -> Vec<CacheConfig> {
+    SIZE_SWEEP_KB
+        .iter()
+        .map(|&kb| CacheConfig::direct_mapped(kb * 1024, line_bytes).expect("valid config"))
+        .collect()
+}
+
+/// The averaged triple sweep behind Figures 4, 5, 11, 12, 14 and 15: each
+/// benchmark's `stream` is materialized once, every (config, benchmark)
+/// point runs through the journal-aware sweep of `kind`, and the result
+/// holds the benchmark-average `(dm, de, opt)` miss-rate percentages per
+/// config, in config order.
+pub(crate) fn averaged_sweep(
+    workloads: &Workloads,
+    stream: fn(&Workloads, &str) -> Vec<u32>,
+    kind: TripleKind,
+    configs: &[CacheConfig],
+) -> Vec<(f64, f64, f64)> {
+    let traces: Vec<Vec<u32>> = workloads
+        .iter()
+        .map(|(name, _)| stream(workloads, name))
+        .collect();
+    let mut points: Vec<(CacheConfig, &[u32])> = Vec::new();
+    for &config in configs {
+        points.extend(traces.iter().map(|t| (config, t.as_slice())));
+    }
+    journaled_triples(&points, kind)
+        .chunks(traces.len())
+        .map(average_rates)
+        .collect()
 }
 
 /// Runs `f` over every benchmark's instruction stream on the engine's

@@ -705,7 +705,8 @@ impl Unit {
 /// specialization and whose kernel is not `reference` are grouped by decoded
 /// trace content; a group of two or more becomes one fused unit so the whole
 /// group rides a single `batch_sweep` traversal. Everything else (reference
-/// runs, last-line policies, singleton groups) stays a per-job unit.
+/// runs, policies without a sweep specialization, singleton groups) stays a
+/// per-job unit.
 /// Grouping is by digest *and* a content check, so a digest collision can
 /// never fuse jobs over different traces.
 fn plan_units(batch: &[SimJob]) -> Vec<Unit> {
@@ -927,11 +928,11 @@ mod tests {
         let shared: Vec<u32> = (0..64).map(|i| i * 4).collect();
         let batch = vec![
             job("de", "reference", shared.clone()),
-            job("de-lastline", "batch", shared.clone()),
+            job("ehc", "batch", shared.clone()),
             job("dm", "batch", shared.clone()),
-            job("de", "batch", shared),
+            job("de-lastline", "batch", shared),
         ];
-        // The reference run and the last-line policy stay per-job
+        // The reference run and the unsweepable policy stay per-job
         // units (in batch order, ahead of the groups); only 2/3 fuse.
         assert_eq!(
             shape(&plan_units(&batch)),

@@ -82,6 +82,31 @@ if [ "$quick" -eq 0 ]; then
     rm -rf "$inv_dir"
 fi
 
+# Figure resume: perfbench never installs a journal, so the keyed path of
+# the figure sweeps gets its own gate. A second `--resume` run over the same
+# journal must write the same CSVs and replay every point it checkpointed.
+# (Skipped under --quick: needs the release binary.)
+if [ "$quick" -eq 0 ]; then
+    echo "==> figure resume (experiments --resume, fig4 + fig12 twice)"
+    resume_dir=$(mktemp -d)
+    for run in 1 2; do
+        target/release/experiments --resume "$resume_dir/journal.jsonl" --refs 20000 \
+            --out "$resume_dir/run$run" fig4 fig12 >/dev/null 2>"$resume_dir/run$run.err"
+    done
+    if ! diff -r "$resume_dir/run1" "$resume_dir/run2"; then
+        echo "verify: figure CSVs differ between a fresh and a resumed run" >&2
+        exit 1
+    fi
+    summary=$(grep '^resume journal:' "$resume_dir/run2.err" || true)
+    replayed=$(echo "$summary" | sed -n 's/^resume journal: \([0-9]*\) point(s) replayed, \([0-9]*\) checkpointed$/\1/p')
+    recorded=$(echo "$summary" | sed -n 's/^resume journal: \([0-9]*\) point(s) replayed, \([0-9]*\) checkpointed$/\2/p')
+    if [ -z "$replayed" ] || [ "$replayed" -eq 0 ] || [ "$replayed" != "$recorded" ]; then
+        echo "verify: resumed figure run did not replay every point (${summary:-no summary})" >&2
+        exit 1
+    fi
+    rm -rf "$resume_dir"
+fi
+
 if [ "$quick" -eq 0 ]; then
     echo "==> bench smoke (tiny budgets)"
     smoke_dir=$(mktemp -d)

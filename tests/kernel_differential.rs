@@ -27,7 +27,7 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use dynex::{DeCache, OptimalDirectMapped};
+use dynex::{DeCache, LastLineDeCache, OptimalDirectMapped, PerfectStore};
 use dynex_cache::{
     batch_ehc, batch_sweep, batch_sweep_probed, decode_addrs, run_addrs, simulate_policy,
     BatchDeResult, CacheConfig, DirectMapped, EhcPolicy, Kernel, KindFilter, SplitMix64,
@@ -212,12 +212,14 @@ fn random_trace_stats_agree_across_kernels_at_jobs_1_and_4() {
 
 /// Figure CSVs are byte-identical across kernel × worker-count: the full
 /// driver stack (workloads → triples → table → CSV) cannot tell the kernels
-/// apart at `--jobs 1` or `--jobs 4`.
+/// apart at `--jobs 1` or `--jobs 4` — for the word-line triples (fig3,
+/// fig5), the last-line triples (fig11, fig12) and the multi-config triple
+/// call beside EHC (ehc).
 #[test]
 fn figure_csv_bytes_identical_across_kernels_and_jobs() {
     let _guard = lock_globals();
     let workloads = workloads();
-    for id in ["fig3", "fig5"] {
+    for id in ["fig3", "fig5", "fig11", "fig12", "ehc"] {
         let mut renders = Vec::new();
         for kernel in [Kernel::Reference, Kernel::Batch, Kernel::Sweep] {
             for jobs in [1usize, 4] {
@@ -392,11 +394,12 @@ fn decode_edge_cases_agree_across_all_kernels() {
     }
 }
 
-/// A sweep mixing 4-byte and 16-byte lines, with dm, de and opt at each
-/// line size, over a trace whose length is not a multiple of `CHUNK_LEN`:
-/// every line size is decoded chunk by chunk, the partial last chunk
-/// included, and each point must reproduce its reference simulator —
-/// statistics, DE counters and probe event stream.
+/// A sweep mixing 4-byte and 16-byte lines, with dm, de, opt and the
+/// last-line variants of de and opt at each line size, over a trace whose
+/// length is not a multiple of `CHUNK_LEN`: every line size is decoded
+/// chunk by chunk, the partial last chunk included, and each point must
+/// reproduce its reference simulator — statistics, DE counters and probe
+/// event stream.
 #[test]
 fn mixed_line_size_sweep_matches_reference_at_a_partial_last_chunk() {
     let addrs: Vec<u32> = AppParams::new(11)
@@ -416,6 +419,8 @@ fn mixed_line_size_sweep_matches_reference_at_a_partial_last_chunk() {
             SweepPolicy::DirectMapped,
             SweepPolicy::DynamicExclusion,
             SweepPolicy::Optimal,
+            SweepPolicy::DeLastLine,
+            SweepPolicy::OptimalLastLine,
         ] {
             points.push(SweepPoint::new(config, policy));
         }
@@ -452,6 +457,28 @@ fn mixed_line_size_sweep_matches_reference_at_a_partial_last_chunk() {
             }
             SweepPolicy::Optimal => (
                 SweepPointResult::Opt(OptimalDirectMapped::simulate(config, refs)),
+                Vec::new(),
+            ),
+            SweepPolicy::DeLastLine => {
+                let mut cache = LastLineDeCache::with_store_and_probe(
+                    config,
+                    PerfectStore::new(),
+                    EventLog::new(),
+                );
+                let stats = run_addrs(&mut cache, refs);
+                let de = cache.de_stats();
+                let result = BatchDeResult {
+                    stats,
+                    loads: de.loads,
+                    bypasses: de.bypasses,
+                };
+                (
+                    SweepPointResult::De(result),
+                    cache.into_probe().into_events(),
+                )
+            }
+            SweepPolicy::OptimalLastLine => (
+                SweepPointResult::Opt(OptimalDirectMapped::simulate_with_lastline(config, refs)),
                 Vec::new(),
             ),
         };
@@ -556,11 +583,12 @@ fn fused_triple_matches_on_data_streams() {
 }
 
 /// The policy-matrix leg of the wall: every member of the policy zoo, at
-/// its own geometry, answers the full request path (`api::execute`: label,
-/// statistics, DE counters, content key) bit-identically on every kernel.
-/// The coalesced `execute_many` path answers the sweepable
-/// members exactly as per-request `execute` does. This is the CI
-/// policy-matrix job's anchor test.
+/// its own geometry and at 4 B and 16 B lines, answers the full request
+/// path (`api::execute`: label, statistics, DE counters, content key)
+/// bit-identically on every kernel. The coalesced `execute_many` path
+/// answers the sweepable members (dm, de, opt and the last-line variants)
+/// exactly as per-request `execute` does. This is the CI policy-matrix
+/// job's anchor test.
 #[test]
 fn policy_matrix_is_bit_identical_on_every_supporting_kernel() {
     let workloads = workloads();
@@ -570,12 +598,12 @@ fn policy_matrix_is_bit_identical_on_every_supporting_kernel() {
             addrs: workloads.instr_addrs(name),
             skipped: 0,
         };
-        for size in ["1K", "8K"] {
+        for (size, line) in [("1K", 4), ("8K", 4), ("1K", 16), ("8K", 16)] {
             let request = |policy: PolicyKind, kernel: Kernel| {
                 let mut b = SimulationRequest::builder();
                 b.policy(policy.name())
                     .size(size)
-                    .line(4)
+                    .line(line)
                     .kernel(kernel.name())
                     .jobs(1);
                 b.build().expect("every zoo member builds")
@@ -597,7 +625,7 @@ fn policy_matrix_is_bit_identical_on_every_supporting_kernel() {
                     assert_eq!(
                         result.unwrap(),
                         reference,
-                        "{name}: {} @ {size} kernel={kernel}",
+                        "{name}: {} @ {size}/{line}B kernel={kernel}",
                         policy.name()
                     );
                 }
@@ -613,7 +641,7 @@ fn policy_matrix_is_bit_identical_on_every_supporting_kernel() {
                 assert_eq!(
                     *got,
                     api::execute(request, &trace).unwrap(),
-                    "{name}: {} @ {size} via execute_many",
+                    "{name}: {} @ {size}/{line}B via execute_many",
                     request.policy.name()
                 );
             }
