@@ -15,9 +15,10 @@
 //!   paper's direct-mapped / dynamic-exclusion / optimal policies and
 //!   their last-line variants, the Expected-Hit-Count and bandwidth-cost
 //!   additions, and the set-associative / victim / stream comparisons).
-//!   [`PolicyKind::run`] is the one dispatch every front end calls; it
-//!   returns a [`PolicyRun`] (label, statistics, DE counters), and every
-//!   kernel runs every policy.
+//!   [`run_jobs`] is the one dispatch: N jobs over one trace under one
+//!   kernel, one probe per job. [`PolicyKind::run`] is its one-job case and
+//!   returns a [`PolicyRun`] (label, statistics, DE counters); every kernel
+//!   runs every policy.
 //! * [`default_kernel`] / [`set_default_kernel`] — session-wide selection
 //!   between the reference simulators and the bit-identical fast path
 //!   from `dynex-cache` (the `--kernel` flag; `batch` and `sweep` both name
@@ -73,4 +74,4 @@ pub use journal::{
 pub use kernel::{default_kernel, set_default_kernel};
 pub use pool::{available_jobs, default_jobs, env_jobs, execute, set_default_jobs};
 pub use resilience::{execute_resilient, JobError, JobFailure, Resilience, SweepOutcome};
-pub use sweep::{Job, PolicyError, PolicyKind, PolicyRun, SweepPlan};
+pub use sweep::{run_jobs, Job, PolicyError, PolicyKind, PolicyRun, SweepPlan};

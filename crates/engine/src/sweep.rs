@@ -5,20 +5,23 @@
 //! replacement-policy zoo in `dynex-cache` (the paper's three policies, the
 //! Section 6 last-line variants, the EHC / bandwidth-cost additions, and
 //! the set-associative and buffered comparisons) and owns its label and
-//! associativity. [`PolicyKind::run`] is the single dispatch every front
-//! end calls. Every kernel runs every policy: [`Kernel::Reference`] runs
-//! the spec simulator, and the fast path ([`Kernel::Batch`] and
-//! [`Kernel::Sweep`], two names for the same code) runs dm/de/opt and their
-//! last-line variants as a one-point [`batch_sweep`], ehc/bwcost through
-//! their chunked kernels, and every other policy through its reference
-//! simulator.
+//! associativity. [`run_jobs`] is the one dispatch: it runs N [`Job`]s over
+//! one trace under one kernel, one probe per job, and every front end
+//! ([`PolicyKind::run`], the figure triples, coalesced service batches,
+//! `simcache`'s probed runs) is its one-job or N-job case. Every kernel
+//! runs every policy: [`Kernel::Reference`] runs the spec simulators, and
+//! the fast path ([`Kernel::Batch`] and [`Kernel::Sweep`], two names for
+//! the same code) runs every dm/de/opt or last-line job of the call in one
+//! [`batch_sweep_probed`] traversal, ehc/bwcost through their chunked
+//! kernels, and every other policy through its reference simulator.
 
-use dynex::{DeCache, DeStats, LastLineDeCache, OptimalDirectMapped};
+use dynex::{DeCache, DeStats, LastLineDeCache, OptimalDirectMapped, PerfectStore};
 use dynex_cache::{
-    batch_bwcost, batch_ehc, batch_sweep, run_addrs, simulate_policy, BwCostPolicy, CacheConfig,
-    CacheSim, CacheStats, DirectMapped, EhcPolicy, Kernel, Replacement, SetAssociative,
-    StreamBuffer, SweepPoint, SweepPointResult, SweepPolicy, VictimCache,
+    batch_bwcost, batch_ehc, batch_sweep_probed, run_addrs, simulate_policy, BwCostPolicy,
+    CacheConfig, CacheSim, CacheStats, DirectMapped, EhcPolicy, Kernel, Replacement,
+    SetAssociative, StreamBuffer, SweepPoint, SweepPointResult, SweepPolicy, VictimCache,
 };
+use dynex_obs::{NoopProbe, Probe};
 
 use crate::kernel::default_kernel;
 use crate::pool::execute;
@@ -181,7 +184,7 @@ impl PolicyKind {
     }
 
     /// The sweep-kernel policy this policy maps to, if the fast dm/de/opt
-    /// kernel ([`batch_sweep`]) runs it.
+    /// kernel ([`batch_sweep_probed`]) runs it.
     ///
     /// `Some` for dm, de, opt and their last-line variants; `None` for the
     /// EHC / bandwidth-cost members (their own chunked kernels) and the
@@ -201,7 +204,7 @@ impl PolicyKind {
     /// run under this policy. Only `de` reports counters: `de-lastline`
     /// computes them too (one load or bypass per line run), but its
     /// responses never carried them.
-    pub fn sweep_counters(self, result: SweepPointResult) -> (CacheStats, Option<DeStats>) {
+    fn sweep_counters(self, result: SweepPointResult) -> (CacheStats, Option<DeStats>) {
         let de = result
             .de()
             .filter(|_| self == PolicyKind::DynamicExclusion)
@@ -222,18 +225,13 @@ impl PolicyKind {
         self.simulate_kernel(default_kernel(), config, addrs)
     }
 
-    /// Simulates one point with an explicit kernel: the single dispatch
-    /// behind `api::execute`, the service and `simcache`. Returns the
-    /// label, the statistics, and (for `de`) the exclusion counters.
+    /// Simulates one point with an explicit kernel, as the one-job case of
+    /// [`run_jobs`]: the dispatch behind `api::execute` and the service.
+    /// Returns the label, the statistics, and (for `de`) the exclusion
+    /// counters.
     ///
     /// Every kernel is bit-identical in output (the differential wall in
     /// `tests/kernel_differential.rs` enforces the policy × kernel matrix).
-    /// On the fast path (batch or sweep) dm/de/opt and their last-line
-    /// variants run as a one-point [`batch_sweep`] — the sharing across
-    /// points comes from plan-level
-    /// entry points like [`SweepPlan::run_one_pass`] — ehc and bwcost run
-    /// [`batch_ehc`] / [`batch_bwcost`], and every other policy runs its
-    /// reference simulator.
     ///
     /// # Errors
     ///
@@ -244,7 +242,7 @@ impl PolicyKind {
         config: CacheConfig,
         addrs: &[u32],
     ) -> Result<PolicyRun, PolicyError> {
-        let (stats, de) = self.counters(kernel, config, addrs)?;
+        let (stats, de) = self.counters(kernel, config, addrs);
         Ok(PolicyRun {
             label: self.label(config),
             stats,
@@ -263,7 +261,7 @@ impl PolicyKind {
         config: CacheConfig,
         addrs: &[u32],
     ) -> Result<CacheStats, PolicyError> {
-        self.counters(kernel, config, addrs).map(|(stats, _)| stats)
+        Ok(self.counters(kernel, config, addrs).0)
     }
 
     /// [`PolicyKind::run`] without the label.
@@ -272,35 +270,39 @@ impl PolicyKind {
         kernel: Kernel,
         config: CacheConfig,
         addrs: &[u32],
-    ) -> Result<(CacheStats, Option<DeStats>), PolicyError> {
-        if kernel == Kernel::Reference {
-            return Ok(self.reference(config, addrs));
-        }
-        if let Some(policy) = self.sweep_policy() {
-            let result = batch_sweep(&[SweepPoint::new(config, policy)], addrs)[0];
-            return Ok(self.sweep_counters(result));
-        }
-        Ok(match self {
-            PolicyKind::ExpectedHitCount => (batch_ehc(config, addrs), None),
-            PolicyKind::BandwidthCost => (batch_bwcost(config, addrs), None),
-            // The set-associative and buffered caches have no chunked
-            // per-set loop: the fast path runs their reference simulators.
-            _ => self.reference(config, addrs),
-        })
+    ) -> (CacheStats, Option<DeStats>) {
+        run_jobs(kernel, &[Job::new(config, self)], addrs, &mut [NoopProbe])[0]
     }
 
-    /// The spec simulator for this policy — the bit-exactness baseline
-    /// every specialized kernel is measured against.
-    fn reference(self, config: CacheConfig, addrs: &[u32]) -> (CacheStats, Option<DeStats>) {
+    /// Runs one job outside the shared sweep traversal: on the fast path
+    /// ehc and bwcost run their chunked kernels, and every other policy
+    /// runs its spec simulator — the bit-exactness baseline every
+    /// specialized kernel is measured against — with `probe` attached.
+    fn run_alone<P: Probe>(
+        self,
+        kernel: Kernel,
+        config: CacheConfig,
+        addrs: &[u32],
+        probe: P,
+    ) -> (CacheStats, Option<DeStats>) {
+        let fast = kernel != Kernel::Reference;
         let refs = addrs.iter().copied();
         let stats = match self {
-            PolicyKind::DirectMapped => run_addrs(&mut DirectMapped::new(config), refs),
+            PolicyKind::ExpectedHitCount if fast => batch_ehc(config, addrs),
+            PolicyKind::BandwidthCost if fast => batch_bwcost(config, addrs),
+            PolicyKind::DirectMapped => {
+                run_addrs(&mut DirectMapped::with_probe(config, probe), refs)
+            }
             PolicyKind::DynamicExclusion => {
-                let mut sim = DeCache::new(config);
+                let mut sim = DeCache::with_probe(config, probe);
                 let stats = run_addrs(&mut sim, refs);
                 return (stats, Some(sim.de_stats()));
             }
-            PolicyKind::DeLastLine => run_addrs(&mut LastLineDeCache::new(config), refs),
+            PolicyKind::DeLastLine => {
+                let mut sim =
+                    LastLineDeCache::with_store_and_probe(config, PerfectStore::new(), probe);
+                run_addrs(&mut sim, refs)
+            }
             PolicyKind::OptimalDm => OptimalDirectMapped::simulate(config, refs),
             PolicyKind::OptimalDmLastLine => {
                 OptimalDirectMapped::simulate_with_lastline(config, refs)
@@ -311,14 +313,98 @@ impl PolicyKind {
             PolicyKind::BandwidthCost => {
                 simulate_policy(config, addrs, &mut BwCostPolicy::new(config, addrs))
             }
-            PolicyKind::TwoWay | PolicyKind::FourWay => {
-                run_addrs(&mut SetAssociative::new(config, Replacement::Lru), refs)
-            }
-            PolicyKind::Victim => run_addrs(&mut VictimCache::new(config, VICTIM_ENTRIES), refs),
-            PolicyKind::Stream => run_addrs(&mut StreamBuffer::new(config, STREAM_DEPTH), refs),
+            PolicyKind::TwoWay | PolicyKind::FourWay => run_addrs(
+                &mut SetAssociative::with_probe(config, Replacement::Lru, probe),
+                refs,
+            ),
+            PolicyKind::Victim => run_addrs(
+                &mut VictimCache::with_probe(config, VICTIM_ENTRIES, probe),
+                refs,
+            ),
+            PolicyKind::Stream => run_addrs(
+                &mut StreamBuffer::with_probe(config, STREAM_DEPTH, probe),
+                refs,
+            ),
         };
         (stats, None)
     }
+}
+
+/// Runs `jobs` over one trace under one kernel, `probes[i]` observing
+/// `jobs[i]`, and returns each job's statistics and exclusion counters (the
+/// latter reported by `de` only), in job order.
+///
+/// This is the one place that decides which simulator runs a point and
+/// which points share a trace walk; [`PolicyKind::run`], the figure triples,
+/// the coalesced service batches and `simcache`'s probed runs are its
+/// one-job or N-job cases. On the fast path ([`Kernel::Batch`] or
+/// [`Kernel::Sweep`]) every dm/de/opt or last-line job rides one
+/// [`batch_sweep_probed`] traversal — one decode per chunk and distinct
+/// line size, one next-use oracle per distinct line size — ehc and bwcost
+/// run [`batch_ehc`] / [`batch_bwcost`], and every other job runs its
+/// reference simulator. Under [`Kernel::Reference`] every job runs its
+/// spec simulator. Every kernel yields the same results, and each probe
+/// receives its job's reference event stream (opt, opt-lastline, ehc and
+/// bwcost emit none).
+///
+/// # Panics
+///
+/// Panics if `probes.len() != jobs.len()`.
+///
+/// # Examples
+///
+/// ```
+/// use dynex_cache::CacheConfig;
+/// use dynex_engine::{run_jobs, Job, Kernel, PolicyKind};
+/// use dynex_obs::NoopProbe;
+///
+/// let config = CacheConfig::direct_mapped(64, 4)?;
+/// let trace: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
+/// // dm and de share one traversal; ehc and 2way run alone inside the call.
+/// let jobs = [
+///     Job::new(config, PolicyKind::DirectMapped),
+///     Job::new(config, PolicyKind::DynamicExclusion),
+///     Job::new(config, PolicyKind::ExpectedHitCount),
+///     Job::new(CacheConfig::new(64, 4, 2)?, PolicyKind::TwoWay),
+/// ];
+/// let runs = run_jobs(Kernel::Sweep, &jobs, &trace, &mut [NoopProbe; 4]);
+/// for (job, (stats, de)) in jobs.iter().zip(&runs) {
+///     let single = job.policy.run(Kernel::Reference, job.config, &trace).unwrap();
+///     assert_eq!((*stats, *de), (single.stats, single.de));
+/// }
+/// assert_eq!(runs[0].0.misses(), 20); // DM thrashes
+/// assert!(runs[1].1.is_some() && runs[0].1.is_none()); // only de reports counters
+/// # Ok::<(), dynex_cache::ConfigError>(())
+/// ```
+pub fn run_jobs<P: Probe>(
+    kernel: Kernel,
+    jobs: &[Job],
+    addrs: &[u32],
+    probes: &mut [P],
+) -> Vec<(CacheStats, Option<DeStats>)> {
+    assert_eq!(jobs.len(), probes.len(), "one probe per job");
+    let mut runs = vec![None; jobs.len()];
+    let mut swept = Vec::new();
+    let mut points = Vec::new();
+    let mut sweep_probes = Vec::new();
+    let fast = kernel != Kernel::Reference;
+    for (i, (job, probe)) in jobs.iter().zip(probes.iter_mut()).enumerate() {
+        match job.policy.sweep_policy().filter(|_| fast) {
+            Some(policy) => {
+                swept.push(i);
+                points.push(SweepPoint::new(job.config, policy));
+                sweep_probes.push(probe);
+            }
+            None => runs[i] = Some(job.policy.run_alone(kernel, job.config, addrs, probe)),
+        }
+    }
+    let results = batch_sweep_probed(&points, addrs, &mut sweep_probes);
+    for (i, result) in swept.into_iter().zip(results) {
+        runs[i] = Some(jobs[i].policy.sweep_counters(result));
+    }
+    runs.into_iter()
+        .map(|run| run.expect("every job runs alone or in the sweep"))
+        .collect()
 }
 
 /// One sweep point: a cache configuration under a policy.
@@ -358,9 +444,9 @@ impl Job {
 
 /// An ordered list of sweep points, executed deterministically on the pool.
 ///
-/// The plan is generic over the point type: the experiment harness uses
-/// `(CacheConfig, &[u32])` pairs, `simcache` uses [`Job`]s, tests use
-/// whatever they need. Results always come back in push order.
+/// The plan is generic over the point type ([`Job`]s, `(CacheConfig,
+/// &[u32])` pairs, whatever a caller needs). Results always come back in
+/// push order.
 ///
 /// # Examples
 ///
@@ -428,52 +514,10 @@ impl<T: Sync> SweepPlan<T> {
     }
 }
 
-impl SweepPlan<Job> {
-    /// The one-pass fast path: hands the whole plan to a single
-    /// [`batch_sweep`] traversal of the shared trace.
-    ///
-    /// Returns `None` (caller falls back to per-point execution) if any
-    /// point's policy has no sweep specialization
-    /// ([`PolicyKind::sweep_policy`]).
-    /// Results are in plan order and bit-identical to [`SweepPlan::run`]
-    /// with any kernel — the whole plan simply costs one decode per chunk
-    /// and line size, one next-use oracle per distinct line size, and one
-    /// trace walk.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dynex_cache::CacheConfig;
-    /// use dynex_engine::{Job, PolicyKind, SweepPlan};
-    ///
-    /// let config = CacheConfig::direct_mapped(64, 4)?;
-    /// let trace: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
-    /// let plan = SweepPlan::from_points([
-    ///     Job::new(config, PolicyKind::DirectMapped),
-    ///     Job::new(config, PolicyKind::DynamicExclusion),
-    /// ]);
-    /// let stats = plan.run_one_pass(&trace).unwrap();
-    /// assert_eq!(stats, plan.run(1, |job| job.run(&trace).unwrap()));
-    /// # Ok::<(), dynex_cache::ConfigError>(())
-    /// ```
-    pub fn run_one_pass(&self, addrs: &[u32]) -> Option<Vec<CacheStats>> {
-        let points: Option<Vec<SweepPoint>> = self
-            .points
-            .iter()
-            .map(|job| {
-                job.policy
-                    .sweep_policy()
-                    .map(|policy| SweepPoint::new(job.config, policy))
-            })
-            .collect();
-        let results = batch_sweep(&points?, addrs);
-        Some(results.iter().map(|r| r.stats()).collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynex_obs::{CountingProbe, EventCounts};
 
     fn thrash() -> Vec<u32> {
         (0..40).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect()
@@ -606,6 +650,12 @@ mod tests {
         }
     }
 
+    const KERNELS: [Kernel; 3] = [Kernel::Reference, Kernel::Batch, Kernel::Sweep];
+
+    fn noop_probes(jobs: &[Job]) -> Vec<NoopProbe> {
+        vec![NoopProbe; jobs.len()]
+    }
+
     #[test]
     fn one_pass_plan_matches_per_point_execution() {
         let mut rng = dynex_cache::SplitMix64::new(43);
@@ -621,19 +671,45 @@ mod tests {
                 plan.push(Job::new(config, PolicyKind::OptimalDm));
             }
         }
-        let one_pass = plan.run_one_pass(&addrs).unwrap();
-        assert_eq!(one_pass, plan.run(1, |job| job.run(&addrs).unwrap()));
-        assert_eq!(one_pass, plan.run(4, |job| job.run(&addrs).unwrap()));
+        let jobs = plan.points();
+        let serial = plan.run(1, |job| job.run(&addrs).unwrap());
+        assert_eq!(serial, plan.run(4, |job| job.run(&addrs).unwrap()));
+        for kernel in KERNELS {
+            let one_pass: Vec<CacheStats> = run_jobs(kernel, jobs, &addrs, &mut noop_probes(jobs))
+                .into_iter()
+                .map(|(stats, _)| stats)
+                .collect();
+            assert_eq!(one_pass, serial, "{kernel}");
+        }
     }
 
     #[test]
     fn one_pass_plan_declines_unfused_policies() {
+        // The shared traversal declines jobs without a sweep specialization;
+        // they run alone inside the same call, so a mixed plan equals
+        // per-job `PolicyKind::run` under every kernel.
+        let addrs: Vec<u32> = (0..900).map(|i| (i % 11) * 4 + (i / 33 % 5) * 64).collect();
         let config = CacheConfig::direct_mapped(64, 16).unwrap();
-        let plan = SweepPlan::from_points([
+        let jobs = [
             Job::new(config, PolicyKind::DirectMapped),
             Job::new(config, PolicyKind::ExpectedHitCount),
-        ]);
-        assert!(plan.run_one_pass(&[0, 4, 8]).is_none());
+            Job::new(config, PolicyKind::DynamicExclusion),
+            Job::new(CacheConfig::new(64, 16, 2).unwrap(), PolicyKind::TwoWay),
+            Job::new(config, PolicyKind::BandwidthCost),
+            Job::new(config, PolicyKind::OptimalDmLastLine),
+        ];
+        for kernel in KERNELS {
+            let runs = run_jobs(kernel, &jobs, &addrs, &mut noop_probes(&jobs));
+            for (job, &(stats, de)) in jobs.iter().zip(&runs) {
+                let single = job.policy.run(kernel, job.config, &addrs).unwrap();
+                assert_eq!(
+                    (stats, de),
+                    (single.stats, single.de),
+                    "{} under {kernel}",
+                    job.label()
+                );
+            }
+        }
         assert_eq!(
             PolicyKind::DeLastLine.sweep_policy(),
             Some(SweepPolicy::DeLastLine)
@@ -644,6 +720,7 @@ mod tests {
         );
         assert!(PolicyKind::ExpectedHitCount.sweep_policy().is_none());
         assert!(PolicyKind::BandwidthCost.sweep_policy().is_none());
+        assert!(PolicyKind::TwoWay.sweep_policy().is_none());
     }
 
     #[test]
@@ -658,19 +735,64 @@ mod tests {
             PolicyKind::OptimalDmLastLine,
             PolicyKind::DynamicExclusion,
         ];
-        let plan = SweepPlan::from_points(policies.map(|p| Job::new(config, p)));
-        let reference: Vec<CacheStats> = policies
-            .iter()
-            .map(|p| {
-                p.simulate_kernel(Kernel::Reference, config, &addrs)
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(plan.run_one_pass(&addrs).unwrap(), reference);
-        for policy in policies {
+        let jobs = policies.map(|p| Job::new(config, p));
+        let reference = run_jobs(Kernel::Reference, &jobs, &addrs, &mut noop_probes(&jobs));
+        assert_eq!(
+            run_jobs(Kernel::Sweep, &jobs, &addrs, &mut noop_probes(&jobs)),
+            reference
+        );
+        for (policy, (_, de)) in policies.into_iter().zip(reference) {
             let run = policy.run(Kernel::Sweep, config, &addrs).unwrap();
             assert_eq!(run, policy.run(Kernel::Reference, config, &addrs).unwrap());
-            assert_eq!(run.de.is_some(), policy == PolicyKind::DynamicExclusion);
+            assert_eq!(run.de, de);
+            assert_eq!(de.is_some(), policy == PolicyKind::DynamicExclusion);
+        }
+    }
+
+    #[test]
+    fn observed_triple_matches_bare_triple_and_stats() {
+        // A dm/de/opt triple with a counting probe per job, on every kernel.
+        let config = CacheConfig::direct_mapped(64, 4).unwrap();
+        let addrs = thrash();
+        let jobs = [
+            PolicyKind::DirectMapped,
+            PolicyKind::DynamicExclusion,
+            PolicyKind::OptimalDm,
+        ]
+        .map(|p| Job::new(config, p));
+        let bare = run_jobs(Kernel::Reference, &jobs, &addrs, &mut noop_probes(&jobs));
+        for kernel in KERNELS {
+            let mut probes = [CountingProbe::new(); 3];
+            let observed = run_jobs(kernel, &jobs, &addrs, &mut probes);
+            assert_eq!(observed, bare, "{kernel}");
+            let [dm, de, opt] = probes.map(|p| p.counts());
+            let (dm_stats, de_stats) = (bare[0].0, bare[1].0);
+            // Event tallies agree with the statistics they mirror.
+            assert_eq!(
+                (dm.accesses, dm.misses),
+                (dm_stats.accesses(), dm_stats.misses())
+            );
+            assert_eq!(
+                (de.accesses, de.misses),
+                (de_stats.accesses(), de_stats.misses())
+            );
+            // Every DE miss carries an exclusion decision, and the tallies
+            // equal the reported counters.
+            assert_eq!(
+                de.exclusion_loads + de.exclusion_bypasses,
+                de_stats.misses()
+            );
+            let counters = bare[1].1.expect("de reports exclusion counters");
+            assert_eq!(
+                (de.exclusion_loads, de.exclusion_bypasses),
+                (counters.loads, counters.bypasses)
+            );
+            // The thrash trace bypasses: DE must report some excluded loads.
+            assert!(de.exclusion_bypasses > 0);
+            // A conventional cache makes no exclusion decisions, and the
+            // two-pass oracle emits no events.
+            assert_eq!((dm.exclusion_loads, dm.exclusion_bypasses), (0, 0));
+            assert_eq!(opt, EventCounts::default());
         }
     }
 

@@ -29,8 +29,10 @@
 //!   journal), and [`install_session`] applies the session-wide knobs
 //!   (worker count, kernel, resume journal) exactly once.
 //!
-//! The policy vocabulary is the engine's [`PolicyKind`]; [`execute`] hands
-//! every request to its single dispatch, [`PolicyKind::run`]. The sweep
+//! The policy vocabulary is the engine's [`PolicyKind`]; every simulated
+//! point goes through the engine's one dispatch, [`run_jobs`]:
+//! [`execute`] as its one-job case ([`PolicyKind::run`]), [`execute_many`]
+//! and the triples as N-job calls. The sweep
 //! entry points [`sweep_triples`] / [`run_triples`] run the paper's
 //! DM/DE/OPT comparison over many points.
 
@@ -38,12 +40,10 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use dynex::DeStats;
-use dynex_cache::{
-    batch_sweep, decode_addrs, CacheConfig, CacheStats, Kernel, KindFilter, SweepPoint,
-};
+use dynex_cache::{decode_addrs, CacheConfig, CacheStats, Kernel, KindFilter};
 use dynex_engine::{
-    default_jobs, default_kernel, execute as pool_execute, job_key, trace_digest,
-    with_global_journal, Journal, PolicyError, PolicyKind, PolicyRun,
+    default_jobs, default_kernel, execute as pool_execute, job_key, run_jobs, trace_digest,
+    with_global_journal, Job, Journal, PolicyError, PolicyKind, PolicyRun,
 };
 use dynex_obs::json::{self, Json};
 use dynex_obs::NoopProbe;
@@ -1047,48 +1047,53 @@ fn execute_with_key(
     })
 }
 
-/// Answers a coalesced batch of same-trace requests from one sweep
-/// traversal: every request's point runs through a single
-/// [`dynex_cache::batch_sweep`] pass over `trace`, and each response is
-/// byte-identical to what [`execute`] would have produced for that request
-/// alone (same label, statistics, DE counters, and content key).
+/// Answers a coalesced batch of same-trace requests with one engine call
+/// ([`run_jobs`]) per kernel class in the batch: on the fast path every
+/// dm/de/opt or last-line point shares one trace traversal, and every other
+/// request (ehc, bwcost, the set-associative and buffered caches) runs
+/// alone inside the same call. Each response is byte-identical to what
+/// [`execute`] would have produced for that request alone (same label,
+/// statistics, DE counters, and content key).
 ///
 /// The caller (the `dynex-serve` dispatcher) is responsible for grouping:
 /// every request in the batch must decode to the same reference stream —
-/// `trace` is simulated once for all of them. Requests whose policy
-/// has no sweep specialization ([`PolicyKind::sweep_policy`] is `None`) are
-/// rejected with [`ApiError::Invalid`]; the caller falls back to per-request
-/// execution for those.
+/// `trace` is simulated once for all of them.
 pub fn execute_many(
     requests: &[&SimulationRequest],
     trace: &LoadedTrace,
 ) -> Result<Vec<SimulationResponse>, ApiError> {
-    let mut points = Vec::with_capacity(requests.len());
+    let mut jobs = Vec::with_capacity(requests.len());
     let mut keys = Vec::with_capacity(requests.len());
     for request in requests {
-        let config = request.cache_config()?;
-        let policy = request
-            .policy
-            .sweep_policy()
-            .ok_or_else(|| ApiError::Invalid {
-                field: "--policy",
-                message: format!("{:?} has no sweep specialization", request.policy.name()),
-            })?;
+        jobs.push(Job::new(request.cache_config()?, request.policy));
         keys.push(request.content_key(&trace.addrs)?);
-        points.push(SweepPoint::new(config, policy));
     }
-    let results = batch_sweep(&points, &trace.addrs);
-    Ok(requests
+    // Reference requests run their spec simulators; the rest share one
+    // fast-path call (`batch` and `sweep` name the same code).
+    let mut runs = vec![None; jobs.len()];
+    for kernel in [Kernel::Reference, Kernel::Batch] {
+        let members: Vec<usize> = (0..requests.len())
+            .filter(|&i| (requests[i].kernel == Kernel::Reference) == (kernel == Kernel::Reference))
+            .collect();
+        let group: Vec<Job> = members.iter().map(|&i| jobs[i]).collect();
+        let results = run_jobs(
+            kernel,
+            &group,
+            &trace.addrs,
+            &mut vec![NoopProbe; group.len()],
+        );
+        for (i, run) in members.into_iter().zip(results) {
+            runs[i] = Some(run);
+        }
+    }
+    Ok(jobs
         .iter()
-        .zip(points)
-        .zip(results)
+        .zip(runs)
         .zip(keys)
-        .map(|(((request, point), result), key)| {
-            // The label and DE counters are the ones `execute` reports, so
-            // the coalesced and per-request paths stay byte-identical.
-            let (stats, de) = request.policy.sweep_counters(result);
+        .map(|((job, run), key)| {
+            let (stats, de) = run.expect("every request belongs to one kernel class");
             SimulationResponse {
-                label: request.policy.label(point.config),
+                label: job.policy.label(job.config),
                 stats,
                 de,
                 key,
@@ -1233,10 +1238,10 @@ pub fn run_triple(kernel: Kernel, config: CacheConfig, addrs: &[u32]) -> Triple 
 /// Runs the DM/DE/OPT triple for *many* configurations over one shared
 /// trace with an explicit kernel.
 ///
-/// On the fast path ([`Kernel::Batch`] or [`Kernel::Sweep`]) every policy
-/// of every configuration rides a single [`dynex_cache::batch_sweep`]
-/// traversal: one decode per chunk and distinct line size, one next-use
-/// oracle per distinct line size, and one trace walk. Under
+/// One [`run_jobs`] call: on the fast path ([`Kernel::Batch`] or
+/// [`Kernel::Sweep`]) every policy of every configuration rides a single
+/// sweep-kernel traversal: one decode per chunk and distinct line size,
+/// one next-use oracle per distinct line size, and one trace walk. Under
 /// [`Kernel::Reference`] each policy runs its spec simulator. Both produce
 /// bit-identical [`Triple`]s, so journal keys and resumed sweeps are
 /// kernel-agnostic.
@@ -1244,48 +1249,24 @@ pub fn run_triples(kernel: Kernel, configs: &[CacheConfig], addrs: &[u32]) -> Ve
     triples_of(TripleKind::Plain, kernel, configs, addrs)
 }
 
-/// [`run_triples`] for either [`TripleKind`].
+/// [`run_triples`] for either [`TripleKind`]: one [`run_jobs`] call over
+/// every configuration's three policies.
 pub(crate) fn triples_of(
     kind: TripleKind,
     kernel: Kernel,
     configs: &[CacheConfig],
     addrs: &[u32],
 ) -> Vec<Triple> {
-    let policies = kind.policies();
-    let stats: Vec<CacheStats> = if kernel == Kernel::Reference {
-        configs
-            .iter()
-            .flat_map(|&config| {
-                policies.map(|policy| {
-                    policy
-                        .simulate_kernel(kernel, config, addrs)
-                        .expect("every kernel runs every policy")
-                })
-            })
-            .collect()
-    } else {
-        let points: Vec<SweepPoint> = configs
-            .iter()
-            .flat_map(|&config| {
-                policies.map(|policy| {
-                    let policy = policy
-                        .sweep_policy()
-                        .expect("every triple policy has a sweep specialization");
-                    SweepPoint::new(config, policy)
-                })
-            })
-            .collect();
-        batch_sweep(&points, addrs)
-            .iter()
-            .map(|r| r.stats())
-            .collect()
-    };
-    stats
+    let jobs: Vec<Job> = configs
+        .iter()
+        .flat_map(|&config| kind.policies().map(|policy| Job::new(config, policy)))
+        .collect();
+    run_jobs(kernel, &jobs, addrs, &mut vec![NoopProbe; jobs.len()])
         .chunks_exact(3)
         .map(|chunk| Triple {
-            dm: chunk[0],
-            de: chunk[1],
-            opt: chunk[2],
+            dm: chunk[0].0,
+            de: chunk[1].0,
+            opt: chunk[2].0,
         })
         .collect()
 }
@@ -1323,7 +1304,7 @@ pub(crate) fn journaled_triples(points: &[(CacheConfig, &[u32])], kind: TripleKi
     let missing: Vec<usize> = (0..points.len()).filter(|&i| slots[i].is_none()).collect();
     let todo: Vec<(CacheConfig, &[u32])> = missing.iter().map(|&i| points[i]).collect();
     // Points sharing a trace run as one group: on the fast path a single
-    // `batch_sweep` traversal, under the reference kernel per point. The
+    // sweep-kernel traversal, under the reference kernel per point. The
     // keys are kernel-agnostic, so `--resume` replays byte-identically no
     // matter which kernel recorded a point.
     let fresh = sweep_grouped(&todo, kind);
@@ -1837,35 +1818,44 @@ mod tests {
         let trace = load(&base).unwrap();
 
         let mut requests = Vec::new();
-        for (policy, size) in [
-            (PolicyKind::DirectMapped, 64),
-            (PolicyKind::DynamicExclusion, 64),
-            (PolicyKind::DynamicExclusion, 256),
-            (PolicyKind::OptimalDm, 64),
-            (PolicyKind::DeLastLine, 64),
-            (PolicyKind::OptimalDmLastLine, 256),
+        for (policy, size, kernel) in [
+            (PolicyKind::DirectMapped, 64, Kernel::Batch),
+            (PolicyKind::DynamicExclusion, 64, Kernel::Batch),
+            (PolicyKind::DynamicExclusion, 256, Kernel::Sweep),
+            (PolicyKind::OptimalDm, 64, Kernel::Batch),
+            (PolicyKind::DeLastLine, 64, Kernel::Batch),
+            (PolicyKind::OptimalDmLastLine, 256, Kernel::Batch),
+            // Policies without a sweep specialization run alone inside
+            // the same call, and reference requests keep their kernel.
+            (PolicyKind::ExpectedHitCount, 64, Kernel::Batch),
+            (PolicyKind::TwoWay, 256, Kernel::Sweep),
+            (PolicyKind::DynamicExclusion, 64, Kernel::Reference),
+            (PolicyKind::BandwidthCost, 256, Kernel::Reference),
         ] {
             let mut r = base.clone();
             r.policy = policy;
             r.size_bytes = size;
+            r.kernel = kernel;
             requests.push(r);
         }
         let refs: Vec<&SimulationRequest> = requests.iter().collect();
         let fused = execute_many(&refs, &trace).unwrap();
         assert_eq!(fused.len(), requests.len());
         for (request, got) in requests.iter().zip(&fused) {
-            let single = execute(request, &trace).unwrap();
-            assert_eq!(got.stats, single.stats, "{}", request.policy.name());
-            assert_eq!(got.label, single.label);
-            assert_eq!(got.de, single.de);
+            assert_eq!(
+                *got,
+                execute(request, &trace).unwrap(),
+                "{}",
+                request.policy.name()
+            );
             assert!(!got.cached);
         }
-
-        // Unsweepable organizations are rejected up front, not silently run.
-        let mut unsweepable = base.clone();
-        unsweepable.policy = PolicyKind::ExpectedHitCount;
-        let err = execute_many(&[&unsweepable], &trace).unwrap_err();
-        assert!(matches!(err, ApiError::Invalid { field, .. } if field == "--policy"));
+        // An ehc member alone is answered, not rejected.
+        let lone = &requests[6];
+        assert_eq!(
+            execute_many(&[lone], &trace).unwrap(),
+            vec![execute(lone, &trace).unwrap()]
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -16,19 +16,20 @@
 //! `--policy` selects a member of the replacement-policy zoo (`--org` is
 //! the legacy alias). `--kernel` selects between the reference simulators
 //! and the fast path, which `batch` and `sweep` both name (default
-//! `batch`): `dm`, `de` and `opt` run as a one-point `batch_sweep`, `ehc`
-//! and `bwcost` run their chunked kernels, and the last-line variants and
-//! the `2way`/`4way`/`victim`/`stream` organizations always run their
-//! reference simulators. Every policy runs on every kernel, and all
-//! combinations produce bit-identical
-//! statistics, exclusion counters, and observability output — including
-//! under `--resume` (journal keys do not encode the kernel, so a run
-//! checkpointed under one kernel replays under any other).
+//! `batch`): `dm`, `de`, `opt` and their last-line variants run as a
+//! one-point sweep, `ehc` and `bwcost` run their chunked kernels, and the
+//! `2way`/`4way`/`victim`/`stream` organizations always run their reference
+//! simulators. Plain, observed and `--sweep` runs all go through the
+//! engine's one dispatch (`dynex_engine::run_jobs`) under the requested
+//! kernel. Every policy runs on every kernel, and all combinations produce
+//! bit-identical statistics, exclusion counters, and observability output —
+//! including under `--resume` (journal keys do not encode the kernel, so a
+//! run checkpointed under one kernel replays under any other).
 //!
 //! `--sweep 1K,2K,4K,...` simulates the full dm/de/opt triple at *every*
 //! listed size in one session (duplicate sizes are allowed and keep
 //! independent state). On the fast path the whole list rides a single
-//! trace traversal via `batch_sweep`; under `reference` each size runs
+//! trace traversal; under `reference` each size runs
 //! point-by-point. Stdout (one line per size, in list order) is
 //! byte-identical across kernels; stderr reports aggregate throughput where
 //! one "reference" is one trace reference carried through one size's triple
@@ -59,14 +60,9 @@
 
 use std::process::ExitCode;
 
-use dynex::DeStats;
-use dynex::{DeCache, LastLineDeCache, PerfectStore};
-use dynex_cache::{
-    batch_sweep_probed, run_addrs, CacheConfig, CacheSim, CacheStats, DirectMapped, Kernel,
-    Replacement, SetAssociative, StreamBuffer, SweepPoint, VictimCache,
-};
-use dynex_engine::{default_kernel, PolicyKind};
-use dynex_experiments::api::{self, parse_size, SimulationRequest};
+use dynex_cache::CacheConfig;
+use dynex_engine::{run_jobs, Job, PolicyKind};
+use dynex_experiments::api::{self, parse_size, SimulationRequest, SimulationResponse};
 use dynex_experiments::Triple;
 use dynex_obs::{export, Collector, CountingProbe, Event, EventLog};
 use dynex_trace::{io as trace_io, ReadPolicy, Trace, TraceStats};
@@ -140,52 +136,9 @@ impl ObsConfig {
     }
 }
 
-/// Runs `policy` (dm or de) over `addrs` on the probed hot path of
-/// `kernel`, with one `(Collector, EventLog)` probe attached. Returns the
-/// statistics, the DE exclusion counters (de only), and the probe. Every
-/// kernel yields the same statistics, counters, and events.
-fn simulate_probed(
-    kernel: Kernel,
-    policy: PolicyKind,
-    config: CacheConfig,
-    addrs: &[u32],
-    obs: &ObsConfig,
-) -> (CacheStats, Option<DeStats>, Collector, EventLog) {
-    match (kernel, policy) {
-        (Kernel::Reference, PolicyKind::DirectMapped) => {
-            let mut cache = DirectMapped::with_probe(config, obs.probe());
-            let stats = run_addrs(&mut cache, addrs.iter().copied());
-            let (collector, log) = cache.into_probe();
-            (stats, None, collector, log)
-        }
-        (Kernel::Reference, PolicyKind::DynamicExclusion) => {
-            let mut cache = DeCache::with_probe(config, obs.probe());
-            let stats = run_addrs(&mut cache, addrs.iter().copied());
-            let de_stats = cache.de_stats();
-            let (collector, log) = cache.into_probe();
-            (stats, Some(de_stats), collector, log)
-        }
-        (_, PolicyKind::DirectMapped | PolicyKind::DynamicExclusion) => {
-            let mut probes = [obs.probe()];
-            let point = SweepPoint::new(
-                config,
-                policy.sweep_policy().expect("dm and de are sweep policies"),
-            );
-            let result = batch_sweep_probed(&[point], addrs, &mut probes)[0];
-            let [(collector, log)] = probes;
-            let de_stats = result.de().map(|r| DeStats {
-                loads: r.loads,
-                bypasses: r.bypasses,
-            });
-            (result.stats(), de_stats, collector, log)
-        }
-        (_, other) => unreachable!("{} has no probed dm/de hot path", other.name()),
-    }
-}
-
 /// `--sweep`: simulate the dm/de/opt triple at every listed size in one
 /// session ([`api::run_triples`]). On the fast path the whole list shares a
-/// single trace traversal; under [`Kernel::Reference`] each size runs
+/// single trace traversal; under `--kernel reference` each size runs
 /// point-by-point. Stdout is byte-identical across kernels; the stderr
 /// `sim:` line counts one reference per trace reference per size, so its
 /// refs/s figure measures N-configuration throughput (`scripts/bench.sh`
@@ -206,7 +159,7 @@ fn run_size_sweep(
         }
     }
     let started = std::time::Instant::now();
-    let triples: Vec<Triple> = api::run_triples(default_kernel(), &configs, &loaded.addrs);
+    let triples: Vec<Triple> = api::run_triples(request.kernel, &configs, &loaded.addrs);
     let seconds = started.elapsed().as_secs_f64();
     let refs = loaded.addrs.len() as u64 * configs.len() as u64;
     eprintln!(
@@ -442,13 +395,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let dm_config = match CacheConfig::direct_mapped(request.size_bytes, request.line_bytes) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     if !obs.active() {
         // The uninstrumented single run shares api::execute with --resume
         // and the dynex-serve service.
@@ -473,94 +419,47 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let addrs = &loaded.addrs;
-    let report = |label: String, stats: CacheStats| {
-        println!(
-            "{label}: {} accesses, {} misses, miss rate {:.4}%",
-            stats.accesses(),
-            stats.misses(),
-            stats.miss_rate_percent()
-        );
+    // The observed run: the same engine dispatch as the plain run, with one
+    // `(Collector, EventLog)` probe attached to the job.
+    let config = match request.cache_config() {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
     };
-
-    // Runs a probed cache, reports its stats, then extracts the
-    // `(Collector, EventLog)` probe via `into_probe` and writes the
-    // requested output files.
-    macro_rules! simulate_observed {
-        ($cache:expr) => {{
-            let mut cache = $cache;
-            let stats = run_addrs(&mut cache, addrs.iter().copied());
-            report(cache.label(), stats);
-            let (collector, log) = cache.into_probe();
-            if let Err(e) = obs.write(&collector, log.events()) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }};
-    }
-
-    match request.policy {
-        PolicyKind::DirectMapped | PolicyKind::DynamicExclusion => {
-            let (stats, de_stats, collector, log) =
-                simulate_probed(default_kernel(), request.policy, dm_config, addrs, &obs);
-            let label = match de_stats {
-                Some(_) => DeCache::new(dm_config).label(),
-                None => DirectMapped::new(dm_config).label(),
-            };
-            report(label, stats);
-            if let Err(e) = obs.write(&collector, log.events()) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-            if let Some(de_stats) = de_stats {
-                println!("  loads {} bypasses {}", de_stats.loads, de_stats.bypasses);
-            }
-        }
-        PolicyKind::DeLastLine => {
-            simulate_observed!(LastLineDeCache::with_store_and_probe(
-                dm_config,
-                PerfectStore::new(),
-                obs.probe()
-            ));
-        }
-        PolicyKind::TwoWay | PolicyKind::FourWay => {
-            let config = match request.cache_config() {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            simulate_observed!(SetAssociative::with_probe(
-                config,
-                Replacement::Lru,
-                obs.probe()
-            ));
-        }
-        PolicyKind::Victim => {
-            simulate_observed!(VictimCache::with_probe(dm_config, 4, obs.probe()));
-        }
-        PolicyKind::Stream => {
-            simulate_observed!(StreamBuffer::with_probe(dm_config, 4, obs.probe()));
-        }
-        // The oracles and the policy-zoo driver have no probed hot path:
-        // they run through the plain request path instead.
+    // The oracles and the policy-zoo driver emit no events.
+    let silent = matches!(
+        request.policy,
         PolicyKind::OptimalDm
-        | PolicyKind::OptimalDmLastLine
-        | PolicyKind::ExpectedHitCount
-        | PolicyKind::BandwidthCost => {
-            eprintln!(
-                "note: --policy {} has no probed hot path; observability outputs \
-                 are not written",
-                request.policy.name()
-            );
-            match api::execute(&request, &loaded) {
-                Ok(response) => print!("{}", response.render_text()),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            | PolicyKind::OptimalDmLastLine
+            | PolicyKind::ExpectedHitCount
+            | PolicyKind::BandwidthCost
+    );
+    if silent {
+        eprintln!(
+            "note: --policy {} has no probed hot path; observability outputs \
+             are not written",
+            request.policy.name()
+        );
+    }
+    let mut probes = [obs.probe()];
+    let job = Job::new(config, request.policy);
+    let (stats, de) = run_jobs(request.kernel, &[job], &loaded.addrs, &mut probes)[0];
+    // `render_text` prints neither the content key nor the cached flag.
+    let response = SimulationResponse {
+        label: request.policy.label(config),
+        stats,
+        de,
+        key: String::new(),
+        cached: false,
+    };
+    print!("{}", response.render_text());
+    let [(collector, log)] = probes;
+    if !silent {
+        if let Err(e) = obs.write(&collector, log.events()) {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS

@@ -28,10 +28,7 @@ mod runner;
 mod table;
 mod workloads;
 
-pub use runner::{
-    triple, triple_lastline, triple_observed, triple_to_json, triples_to_jsonl, ObservedTriple,
-    Triple,
-};
+pub use runner::{triple, triple_lastline, triple_to_json, triples_to_jsonl, Triple};
 pub use table::Table;
 pub use workloads::Workloads;
 

@@ -12,10 +12,8 @@
 //! `per_benchmark` and average with `bench_means`, under the same
 //! guarantee.
 
-use dynex::{DeCache, OptimalDirectMapped};
 use dynex_cache::{run_addrs, CacheConfig, CacheSim, CacheStats};
 use dynex_engine::{default_jobs, default_kernel, execute};
-use dynex_obs::{CountingProbe, EventCounts};
 
 use crate::api::{journaled_triples, triples_of, TripleKind};
 use crate::{Table, Workloads, SIZE_SWEEP_KB};
@@ -87,43 +85,6 @@ where
         out.push('\n');
     }
     out
-}
-
-/// A [`Triple`] augmented with per-simulator event tallies from the
-/// observability layer.
-///
-/// The DM and DE runs carry a [`CountingProbe`]; OPT is a two-pass oracle
-/// without a probed hot path, so only its stats appear. The embedded
-/// `Triple` is byte-identical to what [`triple`] returns for the same
-/// inputs — instrumentation never perturbs simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ObservedTriple {
-    /// The plain three-way statistics.
-    pub triple: Triple,
-    /// Event tallies from the conventional direct-mapped run.
-    pub dm_events: EventCounts,
-    /// Event tallies from the dynamic-exclusion run (includes sticky flips,
-    /// hit-last updates, and exclusion decisions).
-    pub de_events: EventCounts,
-}
-
-/// Runs the three-way comparison with counting probes attached to the DM and
-/// DE caches.
-pub fn triple_observed(config: CacheConfig, addrs: &[u32]) -> ObservedTriple {
-    let mut dm = dynex_cache::DirectMapped::with_probe(config, CountingProbe::new());
-    let dm_stats = run_addrs(&mut dm, addrs.iter().copied());
-    let mut de = DeCache::with_probe(config, CountingProbe::new());
-    let de_stats = run_addrs(&mut de, addrs.iter().copied());
-    let opt = OptimalDirectMapped::simulate(config, addrs.iter().copied());
-    ObservedTriple {
-        triple: Triple {
-            dm: dm_stats,
-            de: de_stats,
-            opt,
-        },
-        dm_events: dm.into_probe().counts(),
-        de_events: de.into_probe().counts(),
-    }
 }
 
 /// Runs the three-way comparison for multi-word lines: DE and OPT both get
@@ -296,30 +257,6 @@ mod tests {
         assert_eq!(de, t.de.miss_rate_percent());
         assert_eq!(opt, t.opt.miss_rate_percent());
         assert_eq!(average_rates(&[]), (0.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn observed_triple_matches_bare_triple_and_stats() {
-        let config = CacheConfig::direct_mapped(64, 4).unwrap();
-        let addrs = thrash();
-        let bare = triple(config, &addrs);
-        let observed = triple_observed(config, &addrs);
-        assert_eq!(observed.triple, bare);
-        // Event tallies must agree with the statistics they mirror.
-        assert_eq!(observed.dm_events.accesses, bare.dm.accesses());
-        assert_eq!(observed.dm_events.misses, bare.dm.misses());
-        assert_eq!(observed.de_events.accesses, bare.de.accesses());
-        assert_eq!(observed.de_events.misses, bare.de.misses());
-        // Every DE miss carries an exclusion decision.
-        assert_eq!(
-            observed.de_events.exclusion_loads + observed.de_events.exclusion_bypasses,
-            bare.de.misses()
-        );
-        // The thrash trace bypasses: DE must report some excluded loads.
-        assert!(observed.de_events.exclusion_bypasses > 0);
-        // A conventional cache makes no exclusion decisions.
-        assert_eq!(observed.dm_events.exclusion_loads, 0);
-        assert_eq!(observed.dm_events.exclusion_bypasses, 0);
     }
 
     #[test]

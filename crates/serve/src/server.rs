@@ -704,7 +704,7 @@ impl Unit {
 /// Plans a dispatcher batch into units: jobs whose policy has a sweep
 /// specialization and whose kernel is not `reference` are grouped by decoded
 /// trace content; a group of two or more becomes one fused unit so the whole
-/// group rides a single `batch_sweep` traversal. Everything else (reference
+/// group rides a single sweep-kernel traversal. Everything else (reference
 /// runs, policies without a sweep specialization, singleton groups) stays a
 /// per-job unit.
 /// Grouping is by digest *and* a content check, so a digest collision can

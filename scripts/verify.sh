@@ -37,10 +37,6 @@ cargo test -q -p dynex-experiments --test resilience
 echo "==> cargo test --manifest-path perfbench/Cargo.toml"
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
-# Bench smoke: scripts/bench.sh at tiny budgets into a throwaway directory.
-# This is a does-it-run gate, not a performance gate — it fails on a panic,
-# a kernel-output divergence, or a broken JSON pipeline, never on timing.
-# (Skipped under --quick: it needs the release binaries.)
 # Serve smoke: boot dynex-serve, round-trip a request twice (fresh + cache
 # hit) over /dev/tcp, drain gracefully, and require a clean process exit.
 # (Skipped under --quick: it needs the release binary.)
@@ -107,13 +103,17 @@ if [ "$quick" -eq 0 ]; then
     rm -rf "$resume_dir"
 fi
 
+# Bench smoke: scripts/bench.sh at tiny budgets into a throwaway directory.
+# This is a does-it-run gate, not a performance gate — it fails on a panic,
+# a kernel-output divergence, or a broken JSON pipeline, never on timing.
+# (Skipped under --quick: it needs the release binaries.)
 if [ "$quick" -eq 0 ]; then
     echo "==> bench smoke (tiny budgets)"
     smoke_dir=$(mktemp -d)
     trap 'rm -rf "$smoke_dir"' EXIT
     DYNEX_BENCH_SWEEP_REFS=20000 DYNEX_BENCH_TRACE_REFS=100000 \
         DYNEX_BENCH_OUT_DIR="$smoke_dir" scripts/bench.sh all >/dev/null
-    for f in BENCH_PR2.json BENCH_PR4.json BENCH_PR6.json BENCH_PR9.json; do
+    for f in BENCH_PR2.json BENCH_PR4.json BENCH_PR6.json BENCH_PR9.json BENCH_PR10.json; do
         [ -s "$smoke_dir/$f" ] || { echo "verify: bench smoke produced no $f" >&2; exit 1; }
     done
 fi

@@ -586,8 +586,9 @@ fn fused_triple_matches_on_data_streams() {
 /// its own geometry and at 4 B and 16 B lines, answers the full request
 /// path (`api::execute`: label, statistics, DE counters, content key)
 /// bit-identically on every kernel. The coalesced `execute_many` path
-/// answers the sweepable members (dm, de, opt and the last-line variants)
-/// exactly as per-request `execute` does. This is the CI policy-matrix
+/// answers every member in one call (the sweepable ones sharing one
+/// traversal, the rest run alone inside it) exactly as per-request
+/// `execute` does. This is the CI policy-matrix
 /// job's anchor test.
 #[test]
 fn policy_matrix_is_bit_identical_on_every_supporting_kernel() {
@@ -630,14 +631,13 @@ fn policy_matrix_is_bit_identical_on_every_supporting_kernel() {
                     );
                 }
             }
-            let sweepable: Vec<SimulationRequest> = PolicyKind::ALL
+            let every: Vec<SimulationRequest> = PolicyKind::ALL
                 .into_iter()
-                .filter(|policy| policy.sweep_policy().is_some())
                 .map(|policy| request(policy, Kernel::Batch))
                 .collect();
-            let batch: Vec<&SimulationRequest> = sweepable.iter().collect();
+            let batch: Vec<&SimulationRequest> = every.iter().collect();
             let fused = api::execute_many(&batch, &trace).unwrap();
-            for (request, got) in sweepable.iter().zip(&fused) {
+            for (request, got) in every.iter().zip(&fused) {
                 assert_eq!(
                     *got,
                     api::execute(request, &trace).unwrap(),

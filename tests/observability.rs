@@ -379,6 +379,87 @@ fn simcache_cli_writes_parseable_outputs() {
     }
     assert_eq!(acc_sum, stats.accesses());
 
+    // The policy × kernel matrix, at 16 B lines so the last-line buffer
+    // matters: the probed policies write the same three files under every
+    // kernel, and the observed stdout equals the plain run's.
+    let simcache = |args: &[&str]| {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_simcache"))
+            .arg(&trace_path)
+            .args(["--size", "256", "--line", "16"])
+            .args(args)
+            .output()
+            .expect("simcache runs");
+        assert!(
+            output.status.success(),
+            "simcache {args:?} failed:\n{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        output
+    };
+    let files = ["events.jsonl", "metrics.json", "intervals.csv"];
+    for policy in [
+        "dm",
+        "de",
+        "de-lastline",
+        "2way",
+        "4way",
+        "victim",
+        "stream",
+        "opt",
+        "opt-lastline",
+        "ehc",
+        "bwcost",
+    ] {
+        let probed = !matches!(policy, "opt" | "opt-lastline" | "ehc" | "bwcost");
+        let mut reference_files: Option<Vec<Vec<u8>>> = None;
+        for kernel in ["reference", "batch", "sweep"] {
+            let plain = simcache(&["--policy", policy, "--kernel", kernel]);
+            let out = dir.join(format!("{policy}-{kernel}"));
+            std::fs::create_dir_all(&out).unwrap();
+            let paths = files.map(|f| out.join(f).to_str().unwrap().to_owned());
+            let observed = simcache(&[
+                "--policy",
+                policy,
+                "--kernel",
+                kernel,
+                "--interval",
+                "500",
+                "--events-out",
+                &paths[0],
+                "--metrics-out",
+                &paths[1],
+                "--intervals-out",
+                &paths[2],
+            ]);
+            let case = format!("{policy} under {kernel}");
+            assert_eq!(observed.stdout, plain.stdout, "{case}: stdout");
+            let stderr = String::from_utf8_lossy(&observed.stderr);
+            assert_eq!(stderr.contains("no probed hot path"), !probed, "{case}");
+            if !probed {
+                for path in &paths {
+                    assert!(!std::path::Path::new(path).exists(), "{case}: wrote {path}");
+                }
+                continue;
+            }
+            let written: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
+            let access_events = String::from_utf8_lossy(&written[0])
+                .lines()
+                .filter(|line| line.contains(r#""type":"access""#))
+                .count();
+            assert_eq!(
+                access_events,
+                workload().len(),
+                "{case}: one access event per reference"
+            );
+            match &reference_files {
+                None => reference_files = Some(written),
+                Some(expected) => {
+                    assert!(*expected == written, "{case}: files differ from reference")
+                }
+            }
+        }
+    }
+
     std::fs::remove_dir_all(&dir).ok();
 }
 
