@@ -29,8 +29,9 @@ pub const CHUNK_LEN: usize = 4096;
 /// remains the differential oracle. `Batch` and `Sweep` are two names for
 /// one fast path: dm/de/opt run through [`crate::batch_sweep`] (a single
 /// point as a one-point sweep, a figure's many points sharing one trace
-/// walk), ehc/bwcost through their chunked kernels, and every other policy
-/// through its reference simulator.
+/// walk), ehc/bwcost through their chunked kernels, every other policy
+/// through its reference simulator, and the Figures 7–9 hierarchy study
+/// through the one-pass kernel of `dynex::hierarchy_sweep`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Per-reference `access()` simulators (the spec implementations).

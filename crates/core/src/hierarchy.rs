@@ -16,11 +16,19 @@
 //!
 //! The hashed strategy also manages L1/L2 contents exclusively (nothing
 //! forces inclusion), so it shares the L2 benefit.
+//!
+//! [`DeHierarchy`] simulates one (L2, strategy) point per reference and is
+//! the spec; [`hierarchy_sweep`] runs the whole Figures 7–9 study — one L1
+//! over many L2s, conventional and per strategy — either through those
+//! spec simulators or through a one-pass kernel with identical statistics.
 
 use std::error::Error;
 use std::fmt;
 
-use dynex_cache::{AccessOutcome, CacheConfig, CacheSim, CacheStats, Geometry};
+use dynex_cache::{
+    de_fsm_index, run_addrs, AccessOutcome, CacheConfig, CacheSim, CacheStats, DirectMapped,
+    Geometry, HierarchyStats, Kernel, TwoLevel, DE_FSM_TABLE,
+};
 use dynex_obs::{Cause, Event, NoopProbe, Outcome, Probe};
 
 use crate::cache::DeStats;
@@ -67,13 +75,19 @@ impl fmt::Display for HitLastStrategy {
     }
 }
 
-/// Configuration failure constructing a [`DeHierarchy`].
+/// Configuration failure constructing a [`DeHierarchy`] or running a
+/// [`hierarchy_sweep`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HierarchyError {
     /// L1 and L2 must use the same line size.
     LineMismatch,
     /// L2 must be at least as large as L1.
     L2SmallerThanL1,
+    /// Both levels must be direct-mapped.
+    NotDirectMapped,
+    /// A hashed hit-last table needs a nonzero power-of-two number of bits
+    /// per L1 line.
+    BadHashWidth,
 }
 
 impl fmt::Display for HierarchyError {
@@ -81,11 +95,42 @@ impl fmt::Display for HierarchyError {
         match self {
             HierarchyError::LineMismatch => write!(f, "L1 and L2 line sizes must match"),
             HierarchyError::L2SmallerThanL1 => write!(f, "L2 must be at least as large as L1"),
+            HierarchyError::NotDirectMapped => write!(f, "L1 and L2 must be direct-mapped"),
+            HierarchyError::BadHashWidth => write!(
+                f,
+                "hashed hit-last bits per line must be a nonzero power of two"
+            ),
         }
     }
 }
 
 impl Error for HierarchyError {}
+
+/// The configuration checks shared by [`DeHierarchy`] and
+/// [`hierarchy_sweep`]: `l1` over `l2` under each of `strategies`.
+fn validate(
+    l1: CacheConfig,
+    l2: CacheConfig,
+    strategies: &[HitLastStrategy],
+) -> Result<(), HierarchyError> {
+    if l1.line_bytes() != l2.line_bytes() {
+        return Err(HierarchyError::LineMismatch);
+    }
+    if l2.size_bytes() < l1.size_bytes() {
+        return Err(HierarchyError::L2SmallerThanL1);
+    }
+    if l1.associativity() != 1 || l2.associativity() != 1 {
+        return Err(HierarchyError::NotDirectMapped);
+    }
+    for &strategy in strategies {
+        if let HitLastStrategy::Hashed { bits_per_line } = strategy {
+            if !bits_per_line.is_power_of_two() {
+                return Err(HierarchyError::BadHashWidth);
+            }
+        }
+    }
+    Ok(())
+}
 
 /// Statistics of a [`DeHierarchy`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -139,8 +184,9 @@ impl DeHierarchy {
     ///
     /// # Errors
     ///
-    /// Returns [`HierarchyError`] if the line sizes differ or L2 is smaller
-    /// than L1.
+    /// Returns [`HierarchyError`] if the line sizes differ, L2 is smaller
+    /// than L1, either level is set-associative, or a hashed strategy's
+    /// width is not a nonzero power of two.
     pub fn new(
         l1: CacheConfig,
         l2: CacheConfig,
@@ -168,12 +214,7 @@ impl<P: Probe> DeHierarchy<P> {
         strategy: HitLastStrategy,
         probe: P,
     ) -> Result<DeHierarchy<P>, HierarchyError> {
-        if l1.line_bytes() != l2.line_bytes() {
-            return Err(HierarchyError::LineMismatch);
-        }
-        if l2.size_bytes() < l1.size_bytes() {
-            return Err(HierarchyError::L2SmallerThanL1);
-        }
+        validate(l1, l2, &[strategy])?;
         let hashed = match strategy {
             HitLastStrategy::Hashed { bits_per_line } => Some(HashedStore::new(l1, bits_per_line)),
             _ => None,
@@ -391,10 +432,392 @@ impl<P: Probe> CacheSim for DeHierarchy<P> {
     }
 }
 
+/// One L2 point of a [`hierarchy_sweep`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct HierarchySweepPoint {
+    /// The conventional direct-mapped L1 over this L2.
+    pub conventional: HierarchyStats,
+    /// The dynamic-exclusion L1 over this L2, one entry per strategy in the
+    /// order they were given.
+    pub de: Vec<DeHierarchyStats>,
+}
+
+/// Runs the Section 5 hierarchy study: one L1 over each of `l2s`, as the
+/// conventional hierarchy and as a [`DeHierarchy`] per strategy. Returns one
+/// point per L2, in order.
+///
+/// Under [`Kernel::Reference`] every point runs its spec simulator
+/// ([`TwoLevel`] over two [`DirectMapped`] caches, or [`DeHierarchy`]). Any
+/// other kernel runs the one-pass kernel, which returns the same statistics
+/// with fewer and cheaper trace walks:
+///
+/// * **the conventional L1 does not depend on L2** — one direct-mapped L1
+///   walk runs, and each of its misses probes every L2;
+/// * **the hashed L1 never reads L2** — one dynamic-exclusion L1 walk per
+///   hashed width runs over its [`HashedStore`], and each L1 miss is
+///   applied to every L2 in reference order;
+/// * **assume-hit and assume-miss read L2's bit** — their L1 depends on the
+///   L2, so each (L2, strategy) pair is one coupled walk.
+///
+/// Every walk keeps flat per-set arrays and steps the L1 through
+/// [`DE_FSM_TABLE`]. L2 sets are zero-initialized words holding
+/// `(line + 1) << 1 | hit_last`, with 0 meaning empty, so a large L2 faults
+/// in only the pages the trace touches.
+///
+/// # Errors
+///
+/// Returns the [`HierarchyError`] that [`DeHierarchy::new`] would return
+/// for `l1` over some L2 under some strategy. The checks of the two levels
+/// apply even when `strategies` is empty.
+///
+/// # Examples
+///
+/// ```
+/// use dynex::{hierarchy_sweep, HitLastStrategy};
+/// use dynex_cache::{CacheConfig, Kernel};
+///
+/// let l1 = CacheConfig::direct_mapped(64, 4)?;
+/// let l2s = [64, 256].map(|size| CacheConfig::direct_mapped(size, 4).unwrap());
+/// let trace: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
+/// let strategies = [HitLastStrategy::AssumeMiss];
+/// let fast = hierarchy_sweep(Kernel::Batch, l1, &l2s, &strategies, &trace)?;
+/// assert_eq!(fast, hierarchy_sweep(Kernel::Reference, l1, &l2s, &strategies, &trace)?);
+/// assert_eq!(fast[1].conventional.l1.misses(), 20); // L1 thrashes
+/// assert_eq!(fast[1].conventional.l2.misses(), 2); // the 256B L2 holds both
+/// assert_eq!(fast[1].de[0].l1.misses(), 11); // a stays, b bypasses
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn hierarchy_sweep(
+    kernel: Kernel,
+    l1: CacheConfig,
+    l2s: &[CacheConfig],
+    strategies: &[HitLastStrategy],
+    addrs: &[u32],
+) -> Result<Vec<HierarchySweepPoint>, HierarchyError> {
+    for &l2 in l2s {
+        validate(l1, l2, strategies)?;
+    }
+    if kernel == Kernel::Reference {
+        return Ok(l2s
+            .iter()
+            .map(|&l2| reference_point(l1, l2, strategies, addrs))
+            .collect());
+    }
+    Ok(one_pass(l1, l2s, strategies, addrs))
+}
+
+/// One point through the spec simulators.
+fn reference_point(
+    l1: CacheConfig,
+    l2: CacheConfig,
+    strategies: &[HitLastStrategy],
+    addrs: &[u32],
+) -> HierarchySweepPoint {
+    let mut conventional = TwoLevel::new(DirectMapped::new(l1), DirectMapped::new(l2));
+    run_addrs(&mut conventional, addrs.iter().copied());
+    let de = strategies
+        .iter()
+        .map(|&strategy| {
+            let mut h = DeHierarchy::new(l1, l2, strategy).expect("validated hierarchy");
+            run_addrs(&mut h, addrs.iter().copied());
+            h.hierarchy_stats()
+        })
+        .collect();
+    HierarchySweepPoint {
+        conventional: conventional.hierarchy_stats(),
+        de,
+    }
+}
+
+/// The one-pass kernel behind [`hierarchy_sweep`]; configurations are
+/// already validated.
+fn one_pass(
+    l1: CacheConfig,
+    l2s: &[CacheConfig],
+    strategies: &[HitLastStrategy],
+    addrs: &[u32],
+) -> Vec<HierarchySweepPoint> {
+    let mut points: Vec<HierarchySweepPoint> = conventional_walk(l1, l2s, addrs)
+        .into_iter()
+        .map(|conventional| HierarchySweepPoint {
+            conventional,
+            de: Vec::with_capacity(strategies.len()),
+        })
+        .collect();
+    for &strategy in strategies {
+        let per_l2: Vec<DeHierarchyStats> = match strategy {
+            HitLastStrategy::Hashed { bits_per_line } => hashed_walk(l1, bits_per_line, l2s, addrs),
+            HitLastStrategy::AssumeHit => l2s
+                .iter()
+                .map(|&l2| coupled_walk::<true>(l1, l2, addrs))
+                .collect(),
+            HitLastStrategy::AssumeMiss => l2s
+                .iter()
+                .map(|&l2| coupled_walk::<false>(l1, l2, addrs))
+                .collect(),
+        };
+        for (point, stats) in points.iter_mut().zip(per_l2) {
+            point.de.push(stats);
+        }
+    }
+    points
+}
+
+/// A direct-mapped L2 of the one-pass kernel: one zero-initialized word per
+/// set, `(line + 1) << 1 | hit_last`, 0 meaning empty (line addresses fit
+/// in 30 bits, so the word never overflows).
+struct FlatL2 {
+    slots: Vec<u32>,
+    index_mask: u32,
+    misses: u64,
+}
+
+impl FlatL2 {
+    fn new(config: CacheConfig) -> FlatL2 {
+        FlatL2 {
+            slots: vec![0; config.n_sets() as usize],
+            index_mask: config.n_sets() - 1,
+            misses: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn entry(line: u32, hit_last: bool) -> u32 {
+        ((line + 1) << 1) | hit_last as u32
+    }
+
+    /// Presents an L1 miss: tallies the access and returns `line`'s set
+    /// and whether `line` occupies it.
+    #[inline(always)]
+    fn lookup(&mut self, line: u32) -> (usize, bool) {
+        let set = (line & self.index_mask) as usize;
+        let hit = self.slots[set] >> 1 == line + 1;
+        self.misses += !hit as u64;
+        (set, hit)
+    }
+
+    /// The hit-last bit stored with `set`'s block.
+    #[inline(always)]
+    fn hit_last(&self, set: usize) -> bool {
+        self.slots[set] & 1 == 1
+    }
+
+    /// Installs `line` in its set (displacing silently).
+    #[inline(always)]
+    fn fill(&mut self, line: u32, hit_last: bool) {
+        self.slots[(line & self.index_mask) as usize] = FlatL2::entry(line, hit_last);
+    }
+
+    /// Content management after `line`, found in `set` (`hit`), missed in
+    /// L1 and caused `event`. An `exclusive` L2 (hashed, assume-miss) gives
+    /// a loaded block up and takes its L1 victim back; an inclusive one
+    /// (assume-hit) returns the victim's hit-last bit to a copy still in L2
+    /// and fills from memory. A bypassed block lives in L2 either way.
+    ///
+    /// An exclusive load invalidates *before* the victim is copied back:
+    /// the invalidation trusts the lookup's `hit`, which names `set`'s
+    /// occupant only until the victim lands — and the victim shares
+    /// `line`'s L1 set, so at an L2 the size of L1 it shares the L2 set too.
+    #[inline(always)]
+    fn update(&mut self, set: usize, hit: bool, line: u32, event: DeEvent, exclusive: bool) {
+        match event {
+            DeEvent::Loaded { victim } if exclusive => {
+                if hit {
+                    self.slots[set] = 0;
+                }
+                if let Some((victim_line, victim_h)) = victim {
+                    self.fill(victim_line, victim_h);
+                }
+            }
+            DeEvent::Loaded { victim } => {
+                if let Some((victim_line, victim_h)) = victim {
+                    let vset = (victim_line & self.index_mask) as usize;
+                    if self.slots[vset] >> 1 == victim_line + 1 {
+                        self.slots[vset] = FlatL2::entry(victim_line, victim_h);
+                    }
+                }
+                if !hit {
+                    self.slots[set] = FlatL2::entry(line, true);
+                }
+            }
+            DeEvent::Bypassed => {
+                if !hit {
+                    self.slots[set] = FlatL2::entry(line, false);
+                }
+            }
+            DeEvent::Hit => unreachable!("only L1 misses reach L2"),
+        }
+    }
+}
+
+/// A dynamic-exclusion L1 of the one-pass kernel: flat tag (`line + 1`, 0
+/// empty), sticky and resident hit-last arrays, stepped through
+/// [`DE_FSM_TABLE`] like [`DeLines`].
+struct FlatDeL1 {
+    lines: Vec<u32>,
+    sticky: Vec<bool>,
+    h_copy: Vec<bool>,
+    index_mask: u32,
+    loads: u64,
+    bypasses: u64,
+}
+
+impl FlatDeL1 {
+    fn new(config: CacheConfig) -> FlatDeL1 {
+        let n = config.n_sets() as usize;
+        FlatDeL1 {
+            lines: vec![0; n],
+            sticky: vec![false; n],
+            h_copy: vec![false; n],
+            index_mask: config.n_sets() - 1,
+            loads: 0,
+            bypasses: 0,
+        }
+    }
+
+    /// Serves `line` if it is resident: the table's hit row re-arms the
+    /// sticky bit and the block's hit-last copy.
+    #[inline(always)]
+    fn hit(&mut self, line: u32) -> bool {
+        let set = (line & self.index_mask) as usize;
+        let hit = self.lines[set] == line + 1;
+        if hit {
+            self.sticky[set] = true;
+            self.h_copy[set] = true;
+        }
+        hit
+    }
+
+    /// A miss on `line` with `h_pred` as its hit-last bit: loads or
+    /// bypasses it, and reports the victim of a load.
+    #[inline(always)]
+    fn miss(&mut self, line: u32, h_pred: bool) -> DeEvent {
+        let set = (line & self.index_mask) as usize;
+        let row = DE_FSM_TABLE[de_fsm_index(false, self.sticky[set], h_pred)];
+        self.sticky[set] = row.sticky_after;
+        if row.installs {
+            let resident = self.lines[set];
+            let victim = (resident != 0).then(|| (resident - 1, self.h_copy[set]));
+            self.lines[set] = line + 1;
+            self.h_copy[set] = row.hit_last_value;
+            self.loads += 1;
+            DeEvent::Loaded { victim }
+        } else {
+            self.bypasses += 1;
+            DeEvent::Bypassed
+        }
+    }
+}
+
+/// Both levels' statistics from an L1 that missed `l1_misses` of
+/// `accesses` references and an L2 that missed `l2_misses` of those.
+fn level_stats(accesses: usize, l1_misses: u64, l2_misses: u64) -> HierarchyStats {
+    HierarchyStats {
+        l1: CacheStats::from_counts(accesses as u64, l1_misses),
+        l2: CacheStats::from_counts(l1_misses, l2_misses),
+    }
+}
+
+/// The statistics of a DE L1 walked over `accesses` references above `l2`.
+fn de_stats(accesses: usize, de: &FlatDeL1, l2: &FlatL2) -> DeHierarchyStats {
+    let levels = level_stats(accesses, de.loads + de.bypasses, l2.misses);
+    DeHierarchyStats {
+        l1: levels.l1,
+        l2: levels.l2,
+        de: DeStats {
+            loads: de.loads,
+            bypasses: de.bypasses,
+        },
+    }
+}
+
+/// Observation (a): one conventional L1 walk whose misses probe every L2.
+fn conventional_walk(l1: CacheConfig, l2s: &[CacheConfig], addrs: &[u32]) -> Vec<HierarchyStats> {
+    let offset_bits = l1.geometry().offset_bits();
+    let mask = l1.n_sets() - 1;
+    let mut lines = vec![0u32; l1.n_sets() as usize];
+    let mut l2s: Vec<FlatL2> = l2s.iter().map(|&l2| FlatL2::new(l2)).collect();
+    let mut misses = 0u64;
+    for &addr in addrs {
+        let line = addr >> offset_bits;
+        let resident = &mut lines[(line & mask) as usize];
+        if *resident == line + 1 {
+            continue;
+        }
+        *resident = line + 1;
+        misses += 1;
+        for l2 in &mut l2s {
+            let (set, hit) = l2.lookup(line);
+            if !hit {
+                l2.slots[set] = FlatL2::entry(line, false);
+            }
+        }
+    }
+    l2s.iter()
+        .map(|l2| level_stats(addrs.len(), misses, l2.misses))
+        .collect()
+}
+
+/// Observation (b): one hashed dynamic-exclusion L1 walk whose misses are
+/// applied to every L2.
+fn hashed_walk(
+    l1: CacheConfig,
+    bits_per_line: u32,
+    l2s: &[CacheConfig],
+    addrs: &[u32],
+) -> Vec<DeHierarchyStats> {
+    let offset_bits = l1.geometry().offset_bits();
+    let mut de = FlatDeL1::new(l1);
+    let mut store = HashedStore::new(l1, bits_per_line);
+    let mut l2s: Vec<FlatL2> = l2s.iter().map(|&l2| FlatL2::new(l2)).collect();
+    for &addr in addrs {
+        let line = addr >> offset_bits;
+        if de.hit(line) {
+            continue;
+        }
+        let event = de.miss(line, store.get(line));
+        if let DeEvent::Loaded {
+            victim: Some((victim_line, victim_h)),
+        } = event
+        {
+            store.set(victim_line, victim_h);
+        }
+        for l2 in &mut l2s {
+            let (set, hit) = l2.lookup(line);
+            l2.update(set, hit, line, event, true);
+        }
+    }
+    l2s.iter()
+        .map(|l2| de_stats(addrs.len(), &de, l2))
+        .collect()
+}
+
+/// Observation (c): one L1 coupled to one L2 that stores the hit-last bits
+/// (`ASSUME_HIT` picks assume-hit over assume-miss).
+fn coupled_walk<const ASSUME_HIT: bool>(
+    l1: CacheConfig,
+    l2: CacheConfig,
+    addrs: &[u32],
+) -> DeHierarchyStats {
+    let offset_bits = l1.geometry().offset_bits();
+    let mut de = FlatDeL1::new(l1);
+    let mut l2 = FlatL2::new(l2);
+    for &addr in addrs {
+        let line = addr >> offset_bits;
+        if de.hit(line) {
+            continue;
+        }
+        let (set, hit) = l2.lookup(line);
+        let h_pred = if hit { l2.hit_last(set) } else { ASSUME_HIT };
+        let event = de.miss(line, h_pred);
+        l2.update(set, hit, line, event, !ASSUME_HIT);
+    }
+    de_stats(addrs.len(), &de, &l2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynex_cache::run_addrs;
 
     fn hierarchy(l1: u32, l2: u32, strategy: HitLastStrategy) -> DeHierarchy {
         DeHierarchy::new(
@@ -425,6 +848,157 @@ mod tests {
             DeHierarchy::new(l1, small, HitLastStrategy::AssumeHit).unwrap_err(),
             HierarchyError::L2SmallerThanL1
         );
+    }
+
+    #[test]
+    fn set_associative_l2_is_rejected() {
+        // Sized by sets, a 2-way L2 used to run as a DM L2 of half the size.
+        let l1 = CacheConfig::direct_mapped(64, 4).unwrap();
+        let l2 = CacheConfig::new(256, 4, 2).unwrap();
+        for strategy in [
+            HitLastStrategy::AssumeHit,
+            HitLastStrategy::AssumeMiss,
+            HitLastStrategy::Hashed { bits_per_line: 4 },
+        ] {
+            assert_eq!(
+                DeHierarchy::new(l1, l2, strategy).unwrap_err(),
+                HierarchyError::NotDirectMapped
+            );
+            for kernel in [Kernel::Reference, Kernel::Batch] {
+                assert_eq!(
+                    hierarchy_sweep(kernel, l1, &[l2], &[strategy], &[0]).unwrap_err(),
+                    HierarchyError::NotDirectMapped
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn set_associative_l1_is_rejected() {
+        let l1 = CacheConfig::new(64, 4, 2).unwrap();
+        let l2 = CacheConfig::direct_mapped(256, 4).unwrap();
+        assert_eq!(
+            DeHierarchy::new(l1, l2, HitLastStrategy::AssumeMiss).unwrap_err(),
+            HierarchyError::NotDirectMapped
+        );
+        // The conventional points alone must reject it too.
+        for kernel in [Kernel::Reference, Kernel::Batch] {
+            assert_eq!(
+                hierarchy_sweep(kernel, l1, &[l2], &[], &[0]).unwrap_err(),
+                HierarchyError::NotDirectMapped
+            );
+        }
+    }
+
+    #[test]
+    fn bad_hash_width_is_rejected() {
+        let l1 = CacheConfig::direct_mapped(64, 4).unwrap();
+        let l2 = CacheConfig::direct_mapped(256, 4).unwrap();
+        for bits_per_line in [0, 3, 12] {
+            let strategy = HitLastStrategy::Hashed { bits_per_line };
+            assert_eq!(
+                DeHierarchy::new(l1, l2, strategy).unwrap_err(),
+                HierarchyError::BadHashWidth,
+                "{strategy}"
+            );
+            for kernel in [Kernel::Reference, Kernel::Batch] {
+                assert_eq!(
+                    hierarchy_sweep(kernel, l1, &[l2], &[strategy], &[0]).unwrap_err(),
+                    HierarchyError::BadHashWidth,
+                    "{strategy}"
+                );
+            }
+        }
+        for bits_per_line in [1, 2, 16] {
+            let strategy = HitLastStrategy::Hashed { bits_per_line };
+            assert!(DeHierarchy::new(l1, l2, strategy).is_ok(), "{strategy}");
+        }
+    }
+
+    /// The traces of the sweep differential: the Section 3 loop patterns
+    /// (conflicting in L1 only and in every L2 of a 256B L1), a seeded
+    /// random trace whose lines alias in every L2, and the empty trace.
+    fn sweep_traces() -> Vec<(&'static str, Vec<u32>)> {
+        use dynex_workload::patterns;
+        let addrs = |trace: dynex_trace::Trace| trace.iter().map(|a| a.addr()).collect();
+        let mut traces = Vec::new();
+        for (a, b) in [
+            patterns::conflicting_pair(256),
+            patterns::conflicting_pair(256 * 64),
+        ] {
+            traces.push((
+                "between loops",
+                addrs(patterns::conflict_between_loops(a, b, 10, 10)),
+            ));
+            traces.push((
+                "between loop levels",
+                addrs(patterns::conflict_between_loop_levels(a, b, 10, 10)),
+            ));
+            traces.push((
+                "within loop",
+                addrs(patterns::conflict_within_loop(a, b, 20)),
+            ));
+            traces.push((
+                "three-way loop",
+                addrs(patterns::three_way_loop(a, b, 2 * b, 20)),
+            ));
+        }
+        // Mostly a 192-line hot set (aliasing in the 1x and 2x L2s),
+        // a quarter spread over 16Ki lines (aliasing in the 64x one too).
+        let mut rng = dynex_cache::SplitMix64::new(19);
+        let random = (0..30_000)
+            .map(|_| {
+                let span = if rng.below(4) == 0 { 16_384 } else { 192 };
+                (rng.below(span) as u32) * 4
+            })
+            .collect();
+        traces.push(("random", random));
+        traces.push(("empty", Vec::new()));
+        traces
+    }
+
+    #[test]
+    fn one_pass_sweep_matches_spec_simulators() {
+        let l1 = CacheConfig::direct_mapped(256, 4).unwrap();
+        let l2s = [1, 2, 64].map(|ratio| CacheConfig::direct_mapped(256 * ratio, 4).unwrap());
+        let strategies = [
+            HitLastStrategy::Hashed { bits_per_line: 4 },
+            HitLastStrategy::Hashed { bits_per_line: 1 },
+            HitLastStrategy::Hashed { bits_per_line: 16 },
+            HitLastStrategy::AssumeHit,
+            HitLastStrategy::AssumeMiss,
+        ];
+        for (name, addrs) in sweep_traces() {
+            let reference = hierarchy_sweep(Kernel::Reference, l1, &l2s, &strategies, &addrs)
+                .expect("valid sweep");
+            for kernel in [Kernel::Batch, Kernel::Sweep] {
+                let points =
+                    hierarchy_sweep(kernel, l1, &l2s, &strategies, &addrs).expect("valid sweep");
+                assert_eq!(points.len(), l2s.len(), "{name}");
+                for (point, &l2) in points.iter().zip(&l2s) {
+                    let ratio = l2.size_bytes() / l1.size_bytes();
+                    let mut conventional =
+                        TwoLevel::new(DirectMapped::new(l1), DirectMapped::new(l2));
+                    run_addrs(&mut conventional, addrs.iter().copied());
+                    assert_eq!(
+                        point.conventional,
+                        conventional.hierarchy_stats(),
+                        "{name}, ratio {ratio}: conventional"
+                    );
+                    assert_eq!(point.de.len(), strategies.len());
+                    for (stats, &strategy) in point.de.iter().zip(&strategies) {
+                        let mut h = DeHierarchy::new(l1, l2, strategy).unwrap();
+                        run_addrs(&mut h, addrs.iter().copied());
+                        assert_eq!(
+                            *stats,
+                            h.hierarchy_stats(),
+                            "{name}, ratio {ratio}: {strategy}"
+                        );
+                    }
+                }
+                assert_eq!(points, reference, "{name}: {kernel} vs reference");
+            }
+        }
     }
 
     #[test]
@@ -559,6 +1133,12 @@ mod tests {
     fn error_display() {
         assert!(HierarchyError::LineMismatch.to_string().contains("line"));
         assert!(HierarchyError::L2SmallerThanL1.to_string().contains("L2"));
+        assert!(HierarchyError::NotDirectMapped
+            .to_string()
+            .contains("direct-mapped"));
+        assert!(HierarchyError::BadHashWidth
+            .to_string()
+            .contains("power of two"));
     }
 
     #[test]

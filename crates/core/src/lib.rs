@@ -20,7 +20,8 @@
 //! * [`DeHierarchy`] — the Section 5 two-level organization with the three
 //!   hit-last storage strategies ([`HitLastStrategy`]): `hashed`,
 //!   `assume-hit`, `assume-miss`, including the L1/L2 exclusion that lowers
-//!   L2 miss rates in Figures 8–9,
+//!   L2 miss rates in Figures 8–9, and [`hierarchy_sweep`], which runs one
+//!   L1 over many L2s and strategies (the Figures 7–9 study) in one pass,
 //! * [`MultiStickyDeCache`] — the multi-level sticky extension the paper
 //!   references (\[McF91a\]), used by the `ablate-sticky` experiment.
 //!
@@ -60,7 +61,10 @@ mod optimal;
 mod sticky;
 
 pub use cache::{DeCache, DeStats};
-pub use hierarchy::{DeHierarchy, DeHierarchyStats, HierarchyError, HitLastStrategy};
+pub use hierarchy::{
+    hierarchy_sweep, DeHierarchy, DeHierarchyStats, HierarchyError, HierarchySweepPoint,
+    HitLastStrategy,
+};
 pub use hitlast::{HashedStore, HitLastStore, PerfectStore, ProbedStore};
 pub use lastline::LastLineDeCache;
 pub use linebuf::{DeStreamBuffer, InstrRegisterDeCache};

@@ -1,8 +1,9 @@
 //! Figures 7–9: the two-level organization and the three hit-last storage
 //! strategies.
 
-use dynex::{DeHierarchy, HitLastStrategy};
-use dynex_cache::{run_addrs, CacheConfig, DirectMapped, TwoLevel};
+use dynex::{hierarchy_sweep, HitLastStrategy};
+use dynex_cache::CacheConfig;
+use dynex_engine::default_kernel;
 
 use crate::runner::{bench_means, per_benchmark, reduction};
 use crate::{Table, Workloads, HEADLINE_SIZE, L2_RATIO_SWEEP};
@@ -31,31 +32,33 @@ pub const STRATEGIES: [HitLastStrategy; 3] = [
 
 /// Runs the L1=32KB, b=4B instruction-cache hierarchy sweep over the L2:L1
 /// ratios of Figures 7–9. Shared by [`fig7`], [`fig8`], and [`fig9`].
+///
+/// Each benchmark's ratios and strategies run through one
+/// [`hierarchy_sweep`] under the session kernel: the per-point spec
+/// simulators under `reference`, the one-pass kernel otherwise.
 pub fn l2_sweep(workloads: &Workloads) -> Vec<L2Point> {
     let l1 = CacheConfig::direct_mapped(HEADLINE_SIZE, 4).expect("valid config");
+    let l2s = L2_RATIO_SWEEP
+        .map(|ratio| CacheConfig::direct_mapped(HEADLINE_SIZE * ratio, 4).expect("valid config"));
+    let kernel = default_kernel();
     // Per benchmark and ratio: the conventional L1 and global L2 rates,
     // then each strategy's L1 and global L2 rates.
     let per_bench = per_benchmark(workloads, |addrs| {
-        L2_RATIO_SWEEP
-            .map(|ratio| {
-                let l2 =
-                    CacheConfig::direct_mapped(HEADLINE_SIZE * ratio, 4).expect("valid config");
+        hierarchy_sweep(kernel, l1, &l2s, &STRATEGIES, addrs)
+            .expect("valid hierarchy")
+            .iter()
+            .map(|point| {
                 let mut rates = [0.0; 8];
-                let mut baseline = TwoLevel::new(DirectMapped::new(l1), DirectMapped::new(l2));
-                run_addrs(&mut baseline, addrs.iter().copied());
-                let b = baseline.hierarchy_stats();
+                let b = point.conventional;
                 rates[0] = b.l1.miss_rate_percent();
                 rates[1] = b.global_l2_miss_rate() * 100.0;
-                for (k, &strategy) in STRATEGIES.iter().enumerate() {
-                    let mut h = DeHierarchy::new(l1, l2, strategy).expect("valid hierarchy");
-                    run_addrs(&mut h, addrs.iter().copied());
-                    let s = h.hierarchy_stats();
+                for (k, s) in point.de.iter().enumerate() {
                     rates[2 + 2 * k] = s.l1.miss_rate_percent();
                     rates[3 + 2 * k] = s.l2.misses() as f64 / s.l1.accesses().max(1) as f64 * 100.0;
                 }
                 rates
             })
-            .to_vec()
+            .collect()
     });
     L2_RATIO_SWEEP
         .into_iter()

@@ -63,16 +63,24 @@ if [ "$quick" -eq 0 ]; then
     scripts/chaos_smoke.sh
 fi
 
-# Figure jobs-invariance: the whole figure set at one and two workers must
-# write byte-identical CSVs (every per-benchmark fan-out sums its results in
-# benchmark order). (Skipped under --quick: needs the release binary.)
+# Figure jobs- and kernel-invariance: the whole figure set at one and two
+# workers must write byte-identical CSVs (every per-benchmark fan-out sums
+# its results in benchmark order), and the reference kernel must write the
+# same CSVs as the default fast one (the one-pass hierarchy kernel of
+# Figures 7-9 against its per-point spec simulators, among others).
+# (Skipped under --quick: needs the release binary.)
 if [ "$quick" -eq 0 ]; then
-    echo "==> figure jobs-invariance (experiments all, --jobs 1 vs --jobs 2)"
+    echo "==> figure jobs- and kernel-invariance (experiments all, --jobs 1 vs --jobs 2 vs --kernel reference)"
     inv_dir=$(mktemp -d)
     target/release/experiments --jobs 1 --refs 20000 --out "$inv_dir/A" all >/dev/null
     target/release/experiments --jobs 2 --refs 20000 --out "$inv_dir/B" all >/dev/null
+    target/release/experiments --kernel reference --jobs 2 --refs 20000 --out "$inv_dir/C" all >/dev/null
     if ! diff -r "$inv_dir/A" "$inv_dir/B"; then
         echo "verify: figure CSVs differ between --jobs 1 and --jobs 2" >&2
+        exit 1
+    fi
+    if ! diff -r "$inv_dir/A" "$inv_dir/C"; then
+        echo "verify: figure CSVs differ between the default and the reference kernel" >&2
         exit 1
     fi
     rm -rf "$inv_dir"

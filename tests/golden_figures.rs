@@ -110,6 +110,18 @@ fn fig7_matches_golden() {
 }
 
 #[test]
+fn fig8_matches_golden() {
+    // The global L2 miss rates of the Section 5 hierarchy sweep: pins the
+    // L1-to-L2 copy-back traffic of the exclusive strategies.
+    check_golden("fig8");
+}
+
+#[test]
+fn fig9_matches_golden() {
+    check_golden("fig9");
+}
+
+#[test]
 fn fig12_matches_golden() {
     check_golden("fig12");
 }

@@ -213,13 +213,16 @@ fn random_trace_stats_agree_across_kernels_at_jobs_1_and_4() {
 /// Figure CSVs are byte-identical across kernel × worker-count: the full
 /// driver stack (workloads → triples → table → CSV) cannot tell the kernels
 /// apart at `--jobs 1` or `--jobs 4` — for the word-line triples (fig3,
-/// fig5), the last-line triples (fig11, fig12) and the multi-config triple
-/// call beside EHC (ehc).
+/// fig5), the hierarchy sweeps (fig7, fig8, fig9: the one-pass hierarchy
+/// kernel against its per-point spec simulators), the last-line triples
+/// (fig11, fig12) and the multi-config triple call beside EHC (ehc).
 #[test]
 fn figure_csv_bytes_identical_across_kernels_and_jobs() {
     let _guard = lock_globals();
     let workloads = workloads();
-    for id in ["fig3", "fig5", "fig11", "fig12", "ehc"] {
+    for id in [
+        "fig3", "fig5", "fig7", "fig8", "fig9", "fig11", "fig12", "ehc",
+    ] {
         let mut renders = Vec::new();
         for kernel in [Kernel::Reference, Kernel::Batch, Kernel::Sweep] {
             for jobs in [1usize, 4] {
