@@ -5,7 +5,7 @@
 //! crate turns those serial loops into a parallel engine without giving up
 //! reproducibility:
 //!
-//! * [`execute`] / [`SweepPlan`] — a worker pool over scoped `std::thread`s
+//! * [`execute`] — a worker pool over scoped `std::thread`s
 //!   with a channel-based work queue. Results are tagged with their plan
 //!   index and reassembled in plan order, so the output is **bit-identical
 //!   regardless of the worker count** — `--jobs 8` and `--jobs 1` produce
@@ -41,15 +41,15 @@
 //!
 //! ```
 //! use dynex_cache::CacheConfig;
-//! use dynex_engine::{Job, PolicyKind, SweepPlan};
+//! use dynex_engine::{execute, Job, PolicyKind};
 //!
 //! let trace: Vec<u32> = (0..100).map(|i| (i % 40) * 4).collect();
-//! let mut plan = SweepPlan::new();
+//! let mut jobs = Vec::new();
 //! for size in [64, 128, 256] {
 //!     let config = CacheConfig::direct_mapped(size, 4)?;
-//!     plan.push(Job::new(config, PolicyKind::DynamicExclusion));
+//!     jobs.push(Job::new(config, PolicyKind::DynamicExclusion));
 //! }
-//! let stats = plan.run(4, |job| job.run(&trace).expect("de runs on every kernel"));
+//! let stats = execute(&jobs, 4, |job| job.policy.simulate(job.config, &trace));
 //! assert_eq!(stats.len(), 3);
 //! assert!(stats[2].misses() <= stats[0].misses(), "bigger cache, fewer misses");
 //! # Ok::<(), dynex_cache::ConfigError>(())
@@ -74,4 +74,4 @@ pub use journal::{
 pub use kernel::{default_kernel, set_default_kernel};
 pub use pool::{available_jobs, default_jobs, env_jobs, execute, set_default_jobs};
 pub use resilience::{execute_resilient, JobError, JobFailure, Resilience, SweepOutcome};
-pub use sweep::{run_jobs, Job, PolicyError, PolicyKind, PolicyRun, SweepPlan};
+pub use sweep::{run_jobs, Job, PolicyError, PolicyKind, PolicyRun};

@@ -24,7 +24,6 @@ use dynex_cache::{
 use dynex_obs::{NoopProbe, Probe};
 
 use crate::kernel::default_kernel;
-use crate::pool::execute;
 
 /// Entries in the `victim` policy's victim buffer.
 const VICTIM_ENTRIES: usize = 4;
@@ -217,12 +216,8 @@ impl PolicyKind {
 
     /// Simulates this policy over a byte-address trace with the session's
     /// [`default_kernel`].
-    ///
-    /// # Errors
-    ///
-    /// None today: every kernel runs every policy.
-    pub fn simulate(self, config: CacheConfig, addrs: &[u32]) -> Result<CacheStats, PolicyError> {
-        self.simulate_kernel(default_kernel(), config, addrs)
+    pub fn simulate(self, config: CacheConfig, addrs: &[u32]) -> CacheStats {
+        self.counters(default_kernel(), config, addrs).0
     }
 
     /// Simulates one point with an explicit kernel, as the one-job case of
@@ -232,29 +227,21 @@ impl PolicyKind {
     ///
     /// Every kernel is bit-identical in output (the differential wall in
     /// `tests/kernel_differential.rs` enforces the policy × kernel matrix).
-    ///
-    /// # Errors
-    ///
-    /// None today: every kernel runs every policy.
-    pub fn run(
-        self,
-        kernel: Kernel,
-        config: CacheConfig,
-        addrs: &[u32],
-    ) -> Result<PolicyRun, PolicyError> {
+    pub fn run(self, kernel: Kernel, config: CacheConfig, addrs: &[u32]) -> PolicyRun {
         let (stats, de) = self.counters(kernel, config, addrs);
-        Ok(PolicyRun {
+        PolicyRun {
             label: self.label(config),
             stats,
             de,
-        })
+        }
     }
 
     /// The statistics-only view of [`PolicyKind::run`].
     ///
     /// # Errors
     ///
-    /// As [`PolicyKind::run`].
+    /// None: every kernel runs every policy. The `Result` stays only
+    /// because the benchmark package matches on `Ok`/`Err` here.
     pub fn simulate_kernel(
         self,
         kernel: Kernel,
@@ -369,7 +356,7 @@ impl PolicyKind {
 /// ];
 /// let runs = run_jobs(Kernel::Sweep, &jobs, &trace, &mut [NoopProbe; 4]);
 /// for (job, (stats, de)) in jobs.iter().zip(&runs) {
-///     let single = job.policy.run(Kernel::Reference, job.config, &trace).unwrap();
+///     let single = job.policy.run(Kernel::Reference, job.config, &trace);
 ///     assert_eq!((*stats, *de), (single.stats, single.de));
 /// }
 /// assert_eq!(runs[0].0.misses(), 20); // DM thrashes
@@ -412,6 +399,25 @@ pub fn run_jobs<P: Probe>(
 /// A job is pure data; running it against a trace is side-effect-free, which
 /// is what lets the pool execute jobs in any order and still produce
 /// plan-ordered, bit-identical results.
+///
+/// # Examples
+///
+/// ```
+/// use dynex_cache::CacheConfig;
+/// use dynex_engine::{execute, Job, PolicyKind};
+///
+/// let config = CacheConfig::direct_mapped(64, 4)?;
+/// let trace: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
+/// let jobs = [
+///     Job::new(config, PolicyKind::DirectMapped),
+///     Job::new(config, PolicyKind::DynamicExclusion),
+///     Job::new(config, PolicyKind::OptimalDm),
+/// ];
+/// let stats = execute(&jobs, 4, |job| job.policy.simulate(job.config, &trace));
+/// assert_eq!(stats[0].misses(), 20); // DM thrashes
+/// assert!(stats[2].misses() <= stats[1].misses()); // OPT bounds DE
+/// # Ok::<(), dynex_cache::ConfigError>(())
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Job {
     /// The cache geometry to simulate.
@@ -426,97 +432,16 @@ impl Job {
         Job { config, policy }
     }
 
-    /// Simulates the job over a byte-address trace with the session's
-    /// [`default_kernel`].
-    ///
-    /// # Errors
-    ///
-    /// None today: every kernel runs every policy.
-    pub fn run(&self, addrs: &[u32]) -> Result<CacheStats, PolicyError> {
-        self.policy.simulate(self.config, addrs)
-    }
-
     /// `<policy>@<config>`, e.g. `de@32KB direct-mapped, 4B lines`.
     pub fn label(&self) -> String {
         format!("{}@{}", self.policy.name(), self.config)
     }
 }
 
-/// An ordered list of sweep points, executed deterministically on the pool.
-///
-/// The plan is generic over the point type ([`Job`]s, `(CacheConfig,
-/// &[u32])` pairs, whatever a caller needs). Results always come back in
-/// push order.
-///
-/// # Examples
-///
-/// ```
-/// use dynex_cache::CacheConfig;
-/// use dynex_engine::{Job, PolicyKind, SweepPlan};
-///
-/// let config = CacheConfig::direct_mapped(64, 4)?;
-/// let trace: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
-/// let mut plan = SweepPlan::new();
-/// plan.push(Job::new(config, PolicyKind::DirectMapped));
-/// plan.push(Job::new(config, PolicyKind::DynamicExclusion));
-/// plan.push(Job::new(config, PolicyKind::OptimalDm));
-/// let stats = plan.run(4, |job| job.run(&trace).expect("supported on every kernel"));
-/// assert_eq!(stats[0].misses(), 20); // DM thrashes
-/// assert!(stats[2].misses() <= stats[1].misses()); // OPT bounds DE
-/// # Ok::<(), dynex_cache::ConfigError>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SweepPlan<T> {
-    points: Vec<T>,
-}
-
-impl<T: Sync> SweepPlan<T> {
-    /// An empty plan.
-    pub fn new() -> SweepPlan<T> {
-        SweepPlan { points: Vec::new() }
-    }
-
-    /// Builds a plan from an iterator of points.
-    pub fn from_points<I: IntoIterator<Item = T>>(points: I) -> SweepPlan<T> {
-        SweepPlan {
-            points: points.into_iter().collect(),
-        }
-    }
-
-    /// Appends one point.
-    pub fn push(&mut self, point: T) {
-        self.points.push(point);
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` if the plan has no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The points, in plan order.
-    pub fn points(&self) -> &[T] {
-        &self.points
-    }
-
-    /// Executes `f` over every point on `jobs` workers; results are in plan
-    /// order and bit-identical for every `jobs` value.
-    pub fn run<R, F>(&self, jobs: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        execute(&self.points, jobs, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::execute;
     use dynex_obs::{CountingProbe, EventCounts};
 
     fn thrash() -> Vec<u32> {
@@ -561,7 +486,7 @@ mod tests {
         let mut dm = DirectMapped::new(config);
         let expected = run_addrs(&mut dm, addrs.iter().copied());
         let job = Job::new(config, PolicyKind::DirectMapped);
-        assert_eq!(job.run(&addrs).unwrap(), expected);
+        assert_eq!(job.policy.simulate(job.config, &addrs), expected);
         assert!(job.label().starts_with("dm@"));
     }
 
@@ -569,16 +494,16 @@ mod tests {
     fn plan_results_are_plan_ordered_for_any_job_count() {
         let config = CacheConfig::direct_mapped(64, 4).unwrap();
         let addrs = thrash();
-        let plan = SweepPlan::from_points([
+        let plan = [
             Job::new(config, PolicyKind::DirectMapped),
             Job::new(config, PolicyKind::DynamicExclusion),
             Job::new(config, PolicyKind::OptimalDm),
-        ]);
-        assert_eq!(plan.len(), 3);
-        assert!(!plan.is_empty());
-        let serial = plan.run(1, |job| job.run(&addrs).unwrap());
+        ];
+        let simulate = |job: &Job| job.policy.simulate(job.config, &addrs);
+        let serial = execute(&plan, 1, simulate);
+        assert_eq!(serial.len(), 3);
         for jobs in [2, 4, 8] {
-            assert_eq!(plan.run(jobs, |job| job.run(&addrs).unwrap()), serial);
+            assert_eq!(execute(&plan, jobs, simulate), serial);
         }
         // The familiar ordering: OPT <= DE < DM on a thrash trace.
         assert!(serial[2].misses() <= serial[1].misses());
@@ -662,23 +587,24 @@ mod tests {
         let addrs: Vec<u32> = (0..12_000)
             .map(|_| (rng.below(16_384) as u32) * 4)
             .collect();
-        let mut plan = SweepPlan::new();
+        let mut jobs = Vec::new();
         for size in [256u32, 1024, 8192] {
             for line in [4u32, 16] {
                 let config = CacheConfig::direct_mapped(size, line).unwrap();
-                plan.push(Job::new(config, PolicyKind::DirectMapped));
-                plan.push(Job::new(config, PolicyKind::DynamicExclusion));
-                plan.push(Job::new(config, PolicyKind::OptimalDm));
+                jobs.push(Job::new(config, PolicyKind::DirectMapped));
+                jobs.push(Job::new(config, PolicyKind::DynamicExclusion));
+                jobs.push(Job::new(config, PolicyKind::OptimalDm));
             }
         }
-        let jobs = plan.points();
-        let serial = plan.run(1, |job| job.run(&addrs).unwrap());
-        assert_eq!(serial, plan.run(4, |job| job.run(&addrs).unwrap()));
+        let simulate = |job: &Job| job.policy.simulate(job.config, &addrs);
+        let serial = execute(&jobs, 1, simulate);
+        assert_eq!(serial, execute(&jobs, 4, simulate));
         for kernel in KERNELS {
-            let one_pass: Vec<CacheStats> = run_jobs(kernel, jobs, &addrs, &mut noop_probes(jobs))
-                .into_iter()
-                .map(|(stats, _)| stats)
-                .collect();
+            let one_pass: Vec<CacheStats> =
+                run_jobs(kernel, &jobs, &addrs, &mut noop_probes(&jobs))
+                    .into_iter()
+                    .map(|(stats, _)| stats)
+                    .collect();
             assert_eq!(one_pass, serial, "{kernel}");
         }
     }
@@ -701,7 +627,7 @@ mod tests {
         for kernel in KERNELS {
             let runs = run_jobs(kernel, &jobs, &addrs, &mut noop_probes(&jobs));
             for (job, &(stats, de)) in jobs.iter().zip(&runs) {
-                let single = job.policy.run(kernel, job.config, &addrs).unwrap();
+                let single = job.policy.run(kernel, job.config, &addrs);
                 assert_eq!(
                     (stats, de),
                     (single.stats, single.de),
@@ -742,8 +668,8 @@ mod tests {
             reference
         );
         for (policy, (_, de)) in policies.into_iter().zip(reference) {
-            let run = policy.run(Kernel::Sweep, config, &addrs).unwrap();
-            assert_eq!(run, policy.run(Kernel::Reference, config, &addrs).unwrap());
+            let run = policy.run(Kernel::Sweep, config, &addrs);
+            assert_eq!(run, policy.run(Kernel::Reference, config, &addrs));
             assert_eq!(run.de, de);
             assert_eq!(de.is_some(), policy == PolicyKind::DynamicExclusion);
         }
@@ -800,10 +726,8 @@ mod tests {
     fn lastline_policies_simulate() {
         let config = CacheConfig::direct_mapped(64, 16).unwrap();
         let addrs: Vec<u32> = (0..200).map(|i| (i % 32) * 4).collect();
-        let de = PolicyKind::DeLastLine.simulate(config, &addrs).unwrap();
-        let opt = PolicyKind::OptimalDmLastLine
-            .simulate(config, &addrs)
-            .unwrap();
+        let de = PolicyKind::DeLastLine.simulate(config, &addrs);
+        let opt = PolicyKind::OptimalDmLastLine.simulate(config, &addrs);
         assert_eq!(de.accesses(), 200);
         assert!(opt.misses() <= de.misses());
     }

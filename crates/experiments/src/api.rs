@@ -1036,8 +1036,7 @@ fn execute_with_key(
     key: String,
 ) -> Result<SimulationResponse, ApiError> {
     let config = request.cache_config()?;
-    let PolicyRun { label, stats, de } =
-        request.policy.run(request.kernel, config, &trace.addrs)?;
+    let PolicyRun { label, stats, de } = request.policy.run(request.kernel, config, &trace.addrs);
     Ok(SimulationResponse {
         label,
         stats,

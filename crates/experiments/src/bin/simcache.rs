@@ -32,8 +32,7 @@
 //! trace traversal; under `reference` each size runs
 //! point-by-point. Stdout (one line per size, in list order) is
 //! byte-identical across kernels; stderr reports aggregate throughput where
-//! one "reference" is one trace reference carried through one size's triple
-//! — this is the N-configuration scaling probe `scripts/bench.sh` uses.
+//! one "reference" is one trace reference carried through one size's triple.
 //! Plain runs only: `--sweep` combines with neither `--resume` nor the
 //! observability outputs.
 //!
@@ -141,8 +140,7 @@ impl ObsConfig {
 /// single trace traversal; under `--kernel reference` each size runs
 /// point-by-point. Stdout is byte-identical across kernels; the stderr
 /// `sim:` line counts one reference per trace reference per size, so its
-/// refs/s figure measures N-configuration throughput (`scripts/bench.sh`
-/// parses it).
+/// refs/s figure measures N-configuration throughput.
 fn run_size_sweep(
     request: &SimulationRequest,
     loaded: &api::LoadedTrace,
@@ -407,8 +405,7 @@ fn main() -> ExitCode {
             }
         };
         // Simulation-only throughput (trace load/decode excluded), on stderr
-        // so stdout stays byte-identical across kernels and machines;
-        // scripts/bench.sh parses this line.
+        // so stdout stays byte-identical across kernels and machines.
         let seconds = started.elapsed().as_secs_f64();
         eprintln!(
             "sim: {} references in {seconds:.3}s ({:.0} refs/s)",

@@ -19,7 +19,7 @@
 //! path the serve tier uses; the goldens under `results/golden/` pin the
 //! bytes under the differential wall.
 
-use dynex_cache::{simulate_policy, CacheConfig, CacheStats, DePolicy, DmPolicy};
+use dynex_cache::{simulate_policy, CacheConfig, DePolicy, DmPolicy};
 use dynex_engine::{default_kernel, PolicyKind};
 
 use crate::api::run_triples;
@@ -29,12 +29,6 @@ use crate::{Table, Workloads};
 /// Cache sizes the zoo figures sweep: small enough that conflict misses
 /// dominate and the policies separate, up to the paper's headline 32KB.
 const ZOO_SIZES_KB: [u32; 6] = [1, 2, 4, 8, 16, 32];
-
-/// Runs one zoo policy on the session's default kernel.
-fn zoo_stats(kind: PolicyKind, config: CacheConfig, addrs: &[u32]) -> CacheStats {
-    kind.simulate(config, addrs)
-        .expect("every kernel runs every policy")
-}
 
 /// Expected-Hit-Count comparison (b=4B lines): average I-stream miss rates
 /// for DM, DE, EHC, and OPT across the benchmark suite at each cache size,
@@ -64,7 +58,7 @@ pub fn ehc(workloads: &Workloads) -> Table {
             .iter()
             .zip(triples)
             .map(|(&config, t)| {
-                let ehc = zoo_stats(PolicyKind::ExpectedHitCount, config, addrs);
+                let ehc = PolicyKind::ExpectedHitCount.simulate(config, addrs);
                 [t.dm, t.de, ehc, t.opt].map(|stats| stats.miss_rate_percent())
             })
             .collect()
@@ -114,7 +108,7 @@ pub fn bwcost(workloads: &Workloads) -> Table {
                 let config = CacheConfig::direct_mapped(kb * 1024, 4).expect("valid config");
                 let dm = simulate_policy(config, addrs, &mut DmPolicy);
                 let de = simulate_policy(config, addrs, &mut DePolicy::new(config, addrs));
-                let bw = zoo_stats(PolicyKind::BandwidthCost, config, addrs);
+                let bw = PolicyKind::BandwidthCost.simulate(config, addrs);
                 [
                     dm.bandwidth_per_kiloref(),
                     de.bandwidth_per_kiloref(),
@@ -152,9 +146,9 @@ mod tests {
         let config = CacheConfig::direct_mapped(1024, 4).unwrap();
         let (name, _) = w.iter().next().unwrap();
         let addrs = w.instr_addrs(name);
-        let dm = zoo_stats(PolicyKind::DirectMapped, config, &addrs);
-        let ehc = zoo_stats(PolicyKind::ExpectedHitCount, config, &addrs);
-        let opt = zoo_stats(PolicyKind::OptimalDm, config, &addrs);
+        let dm = PolicyKind::DirectMapped.simulate(config, &addrs);
+        let ehc = PolicyKind::ExpectedHitCount.simulate(config, &addrs);
+        let opt = PolicyKind::OptimalDm.simulate(config, &addrs);
         assert!(ehc.misses() <= dm.misses());
         assert!(opt.misses() <= ehc.misses());
     }
@@ -175,7 +169,7 @@ mod tests {
         for (name, _) in w.iter() {
             let addrs = w.instr_addrs(name);
             let dm = simulate_policy(config, &addrs, &mut DmPolicy);
-            let bw = zoo_stats(PolicyKind::BandwidthCost, config, &addrs);
+            let bw = PolicyKind::BandwidthCost.simulate(config, &addrs);
             assert!(
                 bw.bandwidth_transfers() <= dm.bandwidth_transfers(),
                 "{name}: bw policy must not spend more transfers than fill-always"

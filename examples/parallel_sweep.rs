@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use dynex_cache::CacheConfig;
-use dynex_engine::{available_jobs, Job, PolicyKind, SweepPlan};
+use dynex_engine::{available_jobs, execute, Job, PolicyKind};
 use dynex_workload::spec;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
     );
 
     // One job per (size, policy) point.
-    let mut plan = SweepPlan::new();
+    let mut plan = Vec::new();
     for kb in [1u32, 2, 4, 8, 16, 32] {
         let config = CacheConfig::direct_mapped(kb * 1024, 4).expect("valid config");
         for policy in [
@@ -40,12 +40,11 @@ fn main() {
 
     let cores = available_jobs();
     let started = Instant::now();
-    let serial = plan.run(1, |job| job.run(&addrs).expect("dm/de/opt run everywhere"));
+    let simulate = |job: &Job| job.policy.simulate(job.config, &addrs);
+    let serial = execute(&plan, 1, simulate);
     let serial_time = started.elapsed();
     let started = Instant::now();
-    let parallel = plan.run(cores, |job| {
-        job.run(&addrs).expect("dm/de/opt run everywhere")
-    });
+    let parallel = execute(&plan, cores, simulate);
     let parallel_time = started.elapsed();
 
     assert_eq!(serial, parallel, "the engine is deterministic");
@@ -58,7 +57,7 @@ fn main() {
     );
 
     println!("\n  size    policy  miss rate");
-    for (job, stats) in plan.points().iter().zip(&parallel) {
+    for (job, stats) in plan.iter().zip(&parallel) {
         println!(
             "  {:>5}  {:>6}  {:>8.4}%",
             format!("{}K", job.config.size_bytes() / 1024),

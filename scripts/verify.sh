@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# Local verification gate: exactly what CI runs.
+# Local verification gate: the script CI's `verify` job runs.
 #
-#   scripts/verify.sh          # fmt + clippy + release build + tests
-#   scripts/verify.sh --quick  # skip the release build
+#   scripts/verify.sh          # fmt + clippy + release build + tests, then
+#                              # the serve/load/chaos smokes, the span
+#                              # report, and the figure invariance and
+#                              # resume diffs on the release binaries
+#   scripts/verify.sh --quick  # fmt + clippy + tests only
 #
 # The workspace is hermetic (no registry access needed); the property tests
-# are opt-in and NOT covered here.
+# are opt-in and NOT covered here. Speed is measured by the perfbench
+# ledger (BENCHMARK.json), never here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,6 +67,26 @@ if [ "$quick" -eq 0 ]; then
     scripts/chaos_smoke.sh
 fi
 
+# Span report: a simcache --trace-out stream must aggregate through
+# scripts/span_report.sh in both output modes, and each report must name the
+# kernel's simulate stage. (That tracing changes no stdout byte is
+# tests/observability.rs::simcache_trace_out_changes_no_output_byte.)
+# (Skipped under --quick: needs the release binaries.)
+if [ "$quick" -eq 0 ]; then
+    echo "==> span report (simcache --trace-out through span_report.sh, table and --json)"
+    span_dir=$(mktemp -d)
+    target/release/tracegen gcc --refs 100000 "$span_dir/gcc.dxt" >/dev/null
+    target/release/simcache "$span_dir/gcc.dxt" --size 32K --policy de \
+        --trace-out "$span_dir/spans.jsonl" >/dev/null 2>&1
+    table=$(scripts/span_report.sh "$span_dir/spans.jsonl")
+    json=$(scripts/span_report.sh --json "$span_dir/spans.jsonl")
+    if ! grep -q '^kernel\.simulate ' <<<"$table" || [[ "$json" != *'"kernel.simulate":{'* ]]; then
+        echo "verify: span_report.sh printed no kernel.simulate stage" >&2
+        exit 1
+    fi
+    rm -rf "$span_dir"
+fi
+
 # Figure jobs- and kernel-invariance: the whole figure set at one and two
 # workers must write byte-identical CSVs (every per-benchmark fan-out sums
 # its results in benchmark order), and the reference kernel must write the
@@ -109,21 +133,6 @@ if [ "$quick" -eq 0 ]; then
         exit 1
     fi
     rm -rf "$resume_dir"
-fi
-
-# Bench smoke: scripts/bench.sh at tiny budgets into a throwaway directory.
-# This is a does-it-run gate, not a performance gate — it fails on a panic,
-# a kernel-output divergence, or a broken JSON pipeline, never on timing.
-# (Skipped under --quick: it needs the release binaries.)
-if [ "$quick" -eq 0 ]; then
-    echo "==> bench smoke (tiny budgets)"
-    smoke_dir=$(mktemp -d)
-    trap 'rm -rf "$smoke_dir"' EXIT
-    DYNEX_BENCH_SWEEP_REFS=20000 DYNEX_BENCH_TRACE_REFS=100000 \
-        DYNEX_BENCH_OUT_DIR="$smoke_dir" scripts/bench.sh all >/dev/null
-    for f in BENCH_PR2.json BENCH_PR4.json BENCH_PR6.json BENCH_PR9.json BENCH_PR10.json; do
-        [ -s "$smoke_dir/$f" ] || { echo "verify: bench smoke produced no $f" >&2; exit 1; }
-    done
 fi
 
 echo "verify: OK"

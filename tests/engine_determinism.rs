@@ -3,7 +3,7 @@
 //! byte-identical exported JSONL and figure CSVs — for every worker count.
 
 use dynex_cache::{CacheConfig, CacheStats, SplitMix64};
-use dynex_engine::{execute, set_default_jobs, Job, PolicyKind, SweepPlan};
+use dynex_engine::{execute, set_default_jobs, Job, PolicyKind};
 use dynex_experiments::{figures, triple, triples_to_jsonl, Triple, Workloads};
 
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -74,7 +74,7 @@ fn exported_jsonl_is_byte_identical_for_every_worker_count() {
 #[test]
 fn sweep_plan_of_jobs_is_deterministic() {
     let trace = random_trace(11, 20_000, 4_096);
-    let mut plan = SweepPlan::new();
+    let mut plan = Vec::new();
     for kb in [1u32, 2, 4, 8, 16] {
         let config = CacheConfig::direct_mapped(kb * 1024, 4).unwrap();
         for policy in [
@@ -85,12 +85,9 @@ fn sweep_plan_of_jobs_is_deterministic() {
             plan.push(Job::new(config, policy));
         }
     }
-    let serial: Vec<CacheStats> = plan.run(1, |job| job.run(&trace).unwrap());
+    let simulate = |job: &Job| job.policy.simulate(job.config, &trace);
+    let serial: Vec<CacheStats> = execute(&plan, 1, simulate);
     for jobs in JOB_COUNTS {
-        assert_eq!(
-            plan.run(jobs, |job| job.run(&trace).unwrap()),
-            serial,
-            "jobs={jobs}"
-        );
+        assert_eq!(execute(&plan, jobs, simulate), serial, "jobs={jobs}");
     }
 }

@@ -15,6 +15,7 @@
 //!   session globals, at `--jobs 1` and `--jobs 4`,
 //! * `--resume` journals recorded under one kernel and replayed under
 //!   another (journal keys are kernel-agnostic),
+//! * `simcache --sweep` stdout for size lists of 1, 4 and 16 points,
 //! * decode edge cases — empty traces, shorter-than-a-chunk traces,
 //!   chunk-boundary-straddling loops, all-filtering kind filters,
 //! * the whole-trace oracles (opt's next-use, EHC's windowed uses) on a
@@ -193,10 +194,10 @@ fn random_trace_stats_agree_across_kernels_at_jobs_1_and_4() {
         set_default_kernel(kernel);
         let serial: Vec<_> = policies
             .iter()
-            .map(|p| p.simulate(config, &addrs).unwrap())
+            .map(|p| p.simulate(config, &addrs))
             .collect();
         for jobs in [1usize, 4] {
-            let pooled = execute(&policies, jobs, |p| p.simulate(config, &addrs).unwrap());
+            let pooled = execute(&policies, jobs, |p| p.simulate(config, &addrs));
             assert_eq!(pooled, serial, "kernel={kernel} jobs={jobs}");
         }
         per_kernel.push((kernel, serial));
@@ -241,6 +242,73 @@ fn figure_csv_bytes_identical_across_kernels_and_jobs() {
             assert_eq!(bytes, first, "{id}: kernel={kernel} jobs={jobs}");
         }
     }
+}
+
+/// `simcache --sweep` prints one line per listed size, in list order, and
+/// the same bytes under every kernel: one size, four sizes with a repeat
+/// (each repeat keeps its own state), and a sixteen-point ladder.
+#[test]
+fn simcache_sweep_stdout_is_identical_across_kernels() {
+    let dir = std::env::temp_dir().join(format!("dynex_sweep_cli_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace_path = dir.join("trace.txt");
+    // A 12 KB loop interleaved with random references over 32 KB, so the
+    // ladder's sizes report different miss counts.
+    let mut rng = SplitMix64::new(23);
+    let text: String = (0..6_000u32)
+        .map(|i| {
+            let addr = if i % 3 == 0 {
+                (rng.below(8_192) as u32) * 4
+            } else {
+                (i * 4) % 12_288
+            };
+            format!("F {addr:#x}\n")
+        })
+        .collect();
+    std::fs::write(&trace_path, text).unwrap();
+
+    let ladder = "1K,2K,4K,8K,16K,32K,64K,128K";
+    for sizes in [
+        "4K".to_owned(),
+        "2K,8K,8K,32K".to_owned(),
+        format!("{ladder},{ladder}"),
+    ] {
+        let renders: Vec<(&str, Vec<u8>)> = ["reference", "batch", "sweep"]
+            .into_iter()
+            .map(|kernel| {
+                let output = std::process::Command::new(env!("CARGO_BIN_EXE_simcache"))
+                    .arg(&trace_path)
+                    .args(["--size", "32K", "--sweep", &sizes, "--kernel", kernel])
+                    .output()
+                    .expect("simcache runs");
+                assert!(
+                    output.status.success(),
+                    "--sweep {sizes} under {kernel} failed:\n{}",
+                    String::from_utf8_lossy(&output.stderr)
+                );
+                (kernel, output.stdout)
+            })
+            .collect();
+        let (_, first) = &renders[0];
+        let lines: Vec<&str> = std::str::from_utf8(first).unwrap().lines().collect();
+        let listed: Vec<&str> = sizes.split(',').collect();
+        assert_eq!(
+            lines.len(),
+            listed.len(),
+            "--sweep {sizes}: one line per size"
+        );
+        for (line, size) in lines.iter().zip(&listed) {
+            let label = format!("{}KB direct-mapped, 4B lines: ", size.trim_end_matches('K'));
+            assert!(
+                line.starts_with(&label),
+                "--sweep {sizes}: {line:?} is not {size}"
+            );
+        }
+        for (kernel, stdout) in &renders[1..] {
+            assert_eq!(stdout, first, "--sweep {sizes} under {kernel}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Engine fan-out parity: a plan of points executed on the pool yields the

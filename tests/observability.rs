@@ -380,7 +380,8 @@ fn simcache_cli_writes_parseable_outputs() {
     assert_eq!(acc_sum, stats.accesses());
 
     // The policy × kernel matrix, at 16 B lines so the last-line buffer
-    // matters: the probed policies write the same three files under every
+    // matters: every policy prints the same plain stdout under every
+    // kernel, the probed policies write the same three files under every
     // kernel, and the observed stdout equals the plain run's.
     let simcache = |args: &[&str]| {
         let output = std::process::Command::new(env!("CARGO_BIN_EXE_simcache"))
@@ -411,9 +412,17 @@ fn simcache_cli_writes_parseable_outputs() {
         "bwcost",
     ] {
         let probed = !matches!(policy, "opt" | "opt-lastline" | "ehc" | "bwcost");
+        let mut reference_stdout: Option<Vec<u8>> = None;
         let mut reference_files: Option<Vec<Vec<u8>>> = None;
         for kernel in ["reference", "batch", "sweep"] {
             let plain = simcache(&["--policy", policy, "--kernel", kernel]);
+            match &reference_stdout {
+                None => reference_stdout = Some(plain.stdout.clone()),
+                Some(expected) => assert!(
+                    *expected == plain.stdout,
+                    "{policy} under {kernel}: plain stdout differs from reference"
+                ),
+            }
             let out = dir.join(format!("{policy}-{kernel}"));
             std::fs::create_dir_all(&out).unwrap();
             let paths = files.map(|f| out.join(f).to_str().unwrap().to_owned());
@@ -459,6 +468,57 @@ fn simcache_cli_writes_parseable_outputs() {
             }
         }
     }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn simcache_trace_out_changes_no_output_byte() {
+    // A full --trace-out span stream is a side channel: stdout stays the
+    // untraced run's byte for byte, and the stream is parseable JSONL that
+    // reaches down to the kernel's simulate stage.
+    let dir = std::env::temp_dir().join(format!("dynex_trace_out_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace_path = dir.join("trace.txt");
+    let text: String = workload()
+        .into_iter()
+        .map(|addr| format!("F {addr:#x}\n"))
+        .collect();
+    std::fs::write(&trace_path, text).unwrap();
+    let spans_path = dir.join("spans.jsonl");
+    let simcache = |extra: &[&std::ffi::OsStr]| {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_simcache"))
+            .arg(&trace_path)
+            .args(["--size", "1K", "--line", "4", "--policy", "de"])
+            .args(extra)
+            .output()
+            .expect("simcache runs");
+        assert!(
+            output.status.success(),
+            "simcache {extra:?} failed:\n{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        output.stdout
+    };
+
+    let untraced = simcache(&[]);
+    let traced = simcache(&["--trace-out".as_ref(), spans_path.as_os_str()]);
+    assert!(!untraced.is_empty());
+    assert_eq!(traced, untraced, "--trace-out changed stdout");
+
+    let spans = std::fs::read_to_string(&spans_path).unwrap();
+    let mut stages = Vec::new();
+    for line in spans.lines() {
+        let span = json::parse(line).unwrap_or_else(|e| panic!("bad span line {line:?}: {e:?}"));
+        stages.push(span.get("stage").and_then(Json::as_str).map(str::to_owned));
+    }
+    assert!(!stages.is_empty(), "--trace-out wrote no spans");
+    assert!(
+        stages
+            .iter()
+            .any(|s| s.as_deref() == Some("kernel.simulate")),
+        "no kernel.simulate span in {stages:?}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
