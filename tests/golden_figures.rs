@@ -151,3 +151,16 @@ fn bwcost_matches_golden() {
     // fills/writebacks/probes accounting across kernels.
     check_golden("bwcost");
 }
+
+#[test]
+fn assoc_matches_golden() {
+    // Direct-mapped, DE and 2-/4-way LRU per size: pins `SetAssociative`.
+    check_golden("assoc");
+}
+
+#[test]
+fn conflicts_matches_golden() {
+    // Hill's 3C split at 32 KB: pins the fully-associative LRU shadow of
+    // `classify_direct_mapped`.
+    check_golden("conflicts");
+}
