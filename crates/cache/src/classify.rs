@@ -17,7 +17,7 @@
 //! events are counted separately rather than silently folded in.
 
 use crate::line_table::LineTable;
-use crate::{CacheConfig, FullyAssociative, Replacement};
+use crate::{CacheConfig, FullyAssociative};
 
 /// Per-category miss counts from [`classify_direct_mapped`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -89,7 +89,7 @@ where
 {
     let geometry = config.geometry();
     let mut dm = crate::DirectMapped::new(config);
-    let mut fa = FullyAssociative::new(config.size_bytes(), config.line_bytes(), Replacement::Lru)
+    let mut fa = FullyAssociative::new(config.size_bytes(), config.line_bytes())
         .expect("config already validated");
     // One first-touch flag per line.
     let mut seen = LineTable::new(0);
@@ -103,59 +103,6 @@ where
         let dm_miss = dm.access(addr).is_miss();
         let fa_miss = fa.access(addr).is_miss();
         match (dm_miss, fa_miss, first_touch) {
-            (true, _, true) => result.compulsory += 1,
-            (true, true, false) => result.capacity += 1,
-            (true, false, false) => result.conflict += 1,
-            (false, true, _) => result.anti_conflict += 1,
-            (false, false, _) => {}
-        }
-    }
-    result
-}
-
-/// Classifies a direct-mapped cache's misses against the *optimal*
-/// fully-associative cache (Belady's MIN with bypass) instead of LRU.
-///
-/// This tames the LRU artifact of [`classify_direct_mapped`]: MIN's *total*
-/// misses never exceed any equal-capacity cache's, so in aggregate
-/// `anti_conflict <= conflict` always holds (MIN optimizes globally, so it
-/// may still miss at individual positions where the direct-mapped cache
-/// happens to hit). The conflict bucket here counts placement *and*
-/// replacement-policy damage together — exactly the misses a bypass scheme
-/// like dynamic exclusion can attack.
-///
-/// # Examples
-///
-/// ```
-/// use dynex_cache::{classify_direct_mapped_optimal, CacheConfig};
-///
-/// let config = CacheConfig::direct_mapped(64, 4)?;
-/// let addrs: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
-/// let c = classify_direct_mapped_optimal(config, &addrs);
-/// assert_eq!(c.conflict, 18);
-/// assert!(c.anti_conflict <= c.conflict); // guaranteed in aggregate
-/// # Ok::<(), dynex_cache::ConfigError>(())
-/// ```
-pub fn classify_direct_mapped_optimal(config: CacheConfig, addrs: &[u32]) -> MissClassification {
-    let geometry = config.geometry();
-    let min_outcomes = crate::OptimalFullyAssociative::outcomes(
-        config.n_lines() as usize,
-        config.line_bytes(),
-        addrs.iter().copied(),
-    )
-    .expect("config already validated");
-    let mut dm = crate::DirectMapped::new(config);
-    // One first-touch flag per line.
-    let mut seen = LineTable::new(0);
-    let mut result = MissClassification::default();
-
-    for (&addr, min_outcome) in addrs.iter().zip(min_outcomes) {
-        use crate::CacheSim;
-        result.accesses += 1;
-        let line = geometry.line_addr(addr);
-        let first_touch = std::mem::replace(seen.slot(line), 1) == 0;
-        let dm_miss = dm.access(addr).is_miss();
-        match (dm_miss, min_outcome.is_miss(), first_touch) {
             (true, _, true) => result.compulsory += 1,
             (true, true, false) => result.capacity += 1,
             (true, false, false) => result.conflict += 1,
@@ -237,46 +184,5 @@ mod tests {
         assert_eq!(c, MissClassification::default());
         assert_eq!(c.miss_rate_percent(), 0.0);
         assert_eq!(c.conflict_fraction(), 0.0);
-    }
-
-    #[test]
-    fn optimal_classifier_aggregate_invariant() {
-        let mut rng = crate::SplitMix64::new(47);
-        // Include cyclic sweeps (the LRU pathology) in the mix.
-        let mut addrs: Vec<u32> = (0..1000).map(|i| (i % 17) * 4).collect();
-        addrs.extend((0..2000).map(|_| (rng.below(64) as u32) * 4));
-        let c = classify_direct_mapped_optimal(config(64), &addrs);
-        // MIN's total misses never exceed the direct-mapped cache's:
-        // compulsory + capacity + anti <= compulsory + capacity + conflict.
-        assert!(
-            c.anti_conflict <= c.conflict,
-            "MIN cannot lose in aggregate: anti {} vs conflict {}",
-            c.anti_conflict,
-            c.conflict
-        );
-        // Totals still reconcile with an independent direct-mapped run.
-        use crate::CacheSim;
-        let mut dm = crate::DirectMapped::new(config(64));
-        let dm_stats = crate::run_addrs(&mut dm, addrs);
-        assert_eq!(c.total_misses(), dm_stats.misses());
-        let _ = dm.label();
-    }
-
-    #[test]
-    fn optimal_conflict_bucket_contains_the_lru_artifact() {
-        // On the 17-block cyclic sweep, the LRU classifier calls everything
-        // capacity (FA-LRU misses too); the optimal classifier correctly
-        // shows most misses as removable (MIN hits).
-        let addrs: Vec<u32> = (0..1700).map(|i| (i % 17) * 4).collect();
-        let lru = classify_direct_mapped(config(64), addrs.iter().copied());
-        let opt = classify_direct_mapped_optimal(config(64), &addrs);
-        assert!(
-            opt.conflict > lru.conflict,
-            "{} vs {}",
-            opt.conflict,
-            lru.conflict
-        );
-        assert!(opt.capacity < lru.capacity);
-        assert_eq!(opt.total_misses(), lru.total_misses());
     }
 }

@@ -149,6 +149,15 @@ impl CacheConfig {
         self.n_lines() / self.associativity
     }
 
+    /// The capacity as labels print it: `512B` under 1 KB, else `32KB`.
+    pub(crate) fn size_label(self) -> String {
+        if self.size_bytes < 1024 {
+            format!("{}B", self.size_bytes)
+        } else {
+            format!("{}KB", self.size_bytes / 1024)
+        }
+    }
+
     /// The derived address arithmetic.
     pub fn geometry(self) -> Geometry {
         Geometry {
@@ -160,20 +169,14 @@ impl CacheConfig {
 
 impl fmt::Display for CacheConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let size = self.size_label();
         if self.associativity == 1 {
-            write!(
-                f,
-                "{}KB direct-mapped, {}B lines",
-                self.size_bytes / 1024,
-                self.line_bytes
-            )
+            write!(f, "{size} direct-mapped, {}B lines", self.line_bytes)
         } else {
             write!(
                 f,
-                "{}KB {}-way, {}B lines",
-                self.size_bytes / 1024,
-                self.associativity,
-                self.line_bytes
+                "{size} {}-way, {}B lines",
+                self.associativity, self.line_bytes
             )
         }
     }
@@ -298,6 +301,13 @@ mod tests {
         assert_eq!(dm.to_string(), "32KB direct-mapped, 16B lines");
         let sa = CacheConfig::new(8 * 1024, 16, 4).unwrap();
         assert_eq!(sa.to_string(), "8KB 4-way, 16B lines");
+        // Sub-KB sizes print in bytes, so distinct sizes get distinct labels.
+        let small = CacheConfig::direct_mapped(512, 4).unwrap();
+        assert_eq!(small.to_string(), "512B direct-mapped, 4B lines");
+        let smaller = CacheConfig::new(256, 4, 2).unwrap();
+        assert_eq!(smaller.to_string(), "256B 2-way, 4B lines");
+        let kb = CacheConfig::direct_mapped(1024, 4).unwrap();
+        assert_eq!(kb.to_string(), "1KB direct-mapped, 4B lines");
     }
 
     #[test]

@@ -9,28 +9,27 @@
 //! through a [`LineTable`]: every hit, fill and eviction is O(1).
 
 use crate::line_table::LineTable;
-use crate::{AccessOutcome, CacheConfig, CacheSim, CacheStats, Geometry, Replacement, SplitMix64};
+use crate::{AccessOutcome, CacheConfig, CacheSim, CacheStats, Geometry};
 
 /// "No slot": the table value of a line that is not resident, and the link
 /// past either end of the recency list.
 const NIL: u32 = u32::MAX;
 
-/// A fully-associative cache (one set, LRU by default).
+/// A fully-associative LRU cache (one set).
 ///
 /// Used as the conflict-free reference point: any extra misses a
 /// direct-mapped cache of the same capacity takes are conflict misses, the
 /// quantity dynamic exclusion attacks.
 ///
-/// Hits, misses and the victim chosen under every [`Replacement`] policy
-/// (including `Random`, with the same seed) are exactly those of
-/// `SetAssociative::new(CacheConfig::fully_associative(..), policy)`.
+/// Hits, misses and victims are exactly those of
+/// `SetAssociative::new(CacheConfig::fully_associative(..))`.
 ///
 /// # Examples
 ///
 /// ```
-/// use dynex_cache::{CacheSim, FullyAssociative, Replacement};
+/// use dynex_cache::{CacheSim, FullyAssociative};
 ///
-/// let mut cache = FullyAssociative::new(64, 4, Replacement::Lru)?;
+/// let mut cache = FullyAssociative::new(64, 4)?;
 /// cache.access(0x0);
 /// cache.access(0x4000); // would conflict in a direct-mapped cache
 /// assert!(cache.access(0x0).is_hit());
@@ -40,7 +39,6 @@ const NIL: u32 = u32::MAX;
 pub struct FullyAssociative {
     config: CacheConfig,
     geometry: Geometry,
-    policy: Replacement,
     /// Line address → the slot holding it, or [`NIL`] when not resident.
     slot_of: LineTable,
     /// Slot → the line it holds. Cold misses fill slots 0, 1, 2, ...; once
@@ -50,11 +48,10 @@ pub struct FullyAssociative {
     prev: Vec<u32>,
     /// Per slot, the neighbour toward the oldest end of the recency list.
     next: Vec<u32>,
-    /// Newest slot: most recently used (LRU) or inserted (FIFO, random).
+    /// Most recently used slot.
     head: u32,
-    /// Oldest slot, the LRU and FIFO victim.
+    /// Least recently used slot, the victim.
     tail: u32,
-    rng: SplitMix64,
     stats: CacheStats,
 }
 
@@ -64,25 +61,17 @@ impl FullyAssociative {
     /// # Errors
     ///
     /// Returns a [`crate::ConfigError`] for invalid size/line parameters.
-    pub fn new(
-        size_bytes: u32,
-        line_bytes: u32,
-        policy: Replacement,
-    ) -> Result<FullyAssociative, crate::ConfigError> {
+    pub fn new(size_bytes: u32, line_bytes: u32) -> Result<FullyAssociative, crate::ConfigError> {
         let config = CacheConfig::fully_associative(size_bytes, line_bytes)?;
         Ok(FullyAssociative {
             config,
             geometry: config.geometry(),
-            policy,
             slot_of: LineTable::new(NIL),
             lines: Vec::new(),
             prev: Vec::new(),
             next: Vec::new(),
             head: NIL,
             tail: NIL,
-            // The seed `SetAssociative::new` uses, so random replacement
-            // picks the same victims.
-            rng: SplitMix64::new(0x5eed_cafe),
             stats: CacheStats::new(),
         })
     }
@@ -125,15 +114,6 @@ impl FullyAssociative {
         }
         self.head = slot;
     }
-
-    /// The slot `n` steps from the newest end of the recency list.
-    fn nth_newest(&self, n: usize) -> u32 {
-        let mut slot = self.head;
-        for _ in 0..n {
-            slot = self.next[slot as usize];
-        }
-        slot
-    }
 }
 
 impl CacheSim for FullyAssociative {
@@ -141,9 +121,7 @@ impl CacheSim for FullyAssociative {
         let line = self.geometry.line_addr(addr);
         let slot = *self.slot_of.slot(line);
         let outcome = if slot != NIL {
-            // Only LRU reorders on a hit; FIFO and random keep insertion
-            // order.
-            if self.policy == Replacement::Lru && slot != self.head {
+            if slot != self.head {
                 self.unlink(slot);
                 self.push_front(slot);
             }
@@ -156,14 +134,7 @@ impl CacheSim for FullyAssociative {
                 self.next.push(NIL);
                 (self.lines.len() - 1) as u32
             } else {
-                let victim = match self.policy {
-                    Replacement::Lru | Replacement::Fifo => self.tail,
-                    // Only random replacement walks, and no workload uses it.
-                    Replacement::Random => {
-                        let n = self.rng.below_usize(capacity);
-                        self.nth_newest(n)
-                    }
-                };
+                let victim = self.tail;
                 self.unlink(victim);
                 *self.slot_of.slot(self.lines[victim as usize]) = NIL;
                 self.lines[victim as usize] = line;
@@ -183,10 +154,9 @@ impl CacheSim for FullyAssociative {
 
     fn label(&self) -> String {
         format!(
-            "{}KB fully-associative, {}B lines ({})",
-            self.config.size_bytes() / 1024,
-            self.config.line_bytes(),
-            self.policy.name()
+            "{} fully-associative, {}B lines (LRU)",
+            self.config.size_label(),
+            self.config.line_bytes()
         )
     }
 }
@@ -199,7 +169,7 @@ mod tests {
     #[test]
     fn no_conflict_misses() {
         // 16 lines; 8 distinct blocks that all map to one DM set coexist here.
-        let mut c = FullyAssociative::new(64, 4, Replacement::Lru).unwrap();
+        let mut c = FullyAssociative::new(64, 4).unwrap();
         let addrs: Vec<u32> = (0..8).map(|i| i * 64).collect();
         let stats = run_addrs(&mut c, addrs.iter().copied().chain(addrs.iter().copied()));
         assert_eq!(stats.misses(), 8); // cold only
@@ -208,35 +178,35 @@ mod tests {
     #[test]
     fn capacity_misses_still_occur() {
         // 4 lines, 5-block cyclic working set under LRU: always misses.
-        let mut c = FullyAssociative::new(16, 4, Replacement::Lru).unwrap();
+        let mut c = FullyAssociative::new(16, 4).unwrap();
         let stats = run_addrs(&mut c, (0..25).map(|i| (i % 5) * 16));
         assert_eq!(stats.misses(), 25);
     }
 
     #[test]
     fn single_set_geometry() {
-        let c = FullyAssociative::new(128, 8, Replacement::Lru).unwrap();
+        let c = FullyAssociative::new(128, 8).unwrap();
         assert_eq!(c.config().n_sets(), 1);
         assert_eq!(c.config().associativity(), 16);
     }
 
     #[test]
     fn invalid_parameters_error() {
-        assert!(FullyAssociative::new(100, 4, Replacement::Lru).is_err());
+        assert!(FullyAssociative::new(100, 4).is_err());
     }
 
     #[test]
     fn label_is_descriptive() {
-        let c = FullyAssociative::new(1024, 16, Replacement::Lru).unwrap();
-        assert!(c.label().contains("fully-associative"));
-        let r = FullyAssociative::new(1024, 16, Replacement::Random).unwrap();
-        assert!(r.label().contains("(random)"));
+        let c = FullyAssociative::new(1024, 16).unwrap();
+        assert_eq!(c.label(), "1KB fully-associative, 16B lines (LRU)");
+        let small = FullyAssociative::new(512, 16).unwrap();
+        assert_eq!(small.label(), "512B fully-associative, 16B lines (LRU)");
     }
 
-    /// A seeded stream over about twice `capacity` lines (so every policy
+    /// A seeded stream over about twice `capacity` lines (so the cache
     /// evicts), mixed with a few far-apart lines on other table pages.
     fn evicting_stream(seed: u64, capacity: u32, len: usize) -> Vec<u32> {
-        let mut rng = SplitMix64::new(seed);
+        let mut rng = crate::SplitMix64::new(seed);
         (0..len)
             .map(|_| {
                 let line = if rng.below(8) == 0 {
@@ -251,30 +221,31 @@ mod tests {
     }
 
     #[test]
-    fn matches_one_set_set_associative_for_every_policy() {
-        for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
-            for capacity in [1u32, 16, 8192] {
-                let config = CacheConfig::fully_associative(capacity * 4, 4).unwrap();
-                let mut fast = FullyAssociative::new(capacity * 4, 4, policy).unwrap();
-                let mut reference = SetAssociative::new(config, policy);
-                let len = 4 * capacity as usize + 2_000;
-                for (i, addr) in evicting_stream(capacity as u64, capacity, len)
-                    .into_iter()
-                    .enumerate()
-                {
-                    let at = (policy, capacity, i);
-                    assert_eq!(fast.access(addr), reference.access(addr), "{at:?}");
-                    // The neighbouring line may or may not be resident.
-                    for probe in [addr, addr ^ 4] {
-                        assert_eq!(fast.contains(probe), reference.contains(probe), "{at:?}");
-                    }
+    fn matches_one_set_set_associative() {
+        for capacity in [1u32, 16, 8192] {
+            let config = CacheConfig::fully_associative(capacity * 4, 4).unwrap();
+            let mut fast = FullyAssociative::new(capacity * 4, 4).unwrap();
+            let mut reference = SetAssociative::new(config);
+            let len = 4 * capacity as usize + 2_000;
+            for (i, addr) in evicting_stream(capacity as u64, capacity, len)
+                .into_iter()
+                .enumerate()
+            {
+                assert_eq!(fast.access(addr), reference.access(addr), "{capacity}, {i}");
+                // The neighbouring line may or may not be resident.
+                for probe in [addr, addr ^ 4] {
+                    assert_eq!(
+                        fast.contains(probe),
+                        reference.contains(probe),
+                        "{capacity}, {i}"
+                    );
                 }
-                assert_eq!(fast.stats(), reference.stats(), "{policy:?}, {capacity}");
-                assert!(
-                    fast.stats().misses() > capacity as u64,
-                    "{policy:?}, {capacity}: the stream must force evictions"
-                );
             }
+            assert_eq!(fast.stats(), reference.stats(), "{capacity}");
+            assert!(
+                fast.stats().misses() > capacity as u64,
+                "{capacity}: the stream must force evictions"
+            );
         }
     }
 }

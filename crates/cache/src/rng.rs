@@ -1,5 +1,5 @@
-//! A small deterministic PRNG used by the random replacement policy (and
-//! re-exported for the workload generator).
+//! A small deterministic PRNG, re-exported for the workload generator, the
+//! request mix and seeded tests.
 
 /// SplitMix64: a tiny, fast, well-distributed 64-bit PRNG.
 ///
@@ -34,11 +34,6 @@ impl SplitMix64 {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
-    }
-
-    /// Next 32 pseudo-random bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
     }
 
     /// Uniform value in `[0, bound)`.

@@ -163,67 +163,6 @@ impl HitLastStore for HashedStore {
     }
 }
 
-/// A [`HitLastStore`] wrapper that emits
-/// [`Event::HitLastUpdate`](dynex_obs::Event::HitLastUpdate) for every write
-/// to the underlying store.
-///
-/// The FSM-level events ([`crate::fsm::step_probed`]) describe *logical*
-/// updates of `h[x]`; this wrapper additionally observes the *physical*
-/// write-back path — the Figure 6 "transfer on replacement" traffic into
-/// whatever store holds non-resident bits.
-///
-/// # Examples
-///
-/// ```
-/// use dynex::{HitLastStore, PerfectStore, ProbedStore};
-/// use dynex_obs::EventLog;
-///
-/// let mut store = ProbedStore::new(PerfectStore::new(), EventLog::new());
-/// store.set(0x40, true);
-/// assert_eq!(store.probe().events().len(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ProbedStore<S: HitLastStore, P: dynex_obs::Probe> {
-    inner: S,
-    probe: P,
-}
-
-impl<S: HitLastStore, P: dynex_obs::Probe> ProbedStore<S, P> {
-    /// Wraps `inner`, sending one event per `set` call to `probe`.
-    pub fn new(inner: S, probe: P) -> ProbedStore<S, P> {
-        ProbedStore { inner, probe }
-    }
-
-    /// The wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// The attached probe.
-    pub fn probe(&self) -> &P {
-        &self.probe
-    }
-
-    /// Consumes the wrapper, returning the store and the probe.
-    pub fn into_parts(self) -> (S, P) {
-        (self.inner, self.probe)
-    }
-}
-
-impl<S: HitLastStore, P: dynex_obs::Probe> HitLastStore for ProbedStore<S, P> {
-    fn get(&self, line_addr: u32) -> bool {
-        self.inner.get(line_addr)
-    }
-
-    fn set(&mut self, line_addr: u32, value: bool) {
-        self.probe.emit(dynex_obs::Event::HitLastUpdate {
-            line: line_addr,
-            hit_last: value,
-        });
-        self.inner.set(line_addr, value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,43 +240,5 @@ mod tests {
         let store: &mut dyn HitLastStore = &mut perfect;
         store.set(9, true);
         assert!(store.get(9));
-    }
-
-    #[test]
-    fn probed_store_observes_writes_transparently() {
-        use dynex_obs::CountingProbe;
-        let mut store = ProbedStore::new(PerfectStore::new(), CountingProbe::new());
-        store.set(3, true);
-        store.set(5, false);
-        assert!(store.get(3));
-        assert!(!store.get(5));
-        assert_eq!(store.probe().counts().hit_last_updates, 2);
-        let (inner, probe) = store.into_parts();
-        assert!(inner.get(3));
-        assert_eq!(probe.counts().hit_last_updates, 2);
-    }
-
-    #[test]
-    fn probed_store_composes_with_de_cache() {
-        use crate::DeCache;
-        use dynex_cache::{CacheConfig, CacheSim};
-        use dynex_obs::CountingProbe;
-        let cfg = CacheConfig::direct_mapped(64, 4).unwrap();
-        let mut bare = DeCache::new(cfg);
-        let mut observed = DeCache::with_store(
-            cfg,
-            ProbedStore::new(PerfectStore::new(), CountingProbe::new()),
-        );
-        let mut rng = dynex_cache::SplitMix64::new(23);
-        for _ in 0..2000 {
-            let a = (rng.below(64) as u32) * 4;
-            assert_eq!(bare.access(a), observed.access(a));
-        }
-        assert_eq!(bare.stats(), observed.stats());
-        // Every store write is a displaced victim; loads displacing a valid
-        // block bound the write count.
-        let writes = observed.store().probe().counts().hit_last_updates;
-        assert!(writes <= observed.de_stats().loads);
-        assert!(writes > 0);
     }
 }

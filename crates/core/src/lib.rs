@@ -65,7 +65,7 @@ pub use hierarchy::{
     hierarchy_sweep, DeHierarchy, DeHierarchyStats, HierarchyError, HierarchySweepPoint,
     HitLastStrategy,
 };
-pub use hitlast::{HashedStore, HitLastStore, PerfectStore, ProbedStore};
+pub use hitlast::{HashedStore, HitLastStore, PerfectStore};
 pub use lastline::LastLineDeCache;
 pub use linebuf::{DeStreamBuffer, InstrRegisterDeCache};
 pub use lines::{DeEvent, DeLines};

@@ -349,17 +349,6 @@ impl Journal {
         self.unchecksummed
     }
 
-    /// The journal's [`SyncPolicy`].
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.sync
-    }
-
-    /// Changes how far [`Journal::record`] pushes records toward stable
-    /// storage from now on.
-    pub fn set_sync_policy(&mut self, sync: SyncPolicy) {
-        self.sync = sync;
-    }
-
     /// Lookups served from the journal since it was opened.
     pub fn replayed(&self) -> u64 {
         self.replayed
@@ -656,10 +645,7 @@ mod tests {
         let path = temp_path("fsync");
         {
             let mut j = Journal::open_with(&path, SyncPolicy::Fsync).unwrap();
-            assert_eq!(j.sync_policy(), SyncPolicy::Fsync);
             j.record("k", r#"{"v":1}"#).unwrap();
-            j.set_sync_policy(SyncPolicy::Flush);
-            assert_eq!(j.sync_policy(), SyncPolicy::Flush);
         }
         let mut j = Journal::open(&path).unwrap();
         assert!(j.lookup("k").is_some());

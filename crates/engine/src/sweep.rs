@@ -18,8 +18,8 @@
 use dynex::{DeCache, DeStats, LastLineDeCache, OptimalDirectMapped, PerfectStore};
 use dynex_cache::{
     batch_bwcost, batch_ehc, batch_sweep_probed, run_addrs, simulate_policy, BwCostPolicy,
-    CacheConfig, CacheSim, CacheStats, DirectMapped, EhcPolicy, Kernel, Replacement,
-    SetAssociative, StreamBuffer, SweepPoint, SweepPointResult, SweepPolicy, VictimCache,
+    CacheConfig, CacheSim, CacheStats, DirectMapped, EhcPolicy, Kernel, SetAssociative,
+    StreamBuffer, SweepPoint, SweepPointResult, SweepPolicy, VictimCache,
 };
 use dynex_obs::{NoopProbe, Probe};
 
@@ -174,9 +174,7 @@ impl PolicyKind {
             PolicyKind::OptimalDmLastLine => "optimal direct-mapped + last-line".to_owned(),
             PolicyKind::ExpectedHitCount => "expected-hit-count direct-mapped".to_owned(),
             PolicyKind::BandwidthCost => "bandwidth-aware direct-mapped".to_owned(),
-            PolicyKind::TwoWay | PolicyKind::FourWay => {
-                SetAssociative::new(config, Replacement::Lru).label()
-            }
+            PolicyKind::TwoWay | PolicyKind::FourWay => SetAssociative::new(config).label(),
             PolicyKind::Victim => VictimCache::new(config, VICTIM_ENTRIES).label(),
             PolicyKind::Stream => StreamBuffer::new(config, STREAM_DEPTH).label(),
         }
@@ -300,10 +298,9 @@ impl PolicyKind {
             PolicyKind::BandwidthCost => {
                 simulate_policy(config, addrs, &mut BwCostPolicy::new(config, addrs))
             }
-            PolicyKind::TwoWay | PolicyKind::FourWay => run_addrs(
-                &mut SetAssociative::with_probe(config, Replacement::Lru, probe),
-                refs,
-            ),
+            PolicyKind::TwoWay | PolicyKind::FourWay => {
+                run_addrs(&mut SetAssociative::with_probe(config, probe), refs)
+            }
             PolicyKind::Victim => run_addrs(
                 &mut VictimCache::with_probe(config, VICTIM_ENTRIES, probe),
                 refs,

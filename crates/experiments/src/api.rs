@@ -1336,8 +1336,8 @@ fn journal_keys(points: &[(CacheConfig, &[u32])], tag: &str) -> Vec<String> {
         let digest = format!("{:016x}", trace_digest(addrs));
         for i in members {
             let config = points[i].0;
-            // Exact fields, not the Display label (which rounds the size to
-            // whole KB and would collide sub-KB configurations).
+            // Exact fields, not the Display label, so that relabelling a
+            // configuration never moves a key.
             keys[i] = job_key(&[
                 tag,
                 &format!(

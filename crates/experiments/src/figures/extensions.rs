@@ -4,8 +4,7 @@
 
 use dynex::{DeCache, DeStreamBuffer, InstrRegisterDeCache, LastLineDeCache, OptimalDirectMapped};
 use dynex_cache::{
-    classify_direct_mapped, run_addrs, CacheConfig, CacheSim, DirectMapped, Replacement,
-    SetAssociative,
+    classify_direct_mapped, run_addrs, CacheConfig, CacheSim, DirectMapped, SetAssociative,
 };
 
 use crate::runner::{bench_means, miss_rate, per_benchmark, push_benchmark_rows, reduction};
@@ -75,8 +74,8 @@ pub fn assoc(workloads: &Workloads) -> Table {
                 [
                     miss_rate(DirectMapped::new(dm_cfg), addrs),
                     miss_rate(DeCache::new(dm_cfg), addrs),
-                    miss_rate(SetAssociative::new(w2, Replacement::Lru), addrs),
-                    miss_rate(SetAssociative::new(w4, Replacement::Lru), addrs),
+                    miss_rate(SetAssociative::new(w2), addrs),
+                    miss_rate(SetAssociative::new(w4), addrs),
                 ]
             })
             .to_vec()

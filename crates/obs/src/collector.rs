@@ -117,15 +117,6 @@ impl Collector {
         counts.push(0); // empty overflow bucket
         Histogram::from_parts((1..=n).collect(), counts)
     }
-
-    /// Per-set conflict heatmap as CSV (`set,evictions`).
-    pub fn heatmap_to_csv(&self) -> String {
-        let mut out = String::from("set,evictions\n");
-        for (set, count) in self.conflicts_by_set.iter().enumerate() {
-            out.push_str(&format!("{set},{count}\n"));
-        }
-        out
-    }
 }
 
 impl Probe for Collector {
@@ -176,7 +167,10 @@ mod tests {
             addr,
             set: 0,
             outcome,
-            cause: Cause::Unattributed,
+            cause: match outcome {
+                Outcome::Hit => Cause::Resident,
+                Outcome::Miss => Cause::Cold,
+            },
         }
     }
 
@@ -212,7 +206,6 @@ mod tests {
             replacement: 6,
         });
         assert_eq!(c.conflicts_by_set(), &[1, 0, 2]);
-        assert_eq!(c.heatmap_to_csv(), "set,evictions\n0,1\n1,0\n2,2\n");
     }
 
     #[test]

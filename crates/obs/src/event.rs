@@ -37,6 +37,10 @@ impl Outcome {
 }
 
 /// Why an access resolved the way it did.
+///
+/// The simulator that handles the access names the cause itself, so every
+/// variant is a mechanism of some cache organization; there is no
+/// catch-all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cause {
     /// Hit in the primary array.
@@ -53,9 +57,6 @@ pub enum Cause {
     Replace,
     /// Miss passed to the CPU without storing (dynamic exclusion).
     Bypass,
-    /// Emitted by wrappers (e.g. `Instrumented`) that cannot see inside the
-    /// simulator they observe.
-    Unattributed,
 }
 
 impl Cause {
@@ -69,7 +70,6 @@ impl Cause {
             Cause::Cold => "cold",
             Cause::Replace => "replace",
             Cause::Bypass => "bypass",
-            Cause::Unattributed => "unattributed",
         }
     }
 }

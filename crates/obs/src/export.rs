@@ -6,26 +6,16 @@
 //!   [`crate::Event::to_json`] for the per-variant shapes.
 //! * **metrics JSON** — a single object
 //!   `{"counters":{…},"histograms":{…},"intervals":[…]}` where intervals is
-//!   present only when a series is supplied.
+//!   present only when a series is supplied. A [`crate::Collector`]'s
+//!   per-set heatmap travels here as the `set-conflicts` histogram.
 //! * **intervals CSV** — `interval,start,accesses,misses,miss_rate` rows
 //!   ([`crate::IntervalSeries::to_csv`]).
-//! * **heatmap CSV** — `set,evictions` rows
-//!   ([`crate::Collector::heatmap_to_csv`]).
 
 use std::io::{self, Write};
 
 use crate::event::Event;
 use crate::interval::IntervalSeries;
 use crate::registry::MetricsRegistry;
-
-/// Quotes a CSV field if it contains a delimiter, quote, or newline.
-pub fn csv_field(field: &str) -> String {
-    if field.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_owned()
-    }
-}
 
 /// Writes `events` as JSONL (one event object per line).
 pub fn write_events_jsonl<W: Write>(mut w: W, events: &[Event]) -> io::Result<()> {
@@ -83,13 +73,6 @@ mod tests {
     use super::*;
     use crate::event::{Cause, Outcome};
     use crate::json::{self, Json};
-
-    #[test]
-    fn csv_field_quoting() {
-        assert_eq!(csv_field("plain"), "plain");
-        assert_eq!(csv_field("a,b"), "\"a,b\"");
-        assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
-    }
 
     #[test]
     fn jsonl_lines_parse_individually() {

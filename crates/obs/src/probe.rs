@@ -220,7 +220,10 @@ mod tests {
             addr: 0,
             set: 0,
             outcome,
-            cause: Cause::Unattributed,
+            cause: match outcome {
+                Outcome::Hit => Cause::Resident,
+                Outcome::Miss => Cause::Cold,
+            },
         }
     }
 

@@ -413,15 +413,6 @@ impl MetricsRegistry {
         out.push_str("}}");
         out
     }
-
-    /// Serializes the counters as two-column CSV (`name,value`).
-    pub fn counters_to_csv(&self) -> String {
-        let mut out = String::from("counter,value\n");
-        for (name, value) in &self.counters {
-            out.push_str(&format!("{},{}\n", crate::export::csv_field(name), value));
-        }
-        out
-    }
 }
 
 impl AddAssign<&MetricsRegistry> for MetricsRegistry {
@@ -723,12 +714,5 @@ mod tests {
             m.to_json(),
             r#"{"counters":{"a":2,"z":1},"histograms":{"h":{"bounds":[1],"counts":[0,0]}}}"#
         );
-    }
-
-    #[test]
-    fn counters_csv() {
-        let mut m = MetricsRegistry::new();
-        m.add("accesses", 4);
-        assert_eq!(m.counters_to_csv(), "counter,value\naccesses,4\n");
     }
 }

@@ -177,14 +177,6 @@ pub fn take_jsonl_writer() -> Option<Box<dyn Write + Send>> {
     writer
 }
 
-/// Flushes the JSONL sink, if one is installed. Span lines are flushed as
-/// they are written, so this matters only for exotic buffered writers.
-pub fn flush_jsonl() {
-    if let Some(w) = lock_recover(&global().sink).as_mut() {
-        let _ = w.flush();
-    }
-}
-
 /// Allocates a fresh process-unique trace id (never zero). Always available
 /// — services stamp every request with one for the wire contract even when
 /// tracing is off.
@@ -404,12 +396,6 @@ fn emit_line(
 /// [`LatencyRecorder::snapshot`]).
 pub fn latency_snapshot() -> BTreeMap<String, StageStats> {
     global().latency.snapshot()
-}
-
-/// The global recorder's percentile summary JSON (see
-/// [`LatencyRecorder::summary_json`]).
-pub fn latency_summary_json() -> String {
-    global().latency.summary_json()
 }
 
 /// Log2 bucket preset: inclusive upper bounds `1, 2, 4, …, 2^30`

@@ -1,5 +1,5 @@
 //! A minimal HTTP/1.1 client for `Connection: close` JSON exchanges —
-//! the counterpart of [`crate::http`].
+//! the counterpart of the server's private `http` reader.
 //!
 //! Shared by the shard router (request relay, health probes, metrics
 //! fan-out) and the `dynex-load` harness. Speaks exactly the dialect the

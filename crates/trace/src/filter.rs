@@ -33,15 +33,6 @@ where
     accesses.filter(|a| a.is_data())
 }
 
-/// Keeps the first `n` references — the paper's "first 10 million references"
-/// budget applied to a stream.
-pub fn first_n<I>(accesses: I, n: usize) -> impl Iterator<Item = Access>
-where
-    I: Iterator<Item = Access>,
-{
-    accesses.take(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,12 +68,5 @@ mod tests {
         let i = instructions(mixed().into_iter()).count();
         let d = data(mixed().into_iter()).count();
         assert_eq!(i + d, total);
-    }
-
-    #[test]
-    fn first_n_truncates() {
-        assert_eq!(first_n(mixed().into_iter(), 2).count(), 2);
-        assert_eq!(first_n(mixed().into_iter(), 0).count(), 0);
-        assert_eq!(first_n(mixed().into_iter(), 99).count(), 5);
     }
 }

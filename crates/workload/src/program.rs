@@ -191,11 +191,6 @@ impl Program {
         self.entry
     }
 
-    /// Number of procedures.
-    pub fn n_procs(&self) -> usize {
-        self.procs.len()
-    }
-
     /// Looks up a procedure.
     ///
     /// # Panics

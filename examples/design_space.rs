@@ -13,7 +13,7 @@
 
 use dynex::{HashedStore, LastLineDeCache, OptimalDirectMapped};
 use dynex_cache::{
-    run_addrs, CacheConfig, DirectMapped, Replacement, SetAssociative, StreamBuffer, VictimCache,
+    run_addrs, CacheConfig, DirectMapped, SetAssociative, StreamBuffer, VictimCache,
 };
 use dynex_trace::filter;
 use dynex_workload::spec;
@@ -83,7 +83,7 @@ fn main() {
         (
             "8KB 2-way LRU (slower access path)",
             avg(&mut |t| {
-                let mut c = SetAssociative::new(two_way, Replacement::Lru);
+                let mut c = SetAssociative::new(two_way);
                 run_addrs(&mut c, t.iter().copied()).miss_rate_percent()
             }),
         ),

@@ -1,7 +1,7 @@
 //! Where do the misses come from, and which ones can dynamic exclusion
 //! remove? Classifies a benchmark's direct-mapped misses into the classic
 //! three C's and contrasts the conflict share with what DE and the optimal
-//! cache recover; then shows the write-traffic view of the same stream.
+//! cache recover.
 //!
 //! Run with:
 //!
@@ -10,7 +10,7 @@
 //! ```
 
 use dynex::{DeCache, OptimalDirectMapped};
-use dynex_cache::{classify_direct_mapped, run_addrs, CacheConfig, WriteMode, WritebackCache};
+use dynex_cache::{classify_direct_mapped, run_addrs, CacheConfig};
 use dynex_trace::filter;
 use dynex_workload::spec;
 
@@ -52,27 +52,6 @@ fn main() {
     println!(
         "\nnote: 'capacity' uses the classic fully-associative-LRU definition; on\n\
          cyclically re-executed code DE's per-line bypass can remove misses that\n\
-         the 3C taxonomy files under capacity — bypassing beats global LRU there.\n"
+         the 3C taxonomy files under capacity — bypassing beats global LRU there."
     );
-
-    // Write traffic on the data side of one benchmark.
-    let profile = spec::profile("tomcatv").expect("built-in profile");
-    let data: Vec<dynex_trace::Access> = filter::data(profile.trace(refs).iter()).collect();
-    println!("tomcatv data-side traffic through an 8KB write-allocate cache:");
-    for mode in [WriteMode::WriteBack, WriteMode::WriteThrough] {
-        let mut cache = WritebackCache::new(
-            CacheConfig::direct_mapped(8 * 1024, 4).expect("valid"),
-            mode,
-        );
-        for &a in &data {
-            cache.access(a);
-        }
-        cache.flush();
-        println!(
-            "  {:?}: miss rate {:.2}%, memory traffic: {}",
-            mode,
-            cache.stats().miss_rate_percent(),
-            cache.traffic()
-        );
-    }
 }

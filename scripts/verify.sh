@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Local verification gate: the script CI's `verify` job runs.
 #
-#   scripts/verify.sh          # fmt + clippy + release build + tests, then
-#                              # the serve/load/chaos smokes, the span
-#                              # report, and the figure invariance and
-#                              # resume diffs on the release binaries
-#   scripts/verify.sh --quick  # fmt + clippy + tests only
+#   scripts/verify.sh          # fmt + clippy + rustdoc + release build +
+#                              # tests, then the serve/load/chaos smokes,
+#                              # the span report, and the figure invariance
+#                              # and resume diffs on the release binaries
+#   scripts/verify.sh --quick  # fmt + clippy + rustdoc + tests only
 #
 # The workspace is hermetic (no registry access needed); the property tests
 # are opt-in and NOT covered here. Speed is measured by the perfbench
@@ -21,6 +21,11 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Docs: a broken or private intra-doc link (say, to a deleted type) is a
+# rustdoc warning, and warnings fail the gate.
+echo "==> cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo build --release"

@@ -271,6 +271,8 @@ fn simcache_sweep_stdout_is_identical_across_kernels() {
     for sizes in [
         "4K".to_owned(),
         "2K,8K,8K,32K".to_owned(),
+        // Sub-KB sizes are labelled in bytes, so each gets its own label.
+        "512,256,1K".to_owned(),
         format!("{ladder},{ladder}"),
     ] {
         let renders: Vec<(&str, Vec<u8>)> = ["reference", "batch", "sweep"]
@@ -298,7 +300,10 @@ fn simcache_sweep_stdout_is_identical_across_kernels() {
             "--sweep {sizes}: one line per size"
         );
         for (line, size) in lines.iter().zip(&listed) {
-            let label = format!("{}KB direct-mapped, 4B lines: ", size.trim_end_matches('K'));
+            let label = match size.strip_suffix('K') {
+                Some(kb) => format!("{kb}KB direct-mapped, 4B lines: "),
+                None => format!("{size}B direct-mapped, 4B lines: "),
+            };
             assert!(
                 line.starts_with(&label),
                 "--sweep {sizes}: {line:?} is not {size}"

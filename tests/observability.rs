@@ -16,11 +16,8 @@
 //!    `--metrics-out`, `--intervals-out`, `--interval` emits well-formed
 //!    files that agree with an in-process run of the same configuration.
 
-use dynex::{DeCache, DeHierarchy, HitLastStrategy, LastLineDeCache, MultiStickyDeCache};
-use dynex_cache::{
-    run_addrs, CacheConfig, CacheSim, CacheStats, DirectMapped, Instrumented, Replacement,
-    SetAssociative, SplitMix64, StreamBuffer, VictimCache,
-};
+use dynex::DeCache;
+use dynex_cache::{run_addrs, CacheConfig, CacheStats, DirectMapped, SplitMix64, StreamBuffer};
 use dynex_obs::json::{self, Json};
 use dynex_obs::{export, Collector, CountingProbe, Event, EventCounts, EventLog, Probe};
 
@@ -45,27 +42,6 @@ fn workload() -> Vec<u32> {
     addrs
 }
 
-/// Runs `bare` and the `Instrumented` wrapper around `wrapped_inner` (built
-/// identically) over the workload; asserts transparency and the Access-event
-/// invariants.
-fn assert_wrapper_transparent<S: CacheSim>(mut bare: S, wrapped_inner: S, config: CacheConfig) {
-    let mut wrapped = Instrumented::new(wrapped_inner, config.geometry(), CountingProbe::new());
-    for a in workload() {
-        assert_eq!(
-            bare.access(a),
-            wrapped.access(a),
-            "outcome diverged at {a:#x}"
-        );
-    }
-    assert_eq!(
-        bare.stats(),
-        wrapped.stats(),
-        "stats diverged for {}",
-        bare.label()
-    );
-    assert_counts_match(wrapped.probe().counts(), wrapped.stats());
-}
-
 /// `accesses == hits + misses == |Access events|` and `evictions <= misses`.
 fn assert_counts_match(counts: EventCounts, stats: CacheStats) {
     assert_eq!(counts.accesses, stats.accesses());
@@ -76,55 +52,6 @@ fn assert_counts_match(counts: EventCounts, stats: CacheStats) {
         counts.evictions <= counts.misses,
         "more evictions than misses"
     );
-}
-
-#[test]
-fn instrumented_wrapper_is_transparent_for_every_simulator() {
-    let small = CacheConfig::direct_mapped(256, 4).unwrap();
-    assert_wrapper_transparent(DirectMapped::new(small), DirectMapped::new(small), small);
-    assert_wrapper_transparent(DeCache::new(small), DeCache::new(small), small);
-    assert_wrapper_transparent(
-        LastLineDeCache::new(small),
-        LastLineDeCache::new(small),
-        small,
-    );
-    assert_wrapper_transparent(
-        MultiStickyDeCache::new(small, 3),
-        MultiStickyDeCache::new(small, 3),
-        small,
-    );
-    assert_wrapper_transparent(
-        VictimCache::new(small, 4),
-        VictimCache::new(small, 4),
-        small,
-    );
-    assert_wrapper_transparent(
-        StreamBuffer::new(small, 4),
-        StreamBuffer::new(small, 4),
-        small,
-    );
-
-    let assoc = CacheConfig::new(256, 4, 2).unwrap();
-    for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
-        assert_wrapper_transparent(
-            SetAssociative::new(assoc, policy),
-            SetAssociative::new(assoc, policy),
-            assoc,
-        );
-    }
-
-    let l2 = CacheConfig::direct_mapped(1024, 4).unwrap();
-    for strategy in [
-        HitLastStrategy::Hashed { bits_per_line: 4 },
-        HitLastStrategy::AssumeHit,
-        HitLastStrategy::AssumeMiss,
-    ] {
-        assert_wrapper_transparent(
-            DeHierarchy::new(small, l2, strategy).unwrap(),
-            DeHierarchy::new(small, l2, strategy).unwrap(),
-            small,
-        );
-    }
 }
 
 #[test]

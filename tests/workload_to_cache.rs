@@ -1,7 +1,7 @@
 //! Integration: properties of the synthetic workloads that the experiments
 //! depend on, observed through the cache substrate.
 
-use dynex_cache::{run, CacheConfig, DirectMapped, FullyAssociative, Replacement};
+use dynex_cache::{run, CacheConfig, DirectMapped, FullyAssociative};
 use dynex_trace::TraceStats;
 use dynex_workload::spec;
 
@@ -106,7 +106,7 @@ fn fully_associative_lru_can_lose_to_direct_mapped_on_phase_rotations() {
     let instr: Vec<_> = dynex_trace::filter::instructions(trace.iter()).collect();
     let mut dm = DirectMapped::new(CacheConfig::direct_mapped(32 * 1024, 4).unwrap());
     let dm_stats = run(&mut dm, instr.iter().copied());
-    let mut fa = FullyAssociative::new(32 * 1024, 4, Replacement::Lru).unwrap();
+    let mut fa = FullyAssociative::new(32 * 1024, 4).unwrap();
     let fa_stats = run(&mut fa, instr.iter().copied());
     // No ordering assertion either way — just that both simulate sanely.
     assert!(dm_stats.accesses() == fa_stats.accesses());
