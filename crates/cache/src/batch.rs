@@ -1,13 +1,14 @@
-//! Kernel selection and chunked trace decode.
+//! Kernel selection and trace decode.
 //!
 //! The simulators in this workspace consume traces in two shapes: the
 //! reference path pulls one [`Access`] at a time through an iterator, while
 //! the fast kernels ([`crate::batch_sweep`], [`crate::batch_ehc`],
 //! [`crate::batch_bwcost`]) want flat `&[u32]` address slices. This module
-//! provides the bridge — [`ChunkedDecoder`] turns a packed trace into
-//! reusable chunks of byte addresses without a per-reference virtual call,
-//! and [`decode_addrs`] materializes a whole stream when a kernel needs it
-//! resident (the whole-trace oracles always do).
+//! provides the bridge — [`decode_into`] appends the byte addresses of a
+//! run of packed words to a vector (the request API's loader calls it per
+//! chunk as it reads a file), and [`decode_addrs`] materializes a whole
+//! stream when a kernel needs it resident (the whole-trace oracles always
+//! do).
 //!
 //! It also defines [`Kernel`], the `--kernel {reference,batch,sweep}`
 //! selector the CLIs and the engine share.
@@ -16,9 +17,9 @@ use std::fmt;
 
 use dynex_trace::{AccessKind, PackedAccess};
 
-/// Number of references decoded per chunk. 4096 words (16 KiB of addresses)
-/// comfortably fits in L1/L2 alongside the per-set state while amortizing
-/// loop overhead.
+/// Number of references the fast kernels process per chunk. 4096 words
+/// (16 KiB of addresses) comfortably fits in L1/L2 alongside the per-set
+/// state while amortizing loop overhead.
 pub const CHUNK_LEN: usize = 4096;
 
 /// Which simulation implementation to run.
@@ -106,71 +107,9 @@ impl KindFilter {
     }
 }
 
-/// Streaming decoder: packed words → chunks of word-aligned byte addresses
-/// in a reusable internal buffer.
-///
-/// Each [`next_chunk`](ChunkedDecoder::next_chunk) call refills the buffer
-/// from the packed slice (applying the [`KindFilter`]) and returns a view of
-/// it, so decoding a trace of any length allocates one `CHUNK_LEN` buffer
-/// total. The decode itself is two shifts per word — no `Access` struct is
-/// materialized.
-///
-/// # Examples
-///
-/// ```
-/// use dynex_cache::{ChunkedDecoder, KindFilter};
-/// use dynex_trace::{Access, PackedAccess};
-///
-/// let packed: Vec<PackedAccess> =
-///     [Access::fetch(0x40), Access::read(0x80)].map(PackedAccess::pack).into();
-/// let mut decoder = ChunkedDecoder::new(&packed, KindFilter::Instructions);
-/// assert_eq!(decoder.next_chunk(), Some(&[0x40u32][..]));
-/// assert_eq!(decoder.next_chunk(), None);
-/// ```
-#[derive(Debug)]
-pub struct ChunkedDecoder<'a> {
-    packed: &'a [PackedAccess],
-    pos: usize,
-    filter: KindFilter,
-    buf: Vec<u32>,
-}
-
-impl<'a> ChunkedDecoder<'a> {
-    /// Creates a decoder over a packed trace.
-    pub fn new(packed: &'a [PackedAccess], filter: KindFilter) -> ChunkedDecoder<'a> {
-        ChunkedDecoder {
-            packed,
-            pos: 0,
-            filter,
-            buf: Vec::with_capacity(CHUNK_LEN),
-        }
-    }
-
-    /// Decodes the next chunk of up to [`CHUNK_LEN`] byte addresses into the
-    /// internal buffer and returns it, or `None` when the trace is drained.
-    ///
-    /// With a filter other than [`KindFilter::All`], consecutive filtered-out
-    /// references are skipped; a returned chunk is non-empty.
-    pub fn next_chunk(&mut self) -> Option<&[u32]> {
-        self.buf.clear();
-        while self.buf.len() < CHUNK_LEN && self.pos < self.packed.len() {
-            let p = self.packed[self.pos];
-            self.pos += 1;
-            if self.filter.keeps(p.kind()) {
-                self.buf.push(p.word_addr() << 2);
-            }
-        }
-        if self.buf.is_empty() {
-            None
-        } else {
-            Some(&self.buf)
-        }
-    }
-}
-
 /// Materializes a whole packed trace as word-aligned byte addresses,
-/// applying `filter`. Built on [`ChunkedDecoder`]; this is the shape the
-/// batch kernels and the request API's trace loader consume.
+/// applying `filter` ([`decode_into`] into a fresh vector). This is the
+/// shape the batch kernels and the request API's trace loader consume.
 ///
 /// # Examples
 ///
@@ -189,11 +128,34 @@ pub fn decode_addrs(packed: &[PackedAccess], filter: KindFilter) -> Vec<u32> {
     } else {
         0
     });
-    let mut decoder = ChunkedDecoder::new(packed, filter);
-    while let Some(chunk) = decoder.next_chunk() {
-        addrs.extend_from_slice(chunk);
-    }
+    decode_into(packed, filter, &mut addrs);
     addrs
+}
+
+/// Appends the word-aligned byte address of every reference in `packed`
+/// that passes `filter` to `out`: the one decode behind [`decode_addrs`]
+/// and the request API's streaming `.dxt` loader, which calls it once per
+/// chunk as the file is read.
+///
+/// # Examples
+///
+/// ```
+/// use dynex_cache::{decode_into, KindFilter};
+/// use dynex_trace::{Access, PackedAccess};
+///
+/// let mut addrs = vec![0x10];
+/// let chunk = [Access::fetch(0x40), Access::read(0x80)].map(PackedAccess::pack);
+/// decode_into(&chunk, KindFilter::Instructions, &mut addrs);
+/// assert_eq!(addrs, vec![0x10, 0x40]);
+/// ```
+pub fn decode_into(packed: &[PackedAccess], filter: KindFilter, out: &mut Vec<u32>) {
+    let addr = |p: &PackedAccess| p.word_addr() << 2;
+    if filter == KindFilter::All {
+        // No kind test: the common unified-cache case stays a straight copy.
+        out.extend(packed.iter().map(addr));
+    } else {
+        out.extend(packed.iter().filter(|p| filter.keeps(p.kind())).map(addr));
+    }
 }
 
 #[cfg(test)]
@@ -227,40 +189,18 @@ mod tests {
     }
 
     #[test]
-    fn decoder_chunks_long_traces() {
-        let n = CHUNK_LEN * 2 + 17;
-        let accesses: Vec<Access> = (0..n).map(|i| Access::fetch((i as u32) * 4)).collect();
-        let packed = packed(&accesses);
-        let mut decoder = ChunkedDecoder::new(&packed, KindFilter::All);
-        let mut total = 0usize;
-        let mut chunks = 0usize;
-        while let Some(chunk) = decoder.next_chunk() {
-            assert!(chunk.len() <= CHUNK_LEN);
-            for (j, &addr) in chunk.iter().enumerate() {
-                assert_eq!(addr, ((total + j) as u32) * 4);
-            }
-            total += chunk.len();
-            chunks += 1;
-        }
-        assert_eq!(total, n);
-        assert_eq!(chunks, 3);
-    }
-
-    #[test]
-    fn decoder_skips_filtered_runs() {
-        // A long run of data refs between two fetches must not yield an
-        // empty chunk.
+    fn decode_into_appends_filtered_runs() {
+        // A long run of data refs between two fetches decodes to the two
+        // fetches, appended after what the vector already held.
         let mut accesses = vec![Access::fetch(0x0)];
         accesses.extend((0..CHUNK_LEN * 2).map(|i| Access::read((i as u32) * 4)));
         accesses.push(Access::fetch(0x100));
         let packed = packed(&accesses);
-        let mut decoder = ChunkedDecoder::new(&packed, KindFilter::Instructions);
-        let mut got = Vec::new();
-        while let Some(chunk) = decoder.next_chunk() {
-            assert!(!chunk.is_empty());
-            got.extend_from_slice(chunk);
-        }
-        assert_eq!(got, vec![0x0, 0x100]);
+        let mut got = vec![0x40];
+        decode_into(&packed, KindFilter::Instructions, &mut got);
+        assert_eq!(got, vec![0x40, 0x0, 0x100]);
+        decode_into(&packed[1..3], KindFilter::Data, &mut got);
+        assert_eq!(got, vec![0x40, 0x0, 0x100, 0x0, 0x4]);
     }
 
     #[test]
@@ -289,7 +229,8 @@ mod tests {
     #[test]
     fn empty_trace_decodes_to_nothing() {
         assert_eq!(decode_addrs(&[], KindFilter::All), Vec::<u32>::new());
-        let mut decoder = ChunkedDecoder::new(&[], KindFilter::All);
-        assert_eq!(decoder.next_chunk(), None);
+        let mut addrs = vec![4];
+        decode_into(&[], KindFilter::Data, &mut addrs);
+        assert_eq!(addrs, vec![4]);
     }
 }

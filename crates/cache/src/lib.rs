@@ -17,7 +17,7 @@
 //! * the fast dm/de/opt kernel ([`batch_sweep`]) behind `--kernel batch`
 //!   and `--kernel sweep` — N geometries through a single trace traversal,
 //!   a single point being a one-point sweep — and the
-//!   [`Kernel`]/[`ChunkedDecoder`] selection and decode machinery,
+//!   [`Kernel`] selection and the [`decode_into`] decode machinery,
 //! * the replacement-policy zoo ([`ReplacementPolicy`] + [`simulate_policy`])
 //!   — first-class stateful policies with per-set lookup/victim/fill hooks,
 //!   shipping Expected-Hit-Count ([`EhcPolicy`] / [`batch_ehc`]) and
@@ -63,7 +63,7 @@ mod stream_buffer;
 mod sweep;
 mod victim;
 
-pub use batch::{decode_addrs, ChunkedDecoder, Kernel, KindFilter, CHUNK_LEN};
+pub use batch::{decode_addrs, decode_into, Kernel, KindFilter, CHUNK_LEN};
 pub use classify::{classify_direct_mapped, MissClassification};
 pub use config::{CacheConfig, ConfigError, Geometry};
 pub use direct::DirectMapped;

@@ -37,17 +37,21 @@
 //! DM/DE/OPT comparison over many points.
 
 use std::collections::BTreeSet;
+use std::fs::File;
+use std::io::Read;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use dynex::DeStats;
-use dynex_cache::{decode_addrs, CacheConfig, CacheStats, Kernel, KindFilter};
+use dynex_cache::{decode_addrs, decode_into, CacheConfig, CacheStats, Kernel, KindFilter};
 use dynex_engine::{
     default_jobs, default_kernel, execute as pool_execute, job_key, run_jobs, trace_digest,
-    with_global_journal, Job, Journal, PolicyError, PolicyKind, PolicyRun,
+    with_global_journal, Job, Journal, PolicyError, PolicyKind, PolicyRun, TraceDigest,
 };
 use dynex_obs::json::{self, Json};
 use dynex_obs::NoopProbe;
-use dynex_trace::{io as trace_io, ReadPolicy, Trace};
+use dynex_trace::io::{self as trace_io, BinaryReader, TraceIoError};
+use dynex_trace::{ReadPolicy, Trace};
 
 use crate::runner::Triple;
 
@@ -248,16 +252,30 @@ impl SimulationRequest {
     /// The content key for this request over the decoded reference stream,
     /// byte-compatible with the PR 3 `simcache --resume` journal keys.
     ///
+    /// The one-shot case of [`SimulationRequest::content_key_from_digest`]:
+    /// it hashes `addrs` first. A [`LoadedTrace`] already carries that
+    /// hash ([`LoadedTrace::digest`]), so [`execute`] and the service key
+    /// loaded traces without re-hashing them.
+    ///
     /// Fails loudly ([`ApiError::KeySchema`]) if any request field is not
     /// classified by the key schema — see [`verify_key_schema`].
     pub fn content_key(&self, addrs: &[u32]) -> Result<String, ApiError> {
+        self.content_key_from_digest(trace_digest(addrs))
+    }
+
+    /// The content key for this request over a stream whose
+    /// [`trace_digest`] is `digest`.
+    ///
+    /// Fails loudly ([`ApiError::KeySchema`]) if any request field is not
+    /// classified by the key schema — see [`verify_key_schema`].
+    pub fn content_key_from_digest(&self, digest: u64) -> Result<String, ApiError> {
         verify_key_schema(self)?;
         Ok(job_key(&[
             "simcache/v1",
             self.policy.name(),
             kinds_name(self.kinds),
             &format!("size={} line={}", self.size_bytes, self.line_bytes),
-            &format!("{:016x}", trace_digest(addrs)),
+            &format!("{digest:016x}"),
         ]))
     }
 
@@ -963,7 +981,16 @@ pub fn result_from_journal(v: &Json) -> Option<(String, CacheStats, Option<DeSta
     Some((label, stats_from_json(v, accesses, misses)?, de))
 }
 
-/// A loaded, filtered, decoded reference stream.
+/// A loaded, filtered, decoded reference stream, carrying its content
+/// digest.
+///
+/// The digest ([`trace_digest`] of `addrs`) is what content keys hash, so a
+/// trace carries it once computed: [`load`] computes it while it streams a
+/// `.dxt` file, every other source computes it on first use, and
+/// [`execute`], [`execute_many`] and [`run_loaded`] never hash the
+/// addresses again. Build one with [`LoadedTrace::new`], [`load`] or
+/// [`filter_trace`]; `addrs` is public for reading, so build a new trace
+/// rather than changing it after [`LoadedTrace::digest`] has been read.
 #[derive(Debug, Clone)]
 pub struct LoadedTrace {
     /// The decoded byte-address stream: every simulator and the content
@@ -971,9 +998,45 @@ pub struct LoadedTrace {
     pub addrs: Vec<u32>,
     /// Corrupt records skipped during a lenient read (0 under strict).
     pub skipped: u64,
+    /// `trace_digest(&addrs)`, once computed.
+    digest: OnceLock<u64>,
+}
+
+impl LoadedTrace {
+    /// A trace over `addrs` whose digest is computed on first use.
+    pub fn new(addrs: Vec<u32>, skipped: u64) -> LoadedTrace {
+        LoadedTrace {
+            addrs,
+            skipped,
+            digest: OnceLock::new(),
+        }
+    }
+
+    /// The content digest of `addrs` ([`trace_digest`]), computed at most
+    /// once per trace.
+    pub fn digest(&self) -> u64 {
+        let digest = *self.digest.get_or_init(|| trace_digest(&self.addrs));
+        debug_assert_eq!(
+            digest,
+            trace_digest(&self.addrs),
+            "the carried digest no longer matches the addresses"
+        );
+        digest
+    }
 }
 
 /// Loads, filters, and decodes the request's reference stream.
+///
+/// A `.dxt` file (recognized by its magic, whatever its name) is read in
+/// one streamed pass: [`BinaryReader`] validates each chunk, the kind
+/// filter decodes it into `addrs`, and with every kind kept the same pass
+/// hashes the new addresses into the content digest. The digest hashes the
+/// length first, so it starts from the header's count; when lenient skips
+/// leave fewer references, that guess is dropped and the digest is
+/// recomputed on first use. Memory grows with the references the file
+/// actually holds, never with the count its header claims. Text files,
+/// kind-filtered `.dxt` files and profile traces compute the digest on
+/// first use.
 ///
 /// [`TraceSource::Workloads`] is rejected — it describes the full figure
 /// bundle, not a single loadable stream.
@@ -982,42 +1045,79 @@ pub fn load(request: &SimulationRequest) -> Result<LoadedTrace, ApiError> {
         Some(max_skipped) => ReadPolicy::Lenient { max_skipped },
         None => ReadPolicy::Strict,
     };
-    let (trace, skipped) = match &request.trace {
-        TraceSource::Workloads => {
-            return Err(ApiError::Trace(
-                "the workloads source is the figure bundle; single-stream \
-                 execution needs a path or profile trace source"
-                    .to_owned(),
-            ))
-        }
-        TraceSource::Path(path) => {
-            let bytes = std::fs::read(path)
-                .map_err(|e| ApiError::Trace(format!("cannot read {}: {e}", path.display())))?;
-            let result = if bytes.starts_with(&trace_io::BINARY_MAGIC) {
-                trace_io::read_binary_with(&bytes[..], policy, NoopProbe)
-            } else {
-                trace_io::read_text_with(&bytes[..], policy, NoopProbe)
-            };
-            let (trace, report) =
-                result.map_err(|e| ApiError::Trace(format!("{}: {e}", path.display())))?;
-            (trace, report.skipped)
-        }
+    match &request.trace {
+        TraceSource::Workloads => Err(ApiError::Trace(
+            "the workloads source is the figure bundle; single-stream \
+             execution needs a path or profile trace source"
+                .to_owned(),
+        )),
+        TraceSource::Path(path) => load_file(path, policy, request.kinds),
         TraceSource::Profile(name) => {
             let profile = dynex_workload::spec::profile(name)
                 .ok_or_else(|| ApiError::Trace(format!("unknown workload profile {name:?}")))?;
-            (profile.trace(request.refs), 0)
+            Ok(filter_trace(&profile.trace(request.refs), request.kinds, 0))
         }
+    }
+}
+
+/// [`load`] for a trace file: `.dxt` streamed in one pass, text parsed.
+fn load_file(path: &Path, policy: ReadPolicy, kinds: KindFilter) -> Result<LoadedTrace, ApiError> {
+    let unreadable =
+        |e: std::io::Error| ApiError::Trace(format!("cannot read {}: {e}", path.display()));
+    let malformed = |e: TraceIoError| ApiError::Trace(format!("{}: {e}", path.display()));
+    let mut file = File::open(path).map_err(unreadable)?;
+    let mut head = Vec::with_capacity(trace_io::BINARY_MAGIC.len());
+    (&mut file)
+        .take(trace_io::BINARY_MAGIC.len() as u64)
+        .read_to_end(&mut head)
+        .map_err(unreadable)?;
+    if head != trace_io::BINARY_MAGIC {
+        let (trace, report) =
+            trace_io::read_text_with(head.chain(file), policy, NoopProbe).map_err(malformed)?;
+        return Ok(filter_trace(&trace, kinds, report.skipped));
+    }
+    // Words the file can hold after its 12-byte header bound the
+    // reservation; the header's own count is unchecked input.
+    let present = file
+        .metadata()
+        .map_err(unreadable)?
+        .len()
+        .saturating_sub(12)
+        / 4;
+    let reader = BinaryReader::new(head.chain(file), policy, NoopProbe).map_err(malformed)?;
+    let expected = reader.expected();
+    let mut addrs = Vec::with_capacity(usize::try_from(expected.min(present)).unwrap_or(0));
+    let mut digest = (kinds == KindFilter::All).then(|| TraceDigest::new(expected));
+    let report = reader
+        .for_each_chunk(|chunk| match &mut digest {
+            // Hash each 1 KiB piece right after decoding it: the decode
+            // then runs under the digest's multiply chain, not after it.
+            Some(digest) => {
+                for piece in chunk.chunks(256) {
+                    let start = addrs.len();
+                    decode_into(piece, kinds, &mut addrs);
+                    digest.update(&addrs[start..]);
+                }
+            }
+            None => decode_into(chunk, kinds, &mut addrs),
+        })
+        .map_err(malformed)?;
+    let digest = match digest {
+        Some(digest) if addrs.len() as u64 == expected => OnceLock::from(digest.finish()),
+        _ => OnceLock::new(),
     };
-    Ok(filter_trace(&trace, request.kinds, skipped))
+    Ok(LoadedTrace {
+        addrs,
+        skipped: report.skipped,
+        digest,
+    })
 }
 
 /// Applies the kind filter to a loaded trace and decodes the byte-address
-/// stream (shared with callers that load traces themselves).
+/// stream (shared with callers that load traces themselves). The digest is
+/// computed on first use.
 pub fn filter_trace(trace: &Trace, kinds: KindFilter, skipped: u64) -> LoadedTrace {
-    LoadedTrace {
-        addrs: decode_addrs(trace.as_packed(), kinds),
-        skipped,
-    }
+    LoadedTrace::new(decode_addrs(trace.as_packed(), kinds), skipped)
 }
 
 /// Simulates the request over an already-loaded trace. Pure execution: no
@@ -1026,7 +1126,7 @@ pub fn execute(
     request: &SimulationRequest,
     trace: &LoadedTrace,
 ) -> Result<SimulationResponse, ApiError> {
-    let key = request.content_key(&trace.addrs)?;
+    let key = request.content_key_from_digest(trace.digest())?;
     execute_with_key(request, trace, key)
 }
 
@@ -1061,11 +1161,12 @@ pub fn execute_many(
     requests: &[&SimulationRequest],
     trace: &LoadedTrace,
 ) -> Result<Vec<SimulationResponse>, ApiError> {
+    let digest = trace.digest();
     let mut jobs = Vec::with_capacity(requests.len());
     let mut keys = Vec::with_capacity(requests.len());
     for request in requests {
         jobs.push(Job::new(request.cache_config()?, request.policy));
-        keys.push(request.content_key(&trace.addrs)?);
+        keys.push(request.content_key_from_digest(digest)?);
     }
     // Reference requests run their spec simulators; the rest share one
     // fast-path call (`batch` and `sweep` name the same code).
@@ -1109,7 +1210,7 @@ pub fn run_loaded(
     request: &SimulationRequest,
     trace: &LoadedTrace,
 ) -> Result<SimulationResponse, ApiError> {
-    let key = request.content_key(&trace.addrs)?;
+    let key = request.content_key_from_digest(trace.digest())?;
     let replayed = with_global_journal(|journal| journal.lookup(&key)).flatten();
     if let Some(value) = &replayed {
         if let Some((label, stats, de)) = result_from_journal(value) {
@@ -1671,6 +1772,76 @@ mod tests {
             &format!("{:016x}", trace_digest(&addrs)),
         ]);
         assert_eq!(request.content_key(&addrs).unwrap(), legacy);
+    }
+
+    /// A 20,000-reference trace of every kind (two read chunks), written as
+    /// `.dxt`, and a copy with two corrupt words and a cut last word.
+    fn mixed_dxt(dir: &std::path::Path) -> (PathBuf, PathBuf) {
+        let trace: Trace = (0..20_000u32)
+            .map(|i| {
+                let addr = i.wrapping_mul(2_654_435_761) % (64 * 1024);
+                match i % 4 {
+                    0 | 1 => Access::fetch(addr),
+                    2 => Access::read(addr),
+                    _ => Access::write(addr),
+                }
+            })
+            .collect();
+        let mut bytes = Vec::new();
+        trace_io::write_binary(&mut bytes, &trace).unwrap();
+        let clean = dir.join("mixed.dxt");
+        std::fs::write(&clean, &bytes).unwrap();
+        for index in [7usize, 17_000] {
+            bytes[12 + 4 * index..16 + 4 * index].copy_from_slice(&(3u32 << 30).to_le_bytes());
+        }
+        bytes.truncate(bytes.len() - 2);
+        let damaged = dir.join("damaged.dxt");
+        std::fs::write(&damaged, &bytes).unwrap();
+        (clean, damaged)
+    }
+
+    #[test]
+    fn dxt_path_content_keys_are_pinned() {
+        let dir = scratch("dxt-keys");
+        let (clean, damaged) = mixed_dxt(&dir);
+        let key = |path: &PathBuf, kinds: &str, lenient: Option<u64>| {
+            let mut b = SimulationRequest::builder();
+            b.policy("de")
+                .size("1K")
+                .line(4)
+                .kinds(kinds)
+                .trace_path(path)
+                .jobs(1);
+            if let Some(max_skipped) = lenient {
+                b.lenient(max_skipped);
+            }
+            let request = b.build().unwrap();
+            let trace = load(&request).unwrap();
+            let response = execute(&request, &trace).unwrap();
+            assert_eq!(response.key, request.content_key(&trace.addrs).unwrap());
+            (response.key, trace.skipped)
+        };
+        // Golden keys: journaled `.dxt` results must replay in every future
+        // session. The damaged file's three skips (two corrupt words, one
+        // truncated) make its length differ from its header's count.
+        let got = [
+            key(&clean, "all", None),
+            key(&clean, "instr", None),
+            key(&clean, "data", None),
+            key(&damaged, "all", Some(3)),
+            key(&damaged, "data", Some(3)),
+        ];
+        assert_eq!(
+            got,
+            [
+                ("c34b97501c19c521".to_owned(), 0),
+                ("aa1398ec2197aeef".to_owned(), 0),
+                ("9ddf26888738dff5".to_owned(), 0),
+                ("232b4b5c7385dbb8".to_owned(), 3),
+                ("7886d8f4793b8e50".to_owned(), 3),
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -31,8 +31,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dynex_engine::{
-    default_jobs, execute_resilient, trace_digest, JobFailure, Journal, Kernel, Resilience,
-    SyncPolicy,
+    default_jobs, execute_resilient, JobFailure, Journal, Kernel, Resilience, SyncPolicy,
 };
 use dynex_experiments::api::{self, LoadedTrace, SimulationRequest, SimulationResponse};
 use dynex_obs::json;
@@ -545,7 +544,7 @@ fn handle_simulate(state: &Arc<State>, body: &str, trace_id: u64) -> (u16, Strin
         Ok(trace) => trace,
         Err(e) => return (400, error_body(&e.to_string(), trace_id)),
     };
-    let key = match request.content_key(&trace.addrs) {
+    let key = match request.content_key_from_digest(trace.digest()) {
         Ok(key) => key,
         Err(e) => return (500, error_body(&e.to_string(), trace_id)),
     };
@@ -720,7 +719,7 @@ fn plan_units(batch: &[SimJob]) -> Vec<Unit> {
             units.push(Unit::Single(index));
             continue;
         }
-        let digest = trace_digest(&job.trace.addrs);
+        let digest = job.trace.digest();
         match groups
             .iter_mut()
             .find(|(d, rep, _)| *d == digest && batch[*rep].trace.addrs == job.trace.addrs)
@@ -897,7 +896,7 @@ mod tests {
         SimJob {
             key: format!("{policy}/{kernel}/{}", addrs.len()),
             request: builder.build().expect("valid request"),
-            trace: LoadedTrace { addrs, skipped: 0 },
+            trace: LoadedTrace::new(addrs, 0),
             flight: Arc::new(Flight::new()),
             deadline: None,
             ctx: None,

@@ -11,6 +11,9 @@
 //!
 //! Readers and writers are generic over [`std::io::Read`] / [`std::io::Write`]
 //! by value; pass `&mut reader` to keep using the underlying stream afterward.
+//! Binary input goes through one validating loop, [`BinaryReader`], which
+//! streams 64 KiB chunks to a sink; [`read_binary_with`] collects them into
+//! a [`Trace`].
 //!
 //! # Lenient ingestion
 //!
@@ -231,6 +234,10 @@ pub fn read_binary<R: Read>(reader: R) -> Result<Trace, TraceIoError> {
 /// Reads a binary trace under a [`ReadPolicy`], emitting one
 /// [`Event::TraceSkip`] per skipped record through `probe`.
 ///
+/// This is [`BinaryReader`] collecting every validated chunk into a
+/// [`Trace`]; the trace grows as chunks arrive, so a header that promises
+/// more references than the stream holds reserves nothing.
+///
 /// The magic and the 12-byte header are always strict — a wrong magic or a
 /// header the stream cannot even supply is a format error, not noise. Under
 /// [`ReadPolicy::Lenient`], corrupt packed words are skipped one by one and
@@ -260,49 +267,172 @@ pub fn read_binary<R: Read>(reader: R) -> Result<Trace, TraceIoError> {
 /// assert_eq!(report.first_skip, Some(0));
 /// ```
 pub fn read_binary_with<R: Read, P: Probe>(
-    mut reader: R,
+    reader: R,
     policy: ReadPolicy,
-    mut probe: P,
+    probe: P,
 ) -> Result<(Trace, ReadReport), TraceIoError> {
-    let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic)?;
-    if magic != BINARY_MAGIC {
-        return Err(TraceIoError::BadMagic(magic));
-    }
-    let mut count_bytes = [0u8; 8];
-    reader.read_exact(&mut count_bytes)?;
-    let expected = u64::from_le_bytes(count_bytes);
+    let mut trace = Trace::new();
+    let report = BinaryReader::new(reader, policy, probe)?
+        .for_each_chunk(|chunk| trace.extend(chunk.iter().copied()))?;
+    Ok((trace, report))
+}
 
-    let mut trace = Trace::with_capacity(expected.min(1 << 28) as usize);
-    let mut report = ReadReport::default();
-    let mut word = [0u8; 4];
-    for index in 0..expected {
-        if let Err(e) = reader.read_exact(&mut word) {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
+/// Packed words a [`BinaryReader`] reads per chunk: 64 KiB of input.
+pub const READ_CHUNK_WORDS: usize = 16 * 1024;
+
+/// The streaming reader of the binary format, and its one validation loop.
+///
+/// [`BinaryReader::new`] reads and checks the 12-byte header;
+/// [`BinaryReader::for_each_chunk`] then reads the body in chunks of
+/// [`READ_CHUNK_WORDS`] words into one reused buffer, validates each word,
+/// and hands every chunk of valid [`PackedAccess`]es to a sink in stream
+/// order. It owns the format's checks: [`TraceIoError::Truncated`],
+/// [`TraceIoError::CorruptAccess`], and under [`ReadPolicy::Lenient`] the
+/// skip accounting, the [`Event::TraceSkip`] events and the skip budget.
+/// It never reads past the `count` words the header declares.
+///
+/// # Examples
+///
+/// ```
+/// use dynex_obs::NoopProbe;
+/// use dynex_trace::io::{write_binary, BinaryReader};
+/// use dynex_trace::{Access, ReadPolicy, Trace};
+///
+/// let trace: Trace = [Access::fetch(0x40), Access::read(0x80)].into_iter().collect();
+/// let mut buf = Vec::new();
+/// write_binary(&mut buf, &trace).unwrap();
+/// let reader = BinaryReader::new(&buf[..], ReadPolicy::Strict, NoopProbe).unwrap();
+/// assert_eq!(reader.expected(), 2);
+/// let mut words = Vec::new();
+/// let report = reader.for_each_chunk(|chunk| words.extend_from_slice(chunk)).unwrap();
+/// assert_eq!(words, trace.as_packed());
+/// assert_eq!(report.skipped, 0);
+/// ```
+#[derive(Debug)]
+pub struct BinaryReader<R, P> {
+    reader: R,
+    policy: ReadPolicy,
+    probe: P,
+    expected: u64,
+}
+
+impl<R: Read, P: Probe> BinaryReader<R, P> {
+    /// Reads the magic and the reference count.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceIoError::BadMagic`] for foreign data, and
+    /// [`TraceIoError::Io`] when the stream cannot supply the 12 header
+    /// bytes (under every policy).
+    pub fn new(mut reader: R, policy: ReadPolicy, probe: P) -> Result<Self, TraceIoError> {
+        let mut magic = [0u8; 4];
+        reader.read_exact(&mut magic)?;
+        if magic != BINARY_MAGIC {
+            return Err(TraceIoError::BadMagic(magic));
+        }
+        let mut count_bytes = [0u8; 8];
+        reader.read_exact(&mut count_bytes)?;
+        Ok(BinaryReader {
+            reader,
+            policy,
+            probe,
+            expected: u64::from_le_bytes(count_bytes),
+        })
+    }
+
+    /// The reference count the header declares. It is unchecked input: the
+    /// stream may hold fewer words, so bound it by what the source can
+    /// actually supply before allocating for it.
+    pub fn expected(&self) -> u64 {
+        self.expected
+    }
+
+    /// Reads the body, handing each chunk of valid words to `sink` in
+    /// stream order, and returns what a lenient read skipped.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceIoError::Truncated`] if the stream ends early under
+    /// [`ReadPolicy::Strict`], [`TraceIoError::CorruptAccess`] for reserved
+    /// kind bits under strict, [`TraceIoError::SkipBudgetExceeded`] when a
+    /// lenient read drops more than its budget, and [`TraceIoError::Io`] for
+    /// underlying failures. Every chunk before the failing word has reached
+    /// `sink` by then.
+    pub fn for_each_chunk(
+        mut self,
+        mut sink: impl FnMut(&[PackedAccess]),
+    ) -> Result<ReadReport, TraceIoError> {
+        let policy = self.policy;
+        let mut report = ReadReport::default();
+        let mut bytes = vec![0u8; 4 * READ_CHUNK_WORDS];
+        let mut words = Vec::with_capacity(READ_CHUNK_WORDS);
+        // References consumed so far, valid or skipped.
+        let mut index = 0u64;
+        while index < self.expected {
+            let want = (self.expected - index).min(READ_CHUNK_WORDS as u64) as usize;
+            let (filled, failure) = fill(&mut self.reader, &mut bytes[..4 * want]);
+            let whole = filled / 4;
+            let body = &bytes[..4 * whole];
+            words.clear();
+            if !PackedAccess::extend_from_le_bytes(&mut words, body) {
+                // The chunk holds a corrupt word: validate word by word.
+                for (offset, word) in body.chunks_exact(4).enumerate() {
+                    let raw = u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+                    match PackedAccess::from_raw(raw) {
+                        Some(packed) => words.push(packed),
+                        None => {
+                            let at = index + offset as u64;
+                            match policy {
+                                ReadPolicy::Strict => {
+                                    return Err(TraceIoError::CorruptAccess { index: at })
+                                }
+                                ReadPolicy::Lenient { .. } => {
+                                    report.note(policy, at, 1, &mut self.probe)?
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            sink(&words);
+            index += whole as u64;
+            if let Some(e) = failure {
+                return Err(e.into());
+            }
+            if whole < want {
                 if let ReadPolicy::Lenient { .. } = policy {
                     // The rest of the trace is gone; count the missing tail
                     // as one truncation skip and stop cleanly if the budget
                     // still covers it.
-                    report.note(policy, index, expected - index, &mut probe)?;
+                    report.note(policy, index, self.expected - index, &mut self.probe)?;
                     break;
                 }
                 return Err(TraceIoError::Truncated {
-                    expected,
+                    expected: self.expected,
                     actual: index,
                 });
             }
-            return Err(e.into());
         }
-        let raw = u32::from_le_bytes(word);
-        match PackedAccess::from_raw(raw) {
-            Some(packed) => trace.push(packed.unpack()),
-            None => match policy {
-                ReadPolicy::Strict => return Err(TraceIoError::CorruptAccess { index }),
-                ReadPolicy::Lenient { .. } => report.note(policy, index, 1, &mut probe)?,
-            },
+        Ok(report)
+    }
+}
+
+/// Reads into `buf` until it is full or the stream ends, and returns the
+/// bytes read with the error that stopped the read, if any. Like
+/// `read_exact`, it retries `Interrupted` and treats `UnexpectedEof` as the
+/// end of the stream.
+fn fill<R: Read>(reader: &mut R, buf: &mut [u8]) -> (usize, Option<io::Error>) {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
+            Err(e) => return (filled, Some(e)),
         }
     }
-    Ok((trace, report))
+    (filled, None)
 }
 
 /// Writes `trace` in the one-reference-per-line text format.

@@ -117,6 +117,26 @@ impl PackedAccess {
     }
 }
 
+impl PackedAccess {
+    /// Appends the little-endian words in `bytes` (a whole number of them)
+    /// to `out` and returns `true`, or returns `false` and appends nothing
+    /// if any word holds the reserved kind encoding. The check is one
+    /// branch-free pass, so a clean chunk costs no per-word branch.
+    pub(crate) fn extend_from_le_bytes(out: &mut Vec<PackedAccess>, bytes: &[u8]) -> bool {
+        let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        // Bit 31 of `w & (w << 1)` is set exactly when both kind bits are:
+        // the reserved value 3.
+        let reserved = bytes
+            .chunks_exact(4)
+            .fold(0, |acc, b| acc | (word(b) & (word(b) << 1)));
+        if reserved >> 31 != 0 {
+            return false;
+        }
+        out.extend(bytes.chunks_exact(4).map(|b| PackedAccess(word(b))));
+        true
+    }
+}
+
 impl From<Access> for PackedAccess {
     fn from(access: Access) -> PackedAccess {
         PackedAccess::pack(access)

@@ -102,6 +102,12 @@ impl Extend<Access> for Trace {
     }
 }
 
+impl Extend<PackedAccess> for Trace {
+    fn extend<I: IntoIterator<Item = PackedAccess>>(&mut self, iter: I) {
+        self.accesses.extend(iter);
+    }
+}
+
 impl FromIterator<PackedAccess> for Trace {
     fn from_iter<I: IntoIterator<Item = PackedAccess>>(iter: I) -> Trace {
         Trace {

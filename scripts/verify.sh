@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local verification gate: the script CI's `verify` job runs.
 #
-#   scripts/verify.sh          # fmt + clippy + rustdoc + release build +
+#   scripts/verify.sh          # fmt + clippy (workspace and perfbench) +
+#                              # rustdoc + release build +
 #                              # tests, then the serve/load/chaos smokes,
 #                              # the span report, and the figure invariance
 #                              # and resume diffs on the release binaries
@@ -21,6 +22,12 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# perfbench is its own workspace, so the two commands above skip it; it
+# compiles against the public API of every crate, so lint it too.
+echo "==> perfbench: cargo fmt --check + cargo clippy -- -D warnings"
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 # Docs: a broken or private intra-doc link (say, to a deleted type) is a
 # rustdoc warning, and warnings fail the gate.

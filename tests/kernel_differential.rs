@@ -671,10 +671,7 @@ fn policy_matrix_is_bit_identical_on_every_supporting_kernel() {
     let workloads = workloads();
     let names: Vec<String> = workloads.iter().map(|(n, _)| n.to_owned()).collect();
     for name in names.iter().take(4) {
-        let trace = api::LoadedTrace {
-            addrs: workloads.instr_addrs(name),
-            skipped: 0,
-        };
+        let trace = api::LoadedTrace::new(workloads.instr_addrs(name), 0);
         for (size, line) in [("1K", 4), ("8K", 4), ("1K", 16), ("8K", 16)] {
             let request = |policy: PolicyKind, kernel: Kernel| {
                 let mut b = SimulationRequest::builder();
