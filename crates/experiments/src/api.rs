@@ -83,7 +83,7 @@ const KEY_EXCLUDED: &[&str] = &["kernel", "jobs", "deadline_ms", "resume"];
 
 /// A request-API failure: invalid field, bad environment, trace I/O, or a
 /// key-schema violation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum ApiError {
     /// A request field failed validation.
     Invalid {
@@ -269,7 +269,7 @@ impl SimulationRequest {
     /// Fails loudly ([`ApiError::KeySchema`]) if any request field is not
     /// classified by the key schema — see [`verify_key_schema`].
     pub fn content_key_from_digest(&self, digest: u64) -> Result<String, ApiError> {
-        verify_key_schema(self)?;
+        key_schema_verdict(self)?;
         Ok(job_key(&[
             "simcache/v1",
             self.policy.name(),
@@ -298,7 +298,7 @@ impl SimulationRequest {
     /// exactly like [`SimulationRequest::content_key`], so a field added to
     /// the request can never silently split or collide routing.
     pub fn routing_key(&self) -> Result<String, ApiError> {
-        verify_key_schema(self)?;
+        key_schema_verdict(self)?;
         // Normalize the digest-determining fields per trace source: refs is
         // ignored when the stream comes from a file, and a lenient-read
         // budget can only change the decoded stream of a file trace.
@@ -559,7 +559,9 @@ impl SimulationRequest {
 /// The field set is enumerated at runtime from the request's own canonical
 /// JSON serialization, so a field that reaches the wire format without a
 /// classification fails loudly here — the guard against silent key
-/// collisions from fields added after the schema was defined.
+/// collisions from fields added after the schema was defined. This function
+/// checks every time it is called; [`RequestBuilder::build`] and the key
+/// derivations check once per process and reuse the verdict.
 pub fn verify_key_schema(request: &SimulationRequest) -> Result<(), ApiError> {
     let mut classified: BTreeSet<&str> = BTreeSet::new();
     for &field in KEY_COVERED.iter().chain(KEY_VIA_DIGEST).chain(KEY_EXCLUDED) {
@@ -592,6 +594,17 @@ pub fn verify_key_schema(request: &SimulationRequest) -> Result<(), ApiError> {
         )));
     }
     Ok(())
+}
+
+/// [`verify_key_schema`] as the request paths run it: checked on the first
+/// request of the process and remembered. The verdict depends only on the
+/// field set of [`SimulationRequest::to_json`], which every request shares
+/// (absent options serialize as `null`), so re-serializing and re-parsing
+/// each request would recompute the same answer. A stale schema still fails
+/// the first request of every process, and every request after it.
+fn key_schema_verdict(request: &SimulationRequest) -> Result<(), ApiError> {
+    static VERDICT: OnceLock<Result<(), ApiError>> = OnceLock::new();
+    VERDICT.get_or_init(|| verify_key_schema(request)).clone()
 }
 
 /// Builder for [`SimulationRequest`]: accepts raw CLI strings, validates
@@ -763,7 +776,7 @@ impl RequestBuilder {
         };
         let trace = self.trace.clone().unwrap_or_default();
         if let TraceSource::Profile(name) = &trace {
-            if dynex_workload::spec::profile(name).is_none() {
+            if !dynex_workload::spec::NAMES.contains(&name.as_str()) {
                 return Err(ApiError::Invalid {
                     field: "trace",
                     message: format!(
@@ -789,7 +802,7 @@ impl RequestBuilder {
         // Geometry validation (power-of-two sizes, line|size divisibility).
         request.cache_config()?;
         // Fail at construction, not first use, if the key schema is stale.
-        verify_key_schema(&request)?;
+        key_schema_verdict(&request)?;
         Ok(request)
     }
 }

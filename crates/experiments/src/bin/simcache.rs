@@ -63,21 +63,32 @@ use dynex_cache::CacheConfig;
 use dynex_engine::{run_jobs, Job, PolicyKind};
 use dynex_experiments::api::{self, parse_size, SimulationRequest, SimulationResponse};
 use dynex_experiments::Triple;
-use dynex_obs::{export, Collector, CountingProbe, Event, EventLog};
-use dynex_trace::{io as trace_io, ReadPolicy, Trace, TraceStats};
+use dynex_obs::{export, Collector, Event, EventLog, NoopProbe};
+use dynex_trace::{io as trace_io, ReadPolicy, TraceStats};
 
-/// Loads a trace under the given read policy, returning the number of
-/// corrupt records skipped (always 0 under [`ReadPolicy::Strict`]).
-fn load_trace(path: &str, policy: ReadPolicy) -> Result<(Trace, u64), String> {
+/// Statistics of every reference the request's read of `path` keeps, plus
+/// its `skipped` corrupt records, for the `trace:` line. [`api::load`]
+/// keeps only the kind-filtered addresses, so this reads the file a second
+/// time; only runs that skipped records print the line.
+fn lenient_stats(
+    path: &str,
+    request: &SimulationRequest,
+    skipped: u64,
+) -> Result<TraceStats, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let probe = CountingProbe::new();
-    let result = if bytes.starts_with(&trace_io::BINARY_MAGIC) {
-        trace_io::read_binary_with(&bytes[..], policy, probe)
-    } else {
-        trace_io::read_text_with(&bytes[..], policy, probe)
+    let policy = match request.max_skipped {
+        Some(max_skipped) => ReadPolicy::Lenient { max_skipped },
+        None => ReadPolicy::Strict,
     };
-    let (trace, report) = result.map_err(|e| format!("{path}: {e}"))?;
-    Ok((trace, report.skipped))
+    let result = if bytes.starts_with(&trace_io::BINARY_MAGIC) {
+        trace_io::read_binary_with(&bytes[..], policy, NoopProbe)
+    } else {
+        trace_io::read_text_with(&bytes[..], policy, NoopProbe)
+    };
+    let (trace, _) = result.map_err(|e| format!("{path}: {e}"))?;
+    let mut stats = TraceStats::from_accesses(trace.iter());
+    stats.record_skipped(skipped);
+    Ok(stats)
 }
 
 fn usage() {
@@ -343,23 +354,22 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let read_policy = match request.max_skipped {
-        Some(max_skipped) => ReadPolicy::Lenient { max_skipped },
-        None => ReadPolicy::Strict,
-    };
-    let (trace, skipped) = match load_trace(&path, read_policy) {
-        Ok(t) => t,
+    let loaded = match api::load(&request) {
+        Ok(loaded) => loaded,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let loaded = api::filter_trace(&trace, request.kinds, skipped);
-    if skipped > 0 {
-        let mut stats = TraceStats::from_accesses(trace.iter());
-        stats.record_skipped(skipped);
-        eprintln!("lenient read: {skipped} corrupt record(s) skipped");
-        eprintln!("trace: {stats}");
+    if loaded.skipped > 0 {
+        eprintln!("lenient read: {} corrupt record(s) skipped", loaded.skipped);
+        match lenient_stats(&path, &request, loaded.skipped) {
+            Ok(stats) => eprintln!("trace: {stats}"),
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
     }
     eprintln!("{} references selected from {}", loaded.addrs.len(), path);
 

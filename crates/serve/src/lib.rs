@@ -14,7 +14,9 @@
 //!   into one [`dynex_engine::execute_resilient`] plan, inheriting the
 //!   PR 3 panic containment and watchdog;
 //! * **result caching** — an exact LRU keyed by the journal content key,
-//!   warm-startable from any `--resume` journal at boot;
+//!   warm-startable from any `--resume` journal at boot, with a key memo
+//!   of the same capacity that answers a repeated profile request without
+//!   generating, decoding or hashing its trace;
 //! * **explicit backpressure** — a bounded queue that answers `429` instead
 //!   of buffering without bound;
 //! * **observability** — `/metrics` serves a `dynex-obs` registry snapshot,

@@ -16,6 +16,11 @@
 //! A full queue is reported to the client as `429 Too Many Requests`
 //! immediately (backpressure is explicit, never an unbounded buffer).
 //!
+//! Resolving a request to its content key means loading and hashing its
+//! trace. For profile sources, whose trace the request fully determines, a
+//! bounded key memo remembers routing key → content key, so a repeated
+//! profile request reaches the result cache without loading anything.
+//!
 //! Determinism carries through from the engine: for a given request body
 //! the response JSON is byte-identical for every `jobs` setting, every
 //! batch composition, and whether the result came from the simulator, the
@@ -33,7 +38,9 @@ use std::time::{Duration, Instant};
 use dynex_engine::{
     default_jobs, execute_resilient, JobFailure, Journal, Kernel, Resilience, SyncPolicy,
 };
-use dynex_experiments::api::{self, LoadedTrace, SimulationRequest, SimulationResponse};
+use dynex_experiments::api::{
+    self, LoadedTrace, SimulationRequest, SimulationResponse, TraceSource,
+};
 use dynex_obs::json;
 use dynex_obs::span::{self, SpanCtx};
 use dynex_obs::MetricsRegistry;
@@ -203,6 +210,11 @@ struct SimJob {
 /// State shared between the acceptor, handlers, and the dispatcher.
 struct State {
     cache: Mutex<LruCache<SimulationResponse>>,
+    /// Routing key → content key of profile requests seen before, so a
+    /// repeat reaches `cache` without generating, decoding or hashing its
+    /// trace. Bounded like `cache` (same capacity); path sources never
+    /// enter, because a file can change under the same path.
+    key_memo: Mutex<LruCache<String>>,
     flights: Mutex<HashMap<String, Arc<Flight>>>,
     queue: Mutex<Option<SyncSender<SimJob>>>,
     metrics: Mutex<MetricsRegistry>,
@@ -282,6 +294,7 @@ impl Server {
             "sims-started",
             "sims-executed",
             "cache-hits",
+            "key-memo-hits",
             "coalesced-hits",
             "fused-jobs",
             "queued",
@@ -326,6 +339,7 @@ impl Server {
         let (sender, receiver) = std::sync::mpsc::sync_channel(config.queue_capacity.max(1));
         let state = Arc::new(State {
             cache: Mutex::new(cache),
+            key_memo: Mutex::new(LruCache::new(config.cache_capacity)),
             flights: Mutex::new(HashMap::new()),
             queue: Mutex::new(Some(sender)),
             metrics: Mutex::new(metrics),
@@ -531,23 +545,67 @@ enum Claim {
 }
 
 /// The `/simulate` endpoint.
+///
+/// A profile request whose routing key the key memo remembers, and whose
+/// result the cache still holds, is answered from the cache without loading
+/// its trace. Every other request is loaded and digested into its content
+/// key, which the memo then remembers for profile sources.
 fn handle_simulate(state: &Arc<State>, body: &str, trace_id: u64) -> (u16, String) {
     // Captured before any child span opens, so the dispatcher-side simulate
     // span parents directly into this request's root span.
     let root_ctx = span::current();
-    let parse = span::span("parse");
+    let mut parse = span::span("parse");
     let request = match SimulationRequest::from_json(body) {
         Ok(request) => request,
         Err(e) => return (400, error_body(&e.to_string(), trace_id)),
     };
-    let trace = match api::load(&request) {
+    // A profile trace is a pure function of the request, and the routing key
+    // hashes every input of its content key (policy, kinds, geometry,
+    // profile and refs), so a remembered content key is exact.
+    let routing = match &request.trace {
+        TraceSource::Profile(_) => match request.routing_key() {
+            Ok(routing) => Some(routing),
+            Err(e) => return (500, error_body(&e.to_string(), trace_id)),
+        },
+        TraceSource::Path(_) | TraceSource::Workloads => None,
+    };
+    if let Some(routing) = &routing {
+        let remembered = lock_or_recover(&state.key_memo).get(routing).cloned();
+        if let Some(key) = remembered {
+            drop(parse);
+            let found = {
+                let _lookup = span::span("cache-lookup");
+                lock_or_recover(&state.cache).get(&key).cloned()
+            };
+            if let Some(mut response) = found {
+                response.cached = true;
+                state.count("cache-hits");
+                state.count("key-memo-hits");
+                return (200, response.to_json());
+            }
+            // The result has been evicted since: resolve the request in full.
+            parse = span::span("parse");
+        }
+    }
+    let loaded = {
+        let _load = span::span("load");
+        api::load(&request)
+    };
+    let trace = match loaded {
         Ok(trace) => trace,
         Err(e) => return (400, error_body(&e.to_string(), trace_id)),
     };
-    let key = match request.content_key_from_digest(trace.digest()) {
+    let digest = {
+        let _digest = span::span("digest");
+        trace.digest()
+    };
+    let key = match request.content_key_from_digest(digest) {
         Ok(key) => key,
         Err(e) => return (500, error_body(&e.to_string(), trace_id)),
     };
+    if let Some(routing) = &routing {
+        lock_or_recover(&state.key_memo).insert(routing, key.clone());
+    }
     drop(parse);
     let deadline = request
         .deadline_ms

@@ -6,9 +6,10 @@
 # the exit timeout. A does-it-serve gate, not a performance gate.
 #
 # Also exercises the PR 6 tracing surfaces: /metrics must report a non-empty
-# simulate latency histogram, and the --trace-out span stream must contain
-# the request and kernel stages. Set SMOKE_TRACE_OUT to keep the span JSONL
-# (CI uploads it as an artifact); default is a temp file.
+# simulate latency histogram and one key-memo hit, and the --trace-out span
+# stream must contain the request and kernel stages and the first request's
+# trace load. Set SMOKE_TRACE_OUT to keep the span JSONL (CI uploads it as
+# an artifact); default is a temp file.
 #
 # Boot/HTTP plumbing lives in smoke_lib.sh (shared with load_smoke.sh);
 # boot_serve fails fast if the server process dies before it listens.
@@ -47,6 +48,10 @@ echo "$second" | grep -q '"cached":true' \
 metrics=$(roundtrip GET /metrics "")
 echo "$metrics" | grep -q '"sims-executed":1' \
     || { echo "serve smoke: expected exactly one simulation: $metrics" >&2; exit 1; }
+# The repeat of a profile request resolves its content key from the key
+# memo, without loading its trace again.
+echo "$metrics" | grep -q '"key-memo-hits":1' \
+    || { echo "serve smoke: repeat was not answered from the key memo: $metrics" >&2; exit 1; }
 # PR 6: per-stage latency histograms and percentile summaries. The simulate
 # stage must have recorded at least one sample by now.
 echo "$metrics" | grep -q '"latency-us/simulate"' \
@@ -75,5 +80,8 @@ grep -q '"stage":"request"' "$trace_out" \
     || { echo "serve smoke: span stream has no request spans" >&2; exit 1; }
 grep -q '"stage":"kernel.simulate"' "$trace_out" \
     || { echo "serve smoke: span stream has no kernel.simulate spans" >&2; exit 1; }
+# The first request loaded its trace under parse.
+grep -q '"stage":"load"' "$trace_out" \
+    || { echo "serve smoke: span stream has no load spans" >&2; exit 1; }
 
 echo "serve smoke: OK"

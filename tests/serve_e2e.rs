@@ -155,6 +155,198 @@ fn repeats_hit_the_result_cache() {
     server.join();
 }
 
+/// The body a cache hit serves for a request whose fresh answer was `fresh`.
+fn as_cached(fresh: &str) -> String {
+    assert!(fresh.contains(r#""cached":false"#), "a fresh body: {fresh}");
+    fresh.replace(r#""cached":false"#, r#""cached":true"#)
+}
+
+/// A 2,000-reference `.dxt` that sweeps word by word over `span` bytes.
+fn write_dxt(path: &std::path::Path, span: u32) {
+    let trace: dynex_trace::Trace = (0..2_000u32)
+        .map(|i| dynex_trace::Access::fetch(i * 4 % span))
+        .collect();
+    let mut bytes = Vec::new();
+    dynex_trace::io::write_binary(&mut bytes, &trace).expect("encode trace");
+    std::fs::write(path, bytes).expect("write trace");
+}
+
+#[test]
+fn repeated_profile_request_is_answered_from_the_key_memo() {
+    let server = start(ServeConfig::default());
+    let addr = server.addr();
+    let body = request_body("4K");
+
+    let (status, first) = post_simulate(addr, &body);
+    assert_eq!(status, 200);
+    assert_eq!(server.counter("key-memo-hits"), 0, "a first request loads");
+    let (status, second) = post_simulate(addr, &body);
+    assert_eq!(status, 200);
+    assert_eq!(server.counter("key-memo-hits"), 1);
+    assert_eq!(
+        server.counter("cache-hits"),
+        1,
+        "memo answers are cache hits"
+    );
+    assert_eq!(server.counter("sims-executed"), 1);
+    assert_eq!(second, as_cached(&first));
+
+    // Kernel and jobs are outside the routing key, as they are outside the
+    // content key: the memo answers them too, with the same body.
+    let variant = body.replace(
+        r#""org":"de""#,
+        r#""org":"de","kernel":"reference","jobs":3"#,
+    );
+    let (status, third) = post_simulate(addr, &variant);
+    assert_eq!(status, 200);
+    assert_eq!(server.counter("key-memo-hits"), 2);
+    assert_eq!(third, second);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn rewritten_dxt_path_is_never_memoized() {
+    let dir = std::env::temp_dir().join(format!("dynex-serve-memo-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace_path = dir.join("rewritten.dxt");
+    let body = format!(
+        r#"{{"org":"de","size":"1K","line":4,"trace":{{"source":"path","path":"{}"}}}}"#,
+        trace_path.display()
+    );
+    let server = start(ServeConfig::default());
+    let addr = server.addr();
+
+    write_dxt(&trace_path, 8192);
+    let (status, first) = post_simulate(addr, &body);
+    assert_eq!(status, 200);
+    let (status, repeat) = post_simulate(addr, &body);
+    assert_eq!(status, 200);
+    assert_eq!(
+        repeat,
+        as_cached(&first),
+        "an unchanged file hits the cache"
+    );
+
+    // Same path, same request bytes, different content: the file is loaded
+    // again and keyed by its new digest.
+    write_dxt(&trace_path, 512);
+    let (status, second) = post_simulate(addr, &body);
+    assert_eq!(status, 200);
+    let first = SimulationResponse::from_json(&first).expect("response JSON");
+    let second = SimulationResponse::from_json(&second).expect("response JSON");
+    assert!(!second.cached, "the rewritten file is simulated afresh");
+    assert_ne!(first.key, second.key);
+    assert_ne!(first.stats, second.stats);
+    assert_eq!(server.counter("sims-executed"), 2);
+    assert_eq!(server.counter("key-memo-hits"), 0);
+
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn zero_capacity_key_memo_never_hits() {
+    let server = start(ServeConfig {
+        cache_capacity: 0,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let body = request_body("4K");
+    let (status, first) = post_simulate(addr, &body);
+    assert_eq!(status, 200);
+    let (status, second) = post_simulate(addr, &body);
+    assert_eq!(status, 200);
+    assert_eq!(second, first, "both requests simulate");
+    assert_eq!(server.counter("sims-executed"), 2);
+    assert_eq!(server.counter("cache-hits"), 0);
+    assert_eq!(server.counter("key-memo-hits"), 0);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn memo_entry_of_an_evicted_result_falls_through() {
+    let dir = std::env::temp_dir().join(format!("dynex-serve-evict-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace_path = dir.join("evictor.dxt");
+    write_dxt(&trace_path, 4096);
+    // One result slot. A path request takes it over without entering the
+    // memo, so the profile request's memo entry outlives its result.
+    let server = start(ServeConfig {
+        cache_capacity: 1,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let body = request_body("4K");
+
+    let (status, first) = post_simulate(addr, &body);
+    assert_eq!(status, 200);
+    let evictor = format!(
+        r#"{{"org":"dm","size":"1K","line":4,"trace":{{"source":"path","path":"{}"}}}}"#,
+        trace_path.display()
+    );
+    assert_eq!(post_simulate(addr, &evictor).0, 200);
+
+    let (status, again) = post_simulate(addr, &body);
+    assert_eq!(status, 200);
+    assert_eq!(
+        again, first,
+        "re-simulated, byte-identical to the first answer"
+    );
+    assert_eq!(server.counter("sims-executed"), 3);
+    assert_eq!(server.counter("key-memo-hits"), 0);
+    // The re-simulated result is cached again, and the memo finds it.
+    let (status, cached) = post_simulate(addr, &body);
+    assert_eq!(status, 200);
+    assert_eq!(cached, as_cached(&first));
+    assert_eq!(server.counter("key-memo-hits"), 1);
+
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn warm_journal_boot_answers_repeats_from_the_key_memo() {
+    let dir = std::env::temp_dir().join(format!("dynex-serve-memo-warm-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let journal_path = dir.join("memo.jsonl");
+    let _ = std::fs::remove_file(&journal_path);
+    let config = ServeConfig {
+        warm_journal: Some(journal_path.clone()),
+        ..ServeConfig::default()
+    };
+    let body = request_body("2K");
+
+    // The first boot simulates the request and journals its result.
+    let server = start(config.clone());
+    let (status, fresh) = post_simulate(server.addr(), &body);
+    assert_eq!(status, 200);
+    server.shutdown();
+    server.join();
+
+    // After a reboot the result is cached but the memo is empty: the first
+    // request loads its trace to find the key, the second does not.
+    let server = start(config);
+    assert_eq!(server.counter("warm-start-entries"), 1);
+    let (status, first) = post_simulate(server.addr(), &body);
+    assert_eq!(status, 200);
+    assert_eq!(server.counter("key-memo-hits"), 0);
+    let (status, second) = post_simulate(server.addr(), &body);
+    assert_eq!(status, 200);
+    assert_eq!(server.counter("key-memo-hits"), 1);
+    assert_eq!(server.counter("sims-executed"), 0);
+    assert_eq!(first, as_cached(&fresh));
+    assert_eq!(second, first);
+
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn full_queue_rejects_with_429() {
     let server = start(ServeConfig {
@@ -535,51 +727,88 @@ fn trace_out_reconstructs_the_request_span_tree() {
     let addr = server.addr();
 
     // Raw round-trip: the X-Dynex-Trace header is the key into the stream.
+    let send = |body: &str| -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        write!(
+            stream,
+            "POST /simulate HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .expect("send request");
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("read response");
+        assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+        let trace_hex = raw
+            .lines()
+            .find_map(|line| line.strip_prefix("X-Dynex-Trace: "))
+            .expect("response carries the trace header")
+            .trim()
+            .to_owned();
+        assert_eq!(trace_hex.len(), 16, "16 hex digits: {trace_hex}");
+        trace_hex
+    };
     let body = request_body("64K");
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "POST /simulate HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
-    let trace_hex = raw
-        .lines()
-        .find_map(|line| line.strip_prefix("X-Dynex-Trace: "))
-        .expect("response carries the trace header")
-        .trim()
-        .to_owned();
-    assert_eq!(trace_hex.len(), 16, "16 hex digits: {trace_hex}");
+    let trace_hex = send(&body);
+    // The repeat is answered from the key memo.
+    let repeat_hex = send(&body);
 
     server.shutdown();
     server.join();
     dynex_obs::span::take_jsonl_writer();
 
-    // Reconstruct this request's tree from the stream. Other tests in this
+    // Reconstruct a request's tree from the stream. Other tests in this
     // process may interleave their own spans; the trace id isolates ours.
     let text = String::from_utf8(buf.0.lock().unwrap().clone()).expect("UTF-8 stream");
-    let needle = format!(r#""trace":"{trace_hex}""#);
-    let mut spans: Vec<(u64, u64, String)> = Vec::new(); // (id, parent, stage) in close order
-    for line in text.lines().filter(|l| l.contains(&needle)) {
-        let parsed = dynex_obs::json::parse(line).expect("span line parses");
-        let id = parsed
-            .get("span")
-            .and_then(|v| v.as_u64())
-            .expect("span id");
-        let parent = parsed
-            .get("parent")
-            .and_then(|v| v.as_u64())
-            .expect("parent id");
-        let stage = parsed
-            .get("stage")
-            .and_then(|v| v.as_str())
-            .expect("stage")
-            .to_owned();
-        spans.push((id, parent, stage));
+    let spans_of = |trace_hex: &str| -> Vec<(u64, u64, String)> {
+        let needle = format!(r#""trace":"{trace_hex}""#);
+        let mut spans = Vec::new(); // (id, parent, stage) in close order
+        for line in text.lines().filter(|l| l.contains(&needle)) {
+            let parsed = dynex_obs::json::parse(line).expect("span line parses");
+            let id = parsed
+                .get("span")
+                .and_then(|v| v.as_u64())
+                .expect("span id");
+            let parent = parsed
+                .get("parent")
+                .and_then(|v| v.as_u64())
+                .expect("parent id");
+            let stage = parsed
+                .get("stage")
+                .and_then(|v| v.as_str())
+                .expect("stage")
+                .to_owned();
+            spans.push((id, parent, stage));
+        }
+        spans
+    };
+    let spans = spans_of(&trace_hex);
+
+    // Trace loading and digesting are children of parse.
+    let parse_id = spans
+        .iter()
+        .find(|(_, _, stage)| stage == "parse")
+        .map(|(id, _, _)| *id);
+    for stage in ["load", "digest"] {
+        let parent = spans
+            .iter()
+            .find(|(_, _, s)| s == stage)
+            .map(|(_, parent, _)| *parent);
+        assert!(
+            parent.is_some() && parent == parse_id,
+            "stage {stage} is not a child of parse: {spans:?}"
+        );
     }
+    // The memo hit resolves without loading: parse, then the cache probe.
+    let mut repeat: Vec<String> = spans_of(&repeat_hex)
+        .into_iter()
+        .map(|(_, _, stage)| stage)
+        .collect();
+    repeat.sort();
+    assert_eq!(
+        repeat,
+        ["accept", "cache-lookup", "parse", "request", "respond"],
+        "memo hit spans"
+    );
 
     // One root, and it is the request span.
     let roots: Vec<_> = spans.iter().filter(|(_, parent, _)| *parent == 0).collect();
