@@ -256,9 +256,15 @@ impl ReplacementPolicy for DePolicy {
 /// residency*; a capacity-scaled window is the oracle analogue. Pass
 /// `usize::MAX` for the degenerate whole-trace count.
 ///
-/// One reverse sliding-window scan, counting in a [`LineTable`] like the
-/// next-use oracle and decoding on the fly like it. Counts never exceed the
-/// trace length, so they cannot overflow once the length check has passed.
+/// One forward scan, counting in a [`LineTable`] like the next-use oracle
+/// and decoding on the fly like it. Reference `j` first takes its rank
+/// among its line's references so far (the line's count before it); once
+/// the scan has counted through `j = i + horizon`, the references to the
+/// line of `i` inside the window are that count minus the rank of `i`
+/// minus `i` itself. References whose window reaches past the end settle
+/// from the final counts. That is two table lookups per reference. Counts
+/// never exceed the trace length, so they cannot overflow once the length
+/// check has passed.
 ///
 /// # Panics
 ///
@@ -267,23 +273,20 @@ pub(crate) fn windowed_uses(addrs: &[u32], offset_bits: u32, horizon: usize) -> 
     assert_positions_fit(addrs.len());
     let n = addrs.len();
     let line = |i: usize| addrs[i] >> offset_bits;
-    let mut uses = vec![0u32; n];
+    // Holds each reference's rank until its window has been counted.
+    let mut uses = Vec::with_capacity(n);
     let mut count = LineTable::new(0);
-    for i in (0..n).rev() {
-        if i + 1 < n {
-            *count.slot(line(i + 1)) += 1;
+    for j in 0..n {
+        let seen = count.slot(line(j));
+        uses.push(*seen);
+        *seen += 1;
+        if let Some(i) = j.checked_sub(horizon) {
+            uses[i] = count.get(line(i)) - uses[i] - 1;
         }
-        // The reference that leaves the window `(i, i + horizon]` when it
-        // moves from position i+1 down to i, if the window ends inside the
-        // trace. It entered at an earlier step, so its count is positive.
-        if let Some(out) = i
-            .checked_add(horizon)
-            .and_then(|h| h.checked_add(1))
-            .filter(|&out| out < n)
-        {
-            *count.slot(line(out)) -= 1;
-        }
-        uses[i] = *count.slot(line(i));
+    }
+    let tail = n.saturating_sub(horizon);
+    for (rank, &addr) in uses[tail..].iter_mut().zip(&addrs[tail..]) {
+        *rank = count.get(addr >> offset_bits) - *rank - 1;
     }
     uses
 }
@@ -542,7 +545,7 @@ pub fn batch_bwcost(config: CacheConfig, addrs: &[u32]) -> CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::line_table::sparse_lines;
+    use crate::line_table::{sparse_lines, PAGE_LEN};
     use crate::{batch_sweep, SplitMix64, SweepPoint, SweepPointResult, SweepPolicy};
 
     fn config(size: u32, line: u32) -> CacheConfig {
@@ -721,6 +724,46 @@ mod tests {
                     assert_eq!(
                         windowed_uses(&lines, 0, horizon),
                         naive_windowed_uses(&lines, horizon),
+                        "seed {seed} len {len} horizon {horizon}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The reverse sliding-window scan the forward rank scan replaced: one
+    /// count per line of the window `(i, i + horizon]`, moved down one
+    /// position per step.
+    fn reverse_windowed_uses(lines: &[u32], horizon: usize) -> Vec<u32> {
+        let n = lines.len();
+        let mut uses = vec![0u32; n];
+        let mut count = LineTable::new(0);
+        for i in (0..n).rev() {
+            if i + 1 < n {
+                *count.slot(lines[i + 1]) += 1;
+            }
+            if let Some(out) = i
+                .checked_add(horizon)
+                .and_then(|h| h.checked_add(1))
+                .filter(|&out| out < n)
+            {
+                *count.slot(lines[out]) -= 1;
+            }
+            uses[i] = *count.slot(lines[i]);
+        }
+        uses
+    }
+
+    #[test]
+    fn windowed_uses_matches_the_reverse_scan() {
+        for horizon in [0usize, 1, 7, PAGE_LEN, usize::MAX] {
+            assert_eq!(windowed_uses(&[], 0, horizon), Vec::<u32>::new());
+            for seed in 0..6u64 {
+                for len in [1usize, 2, 7, 8, 300, 3 * PAGE_LEN + 5] {
+                    let lines = sparse_lines(seed, len);
+                    assert_eq!(
+                        windowed_uses(&lines, 0, horizon),
+                        reverse_windowed_uses(&lines, horizon),
                         "seed {seed} len {len} horizon {horizon}"
                     );
                 }

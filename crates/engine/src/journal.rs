@@ -60,68 +60,23 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// little-endian words), used inside journal keys so a record can never be
 /// replayed against a different trace.
 ///
-/// The one-shot case of [`TraceDigest`]. The hash is byte-serial, so its
-/// cost is one multiply's latency per byte; a loader that digests while it
-/// decodes (as `dynex_experiments::api::load` does for `.dxt` files) hides
-/// the decode under that chain instead of walking the stream twice.
+/// The hash is byte-serial: its cost is one multiply's latency per byte,
+/// and no part of the stream can be hashed before the part ahead of it.
+/// `dynex_experiments::api::execute` therefore computes a missing digest on
+/// a helper thread while the kernel runs, instead of splitting the hash.
 pub fn trace_digest(addrs: &[u32]) -> u64 {
-    let mut digest = TraceDigest::new(addrs.len() as u64);
-    digest.update(addrs);
-    digest.finish()
-}
-
-/// [`trace_digest`] computed incrementally, for a stream whose length is
-/// known before its words arrive.
-///
-/// The length is hashed first, so `new` must be given the number of words
-/// that `update` will be fed in total; the result equals
-/// `trace_digest(&all_words)` only then.
-///
-/// # Examples
-///
-/// ```
-/// use dynex_engine::{trace_digest, TraceDigest};
-///
-/// let addrs = [0x40, 0x80, 0xc0];
-/// let mut digest = TraceDigest::new(addrs.len() as u64);
-/// digest.update(&addrs[..1]);
-/// digest.update(&addrs[1..]);
-/// assert_eq!(digest.finish(), trace_digest(&addrs));
-/// ```
-#[derive(Debug, Clone)]
-pub struct TraceDigest {
-    hash: u64,
-}
-
-impl TraceDigest {
-    /// Starts a digest of a stream of `len` words.
-    pub fn new(len: u64) -> TraceDigest {
-        let mut digest = TraceDigest {
-            hash: 0xcbf2_9ce4_8422_2325,
-        };
-        digest.bytes(len.to_le_bytes());
-        digest
-    }
-
-    /// Hashes the next words of the stream.
-    pub fn update(&mut self, addrs: &[u32]) {
-        for &a in addrs {
-            self.bytes(a.to_le_bytes());
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
+    };
+    eat(&(addrs.len() as u64).to_le_bytes());
+    for &a in addrs {
+        eat(&a.to_le_bytes());
     }
-
-    /// The digest of everything hashed so far.
-    pub fn finish(self) -> u64 {
-        self.hash
-    }
-
-    #[inline(always)]
-    fn bytes<const N: usize>(&mut self, bytes: [u8; N]) {
-        for b in bytes {
-            self.hash ^= u64::from(b);
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
+    hash
 }
 
 /// Builds a journal key from the parts that determine a job's result.
@@ -507,18 +462,6 @@ mod tests {
         }
         assert_eq!(trace_digest(&[0x40, 0xdead_beec, 7]), fnv1a(&bytes));
         assert_eq!(trace_digest(&[]), fnv1a(&[0; 8]));
-    }
-
-    #[test]
-    fn incremental_digest_matches_one_shot_for_every_split() {
-        let addrs: Vec<u32> = (0..37u32).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
-        for split in 0..=addrs.len() {
-            let mut digest = TraceDigest::new(addrs.len() as u64);
-            digest.update(&addrs[..split]);
-            digest.update(&[]);
-            digest.update(&addrs[split..]);
-            assert_eq!(digest.finish(), trace_digest(&addrs), "split at {split}");
-        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use dynex_cache::{CacheStats, Kernel};
 pub use error::EngineError;
 pub use journal::{
     fnv1a, job_key, set_global_journal, trace_digest, with_global_journal, Journal, JournalError,
-    SyncPolicy, TraceDigest,
+    SyncPolicy,
 };
 pub use kernel::{default_kernel, set_default_kernel};
 pub use pool::{available_jobs, default_jobs, env_jobs, execute, set_default_jobs};

@@ -46,10 +46,10 @@ use dynex::DeStats;
 use dynex_cache::{decode_addrs, decode_into, CacheConfig, CacheStats, Kernel, KindFilter};
 use dynex_engine::{
     default_jobs, default_kernel, execute as pool_execute, job_key, run_jobs, trace_digest,
-    with_global_journal, Job, Journal, PolicyError, PolicyKind, PolicyRun, TraceDigest,
+    with_global_journal, Job, Journal, PolicyError, PolicyKind, PolicyRun,
 };
 use dynex_obs::json::{self, Json};
-use dynex_obs::NoopProbe;
+use dynex_obs::{span, NoopProbe};
 use dynex_trace::io::{self as trace_io, BinaryReader, TraceIoError};
 use dynex_trace::{ReadPolicy, Trace};
 
@@ -253,9 +253,9 @@ impl SimulationRequest {
     /// byte-compatible with the PR 3 `simcache --resume` journal keys.
     ///
     /// The one-shot case of [`SimulationRequest::content_key_from_digest`]:
-    /// it hashes `addrs` first. A [`LoadedTrace`] already carries that
-    /// hash ([`LoadedTrace::digest`]), so [`execute`] and the service key
-    /// loaded traces without re-hashing them.
+    /// it hashes `addrs` first. A [`LoadedTrace`] carries that hash once
+    /// computed ([`LoadedTrace::digest`]), so [`execute`] and the service
+    /// key loaded traces without re-hashing them.
     ///
     /// Fails loudly ([`ApiError::KeySchema`]) if any request field is not
     /// classified by the key schema — see [`verify_key_schema`].
@@ -995,15 +995,15 @@ pub fn result_from_journal(v: &Json) -> Option<(String, CacheStats, Option<DeSta
 }
 
 /// A loaded, filtered, decoded reference stream, carrying its content
-/// digest.
+/// digest once computed.
 ///
 /// The digest ([`trace_digest`] of `addrs`) is what content keys hash, so a
-/// trace carries it once computed: [`load`] computes it while it streams a
-/// `.dxt` file, every other source computes it on first use, and
-/// [`execute`], [`execute_many`] and [`run_loaded`] never hash the
-/// addresses again. Build one with [`LoadedTrace::new`], [`load`] or
-/// [`filter_trace`]; `addrs` is public for reading, so build a new trace
-/// rather than changing it after [`LoadedTrace::digest`] has been read.
+/// trace carries it once computed: every trace starts with it unknown,
+/// [`execute`] and [`execute_many`] compute it on a helper thread while the
+/// kernel runs, and no later call hashes the addresses again. Build one
+/// with [`LoadedTrace::new`], [`load`] or [`filter_trace`]; `addrs` is
+/// public for reading, so build a new trace rather than changing it after
+/// [`LoadedTrace::digest`] has been read.
 #[derive(Debug, Clone)]
 pub struct LoadedTrace {
     /// The decoded byte-address stream: every simulator and the content
@@ -1041,15 +1041,11 @@ impl LoadedTrace {
 /// Loads, filters, and decodes the request's reference stream.
 ///
 /// A `.dxt` file (recognized by its magic, whatever its name) is read in
-/// one streamed pass: [`BinaryReader`] validates each chunk, the kind
-/// filter decodes it into `addrs`, and with every kind kept the same pass
-/// hashes the new addresses into the content digest. The digest hashes the
-/// length first, so it starts from the header's count; when lenient skips
-/// leave fewer references, that guess is dropped and the digest is
-/// recomputed on first use. Memory grows with the references the file
-/// actually holds, never with the count its header claims. Text files,
-/// kind-filtered `.dxt` files and profile traces compute the digest on
-/// first use.
+/// one streamed pass: [`BinaryReader`] validates each chunk and the kind
+/// filter decodes it into `addrs`. Memory grows with the references the
+/// file actually holds, never with the count its header claims. Loading
+/// does not hash: the returned trace computes its digest on first use, and
+/// [`execute`] computes it beside the kernel.
 ///
 /// [`TraceSource::Workloads`] is rejected — it describes the full figure
 /// bundle, not a single loadable stream.
@@ -1098,32 +1094,12 @@ fn load_file(path: &Path, policy: ReadPolicy, kinds: KindFilter) -> Result<Loade
         .saturating_sub(12)
         / 4;
     let reader = BinaryReader::new(head.chain(file), policy, NoopProbe).map_err(malformed)?;
-    let expected = reader.expected();
-    let mut addrs = Vec::with_capacity(usize::try_from(expected.min(present)).unwrap_or(0));
-    let mut digest = (kinds == KindFilter::All).then(|| TraceDigest::new(expected));
+    let mut addrs =
+        Vec::with_capacity(usize::try_from(reader.expected().min(present)).unwrap_or(0));
     let report = reader
-        .for_each_chunk(|chunk| match &mut digest {
-            // Hash each 1 KiB piece right after decoding it: the decode
-            // then runs under the digest's multiply chain, not after it.
-            Some(digest) => {
-                for piece in chunk.chunks(256) {
-                    let start = addrs.len();
-                    decode_into(piece, kinds, &mut addrs);
-                    digest.update(&addrs[start..]);
-                }
-            }
-            None => decode_into(chunk, kinds, &mut addrs),
-        })
+        .for_each_chunk(|chunk| decode_into(chunk, kinds, &mut addrs))
         .map_err(malformed)?;
-    let digest = match digest {
-        Some(digest) if addrs.len() as u64 == expected => OnceLock::from(digest.finish()),
-        _ => OnceLock::new(),
-    };
-    Ok(LoadedTrace {
-        addrs,
-        skipped: report.skipped,
-        digest,
-    })
+    Ok(LoadedTrace::new(addrs, report.skipped))
 }
 
 /// Applies the kind filter to a loaded trace and decodes the byte-address
@@ -1135,27 +1111,62 @@ pub fn filter_trace(trace: &Trace, kinds: KindFilter, skipped: u64) -> LoadedTra
 
 /// Simulates the request over an already-loaded trace. Pure execution: no
 /// journal consultation, `cached` is always `false`.
+///
+/// A trace whose digest is still unknown is hashed on a helper thread while
+/// the kernel runs on this one, so the call takes the longer of the two,
+/// not their sum.
 pub fn execute(
     request: &SimulationRequest,
     trace: &LoadedTrace,
 ) -> Result<SimulationResponse, ApiError> {
-    let key = request.content_key_from_digest(trace.digest())?;
-    execute_with_key(request, trace, key)
-}
-
-fn execute_with_key(
-    request: &SimulationRequest,
-    trace: &LoadedTrace,
-    key: String,
-) -> Result<SimulationResponse, ApiError> {
+    // Fail on a key the request cannot have before simulating it.
+    key_schema_verdict(request)?;
     let config = request.cache_config()?;
-    let PolicyRun { label, stats, de } = request.policy.run(request.kernel, config, &trace.addrs);
+    let (digest, PolicyRun { label, stats, de }) = beside_digest(trace, || {
+        request.policy.run(request.kernel, config, &trace.addrs)
+    });
     Ok(SimulationResponse {
         label,
         stats,
         de,
-        key,
+        key: request.content_key_from_digest(digest)?,
         cached: false,
+    })
+}
+
+/// Runs `kernel` on this thread and returns its result with the trace's
+/// digest.
+///
+/// A digest the trace already carries costs nothing. A missing one is
+/// computed on one helper thread, inside a `digest` span parented to this
+/// thread's current span, and joined once the kernel returns: FNV-1a is
+/// byte-serial and cannot be split, but it can run beside work that does
+/// not need it. If the helper cannot be spawned, the digest is computed
+/// here after the kernel.
+fn beside_digest<R>(trace: &LoadedTrace, kernel: impl FnOnce() -> R) -> (u64, R) {
+    let hash = || {
+        let _digest = span::span("digest");
+        trace.digest()
+    };
+    if let Some(&digest) = trace.digest.get() {
+        return (digest, kernel());
+    }
+    let ctx = span::current();
+    std::thread::scope(|scope| {
+        let helper = std::thread::Builder::new()
+            .name("dynex-digest".to_owned())
+            .spawn_scoped(scope, || {
+                let _ctx = ctx.map(span::enter);
+                hash()
+            });
+        let result = kernel();
+        let digest = match helper {
+            Ok(helper) => helper
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            Err(_) => hash(),
+        };
+        (digest, result)
     })
 }
 
@@ -1174,55 +1185,62 @@ pub fn execute_many(
     requests: &[&SimulationRequest],
     trace: &LoadedTrace,
 ) -> Result<Vec<SimulationResponse>, ApiError> {
-    let digest = trace.digest();
     let mut jobs = Vec::with_capacity(requests.len());
-    let mut keys = Vec::with_capacity(requests.len());
     for request in requests {
         jobs.push(Job::new(request.cache_config()?, request.policy));
-        keys.push(request.content_key_from_digest(digest)?);
+        key_schema_verdict(request)?;
     }
     // Reference requests run their spec simulators; the rest share one
     // fast-path call (`batch` and `sweep` name the same code).
-    let mut runs = vec![None; jobs.len()];
-    for kernel in [Kernel::Reference, Kernel::Batch] {
-        let members: Vec<usize> = (0..requests.len())
-            .filter(|&i| (requests[i].kernel == Kernel::Reference) == (kernel == Kernel::Reference))
-            .collect();
-        let group: Vec<Job> = members.iter().map(|&i| jobs[i]).collect();
-        let results = run_jobs(
-            kernel,
-            &group,
-            &trace.addrs,
-            &mut vec![NoopProbe; group.len()],
-        );
-        for (i, run) in members.into_iter().zip(results) {
-            runs[i] = Some(run);
+    let (digest, runs) = beside_digest(trace, || {
+        let mut runs = vec![None; jobs.len()];
+        for kernel in [Kernel::Reference, Kernel::Batch] {
+            let members: Vec<usize> = (0..requests.len())
+                .filter(|&i| {
+                    (requests[i].kernel == Kernel::Reference) == (kernel == Kernel::Reference)
+                })
+                .collect();
+            let group: Vec<Job> = members.iter().map(|&i| jobs[i]).collect();
+            let results = run_jobs(
+                kernel,
+                &group,
+                &trace.addrs,
+                &mut vec![NoopProbe; group.len()],
+            );
+            for (i, run) in members.into_iter().zip(results) {
+                runs[i] = Some(run);
+            }
         }
-    }
-    Ok(jobs
-        .iter()
+        runs
+    });
+    jobs.iter()
         .zip(runs)
-        .zip(keys)
-        .map(|((job, run), key)| {
+        .zip(requests)
+        .map(|((job, run), request)| {
             let (stats, de) = run.expect("every request belongs to one kernel class");
-            SimulationResponse {
+            Ok(SimulationResponse {
                 label: job.policy.label(job.config),
                 stats,
                 de,
-                key,
+                key: request.content_key_from_digest(digest)?,
                 cached: false,
-            }
+            })
         })
-        .collect())
+        .collect()
 }
 
 /// Runs the request over an already-loaded trace, consulting the engine's
 /// global journal: a checkpointed result replays (`cached: true`) and a
-/// fresh one is recorded before returning.
+/// fresh one is recorded before returning. With no journal installed this
+/// is [`execute`]; with one, the key is computed first, since it decides
+/// whether the kernel runs at all.
 pub fn run_loaded(
     request: &SimulationRequest,
     trace: &LoadedTrace,
 ) -> Result<SimulationResponse, ApiError> {
+    if with_global_journal(|_| ()).is_none() {
+        return execute(request, trace);
+    }
     let key = request.content_key_from_digest(trace.digest())?;
     let replayed = with_global_journal(|journal| journal.lookup(&key)).flatten();
     if let Some(value) = &replayed {
@@ -1237,7 +1255,7 @@ pub fn run_loaded(
         }
         eprintln!("warning: journal record for this request is malformed; re-simulating");
     }
-    let response = execute_with_key(request, trace, key)?;
+    let response = execute(request, trace)?;
     with_global_journal(|journal| {
         if let Err(e) = journal.record(
             &response.key,

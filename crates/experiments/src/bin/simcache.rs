@@ -13,6 +13,12 @@
 //! Reads a `dynex-trace` file (binary `.dxt` or the text format, detected by
 //! the magic), simulates, and prints hit/miss statistics.
 //!
+//! Statistics go to stdout; diagnostics and one `sim:` timing line go to
+//! stderr. For a plain run that line times [`api::execute`]: the kernel
+//! plus any wait for the trace's content digest, which `execute` computes
+//! on a helper thread while the kernel runs. Loading and decoding the trace
+//! are not in it.
+//!
 //! `--policy` selects a member of the replacement-policy zoo (`--org` is
 //! the legacy alias). `--kernel` selects between the reference simulators
 //! and the fast path, which `batch` and `sweep` both name (default
@@ -414,8 +420,10 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        // Simulation-only throughput (trace load/decode excluded), on stderr
-        // so stdout stays byte-identical across kernels and machines.
+        // Throughput of api::execute: the kernel plus any wait for the
+        // trace digest it computes beside the kernel (load and decode
+        // excluded). On stderr so stdout stays byte-identical across
+        // kernels and machines.
         let seconds = started.elapsed().as_secs_f64();
         eprintln!(
             "sim: {} references in {seconds:.3}s ({:.0} refs/s)",

@@ -81,7 +81,8 @@ fi
 
 # Span report: a simcache --trace-out stream must aggregate through
 # scripts/span_report.sh in both output modes, and each report must name the
-# kernel's simulate stage. (That tracing changes no stdout byte is
+# kernel's simulate stage and the digest stage that api::execute hashes the
+# trace in, beside the kernel. (That tracing changes no stdout byte is
 # tests/observability.rs::simcache_trace_out_changes_no_output_byte.)
 # (Skipped under --quick: needs the release binaries.)
 if [ "$quick" -eq 0 ]; then
@@ -94,6 +95,10 @@ if [ "$quick" -eq 0 ]; then
     json=$(scripts/span_report.sh --json "$span_dir/spans.jsonl")
     if ! grep -q '^kernel\.simulate ' <<<"$table" || [[ "$json" != *'"kernel.simulate":{'* ]]; then
         echo "verify: span_report.sh printed no kernel.simulate stage" >&2
+        exit 1
+    fi
+    if ! grep -q '^digest ' <<<"$table" || [[ "$json" != *'"digest":{'* ]]; then
+        echo "verify: span_report.sh printed no digest stage" >&2
         exit 1
     fi
     rm -rf "$span_dir"
