@@ -7,8 +7,8 @@
 //! provides the bridge — [`decode_into`] appends the byte addresses of a
 //! run of packed words to a vector (the request API's loader calls it per
 //! chunk as it reads a file), and [`decode_addrs`] materializes a whole
-//! stream when a kernel needs it resident (the whole-trace oracles always
-//! do).
+//! stream when a kernel needs it resident (the EHC window reads ahead of
+//! the reference it answers for).
 //!
 //! It also defines [`Kernel`], the `--kernel {reference,batch,sweep}`
 //! selector the CLIs and the engine share.

@@ -19,9 +19,10 @@
 //!   displacement).
 //! * **chunked decode** — [`decode_chunk`] turns one chunk of byte addresses
 //!   into a reusable line-address buffer (see [`crate::batch`]).
-//! * **next-use oracle** — [`next_use`] chains each reference to its
-//!   block's next use in one reverse scan: the first pass of the optimal
-//!   policy, shared by every optimal point at one line size.
+//! * **32-bit positions** — the forward OPT rule and the EHC window keep
+//!   trace positions and use counts in `u32` slots of a `LineTable`, one
+//!   per touched line; [`assert_positions_fit`] guards the trace length
+//!   they assume.
 //!
 //! The kernels built from them are **bit-identical** to their reference
 //! simulators; `tests/kernel_differential.rs` at the repository root
@@ -29,7 +30,6 @@
 //! counts.
 
 use crate::batch::CHUNK_LEN;
-use crate::line_table::LineTable;
 use crate::CacheStats;
 
 /// One row of the precomputed dynamic-exclusion transition table
@@ -223,45 +223,26 @@ pub(crate) fn max_line(addrs: &[u32], offset_bits: u32) -> u32 {
     addrs.iter().map(|&a| a >> offset_bits).max().unwrap_or(0)
 }
 
-/// The next-use sentinel: the block is never referenced again.
-pub(crate) const NEVER: u32 = u32::MAX;
-
-/// Checks that every trace position fits a `u32` distinct from [`NEVER`]:
-/// the oracles store positions (and counts bounded by the trace length) in
-/// 32 bits, so a longer trace would wrap silently.
-pub(crate) fn assert_positions_fit(len: usize) {
-    assert!(
-        len < NEVER as usize,
-        "trace of {len} references is too long for the whole-trace oracles \
-         (positions are 32-bit; at most {} references)",
-        NEVER - 1
-    );
-}
-
-/// `next[i]` = position of the next reference to the line of `addrs[i]`
-/// (`NEVER` if none), with lines decoded as `addr >> offset_bits`: one
-/// reverse scan carrying each line's upcoming position in a [`LineTable`].
-/// Decoding on the fly spares the caller a whole-trace line buffer.
+/// Checks that every trace position, plus one, fits a `u32` below
+/// `u32::MAX`: the forward OPT rule stores 1 + a position (0 meaning "no
+/// earlier use") and the EHC window counts uses bounded by the trace length,
+/// both in 32 bits, so a longer trace would wrap silently.
 ///
 /// # Panics
 ///
 /// Panics if the trace has `u32::MAX` or more references.
-pub(crate) fn next_use(addrs: &[u32], offset_bits: u32) -> Vec<u32> {
-    assert_positions_fit(addrs.len());
-    let mut next = vec![NEVER; addrs.len()];
-    let mut upcoming = LineTable::new(NEVER);
-    for (i, &addr) in addrs.iter().enumerate().rev() {
-        let slot = upcoming.slot(addr >> offset_bits);
-        next[i] = *slot;
-        *slot = i as u32;
-    }
-    next
+pub(crate) fn assert_positions_fit(len: usize) {
+    assert!(
+        len < u32::MAX as usize,
+        "trace of {len} references is too long for the 32-bit positions of \
+         the OPT and EHC kernels (at most {} references)",
+        u32::MAX - 1
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::line_table::sparse_lines;
     use crate::{
         batch_sweep, batch_sweep_probed, run_addrs, CacheConfig, DirectMapped, SplitMix64,
         SweepPoint, SweepPointResult, SweepPolicy,
@@ -449,49 +430,16 @@ mod tests {
         assert_eq!(stats.accesses(), 110);
     }
 
-    /// The definition `next_use` implements, quadratically: the position
-    /// of the first later reference to the same line.
-    fn naive_next_use(lines: &[u32]) -> Vec<u32> {
-        (0..lines.len())
-            .map(|i| {
-                (i + 1..lines.len())
-                    .find(|&j| lines[j] == lines[i])
-                    .map_or(NEVER, |j| j as u32)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn next_use_matches_its_definition() {
-        assert_eq!(next_use(&[], 2), Vec::<u32>::new());
-        assert_eq!(
-            next_use(&[5, 7, 5, 5, 7, 2], 0),
-            vec![2, 4, 3, NEVER, NEVER, NEVER]
-        );
-        // Lines, not byte addresses: 20 and 23 share a 4-byte line.
-        assert_eq!(next_use(&[20, 23, 24], 2), vec![1, NEVER, NEVER]);
-        for seed in 0..8u64 {
-            for len in [1usize, 2, 17, 300] {
-                let lines = sparse_lines(seed, len);
-                assert_eq!(
-                    next_use(&lines, 0),
-                    naive_next_use(&lines),
-                    "seed {seed} len {len}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn positions_up_to_never_minus_one_fit() {
         assert_positions_fit(0);
-        assert_positions_fit(NEVER as usize - 1);
+        assert_positions_fit(u32::MAX as usize - 1);
     }
 
     #[test]
-    #[should_panic(expected = "too long for the whole-trace oracles")]
+    #[should_panic(expected = "too long for the 32-bit positions")]
     fn a_trace_of_u32_max_references_is_rejected() {
-        assert_positions_fit(NEVER as usize);
+        assert_positions_fit(u32::MAX as usize);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! A sparse per-line `u32` table: the storage behind the whole-trace
-//! oracles (OPT's next-use chain and EHC's windowed-use counts), the
-//! fully-associative cache's line-to-slot map and the 3C classifiers'
-//! first-touch flags.
+//! A sparse per-line `u32` table: the storage behind the forward oracles
+//! (the sweep kernel's last use of each line for OPT, and EHC's per-line
+//! use counts over its sliding window), the fully-associative cache's
+//! line-to-slot map and the 3C classifiers' first-touch flags. Each holds
+//! one slot per touched line and nothing per reference.
 //!
 //! Line addresses span up to 30 bits (a byte address shifted right by at
 //! least the 4-byte word offset), but a trace touches only a few dense

@@ -8,8 +8,9 @@
 //!
 //! * [`ReplacementPolicy`] — stateful per-set hooks (lookup, victim
 //!   selection, fill) wide enough for set-associative policies. The trait
-//!   sees trace positions, so oracle policies (OPT, EHC) can index
-//!   precomputed future-knowledge arrays.
+//!   sees trace positions in order and each chunk as it begins, so oracle
+//!   policies (EHC) can prepare a chunk's future knowledge before its
+//!   lookups.
 //! * [`simulate_policy`] — the generic reference driver: one chunk-decoded
 //!   pass that owns the tag array and the [`CacheStats`] accounting
 //!   (including the fills / writebacks / probes bandwidth counters) and
@@ -25,8 +26,8 @@
 //!   Expected Hit Count", arXiv 1808.05024): rank the incoming block
 //!   against the resident by how many hits each would supply within a
 //!   capacity-scaled window ([`EHC_HORIZON_FRAMES`]) rather than by
-//!   time-to-next-use. Reuses the fused kernel's oracle machinery (one
-//!   reverse scan over the decoded line stream).
+//!   time-to-next-use. Both read their hit counts from one sliding window
+//!   of per-line use counts (`EhcWindow`), filled a chunk at a time.
 //! * [`BwCostPolicy`] / [`batch_bwcost`] — a bandwidth-aware selective-fill
 //!   policy in the spirit of "To Update or Not To Update?" (arXiv
 //!   1907.02167): a miss installs only when the block proved reuse during
@@ -81,9 +82,18 @@ pub enum VictimChoice {
 /// `on_lookup` on every reference (hit or miss), then — on a miss only —
 /// `victim`, and `on_fill` if the victim choice installed.
 ///
-/// `pos` is the 0-based trace position of the access, so oracle policies
-/// can index arrays precomputed from the whole trace.
+/// `pos` is the 0-based trace position of the access. The driver walks the
+/// trace in order, in chunks of [`CHUNK_LEN`] references (the last one
+/// shorter), and announces each chunk through `begin_chunk` before its
+/// first lookup, so an oracle policy can advance its view of the future
+/// one chunk at a time.
 pub trait ReplacementPolicy {
+    /// Announces the chunk of trace positions `pos..pos + len`, before any
+    /// of its references is looked up. The default does nothing.
+    fn begin_chunk(&mut self, pos: usize, len: usize) {
+        let _ = (pos, len);
+    }
+
     /// Observes one reference after hit/miss determination; `hit_way` is
     /// the way the block was found in, `None` on a miss.
     fn on_lookup(&mut self, pos: usize, set: usize, line: u32, hit_way: Option<usize>);
@@ -125,6 +135,7 @@ pub fn simulate_policy<P: ReplacementPolicy>(
             let _decode = span::span("kernel.decode");
             decode_chunk(chunk, offset_bits, &mut line_buf);
         }
+        policy.begin_chunk(pos, chunk.len());
         let _simulate = span::span("kernel.simulate");
         for &line in &line_buf[..chunk.len()] {
             let set = (line & index_mask) as usize;
@@ -244,51 +255,74 @@ impl ReplacementPolicy for DePolicy {
     }
 }
 
-/// `uses[i]` = number of references to the line of `addrs[i]` in the
-/// window `(i, i + horizon]`, with lines decoded as `addr >> offset_bits`
-/// — the expected-hit-count oracle.
+/// The expected-hit-count oracle as a sliding window: for each reference
+/// t, in trace order, the number of references to its line in the window
+/// `(t, t + horizon]`, with lines decoded as `addr >> offset_bits`.
 ///
 /// The finite horizon is what makes the count a usable ranking: a block's
 /// *lifetime* reference total says nothing about whether those references
 /// arrive while it could plausibly stay resident, and ranking by lifetime
 /// totals lets a block with many far-future uses starve its set through
 /// entire reuse bursts of its competitors. The EHC paper scores hits *per
-/// residency*; a capacity-scaled window is the oracle analogue. Pass
-/// `usize::MAX` for the degenerate whole-trace count.
+/// residency*; a capacity-scaled window is the oracle analogue. A horizon
+/// of `usize::MAX` gives the degenerate whole-trace count.
 ///
-/// One forward scan, counting in a [`LineTable`] like the next-use oracle
-/// and decoding on the fly like it. Reference `j` first takes its rank
-/// among its line's references so far (the line's count before it); once
-/// the scan has counted through `j = i + horizon`, the references to the
-/// line of `i` inside the window are that count minus the rank of `i`
-/// minus `i` itself. References whose window reaches past the end settle
-/// from the final counts. That is two table lookups per reference. Counts
-/// never exceed the trace length, so they cannot overflow once the length
-/// check has passed.
-///
-/// # Panics
-///
-/// Panics if the trace has `u32::MAX` or more references.
-pub(crate) fn windowed_uses(addrs: &[u32], offset_bits: u32, horizon: usize) -> Vec<u32> {
-    assert_positions_fit(addrs.len());
-    let n = addrs.len();
-    let line = |i: usize| addrs[i] >> offset_bits;
-    // Holds each reference's rank until its window has been counted.
-    let mut uses = Vec::with_capacity(n);
-    let mut count = LineTable::new(0);
-    for j in 0..n {
-        let seen = count.slot(line(j));
-        uses.push(*seen);
-        *seen += 1;
-        if let Some(i) = j.checked_sub(horizon) {
-            uses[i] = count.get(line(i)) - uses[i] - 1;
+/// The window holds, in a per-line [`LineTable`], the uses of each line
+/// among references `[t, t + horizon]`. At t it takes reference t out (its
+/// line's count is then the answer) and takes reference `t + horizon + 1`
+/// in: two table operations per reference, and memory for the touched
+/// lines only. Counts never exceed the trace length, so they cannot
+/// overflow once the length check has passed.
+#[derive(Debug, Clone)]
+pub(crate) struct EhcWindow<'a> {
+    addrs: &'a [u32],
+    offset_bits: u32,
+    count: LineTable,
+    /// The next reference to answer for.
+    next: usize,
+    /// The first reference not yet counted into the window.
+    ahead: usize,
+}
+
+impl<'a> EhcWindow<'a> {
+    /// A window positioned at the trace's first reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace has `u32::MAX` or more references.
+    pub(crate) fn new(addrs: &'a [u32], offset_bits: u32, horizon: usize) -> EhcWindow<'a> {
+        assert_positions_fit(addrs.len());
+        let mut window = EhcWindow {
+            addrs,
+            offset_bits,
+            count: LineTable::new(0),
+            next: 0,
+            ahead: horizon.saturating_add(1).min(addrs.len()),
+        };
+        for &addr in &addrs[..window.ahead] {
+            *window.count.slot(addr >> offset_bits) += 1;
         }
+        window
     }
-    let tail = n.saturating_sub(horizon);
-    for (rank, &addr) in uses[tail..].iter_mut().zip(&addrs[tail..]) {
-        *rank = count.get(addr >> offset_bits) - *rank - 1;
+
+    /// Writes the windowed use counts of the next `hits.len()` references.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `hits.len()` references remain.
+    pub(crate) fn fill(&mut self, hits: &mut [u32]) {
+        let end = self.next + hits.len();
+        for (hit, &addr) in hits.iter_mut().zip(&self.addrs[self.next..end]) {
+            let count = self.count.slot(addr >> self.offset_bits);
+            *count -= 1;
+            *hit = *count;
+            if let Some(&incoming) = self.addrs.get(self.ahead) {
+                *self.count.slot(incoming >> self.offset_bits) += 1;
+                self.ahead += 1;
+            }
+        }
+        self.next = end;
     }
-    uses
 }
 
 /// The EHC oracle's counting window, in references per cache frame: a
@@ -306,8 +340,8 @@ pub const EHC_HORIZON_FRAMES: usize = 8;
 /// paper's observation is that hit count, not recency of next use, is what
 /// a replacement decision actually buys.
 ///
-/// This implementation uses exact hit counts from the oracle scan over a
-/// capacity-scaled window ([`EHC_HORIZON_FRAMES`] references per cache
+/// This implementation uses exact hit counts from the oracle window over a
+/// capacity-scaled horizon ([`EHC_HORIZON_FRAMES`] references per cache
 /// frame — the idealized form of the paper's per-residency predictor),
 /// making it a proper sibling of the repository's perfect-history DE and
 /// OPT simulators. The horizon matters: ranking by *lifetime* reference
@@ -317,23 +351,45 @@ pub const EHC_HORIZON_FRAMES: usize = 8;
 /// has a resident hit count of zero, so a block with no use inside the
 /// window bypasses even an empty frame — deterministic and harmless either
 /// way, since neither choice can change a later outcome.
+///
+/// The policy borrows the trace it will be driven over and reads each
+/// chunk's hit counts, as the chunk begins, from a sliding window over it
+/// (the one [`batch_ehc`] uses), so [`simulate_policy`] must drive it over
+/// that same trace.
 #[derive(Debug, Clone)]
-pub struct EhcPolicy {
+pub struct EhcPolicy<'a> {
+    window: EhcWindow<'a>,
+    /// The first position of the current chunk.
+    chunk_pos: usize,
+    /// The hit counts of the current chunk.
     hits_left: Vec<u32>,
     resident_hits: Vec<u32>,
 }
 
-impl EhcPolicy {
-    /// Builds the windowed-use oracle for the trace.
-    pub fn new(config: CacheConfig, addrs: &[u32]) -> EhcPolicy {
-        let hits_left = {
+impl<'a> EhcPolicy<'a> {
+    /// Positions the windowed-use oracle at the start of `addrs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace has `u32::MAX` or more references.
+    pub fn new(config: CacheConfig, addrs: &'a [u32]) -> EhcPolicy<'a> {
+        let window = {
             let _next_use = span::span("kernel.next-use");
-            windowed_uses(addrs, config.geometry().offset_bits(), ehc_horizon(config))
+            EhcWindow::new(addrs, config.geometry().offset_bits(), ehc_horizon(config))
         };
         EhcPolicy {
-            hits_left,
+            window,
+            chunk_pos: 0,
+            hits_left: Vec::with_capacity(CHUNK_LEN),
             resident_hits: vec![0; config.n_sets() as usize],
         }
+    }
+
+    /// The hit count of the reference at `pos`, a position of the current
+    /// chunk.
+    #[inline]
+    fn hits_left(&self, pos: usize) -> u32 {
+        self.hits_left[pos - self.chunk_pos]
     }
 }
 
@@ -343,15 +399,23 @@ fn ehc_horizon(config: CacheConfig) -> usize {
     config.n_sets() as usize * config.associativity() as usize * EHC_HORIZON_FRAMES
 }
 
-impl ReplacementPolicy for EhcPolicy {
+impl ReplacementPolicy for EhcPolicy<'_> {
+    fn begin_chunk(&mut self, pos: usize, len: usize) {
+        assert_eq!(pos, self.window.next, "EHC is driven in trace order");
+        let _next_use = span::span("kernel.next-use");
+        self.chunk_pos = pos;
+        self.hits_left.resize(len, 0);
+        self.window.fill(&mut self.hits_left);
+    }
+
     fn on_lookup(&mut self, pos: usize, set: usize, _line: u32, hit_way: Option<usize>) {
         if hit_way.is_some() {
-            self.resident_hits[set] = self.hits_left[pos];
+            self.resident_hits[set] = self.hits_left(pos);
         }
     }
 
     fn victim(&mut self, pos: usize, set: usize, _line: u32, _resident: &[u32]) -> VictimChoice {
-        if self.hits_left[pos] > self.resident_hits[set] {
+        if self.hits_left(pos) > self.resident_hits[set] {
             VictimChoice::Install { way: 0 }
         } else {
             VictimChoice::Bypass
@@ -359,7 +423,7 @@ impl ReplacementPolicy for EhcPolicy {
     }
 
     fn on_fill(&mut self, pos: usize, set: usize, _line: u32, _way: usize, _evicted: Option<u32>) {
-        self.resident_hits[set] = self.hits_left[pos];
+        self.resident_hits[set] = self.hits_left(pos);
     }
 }
 
@@ -426,7 +490,8 @@ impl ReplacementPolicy for BwCostPolicy {
 ///
 /// # Panics
 ///
-/// Panics if `config.associativity() != 1`, like the other batch kernels.
+/// Panics if `config.associativity() != 1`, like the other batch kernels,
+/// or if the trace has `u32::MAX` or more references.
 pub fn batch_ehc(config: CacheConfig, addrs: &[u32]) -> CacheStats {
     assert_eq!(
         config.associativity(),
@@ -436,9 +501,9 @@ pub fn batch_ehc(config: CacheConfig, addrs: &[u32]) -> CacheStats {
     let geometry = config.geometry();
     let offset_bits = geometry.offset_bits();
     let index_mask = (1u32 << geometry.index_bits()) - 1;
-    let hits_left = {
+    let mut window = {
         let _next_use = span::span("kernel.next-use");
-        windowed_uses(addrs, offset_bits, ehc_horizon(config))
+        EhcWindow::new(addrs, offset_bits, ehc_horizon(config))
     };
 
     let n_sets = config.n_sets() as usize;
@@ -448,13 +513,19 @@ pub fn batch_ehc(config: CacheConfig, addrs: &[u32]) -> CacheStats {
     let mut fills = 0u64;
     let mut writebacks = 0u64;
     let mut line_buf = [0u32; CHUNK_LEN];
-    for (chunk, hits_chunk) in addrs.chunks(CHUNK_LEN).zip(hits_left.chunks(CHUNK_LEN)) {
+    let mut hits_buf = [0u32; CHUNK_LEN];
+    for chunk in addrs.chunks(CHUNK_LEN) {
         {
             let _decode = span::span("kernel.decode");
             decode_chunk(chunk, offset_bits, &mut line_buf);
         }
+        let hits_left = &mut hits_buf[..chunk.len()];
+        {
+            let _next_use = span::span("kernel.next-use");
+            window.fill(hits_left);
+        }
         let _simulate = span::span("kernel.simulate");
-        for (&line, &h) in line_buf.iter().zip(hits_chunk) {
+        for (&line, &h) in line_buf.iter().zip(&*hits_left) {
             let set = (line & index_mask) as usize;
             if resident[set] == line {
                 resident_hits[set] = h;
@@ -684,6 +755,95 @@ mod tests {
         assert!(bw.fills() < bw.misses());
         // 1 cold fill + one forced fill per STARVE_LIMIT+1 bypassed misses.
         assert_eq!(bw.fills(), 1 + 99 / (STARVE_LIMIT as u64 + 1));
+    }
+
+    /// The model [`EhcWindow`] is checked against, a forward rank scan over
+    /// the whole trace: `uses[i]` = number of references to the line of
+    /// `addrs[i]` in `(i, i + horizon]`.
+    /// Reference `j` first takes its rank among its line's references so
+    /// far (the line's count before it); once the scan has counted through
+    /// `j = i + horizon`, the references to the line of `i` inside the
+    /// window are that count minus the rank of `i` minus `i` itself.
+    /// References whose window reaches past the end settle from the final
+    /// counts.
+    fn windowed_uses(addrs: &[u32], offset_bits: u32, horizon: usize) -> Vec<u32> {
+        let n = addrs.len();
+        let line = |i: usize| addrs[i] >> offset_bits;
+        // Holds each reference's rank until its window has been counted.
+        let mut uses = Vec::with_capacity(n);
+        let mut count = LineTable::new(0);
+        for j in 0..n {
+            let seen = count.slot(line(j));
+            uses.push(*seen);
+            *seen += 1;
+            if let Some(i) = j.checked_sub(horizon) {
+                uses[i] = count.get(line(i)) - uses[i] - 1;
+            }
+        }
+        let tail = n.saturating_sub(horizon);
+        for (rank, &addr) in uses[tail..].iter_mut().zip(&addrs[tail..]) {
+            *rank = count.get(addr >> offset_bits) - *rank - 1;
+        }
+        uses
+    }
+
+    /// The window's counts for the whole trace, filled in pieces of
+    /// `piece` references (the last one shorter).
+    fn window_uses(addrs: &[u32], offset_bits: u32, horizon: usize, piece: usize) -> Vec<u32> {
+        let mut window = EhcWindow::new(addrs, offset_bits, horizon);
+        let mut uses = vec![0; addrs.len()];
+        for hits in uses.chunks_mut(piece) {
+            window.fill(hits);
+        }
+        uses
+    }
+
+    #[test]
+    fn window_matches_the_forward_rank_scan() {
+        let horizons = [
+            0usize,
+            1,
+            7,
+            PAGE_LEN,
+            CHUNK_LEN - 1,
+            CHUNK_LEN,
+            CHUNK_LEN + 1,
+            usize::MAX,
+        ];
+        for horizon in horizons {
+            assert!(window_uses(&[], 0, horizon, CHUNK_LEN).is_empty());
+            for seed in 0..4u64 {
+                for len in [1usize, 2, 7, 300, 3 * CHUNK_LEN + 5] {
+                    let lines = sparse_lines(seed, len);
+                    let model = windowed_uses(&lines, 0, horizon);
+                    for piece in [1usize, 97, CHUNK_LEN] {
+                        assert_eq!(
+                            window_uses(&lines, 0, horizon, piece),
+                            model,
+                            "seed {seed} len {len} horizon {horizon} piece {piece}"
+                        );
+                    }
+                }
+            }
+        }
+        // Lines, not byte addresses: 28 and 31 share a 4-byte line.
+        assert_eq!(window_uses(&[28, 12, 31], 2, 2, 2), vec![1, 0, 0]);
+    }
+
+    #[test]
+    fn window_spans_many_chunks_at_the_32k_horizon() {
+        // 32 KB of 4-byte lines: a horizon of 8 x 8192 = 65,536 references,
+        // sixteen chunks, over a trace of forty chunks.
+        let horizon = ehc_horizon(config(32 * 1024, 4));
+        assert_eq!(horizon, 16 * CHUNK_LEN);
+        let mut rng = SplitMix64::new(0xe4c);
+        let addrs: Vec<u32> = (0..40 * CHUNK_LEN + 3)
+            .map(|_| rng.below(20_000) as u32 * 4)
+            .collect();
+        assert_eq!(
+            window_uses(&addrs, 2, horizon, CHUNK_LEN),
+            windowed_uses(&addrs, 2, horizon)
+        );
     }
 
     #[test]

@@ -10,20 +10,22 @@
 //!   *distinct* line size (`line = addr >> offset_bits` depends only on
 //!   `offset_bits`), not once per point, and no whole-trace line stream is
 //!   ever built.
-//! * **one next-use oracle per line size** — the optimal policy's
-//!   reverse-scan chain likewise depends only on the line size, so a 16-size
-//!   sweep at one line size builds it once and shares it 16 ways (plain and
-//!   last-line optimal points alike).
+//! * **one last-use table per line size** — the optimal policy decides
+//!   each reference as it arrives, from the position of its line's previous
+//!   use. Those positions depend only on the line size, so each chunk's
+//!   previous uses are read from (and written to) one per-line table per
+//!   line size that has an optimal point, shared by every optimal point at
+//!   that line size (plain and last-line alike). The table holds one `u32`
+//!   per touched line; nothing is sized by the trace length.
 //! * **last-line runs per line size** — the Section 6 last-line buffer
 //!   serves every reference that repeats the line before it, so a run
 //!   boundary (`line[i] != line[i-1]`) depends only on the line size. Each
 //!   chunk's run starts are listed once per line size that has a
-//!   last-line DE point; the DE FSM steps only at those positions, and
-//!   every other reference is a buffer hit. A last-line optimal point
-//!   decides once per run, at the run's last position, whose next use is
-//!   the start of that line's next run.
+//!   last-line point; the DE FSM and the optimal rule step only at those
+//!   positions, and every other reference is a buffer hit.
 //! * **flat per-point state** — each point owns flat tag / sticky /
-//!   hit-last-copy vectors, and each dynamic-exclusion point its own
+//!   hit-last-copy vectors (an optimal point only its sets' ends of the
+//!   last hit), and each dynamic-exclusion point its own
 //!   hit-last bitmap over its line size's footprint (prescanned only for
 //!   line sizes that have a DE point).
 //! * **one hit-last allocation** — the DE bitmaps are disjoint views of
@@ -40,6 +42,12 @@
 //! * **chunk-boundary merges** — per-point hit/miss tallies accumulate in
 //!   registers inside a chunk and merge into the per-point totals only at
 //!   chunk boundaries, where the observability spans open.
+//! * **out-of-line chunk loops** — each policy's chunk loop (and the
+//!   last-use scan) is its own `#[inline(never)]` function. It is called
+//!   once per chunk, so the call costs nothing, and the code generated for
+//!   one policy's loop no longer depends on what the others inline into
+//!   the walk (inlined, the dm and de loops lost 3–15% when the optimal
+//!   rule joined them).
 //!
 //! Every point is **bit-identical** to the reference simulator of its
 //! policy ([`crate::DirectMapped`], and `DeCache` / `LastLineDeCache` /
@@ -56,9 +64,10 @@ use dynex_obs::{Cause, Event, NoopProbe, Outcome, Probe};
 use crate::batch::CHUNK_LEN;
 use crate::direct::INVALID_LINE;
 use crate::kernel::{
-    de_fsm_index, decode_chunk, hit_last_bit, hit_last_words, max_line, next_use, set_hit_last_bit,
-    BatchDeResult, DeFsmRow, DE_FSM_TABLE, NEVER,
+    assert_positions_fit, de_fsm_index, decode_chunk, hit_last_bit, hit_last_words, max_line,
+    set_hit_last_bit, BatchDeResult, DeFsmRow, DE_FSM_TABLE,
 };
+use crate::line_table::LineTable;
 use crate::{CacheConfig, CacheStats};
 
 /// The replacement/bypass policy of one sweep point.
@@ -101,7 +110,7 @@ impl SweepPolicy {
         )
     }
 
-    /// Reads the next-use oracle of its line size.
+    /// Reads the last-use table of its line size.
     fn is_optimal(self) -> bool {
         matches!(self, SweepPolicy::Optimal | SweepPolicy::OptimalLastLine)
     }
@@ -204,6 +213,7 @@ impl DmSweep {
     /// One chunk of conventional direct-mapped accesses, emitting exactly
     /// the events of [`crate::DirectMapped`]. The miss tally lives in a
     /// register inside the loop and merges at the chunk boundary.
+    #[inline(never)]
     fn run_chunk<P: Probe>(&mut self, addrs: &[u32], lines: &[u32], probe: &mut P) {
         let mask = self.index_mask;
         let mut misses = 0u64;
@@ -272,6 +282,7 @@ impl<'a> DeSweep<'a> {
     /// table, emitting exactly the events (and in the order) of the
     /// reference `DeCache`/`DeLines`/`fsm::step_probed` stack. Tallies merge
     /// at the chunk boundary.
+    #[inline(never)]
     fn run_chunk<P: Probe>(&mut self, addrs: &[u32], lines: &[u32], probe: &mut P) {
         let mut misses = 0u64;
         let mut loads = 0u64;
@@ -289,6 +300,7 @@ impl<'a> DeSweep<'a> {
     /// chunk's run starts (`starts`, ascending offsets into the chunk), as
     /// the inner cache does for a line address (`line << offset_bits`);
     /// every other reference is a buffer hit.
+    #[inline(never)]
     fn run_chunk_lastline<P: Probe>(
         &mut self,
         addrs: &[u32],
@@ -399,9 +411,22 @@ impl<'a> DeSweep<'a> {
 }
 
 /// Per-set state of one optimal sweep point.
+///
+/// The optimal direct-mapped cache with bypass hits reference t of line x
+/// exactly when x stays resident from its previous use p to t, so no other
+/// block of the set is kept anywhere in between. Its hits are therefore a
+/// largest set of non-overlapping same-set intervals [p, t], and the
+/// earliest-end greedy of interval scheduling finds one in time order:
+/// accept [p, t] iff p lies at or after the end of the set's last accepted
+/// interval. That rule needs one `u32` per set and the previous use of the
+/// current reference, both known at t; it yields the miss count of the
+/// reference `OptimalDirectMapped` (Belady's keep-whichever-is-used-sooner
+/// rule), which `tests/kernel_differential.rs` checks on random traces.
 struct OptSweep {
-    resident: Vec<u32>,
-    resident_next: Vec<u32>,
+    /// 1 + the position of the set's last hit, and 1 before any hit: a
+    /// previous use (stored as 1 + its position, 0 for none) at or after
+    /// it hits.
+    end: Vec<u32>,
     index_mask: u32,
     misses: u64,
 }
@@ -409,65 +434,82 @@ struct OptSweep {
 impl OptSweep {
     fn new(n_sets: usize, index_mask: u32) -> OptSweep {
         OptSweep {
-            resident: vec![INVALID_LINE; n_sets],
-            // An invalid resident is "never used again", so any incoming
-            // block wins the greedy comparison.
-            resident_next: vec![NEVER; n_sets],
+            end: vec![1; n_sets],
             index_mask,
             misses: 0,
         }
     }
 
-    /// One chunk of the greedy keep-whichever-is-used-sooner rule: the
-    /// second pass of the reference `OptimalDirectMapped::simulate`, whose
-    /// first pass is the shared next-use oracle. Tallies merge at the chunk
-    /// boundary.
-    fn run_chunk(&mut self, lines: &[u32], next: &[u32]) {
-        let mask = self.index_mask;
+    /// One reference of line `line` at 1-based position `at`, whose
+    /// previous use is `prev` (1-based, 0 for none); returns whether it
+    /// misses.
+    #[inline(always)]
+    fn step(&mut self, line: u32, prev: u32, at: u32) -> bool {
+        let end = &mut self.end[(line & self.index_mask) as usize];
+        let hit = prev >= *end;
+        if hit {
+            *end = at;
+        }
+        !hit
+    }
+
+    /// One chunk of the forward optimal rule; `prev` holds the chunk's
+    /// previous uses from its line size's [`LastUses`] and `pos` is the
+    /// chunk's first trace position. Tallies merge at the chunk boundary.
+    #[inline(never)]
+    fn run_chunk(&mut self, lines: &[u32], prev: &[u32], pos: u32) {
         let mut misses = 0u64;
-        for (&line, &next) in lines.iter().zip(next) {
-            let set = (line & mask) as usize;
-            if self.resident[set] == line {
-                self.resident_next[set] = next;
-            } else {
-                misses += 1;
-                if next < self.resident_next[set] {
-                    self.resident[set] = line;
-                    self.resident_next[set] = next;
-                }
-            }
+        for ((&line, &prev), at) in lines.iter().zip(prev).zip(pos + 1..) {
+            misses += self.step(line, prev, at) as u64;
         }
         self.misses += misses;
     }
 
-    /// One chunk behind the last-line buffer: the greedy rule runs once per
-    /// line run, at the run's last position — the one whose next use is
-    /// not the very next reference. That next use is the start of the
-    /// line's next run, and run index → start position is strictly
-    /// increasing, so every comparison matches the reference
-    /// `OptimalDirectMapped::simulate_with_lastline` over run indices. The
-    /// rest of the run hits the buffer and touches no set state, so
-    /// deciding at the run's end instead of its start changes nothing.
-    /// `pos` is the chunk's first trace position.
-    fn run_chunk_lastline(&mut self, lines: &[u32], next: &[u32], pos: u32) {
-        let mask = self.index_mask;
+    /// One chunk behind the last-line buffer: the same rule at the chunk's
+    /// run starts only, the references the inner cache of the reference
+    /// `OptimalDirectMapped::simulate_with_lastline` sees; every other
+    /// reference is a buffer hit. A run start's previous use is the last
+    /// position of its line's previous run, and that position is at or
+    /// after the start of a run exactly when its run is not earlier, so
+    /// the rule over trace positions decides as it would over run indices.
+    #[inline(never)]
+    fn run_chunk_lastline(&mut self, lines: &[u32], prev: &[u32], starts: &[u32], pos: u32) {
         let mut misses = 0u64;
-        for ((&line, &next), at) in lines.iter().zip(next).zip(pos + 1..) {
-            if next == at {
-                continue;
-            }
-            let set = (line & mask) as usize;
-            if self.resident[set] == line {
-                self.resident_next[set] = next;
-            } else {
-                misses += 1;
-                if next < self.resident_next[set] {
-                    self.resident[set] = line;
-                    self.resident_next[set] = next;
-                }
-            }
+        for &start in starts {
+            let i = start as usize;
+            misses += self.step(lines[i], prev[i], pos + start + 1) as u64;
         }
         self.misses += misses;
+    }
+}
+
+/// The previous uses of one line size's decoded chunks, carried across
+/// chunk boundaries in a per-line table of last uses: `prev[i]` is 1 + the
+/// trace position of the last earlier reference to the line of chunk
+/// offset `i`, or 0 when there is none. These are what the optimal points
+/// of that line size decide from.
+struct LastUses {
+    last: LineTable,
+    prev: Vec<u32>,
+}
+
+impl LastUses {
+    fn new() -> LastUses {
+        LastUses {
+            last: LineTable::new(0),
+            prev: vec![0; CHUNK_LEN],
+        }
+    }
+
+    /// Reads the previous uses of the next chunk of `lines`, whose first
+    /// trace position is `pos`, and records the chunk's own uses.
+    #[inline(never)]
+    fn scan(&mut self, lines: &[u32], pos: u32) {
+        for ((prev, &line), at) in self.prev.iter_mut().zip(lines).zip(pos + 1..) {
+            let slot = self.last.slot(line);
+            *prev = *slot;
+            *slot = at;
+        }
     }
 }
 
@@ -514,8 +556,8 @@ enum PointState<'a> {
 ///
 /// Bit-identical per point to the reference simulator of its policy; what
 /// the sweep buys is decoding each chunk once per distinct line size,
-/// building each distinct next-use oracle once, and walking the trace once
-/// for the whole plan instead of once per point.
+/// reading each distinct line size's previous uses once, and walking the
+/// trace once for the whole plan instead of once per point.
 ///
 /// Points may repeat geometries (each keeps fully independent state) and
 /// may be a single point, which is how every one-point dm/de/opt
@@ -524,7 +566,8 @@ enum PointState<'a> {
 /// # Panics
 ///
 /// Panics if any point's `config.associativity() != 1`, like the reference
-/// simulators.
+/// simulators, or if an optimal point meets a trace of `u32::MAX` or more
+/// references.
 ///
 /// # Examples
 ///
@@ -556,8 +599,9 @@ pub fn batch_sweep(points: &[SweepPoint], addrs: &[u32]) -> Vec<SweepPointResult
 ///
 /// # Panics
 ///
-/// Panics if `probes.len() != points.len()` or any point's associativity is
-/// not 1.
+/// Panics if `probes.len() != points.len()`, if any point's associativity
+/// is not 1, or if an optimal point meets a trace of `u32::MAX` or more
+/// references.
 pub fn batch_sweep_probed<P: Probe>(
     points: &[SweepPoint],
     addrs: &[u32],
@@ -577,7 +621,7 @@ pub fn batch_sweep_probed<P: Probe>(
 
     // Distinct line geometries, in first-appearance order. The line address
     // stream depends only on offset_bits, so points sharing a line size
-    // share one decode and (for optimal points) one next-use oracle.
+    // share one decode and (for optimal points) one last-use table.
     let mut offsets: Vec<u32> = Vec::new();
     let offset_of: Vec<usize> = points
         .iter()
@@ -590,25 +634,30 @@ pub fn batch_sweep_probed<P: Probe>(
         })
         .collect();
 
-    // Whole-trace work per line size, done only where a point needs it: the
-    // footprint prescan that sizes the DE bitmaps, the next-use oracle of
-    // the optimal points, and the run starts of the last-line DE points.
+    // Per-line-size work, done only where a point needs it: the footprint
+    // prescan that sizes the DE bitmaps, the last-use table of the optimal
+    // points, and the run starts of the last-line points.
     let mut max_by: Vec<Option<u32>> = vec![None; offsets.len()];
-    let mut next_by: Vec<Option<Vec<u32>>> = vec![None; offsets.len()];
+    let mut last_by: Vec<Option<LastUses>> = offsets.iter().map(|_| None).collect();
     let mut runs_by: Vec<Option<RunStarts>> = vec![None; offsets.len()];
     for (point, &oi) in points.iter().zip(&offset_of) {
         if point.policy.is_de() && max_by[oi].is_none() {
             let _decode = span::span("kernel.decode");
             max_by[oi] = Some(max_line(addrs, offsets[oi]));
         }
-        if point.policy.is_optimal() && next_by[oi].is_none() {
-            let _next_use = span::span("kernel.next-use");
-            next_by[oi] = Some(next_use(addrs, offsets[oi]));
+        if point.policy.is_optimal() && last_by[oi].is_none() {
+            assert_positions_fit(addrs.len());
+            last_by[oi] = Some(LastUses::new());
         }
-        if point.policy == SweepPolicy::DeLastLine && runs_by[oi].is_none() {
+        if matches!(
+            point.policy,
+            SweepPolicy::DeLastLine | SweepPolicy::OptimalLastLine
+        ) && runs_by[oi].is_none()
+        {
             runs_by[oi] = Some(RunStarts::new());
         }
     }
+    let any_optimal = last_by.iter().any(Option::is_some);
 
     // One zeroed allocation holds every DE point's bitmap (see the module
     // docs); each point takes the next disjoint slice of it.
@@ -650,7 +699,9 @@ pub fn batch_sweep_probed<P: Probe>(
     // every point consumes it before the window advances, so each point's
     // per-set state is touched in trace order while the window stays in
     // cache. Spans open at chunk boundaries only (two relaxed atomic loads
-    // per chunk when tracing is off); the inner loops stay branchless.
+    // per chunk when tracing is off); the inner loops stay branchless. The
+    // optimal points' previous-use scan is the oracle stage,
+    // `kernel.next-use`, as EHC's window fill is.
     let mut line_bufs = vec![[0u32; CHUNK_LEN]; offsets.len()];
     for (pos, chunk) in (0..).step_by(CHUNK_LEN).zip(addrs.chunks(CHUNK_LEN)) {
         {
@@ -664,26 +715,39 @@ pub fn batch_sweep_probed<P: Probe>(
                 }
             }
         }
+        if any_optimal {
+            let _next_use = span::span("kernel.next-use");
+            for (last, buf) in last_by.iter_mut().zip(&line_bufs) {
+                if let Some(last) = last {
+                    last.scan(&buf[..chunk.len()], pos as u32);
+                }
+            }
+        }
         let _simulate = span::span("kernel.simulate");
         for ((point_state, &oi), probe) in state.iter_mut().zip(&offset_of).zip(probes.iter_mut()) {
             let lines = &line_bufs[oi][..chunk.len()];
-            let next = || {
-                let next = next_by[oi]
-                    .as_deref()
-                    .expect("next-use oracle built for every optimal line size");
-                &next[pos..pos + chunk.len()]
+            let prev = || {
+                let last = last_by[oi]
+                    .as_ref()
+                    .expect("last uses scanned for every optimal line size");
+                &last.prev[..chunk.len()]
+            };
+            let starts = || {
+                let runs = runs_by[oi]
+                    .as_ref()
+                    .expect("run starts listed for every last-line line size");
+                &runs.starts[..]
             };
             match point_state {
                 PointState::Dm(dm) => dm.run_chunk(chunk, lines, probe),
                 PointState::De(de) => de.run_chunk(chunk, lines, probe),
-                PointState::Opt(opt) => opt.run_chunk(lines, next()),
+                PointState::Opt(opt) => opt.run_chunk(lines, prev(), pos as u32),
                 PointState::DeLastLine(de) => {
-                    let runs = runs_by[oi]
-                        .as_ref()
-                        .expect("run starts listed for every last-line DE line size");
-                    de.run_chunk_lastline(chunk, lines, &runs.starts, offsets[oi], probe);
+                    de.run_chunk_lastline(chunk, lines, starts(), offsets[oi], probe);
                 }
-                PointState::OptLastLine(opt) => opt.run_chunk_lastline(lines, next(), pos as u32),
+                PointState::OptLastLine(opt) => {
+                    opt.run_chunk_lastline(lines, prev(), starts(), pos as u32)
+                }
             }
         }
     }

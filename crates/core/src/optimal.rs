@@ -244,9 +244,9 @@ mod tests {
 
     #[test]
     fn sweep_kernel_lastline_matches_reference() {
-        // The fast kernel's last-line optimal points decide once per run
-        // at the run's last position; the counts must equal this run-index
-        // oracle at every line size.
+        // The fast kernel's last-line optimal points apply the forward
+        // interval rule at each run start, over trace positions; the counts
+        // must equal this run-index oracle at every line size.
         use dynex_cache::{batch_sweep, SplitMix64, SweepPoint, SweepPolicy};
         let mut rng = SplitMix64::new(30);
         let mut addrs = Vec::new();

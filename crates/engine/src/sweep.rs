@@ -324,9 +324,10 @@ impl PolicyKind {
 /// one-job or N-job cases. On the fast path ([`Kernel::Batch`] or
 /// [`Kernel::Sweep`]) every dm/de/opt or last-line job rides one
 /// [`batch_sweep_probed`] traversal — one decode per chunk and distinct
-/// line size, one next-use oracle per distinct line size — ehc and bwcost
-/// run [`batch_ehc`] / [`batch_bwcost`], and every other job runs its
-/// reference simulator. Under [`Kernel::Reference`] every job runs its
+/// line size, and for opt one forward scan of last uses per chunk and
+/// distinct line size, with no whole-trace oracle — ehc and bwcost run
+/// [`batch_ehc`] / [`batch_bwcost`] (EHC from a sliding window of use
+/// counts), and every other job runs its reference simulator. Under [`Kernel::Reference`] every job runs its
 /// spec simulator. Every kernel yields the same results, and each probe
 /// receives its job's reference event stream (opt, opt-lastline, ehc and
 /// bwcost emit none).
@@ -713,7 +714,7 @@ mod tests {
             // The thrash trace bypasses: DE must report some excluded loads.
             assert!(de.exclusion_bypasses > 0);
             // A conventional cache makes no exclusion decisions, and the
-            // two-pass oracle emits no events.
+            // optimal oracle emits no events.
             assert_eq!((dm.exclusion_loads, dm.exclusion_bypasses), (0, 0));
             assert_eq!(opt, EventCounts::default());
         }

@@ -1372,8 +1372,9 @@ pub fn run_triple(kernel: Kernel, config: CacheConfig, addrs: &[u32]) -> Triple 
 /// One [`run_jobs`] call: on the fast path ([`Kernel::Batch`] or
 /// [`Kernel::Sweep`]) every policy of every configuration rides a single
 /// sweep-kernel traversal: one decode per chunk and distinct line size,
-/// one next-use oracle per distinct line size, and one trace walk. Under
-/// [`Kernel::Reference`] each policy runs its spec simulator. Both produce
+/// one last-use scan per chunk and distinct line size for OPT, and one
+/// trace walk. Under [`Kernel::Reference`] each policy runs its spec
+/// simulator. Both produce
 /// bit-identical [`Triple`]s, so journal keys and resumed sweeps are
 /// kernel-agnostic.
 pub fn run_triples(kernel: Kernel, configs: &[CacheConfig], addrs: &[u32]) -> Vec<Triple> {

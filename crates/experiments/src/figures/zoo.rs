@@ -51,7 +51,7 @@ pub fn ehc(workloads: &Workloads) -> Table {
         ZOO_SIZES_KB.map(|kb| CacheConfig::direct_mapped(kb * 1024, 4).expect("valid config"));
     let per_bench = per_benchmark(workloads, |addrs| {
         // The dm/de/opt columns of every size share one triple call (one
-        // trace walk and one next-use oracle on the fast path); EHC runs
+        // trace walk and one last-use table on the fast path); EHC runs
         // per size.
         let triples = run_triples(default_kernel(), &configs, addrs);
         configs

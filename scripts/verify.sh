@@ -82,25 +82,32 @@ fi
 # Span report: a simcache --trace-out stream must aggregate through
 # scripts/span_report.sh in both output modes, and each report must name the
 # kernel's simulate stage and the digest stage that api::execute hashes the
-# trace in, beside the kernel. (That tracing changes no stdout byte is
+# trace in, beside the kernel. The opt and ehc runs must also name the
+# kernel.next-use stage: their forward oracles (OPT's last-use scan, EHC's
+# sliding window) run inside the chunk walk, and this keeps their time
+# attributed there. (That tracing changes no stdout byte is
 # tests/observability.rs::simcache_trace_out_changes_no_output_byte.)
 # (Skipped under --quick: needs the release binaries.)
 if [ "$quick" -eq 0 ]; then
     echo "==> span report (simcache --trace-out through span_report.sh, table and --json)"
     span_dir=$(mktemp -d)
     target/release/tracegen gcc --refs 100000 "$span_dir/gcc.dxt" >/dev/null
-    target/release/simcache "$span_dir/gcc.dxt" --size 32K --policy de \
-        --trace-out "$span_dir/spans.jsonl" >/dev/null 2>&1
-    table=$(scripts/span_report.sh "$span_dir/spans.jsonl")
-    json=$(scripts/span_report.sh --json "$span_dir/spans.jsonl")
-    if ! grep -q '^kernel\.simulate ' <<<"$table" || [[ "$json" != *'"kernel.simulate":{'* ]]; then
-        echo "verify: span_report.sh printed no kernel.simulate stage" >&2
-        exit 1
-    fi
-    if ! grep -q '^digest ' <<<"$table" || [[ "$json" != *'"digest":{'* ]]; then
-        echo "verify: span_report.sh printed no digest stage" >&2
-        exit 1
-    fi
+    for policy in de opt ehc; do
+        target/release/simcache "$span_dir/gcc.dxt" --size 32K --policy "$policy" \
+            --trace-out "$span_dir/$policy.jsonl" >/dev/null 2>&1
+        table=$(scripts/span_report.sh "$span_dir/$policy.jsonl")
+        json=$(scripts/span_report.sh --json "$span_dir/$policy.jsonl")
+        stages="kernel.simulate digest"
+        if [ "$policy" != de ]; then
+            stages="$stages kernel.next-use"
+        fi
+        for stage in $stages; do
+            if ! grep -q "^${stage//./\\.} " <<<"$table" || [[ "$json" != *"\"$stage\":{"* ]]; then
+                echo "verify: span_report.sh printed no $stage stage for --policy $policy" >&2
+                exit 1
+            fi
+        done
+    done
     rm -rf "$span_dir"
 fi
 

@@ -18,8 +18,11 @@
 //! * `simcache --sweep` stdout for size lists of 1, 4 and 16 points,
 //! * decode edge cases — empty traces, shorter-than-a-chunk traces,
 //!   chunk-boundary-straddling loops, all-filtering kind filters,
-//! * the whole-trace oracles (opt's next-use, EHC's windowed uses) on a
-//!   trace whose line addresses span past 2^26.
+//! * the forward oracles (opt's last-use rule, EHC's sliding window) on a
+//!   trace whose line addresses span past 2^26,
+//! * the forward OPT rule against Belady's reference on 20,000 random
+//!   traces, at every figure geometry, and at its encoding and chunk edges,
+//!   and EHC's window against its trait-driven reference across chunks.
 //!
 //! Tests that flip the session-wide kernel/jobs globals serialize behind
 //! [`GLOBALS`] and restore the defaults before releasing it, so the rest of
@@ -563,11 +566,11 @@ fn mixed_line_size_sweep_matches_reference_at_a_partial_last_chunk() {
     }
 }
 
-/// The whole-trace oracles on a sparse line space: a phased-application
-/// trace whose stack sits near `0x7fff_f000`, so at 4-byte lines its line
+/// The forward oracles on a sparse line space: a phased-application trace
+/// whose stack sits near `0x7fff_f000`, so at 4-byte lines its line
 /// addresses reach past 2^26 while it touches only a few thousand lines.
 /// Every fast opt path (the point swept alone, inside the fused triple, and
-/// inside a sweep sharing the oracle per line size) must equal the
+/// inside a sweep sharing the last-use table per line size) must equal the
 /// reference `OptimalDirectMapped`, and the EHC batch kernel must equal its
 /// trait-driven reference.
 #[test]
@@ -741,5 +744,140 @@ fn traffic_counters_are_bit_identical_across_kernels() {
         assert_eq!(batch, reference, "{}", policy.name());
         assert_eq!(batch.probes(), addrs.len() as u64, "{}", policy.name());
         assert!(batch.fills() <= batch.misses(), "{}", policy.name());
+    }
+}
+
+/// The forward optimal rule's points, `opt` and `opt-lastline` at `config`,
+/// swept together over `addrs`, against the reference Belady simulators
+/// (`OptimalDirectMapped` over its own next-use chain).
+fn assert_forward_opt_is_belady(config: CacheConfig, addrs: &[u32], what: &str) {
+    let points = [SweepPolicy::Optimal, SweepPolicy::OptimalLastLine]
+        .map(|policy| SweepPoint::new(config, policy));
+    let swept = batch_sweep(&points, addrs);
+    let refs = addrs.iter().copied();
+    assert_eq!(
+        swept[0],
+        SweepPointResult::Opt(OptimalDirectMapped::simulate(config, refs.clone())),
+        "opt @ {config}: {what}"
+    );
+    assert_eq!(
+        swept[1],
+        SweepPointResult::Opt(OptimalDirectMapped::simulate_with_lastline(config, refs)),
+        "opt-lastline @ {config}: {what}"
+    );
+}
+
+/// The forward OPT rule (a hit iff the line's previous use lies at or after
+/// the end of its set's last hit) against Belady on 20,000 seeded random
+/// traces: 1–8 sets, at most 20 lines, at most 60 references, at 4- and
+/// 16-byte lines so the last-line variant sees multi-reference runs.
+#[test]
+fn forward_opt_matches_belady_on_random_traces() {
+    let mut rng = SplitMix64::new(0x0b7);
+    for trial in 0..20_000 {
+        let line = [4u32, 16][rng.below(2) as usize];
+        let sets = 1u32 << rng.below(4);
+        let config = CacheConfig::direct_mapped(sets * line, line).unwrap();
+        let lines = 1 + rng.below(20) as u32;
+        let len = rng.below_usize(61);
+        let addrs: Vec<u32> = (0..len)
+            .map(|_| rng.below(lines as u64) as u32 * line + rng.below(line as u64 / 4) as u32 * 4)
+            .collect();
+        assert_forward_opt_is_belady(config, &addrs, &format!("trial {trial}: {addrs:?}"));
+    }
+}
+
+/// The forward OPT rule against Belady at every cache size and line size
+/// the figures sweep, over a multi-chunk phased-application trace and one
+/// SPEC'89 profile's instruction and data streams.
+#[test]
+fn forward_opt_matches_belady_at_every_figure_geometry() {
+    let app: Vec<u32> = AppParams::new(5)
+        .build()
+        .trace(5 * CHUNK_LEN + 321)
+        .iter()
+        .map(|a| a.addr())
+        .collect();
+    let workloads = workloads();
+    let (name, _) = workloads.iter().next().expect("built-in profiles exist");
+    let traces = [
+        ("app", app),
+        ("instr", workloads.instr_addrs(name)),
+        ("data", workloads.data_addrs(name)),
+    ];
+    for (what, addrs) in &traces {
+        for kb in dynex_experiments::SIZE_SWEEP_KB {
+            for line in dynex_experiments::LINE_SWEEP_BYTES {
+                let config = CacheConfig::direct_mapped(kb * 1024, line).unwrap();
+                assert_forward_opt_is_belady(config, addrs, what);
+            }
+        }
+    }
+}
+
+/// The two edges of the forward rule's encoding and chunking. "No previous
+/// use" is stored as 0 and a position t as t + 1, so a trace that opens by
+/// repeating one line must hit at t = 1, not miss (or hit at t = 0). And a
+/// hit interval that opens in one chunk and closes in the next must carry
+/// its line's last use and its set's end across the boundary.
+#[test]
+fn forward_opt_edges_match_belady() {
+    let word = CacheConfig::direct_mapped(64, 4).unwrap();
+    let quad = CacheConfig::direct_mapped(64, 16).unwrap();
+    for addrs in [
+        vec![0u32, 0],
+        vec![0, 0, 0],
+        vec![0, 0, 64, 0, 64, 64],
+        vec![0, 4, 8, 0, 64, 0],
+        vec![64, 64, 0, 64],
+    ] {
+        for config in [word, quad] {
+            assert_forward_opt_is_belady(config, &addrs, &format!("{addrs:?}"));
+        }
+    }
+    // Opening repeats hit from the second reference on.
+    let opt = batch_sweep(&[SweepPoint::new(word, SweepPolicy::Optimal)], &[0, 0, 0]);
+    assert_eq!(opt[0].stats().misses(), 1);
+
+    // Set 0 of the 64 B cache holds a (0x0) and b (0x40); the filler keeps
+    // to set 1. a is used at CHUNK_LEN - 1 and CHUNK_LEN + 1 with b between
+    // them, then a and b alternate through the next boundary too, and a
+    // line last used chunks earlier comes back at the end.
+    let mut addrs: Vec<u32> = (0..CHUNK_LEN as u32 - 1)
+        .map(|i| 4 + (i % 3) * 64)
+        .collect();
+    addrs.extend([0, 64, 0, 64, 0]);
+    while addrs.len() < 2 * CHUNK_LEN + 7 {
+        addrs.extend([0, 0, 64, 64]);
+    }
+    addrs.extend([4, 0x1000, 0x1004, 0]);
+    assert_eq!(addrs[CHUNK_LEN - 1], 0);
+    for config in [word, quad, CacheConfig::direct_mapped(1024, 4).unwrap()] {
+        assert_forward_opt_is_belady(config, &addrs, "chunk-crossing intervals");
+    }
+}
+
+/// EHC's sliding window against its trait-driven reference, bit for bit
+/// with the traffic counters, at every size of the EHC figure and at 4-
+/// and 16-byte lines. The trace spans 26 chunks, so the 32 KB / 4 B window
+/// of 65,536 references (16 chunks) slides across chunk boundaries.
+#[test]
+fn ehc_window_batch_and_policy_agree_with_traffic_counters() {
+    let addrs: Vec<u32> = AppParams::new(13)
+        .build()
+        .trace(26 * CHUNK_LEN - 17)
+        .iter()
+        .map(|a| a.addr())
+        .collect();
+    for kb in [1u32, 2, 4, 8, 16, 32] {
+        for line in [4u32, 16] {
+            let config = CacheConfig::direct_mapped(kb * 1024, line).unwrap();
+            let batch = batch_ehc(config, &addrs);
+            let via_trait = simulate_policy(config, &addrs, &mut EhcPolicy::new(config, &addrs));
+            assert_eq!(batch, via_trait, "ehc @ {config}");
+            assert_eq!(batch.fills(), via_trait.fills(), "ehc @ {config}");
+            assert_eq!(batch.writebacks(), via_trait.writebacks(), "ehc @ {config}");
+            assert_eq!(batch.probes(), addrs.len() as u64, "ehc @ {config}");
+        }
     }
 }
