@@ -27,6 +27,8 @@
 //!   panics are contained to their slot ([`JobError`]), panicked jobs get a
 //!   bounded retry budget, and a soft per-job deadline marks hung jobs
 //!   [`JobFailure::TimedOut`] while the rest of the sweep completes.
+//!   [`ResilientPool`] keeps its workers alive across sweeps, for a
+//!   long-running caller that should not spawn threads per sweep.
 //! * [`Journal`] — an append-only JSONL checkpoint of completed job
 //!   results, keyed by content hash ([`job_key`] / [`trace_digest`]), so an
 //!   interrupted sweep resumed with `--resume` replays finished points and
@@ -73,5 +75,7 @@ pub use journal::{
 };
 pub use kernel::{default_kernel, set_default_kernel};
 pub use pool::{available_jobs, default_jobs, env_jobs, execute, set_default_jobs};
-pub use resilience::{execute_resilient, JobError, JobFailure, Resilience, SweepOutcome};
+pub use resilience::{
+    execute_resilient, JobError, JobFailure, Resilience, ResilientPool, SweepOutcome,
+};
 pub use sweep::{run_jobs, Job, PolicyError, PolicyKind, PolicyRun};

@@ -18,16 +18,21 @@
 //! every worker count. Only *whether* a slot failed can depend on wall-clock
 //! behaviour (deadlines), never the value of a successful slot.
 //!
-//! Because a hung job cannot be cancelled, workers are detached
-//! `std::thread` spawns over `Arc`-shared state rather than scoped borrows —
-//! which is why `execute_resilient` takes `Arc<Vec<T>>` and `'static`
-//! bounds. A worker stuck in a hung job parks on a dead queue once the sweep
-//! finishes and exits with the process.
+//! The workers belong to a [`ResilientPool`], which a long-running caller
+//! keeps across sweeps so no sweep pays for thread spawns;
+//! [`execute_resilient`] is its one-shot case (a pool built for one sweep
+//! and dropped after it). Because a hung job cannot be cancelled, workers
+//! are detached `std::thread` spawns over `Arc`-shared state rather than
+//! scoped borrows — which is why sweeps take `Arc<Vec<T>>` and `'static`
+//! bounds. A worker the watchdog reaped retires as soon as its hung job
+//! returns; idle workers exit when the pool is dropped, and a worker still
+//! stuck in a hung job exits with the process.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Why a sweep slot failed.
@@ -134,8 +139,36 @@ impl<R> SweepOutcome<R> {
     }
 }
 
-/// A claimed work item: plan index plus attempt number (1-based).
-type Task = (usize, u32);
+/// One queued attempt, type-erased so the pool outlives the sweeps (and
+/// item types) it runs. Returns `true` when the watchdog reaped the
+/// attempt while it ran: a replacement has taken the worker's place, so
+/// the worker retires.
+type Work = Box<dyn FnOnce() -> bool + Send>;
+
+/// The pool's work queue.
+struct Queue {
+    work: VecDeque<Work>,
+    /// Set when the [`ResilientPool`] handle is dropped: idle workers exit.
+    closed: bool,
+}
+
+/// State shared by a pool handle and its workers.
+struct PoolShared {
+    queue: Mutex<Queue>,
+    ready: Condvar,
+}
+
+/// A set of long-lived worker threads that runs sweeps with the fault
+/// isolation of [`execute_resilient`].
+///
+/// A caller that runs many sweeps (the `dynex-serve` dispatcher runs one per
+/// batch) keeps one pool, so only the first sweep pays for spawning its
+/// workers. The pool holds `jobs` workers; a worker the watchdog reaps is
+/// replaced at once and retires when its hung job finally returns.
+/// Dropping the handle lets idle workers exit.
+pub struct ResilientPool {
+    shared: Arc<PoolShared>,
+}
 
 /// What a worker reports back for one attempt.
 struct Done<R> {
@@ -145,17 +178,22 @@ struct Done<R> {
     elapsed: Duration,
 }
 
-/// State shared between the collector and every (possibly replacement)
-/// worker.
-struct Shared<T, F> {
+/// Where one sweep slot's current attempt stands, for the watchdog.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// No worker is executing the slot.
+    Idle,
+    /// A worker started attempt `.1` at `.0`.
+    Running(Instant, u32),
+    /// The watchdog gave up on the running attempt and replaced its worker.
+    Reaped,
+}
+
+/// One sweep's items, job function and per-slot attempt state.
+struct Sweep<T, F> {
     items: Arc<Vec<T>>,
     f: F,
-    /// The work queue; the receiving end is serialized behind a mutex as in
-    /// [`crate::execute`].
-    queue: Mutex<mpsc::Receiver<Task>>,
-    /// Per-slot `(started-at, attempt)` of the currently running attempt,
-    /// for the watchdog. `None` while no worker is executing that slot.
-    starts: Vec<Mutex<Option<(Instant, u32)>>>,
+    slots: Vec<Mutex<Slot>>,
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -168,40 +206,230 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn spawn_worker<T, R, F>(shared: Arc<Shared<T, F>>, result_tx: Sender<Done<R>>)
+/// The queued work for attempt `attempt` of slot `index`.
+fn queued_attempt<T, R, F>(
+    sweep: Arc<Sweep<T, F>>,
+    index: usize,
+    attempt: u32,
+    result_tx: Sender<Done<R>>,
+) -> Work
 where
     T: Send + Sync + 'static,
     R: Send + 'static,
     F: Fn(&T) -> R + Send + Sync + 'static,
 {
-    std::thread::spawn(move || loop {
-        // Take the lock only for the dequeue, never while running f.
-        let (index, attempt) = match shared.queue.lock().expect("queue lock").recv() {
-            Ok(task) => task,
-            Err(_) => break, // queue closed: sweep finished
-        };
+    Box::new(move || {
         let begun = Instant::now();
-        *shared.starts[index].lock().expect("start slot") = Some((begun, attempt));
+        *sweep.slots[index].lock().expect("slot lock") = Slot::Running(begun, attempt);
         // AssertUnwindSafe: jobs are pure functions of their point (the
         // pool's determinism contract already requires this), so observing
         // `f` and `items` again after a contained panic is sound.
-        let outcome = catch_unwind(AssertUnwindSafe(|| (shared.f)(&shared.items[index])));
+        let outcome = catch_unwind(AssertUnwindSafe(|| (sweep.f)(&sweep.items[index])));
         let elapsed = begun.elapsed();
-        *shared.starts[index].lock().expect("start slot") = None;
+        let previous = std::mem::replace(
+            &mut *sweep.slots[index].lock().expect("slot lock"),
+            Slot::Idle,
+        );
         // One latency sample per attempt (retries count separately): the
         // p99 of `engine.attempt` is the job-level tail a sweep operator
         // tunes the watchdog deadline against.
         dynex_obs::span::record_stage("engine.attempt", elapsed);
-        let done = Done {
+        // The collector may be gone (it stops listening once every slot is
+        // resolved, and a reaped slot is resolved); the result is then moot.
+        let _ = result_tx.send(Done {
             index,
             attempt,
             outcome: outcome.map_err(|p| panic_message(p.as_ref())),
             elapsed,
+        });
+        matches!(previous, Slot::Reaped)
+    })
+}
+
+/// A worker: runs queued attempts until the pool closes or the watchdog
+/// reaps the attempt it is running.
+fn worker(shared: Arc<PoolShared>) {
+    loop {
+        let work = {
+            let mut queue = shared.queue.lock().expect("pool queue lock");
+            loop {
+                if let Some(work) = queue.work.pop_front() {
+                    break work;
+                }
+                if queue.closed {
+                    return;
+                }
+                queue = shared.ready.wait(queue).expect("pool queue lock");
+            }
         };
-        if result_tx.send(done).is_err() {
-            break; // collector gone: shutting down
+        // The queue lock is never held while a job runs.
+        if work() {
+            return;
         }
-    });
+    }
+}
+
+impl ResilientPool {
+    /// Spawns `jobs` workers (at least one).
+    pub fn new(jobs: usize) -> ResilientPool {
+        let pool = ResilientPool {
+            shared: Arc::new(PoolShared {
+                queue: Mutex::new(Queue {
+                    work: VecDeque::new(),
+                    closed: false,
+                }),
+                ready: Condvar::new(),
+            }),
+        };
+        for _ in 0..jobs.max(1) {
+            pool.spawn_worker();
+        }
+        pool
+    }
+
+    fn spawn_worker(&self) {
+        let shared = Arc::clone(&self.shared);
+        std::thread::spawn(move || worker(shared));
+    }
+
+    fn submit(&self, work: Work) {
+        self.shared
+            .queue
+            .lock()
+            .expect("pool queue lock")
+            .work
+            .push_back(work);
+        self.shared.ready.notify_one();
+    }
+
+    /// Runs `f` over every item on the pool's workers with panic
+    /// containment, bounded retries, and an optional soft deadline; returns
+    /// per-slot `Result`s **in plan order**. See [`execute_resilient`] for
+    /// the contract: this is the same sweep without the worker spawns.
+    pub fn execute<T, R, F>(
+        &self,
+        items: Arc<Vec<T>>,
+        resilience: Resilience,
+        f: F,
+    ) -> SweepOutcome<R>
+    where
+        T: Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(&T) -> R + Send + Sync + 'static,
+    {
+        let n = items.len();
+        let sweep = Arc::new(Sweep {
+            items,
+            f,
+            slots: (0..n).map(|_| Mutex::new(Slot::Idle)).collect(),
+        });
+        // The collector holds a result sender for the whole sweep, so the
+        // channel can never disconnect under it.
+        let (result_tx, result_rx) = mpsc::channel::<Done<R>>();
+        for index in 0..n {
+            self.submit(queued_attempt(
+                Arc::clone(&sweep),
+                index,
+                1,
+                result_tx.clone(),
+            ));
+        }
+
+        let mut results: Vec<Option<Result<R, JobError>>> = Vec::with_capacity(n);
+        results.resize_with(n, || None);
+        let mut resolved = 0usize;
+        let tick = resilience.watchdog_tick.max(Duration::from_millis(1));
+
+        while resolved < n {
+            match result_rx.recv_timeout(tick) {
+                Ok(done) => {
+                    if results[done.index].is_some() {
+                        continue; // late result for a slot the watchdog gave up on
+                    }
+                    match done.outcome {
+                        Ok(value) => {
+                            results[done.index] = Some(Ok(value));
+                            resolved += 1;
+                        }
+                        Err(payload) => {
+                            if done.attempt <= resilience.max_retries {
+                                dynex_obs::span::record_stage("engine.retry", done.elapsed);
+                                self.submit(queued_attempt(
+                                    Arc::clone(&sweep),
+                                    done.index,
+                                    done.attempt + 1,
+                                    result_tx.clone(),
+                                ));
+                            } else {
+                                results[done.index] = Some(Err(JobError {
+                                    plan_index: done.index,
+                                    attempts: done.attempt,
+                                    elapsed: done.elapsed,
+                                    failure: JobFailure::Panicked { payload },
+                                }));
+                                resolved += 1;
+                            }
+                        }
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    let Some(limit) = resilience.deadline else {
+                        continue;
+                    };
+                    // Watchdog sweep: mark overdue slots TimedOut and replace
+                    // their (presumed stuck) workers.
+                    for (index, result) in results.iter_mut().enumerate() {
+                        if result.is_some() {
+                            continue;
+                        }
+                        let mut slot = sweep.slots[index].lock().expect("slot lock");
+                        let Slot::Running(begun, attempt) = *slot else {
+                            continue;
+                        };
+                        let elapsed = begun.elapsed();
+                        if elapsed > limit {
+                            *slot = Slot::Reaped;
+                            drop(slot);
+                            dynex_obs::span::record_stage("engine.watchdog-timeout", elapsed);
+                            *result = Some(Err(JobError {
+                                plan_index: index,
+                                attempts: attempt,
+                                elapsed,
+                                failure: JobFailure::TimedOut { limit },
+                            }));
+                            resolved += 1;
+                            self.spawn_worker();
+                        }
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => unreachable!("collector holds a sender"),
+            }
+        }
+
+        SweepOutcome {
+            results: results
+                .into_iter()
+                .map(|slot| slot.expect("all slots resolved"))
+                .collect(),
+        }
+    }
+}
+
+impl Drop for ResilientPool {
+    /// Closes the queue: idle workers exit; a worker stuck in a hung job
+    /// exits when (if) the job returns.
+    fn drop(&mut self) {
+        // A poisoned queue lock means a worker panicked outside a job,
+        // which cannot happen; closing the queue anyway is still correct.
+        let mut queue = self
+            .shared
+            .queue
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        queue.closed = true;
+        drop(queue);
+        self.shared.ready.notify_all();
+    }
 }
 
 /// Runs `f` over every item on `jobs` detached worker threads with panic
@@ -217,6 +445,10 @@ where
 ///
 /// With `deadline: None` a hung job blocks forever, exactly like
 /// [`crate::execute`] — supply a deadline to guarantee termination.
+///
+/// This is the one-shot case of [`ResilientPool`]: a pool of
+/// `min(jobs, items.len())` workers built for this sweep and dropped after
+/// it. A caller running many sweeps should keep a pool instead.
 ///
 /// # Examples
 ///
@@ -251,106 +483,12 @@ where
     R: Send + 'static,
     F: Fn(&T) -> R + Send + Sync + 'static,
 {
-    let n = items.len();
-    if n == 0 {
+    if items.is_empty() {
         return SweepOutcome {
             results: Vec::new(),
         };
     }
-    let jobs = jobs.clamp(1, n);
-
-    let (task_tx, task_rx) = mpsc::channel::<Task>();
-    for index in 0..n {
-        task_tx.send((index, 1)).expect("queue receiver alive");
-    }
-    let shared = Arc::new(Shared {
-        items,
-        f,
-        queue: Mutex::new(task_rx),
-        starts: (0..n).map(|_| Mutex::new(None)).collect(),
-    });
-    let (result_tx, result_rx) = mpsc::channel::<Done<R>>();
-    for _ in 0..jobs {
-        spawn_worker(Arc::clone(&shared), result_tx.clone());
-    }
-
-    let mut results: Vec<Option<Result<R, JobError>>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let mut resolved = 0usize;
-    let tick = resilience.watchdog_tick.max(Duration::from_millis(1));
-
-    while resolved < n {
-        match result_rx.recv_timeout(tick) {
-            Ok(done) => {
-                if results[done.index].is_some() {
-                    continue; // late result for a slot the watchdog gave up on
-                }
-                match done.outcome {
-                    Ok(value) => {
-                        results[done.index] = Some(Ok(value));
-                        resolved += 1;
-                    }
-                    Err(payload) => {
-                        if done.attempt <= resilience.max_retries {
-                            dynex_obs::span::record_stage("engine.retry", done.elapsed);
-                            task_tx
-                                .send((done.index, done.attempt + 1))
-                                .expect("queue receiver alive");
-                        } else {
-                            results[done.index] = Some(Err(JobError {
-                                plan_index: done.index,
-                                attempts: done.attempt,
-                                elapsed: done.elapsed,
-                                failure: JobFailure::Panicked { payload },
-                            }));
-                            resolved += 1;
-                        }
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                let Some(limit) = resilience.deadline else {
-                    continue;
-                };
-                // Watchdog sweep: mark overdue slots TimedOut and replace
-                // their (presumed stuck) workers.
-                for (index, slot) in results.iter_mut().enumerate() {
-                    if slot.is_some() {
-                        continue;
-                    }
-                    let running = *shared.starts[index].lock().expect("start slot");
-                    let Some((begun, attempt)) = running else {
-                        continue;
-                    };
-                    let elapsed = begun.elapsed();
-                    if elapsed > limit {
-                        dynex_obs::span::record_stage("engine.watchdog-timeout", elapsed);
-                        *slot = Some(Err(JobError {
-                            plan_index: index,
-                            attempts: attempt,
-                            elapsed,
-                            failure: JobFailure::TimedOut { limit },
-                        }));
-                        resolved += 1;
-                        spawn_worker(Arc::clone(&shared), result_tx.clone());
-                    }
-                }
-            }
-            // The collector holds a result sender, so workers can never all
-            // disconnect first.
-            Err(RecvTimeoutError::Disconnected) => unreachable!("collector holds a sender"),
-        }
-    }
-    // Closing the queue wakes idle workers so they exit; workers stuck in
-    // hung jobs stay parked on their job until the process ends.
-    drop(task_tx);
-
-    SweepOutcome {
-        results: results
-            .into_iter()
-            .map(|slot| slot.expect("all slots resolved"))
-            .collect(),
-    }
+    ResilientPool::new(jobs.clamp(1, items.len())).execute(items, resilience, f)
 }
 
 #[cfg(test)]
@@ -496,6 +634,65 @@ mod tests {
                     _ => assert_eq!(*r, Ok(expected[i]), "jobs={jobs} slot={i}"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn pool_reuses_its_workers_across_sweeps() {
+        use std::collections::HashSet;
+        use std::thread::ThreadId;
+
+        let pool = ResilientPool::new(2);
+        let mut seen: HashSet<ThreadId> = HashSet::new();
+        for round in 0..5u64 {
+            let items: Vec<u64> = (0..16).map(|x| x + round).collect();
+            let outcome = pool.execute(Arc::new(items), Resilience::default(), |&x| {
+                (x * 3, std::thread::current().id())
+            });
+            for (i, slot) in outcome.results().iter().enumerate() {
+                let (value, id) = slot.as_ref().expect("clean sweep");
+                assert_eq!(*value, (i as u64 + round) * 3, "round={round}");
+                seen.insert(*id);
+            }
+        }
+        assert!(seen.len() <= 2, "five sweeps ran on {} threads", seen.len());
+    }
+
+    #[test]
+    fn reaped_worker_is_replaced_then_retires() {
+        use std::sync::atomic::AtomicBool;
+
+        static HUNG_RETURNED: AtomicBool = AtomicBool::new(false);
+        let pool = ResilientPool::new(1);
+        let outcome = pool.execute(
+            Arc::new(vec![0u64, 1, 2]),
+            Resilience::default().deadline(Duration::from_millis(50)),
+            |&x| {
+                if x == 0 {
+                    std::thread::sleep(Duration::from_millis(400));
+                    HUNG_RETURNED.store(true, Ordering::SeqCst);
+                }
+                std::thread::current().id()
+            },
+        );
+        assert!(matches!(
+            outcome.results()[0].as_ref().unwrap_err().failure,
+            JobFailure::TimedOut { .. }
+        ));
+        // The replacement ran the rest of the sweep.
+        let replacement = *outcome.results()[1].as_ref().expect("slot 1");
+        assert_eq!(outcome.results()[2], Ok(replacement));
+
+        // Once its hung job returns, the reaped worker retires: every later
+        // attempt runs on the replacement alone.
+        while !HUNG_RETURNED.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let outcome = pool.execute(Arc::new(vec![(); 8]), Resilience::default(), |_| {
+            std::thread::current().id()
+        });
+        for slot in outcome.results() {
+            assert_eq!(*slot, Ok(replacement));
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! dynex-serve [--host ADDR] [--port N] [--jobs N] [--queue N] [--cache N]
-//!             [--batch-window-ms N] [--deadline-ms N] [--warm-journal FILE]
+//!             [--deadline-ms N] [--warm-journal FILE]
 //!             [--journal-sync flush|fsync] [--trace-out FILE] [--shards N]
 //! ```
 //!
@@ -14,6 +14,14 @@
 //! * `GET /metrics` — service counters as JSON.
 //! * `GET /healthz` — liveness/drain state.
 //! * `POST /shutdown` — graceful drain: stop accepting, finish queued work.
+//!
+//! Connections are served by a pool of reused handler threads. Its size
+//! follows from `--queue` and `--jobs`: enough handlers for every queued
+//! simulation, a batch of running ones, and `--jobs` more for cache hits.
+//! Connections beyond it wait in a bounded accept queue; when that is full
+//! too, the server answers `503` with a JSON error and counts
+//! `rejected-connections`. Each simulation runs as soon as the dispatcher
+//! is free, batched with whatever is already queued behind it.
 //!
 //! `--warm-journal` points at a `simcache --resume` / `experiments
 //! --resume` journal: checkpointed results pre-populate the result cache
@@ -54,7 +62,7 @@ use dynex_serve::{Router, RouterConfig, ServeConfig, Server, ShardFleet};
 fn usage() {
     eprintln!(
         "usage: dynex-serve [--host ADDR] [--port N] [--jobs N] [--queue N] [--cache N] \
-         [--batch-window-ms N] [--deadline-ms N] [--warm-journal FILE] \
+         [--deadline-ms N] [--warm-journal FILE] \
          [--journal-sync flush|fsync] [--trace-out FILE] [--shards N]"
     );
     eprintln!();
@@ -62,8 +70,8 @@ fn usage() {
     eprintln!("  --port N              port to bind; 0 picks one (default 0, printed on stdout)");
     eprintln!("  --jobs N              simulation worker threads (default: all cores)");
     eprintln!("  --queue N             bounded queue depth; full queue answers 429 (default 64)");
+    eprintln!("                        (with --jobs, also sizes the connection-handler pool)");
     eprintln!("  --cache N             LRU result-cache entries; 0 disables (default 1024)");
-    eprintln!("  --batch-window-ms N   how long to gather requests per plan (default 2)");
     eprintln!("  --deadline-ms N       default per-request deadline (default: none)");
     eprintln!(
         "  --warm-journal FILE   warm the cache from a --resume journal; append fresh results"
@@ -115,13 +123,6 @@ fn parse_args() -> Result<Option<(ServeConfig, Option<String>, usize)>, String> 
                     .parse()
                     .map_err(|_| format!("bad --cache value {value:?}"))?;
             }
-            "--batch-window-ms" => {
-                let value = value_of("--batch-window-ms")?;
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| format!("bad --batch-window-ms value {value:?}"))?;
-                config.batch_window = Duration::from_millis(ms);
-            }
             "--deadline-ms" => {
                 let value = value_of("--deadline-ms")?;
                 let ms: u64 = value
@@ -161,10 +162,6 @@ fn worker_args(config: &ServeConfig, shard: usize) -> Vec<String> {
     }
     args.extend(["--queue".to_owned(), config.queue_capacity.to_string()]);
     args.extend(["--cache".to_owned(), config.cache_capacity.to_string()]);
-    args.extend([
-        "--batch-window-ms".to_owned(),
-        config.batch_window.as_millis().to_string(),
-    ]);
     if let Some(deadline) = config.default_deadline {
         args.extend(["--deadline-ms".to_owned(), deadline.as_millis().to_string()]);
     }

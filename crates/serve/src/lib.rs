@@ -10,15 +10,19 @@
 //!
 //! * **single-flight coalescing** — concurrent identical requests run one
 //!   simulation and share the result;
-//! * **batching** — distinct requests arriving close together are folded
-//!   into one [`dynex_engine::execute_resilient`] plan, inheriting the
-//!   PR 3 panic containment and watchdog;
+//! * **batching** — distinct requests queued behind a running batch are
+//!   folded into the next plan, with no wait for more to arrive, and run
+//!   on the dispatcher's standing [`dynex_engine::ResilientPool`],
+//!   inheriting the engine's panic containment and watchdog;
 //! * **result caching** — an exact LRU keyed by the journal content key,
 //!   warm-startable from any `--resume` journal at boot, with a key memo
 //!   of the same capacity that answers a repeated profile request without
 //!   generating, decoding or hashing its trace;
 //! * **explicit backpressure** — a bounded queue that answers `429` instead
-//!   of buffering without bound;
+//!   of buffering without bound, and a bounded pool of reused connection
+//!   handlers behind a bounded accept queue that answers `503` (counted in
+//!   `rejected-connections`) once both are full, so a warm server spawns
+//!   no thread per request;
 //! * **observability** — `/metrics` serves a `dynex-obs` registry snapshot,
 //!   `/healthz` the drain state, and `POST /shutdown` drains gracefully.
 //!
@@ -53,6 +57,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod acceptor;
 pub mod client;
 mod directory;
 mod http;

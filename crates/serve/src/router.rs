@@ -38,6 +38,15 @@
 //! deterministic and content-keyed, and re-routing would split the warm
 //! cache (the PR 7 invariant).
 //!
+//! # Connections
+//!
+//! The router shares the server's acceptor and handler pool (the
+//! `acceptor` module): reused handler threads, a bounded accept queue, and
+//! a structured `503` counted in `router-rejected-connections` once both
+//! are full. A router handler waits on a shard handler for each relay, so
+//! the router's pool cap is the sum of its shards' pools, read once at
+//! boot from each shard's `handler-cap` gauge.
+//!
 //! # Aggregation
 //!
 //! `GET /metrics` fans out to every shard, merges the per-shard registries
@@ -50,9 +59,9 @@
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dynex_engine::fnv1a;
 use dynex_experiments::api::SimulationRequest;
@@ -60,18 +69,10 @@ use dynex_obs::json::{self, Json};
 use dynex_obs::span::{self, StageStats};
 use dynex_obs::MetricsRegistry;
 
+use crate::acceptor::{self, lock_or_recover, Acceptor, Service};
 use crate::client::{self, HttpResponse};
 use crate::directory::{BreakerState, ShardDirectory};
-use crate::http::{
-    read_request, write_response, write_response_relayed, write_response_traced, HttpRequest,
-};
-
-/// Locks `mutex`, recovering the guard when a previous holder panicked
-/// (see the sibling in `server.rs` for why recovery is safe here: every
-/// value behind a router lock is updated atomically-or-not-at-all).
-fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::http::{read_request, write_response_relayed, write_response_traced, HttpRequest};
 
 /// Finalizing bit mixer (the splitmix64/murmur3 finalizer). FNV-1a alone
 /// avalanches poorly in its low bits for short inputs; rendezvous hashing
@@ -142,8 +143,6 @@ struct RouterState {
     draining: AtomicBool,
     /// Wakes the health thread early on drain.
     drain_signal: (Mutex<bool>, Condvar),
-    /// Live handler-thread count; `join` waits for it to reach zero.
-    handlers: (Mutex<usize>, Condvar),
     listen_addr: SocketAddr,
     relay_timeout: Duration,
     probe_timeout: Duration,
@@ -169,19 +168,38 @@ impl RouterState {
     }
 }
 
-/// Decrements the live-handler count when a handler thread exits, panics
-/// included (see `server.rs`).
-struct HandlerGuard(Arc<RouterState>);
+impl Service for RouterState {
+    const DRAINING: &'static str = r#"{"error":"router is draining"}"#;
+    const REJECTED: &'static str = "router-rejected-connections";
+    const HANDLERS: &'static str = "router-handler-threads";
 
-impl Drop for HandlerGuard {
-    fn drop(&mut self) {
-        let (count, woken) = &self.0.handlers;
-        let mut count = lock_or_recover(count);
-        *count -= 1;
-        if *count == 0 {
-            woken.notify_all();
-        }
+    fn draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
     }
+
+    fn metrics(&self) -> &Mutex<MetricsRegistry> {
+        &self.metrics
+    }
+
+    fn serve(state: &Arc<RouterState>, stream: TcpStream, _accepted: Instant) {
+        handle_connection(state, stream);
+    }
+}
+
+/// A shard's handler-pool size, as its `handler-cap` gauge advertises it;
+/// a shard that does not answer counts at the default server's size.
+fn shard_handlers(addr: SocketAddr, timeout: Duration) -> usize {
+    client::call(addr, "GET", "/metrics", "", timeout)
+        .ok()
+        .filter(|response| response.status == 200)
+        .and_then(|response| json::parse(&response.body).ok())
+        .and_then(|doc| MetricsRegistry::from_json(&doc).ok())
+        .map(|registry| registry.counter("handler-cap") as usize)
+        .filter(|&handlers| handlers > 0)
+        .unwrap_or_else(|| {
+            let defaults = crate::ServeConfig::default();
+            crate::server::handler_cap(defaults.queue_capacity, dynex_engine::default_jobs())
+        })
 }
 
 /// One `{"error":…}` body from the router itself (the request never
@@ -202,7 +220,7 @@ fn error_body(message: &str, trace_id: u64) -> String {
 pub struct Router {
     state: Arc<RouterState>,
     addr: SocketAddr,
-    acceptor: JoinHandle<()>,
+    acceptor: Acceptor,
     health: JoinHandle<()>,
 }
 
@@ -244,6 +262,8 @@ impl Router {
             "router-health-probes",
             "router-breaker-open",
             "router-relay-retries",
+            "router-rejected-connections",
+            "router-handler-threads",
         ] {
             metrics.add(name, 0);
         }
@@ -256,7 +276,6 @@ impl Router {
             metrics: Mutex::new(metrics),
             draining: AtomicBool::new(false),
             drain_signal: (Mutex::new(false), Condvar::new()),
-            handlers: (Mutex::new(0), Condvar::new()),
             listen_addr: addr,
             relay_timeout: config.relay_timeout,
             probe_timeout: config.probe_timeout,
@@ -267,10 +286,12 @@ impl Router {
             let interval = config.health_interval;
             std::thread::spawn(move || health_loop(state, interval))
         };
-        let acceptor = {
-            let state = Arc::clone(&state);
-            std::thread::spawn(move || acceptor(state, listener))
-        };
+        // A router handler waits on one shard's handler for each relay, so
+        // the router holds as many as its shards do together.
+        let handlers = (0..state.directory.len())
+            .map(|shard| shard_handlers(state.directory.addr(shard), state.probe_timeout))
+            .sum();
+        let acceptor = acceptor::start(Arc::clone(&state), listener, handlers);
 
         Ok(Router {
             state,
@@ -285,7 +306,8 @@ impl Router {
         self.addr
     }
 
-    /// Reads one router counter (e.g. `"router-routed"`).
+    /// Reads one router counter (e.g. `"router-routed"`) or gauge (e.g.
+    /// `"router-handler-threads"`).
     pub fn counter(&self, name: &str) -> u64 {
         lock_or_recover(&self.state.metrics).counter(name)
     }
@@ -312,13 +334,7 @@ impl Router {
 
     /// Blocks until the router has drained, then joins its threads.
     pub fn join(self) {
-        self.acceptor.join().expect("router acceptor thread");
-        let (count, woken) = &self.state.handlers;
-        let mut count = lock_or_recover(count);
-        while *count > 0 {
-            count = woken.wait(count).unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(count);
+        self.acceptor.join();
         self.health.join().expect("router health thread");
     }
 }
@@ -370,41 +386,6 @@ fn health_loop(state: Arc<RouterState>, interval: Duration) {
             return;
         }
     }
-}
-
-/// Accept loop: one short-lived handler thread per connection.
-fn acceptor(state: Arc<RouterState>, listener: TcpListener) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if state.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if state.draining.load(Ordering::SeqCst) {
-            refuse(stream);
-            let _ = listener.set_nonblocking(true);
-            while let Ok((stream, _)) = listener.accept() {
-                refuse(stream);
-            }
-            return;
-        }
-        let (count, _) = &state.handlers;
-        *lock_or_recover(count) += 1;
-        let state = Arc::clone(&state);
-        std::thread::spawn(move || {
-            let _guard = HandlerGuard(Arc::clone(&state));
-            handle_connection(&state, stream);
-        });
-    }
-}
-
-/// Answers a connection caught by the drain with an explicit `503`.
-fn refuse(mut stream: TcpStream) {
-    let _ = write_response(&mut stream, 503, r#"{"error":"router is draining"}"#);
 }
 
 /// How a routed request gets answered on the wire.

@@ -5,16 +5,24 @@
 //!
 //! # Concurrency architecture
 //!
-//! One acceptor thread spawns a short-lived handler thread per connection.
-//! Handlers never simulate: they resolve the request to its content key,
-//! then either answer from the result cache, join an in-flight computation
-//! (single-flight), or enqueue a job on a *bounded* queue and wait. A single
-//! dispatcher thread drains the queue, groups what has arrived inside the
-//! batch window into one plan, and executes the plan with
-//! [`dynex_engine::execute_resilient`] — so the worker count, watchdog
-//! deadline, and panic containment are exactly the PR 3 sweep machinery.
+//! One acceptor thread hands each connection to a pool of long-lived
+//! handler threads (the `acceptor` module, shared with the router). The
+//! pool grows on demand up to a cap derived from `queue_capacity`, `jobs`
+//! and [`MAX_BATCH`] (see [`handler_cap`]); connections beyond it wait in
+//! a bounded accept queue, and beyond that are refused with a `503`
+//! counted in `rejected-connections`. Handlers never simulate: they
+//! resolve the request to its content key, then either answer from the
+//! result cache, join an in-flight computation (single-flight), or enqueue
+//! a job on a *bounded* queue and wait. A single dispatcher thread takes
+//! the first queued job, folds in whatever else is already queued (jobs
+//! that arrive while a batch runs share the next one), and executes the
+//! plan on a [`dynex_engine::ResilientPool`] it keeps for its whole life —
+//! so the worker count, watchdog deadline, and panic containment are
+//! exactly the engine's resilient sweep machinery, without a thread
+//! spawn per batch.
 //! A full queue is reported to the client as `429 Too Many Requests`
 //! immediately (backpressure is explicit, never an unbounded buffer).
+//! Once warm, no request spawns a thread.
 //!
 //! Resolving a request to its content key means loading and hashing its
 //! trace. For profile sources, whose trace the request fully determines, a
@@ -31,12 +39,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dynex_engine::{
-    default_jobs, execute_resilient, JobFailure, Journal, Kernel, Resilience, SyncPolicy,
+    default_jobs, JobFailure, Journal, Kernel, Resilience, ResilientPool, SyncPolicy,
 };
 use dynex_experiments::api::{
     self, LoadedTrace, SimulationRequest, SimulationResponse, TraceSource,
@@ -45,23 +53,20 @@ use dynex_obs::json;
 use dynex_obs::span::{self, SpanCtx};
 use dynex_obs::MetricsRegistry;
 
-use crate::http::{read_request, write_response, write_response_traced, HttpRequest};
+use crate::acceptor::{self, lock_or_recover, Acceptor, Service};
+use crate::http::{read_request, write_response_traced, HttpRequest};
 use crate::lru::LruCache;
 
-/// Locks `mutex`, recovering the guard when a previous holder panicked.
-///
-/// Every structure behind the service's shared locks survives a panicking
-/// holder intact — counters, the LRU map, the flight map, and the journal
-/// handle are each updated with operations that either complete or leave
-/// the value untouched — so recovering from poison is strictly better than
-/// letting one panicked connection handler wedge `/metrics`, the result
-/// cache, and graceful drain for the whole process.
-fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Largest number of queued requests folded into one engine plan.
-const MAX_BATCH: usize = 64;
+pub(crate) const MAX_BATCH: usize = 64;
+
+/// Handler threads a server may hold: one for every leader that can be
+/// waiting on the dispatcher — `queue_capacity` queued, plus as many again
+/// (at most [`MAX_BATCH`]) in the running batch — and `jobs` more that keep
+/// parsing requests and answering cache hits meanwhile.
+pub(crate) fn handler_cap(queue_capacity: usize, jobs: usize) -> usize {
+    jobs + queue_capacity + queue_capacity.min(MAX_BATCH)
+}
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -79,9 +84,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// LRU result-cache capacity in entries; 0 disables result caching.
     pub cache_capacity: usize,
-    /// How long the dispatcher waits for more requests to share a plan
-    /// with. Zero batches only what is already queued.
-    pub batch_window: Duration,
     /// Deadline applied to requests that carry no `deadline_ms` of their
     /// own; `None` waits forever.
     pub default_deadline: Option<Duration>,
@@ -106,7 +108,6 @@ impl Default for ServeConfig {
             jobs: 0,
             queue_capacity: 64,
             cache_capacity: 1024,
-            batch_window: Duration::from_millis(2),
             default_deadline: None,
             warm_journal: None,
             journal_sync: SyncPolicy::Flush,
@@ -165,20 +166,25 @@ impl Flight {
 
     /// Publishes the result and wakes every waiter.
     fn fill(&self, result: FlightResult) {
-        *self.slot.lock().expect("flight lock") = Some(result);
+        *lock_or_recover(&self.slot) = Some(result);
         self.ready.notify_all();
     }
 
     /// Blocks until the flight completes or `deadline` passes.
     fn wait(&self, deadline: Option<Duration>) -> Result<FlightResult, Duration> {
         let start = Instant::now();
-        let mut slot = self.slot.lock().expect("flight lock");
+        let mut slot = lock_or_recover(&self.slot);
         loop {
             if let Some(result) = slot.as_ref() {
                 return Ok(result.clone());
             }
             match deadline {
-                None => slot = self.ready.wait(slot).expect("flight lock"),
+                None => {
+                    slot = self
+                        .ready
+                        .wait(slot)
+                        .unwrap_or_else(PoisonError::into_inner)
+                }
                 Some(limit) => {
                     let Some(remaining) = limit.checked_sub(start.elapsed()) else {
                         return Err(limit);
@@ -186,7 +192,7 @@ impl Flight {
                     slot = self
                         .ready
                         .wait_timeout(slot, remaining)
-                        .expect("flight lock")
+                        .unwrap_or_else(PoisonError::into_inner)
                         .0;
                 }
             }
@@ -220,8 +226,6 @@ struct State {
     metrics: Mutex<MetricsRegistry>,
     journal: Mutex<Option<Journal>>,
     draining: AtomicBool,
-    /// Live handler-thread count; `join` waits for it to reach zero.
-    handlers: (Mutex<usize>, Condvar),
     default_deadline: Option<Duration>,
     /// The bound listen address, for the drain self-poke.
     listen_addr: SocketAddr,
@@ -230,6 +234,24 @@ struct State {
 impl State {
     fn count(&self, name: &str) {
         lock_or_recover(&self.metrics).add(name, 1);
+    }
+}
+
+impl Service for State {
+    const DRAINING: &'static str = r#"{"error":"service is draining"}"#;
+    const REJECTED: &'static str = "rejected-connections";
+    const HANDLERS: &'static str = "handler-threads";
+
+    fn draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
+    }
+
+    fn metrics(&self) -> &Mutex<MetricsRegistry> {
+        &self.metrics
+    }
+
+    fn serve(state: &Arc<State>, stream: TcpStream, accepted: Instant) {
+        handle_connection(state, stream, accepted);
     }
 }
 
@@ -243,22 +265,6 @@ fn error_body(message: &str, trace_id: u64) -> String {
     )
 }
 
-/// Decrements the live-handler count when a handler thread exits (however
-/// it exits — panics included, so a poisoned handler can never wedge
-/// [`Server::join`]).
-struct HandlerGuard(Arc<State>);
-
-impl Drop for HandlerGuard {
-    fn drop(&mut self) {
-        let (count, woken) = &self.0.handlers;
-        let mut count = lock_or_recover(count);
-        *count -= 1;
-        if *count == 0 {
-            woken.notify_all();
-        }
-    }
-}
-
 /// A running sweep service.
 ///
 /// Dropping the handle does *not* stop the service; call
@@ -266,7 +272,7 @@ impl Drop for HandlerGuard {
 pub struct Server {
     state: Arc<State>,
     addr: SocketAddr,
-    acceptor: JoinHandle<()>,
+    acceptor: Acceptor,
     dispatcher: JoinHandle<()>,
 }
 
@@ -302,9 +308,14 @@ impl Server {
             "sim-failures",
             "sim-timeouts",
             "warm-start-entries",
+            "rejected-connections",
+            "handler-threads",
         ] {
             metrics.add(name, 0);
         }
+        // The pool's size, for a router fronting this server to size its own.
+        let handlers = handler_cap(config.queue_capacity.max(1), jobs);
+        metrics.set("handler-cap", handlers as u64);
         let journal = match &config.warm_journal {
             Some(path) => {
                 let journal = Journal::open_with(path, config.journal_sync)
@@ -345,21 +356,16 @@ impl Server {
             metrics: Mutex::new(metrics),
             journal: Mutex::new(journal),
             draining: AtomicBool::new(false),
-            handlers: (Mutex::new(0), Condvar::new()),
             default_deadline: config.default_deadline,
             listen_addr: addr,
         });
 
         let dispatcher = {
             let state = Arc::clone(&state);
-            let batch_window = config.batch_window;
             let sim_delay = config.inject_sim_delay;
-            std::thread::spawn(move || dispatcher(state, receiver, jobs, batch_window, sim_delay))
+            std::thread::spawn(move || dispatcher(state, receiver, jobs, sim_delay))
         };
-        let acceptor = {
-            let state = Arc::clone(&state);
-            std::thread::spawn(move || acceptor(state, listener))
-        };
+        let acceptor = acceptor::start(Arc::clone(&state), listener, handlers);
 
         Ok(Server {
             state,
@@ -374,7 +380,8 @@ impl Server {
         self.addr
     }
 
-    /// Reads one metrics counter (e.g. `"sims-executed"`).
+    /// Reads one metrics counter (e.g. `"sims-executed"`) or gauge (e.g.
+    /// `"handler-threads"`).
     pub fn counter(&self, name: &str) -> u64 {
         lock_or_recover(&self.state.metrics).counter(name)
     }
@@ -391,16 +398,10 @@ impl Server {
     pub fn join(self) {
         // The acceptor exits once draining is set and its blocking accept
         // is poked; until then this parks exactly like a foreground server
-        // process should.
-        self.acceptor.join().expect("acceptor thread");
-        // Wait for in-flight handler threads (they may still be enqueueing
-        // or awaiting flights).
-        let (count, woken) = &self.state.handlers;
-        let mut count = lock_or_recover(count);
-        while *count > 0 {
-            count = woken.wait(count).unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(count);
+        // process should. Its handlers are joined after they have served
+        // every accepted connection (they may still be enqueueing or
+        // awaiting flights).
+        self.acceptor.join();
         // Hang up the queue: the dispatcher drains what is left and exits.
         lock_or_recover(&self.state.queue).take();
         self.dispatcher.join().expect("dispatcher thread");
@@ -418,51 +419,11 @@ fn initiate_drain(state: &State, addr: SocketAddr) {
     let _ = TcpStream::connect(addr);
 }
 
-/// Accept loop: one short-lived handler thread per connection.
-fn acceptor(state: Arc<State>, listener: TcpListener) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if state.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if state.draining.load(Ordering::SeqCst) {
-            // The drain poke (or a late client): answer with an explicit
-            // 503 rather than a connection reset (harmless on the poke's
-            // throwaway connection), then flush whatever the listen
-            // backlog still holds the same way before the listener drops.
-            refuse(stream);
-            let _ = listener.set_nonblocking(true);
-            while let Ok((stream, _)) = listener.accept() {
-                refuse(stream);
-            }
-            return;
-        }
-        let accepted = Instant::now();
-        let (count, _) = &state.handlers;
-        *lock_or_recover(count) += 1;
-        let state = Arc::clone(&state);
-        std::thread::spawn(move || {
-            let _guard = HandlerGuard(Arc::clone(&state));
-            handle_connection(&state, stream, accepted);
-        });
-    }
-}
-
-/// Answers a connection caught by the drain with an explicit `503`.
-fn refuse(mut stream: TcpStream) {
-    let _ = write_response(&mut stream, 503, r#"{"error":"service is draining"}"#);
-}
-
 /// Serves one connection: parse, route, respond, close.
 ///
 /// `accepted` is when the acceptor pulled the connection off the listen
-/// socket; the gap to here (thread spawn + scheduling) is the `accept`
-/// stage. Every routed response carries the request's trace id in an
+/// socket; the gap to here (the hand-off to a pool handler, and any wait
+/// in the accept queue) is the `accept` stage. Every routed response carries the request's trace id in an
 /// `X-Dynex-Trace` header; error bodies repeat it as a `"trace_id"` field.
 /// Success bodies do *not* — they stay byte-identical to the engine's
 /// deterministic output regardless of tracing.
@@ -698,44 +659,27 @@ fn handle_simulate(state: &Arc<State>, body: &str, trace_id: u64) -> (u16, Strin
     }
 }
 
-/// The dispatcher: drain the queue, batch, execute on the engine, publish.
-fn dispatcher(
-    state: Arc<State>,
-    receiver: Receiver<SimJob>,
-    jobs: usize,
-    batch_window: Duration,
-    sim_delay: Duration,
-) {
+/// The dispatcher: take the first queued job, fold in what is already
+/// queued behind it, execute the batch on the engine, publish. Its `jobs`
+/// simulation workers live as long as it does.
+fn dispatcher(state: Arc<State>, receiver: Receiver<SimJob>, jobs: usize, sim_delay: Duration) {
+    let pool = ResilientPool::new(jobs);
     loop {
         let first = match receiver.recv() {
             Ok(job) => job,
             Err(_) => return, // queue closed and empty: drained
         };
         let mut batch = vec![first];
-        if batch_window.is_zero() {
-            // Fold in only what has already arrived.
-            while batch.len() < MAX_BATCH {
-                match receiver.try_recv() {
-                    Ok(job) => batch.push(job),
-                    Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-                }
-            }
-        } else {
-            let window_end = Instant::now() + batch_window;
-            while batch.len() < MAX_BATCH {
-                let Some(remaining) = window_end.checked_duration_since(Instant::now()) else {
-                    break;
-                };
-                match receiver.recv_timeout(remaining) {
-                    Ok(job) => batch.push(job),
-                    Err(_) => break,
-                }
+        while batch.len() < MAX_BATCH {
+            match receiver.try_recv() {
+                Ok(job) => batch.push(job),
+                Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
             }
         }
         // The dispatch span is its own root: one batch can carry jobs from
         // several request traces, so it cannot parent into any one of them.
         let _dispatch = span::span("dispatch");
-        execute_batch(&state, batch, jobs, sim_delay);
+        execute_batch(&state, &pool, batch, sim_delay);
     }
 }
 
@@ -796,7 +740,8 @@ fn plan_units(batch: &[SimJob]) -> Vec<Unit> {
     units
 }
 
-/// Runs one batch on the resilient pool and publishes every slot.
+/// Runs one batch on the dispatcher's resilient pool and publishes every
+/// slot.
 ///
 /// Same-trace sweepable jobs are coalesced (see [`plan_units`]): the fused
 /// unit answers every member from one trace traversal, byte-identical to the
@@ -804,7 +749,12 @@ fn plan_units(batch: &[SimJob]) -> Vec<Unit> {
 /// same label constructors and content keys as [`api::execute`]. Fault
 /// isolation becomes per-unit — a panic or watchdog timeout inside a fused
 /// unit fails all of its members together, never the rest of the batch.
-fn execute_batch(state: &Arc<State>, batch: Vec<SimJob>, jobs: usize, sim_delay: Duration) {
+fn execute_batch(
+    state: &Arc<State>,
+    pool: &ResilientPool,
+    batch: Vec<SimJob>,
+    sim_delay: Duration,
+) {
     lock_or_recover(&state.metrics).add("sims-executed", batch.len() as u64);
 
     // The engine watchdog is per-job but configured per-plan: use the
@@ -837,7 +787,7 @@ fn execute_batch(state: &Arc<State>, batch: Vec<SimJob>, jobs: usize, sim_delay:
     let sim_state = Arc::clone(state);
     let sim_items = Arc::clone(&items);
     type UnitResults = Vec<(usize, Result<SimulationResponse, String>)>;
-    let outcome = execute_resilient(Arc::clone(&units), jobs, resilience, move |unit: &Unit| {
+    let outcome = pool.execute(Arc::clone(&units), resilience, move |unit: &Unit| {
         match unit {
             Unit::Single(index) => {
                 let job = &sim_items[*index];
@@ -959,6 +909,23 @@ mod tests {
             deadline: None,
             ctx: None,
         }
+    }
+
+    #[test]
+    fn a_poisoned_flight_still_delivers_its_result() {
+        let flight = Arc::new(Flight::new());
+        let poisoner = Arc::clone(&flight);
+        let _ = std::thread::spawn(move || {
+            let _slot = poisoner.slot.lock();
+            panic!("deliberate panic under the flight lock");
+        })
+        .join();
+        assert!(flight.slot.is_poisoned());
+        flight.fill(Err(FlightError::Failed("kaput".to_owned())));
+        assert!(matches!(
+            flight.wait(Some(Duration::from_secs(1))),
+            Ok(Err(FlightError::Failed(message))) if message == "kaput"
+        ));
     }
 
     fn shape(units: &[Unit]) -> Vec<Vec<usize>> {

@@ -48,7 +48,7 @@ trap cleanup EXIT
 # Warm journals are what make the respawned worker answer with the exact
 # bytes its predecessor served — without them this gate could not demand
 # zero divergences.
-boot_serve "$serve_bin" "$log" --port 0 --shards 2 --batch-window-ms 0 \
+boot_serve "$serve_bin" "$log" --port 0 --shards 2 \
     --warm-journal "$journal_dir/journal" \
     || { echo "chaos smoke: fleet boot failed" >&2; exit 1; }
 

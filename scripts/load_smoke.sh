@@ -37,7 +37,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-boot_serve "$serve_bin" "$log" --port 0 --shards 2 --batch-window-ms 0 \
+boot_serve "$serve_bin" "$log" --port 0 --shards 2 \
     || { echo "load smoke: fleet boot failed" >&2; exit 1; }
 
 # Open loop: 40 req/s for 5s (200 requests), trivial simulations so a

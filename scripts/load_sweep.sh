@@ -48,7 +48,7 @@ cores=$(nproc 2>/dev/null || echo "?")
 runs=""
 for shards in $shards_list; do
     echo "load sweep: $shards shard(s), $rate req/s for ${duration_s}s..." >&2
-    boot_serve "$serve_bin" "$log" --port 0 --shards "$shards" --batch-window-ms 0 \
+    boot_serve "$serve_bin" "$log" --port 0 --shards "$shards" \
         || { echo "load sweep: $shards-shard fleet boot failed" >&2; exit 1; }
     "$load_bin" --target "127.0.0.1:$serve_port" \
         --rate "$rate" --duration-s "$duration_s" --senders 4 \

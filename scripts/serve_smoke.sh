@@ -32,7 +32,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-boot_serve "$bin" "$log" --port 0 --batch-window-ms 0 --trace-out "$trace_out" \
+boot_serve "$bin" "$log" --port 0 --trace-out "$trace_out" \
     || { echo "serve smoke: boot failed" >&2; exit 1; }
 
 request='{"org":"de","size":"8K","line":4,"trace":{"source":"profile","profile":"espresso"},"refs":100000}'
@@ -52,6 +52,10 @@ echo "$metrics" | grep -q '"sims-executed":1' \
 # memo, without loading its trace again.
 echo "$metrics" | grep -q '"key-memo-hits":1' \
     || { echo "serve smoke: repeat was not answered from the key memo: $metrics" >&2; exit 1; }
+# The handler pool's refusal counter is registered at boot; two requests
+# against a fresh server refuse none.
+echo "$metrics" | grep -q '"rejected-connections":0' \
+    || { echo "serve smoke: /metrics lacks rejected-connections at 0: $metrics" >&2; exit 1; }
 # PR 6: per-stage latency histograms and percentile summaries. The simulate
 # stage must have recorded at least one sample by now.
 echo "$metrics" | grep -q '"latency-us/simulate"' \

@@ -95,7 +95,6 @@ fn health_metrics_and_routing() {
 #[test]
 fn concurrent_identical_requests_run_one_simulation() {
     let server = start(ServeConfig {
-        batch_window: Duration::ZERO,
         inject_sim_delay: Duration::from_millis(300),
         ..ServeConfig::default()
     });
@@ -351,7 +350,6 @@ fn warm_journal_boot_answers_repeats_from_the_key_memo() {
 fn full_queue_rejects_with_429() {
     let server = start(ServeConfig {
         queue_capacity: 1,
-        batch_window: Duration::ZERO,
         inject_sim_delay: Duration::from_millis(500),
         ..ServeConfig::default()
     });
@@ -388,7 +386,6 @@ fn rejected_leader_wakes_concurrent_duplicates() {
     // (which would also wedge graceful drain below).
     let server = start(ServeConfig {
         queue_capacity: 1,
-        batch_window: Duration::ZERO,
         inject_sim_delay: Duration::from_millis(400),
         ..ServeConfig::default()
     });
@@ -433,11 +430,14 @@ fn responses_are_byte_identical_for_every_worker_count() {
     for jobs in [1usize, 4] {
         let server = start(ServeConfig {
             jobs,
-            // A real window so the concurrent posts actually share a plan.
-            batch_window: Duration::from_millis(20),
+            inject_sim_delay: Duration::from_millis(1000),
             ..ServeConfig::default()
         });
         let addr = server.addr();
+        // A decoy holds the dispatcher while the real posts queue up, so
+        // they all share the next plan.
+        let decoy = std::thread::spawn(move || post_simulate(addr, &request_body("64K")));
+        await_counter(&server, "sims-started", 1);
         let handles: Vec<_> = sizes
             .iter()
             .map(|size| {
@@ -445,14 +445,21 @@ fn responses_are_byte_identical_for_every_worker_count() {
                 std::thread::spawn(move || post_simulate(addr, &body))
             })
             .collect();
+        await_counter(&server, "queued", 1 + sizes.len() as u64);
         let mut bodies = Vec::new();
         for handle in handles {
             let (status, body) = handle.join().expect("request thread");
             assert_eq!(status, 200);
             bodies.push(body);
         }
+        assert_eq!(decoy.join().expect("decoy thread").0, 200);
         bodies.sort();
-        assert_eq!(server.counter("sims-executed"), sizes.len() as u64);
+        assert_eq!(server.counter("sims-executed"), 1 + sizes.len() as u64);
+        assert_eq!(
+            server.counter("fused-jobs"),
+            sizes.len() as u64,
+            "the six same-trace posts shared one plan"
+        );
         transcripts.push(bodies);
         server.shutdown();
         server.join();
@@ -470,7 +477,6 @@ fn same_trace_batch_coalesces_into_one_sweep_pass() {
     // counters, don't sleep and hope).
     let server = start(ServeConfig {
         jobs: 4,
-        batch_window: Duration::ZERO,
         inject_sim_delay: Duration::from_millis(1500),
         ..ServeConfig::default()
     });
@@ -542,7 +548,6 @@ fn same_trace_batch_coalesces_into_one_sweep_pass() {
 #[test]
 fn per_request_deadline_times_out_with_504() {
     let server = start(ServeConfig {
-        batch_window: Duration::ZERO,
         inject_sim_delay: Duration::from_millis(800),
         ..ServeConfig::default()
     });
@@ -673,7 +678,6 @@ fn warm_start_dedups_repeated_journal_keys() {
 #[test]
 fn graceful_shutdown_drains_in_flight_work() {
     let server = start(ServeConfig {
-        batch_window: Duration::ZERO,
         inject_sim_delay: Duration::from_millis(300),
         ..ServeConfig::default()
     });
@@ -721,7 +725,6 @@ fn trace_out_reconstructs_the_request_span_tree() {
     dynex_obs::span::install_jsonl_writer(Box::new(buf.clone()));
 
     let server = start(ServeConfig {
-        batch_window: Duration::ZERO,
         ..ServeConfig::default()
     });
     let addr = server.addr();
