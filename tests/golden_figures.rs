@@ -1,5 +1,6 @@
 //! Golden-file regression tests: reduced-budget figure sweeps against
-//! committed CSVs in `results/golden/`.
+//! committed CSVs in `results/golden/`, plus a second pin of `conflicts`
+//! and `assoc` at a larger budget in `results/golden/50k/`.
 //!
 //! The batch kernel (PR 4) made the simulation path swappable, and the
 //! sweep kernel (PR 9) made whole figure plans ride one traversal; these
@@ -28,9 +29,21 @@ use dynex_experiments::{figures, Workloads};
 /// enough that every workload's loop structure shows up in the numbers.
 const GOLDEN_REFS: usize = 12_000;
 
+/// Budget of the second pin of `conflicts` and `assoc`. At [`GOLDEN_REFS`]
+/// their 32 KB and 64 KB rows are all compulsory misses; at this budget
+/// capacity and conflict misses appear there (doduc's 32 KB conflict share
+/// is 38.4%), so the pin covers the LRU shadows and the associative
+/// columns.
+const DEEP_REFS: usize = 50_000;
+
 fn workloads() -> &'static Workloads {
     static WORKLOADS: OnceLock<Workloads> = OnceLock::new();
     WORKLOADS.get_or_init(|| Workloads::generate(GOLDEN_REFS))
+}
+
+fn deep_workloads() -> &'static Workloads {
+    static WORKLOADS: OnceLock<Workloads> = OnceLock::new();
+    WORKLOADS.get_or_init(|| Workloads::generate(DEEP_REFS))
 }
 
 /// Serializes the kernel/jobs global flips within this binary.
@@ -39,19 +52,17 @@ fn lock_globals() -> MutexGuard<'static, ()> {
     GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn golden_path(id: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results/golden")
-        .join(format!("{id}.csv"))
+fn golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/golden")
 }
 
-fn render(id: &str, kernel: Kernel) -> Vec<u8> {
+fn render(id: &str, workloads: &Workloads, kernel: Kernel) -> Vec<u8> {
     set_default_kernel(kernel);
     // Goldens are worker-count-independent by the engine's determinism
     // contract; pin jobs=1 anyway so a determinism bug cannot masquerade as
     // a numeric change.
     set_default_jobs(1);
-    let table = figures::run(id, workloads()).expect("known figure id");
+    let table = figures::run(id, workloads).expect("known figure id");
     set_default_kernel(Kernel::default());
     set_default_jobs(0);
     let mut bytes = Vec::new();
@@ -60,15 +71,28 @@ fn render(id: &str, kernel: Kernel) -> Vec<u8> {
 }
 
 fn check_golden(id: &str) {
+    check_golden_at(id, workloads(), golden_dir().join(format!("{id}.csv")));
+}
+
+/// The [`DEEP_REFS`] pin of `id`, kept under `results/golden/50k/` beside
+/// (not instead of) its [`GOLDEN_REFS`] golden.
+fn check_deep_golden(id: &str) {
+    check_golden_at(
+        id,
+        deep_workloads(),
+        golden_dir().join("50k").join(format!("{id}.csv")),
+    );
+}
+
+fn check_golden_at(id: &str, workloads: &Workloads, path: PathBuf) {
     let _guard = lock_globals();
-    let path = golden_path(id);
-    let batch = render(id, Kernel::Batch);
-    let reference = render(id, Kernel::Reference);
+    let batch = render(id, workloads, Kernel::Batch);
+    let reference = render(id, workloads, Kernel::Reference);
     assert_eq!(
         batch, reference,
         "{id}: kernels disagree at the golden budget"
     );
-    let sweep = render(id, Kernel::Sweep);
+    let sweep = render(id, workloads, Kernel::Sweep);
     assert_eq!(
         batch, sweep,
         "{id}: sweep kernel disagrees at the golden budget"
@@ -163,4 +187,48 @@ fn conflicts_matches_golden() {
     // Hill's 3C split at 32 KB: pins the fully-associative LRU shadow of
     // `classify_direct_mapped`.
     check_golden("conflicts");
+}
+
+#[test]
+fn conflicts_matches_deep_golden() {
+    check_deep_golden("conflicts");
+}
+
+#[test]
+fn assoc_matches_deep_golden() {
+    check_deep_golden("assoc");
+}
+
+#[test]
+fn victim_matches_golden() {
+    // Direct-mapped, a 4-entry victim buffer and DE at 32 KB.
+    check_golden("victim");
+}
+
+#[test]
+fn streambuf_matches_golden() {
+    // Pins DE's bypass count beside the stream buffer's hits.
+    check_golden("streambuf");
+}
+
+#[test]
+fn coldstart_matches_golden() {
+    // The DE - DM miss delta over the first tenth and over the rest.
+    check_golden("coldstart");
+}
+
+#[test]
+fn ablate_linebuf_matches_golden() {
+    check_golden("ablate-linebuf");
+}
+
+#[test]
+fn ablate_hashwidth_matches_golden() {
+    // Hashed hit-last stores of 1-8 bits per line beside the perfect store.
+    check_golden("ablate-hashwidth");
+}
+
+#[test]
+fn fig13_matches_golden() {
+    check_golden("fig13");
 }
