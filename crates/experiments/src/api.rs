@@ -1403,7 +1403,7 @@ pub(crate) fn triples_of(
         .collect()
 }
 
-/// Runs [`crate::triple`] over many `(config, trace)` sweep points on the
+/// Runs [`run_triple`] over many `(config, trace)` sweep points on the
 /// engine's worker pool.
 ///
 /// Results are in point order and bit-identical for every worker count.
@@ -1571,7 +1571,6 @@ pub(crate) static JOURNAL_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::ne
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{triple, triple_lastline};
     use dynex_trace::Access;
 
     fn thrash() -> Vec<u32> {
@@ -2096,11 +2095,13 @@ mod tests {
         let points: Vec<(CacheConfig, &[u32])> = vec![(small, &addrs), (large, &addrs)];
         let parallel = sweep_triples(&points);
         assert_eq!(parallel.len(), 2);
-        assert_eq!(parallel[0], triple(small, &addrs));
-        assert_eq!(parallel[1], triple(large, &addrs));
+        let kernel = default_kernel();
+        assert_eq!(parallel[0], run_triple(kernel, small, &addrs));
+        assert_eq!(parallel[1], run_triple(kernel, large, &addrs));
         let lastline = journaled_triples(&points, TripleKind::LastLine);
-        assert_eq!(lastline[0], triple_lastline(small, &addrs));
-        assert_eq!(lastline[1], triple_lastline(large, &addrs));
+        let one = |config| triples_of(TripleKind::LastLine, kernel, &[config], &addrs)[0];
+        assert_eq!(lastline[0], one(small));
+        assert_eq!(lastline[1], one(large));
     }
 
     #[test]
@@ -2183,7 +2184,7 @@ mod tests {
     #[test]
     fn triple_journal_encoding_round_trips() {
         let config = CacheConfig::direct_mapped(64, 4).unwrap();
-        let t = triple(config, &thrash());
+        let t = run_triple(default_kernel(), config, &thrash());
         let v = json::parse(&triple_to_journal(&t)).unwrap();
         assert_eq!(triple_from_journal(&v), Some(t));
         assert_eq!(triple_from_journal(&Json::Null), None);

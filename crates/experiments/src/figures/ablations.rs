@@ -1,10 +1,14 @@
 //! Ablations and related-work comparisons the paper discusses in prose.
 
 use dynex::{DeCache, HashedStore, MultiStickyDeCache};
-use dynex_cache::{run, run_addrs, CacheConfig, DirectMapped, StreamBuffer, VictimCache};
+use dynex_cache::{run, run_addrs, CacheConfig, StreamBuffer};
+use dynex_engine::PolicyKind;
 use dynex_workload::patterns as pat;
 
-use crate::runner::{bench_means, miss_rate, per_benchmark, push_benchmark_rows, reduction};
+use crate::runner::{
+    bench_means, miss_rate, miss_rate_grid, per_benchmark, policy_runs, push_benchmark_rows,
+    reduction,
+};
 use crate::{Table, Workloads, HEADLINE_SIZE};
 
 /// Multi-level sticky counters (Section 4 / \[McF91a\]).
@@ -56,7 +60,7 @@ pub fn ablate_hashwidth(workloads: &Workloads) -> Table {
     const BITS: [u32; 4] = [1, 2, 4, 8];
     // Per benchmark: the perfect store, then each hashed width.
     let per_bench = per_benchmark(workloads, |addrs| {
-        let perfect = [miss_rate(DeCache::new(config), addrs)];
+        let perfect = miss_rate_grid(&[config], [PolicyKind::DynamicExclusion], addrs)[0];
         let hashed = BITS.map(|bits| {
             [miss_rate(
                 DeCache::with_store(config, HashedStore::new(config, bits)),
@@ -100,12 +104,13 @@ pub fn victim(workloads: &Workloads) -> Table {
         ],
     );
     push_benchmark_rows(&mut table, workloads, |addrs| {
-        let mut dm = DirectMapped::new(config);
-        let dm_stats = run_addrs(&mut dm, addrs.iter().copied());
-        let mut vc = VictimCache::new(config, 4);
-        let vc_stats = run_addrs(&mut vc, addrs.iter().copied());
-        let mut de = DeCache::new(config);
-        let de_stats = run_addrs(&mut de, addrs.iter().copied());
+        let policies = [
+            PolicyKind::DirectMapped,
+            PolicyKind::Victim,
+            PolicyKind::DynamicExclusion,
+        ];
+        let [(dm_stats, _), (vc_stats, _), (de_stats, _)] =
+            policy_runs(&[config], policies, addrs)[0];
         vec![
             format!("{:.3}", dm_stats.miss_rate_percent()),
             format!("{:.3}", vc_stats.miss_rate_percent()),
@@ -134,18 +139,18 @@ pub fn streambuf(workloads: &Workloads) -> Table {
         ],
     );
     push_benchmark_rows(&mut table, workloads, |addrs| {
-        let mut dm = DirectMapped::new(config);
-        let dm_stats = run_addrs(&mut dm, addrs.iter().copied());
+        let policies = [PolicyKind::DirectMapped, PolicyKind::DynamicExclusion];
+        let [(dm_stats, _), (de_stats, de)] = policy_runs(&[config], policies, addrs)[0];
         let mut sb = StreamBuffer::new(config, 4);
         let sb_stats = run_addrs(&mut sb, addrs.iter().copied());
-        let mut de = DeCache::new(config);
-        let de_stats = run_addrs(&mut de, addrs.iter().copied());
         vec![
             format!("{:.3}", dm_stats.miss_rate_percent()),
             format!("{:.3}", sb_stats.miss_rate_percent()),
             format!("{:.3}", de_stats.miss_rate_percent()),
             sb.stream_stats().stream_hits.to_string(),
-            de.de_stats().bypasses.to_string(),
+            de.expect("de reports its exclusion counters")
+                .bypasses
+                .to_string(),
         ]
     });
     table

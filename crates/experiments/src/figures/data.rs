@@ -1,7 +1,7 @@
 //! Figures 14–15: data and combined caches.
 
 use crate::api::TripleKind;
-use crate::runner::{averaged_sweep, reduction, size_configs};
+use crate::runner::{averaged_sweep, dm_configs, reduction};
 use crate::{Table, Workloads, SIZE_SWEEP_KB};
 
 /// The size sweep of one stream at 4-byte lines, rendered as a table of
@@ -17,7 +17,12 @@ fn render(title: &str, workloads: &Workloads, stream: fn(&Workloads, &str) -> Ve
             "DE red. %",
         ],
     );
-    let rates = averaged_sweep(workloads, stream, TripleKind::Plain, &size_configs(4));
+    let rates = averaged_sweep(
+        workloads,
+        stream,
+        TripleKind::Plain,
+        &dm_configs(&SIZE_SWEEP_KB, 4),
+    );
     for (kb, (dm, de, opt)) in SIZE_SWEEP_KB.iter().zip(rates) {
         table.push_row(vec![
             kb.to_string(),

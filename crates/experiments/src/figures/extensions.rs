@@ -2,12 +2,14 @@
 //! associativity comparison, cold-start accounting, and the Section 6
 //! line-buffer alternatives.
 
-use dynex::{DeCache, DeStreamBuffer, InstrRegisterDeCache, LastLineDeCache, OptimalDirectMapped};
-use dynex_cache::{
-    classify_direct_mapped, run_addrs, CacheConfig, CacheSim, DirectMapped, SetAssociative,
-};
+use dynex::{DeStreamBuffer, InstrRegisterDeCache};
+use dynex_cache::{classify_direct_mapped, CacheConfig};
+use dynex_engine::PolicyKind;
 
-use crate::runner::{bench_means, miss_rate, per_benchmark, push_benchmark_rows, reduction};
+use crate::runner::{
+    bench_means, dm_configs, miss_rate, miss_rate_grid, per_benchmark, policy_runs,
+    push_benchmark_rows, reduction,
+};
 use crate::{Table, Workloads, HEADLINE_SIZE};
 
 /// Miss anatomy: the 3C classification of every benchmark's direct-mapped
@@ -33,16 +35,18 @@ pub fn conflicts(workloads: &Workloads) -> Table {
     push_benchmark_rows(&mut table, workloads, |addrs| {
         let classes = classify_direct_mapped(config, addrs.iter().copied());
         let total = classes.total_misses().max(1) as f64;
-        let mut de = DeCache::new(config);
-        let de_stats = run_addrs(&mut de, addrs.iter().copied());
-        let opt = OptimalDirectMapped::simulate(config, addrs.iter().copied());
+        let [(de, _), (opt, _)] = policy_runs(
+            &[config],
+            [PolicyKind::DynamicExclusion, PolicyKind::OptimalDm],
+            addrs,
+        )[0];
         let removed = |m: u64| (classes.total_misses() as f64 - m as f64) / total * 100.0;
         vec![
             format!("{:.3}", classes.miss_rate_percent()),
             format!("{:.1}", classes.compulsory as f64 / total * 100.0),
             format!("{:.1}", classes.capacity as f64 / total * 100.0),
             format!("{:.1}", classes.conflict as f64 / total * 100.0),
-            format!("{:.1}", removed(de_stats.misses())),
+            format!("{:.1}", removed(de.misses())),
             format!("{:.1}", removed(opt.misses())),
         ]
     });
@@ -65,20 +69,15 @@ pub fn assoc(workloads: &Workloads) -> Table {
         ],
     );
     const SIZES_KB: [u32; 4] = [8, 16, 32, 64];
+    let configs = dm_configs(&SIZES_KB, 4);
     let per_bench = per_benchmark(workloads, |addrs| {
-        SIZES_KB
-            .map(|kb| {
-                let dm_cfg = CacheConfig::direct_mapped(kb * 1024, 4).expect("valid config");
-                let w2 = CacheConfig::new(kb * 1024, 4, 2).expect("valid config");
-                let w4 = CacheConfig::new(kb * 1024, 4, 4).expect("valid config");
-                [
-                    miss_rate(DirectMapped::new(dm_cfg), addrs),
-                    miss_rate(DeCache::new(dm_cfg), addrs),
-                    miss_rate(SetAssociative::new(w2), addrs),
-                    miss_rate(SetAssociative::new(w4), addrs),
-                ]
-            })
-            .to_vec()
+        let policies = [
+            PolicyKind::DirectMapped,
+            PolicyKind::DynamicExclusion,
+            PolicyKind::TwoWay,
+            PolicyKind::FourWay,
+        ];
+        miss_rate_grid(&configs, policies, addrs)
     });
     for (kb, [dm_a, de_a, a2, a4]) in SIZES_KB.into_iter().zip(bench_means(&per_bench)) {
         // How much of the DM -> 2-way gap DE closes (can exceed 100% if DE
@@ -117,22 +116,14 @@ pub fn coldstart(workloads: &Workloads) -> Table {
         ],
     );
     push_benchmark_rows(&mut table, workloads, |addrs| {
-        let split = addrs.len() / 10;
-        let mut dm = DirectMapped::new(config);
-        let mut de = DeCache::new(config);
-        let (mut dm_head, mut de_head) = (0i64, 0i64);
-        let (mut dm_tail, mut de_tail) = (0i64, 0i64);
-        for (i, &a) in addrs.iter().enumerate() {
-            let dm_miss = dm.access(a).is_miss() as i64;
-            let de_miss = de.access(a).is_miss() as i64;
-            if i < split {
-                dm_head += dm_miss;
-                de_head += de_miss;
-            } else {
-                dm_tail += dm_miss;
-                de_tail += de_miss;
-            }
-        }
+        // Both simulators are online, so the head's misses are those of a
+        // run over the head alone, and the rest is the whole run minus them.
+        let [head, whole] = [&addrs[..addrs.len() / 10], addrs].map(|refs| {
+            let policies = [PolicyKind::DirectMapped, PolicyKind::DynamicExclusion];
+            policy_runs(&[config], policies, refs)[0].map(|(stats, _)| stats.misses() as i64)
+        });
+        let [dm_head, de_head] = head;
+        let [dm_tail, de_tail] = [whole[0] - head[0], whole[1] - head[1]];
         let steady_red = if dm_tail > 0 {
             (dm_tail - de_tail) as f64 / dm_tail as f64 * 100.0
         } else {
@@ -164,18 +155,22 @@ pub fn ablate_linebuf(workloads: &Workloads) -> Table {
         ],
     );
     const SIZES_KB: [u32; 4] = [8, 16, 32, 64];
+    let configs = dm_configs(&SIZES_KB, 16);
     let per_bench = per_benchmark(workloads, |addrs| {
-        SIZES_KB
-            .map(|kb| {
-                let config = CacheConfig::direct_mapped(kb * 1024, 16).expect("valid config");
+        let policies = [PolicyKind::DirectMapped, PolicyKind::DeLastLine];
+        let engine = miss_rate_grid(&configs, policies, addrs);
+        configs
+            .iter()
+            .zip(engine)
+            .map(|(&config, [dm, last_line])| {
                 [
-                    miss_rate(DirectMapped::new(config), addrs),
+                    dm,
                     miss_rate(InstrRegisterDeCache::new(config), addrs),
-                    miss_rate(LastLineDeCache::new(config), addrs),
+                    last_line,
                     miss_rate(DeStreamBuffer::new(config, 4), addrs),
                 ]
             })
-            .to_vec()
+            .collect()
     });
     for (kb, [dm_a, reg_a, ll_a, sb_a]) in SIZES_KB.into_iter().zip(bench_means(&per_bench)) {
         table.push_row(vec![

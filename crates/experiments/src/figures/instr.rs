@@ -3,7 +3,7 @@
 use dynex_cache::CacheConfig;
 
 use crate::api::{sweep_triples, TripleKind};
-use crate::runner::{averaged_sweep, reduction, size_configs};
+use crate::runner::{averaged_sweep, dm_configs, reduction};
 use crate::{Table, Workloads, HEADLINE_SIZE, SIZE_SWEEP_KB};
 
 fn pct(v: f64) -> String {
@@ -52,7 +52,7 @@ fn size_sweep(workloads: &Workloads) -> Vec<(f64, f64, f64)> {
         workloads,
         Workloads::instr_addrs,
         TripleKind::Plain,
-        &size_configs(4),
+        &dm_configs(&SIZE_SWEEP_KB, 4),
     )
 }
 

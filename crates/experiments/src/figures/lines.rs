@@ -1,11 +1,12 @@
 //! Figures 11–13: line sizes above one word.
 
 use dynex::{HashedStore, LastLineDeCache};
-use dynex_cache::{CacheConfig, DirectMapped};
+use dynex_cache::CacheConfig;
+use dynex_engine::PolicyKind;
 
 use crate::api::TripleKind;
 use crate::runner::{
-    averaged_sweep, bench_means, miss_rate, per_benchmark, reduction, size_configs,
+    averaged_sweep, bench_means, dm_configs, miss_rate, miss_rate_grid, per_benchmark, reduction,
 };
 use crate::{Table, Workloads, HEADLINE_SIZE, LINE_SWEEP_BYTES, SIZE_SWEEP_KB};
 
@@ -70,7 +71,7 @@ pub fn fig12(workloads: &Workloads) -> Table {
     );
     for (&kb, (dm, de, opt)) in SIZE_SWEEP_KB
         .iter()
-        .zip(lastline_sweep(workloads, &size_configs(16)))
+        .zip(lastline_sweep(workloads, &dm_configs(&SIZE_SWEEP_KB, 16)))
     {
         table.push_row(vec![
             kb.to_string(),
@@ -94,22 +95,17 @@ pub fn fig13(workloads: &Workloads) -> Table {
     let base8 = CacheConfig::direct_mapped(8 * 1024, 16).expect("valid config");
     let dm16 = CacheConfig::direct_mapped(16 * 1024, 16).expect("valid config");
 
+    let hashed_de = || LastLineDeCache::with_store(base8, HashedStore::new(base8, 4));
     let per_bench = per_benchmark(workloads, |addrs| {
-        vec![[
-            miss_rate(DirectMapped::new(base8), addrs),
-            miss_rate(
-                LastLineDeCache::with_store(base8, HashedStore::new(base8, 4)),
-                addrs,
-            ),
-            miss_rate(DirectMapped::new(dm16), addrs),
-        ]]
+        let dm = miss_rate_grid(&[base8, dm16], [PolicyKind::DirectMapped], addrs);
+        vec![[dm[0][0], miss_rate(hashed_de(), addrs), dm[1][0]]]
     });
     let [dm8_rate, de8_rate, dm16_rate] = bench_means(&per_bench)[0];
 
     // Storage accounting: the baseline cache's data + tag + valid bits vs the
     // DE additions (last-line buffer, sticky, hashed hit-last bits).
     let base_bits = cache_bits(base8);
-    let de_extra = LastLineDeCache::new(base8).overhead_bits(4);
+    let de_extra = hashed_de().overhead_bits(4);
     let de_delta_size = de_extra as f64 / base_bits as f64 * 100.0;
     let double_delta_size = 100.0;
 

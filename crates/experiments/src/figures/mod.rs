@@ -25,6 +25,20 @@
 //! | [`bwcost`] | bandwidth-cost headline comparison (arXiv 1907.02167) |
 //! | [`assoc`] | DE vs set-associativity (extension) |
 //! | [`coldstart`] | DE training-cost split (extension) |
+//!
+//! Every column with a [`dynex_engine::PolicyKind`] is a
+//! [`dynex_engine::run_jobs`] job under the session kernel. The rest are
+//! reference-only, with the same simulator under every kernel:
+//!
+//! | figure | reference-only column | simulator |
+//! |--------|-----------------------|-----------|
+//! | [`conflicts`] | DM miss % and its 3C split | `classify_direct_mapped` |
+//! | [`ablate_sticky`] | every column | `MultiStickyDeCache` |
+//! | [`ablate_hashwidth`] | the 1-8 bit rows | `DeCache` over a `HashedStore` |
+//! | [`fig13`] | 8KB DE (4 hashed bits) | `LastLineDeCache` over a `HashedStore` |
+//! | [`ablate_linebuf`] | instr register; DE+stream(4) | `InstrRegisterDeCache`; `DeStreamBuffer` |
+//! | [`streambuf`] | DM+stream(4) % and stream hits (no engine counter) | `StreamBuffer` |
+//! | [`bwcost`] | DM and DE traffic (until every kernel counts traffic) | `DmPolicy`, `DePolicy` |
 
 mod ablations;
 mod data;
@@ -44,63 +58,55 @@ pub use lines::{fig11, fig12, fig13};
 pub use patterns::{fig2, patterns};
 pub use zoo::{bwcost, ehc};
 
-/// Every experiment id accepted by the `experiments` binary, in run order.
-pub const ALL_IDS: [&str; 23] = [
-    "patterns",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "ablate-sticky",
-    "ablate-hashwidth",
-    "ablate-linebuf",
-    "victim",
-    "streambuf",
-    "conflicts",
-    "assoc",
-    "coldstart",
-    "ehc",
-    "bwcost",
+use crate::{Table, Workloads};
+
+/// Renders one experiment's table.
+type Figure = fn(&Workloads) -> Table;
+
+/// Every experiment, in run order: its id and the function that renders it.
+const FIGURES: [(&str, Figure); 23] = [
+    ("patterns", |_| patterns()),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("ablate-sticky", ablate_sticky),
+    ("ablate-hashwidth", ablate_hashwidth),
+    ("ablate-linebuf", ablate_linebuf),
+    ("victim", victim),
+    ("streambuf", streambuf),
+    ("conflicts", conflicts),
+    ("assoc", assoc),
+    ("coldstart", coldstart),
+    ("ehc", ehc),
+    ("bwcost", bwcost),
 ];
+
+/// Every experiment id accepted by the `experiments` binary, in run order.
+pub const ALL_IDS: [&str; 23] = {
+    let mut ids = [""; 23];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = FIGURES[i].0;
+        i += 1;
+    }
+    ids
+};
 
 /// Runs one experiment by id.
 ///
 /// Returns `None` for unknown ids.
-pub fn run(id: &str, workloads: &crate::Workloads) -> Option<crate::Table> {
-    Some(match id {
-        "patterns" => patterns(),
-        "fig2" => fig2(workloads),
-        "fig3" => fig3(workloads),
-        "fig4" => fig4(workloads),
-        "fig5" => fig5(workloads),
-        "fig7" => fig7(workloads),
-        "fig8" => fig8(workloads),
-        "fig9" => fig9(workloads),
-        "fig11" => fig11(workloads),
-        "fig12" => fig12(workloads),
-        "fig13" => fig13(workloads),
-        "fig14" => fig14(workloads),
-        "fig15" => fig15(workloads),
-        "ablate-sticky" => ablate_sticky(workloads),
-        "ablate-hashwidth" => ablate_hashwidth(workloads),
-        "ablate-linebuf" => ablate_linebuf(workloads),
-        "conflicts" => conflicts(workloads),
-        "assoc" => assoc(workloads),
-        "coldstart" => coldstart(workloads),
-        "ehc" => ehc(workloads),
-        "bwcost" => bwcost(workloads),
-        "victim" => victim(workloads),
-        "streambuf" => streambuf(workloads),
-        _ => return None,
-    })
+pub fn run(id: &str, workloads: &Workloads) -> Option<Table> {
+    let (_, figure) = FIGURES.iter().find(|(name, _)| *name == id)?;
+    Some(figure(workloads))
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! The Section 3 analytic pattern table and the Figure 2 benchmark table.
 
-use dynex::{DeCache, OptimalDirectMapped};
-use dynex_cache::{run, CacheConfig};
+use dynex_cache::CacheConfig;
+use dynex_engine::PolicyKind;
 use dynex_trace::Trace;
 use dynex_workload::patterns as pat;
 
+use crate::runner::miss_rate_grid;
 use crate::{Table, Workloads};
 
 /// Section 3: the three common reference patterns, analytic miss rates from
@@ -46,19 +47,21 @@ pub fn patterns() -> Table {
             "measured DE",
         ],
     );
+    let policies = [
+        PolicyKind::DirectMapped,
+        PolicyKind::DynamicExclusion,
+        PolicyKind::OptimalDm,
+    ];
     for (name, trace, paper_dm, paper_opt) in cases {
-        let mut dm = dynex_cache::DirectMapped::new(config);
-        let dm_stats = run(&mut dm, trace.iter());
-        let mut de = DeCache::new(config);
-        let de_stats = run(&mut de, trace.iter());
-        let opt = OptimalDirectMapped::simulate(config, trace.iter().map(|x| x.addr()));
+        let addrs: Vec<u32> = trace.iter().map(|x| x.addr()).collect();
+        let [dm, de, opt] = miss_rate_grid(&[config], policies, &addrs)[0];
         table.push_row(vec![
             name.to_owned(),
             format!("{paper_dm:.0}"),
-            format!("{:.1}", dm_stats.miss_rate_percent()),
+            format!("{dm:.1}"),
             format!("{paper_opt:.0}"),
-            format!("{:.1}", opt.miss_rate_percent()),
-            format!("{:.1}", de_stats.miss_rate_percent()),
+            format!("{opt:.1}"),
+            format!("{de:.1}"),
         ]);
     }
     table

@@ -19,11 +19,12 @@
 //! path the serve tier uses; the goldens under `results/golden/` pin the
 //! bytes under the differential wall.
 
-use dynex_cache::{simulate_policy, CacheConfig, DePolicy, DmPolicy};
-use dynex_engine::{default_kernel, PolicyKind};
+use dynex_cache::{simulate_policy, DePolicy, DmPolicy};
+use dynex_engine::PolicyKind;
 
-use crate::api::run_triples;
-use crate::runner::{bench_means, per_benchmark, reduction};
+use crate::runner::{
+    bench_means, dm_configs, miss_rate_grid, per_benchmark, policy_runs, reduction,
+};
 use crate::{Table, Workloads};
 
 /// Cache sizes the zoo figures sweep: small enough that conflict misses
@@ -47,21 +48,18 @@ pub fn ehc(workloads: &Workloads) -> Table {
             "EHC red %",
         ],
     );
-    let configs =
-        ZOO_SIZES_KB.map(|kb| CacheConfig::direct_mapped(kb * 1024, 4).expect("valid config"));
+    let configs = dm_configs(&ZOO_SIZES_KB, 4);
     let per_bench = per_benchmark(workloads, |addrs| {
-        // The dm/de/opt columns of every size share one triple call (one
-        // trace walk and one last-use table on the fast path); EHC runs
-        // per size.
-        let triples = run_triples(default_kernel(), &configs, addrs);
-        configs
-            .iter()
-            .zip(triples)
-            .map(|(&config, t)| {
-                let ehc = PolicyKind::ExpectedHitCount.simulate(config, addrs);
-                [t.dm, t.de, ehc, t.opt].map(|stats| stats.miss_rate_percent())
-            })
-            .collect()
+        // One engine call per benchmark: on the fast path the dm/de/opt
+        // columns of every size share one trace walk, and EHC runs its
+        // windowed kernel per size.
+        let policies = [
+            PolicyKind::DirectMapped,
+            PolicyKind::DynamicExclusion,
+            PolicyKind::ExpectedHitCount,
+            PolicyKind::OptimalDm,
+        ];
+        miss_rate_grid(&configs, policies, addrs)
     });
     for (kb, [dm_a, de_a, ehc_a, opt_a]) in ZOO_SIZES_KB.into_iter().zip(bench_means(&per_bench)) {
         table.push_row(vec![
@@ -102,13 +100,15 @@ pub fn bwcost(workloads: &Workloads) -> Table {
             "BW bw saved %",
         ],
     );
+    let configs = dm_configs(&ZOO_SIZES_KB, 4);
     let per_bench = per_benchmark(workloads, |addrs| {
-        ZOO_SIZES_KB
-            .map(|kb| {
-                let config = CacheConfig::direct_mapped(kb * 1024, 4).expect("valid config");
+        let bw_runs = policy_runs(&configs, [PolicyKind::BandwidthCost], addrs);
+        configs
+            .iter()
+            .zip(bw_runs)
+            .map(|(&config, [(bw, _)])| {
                 let dm = simulate_policy(config, addrs, &mut DmPolicy);
                 let de = simulate_policy(config, addrs, &mut DePolicy::new(config, addrs));
-                let bw = PolicyKind::BandwidthCost.simulate(config, addrs);
                 [
                     dm.bandwidth_per_kiloref(),
                     de.bandwidth_per_kiloref(),
@@ -117,7 +117,7 @@ pub fn bwcost(workloads: &Workloads) -> Table {
                     bw.miss_rate_percent(),
                 ]
             })
-            .to_vec()
+            .collect()
     });
     for (kb, [dm_bw, de_bw, bw_bw, dm_miss, bw_miss]) in
         ZOO_SIZES_KB.into_iter().zip(bench_means(&per_bench))
@@ -139,6 +139,7 @@ pub fn bwcost(workloads: &Workloads) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynex_cache::CacheConfig;
 
     #[test]
     fn ehc_lands_between_dm_and_opt() {

@@ -1,22 +1,22 @@
 //! Shared simulation drivers: the DM / DE / OPT comparison the paper's
 //! figures are built from.
 //!
-//! Since PR 2 the drivers sit on `dynex-engine`: the single-point entry
-//! points ([`triple`], [`triple_lastline`]) dispatch through
-//! [`dynex_engine::PolicyKind`], and the sweep entry points fan the points out
-//! over the engine's deterministic worker pool. Results are in plan order
-//! and bit-identical for every worker count, so figures built on these
-//! functions never depend on `--jobs`. The sweep entry points and the
-//! explicit-kernel triple live in [`crate::api`]. Figures that are not
-//! triple sweeps fan out one pool job per benchmark through
-//! `per_benchmark` and average with `bench_means`, under the same
-//! guarantee.
+//! Every figure column with a [`PolicyKind`] runs through [`run_jobs`] under
+//! the session kernel: the averaged triple sweeps through `averaged_sweep`
+//! (the journal-aware sweep in [`crate::api`]), every other column through
+//! `policy_runs` or `miss_rate_grid`, one engine call per trace. Only the
+//! reference-only columns listed in [`crate::figures`] use `miss_rate`.
+//! Figures fan out one pool job per benchmark (`per_benchmark`) and average
+//! in benchmark order (`bench_means`), so no figure depends on `--jobs` or
+//! `--kernel`.
 
+use dynex::DeStats;
 use dynex_cache::{run_addrs, CacheConfig, CacheSim, CacheStats};
-use dynex_engine::{default_jobs, default_kernel, execute};
+use dynex_engine::{default_jobs, default_kernel, execute, run_jobs, Job, PolicyKind};
+use dynex_obs::NoopProbe;
 
-use crate::api::{journaled_triples, triples_of, TripleKind};
-use crate::{Table, Workloads, SIZE_SWEEP_KB};
+use crate::api::{journaled_triples, TripleKind};
+use crate::{Table, Workloads};
 
 /// Results of one workload under the three caches the paper compares
 /// throughout: conventional direct-mapped, dynamic exclusion, and optimal
@@ -43,58 +43,6 @@ impl Triple {
     }
 }
 
-/// Runs the three-way comparison at word-line granularity (`b = 4`) with
-/// the session's [`dynex_engine::default_kernel`].
-pub fn triple(config: CacheConfig, addrs: &[u32]) -> Triple {
-    crate::api::run_triple(default_kernel(), config, addrs)
-}
-
-/// One labelled triple as a JSON object (a JSONL line, without the newline).
-///
-/// The miss-rate and reduction fields use Rust's shortest-roundtrip float
-/// formatting, so the text is a pure function of the statistics — exporting
-/// a parallel sweep yields the same bytes as a serial one.
-pub fn triple_to_json(label: &str, t: &Triple) -> String {
-    let quoted = label.replace('\\', "\\\\").replace('"', "\\\"");
-    format!(
-        r#"{{"label":"{}","dm":{{"accesses":{},"misses":{},"rate":{}}},"de":{{"accesses":{},"misses":{},"rate":{}}},"opt":{{"accesses":{},"misses":{},"rate":{}}},"de_reduction":{},"opt_reduction":{}}}"#,
-        quoted,
-        t.dm.accesses(),
-        t.dm.misses(),
-        t.dm.miss_rate_percent(),
-        t.de.accesses(),
-        t.de.misses(),
-        t.de.miss_rate_percent(),
-        t.opt.accesses(),
-        t.opt.misses(),
-        t.opt.miss_rate_percent(),
-        t.de_reduction(),
-        t.opt_reduction(),
-    )
-}
-
-/// Serializes labelled triples as JSONL (one [`triple_to_json`] object per
-/// line), in slice order.
-pub fn triples_to_jsonl<'a, I>(rows: I) -> String
-where
-    I: IntoIterator<Item = (&'a str, &'a Triple)>,
-{
-    let mut out = String::new();
-    for (label, t) in rows {
-        out.push_str(&triple_to_json(label, t));
-        out.push('\n');
-    }
-    out
-}
-
-/// Runs the three-way comparison for multi-word lines: DE and OPT both get
-/// the Section 6 last-line buffer; the conventional cache stays bare.
-pub fn triple_lastline(config: CacheConfig, addrs: &[u32]) -> Triple {
-    triples_of(TripleKind::LastLine, default_kernel(), &[config], addrs)
-        .pop()
-        .expect("one config in, one triple out")
-}
-
 /// Averages miss-rate percentages across per-benchmark triples (the paper's
 /// "average across the SPEC benchmarks").
 pub fn average_rates(triples: &[Triple]) -> (f64, f64, f64) {
@@ -117,12 +65,50 @@ pub fn average_rates(triples: &[Triple]) -> (f64, f64, f64) {
     (dm, de, opt)
 }
 
-/// The direct-mapped configurations of the size axis ([`SIZE_SWEEP_KB`])
-/// at `line_bytes` lines.
-pub(crate) fn size_configs(line_bytes: u32) -> Vec<CacheConfig> {
-    SIZE_SWEEP_KB
+/// The direct-mapped configurations of `sizes_kb` at `line_bytes` lines.
+pub(crate) fn dm_configs(sizes_kb: &[u32], line_bytes: u32) -> Vec<CacheConfig> {
+    sizes_kb
         .iter()
         .map(|&kb| CacheConfig::direct_mapped(kb * 1024, line_bytes).expect("valid config"))
+        .collect()
+}
+
+/// `runs[c][p]`: the statistics and exclusion counters of `policies[p]` at
+/// the direct-mapped base geometry `configs[c]` (with the policy's
+/// associativity) over `addrs`, from one [`run_jobs`] call under the
+/// session kernel, so on the fast path every dm/de/opt job shares one walk.
+pub(crate) fn policy_runs<const K: usize>(
+    configs: &[CacheConfig],
+    policies: [PolicyKind; K],
+    addrs: &[u32],
+) -> Vec<[(CacheStats, Option<DeStats>); K]> {
+    let jobs: Vec<Job> = configs
+        .iter()
+        .flat_map(|c| {
+            policies.map(|policy| {
+                let ways = policy.associativity();
+                let config = CacheConfig::new(c.size_bytes(), c.line_bytes(), ways);
+                Job::new(config.expect("valid config"), policy)
+            })
+        })
+        .collect();
+    let mut probes = vec![NoopProbe; jobs.len()];
+    run_jobs(default_kernel(), &jobs, addrs, &mut probes)
+        .chunks_exact(K)
+        .map(|row| std::array::from_fn(|p| row[p]))
+        .collect()
+}
+
+/// [`policy_runs`] as miss rates (%): `grid[c][p]` is `policies[p]`'s miss
+/// rate at `configs[c]`.
+pub(crate) fn miss_rate_grid<const K: usize>(
+    configs: &[CacheConfig],
+    policies: [PolicyKind; K],
+    addrs: &[u32],
+) -> Vec<[f64; K]> {
+    policy_runs(configs, policies, addrs)
+        .into_iter()
+        .map(|row| row.map(|(stats, _)| stats.miss_rate_percent()))
         .collect()
 }
 
@@ -178,7 +164,8 @@ where
     }
 }
 
-/// The miss rate (%) of a fresh `cache` over `addrs`.
+/// The miss rate (%) of a fresh `cache` over `addrs`: the driver of the
+/// reference-only columns, which have no [`PolicyKind`].
 pub(crate) fn miss_rate<S: CacheSim>(mut cache: S, addrs: &[u32]) -> f64 {
     run_addrs(&mut cache, addrs.iter().copied()).miss_rate_percent()
 }
@@ -216,6 +203,7 @@ pub fn reduction(base: f64, new: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{run_triple, triples_of};
 
     fn thrash() -> Vec<u32> {
         (0..40).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect()
@@ -224,7 +212,7 @@ mod tests {
     #[test]
     fn triple_orders_correctly() {
         let config = CacheConfig::direct_mapped(64, 4).unwrap();
-        let t = triple(config, &thrash());
+        let t = run_triple(default_kernel(), config, &thrash());
         assert!(t.opt.misses() <= t.de.misses());
         assert!(t.de.misses() < t.dm.misses());
         assert!(t.de_reduction() > 0.0);
@@ -243,7 +231,7 @@ mod tests {
                 }
             })
             .collect();
-        let t = triple_lastline(config, &addrs);
+        let t = triples_of(TripleKind::LastLine, default_kernel(), &[config], &addrs)[0];
         assert!(t.opt.misses() <= t.de.misses());
         assert!(t.de.misses() <= t.dm.misses());
     }
@@ -251,26 +239,12 @@ mod tests {
     #[test]
     fn averaging() {
         let config = CacheConfig::direct_mapped(64, 4).unwrap();
-        let t = triple(config, &thrash());
+        let t = run_triple(default_kernel(), config, &thrash());
         let (dm, de, opt) = average_rates(&[t, t]);
         assert_eq!(dm, t.dm.miss_rate_percent());
         assert_eq!(de, t.de.miss_rate_percent());
         assert_eq!(opt, t.opt.miss_rate_percent());
         assert_eq!(average_rates(&[]), (0.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn jsonl_is_one_object_per_row_in_order() {
-        let config = CacheConfig::direct_mapped(64, 4).unwrap();
-        let addrs = thrash();
-        let t = triple(config, &addrs);
-        let jsonl = triples_to_jsonl([("first", &t), ("with \"quotes\"", &t)]);
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with(r#"{"label":"first","dm":{"accesses":40"#));
-        assert!(lines[1].starts_with(r#"{"label":"with \"quotes\"","#));
-        assert!(lines[0].contains(r#""de_reduction":"#));
-        assert_eq!(jsonl, format!("{}\n{}\n", lines[0], lines[1]));
     }
 
     #[test]

@@ -114,8 +114,11 @@ fi
 # Figure jobs- and kernel-invariance: the whole figure set at one and two
 # workers must write byte-identical CSVs (every per-benchmark fan-out sums
 # its results in benchmark order), and the reference kernel must write the
-# same CSVs as the default fast one (the one-pass hierarchy kernel of
-# Figures 7-9 against its per-point spec simulators, among others).
+# same CSVs as the default fast one. Every figure column with a policy name
+# follows --kernel (the triple sweeps, the one-pass hierarchy kernel of
+# Figures 7-9 against its per-point spec simulators, and the engine calls
+# of patterns, fig13, assoc, conflicts, coldstart, ablate-linebuf,
+# ablate-hashwidth, victim, streambuf and ehc), so this diff covers them all.
 # (Skipped under --quick: needs the release binary.)
 if [ "$quick" -eq 0 ]; then
     echo "==> figure jobs- and kernel-invariance (experiments all, --jobs 1 vs --jobs 2 vs --kernel reference)"

@@ -1,10 +1,11 @@
 //! Integration: the sweep engine's plan-level parallelism is deterministic.
 //! A figure-style sweep produces bit-identical `Triple`s — and
-//! byte-identical exported JSONL and figure CSVs — for every worker count.
+//! byte-identical figure CSVs — for every worker count.
 
 use dynex_cache::{CacheConfig, CacheStats, SplitMix64};
-use dynex_engine::{execute, set_default_jobs, Job, PolicyKind};
-use dynex_experiments::{figures, triple, triples_to_jsonl, Triple, Workloads};
+use dynex_engine::{default_kernel, execute, set_default_jobs, Job, PolicyKind};
+use dynex_experiments::api::run_triple;
+use dynex_experiments::{figures, Triple, Workloads};
 
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -26,9 +27,10 @@ fn figure_sweep_triples_identical_for_every_worker_count() {
         points.extend(traces.iter().map(|t| (config, t.as_slice())));
     }
 
-    let serial: Vec<Triple> = points.iter().map(|&(c, a)| triple(c, a)).collect();
+    let triple = |&(c, a): &(CacheConfig, &[u32])| run_triple(default_kernel(), c, a);
+    let serial: Vec<Triple> = points.iter().map(triple).collect();
     for jobs in JOB_COUNTS {
-        let parallel = execute(&points, jobs, |&(c, a)| triple(c, a));
+        let parallel = execute(&points, jobs, triple);
         assert_eq!(parallel, serial, "jobs={jobs}");
     }
 }
@@ -51,24 +53,6 @@ fn every_figure_csv_is_identical_at_jobs_1_and_2() {
         assert_eq!(csv_at(id, 2), serial, "{id}");
     }
     set_default_jobs(0);
-}
-
-#[test]
-fn exported_jsonl_is_byte_identical_for_every_worker_count() {
-    let workloads = Workloads::generate(3_000);
-    let config = CacheConfig::direct_mapped(8 * 1024, 4).unwrap();
-    let names: Vec<&str> = workloads.iter().map(|(name, _)| name).collect();
-    let traces: Vec<Vec<u32>> = names.iter().map(|n| workloads.instr_addrs(n)).collect();
-
-    let jsonl_at = |jobs: usize| {
-        let results = execute(&traces, jobs, |t| triple(config, t));
-        triples_to_jsonl(names.iter().copied().zip(results.iter()))
-    };
-    let serial = jsonl_at(1);
-    assert_eq!(serial.lines().count(), names.len());
-    for jobs in JOB_COUNTS {
-        assert_eq!(jsonl_at(jobs), serial, "jobs={jobs}");
-    }
 }
 
 #[test]

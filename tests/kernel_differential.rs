@@ -215,17 +215,39 @@ fn random_trace_stats_agree_across_kernels_at_jobs_1_and_4() {
 }
 
 /// Figure CSVs are byte-identical across kernel × worker-count: the full
-/// driver stack (workloads → triples → table → CSV) cannot tell the kernels
-/// apart at `--jobs 1` or `--jobs 4` — for the word-line triples (fig3,
-/// fig5), the hierarchy sweeps (fig7, fig8, fig9: the one-pass hierarchy
-/// kernel against its per-point spec simulators), the last-line triples
-/// (fig11, fig12) and the multi-config triple call beside EHC (ehc).
+/// driver stack (workloads → engine jobs → table → CSV) cannot tell the
+/// kernels apart at `--jobs 1` or `--jobs 4` — for the word-line triples
+/// (fig3, fig5), the hierarchy sweeps (fig7, fig8, fig9: the one-pass
+/// hierarchy kernel against its per-point spec simulators), the last-line
+/// triples (fig11, fig12), and every figure whose policy columns run as
+/// one engine call per trace: the Section 3 patterns, fig13's dm columns,
+/// assoc (dm, de, 2way, 4way), conflicts (de, opt), coldstart (dm and de
+/// over the head and the whole stream), ablate-linebuf (dm, de-lastline),
+/// ablate-hashwidth's perfect-store row, victim, streambuf (with DE's
+/// bypass count) and ehc. The reference-only columns beside them (listed
+/// in `figures`) run the same simulators under every kernel.
 #[test]
 fn figure_csv_bytes_identical_across_kernels_and_jobs() {
     let _guard = lock_globals();
     let workloads = workloads();
     for id in [
-        "fig3", "fig5", "fig7", "fig8", "fig9", "fig11", "fig12", "ehc",
+        "patterns",
+        "fig3",
+        "fig5",
+        "fig7",
+        "fig8",
+        "fig9",
+        "fig11",
+        "fig12",
+        "fig13",
+        "ablate-hashwidth",
+        "ablate-linebuf",
+        "victim",
+        "streambuf",
+        "conflicts",
+        "assoc",
+        "coldstart",
+        "ehc",
     ] {
         let mut renders = Vec::new();
         for kernel in [Kernel::Reference, Kernel::Batch, Kernel::Sweep] {
