@@ -1,6 +1,6 @@
 //! Golden-file regression tests: reduced-budget figure sweeps against
-//! committed CSVs in `results/golden/`, plus a second pin of `conflicts`
-//! and `assoc` at a larger budget in `results/golden/50k/`.
+//! committed CSVs in `results/golden/`, plus a second pin of `conflicts`,
+//! `assoc` and `bwcost` at a larger budget in `results/golden/50k/`.
 //!
 //! The batch kernel (PR 4) made the simulation path swappable, and the
 //! sweep kernel (PR 9) made whole figure plans ride one traversal; these
@@ -29,11 +29,11 @@ use dynex_experiments::{figures, Workloads};
 /// enough that every workload's loop structure shows up in the numbers.
 const GOLDEN_REFS: usize = 12_000;
 
-/// Budget of the second pin of `conflicts` and `assoc`. At [`GOLDEN_REFS`]
-/// their 32 KB and 64 KB rows are all compulsory misses; at this budget
-/// capacity and conflict misses appear there (doduc's 32 KB conflict share
-/// is 38.4%), so the pin covers the LRU shadows and the associative
-/// columns.
+/// Budget of the second pin of `conflicts`, `assoc` and `bwcost`. At
+/// [`GOLDEN_REFS`] their 16 KB to 64 KB rows are all compulsory misses; at
+/// this budget capacity and conflict misses appear there (doduc's 32 KB
+/// conflict share is 38.4%), so the pin covers the LRU shadows, the
+/// associative columns, and writebacks beyond the cold fills.
 const DEEP_REFS: usize = 50_000;
 
 fn workloads() -> &'static Workloads {
@@ -231,4 +231,46 @@ fn ablate_hashwidth_matches_golden() {
 #[test]
 fn fig13_matches_golden() {
     check_golden("fig13");
+}
+
+#[test]
+fn patterns_matches_golden() {
+    // The Section 3 analytic patterns under dm, de and opt.
+    check_golden("patterns");
+}
+
+#[test]
+fn fig3_matches_golden() {
+    // Per-benchmark dm/de/opt miss rates at 32 KB.
+    check_golden("fig3");
+}
+
+#[test]
+fn fig4_matches_golden() {
+    // The averaged dm/de/opt miss rates whose reductions fig5 reports.
+    check_golden("fig4");
+}
+
+#[test]
+fn fig11_matches_golden() {
+    // The last-line triple across line sizes at 32 KB.
+    check_golden("fig11");
+}
+
+#[test]
+fn fig14_matches_golden() {
+    // The data-stream triple.
+    check_golden("fig14");
+}
+
+#[test]
+fn fig15_matches_golden() {
+    // The combined instruction and data triple.
+    check_golden("fig15");
+}
+
+#[test]
+fn bwcost_matches_deep_golden() {
+    // Writebacks at 16 and 32 KB, which the 12k budget leaves at zero.
+    check_deep_golden("bwcost");
 }
