@@ -325,6 +325,18 @@ mod tests {
     }
 
     #[test]
+    fn the_four_hit_rows_are_one_row() {
+        // What lets the sweep kernel serve a hit before it reads the sticky
+        // bit or the hit-last bitmap.
+        let hit = DE_FSM_TABLE[de_fsm_index(true, false, false)];
+        for sticky in [false, true] {
+            for hit_last in [false, true] {
+                assert_eq!(DE_FSM_TABLE[de_fsm_index(true, sticky, hit_last)], hit);
+            }
+        }
+    }
+
+    #[test]
     fn arena_is_a_bitmap_with_store_semantics() {
         let mut arena = HitLastArena::new(200);
         assert!(!arena.get(0) && !arena.get(200), "initially false");

@@ -17,10 +17,12 @@
 //!   delegates every decision to the policy.
 //! * [`DmPolicy`] / [`DePolicy`] — the paper's direct-mapped and
 //!   dynamic-exclusion policies re-expressed through the trait, so the
-//!   driver's traffic counters cover them (the bandwidth figure reads
-//!   their fills). They are *proven* equivalent to the fast dm/de points
-//!   of [`crate::batch_sweep`] by this module's tests; that sweep kernel
-//!   remains their fast path.
+//!   driver's traffic counters cover them. They are *proven* equivalent
+//!   to the fast dm/de points of [`crate::batch_sweep`] by this module's
+//!   tests; that sweep kernel remains their fast path. No figure runs
+//!   them: the bandwidth figure derives DM's and DE's traffic from the
+//!   sweep's miss and load counters, and these two types are the test
+//!   oracle of that derivation.
 //! * [`EhcPolicy`] / [`batch_ehc`] — Expected-Hit-Count replacement
 //!   ("Making Belady-Inspired Replacement Policies More Effective Using
 //!   Expected Hit Count", arXiv 1808.05024): rank the incoming block

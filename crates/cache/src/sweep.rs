@@ -23,11 +23,13 @@
 //!   chunk's run starts are listed once per line size that has a
 //!   last-line point; the DE FSM and the optimal rule step only at those
 //!   positions, and every other reference is a buffer hit.
-//! * **flat per-point state** — each point owns flat tag / sticky /
-//!   hit-last-copy vectors (an optimal point only its sets' ends of the
-//!   last hit), and each dynamic-exclusion point its own
-//!   hit-last bitmap over its line size's footprint (prescanned only for
-//!   line sizes that have a DE point).
+//! * **flat per-point state** — a direct-mapped point owns a flat tag
+//!   vector, an optimal point only its sets' ends of the last hit, and a
+//!   dynamic-exclusion point one per-set record (resident line, sticky
+//!   bit, the resident block's hit-last copy: one 8-byte slot per
+//!   reference instead of three vectors) plus its own hit-last bitmap
+//!   over its line size's footprint (prescanned only for line sizes that
+//!   have a DE point).
 //! * **one hit-last allocation** — the DE bitmaps are disjoint views of
 //!   one zeroed allocation. A bitmap spans the trace's whole line range
 //!   (megabytes when a stack sits near the top of memory), yet only the
@@ -36,9 +38,12 @@
 //!   mid-size ones may come from recycled heap the allocator must clear,
 //!   making them resident in full (a bitmap per point tripled the peak RSS
 //!   of a two-worker figure pass).
-//! * **table-driven FSM** — every DE point steps through the same
-//!   precomputed eight-row [`DE_FSM_TABLE`](crate::DE_FSM_TABLE); the inner
-//!   loops carry no per-reference branches beyond the table row itself.
+//! * **hit-first, table-driven FSM** — every DE point steps through the
+//!   same precomputed eight-row [`DE_FSM_TABLE`](crate::DE_FSM_TABLE),
+//!   hit first. Figure 1's four hit rows are one row (set sticky, set the
+//!   block's hit-last bit), so a hit takes it after the tag compare and
+//!   reads neither the sticky bit nor the hit-last bitmap; only a miss
+//!   reads them and indexes the table.
 //! * **chunk-boundary merges** — per-point hit/miss tallies accumulate in
 //!   registers inside a chunk and merge into the per-point totals only at
 //!   chunk boundaries, where the observability spans open.
@@ -55,8 +60,9 @@
 //! split, and — through
 //! [`batch_sweep_probed`] — the same probe event stream in the same order.
 //! Points share no state, so each one also equals that point swept alone.
-//! `tests/kernel_differential.rs` and the property suite
-//! `crates/cache/tests/prop_sweep_lockstep.rs` enforce this.
+//! `tests/kernel_differential.rs`, `crates/core/tests/de_sweep_lockstep.rs`
+//! (the DE points event for event, over all eight Figure 1 rows) and the
+//! property suite `crates/cache/tests/prop_sweep_lockstep.rs` enforce this.
 
 use dynex_obs::span;
 use dynex_obs::{Cause, Event, NoopProbe, Outcome, Probe};
@@ -252,13 +258,26 @@ impl DmSweep {
     }
 }
 
+/// The row every hit takes: the four hit rows of Figure 1 are one row
+/// (`kernel::tests` checks it), so a hit needs neither the set's sticky bit
+/// nor the block's hit-last bit to pick it.
+const HIT_ROW: DeFsmRow = DE_FSM_TABLE[de_fsm_index(true, false, false)];
+
+/// The per-set record of one dynamic-exclusion sweep point: the resident
+/// line, the set's sticky bit and the resident block's in-line hit-last
+/// copy, side by side so a reference touches one slot.
+#[derive(Clone, Copy)]
+struct DeSet {
+    line: u32,
+    sticky: bool,
+    h_copy: bool,
+}
+
 /// Per-set state of one dynamic-exclusion sweep point, with its own
 /// hit-last bitmap for the blocks that are not resident (a view of the
 /// sweep's one hit-last allocation).
 struct DeSweep<'a> {
-    lines: Vec<u32>,
-    sticky: Vec<bool>,
-    h_copy: Vec<bool>,
+    sets: Vec<DeSet>,
     hit_last: &'a mut [u64],
     index_mask: u32,
     misses: u64,
@@ -267,10 +286,13 @@ struct DeSweep<'a> {
 
 impl<'a> DeSweep<'a> {
     fn new(n_sets: usize, index_mask: u32, hit_last: &'a mut [u64]) -> DeSweep<'a> {
+        let empty = DeSet {
+            line: INVALID_LINE,
+            sticky: false,
+            h_copy: false,
+        };
         DeSweep {
-            lines: vec![INVALID_LINE; n_sets],
-            sticky: vec![false; n_sets],
-            h_copy: vec![false; n_sets],
+            sets: vec![empty; n_sets],
             hit_last,
             index_mask,
             misses: 0,
@@ -341,23 +363,45 @@ impl<'a> DeSweep<'a> {
     }
 
     /// One reference through the Figure 1 table; returns the row taken
-    /// (`installs` is set only for misses that load).
+    /// (`installs` is set only for misses that load). A hit takes
+    /// [`HIT_ROW`] before anything else is read; only a miss reads the
+    /// sticky bit and the hit-last bitmap.
     #[inline(always)]
     fn step<P: Probe>(&mut self, addr: u32, line: u32, probe: &mut P) -> DeFsmRow {
         let set = (line & self.index_mask) as usize;
-        let resident = self.lines[set];
-        let hit = resident == line;
-        let sticky = self.sticky[set];
-        let h_pred = hit_last_bit(self.hit_last, line);
-        let row = DE_FSM_TABLE[de_fsm_index(hit, sticky, h_pred)];
-
-        if row.is_miss {
-            probe.emit(Event::ExclusionDecision {
-                set: set as u32,
+        let entry = &mut self.sets[set];
+        if entry.line == line {
+            if !entry.sticky {
+                probe.emit(Event::StickyFlip {
+                    set: set as u32,
+                    sticky: HIT_ROW.sticky_after,
+                });
+            }
+            probe.emit(Event::HitLastUpdate {
                 line,
-                loaded: row.installs,
+                hit_last: HIT_ROW.hit_last_value,
             });
+            // The resident block's in-line hit-last copy is re-armed.
+            entry.sticky = HIT_ROW.sticky_after;
+            entry.h_copy = HIT_ROW.hit_last_value;
+            probe.emit(Event::Access {
+                addr,
+                set: set as u32,
+                outcome: Outcome::Hit,
+                cause: Cause::Resident,
+            });
+            return HIT_ROW;
         }
+
+        let resident = entry.line;
+        let sticky = entry.sticky;
+        let h_pred = hit_last_bit(self.hit_last, line);
+        let row = DE_FSM_TABLE[de_fsm_index(false, sticky, h_pred)];
+        probe.emit(Event::ExclusionDecision {
+            set: set as u32,
+            line,
+            loaded: row.installs,
+        });
         if row.sticky_after != sticky {
             probe.emit(Event::StickyFlip {
                 set: set as u32,
@@ -370,19 +414,15 @@ impl<'a> DeSweep<'a> {
                 hit_last: row.hit_last_value,
             });
         }
-        self.sticky[set] = row.sticky_after;
+        entry.sticky = row.sticky_after;
 
-        let cause = if hit {
-            // The resident block's in-line hit-last copy is re-armed.
-            self.h_copy[set] = true;
-            Cause::Resident
-        } else if row.installs {
+        let cause = if row.installs {
             let cause = if resident == INVALID_LINE {
                 Cause::Cold
             } else {
                 // Figure 6 "transfer on replacement": the victim's
                 // in-line copy goes back to the bitmap.
-                set_hit_last_bit(self.hit_last, resident, self.h_copy[set]);
+                set_hit_last_bit(self.hit_last, resident, entry.h_copy);
                 probe.emit(Event::Eviction {
                     set: set as u32,
                     victim: resident,
@@ -390,8 +430,8 @@ impl<'a> DeSweep<'a> {
                 });
                 Cause::Replace
             };
-            self.lines[set] = line;
-            self.h_copy[set] = row.hit_last_value;
+            entry.line = line;
+            entry.h_copy = row.hit_last_value;
             cause
         } else {
             Cause::Bypass
@@ -399,11 +439,7 @@ impl<'a> DeSweep<'a> {
         probe.emit(Event::Access {
             addr,
             set: set as u32,
-            outcome: if row.is_miss {
-                Outcome::Miss
-            } else {
-                Outcome::Hit
-            },
+            outcome: Outcome::Miss,
             cause,
         });
         row

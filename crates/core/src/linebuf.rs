@@ -270,24 +270,56 @@ mod tests {
         assert_eq!(c.register_hits(), 30);
     }
 
+    /// Steps both caches over `addrs` and asserts they agree on every
+    /// reference, in their statistics and in their buffer hits.
+    fn assert_register_matches_last_line(config: CacheConfig, addrs: &[u32], stream: &str) {
+        let mut reg = InstrRegisterDeCache::new(config);
+        let mut ll = LastLineDeCache::new(config);
+        for &pc in addrs {
+            assert_eq!(
+                reg.access(pc),
+                ll.access(pc),
+                "{stream} @ {config}, pc {pc:#x}"
+            );
+        }
+        assert_eq!(reg.stats(), ll.stats(), "{stream} @ {config}");
+        assert_eq!(reg.de_stats(), ll.de_stats(), "{stream} @ {config}");
+        assert_eq!(reg.register_hits(), ll.buffer_hits(), "{stream} @ {config}");
+    }
+
     #[test]
     fn register_is_equivalent_to_last_line_buffer() {
         // The paper's alternatives 1 and 2 differ only in hardware; the miss
         // behaviour is identical reference-for-reference.
-        let mut reg = InstrRegisterDeCache::new(config());
-        let mut ll = LastLineDeCache::new(config());
         let mut rng = dynex_cache::SplitMix64::new(91);
         let mut pc = 0u32;
+        let mut addrs = Vec::new();
         for _ in 0..5000 {
             if rng.chance(0.2) {
                 pc = (rng.below(1024) as u32) * 4;
             } else {
                 pc += 4;
             }
-            assert_eq!(reg.access(pc), ll.access(pc), "at pc {pc:#x}");
+            addrs.push(pc);
         }
-        assert_eq!(reg.stats(), ll.stats());
-        assert_eq!(reg.register_hits(), ll.buffer_hits());
+        assert_register_matches_last_line(config(), &addrs, "random");
+    }
+
+    #[test]
+    fn register_is_last_line_at_the_ablation_geometries() {
+        // The `ablate-linebuf` figure reads its instruction-register column
+        // from the last-line cache, at 8 to 64 KB with 16 B lines; this pins
+        // that equivalence over every profile's instruction stream.
+        for profile in dynex_workload::spec::all() {
+            let trace = profile.trace(40_000);
+            let addrs: Vec<u32> = dynex_trace::filter::instructions(trace.iter())
+                .map(|a| a.addr())
+                .collect();
+            for kb in [8u32, 16, 32, 64] {
+                let config = CacheConfig::direct_mapped(kb * 1024, 16).unwrap();
+                assert_register_matches_last_line(config, &addrs, profile.name());
+            }
+        }
     }
 
     #[test]

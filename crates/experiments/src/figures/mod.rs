@@ -36,9 +36,8 @@
 //! | [`ablate_sticky`] | every column | `MultiStickyDeCache` |
 //! | [`ablate_hashwidth`] | the 1-8 bit rows | `DeCache` over a `HashedStore` |
 //! | [`fig13`] | 8KB DE (4 hashed bits) | `LastLineDeCache` over a `HashedStore` |
-//! | [`ablate_linebuf`] | instr register; DE+stream(4) | `InstrRegisterDeCache`; `DeStreamBuffer` |
+//! | [`ablate_linebuf`] | DE+stream(4) | `DeStreamBuffer` |
 //! | [`streambuf`] | DM+stream(4) % and stream hits (no engine counter) | `StreamBuffer` |
-//! | [`bwcost`] | DM and DE traffic (until every kernel counts traffic) | `DmPolicy`, `DePolicy` |
 
 mod ablations;
 mod data;
@@ -56,6 +55,8 @@ pub use hierarchy::{fig7, fig8, fig9, l2_sweep};
 pub use instr::{fig3, fig4, fig5};
 pub use lines::{fig11, fig12, fig13};
 pub use patterns::{fig2, patterns};
+#[cfg(test)]
+pub(crate) use zoo::ZOO_SIZES_KB;
 pub use zoo::{bwcost, ehc};
 
 use crate::{Table, Workloads};

@@ -19,17 +19,16 @@
 //! path the serve tier uses; the goldens under `results/golden/` pin the
 //! bytes under the differential wall.
 
-use dynex_cache::{simulate_policy, DePolicy, DmPolicy};
 use dynex_engine::PolicyKind;
 
 use crate::runner::{
-    bench_means, dm_configs, miss_rate_grid, per_benchmark, policy_runs, reduction,
+    bench_means, dm_configs, miss_rate_grid, per_benchmark, reduction, traffic_runs,
 };
 use crate::{Table, Workloads};
 
 /// Cache sizes the zoo figures sweep: small enough that conflict misses
 /// dominate and the policies separate, up to the paper's headline 32KB.
-const ZOO_SIZES_KB: [u32; 6] = [1, 2, 4, 8, 16, 32];
+pub(crate) const ZOO_SIZES_KB: [u32; 6] = [1, 2, 4, 8, 16, 32];
 
 /// Expected-Hit-Count comparison (b=4B lines): average I-stream miss rates
 /// for DM, DE, EHC, and OPT across the benchmark suite at each cache size,
@@ -82,10 +81,13 @@ pub fn ehc(workloads: &Workloads) -> Table {
 /// buys. The bandwidth-aware paper's headline is the "saved %" columns:
 /// bypass cuts traffic hardest exactly where conflict pressure is worst.
 ///
-/// The DM and DE columns run through the traffic-accounting policy driver
-/// (the legacy hit/miss kernels deliberately report zero traffic so old
-/// journals replay byte-identically), so every column prices probes, fills,
-/// and writebacks the same way.
+/// Every column comes from one engine call per benchmark, on the fast
+/// path one shared dm/de walk beside the BW kernel. The legacy hit/miss
+/// kernels report no traffic (so old journals replay byte-identically);
+/// the DM and DE columns take theirs from the walk's counters through
+/// `runner::traffic_runs`, exactly as the traffic-accounting policy
+/// driver would count it, so every column prices probes, fills and
+/// writebacks the same way.
 pub fn bwcost(workloads: &Workloads) -> Table {
     let mut table = Table::new(
         "Zoo: bandwidth cost vs size, b=4B (transfers/kiloref, arXiv 1907.02167)",
@@ -102,13 +104,14 @@ pub fn bwcost(workloads: &Workloads) -> Table {
     );
     let configs = dm_configs(&ZOO_SIZES_KB, 4);
     let per_bench = per_benchmark(workloads, |addrs| {
-        let bw_runs = policy_runs(&configs, [PolicyKind::BandwidthCost], addrs);
-        configs
-            .iter()
-            .zip(bw_runs)
-            .map(|(&config, [(bw, _)])| {
-                let dm = simulate_policy(config, addrs, &mut DmPolicy);
-                let de = simulate_policy(config, addrs, &mut DePolicy::new(config, addrs));
+        let policies = [
+            PolicyKind::DirectMapped,
+            PolicyKind::DynamicExclusion,
+            PolicyKind::BandwidthCost,
+        ];
+        traffic_runs(&configs, policies, addrs)
+            .into_iter()
+            .map(|[dm, de, bw]| {
                 [
                     dm.bandwidth_per_kiloref(),
                     de.bandwidth_per_kiloref(),
@@ -169,8 +172,8 @@ mod tests {
         let config = CacheConfig::direct_mapped(1024, 4).unwrap();
         for (name, _) in w.iter() {
             let addrs = w.instr_addrs(name);
-            let dm = simulate_policy(config, &addrs, &mut DmPolicy);
-            let bw = PolicyKind::BandwidthCost.simulate(config, &addrs);
+            let policies = [PolicyKind::DirectMapped, PolicyKind::BandwidthCost];
+            let [dm, bw] = traffic_runs(&[config], policies, &addrs)[0];
             assert!(
                 bw.bandwidth_transfers() <= dm.bandwidth_transfers(),
                 "{name}: bw policy must not spend more transfers than fill-always"

@@ -4,7 +4,9 @@
 //! Every figure column with a [`PolicyKind`] runs through [`run_jobs`] under
 //! the session kernel: the averaged triple sweeps through `averaged_sweep`
 //! (the journal-aware sweep in [`crate::api`]), every other column through
-//! `policy_runs` or `miss_rate_grid`, one engine call per trace. Only the
+//! `policy_runs` or one of its views (`miss_rate_grid`, and
+//! `traffic_runs`, which adds DM's and DE's cache-side traffic from the
+//! walk's own counters), one engine call per trace. Only the
 //! reference-only columns listed in [`crate::figures`] use `miss_rate`.
 //! Figures fan out one pool job per benchmark (`per_benchmark`) and average
 //! in benchmark order (`bench_means`), so no figure depends on `--jobs` or
@@ -109,6 +111,86 @@ pub(crate) fn miss_rate_grid<const K: usize>(
     policy_runs(configs, policies, addrs)
         .into_iter()
         .map(|row| row.map(|(stats, _)| stats.miss_rate_percent()))
+        .collect()
+}
+
+/// [`policy_runs`] with the cache-side traffic of the DM and DE columns:
+/// `runs[c][p]` is `policies[p]`'s statistics at `configs[c]`, and where
+/// that policy is `dm` or `de` they carry the probes, fills and writebacks
+/// `dynex_cache::simulate_policy` counts with `DmPolicy` / `DePolicy`. Every
+/// access is a probe; DM fills on every miss and DE on every load; and
+/// every fill but a set's first displaces a valid line, since a set's
+/// first reference always fills its empty frame under both policies and a
+/// frame never empties again. Other policies' statistics are the engine's.
+///
+/// # Panics
+///
+/// Panics if the configurations differ in line size.
+pub(crate) fn traffic_runs<const K: usize>(
+    configs: &[CacheConfig],
+    policies: [PolicyKind; K],
+    addrs: &[u32],
+) -> Vec<[CacheStats; K]> {
+    let touched = touched_sets(configs, addrs);
+    policy_runs(configs, policies, addrs)
+        .into_iter()
+        .zip(touched)
+        .map(|(row, touched)| {
+            std::array::from_fn(|p| {
+                let (stats, de) = row[p];
+                let fills = match policies[p] {
+                    PolicyKind::DirectMapped => stats.misses(),
+                    PolicyKind::DynamicExclusion => {
+                        de.expect("a DE job reports exclusion counters").loads
+                    }
+                    _ => return stats,
+                };
+                let probes = stats.accesses();
+                CacheStats::from_traffic_counts(
+                    stats.accesses(),
+                    stats.misses(),
+                    fills,
+                    fills - touched,
+                    probes,
+                )
+            })
+        })
+        .collect()
+}
+
+/// How many sets of each direct-mapped `configs[c]` the trace references,
+/// from one pass at the largest set count: a smaller power-of-two index is
+/// the low bits of the larger one.
+///
+/// # Panics
+///
+/// Panics if the configurations differ in line size.
+fn touched_sets(configs: &[CacheConfig], addrs: &[u32]) -> Vec<u64> {
+    let Some(widest) = configs.iter().max_by_key(|c| c.n_sets()) else {
+        return Vec::new();
+    };
+    assert!(
+        configs
+            .iter()
+            .all(|c| c.line_bytes() == widest.line_bytes()),
+        "one line size"
+    );
+    let offset_bits = widest.geometry().offset_bits();
+    let mask = widest.n_sets() - 1;
+    let mut touched = vec![false; widest.n_sets() as usize];
+    for &addr in addrs {
+        touched[((addr >> offset_bits) & mask) as usize] = true;
+    }
+    configs
+        .iter()
+        .map(|c| {
+            let n_sets = c.n_sets() as usize;
+            let mut folded = vec![false; n_sets];
+            for (set, _) in touched.iter().enumerate().filter(|(_, &t)| t) {
+                folded[set & (n_sets - 1)] = true;
+            }
+            folded.iter().filter(|&&t| t).count() as u64
+        })
         .collect()
 }
 
@@ -266,6 +348,48 @@ mod tests {
             .map(|(name, _)| w.instr_addrs(name).len())
             .collect();
         assert_eq!(per_benchmark(&w, |addrs| addrs.len()), lens);
+    }
+
+    #[test]
+    fn derived_traffic_equals_the_policy_driver() {
+        use dynex_cache::{simulate_policy, DePolicy, DmPolicy};
+        let configs = dm_configs(&crate::figures::ZOO_SIZES_KB, 4);
+        let w = Workloads::generate(20_000);
+        let mut traces = vec![
+            Vec::new(),
+            // Every reference in set 0 at every size: lines 32 KB apart.
+            (0..3_000).map(|i| (i % 5) * 32 * 1024).collect(),
+            // A 1.5 KB loop: thrashes the 1 KB cache and fits the others.
+            (0..6_000).map(|i| (i % 384) * 4).collect(),
+        ];
+        for (name, _) in w.iter() {
+            traces.extend([w.instr_addrs(name), w.data_addrs(name), w.all_addrs(name)]);
+        }
+        let mut writebacks = [0u64; 2];
+        for (t, addrs) in traces.iter().enumerate() {
+            let policies = [PolicyKind::DirectMapped, PolicyKind::DynamicExclusion];
+            let derived = traffic_runs(&configs, policies, addrs);
+            for (&config, [dm, de]) in configs.iter().zip(derived) {
+                let expected_dm = simulate_policy(config, addrs, &mut DmPolicy);
+                let expected_de = simulate_policy(config, addrs, &mut DePolicy::new(config, addrs));
+                assert_eq!(dm, expected_dm, "dm, trace {t} @ {config}");
+                assert_eq!(de, expected_de, "de, trace {t} @ {config}");
+                writebacks[0] += dm.writebacks();
+                writebacks[1] += de.writebacks();
+            }
+        }
+        assert!(writebacks.iter().all(|&w| w > 0), "{writebacks:?}");
+    }
+
+    #[test]
+    fn touched_sets_fold_the_widest_index() {
+        let configs = dm_configs(&[1, 4], 4);
+        // Lines 0, 1 and 1025 touch sets 0 and 1 at both sizes; line 256
+        // has a set of its own at 4 KB and shares set 0 at 1 KB.
+        let addrs = [0, 4, 1024 * 4 + 4, 256 * 4];
+        assert_eq!(touched_sets(&configs, &addrs), vec![2, 3]);
+        assert_eq!(touched_sets(&configs, &[]), vec![0, 0]);
+        assert!(touched_sets(&[], &addrs).is_empty());
     }
 
     #[test]

@@ -117,8 +117,9 @@ fi
 # same CSVs as the default fast one. Every figure column with a policy name
 # follows --kernel (the triple sweeps, the one-pass hierarchy kernel of
 # Figures 7-9 against its per-point spec simulators, and the engine calls
-# of patterns, fig13, assoc, conflicts, coldstart, ablate-linebuf,
-# ablate-hashwidth, victim, streambuf and ehc), so this diff covers them all.
+# of patterns, fig13, assoc, conflicts, coldstart, ablate-linebuf (its
+# instruction-register column too), ablate-hashwidth, victim, streambuf,
+# ehc and bwcost (its DM and DE traffic too), so this diff covers them all.
 # (Skipped under --quick: needs the release binary.)
 if [ "$quick" -eq 0 ]; then
     echo "==> figure jobs- and kernel-invariance (experiments all, --jobs 1 vs --jobs 2 vs --kernel reference)"
