@@ -1,6 +1,7 @@
 //! Golden-file regression tests: reduced-budget figure sweeps against
 //! committed CSVs in `results/golden/`, plus a second pin of `conflicts`,
-//! `assoc` and `bwcost` at a larger budget in `results/golden/50k/`.
+//! `assoc`, `bwcost`, `fig8` and `fig9` at a larger budget in
+//! `results/golden/50k/`.
 //!
 //! The batch kernel (PR 4) made the simulation path swappable, and the
 //! sweep kernel (PR 9) made whole figure plans ride one traversal; these
@@ -29,11 +30,13 @@ use dynex_experiments::{figures, Workloads};
 /// enough that every workload's loop structure shows up in the numbers.
 const GOLDEN_REFS: usize = 12_000;
 
-/// Budget of the second pin of `conflicts`, `assoc` and `bwcost`. At
-/// [`GOLDEN_REFS`] their 16 KB to 64 KB rows are all compulsory misses; at
-/// this budget capacity and conflict misses appear there (doduc's 32 KB
-/// conflict share is 38.4%), so the pin covers the LRU shadows, the
-/// associative columns, and writebacks beyond the cold fills.
+/// Budget of the second pin of `conflicts`, `assoc`, `bwcost`, `fig8` and
+/// `fig9`. At [`GOLDEN_REFS`] their 16 KB to 64 KB rows are all compulsory
+/// misses, and every fig8 cell reads the same cold L2 miss rate; at this
+/// budget capacity and conflict misses appear there (doduc's 32 KB
+/// conflict share is 38.4%, and fig8's 32 KB L2 row splits the exclusive
+/// strategies apart), so the pin covers the LRU shadows, the associative
+/// columns, writebacks beyond the cold fills, and the L2 strategies.
 const DEEP_REFS: usize = 50_000;
 
 fn workloads() -> &'static Workloads {
@@ -143,6 +146,18 @@ fn fig8_matches_golden() {
 #[test]
 fn fig9_matches_golden() {
     check_golden("fig9");
+}
+
+#[test]
+fn fig8_matches_deep_golden() {
+    // At 32 KB the L2 sees capacity misses: DM and assume-hit read 7.050%,
+    // assume-miss and hashed 4.498%.
+    check_deep_golden("fig8");
+}
+
+#[test]
+fn fig9_matches_deep_golden() {
+    check_deep_golden("fig9");
 }
 
 #[test]
