@@ -13,10 +13,13 @@
 //!   chain. The table is an *independent* re-derivation of the paper's
 //!   Figure 1; the `dynex-core` test suite drives it in lockstep against the
 //!   spec `fsm::step` over all eight `(hit, sticky, hit_last)` inputs.
-//! * **flat hit-last arena** — [`HitLastArena`] replaces the perfect store's
-//!   `HashMap<u32, bool>` with a bitmap over the trace's line-address range
-//!   (identical semantics: both start all-false and are written only on
-//!   displacement).
+//! * **flat hit-last bitmaps** — the sweep's DE points replace the perfect
+//!   store's `HashMap<u32, bool>` with a bitmap over the trace's
+//!   line-address range ([`hit_last_words`], [`hit_last_bit`],
+//!   [`set_hit_last_bit`]; identical semantics: both start all-false and
+//!   are written only on displacement). [`HitLastArena`] is the growable
+//!   form, which the bandwidth-cost kernels use for their per-line reuse
+//!   bits.
 //! * **chunked decode** — [`decode_chunk`] turns one chunk of byte addresses
 //!   into a reusable line-address buffer (see [`crate::batch`]).
 //! * **32-bit positions** — the forward OPT rule and the EHC window keep
@@ -25,12 +28,15 @@
 //!   they assume.
 //!
 //! The kernels built from them are **bit-identical** to their reference
-//! simulators; `tests/kernel_differential.rs` at the repository root
+//! simulators and report through the same types, [`CacheStats`] and (for
+//! DE) [`DeStats`]; `tests/kernel_differential.rs` at the repository root
 //! enforces this across workload profiles, cache geometries, and worker
 //! counts.
+//!
+//! [`CacheStats`]: crate::CacheStats
+//! [`DeStats`]: crate::DeStats
 
 use crate::batch::CHUNK_LEN;
-use crate::CacheStats;
 
 /// One row of the precomputed dynamic-exclusion transition table
 /// (Figure 1 of the paper), indexed by [`de_fsm_index`].
@@ -183,31 +189,6 @@ pub(crate) fn set_hit_last_bit(words: &mut [u64], line: u32, value: bool) {
     *word = (*word & !(1u64 << bit)) | ((value as u64) << bit);
 }
 
-/// Dynamic-exclusion counters of one DE sweep point, mirroring
-/// `dynex::DeStats` (which lives upstream of this crate).
-///
-/// ```
-/// use dynex_cache::{batch_sweep, CacheConfig, SweepPoint, SweepPolicy};
-///
-/// // (a b)^10 on one line: a settles in, b bypasses.
-/// let config = CacheConfig::direct_mapped(64, 4)?;
-/// let addrs: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
-/// let point = SweepPoint::new(config, SweepPolicy::DynamicExclusion);
-/// let de = batch_sweep(&[point], &addrs)[0].de().unwrap();
-/// assert_eq!(de.stats.misses(), 11);
-/// assert_eq!(de.bypasses, 10);
-/// # Ok::<(), dynex_cache::ConfigError>(())
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchDeResult {
-    /// Hit/miss accounting.
-    pub stats: CacheStats,
-    /// Misses that installed the referenced block.
-    pub loads: u64,
-    /// Misses that bypassed the cache.
-    pub bypasses: u64,
-}
-
 /// Decodes one chunk of byte addresses into the reusable line-address
 /// buffer (the shift is the whole "decode": line = addr >> offset_bits).
 #[inline]
@@ -244,8 +225,8 @@ pub(crate) fn assert_positions_fit(len: usize) {
 mod tests {
     use super::*;
     use crate::{
-        batch_sweep, batch_sweep_probed, run_addrs, CacheConfig, DirectMapped, SplitMix64,
-        SweepPoint, SweepPointResult, SweepPolicy,
+        batch_sweep, batch_sweep_probed, run_addrs, CacheConfig, CacheStats, DeStats, DirectMapped,
+        SplitMix64, SweepPoint, SweepPolicy,
     };
     use dynex_obs::Probe;
 
@@ -259,7 +240,7 @@ mod tests {
         cfg: CacheConfig,
         addrs: &[u32],
         probe: P,
-    ) -> (SweepPointResult, P) {
+    ) -> ((CacheStats, Option<DeStats>), P) {
         let mut probes = [probe];
         let results = batch_sweep_probed(&[SweepPoint::new(cfg, policy)], addrs, &mut probes);
         let [probe] = probes;
@@ -267,24 +248,21 @@ mod tests {
     }
 
     fn dm(cfg: CacheConfig, addrs: &[u32]) -> CacheStats {
-        batch_sweep(&[SweepPoint::new(cfg, SweepPolicy::DirectMapped)], addrs)[0].stats()
+        batch_sweep(&[SweepPoint::new(cfg, SweepPolicy::DirectMapped)], addrs)[0].0
     }
 
-    fn de(cfg: CacheConfig, addrs: &[u32]) -> BatchDeResult {
-        batch_sweep(
-            &[SweepPoint::new(cfg, SweepPolicy::DynamicExclusion)],
-            addrs,
-        )[0]
-        .de()
-        .expect("a DE point reports DE counters")
+    fn de(cfg: CacheConfig, addrs: &[u32]) -> (CacheStats, DeStats) {
+        let point = SweepPoint::new(cfg, SweepPolicy::DynamicExclusion);
+        let (stats, de) = batch_sweep(&[point], addrs)[0];
+        (stats, de.expect("a DE point reports DE counters"))
     }
 
     fn opt(cfg: CacheConfig, addrs: &[u32]) -> CacheStats {
-        batch_sweep(&[SweepPoint::new(cfg, SweepPolicy::Optimal)], addrs)[0].stats()
+        batch_sweep(&[SweepPoint::new(cfg, SweepPolicy::Optimal)], addrs)[0].0
     }
 
     /// dm, de and opt at one geometry in one three-point sweep.
-    fn triple(cfg: CacheConfig, addrs: &[u32]) -> Vec<SweepPointResult> {
+    fn triple(cfg: CacheConfig, addrs: &[u32]) -> Vec<(CacheStats, Option<DeStats>)> {
         let points = [
             SweepPolicy::DirectMapped,
             SweepPolicy::DynamicExclusion,
@@ -382,11 +360,11 @@ mod tests {
         addrs.push(65_535 * 4);
         addrs.push(65_535 * 4);
         let cfg = config(256, 4);
-        let de = de(cfg, &addrs);
+        let (stats, de) = de(cfg, &addrs);
         let fused = triple(cfg, &addrs);
-        assert_eq!(Some(de), fused[1].de());
-        assert_eq!(de.loads + de.bypasses, de.stats.misses());
-        assert_eq!(de.stats.accesses(), addrs.len() as u64);
+        assert_eq!((stats, Some(de)), fused[1]);
+        assert_eq!(de.loads + de.bypasses, stats.misses());
+        assert_eq!(stats.accesses(), addrs.len() as u64);
     }
 
     #[test]
@@ -407,24 +385,21 @@ mod tests {
         // tests/kernel_differential.rs; here the kernel's own invariants.
         let addrs = random_addrs(7, 30_000, 256);
         let cfg = config(256, 4);
-        let de = de(cfg, &addrs);
-        assert_eq!(de.stats.accesses(), 30_000);
-        assert_eq!(de.loads + de.bypasses, de.stats.misses());
+        let (stats, de) = de(cfg, &addrs);
+        assert_eq!(stats.accesses(), 30_000);
+        assert_eq!(de.loads + de.bypasses, stats.misses());
         let dm = dm(cfg, &addrs);
         let opt = opt(cfg, &addrs);
-        assert!(opt.misses() <= de.stats.misses());
-        assert!(
-            de.stats.misses() <= dm.misses() + 2 * 64,
-            "near DM or better"
-        );
+        assert!(opt.misses() <= stats.misses());
+        assert!(stats.misses() <= dm.misses() + 2 * 64, "near DM or better");
     }
 
     #[test]
     fn de_kernel_learns_the_within_loop_pattern() {
         let cfg = config(64, 4);
         let addrs: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
-        let de = de(cfg, &addrs);
-        assert_eq!(de.stats.misses(), 11);
+        let (stats, de) = de(cfg, &addrs);
+        assert_eq!(stats.misses(), 11);
         assert_eq!(de.loads, 1);
         assert_eq!(de.bypasses, 10);
     }
@@ -462,9 +437,10 @@ mod tests {
                 // Every point of the three-point sweep equals that point
                 // swept alone: the points share no state.
                 let fused = triple(cfg, &addrs);
-                assert_eq!(fused[0].stats(), dm(cfg, &addrs));
-                assert_eq!(fused[1].de(), Some(de(cfg, &addrs)));
-                assert_eq!(fused[2].stats(), opt(cfg, &addrs));
+                let (de_stats, de) = de(cfg, &addrs);
+                assert_eq!(fused[0], (dm(cfg, &addrs), None));
+                assert_eq!(fused[1], (de_stats, Some(de)));
+                assert_eq!(fused[2], (opt(cfg, &addrs), None));
             }
         }
     }
@@ -473,10 +449,10 @@ mod tests {
     fn empty_trace_is_all_zero() {
         let cfg = config(64, 4);
         assert_eq!(dm(cfg, &[]).accesses(), 0);
-        assert_eq!(de(cfg, &[]).stats.accesses(), 0);
+        assert_eq!(de(cfg, &[]).0.accesses(), 0);
         assert_eq!(opt(cfg, &[]).accesses(), 0);
         let t = triple(cfg, &[]);
-        assert_eq!(t[0].stats().accesses(), 0);
+        assert_eq!(t[0].0.accesses(), 0);
     }
 
     #[test]
@@ -490,17 +466,17 @@ mod tests {
             &addrs,
             CountingProbe::new(),
         );
-        let probed = probed.de().expect("a DE point reports DE counters");
-        assert_eq!(probed, de(cfg, &addrs));
+        let (stats, de) = de(cfg, &addrs);
+        assert_eq!(probed, (stats, Some(de)));
         let counts = probe.counts();
-        assert_eq!(counts.accesses, probed.stats.accesses());
-        assert_eq!(counts.misses, probed.stats.misses());
-        assert_eq!(counts.exclusion_loads, probed.loads);
-        assert_eq!(counts.exclusion_bypasses, probed.bypasses);
+        assert_eq!(counts.accesses, stats.accesses());
+        assert_eq!(counts.misses, stats.misses());
+        assert_eq!(counts.exclusion_loads, de.loads);
+        assert_eq!(counts.exclusion_bypasses, de.bypasses);
         let (probed_dm, dm_probe) =
             alone_probed(SweepPolicy::DirectMapped, cfg, &addrs, CountingProbe::new());
         let bare_dm = dm(cfg, &addrs);
-        assert_eq!(probed_dm.stats(), bare_dm);
+        assert_eq!(probed_dm, (bare_dm, None));
         assert_eq!(dm_probe.counts().misses, bare_dm.misses());
         assert!(dm_probe.counts().evictions <= bare_dm.misses());
     }

@@ -19,10 +19,13 @@
 //!   a single point being a one-point sweep — and the
 //!   [`Kernel`] selection and the [`decode_into`] decode machinery,
 //! * the replacement-policy zoo ([`ReplacementPolicy`] + [`simulate_policy`])
-//!   — first-class stateful policies with per-set lookup/victim/fill hooks,
-//!   shipping Expected-Hit-Count ([`EhcPolicy`] / [`batch_ehc`]) and
-//!   bandwidth-aware selective fill ([`BwCostPolicy`] / [`batch_bwcost`])
-//!   next to trait re-expressions of the paper's dm/de/opt.
+//!   — first-class stateful direct-mapped policies with per-set
+//!   lookup/install/fill hooks: Expected-Hit-Count ([`EhcPolicy`] /
+//!   [`batch_ehc`]) and bandwidth-aware selective fill ([`BwCostPolicy`] /
+//!   [`batch_bwcost`]). The paper's own dm/de/opt are not trait policies:
+//!   each has one spec simulator ([`DirectMapped`] here, `DeCache` and
+//!   `OptimalDirectMapped` in `dynex-core`), and [`DeStats`] carries DE's
+//!   load/bypass split from either them or the sweep kernel.
 //!
 //! All simulators are miss-rate models: they track contents and replacement
 //! state, not timing, exactly like the paper's trace-driven evaluation. The
@@ -69,15 +72,15 @@ pub use config::{CacheConfig, ConfigError, Geometry};
 pub use direct::DirectMapped;
 pub use fully::FullyAssociative;
 pub use hierarchy::{HierarchyStats, TwoLevel};
-pub use kernel::{de_fsm_index, BatchDeResult, DeFsmRow, DE_FSM_TABLE};
+pub use kernel::{de_fsm_index, DeFsmRow, DE_FSM_TABLE};
 pub use policy::{
-    batch_bwcost, batch_ehc, simulate_policy, BwCostPolicy, DePolicy, DmPolicy, EhcPolicy,
-    ReplacementPolicy, VictimChoice, EHC_HORIZON_FRAMES, NO_LINE, STARVE_LIMIT,
+    batch_bwcost, batch_ehc, simulate_policy, BwCostPolicy, EhcPolicy, ReplacementPolicy,
+    EHC_HORIZON_FRAMES, STARVE_LIMIT,
 };
 pub use rng::SplitMix64;
 pub use setassoc::SetAssociative;
 pub use sim::{run, run_addrs, AccessOutcome, CacheSim};
-pub use stats::CacheStats;
+pub use stats::{CacheStats, DeStats};
 pub use stream_buffer::{StreamBuffer, StreamBufferStats};
-pub use sweep::{batch_sweep, batch_sweep_probed, SweepPoint, SweepPointResult, SweepPolicy};
+pub use sweep::{batch_sweep, batch_sweep_probed, SweepPoint, SweepPolicy};
 pub use victim::VictimCache;

@@ -4,25 +4,16 @@
 //! PRs this repository could only compare dynamic exclusion against the two
 //! fixed endpoints it shipped with (conventional direct-mapped and Belady's
 //! optimal). This module turns "replacement policy" into a first-class
-//! surface:
+//! surface for the direct-mapped-with-bypass setting the paper studies:
 //!
-//! * [`ReplacementPolicy`] — stateful per-set hooks (lookup, victim
-//!   selection, fill) wide enough for set-associative policies. The trait
-//!   sees trace positions in order and each chunk as it begins, so oracle
-//!   policies (EHC) can prepare a chunk's future knowledge before its
-//!   lookups.
+//! * [`ReplacementPolicy`] — stateful per-set hooks (lookup, install-or-bypass
+//!   decision, fill). The trait sees trace positions in order and each chunk
+//!   as it begins, so oracle policies (EHC) can prepare a chunk's future
+//!   knowledge before its lookups.
 //! * [`simulate_policy`] — the generic reference driver: one chunk-decoded
 //!   pass that owns the tag array and the [`CacheStats`] accounting
 //!   (including the fills / writebacks / probes bandwidth counters) and
 //!   delegates every decision to the policy.
-//! * [`DmPolicy`] / [`DePolicy`] — the paper's direct-mapped and
-//!   dynamic-exclusion policies re-expressed through the trait, so the
-//!   driver's traffic counters cover them. They are *proven* equivalent
-//!   to the fast dm/de points of [`crate::batch_sweep`] by this module's
-//!   tests; that sweep kernel remains their fast path. No figure runs
-//!   them: the bandwidth figure derives DM's and DE's traffic from the
-//!   sweep's miss and load counters, and these two types are the test
-//!   oracle of that derivation.
 //! * [`EhcPolicy`] / [`batch_ehc`] — Expected-Hit-Count replacement
 //!   ("Making Belady-Inspired Replacement Policies More Effective Using
 //!   Expected Hit Count", arXiv 1808.05024): rank the incoming block
@@ -39,6 +30,10 @@
 //!   never wedge shut. The payoff is measured in
 //!   [`CacheStats::bandwidth_transfers`], not miss rate.
 //!
+//! The paper's own policies each have one spec simulator, not a policy
+//! here: [`crate::DirectMapped`], and `DeCache` / `OptimalDirectMapped` in
+//! `dynex-core`, with [`crate::batch_sweep`] as their fast path.
+//!
 //! Like every kernel in this crate, the batch entry points here are
 //! bit-identical to the trait-driven reference path; the differential wall
 //! enforces it.
@@ -47,42 +42,24 @@ use dynex_obs::span;
 
 use crate::batch::CHUNK_LEN;
 use crate::direct::INVALID_LINE;
-use crate::kernel::{
-    assert_positions_fit, de_fsm_index, decode_chunk, max_line, DeFsmRow, HitLastArena,
-    DE_FSM_TABLE,
-};
+use crate::kernel::{assert_positions_fit, decode_chunk, max_line, HitLastArena};
 use crate::line_table::LineTable;
 use crate::{CacheConfig, CacheStats};
-
-/// The sentinel line address marking an empty way in the resident slice
-/// passed to [`ReplacementPolicy::victim`] (no real line decodes to it:
-/// lines are addresses shifted right by at least the 4-byte word offset).
-pub const NO_LINE: u32 = INVALID_LINE;
 
 /// A bypass threshold for [`BwCostPolicy`]: after this many consecutive
 /// bypassed misses the next miss installs unconditionally, bounding how
 /// long a cold cache can refuse to learn.
 pub const STARVE_LIMIT: u8 = 7;
 
-/// What a policy decided to do with a missing block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VictimChoice {
-    /// Install the block into the given way, displacing its occupant.
-    Install {
-        /// The way index within the set (`0` for direct-mapped policies).
-        way: usize,
-    },
-    /// Serve the reference without caching the block (McFarling's
-    /// "exclusion"; the DRAM-cache literature's "don't update").
-    Bypass,
-}
-
-/// Stateful per-set replacement-policy hooks driven by [`simulate_policy`].
+/// Stateful per-set replacement-policy hooks driven by [`simulate_policy`]
+/// over a direct-mapped cache.
 ///
 /// The driver owns the tag array and all statistics; implementations own
 /// only their policy state. Hooks fire in a fixed order per access:
 /// `on_lookup` on every reference (hit or miss), then — on a miss only —
-/// `victim`, and `on_fill` if the victim choice installed.
+/// `installs`, and `on_fill` if it returned `true`. A miss that does not
+/// install bypasses the cache (McFarling's "exclusion"; the DRAM-cache
+/// literature's "don't update").
 ///
 /// `pos` is the 0-based trace position of the access. The driver walks the
 /// trace in order, in chunks of [`CHUNK_LEN`] references (the last one
@@ -96,17 +73,17 @@ pub trait ReplacementPolicy {
         let _ = (pos, len);
     }
 
-    /// Observes one reference after hit/miss determination; `hit_way` is
-    /// the way the block was found in, `None` on a miss.
-    fn on_lookup(&mut self, pos: usize, set: usize, line: u32, hit_way: Option<usize>);
+    /// Observes one reference after hit/miss determination.
+    fn on_lookup(&mut self, pos: usize, set: usize, line: u32, hit: bool);
 
-    /// Decides what to do with a missing block. `resident` holds the set's
-    /// current occupants, [`NO_LINE`] for empty ways.
-    fn victim(&mut self, pos: usize, set: usize, line: u32, resident: &[u32]) -> VictimChoice;
+    /// Decides whether a missing block is installed (`true`) or bypasses
+    /// the cache (`false`). `resident` is the set's current line, `None`
+    /// when the set is empty.
+    fn installs(&mut self, pos: usize, set: usize, line: u32, resident: Option<u32>) -> bool;
 
     /// Observes an install: `evicted` is the displaced line, `None` when
-    /// the way was empty.
-    fn on_fill(&mut self, pos: usize, set: usize, line: u32, way: usize, evicted: Option<u32>);
+    /// the set was empty.
+    fn on_fill(&mut self, pos: usize, set: usize, line: u32, evicted: Option<u32>);
 }
 
 /// Runs one policy over a byte-address trace: the reference kernel of the
@@ -117,16 +94,24 @@ pub trait ReplacementPolicy {
 /// displaces a valid line is one writeback (address traces carry no dirty
 /// bits, so the writeback-cache upper bound is applied uniformly — see
 /// [`CacheStats::writebacks`]).
+///
+/// # Panics
+///
+/// Panics if `config.associativity() != 1`, like the batch kernels.
 pub fn simulate_policy<P: ReplacementPolicy>(
     config: CacheConfig,
     addrs: &[u32],
     policy: &mut P,
 ) -> CacheStats {
+    assert_eq!(
+        config.associativity(),
+        1,
+        "simulate_policy is specialized to direct-mapped caches"
+    );
     let geometry = config.geometry();
     let offset_bits = geometry.offset_bits();
     let index_mask = (1u32 << geometry.index_bits()) - 1;
-    let ways = config.associativity() as usize;
-    let mut tags = vec![NO_LINE; config.n_sets() as usize * ways];
+    let mut lines = vec![INVALID_LINE; config.n_sets() as usize];
     let mut misses = 0u64;
     let mut fills = 0u64;
     let mut writebacks = 0u64;
@@ -141,28 +126,16 @@ pub fn simulate_policy<P: ReplacementPolicy>(
         let _simulate = span::span("kernel.simulate");
         for &line in &line_buf[..chunk.len()] {
             let set = (line & index_mask) as usize;
-            let frame = &mut tags[set * ways..(set + 1) * ways];
-            let hit_way = frame.iter().position(|&t| t == line);
-            policy.on_lookup(pos, set, line, hit_way);
-            if hit_way.is_none() {
+            let hit = lines[set] == line;
+            policy.on_lookup(pos, set, line, hit);
+            if !hit {
                 misses += 1;
-                match policy.victim(pos, set, line, frame) {
-                    VictimChoice::Install { way } => {
-                        let displaced = frame[way];
-                        fills += 1;
-                        if displaced != NO_LINE {
-                            writebacks += 1;
-                        }
-                        frame[way] = line;
-                        policy.on_fill(
-                            pos,
-                            set,
-                            line,
-                            way,
-                            (displaced != NO_LINE).then_some(displaced),
-                        );
-                    }
-                    VictimChoice::Bypass => {}
+                let resident = (lines[set] != INVALID_LINE).then_some(lines[set]);
+                if policy.installs(pos, set, line, resident) {
+                    fills += 1;
+                    writebacks += resident.is_some() as u64;
+                    lines[set] = line;
+                    policy.on_fill(pos, set, line, resident);
                 }
             }
             pos += 1;
@@ -175,86 +148,6 @@ pub fn simulate_policy<P: ReplacementPolicy>(
         writebacks,
         addrs.len() as u64,
     )
-}
-
-/// The conventional direct-mapped policy: always install into way 0.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DmPolicy;
-
-impl ReplacementPolicy for DmPolicy {
-    fn on_lookup(&mut self, _pos: usize, _set: usize, _line: u32, _hit_way: Option<usize>) {}
-
-    fn victim(&mut self, _pos: usize, _set: usize, _line: u32, _resident: &[u32]) -> VictimChoice {
-        VictimChoice::Install { way: 0 }
-    }
-
-    fn on_fill(
-        &mut self,
-        _pos: usize,
-        _set: usize,
-        _line: u32,
-        _way: usize,
-        _evicted: Option<u32>,
-    ) {
-    }
-}
-
-/// Dynamic exclusion through the trait: the Figure 1 FSM with the perfect
-/// hit-last store, bit-identical in its decisions to `DeCache` and the DE
-/// points of [`crate::batch_sweep`] (the driver's miss count equals theirs;
-/// its fill count equals the DE load counter).
-#[derive(Debug, Clone)]
-pub struct DePolicy {
-    sticky: Vec<bool>,
-    h_copy: Vec<bool>,
-    arena: HitLastArena,
-    /// FSM row of the in-flight miss, stashed between `on_lookup` and the
-    /// `victim` / `on_fill` hooks of the same access.
-    row: DeFsmRow,
-}
-
-impl DePolicy {
-    /// Policy state for one configuration; the trace sizes the hit-last
-    /// arena (a hint — the arena grows on demand).
-    pub fn new(config: CacheConfig, addrs: &[u32]) -> DePolicy {
-        let n_sets = config.n_sets() as usize;
-        DePolicy {
-            sticky: vec![false; n_sets],
-            h_copy: vec![false; n_sets],
-            arena: HitLastArena::new(max_line(addrs, config.geometry().offset_bits())),
-            row: DE_FSM_TABLE[0],
-        }
-    }
-}
-
-impl ReplacementPolicy for DePolicy {
-    fn on_lookup(&mut self, _pos: usize, set: usize, line: u32, hit_way: Option<usize>) {
-        let hit = hit_way.is_some();
-        let row = DE_FSM_TABLE[de_fsm_index(hit, self.sticky[set], self.arena.get(line))];
-        self.sticky[set] = row.sticky_after;
-        if hit {
-            // The resident block's in-line hit-last copy is re-armed.
-            self.h_copy[set] = true;
-        }
-        self.row = row;
-    }
-
-    fn victim(&mut self, _pos: usize, _set: usize, _line: u32, _resident: &[u32]) -> VictimChoice {
-        if self.row.installs {
-            VictimChoice::Install { way: 0 }
-        } else {
-            VictimChoice::Bypass
-        }
-    }
-
-    fn on_fill(&mut self, _pos: usize, set: usize, _line: u32, _way: usize, evicted: Option<u32>) {
-        if let Some(victim) = evicted {
-            // Figure 6 "transfer on replacement": the victim's in-line copy
-            // goes back to the arena.
-            self.arena.set(victim, self.h_copy[set]);
-        }
-        self.h_copy[set] = self.row.hit_last_value;
-    }
 }
 
 /// The expected-hit-count oracle as a sliding window: for each reference
@@ -410,21 +303,17 @@ impl ReplacementPolicy for EhcPolicy<'_> {
         self.window.fill(&mut self.hits_left);
     }
 
-    fn on_lookup(&mut self, pos: usize, set: usize, _line: u32, hit_way: Option<usize>) {
-        if hit_way.is_some() {
+    fn on_lookup(&mut self, pos: usize, set: usize, _line: u32, hit: bool) {
+        if hit {
             self.resident_hits[set] = self.hits_left(pos);
         }
     }
 
-    fn victim(&mut self, pos: usize, set: usize, _line: u32, _resident: &[u32]) -> VictimChoice {
-        if self.hits_left(pos) > self.resident_hits[set] {
-            VictimChoice::Install { way: 0 }
-        } else {
-            VictimChoice::Bypass
-        }
+    fn installs(&mut self, pos: usize, set: usize, _line: u32, _resident: Option<u32>) -> bool {
+        self.hits_left(pos) > self.resident_hits[set]
     }
 
-    fn on_fill(&mut self, pos: usize, set: usize, _line: u32, _way: usize, _evicted: Option<u32>) {
+    fn on_fill(&mut self, pos: usize, set: usize, _line: u32, _evicted: Option<u32>) {
         self.resident_hits[set] = self.hits_left(pos);
     }
 }
@@ -461,22 +350,21 @@ impl BwCostPolicy {
 }
 
 impl ReplacementPolicy for BwCostPolicy {
-    fn on_lookup(&mut self, _pos: usize, set: usize, _line: u32, hit_way: Option<usize>) {
-        if hit_way.is_some() {
+    fn on_lookup(&mut self, _pos: usize, set: usize, _line: u32, hit: bool) {
+        if hit {
             self.r_copy[set] = true;
         }
     }
 
-    fn victim(&mut self, _pos: usize, _set: usize, line: u32, resident: &[u32]) -> VictimChoice {
-        if resident[0] == NO_LINE || self.reuse.get(line) || self.starve >= STARVE_LIMIT {
-            VictimChoice::Install { way: 0 }
-        } else {
+    fn installs(&mut self, _pos: usize, _set: usize, line: u32, resident: Option<u32>) -> bool {
+        let installs = resident.is_none() || self.reuse.get(line) || self.starve >= STARVE_LIMIT;
+        if !installs {
             self.starve = self.starve.saturating_add(1).min(STARVE_LIMIT);
-            VictimChoice::Bypass
         }
+        installs
     }
 
-    fn on_fill(&mut self, _pos: usize, set: usize, _line: u32, _way: usize, evicted: Option<u32>) {
+    fn on_fill(&mut self, _pos: usize, set: usize, _line: u32, evicted: Option<u32>) {
         if let Some(victim) = evicted {
             self.reuse.set(victim, self.r_copy[set]);
         }
@@ -619,7 +507,8 @@ pub fn batch_bwcost(config: CacheConfig, addrs: &[u32]) -> CacheStats {
 mod tests {
     use super::*;
     use crate::line_table::{sparse_lines, PAGE_LEN};
-    use crate::{batch_sweep, SplitMix64, SweepPoint, SweepPointResult, SweepPolicy};
+    use crate::{batch_sweep, run_addrs, DirectMapped, SplitMix64, SweepPoint, SweepPolicy};
+    use dynex_obs::CountingProbe;
 
     fn config(size: u32, line: u32) -> CacheConfig {
         CacheConfig::direct_mapped(size, line).unwrap()
@@ -648,39 +537,25 @@ mod tests {
         (0..40).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect()
     }
 
-    /// `policy` at `config` through the fast kernel, as a one-point sweep.
-    fn alone(policy: SweepPolicy, config: CacheConfig, addrs: &[u32]) -> SweepPointResult {
-        batch_sweep(&[SweepPoint::new(config, policy)], addrs)[0]
+    /// The statistics of `policy` at `config` through the fast kernel, as a
+    /// one-point sweep.
+    fn alone(policy: SweepPolicy, config: CacheConfig, addrs: &[u32]) -> CacheStats {
+        batch_sweep(&[SweepPoint::new(config, policy)], addrs)[0].0
     }
 
-    #[test]
-    fn dm_policy_matches_batch_kernel() {
-        let config = config(1024, 4);
-        let addrs = trace(20_000);
-        let via_trait = simulate_policy(config, &addrs, &mut DmPolicy);
-        let via_kernel = alone(SweepPolicy::DirectMapped, config, &addrs).stats();
-        assert_eq!(via_trait.accesses(), via_kernel.accesses());
-        assert_eq!(via_trait.misses(), via_kernel.misses());
-        // The driver accounts bandwidth; DM fills on every miss.
-        assert_eq!(via_trait.fills(), via_trait.misses());
-        assert_eq!(via_trait.probes(), via_trait.accesses());
-    }
-
-    #[test]
-    fn de_policy_matches_batch_kernel_and_load_counter() {
-        let config = config(1024, 4);
-        let addrs = trace(20_000);
-        let mut policy = DePolicy::new(config, &addrs);
-        let via_trait = simulate_policy(config, &addrs, &mut policy);
-        let via_kernel = alone(SweepPolicy::DynamicExclusion, config, &addrs)
-            .de()
-            .expect("a DE point reports DE counters");
-        assert_eq!(via_trait.accesses(), via_kernel.stats.accesses());
-        assert_eq!(via_trait.misses(), via_kernel.stats.misses());
-        // The driver's fill counter is exactly DE's load counter; the
-        // bypasses are the remaining misses.
-        assert_eq!(via_trait.fills(), via_kernel.loads);
-        assert_eq!(via_trait.misses() - via_trait.fills(), via_kernel.bypasses);
+    /// DM's cache-side traffic as the spec simulator counts it: a probe per
+    /// access, a fill per miss, and a writeback per eviction event.
+    fn dm_traffic(config: CacheConfig, addrs: &[u32]) -> CacheStats {
+        let mut dm = DirectMapped::with_probe(config, CountingProbe::new());
+        let stats = run_addrs(&mut dm, addrs.iter().copied());
+        let evictions = dm.probe().counts().evictions;
+        CacheStats::from_traffic_counts(
+            stats.accesses(),
+            stats.misses(),
+            stats.misses(),
+            evictions,
+            stats.accesses(),
+        )
     }
 
     #[test]
@@ -712,8 +587,8 @@ mod tests {
         let config = config(1024, 4);
         let addrs = trace(30_000);
         let ehc = batch_ehc(config, &addrs);
-        let opt = alone(SweepPolicy::Optimal, config, &addrs).stats();
-        let dm = alone(SweepPolicy::DirectMapped, config, &addrs).stats();
+        let opt = alone(SweepPolicy::Optimal, config, &addrs);
+        let dm = alone(SweepPolicy::DirectMapped, config, &addrs);
         assert!(opt.misses() <= ehc.misses());
         // On this loopy trace the hit-count oracle beats blind replacement.
         assert!(ehc.misses() < dm.misses());
@@ -726,10 +601,7 @@ mod tests {
         let config = config(64, 4);
         let addrs = thrash();
         assert_eq!(batch_ehc(config, &addrs).misses(), 21);
-        assert_eq!(
-            alone(SweepPolicy::Optimal, config, &addrs).stats().misses(),
-            21
-        );
+        assert_eq!(alone(SweepPolicy::Optimal, config, &addrs).misses(), 21);
     }
 
     #[test]
@@ -737,11 +609,18 @@ mod tests {
         let config = config(64, 4);
         let addrs = thrash();
         let bw = batch_bwcost(config, &addrs);
-        let dm = simulate_policy(config, &addrs, &mut DmPolicy);
+        let dm = dm_traffic(config, &addrs);
         // DM fills on all 40 thrashing misses; the selective-fill policy
         // refuses the never-reused alternation after the cold fill.
         assert!(bw.bandwidth_transfers() < dm.bandwidth_transfers());
         assert!(bw.fills() < dm.fills());
+    }
+
+    #[test]
+    #[should_panic(expected = "direct-mapped")]
+    fn simulate_policy_rejects_associative_config() {
+        let config = CacheConfig::new(128, 4, 2).unwrap();
+        simulate_policy(config, &[0], &mut BwCostPolicy::new(config, &[0]));
     }
 
     #[test]
@@ -931,28 +810,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn driver_supports_set_associative_frames() {
-        // A 2-way LRU-free smoke: a trivial policy that installs into the
-        // first empty way, else way 0 — exercises the multi-way frame
-        // plumbing the trait reserves for future zoo members.
-        struct FirstEmpty;
-        impl ReplacementPolicy for FirstEmpty {
-            fn on_lookup(&mut self, _: usize, _: usize, _: u32, _: Option<usize>) {}
-            fn victim(&mut self, _: usize, _: usize, _: u32, resident: &[u32]) -> VictimChoice {
-                let way = resident.iter().position(|&t| t == NO_LINE).unwrap_or(0);
-                VictimChoice::Install { way }
-            }
-            fn on_fill(&mut self, _: usize, _: usize, _: u32, _: usize, _: Option<u32>) {}
-        }
-        let config = CacheConfig::new(128, 4, 2).unwrap();
-        // Two lines that conflict in a direct-mapped cache coexist 2-way.
-        let addrs: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
-        let stats = simulate_policy(config, &addrs, &mut FirstEmpty);
-        assert_eq!(stats.misses(), 2);
-        assert_eq!(stats.fills(), 2);
-        assert_eq!(stats.writebacks(), 0);
     }
 }

@@ -208,6 +208,34 @@ impl fmt::Display for CacheStats {
     }
 }
 
+/// Dynamic-exclusion-specific counters, beyond hit/miss accounting.
+///
+/// Reported by the DE simulators of `dynex-core` and by the DE points of
+/// [`crate::batch_sweep`] (a last-line point counts one load or bypass per
+/// line run).
+///
+/// ```
+/// use dynex_cache::{batch_sweep, CacheConfig, SweepPoint, SweepPolicy};
+///
+/// // (a b)^10 on one line: a settles in, b bypasses.
+/// let config = CacheConfig::direct_mapped(64, 4)?;
+/// let addrs: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
+/// let point = SweepPoint::new(config, SweepPolicy::DynamicExclusion);
+/// let (stats, de) = batch_sweep(&[point], &addrs)[0];
+/// let de = de.expect("a DE point reports DE counters");
+/// assert_eq!(stats.misses(), 11);
+/// assert_eq!(de.bypasses, 10);
+/// assert_eq!(de.loads + de.bypasses, stats.misses());
+/// # Ok::<(), dynex_cache::ConfigError>(())
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeStats {
+    /// Misses that installed the referenced block.
+    pub loads: u64,
+    /// Misses that bypassed the cache (block passed straight to the CPU).
+    pub bypasses: u64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -57,12 +57,13 @@
 //! Every point is **bit-identical** to the reference simulator of its
 //! policy ([`crate::DirectMapped`], and `DeCache` / `LastLineDeCache` /
 //! `OptimalDirectMapped` in `dynex-core`): same statistics, same load/bypass
-//! split, and — through
+//! split ([`DeStats`], reported by the DE points only), and — through
 //! [`batch_sweep_probed`] — the same probe event stream in the same order.
 //! Points share no state, so each one also equals that point swept alone.
 //! `tests/kernel_differential.rs`, `crates/core/tests/de_sweep_lockstep.rs`
-//! (the DE points event for event, over all eight Figure 1 rows) and the
-//! property suite `crates/cache/tests/prop_sweep_lockstep.rs` enforce this.
+//! (the DE points event for event, over all eight Figure 1 rows) and this
+//! module's tests (seeded random plans of all five policies, duplicates
+//! included) enforce this.
 
 use dynex_obs::span;
 use dynex_obs::{Cause, Event, NoopProbe, Outcome, Probe};
@@ -71,16 +72,36 @@ use crate::batch::CHUNK_LEN;
 use crate::direct::INVALID_LINE;
 use crate::kernel::{
     assert_positions_fit, de_fsm_index, decode_chunk, hit_last_bit, hit_last_words, max_line,
-    set_hit_last_bit, BatchDeResult, DeFsmRow, DE_FSM_TABLE,
+    set_hit_last_bit, DeFsmRow, DE_FSM_TABLE,
 };
 use crate::line_table::LineTable;
-use crate::{CacheConfig, CacheStats};
+use crate::{CacheConfig, CacheStats, DeStats};
 
 /// The replacement/bypass policy of one sweep point.
 ///
 /// These are the three policies the paper's figures compare, and the
 /// Section 6 last-line variants of DE and OPT that Figures 11 and 12 use
 /// for multi-word lines.
+///
+/// ```
+/// use dynex_cache::{batch_sweep, CacheConfig, SweepPoint, SweepPolicy};
+///
+/// // (a b)^10 on one line: the dm/de/opt triple of the paper's figures.
+/// let config = CacheConfig::direct_mapped(64, 4)?;
+/// let addrs: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
+/// let points = [
+///     SweepPoint::new(config, SweepPolicy::DirectMapped),
+///     SweepPoint::new(config, SweepPolicy::DynamicExclusion),
+///     SweepPoint::new(config, SweepPolicy::Optimal),
+/// ];
+/// let results = batch_sweep(&points, &addrs);
+/// assert_eq!(results[0].0.misses(), 20); // DM thrashes
+/// assert_eq!(results[1].0.misses(), 11);
+/// assert_eq!(results[1].1.unwrap().bypasses, 10);
+/// assert_eq!(results[2].0.misses(), 11);
+/// assert!(results[0].1.is_none());
+/// # Ok::<(), dynex_cache::ConfigError>(())
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SweepPolicy {
     /// Conventional direct-mapped (the paper's baseline).
@@ -97,17 +118,6 @@ pub enum SweepPolicy {
 }
 
 impl SweepPolicy {
-    /// Stable lowercase name, matching the engine's policy names.
-    pub fn name(self) -> &'static str {
-        match self {
-            SweepPolicy::DirectMapped => "dm",
-            SweepPolicy::DynamicExclusion => "de",
-            SweepPolicy::Optimal => "opt",
-            SweepPolicy::DeLastLine => "de-lastline",
-            SweepPolicy::OptimalLastLine => "opt-lastline",
-        }
-    }
-
     /// Runs the DE state machine (and so owns a hit-last bitmap).
     fn is_de(self) -> bool {
         matches!(
@@ -130,7 +140,7 @@ impl SweepPolicy {
 ///
 /// let config = CacheConfig::direct_mapped(64, 4)?;
 /// let point = SweepPoint::new(config, SweepPolicy::DirectMapped);
-/// let stats = batch_sweep(&[point], &[0, 0, 64, 0])[0].stats();
+/// let (stats, _) = batch_sweep(&[point], &[0, 0, 64, 0])[0];
 /// assert_eq!(stats.misses(), 3); // cold, hit, conflict, conflict
 /// # Ok::<(), dynex_cache::ConfigError>(())
 /// ```
@@ -146,57 +156,6 @@ impl SweepPoint {
     /// Creates a sweep point.
     pub fn new(config: CacheConfig, policy: SweepPolicy) -> SweepPoint {
         SweepPoint { config, policy }
-    }
-}
-
-/// Per-point output of [`batch_sweep`].
-///
-/// ```
-/// use dynex_cache::{batch_sweep, CacheConfig, SweepPoint, SweepPolicy};
-///
-/// // (a b)^10 on one line: the dm/de/opt triple of the paper's figures.
-/// let config = CacheConfig::direct_mapped(64, 4)?;
-/// let addrs: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
-/// let points = [
-///     SweepPoint::new(config, SweepPolicy::DirectMapped),
-///     SweepPoint::new(config, SweepPolicy::DynamicExclusion),
-///     SweepPoint::new(config, SweepPolicy::Optimal),
-/// ];
-/// let results = batch_sweep(&points, &addrs);
-/// assert_eq!(results[0].stats().misses(), 20); // DM thrashes
-/// assert_eq!(results[1].stats().misses(), 11);
-/// assert_eq!(results[1].de().unwrap().bypasses, 10);
-/// assert_eq!(results[2].stats().misses(), 11);
-/// assert!(results[0].de().is_none());
-/// # Ok::<(), dynex_cache::ConfigError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepPointResult {
-    /// Conventional direct-mapped statistics.
-    Dm(CacheStats),
-    /// Dynamic-exclusion statistics with the load/bypass split (a
-    /// last-line point counts one load or bypass per line run).
-    De(BatchDeResult),
-    /// Optimal direct-mapped statistics, with or without the last-line
-    /// buffer.
-    Opt(CacheStats),
-}
-
-impl SweepPointResult {
-    /// The hit/miss statistics, whatever the policy.
-    pub fn stats(&self) -> CacheStats {
-        match *self {
-            SweepPointResult::Dm(stats) | SweepPointResult::Opt(stats) => stats,
-            SweepPointResult::De(de) => de.stats,
-        }
-    }
-
-    /// The dynamic-exclusion counters, if this point ran a DE policy.
-    pub fn de(&self) -> Option<BatchDeResult> {
-        match *self {
-            SweepPointResult::De(de) => Some(de),
-            _ => None,
-        }
     }
 }
 
@@ -590,6 +549,10 @@ enum PointState<'a> {
 
 /// Carries N cache geometries through a single trace traversal.
 ///
+/// Returns each point's statistics, in point order, with the load/bypass
+/// split of the dynamic-exclusion points (`DynamicExclusion` and
+/// `DeLastLine`; `None` for the others).
+///
 /// Bit-identical per point to the reference simulator of its policy; what
 /// the sweep buys is decoding each chunk once per distinct line size,
 /// reading each distinct line size's previous uses once, and walking the
@@ -623,7 +586,7 @@ enum PointState<'a> {
 /// assert_eq!(results[1], batch_sweep(&points[1..], &addrs)[0]);
 /// # Ok::<(), dynex_cache::ConfigError>(())
 /// ```
-pub fn batch_sweep(points: &[SweepPoint], addrs: &[u32]) -> Vec<SweepPointResult> {
+pub fn batch_sweep(points: &[SweepPoint], addrs: &[u32]) -> Vec<(CacheStats, Option<DeStats>)> {
     let mut probes = vec![NoopProbe; points.len()];
     batch_sweep_probed(points, addrs, &mut probes)
 }
@@ -642,7 +605,7 @@ pub fn batch_sweep_probed<P: Probe>(
     points: &[SweepPoint],
     addrs: &[u32],
     probes: &mut [P],
-) -> Vec<SweepPointResult> {
+) -> Vec<(CacheStats, Option<DeStats>)> {
     assert_eq!(points.len(), probes.len(), "one probe per sweep point");
     for point in points {
         assert_eq!(
@@ -792,18 +755,17 @@ pub fn batch_sweep_probed<P: Probe>(
     state
         .into_iter()
         .map(|point_state| match point_state {
-            PointState::Dm(dm) => {
-                SweepPointResult::Dm(CacheStats::from_counts(accesses, dm.misses))
+            PointState::Dm(DmSweep { misses, .. })
+            | PointState::Opt(OptSweep { misses, .. })
+            | PointState::OptLastLine(OptSweep { misses, .. }) => {
+                (CacheStats::from_counts(accesses, misses), None)
             }
             PointState::De(de) | PointState::DeLastLine(de) => {
-                SweepPointResult::De(BatchDeResult {
-                    stats: CacheStats::from_counts(accesses, de.misses),
+                let counters = DeStats {
                     loads: de.loads,
                     bypasses: de.misses - de.loads,
-                })
-            }
-            PointState::Opt(opt) | PointState::OptLastLine(opt) => {
-                SweepPointResult::Opt(CacheStats::from_counts(accesses, opt.misses))
+                };
+                (CacheStats::from_counts(accesses, de.misses), Some(counters))
             }
         })
         .collect()
@@ -841,8 +803,8 @@ mod tests {
             assert_eq!(
                 *result,
                 batch_sweep(&[*point], addrs)[0],
-                "{} @ {}",
-                point.policy.name(),
+                "{:?} @ {}",
+                point.policy,
                 point.config
             );
         }
@@ -896,12 +858,10 @@ mod tests {
         let cfg = config(4096, 4);
         let results = batch_sweep(&all_policies(cfg), &addrs);
         let alone = |policy| batch_sweep(&[SweepPoint::new(cfg, policy)], &addrs)[0];
-        assert_eq!(results[0].stats(), alone(SweepPolicy::DirectMapped).stats());
-        assert_eq!(
-            results[1].de().unwrap(),
-            alone(SweepPolicy::DynamicExclusion).de().unwrap()
-        );
-        assert_eq!(results[2].stats(), alone(SweepPolicy::Optimal).stats());
+        assert_eq!(results[0], alone(SweepPolicy::DirectMapped));
+        assert_eq!(results[1], alone(SweepPolicy::DynamicExclusion));
+        assert!(results[1].1.is_some());
+        assert_eq!(results[2], alone(SweepPolicy::Optimal));
     }
 
     #[test]
@@ -909,9 +869,9 @@ mod tests {
         let addrs = random_addrs(1, 100, 64);
         assert!(batch_sweep(&[], &addrs).is_empty());
         let results = batch_sweep(&all_policies(config(64, 4)), &[]);
-        for result in &results {
-            assert_eq!(result.stats().accesses(), 0);
-            assert_eq!(result.stats().misses(), 0);
+        for (stats, _) in &results {
+            assert_eq!(stats.accesses(), 0);
+            assert_eq!(stats.misses(), 0);
         }
     }
 
@@ -935,6 +895,49 @@ mod tests {
         assert_matches_single(&points, &addrs);
     }
 
+    /// Every point of the probed sweep equals that point swept alone: the
+    /// same statistics, DE counters on the DE points only, and the same
+    /// event stream (none for the optimal points). Returns the sweep's event
+    /// logs.
+    fn assert_replays_alone(points: &[SweepPoint], addrs: &[u32], what: &str) -> Vec<EventLog> {
+        let mut probes: Vec<EventLog> = points.iter().map(|_| EventLog::new()).collect();
+        let results = batch_sweep_probed(points, addrs, &mut probes);
+        assert_eq!(results, batch_sweep(points, addrs), "{what}");
+        for ((point, result), log) in points.iter().zip(&results).zip(&probes) {
+            let what = format!("{what}: {:?} @ {}", point.policy, point.config);
+            let mut alone = [EventLog::new()];
+            let expected = batch_sweep_probed(&[*point], addrs, &mut alone)[0];
+            assert_eq!(*result, expected, "{what}");
+            assert_eq!(log.events(), alone[0].events(), "{what}");
+            assert_eq!(result.1.is_some(), point.policy.is_de(), "{what}");
+            if point.policy.is_optimal() {
+                assert!(log.events().is_empty(), "{what}: optimal emits no events");
+            }
+        }
+        probes
+    }
+
+    /// A seeded plan of 1 to 8 points: 64 B to 4 KB caches with 4 to 32 B
+    /// lines under any of the five policies. The geometry space is small,
+    /// so plans repeat points now and then.
+    fn random_plan(rng: &mut SplitMix64) -> Vec<SweepPoint> {
+        const POLICIES: [SweepPolicy; 5] = [
+            SweepPolicy::DirectMapped,
+            SweepPolicy::DynamicExclusion,
+            SweepPolicy::Optimal,
+            SweepPolicy::DeLastLine,
+            SweepPolicy::OptimalLastLine,
+        ];
+        (0..=rng.below(8))
+            .map(|_| {
+                let size = 64 << rng.below(7);
+                let line = 4 << rng.below(4);
+                let policy = POLICIES[rng.below_usize(POLICIES.len())];
+                SweepPoint::new(config(size, line), policy)
+            })
+            .collect()
+    }
+
     #[test]
     fn probed_sweep_replays_single_kernel_event_streams() {
         let addrs = random_addrs(23, 6_000, 1_024);
@@ -943,19 +946,22 @@ mod tests {
             SweepPoint::new(config(1024, 16), SweepPolicy::DynamicExclusion),
             SweepPoint::new(config(256, 4), SweepPolicy::Optimal),
         ];
-        let mut probes = [EventLog::new(), EventLog::new(), EventLog::new()];
-        let results = batch_sweep_probed(&points, &addrs, &mut probes);
+        let logs = assert_replays_alone(&points, &addrs, "fixed plan");
+        assert!(logs[..2].iter().all(|log| !log.events().is_empty()));
 
-        for (i, point) in points.iter().enumerate().take(2) {
-            let mut log = [EventLog::new()];
-            let alone = batch_sweep_probed(&[*point], &addrs, &mut log);
-            assert_eq!(results[i], alone[0]);
-            assert_eq!(probes[i].events(), log[0].events());
-            assert!(!log[0].events().is_empty());
+        // Seeded random plans over short traces, some crossing a chunk
+        // boundary.
+        let mut plans_with_duplicates = 0;
+        for seed in 0..96u64 {
+            let mut rng = SplitMix64::new(seed);
+            let points = random_plan(&mut rng);
+            let len = rng.below_usize(CHUNK_LEN + 500);
+            let addrs = random_addrs(rng.next_u64(), len, 2_048);
+            assert_replays_alone(&points, &addrs, &format!("seed {seed}"));
+            let distinct: std::collections::HashSet<_> = points.iter().collect();
+            plans_with_duplicates += (distinct.len() < points.len()) as u32;
         }
-        assert!(results[1].de().is_some());
-
-        assert!(probes[2].events().is_empty(), "optimal emits no events");
+        assert!(plans_with_duplicates > 0, "no random plan repeated a point");
     }
 
     /// Instruction-like fetches: sequential word runs of 1..=12 words from
@@ -1010,23 +1016,15 @@ mod tests {
             ],
             &starts,
         );
-        let (de, inner_de) = (results[0].de().unwrap(), inner[0].de().unwrap());
-        assert_eq!(de.stats.accesses(), accesses, "de-lastline @ {cfg}");
-        assert_eq!(
-            de.stats.misses(),
-            inner_de.stats.misses(),
-            "de-lastline @ {cfg}"
-        );
-        assert_eq!(de.loads, inner_de.loads, "de-lastline @ {cfg}");
-        assert_eq!(de.bypasses, inner_de.bypasses, "de-lastline @ {cfg}");
-        let opt = results[1].stats();
-        assert!(results[1].de().is_none());
+        let (de, inner_de) = (results[0], inner[0]);
+        assert_eq!(de.0.accesses(), accesses, "de-lastline @ {cfg}");
+        assert_eq!(de.0.misses(), inner_de.0.misses(), "de-lastline @ {cfg}");
+        assert!(de.1.is_some(), "de-lastline @ {cfg}");
+        assert_eq!(de.1, inner_de.1, "de-lastline @ {cfg}");
+        let (opt, opt_de) = results[1];
+        assert!(opt_de.is_none());
         assert_eq!(opt.accesses(), accesses, "opt-lastline @ {cfg}");
-        assert_eq!(
-            opt.misses(),
-            inner[1].stats().misses(),
-            "opt-lastline @ {cfg}"
-        );
+        assert_eq!(opt.misses(), inner[1].0.misses(), "opt-lastline @ {cfg}");
     }
 
     #[test]

@@ -1,18 +1,9 @@
 //! The single-level dynamic-exclusion cache (Sections 4–5 of the paper).
 
-use dynex_cache::{AccessOutcome, CacheConfig, CacheSim, CacheStats};
+use dynex_cache::{AccessOutcome, CacheConfig, CacheSim, CacheStats, DeStats};
 use dynex_obs::{Cause, Event, NoopProbe, Probe};
 
 use crate::{DeEvent, DeLines, HitLastStore, PerfectStore};
-
-/// Dynamic-exclusion-specific counters, beyond hit/miss accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeStats {
-    /// Misses that installed the referenced block.
-    pub loads: u64,
-    /// Misses that bypassed the cache (block passed straight to the CPU).
-    pub bypasses: u64,
-}
 
 /// A direct-mapped cache governed by the dynamic-exclusion FSM.
 ///
@@ -364,13 +355,10 @@ mod tests {
 
             let mut logs = [EventLog::new()];
             let point = SweepPoint::new(cfg, SweepPolicy::DynamicExclusion);
-            let batch = batch_sweep_probed(&[point], &addrs, &mut logs)[0]
-                .de()
-                .expect("a DE point reports DE counters");
+            let (stats, de) = batch_sweep_probed(&[point], &addrs, &mut logs)[0];
             let [log] = logs;
-            assert_eq!(batch.stats, ref_stats, "seed {seed}");
-            assert_eq!(batch.loads, ref_de.loads, "seed {seed}");
-            assert_eq!(batch.bypasses, ref_de.bypasses, "seed {seed}");
+            assert_eq!(stats, ref_stats, "seed {seed}");
+            assert_eq!(de, Some(ref_de), "seed {seed}");
             assert_eq!(log.into_events(), ref_events, "seed {seed}");
         }
     }

@@ -31,8 +31,7 @@ use dynex_cache::{
 };
 use dynex_obs::{Cause, Event, NoopProbe, Outcome, Probe};
 
-use crate::cache::DeStats;
-use crate::{DeEvent, DeLines, HashedStore, HitLastStore};
+use crate::{DeEvent, DeLines, DeStats, HashedStore, HitLastStore};
 
 const INVALID_LINE: u32 = u32::MAX;
 

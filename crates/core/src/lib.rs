@@ -60,7 +60,8 @@ mod lines;
 mod optimal;
 mod sticky;
 
-pub use cache::{DeCache, DeStats};
+pub use cache::DeCache;
+pub use dynex_cache::DeStats;
 pub use hierarchy::{
     hierarchy_sweep, DeHierarchy, DeHierarchyStats, HierarchyError, HierarchySweepPoint,
     HitLastStrategy,

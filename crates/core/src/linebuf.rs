@@ -16,8 +16,7 @@
 
 use dynex_cache::{AccessOutcome, CacheConfig, CacheSim, CacheStats};
 
-use crate::cache::DeStats;
-use crate::{DeCache, HitLastStore, PerfectStore};
+use crate::{DeCache, DeStats, HitLastStore, PerfectStore};
 
 /// Section 6 alternative 1: dynamic exclusion with a one-line instruction
 /// register.

@@ -259,7 +259,7 @@ mod tests {
                 let cfg = config(size, line);
                 let point = SweepPoint::new(cfg, SweepPolicy::OptimalLastLine);
                 assert_eq!(
-                    batch_sweep(&[point], &addrs)[0].stats(),
+                    batch_sweep(&[point], &addrs)[0].0,
                     OptimalDirectMapped::simulate_with_lastline(cfg, addrs.iter().copied()),
                     "{cfg}"
                 );

@@ -13,8 +13,7 @@
 use dynex_cache::{AccessOutcome, CacheConfig, CacheSim, CacheStats, Geometry};
 use dynex_obs::{Cause, Event, NoopProbe, Outcome, Probe};
 
-use crate::cache::DeStats;
-use crate::{HitLastStore, PerfectStore};
+use crate::{DeStats, HitLastStore, PerfectStore};
 
 const INVALID_LINE: u32 = u32::MAX;
 

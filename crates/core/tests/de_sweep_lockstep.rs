@@ -10,10 +10,10 @@
 //! eight `(hit, sticky, hit_last)` rows, a hit on a non-sticky set among
 //! them, so the hit-first step is compared on every input it skips.
 
-use dynex::{DeCache, HitLastStore, LastLineDeCache, PerfectStore};
+use dynex::{DeCache, DeStats, HitLastStore, LastLineDeCache, PerfectStore};
 use dynex_cache::{
-    batch_sweep_probed, de_fsm_index, run_addrs, BatchDeResult, CacheConfig, CacheSim, CacheStats,
-    SplitMix64, SweepPoint, SweepPolicy,
+    batch_sweep_probed, de_fsm_index, run_addrs, CacheConfig, CacheSim, CacheStats, SplitMix64,
+    SweepPoint, SweepPolicy,
 };
 use dynex_obs::{Event, EventLog};
 
@@ -68,14 +68,18 @@ fn traces() -> Vec<Vec<u32>> {
     traces
 }
 
-/// `policy` at `config` as a one-point sweep: its DE counters and events.
-fn swept(policy: SweepPolicy, config: CacheConfig, addrs: &[u32]) -> (BatchDeResult, Vec<Event>) {
+/// `policy` at `config` as a one-point sweep: its statistics, DE counters
+/// and events.
+fn swept(
+    policy: SweepPolicy,
+    config: CacheConfig,
+    addrs: &[u32],
+) -> (CacheStats, DeStats, Vec<Event>) {
     let mut logs = [EventLog::new()];
-    let result = batch_sweep_probed(&[SweepPoint::new(config, policy)], addrs, &mut logs)[0]
-        .de()
-        .expect("a DE point reports DE counters");
+    let (stats, de) = batch_sweep_probed(&[SweepPoint::new(config, policy)], addrs, &mut logs)[0];
     let [log] = logs;
-    (result, log.into_events())
+    let de = de.expect("a DE point reports DE counters");
+    (stats, de, log.into_events())
 }
 
 /// Runs the reference `DeCache` over `addrs`, marking in `rows` the Figure 1
@@ -87,7 +91,7 @@ fn reference_de(
     config: CacheConfig,
     addrs: &[u32],
     rows: &mut [u64; 8],
-) -> (CacheStats, dynex::DeStats, Vec<Event>) {
+) -> (CacheStats, DeStats, Vec<Event>) {
     let offset_bits = config.geometry().offset_bits();
     let mut cache = DeCache::with_probe(config, EventLog::new());
     for &addr in addrs {
@@ -113,10 +117,10 @@ fn de_points_replay_the_reference_cache_event_for_event() {
             for line in LINES {
                 let config = CacheConfig::direct_mapped(size, line).unwrap();
                 let (stats, de, events) = reference_de(config, addrs, &mut rows);
-                let (sweep, sweep_events) = swept(SweepPolicy::DynamicExclusion, config, addrs);
-                assert_eq!(sweep.stats, stats, "trace {t} @ {config}");
-                assert_eq!(sweep.loads, de.loads, "trace {t} @ {config}");
-                assert_eq!(sweep.bypasses, de.bypasses, "trace {t} @ {config}");
+                let (sweep, sweep_de, sweep_events) =
+                    swept(SweepPolicy::DynamicExclusion, config, addrs);
+                assert_eq!(sweep, stats, "trace {t} @ {config}");
+                assert_eq!(sweep_de, de, "trace {t} @ {config}");
                 assert_eq!(sweep_events, events, "trace {t} @ {config}");
             }
         }
@@ -144,10 +148,9 @@ fn de_lastline_points_replay_the_reference_cache_event_for_event() {
                 let stats = run_addrs(&mut reference, addrs.iter().copied());
                 let de = reference.de_stats();
                 let events = reference.into_probe().into_events();
-                let (sweep, sweep_events) = swept(SweepPolicy::DeLastLine, config, addrs);
-                assert_eq!(sweep.stats, stats, "trace {t} @ {config}");
-                assert_eq!(sweep.loads, de.loads, "trace {t} @ {config}");
-                assert_eq!(sweep.bypasses, de.bypasses, "trace {t} @ {config}");
+                let (sweep, sweep_de, sweep_events) = swept(SweepPolicy::DeLastLine, config, addrs);
+                assert_eq!(sweep, stats, "trace {t} @ {config}");
+                assert_eq!(sweep_de, de, "trace {t} @ {config}");
                 assert_eq!(sweep_events, events, "trace {t} @ {config}");
             }
         }

@@ -19,7 +19,7 @@ use dynex::{DeCache, DeStats, LastLineDeCache, OptimalDirectMapped, PerfectStore
 use dynex_cache::{
     batch_bwcost, batch_ehc, batch_sweep_probed, run_addrs, simulate_policy, BwCostPolicy,
     CacheConfig, CacheSim, CacheStats, DirectMapped, EhcPolicy, Kernel, SetAssociative,
-    StreamBuffer, SweepPoint, SweepPointResult, SweepPolicy, VictimCache,
+    StreamBuffer, SweepPoint, SweepPolicy, VictimCache,
 };
 use dynex_obs::{NoopProbe, Probe};
 
@@ -197,21 +197,6 @@ impl PolicyKind {
         }
     }
 
-    /// The statistics and reported exclusion counters of one sweep point
-    /// run under this policy. Only `de` reports counters: `de-lastline`
-    /// computes them too (one load or bypass per line run), but its
-    /// responses never carried them.
-    fn sweep_counters(self, result: SweepPointResult) -> (CacheStats, Option<DeStats>) {
-        let de = result
-            .de()
-            .filter(|_| self == PolicyKind::DynamicExclusion)
-            .map(|r| DeStats {
-                loads: r.loads,
-                bypasses: r.bypasses,
-            });
-        (result.stats(), de)
-    }
-
     /// Simulates this policy over a byte-address trace with the session's
     /// [`default_kernel`].
     pub fn simulate(self, config: CacheConfig, addrs: &[u32]) -> CacheStats {
@@ -384,8 +369,12 @@ pub fn run_jobs<P: Probe>(
         }
     }
     let results = batch_sweep_probed(&points, addrs, &mut sweep_probes);
-    for (i, result) in swept.into_iter().zip(results) {
-        runs[i] = Some(jobs[i].policy.sweep_counters(result));
+    for (i, (stats, de)) in swept.into_iter().zip(results) {
+        // Only `de` reports counters: the sweep's de-lastline points count
+        // them too (one load or bypass per line run), but de-lastline's
+        // responses never carried them.
+        let de = de.filter(|_| jobs[i].policy == PolicyKind::DynamicExclusion);
+        runs[i] = Some((stats, de));
     }
     runs.into_iter()
         .map(|run| run.expect("every job runs alone or in the sweep"))

@@ -117,11 +117,13 @@ pub(crate) fn miss_rate_grid<const K: usize>(
 /// [`policy_runs`] with the cache-side traffic of the DM and DE columns:
 /// `runs[c][p]` is `policies[p]`'s statistics at `configs[c]`, and where
 /// that policy is `dm` or `de` they carry the probes, fills and writebacks
-/// `dynex_cache::simulate_policy` counts with `DmPolicy` / `DePolicy`. Every
-/// access is a probe; DM fills on every miss and DE on every load; and
-/// every fill but a set's first displaces a valid line, since a set's
-/// first reference always fills its empty frame under both policies and a
-/// frame never empties again. Other policies' statistics are the engine's.
+/// of the paper's cache: every access is a probe; DM fills on every miss
+/// and DE on every load; and every fill but a set's first displaces a valid
+/// line, since a set's first reference always fills its empty frame under
+/// both policies and a frame never empties again. These are the counts the
+/// spec simulators (`DirectMapped`, `DeCache`) give with a counting probe
+/// attached, a writeback being an eviction event. Other policies'
+/// statistics are the engine's.
 ///
 /// # Panics
 ///
@@ -286,6 +288,9 @@ pub fn reduction(base: f64, new: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::api::{run_triple, triples_of};
+    use dynex::DeCache;
+    use dynex_cache::DirectMapped;
+    use dynex_obs::CountingProbe;
 
     fn thrash() -> Vec<u32> {
         (0..40).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect()
@@ -350,9 +355,23 @@ mod tests {
         assert_eq!(per_benchmark(&w, |addrs| addrs.len()), lens);
     }
 
+    /// `stats` with the cache-side traffic `probe` counted: a probe per
+    /// access event, `fills` fills, and a writeback per eviction event.
+    fn counted_traffic(stats: CacheStats, fills: u64, probe: &CountingProbe) -> CacheStats {
+        let counts = probe.counts();
+        CacheStats::from_traffic_counts(
+            stats.accesses(),
+            stats.misses(),
+            fills,
+            counts.evictions,
+            counts.accesses,
+        )
+    }
+
+    /// The traffic [`traffic_runs`] derives from the shared walk's counters
+    /// equals what the spec simulators count event by event.
     #[test]
     fn derived_traffic_equals_the_policy_driver() {
-        use dynex_cache::{simulate_policy, DePolicy, DmPolicy};
         let configs = dm_configs(&crate::figures::ZOO_SIZES_KB, 4);
         let w = Workloads::generate(20_000);
         let mut traces = vec![
@@ -370,8 +389,12 @@ mod tests {
             let policies = [PolicyKind::DirectMapped, PolicyKind::DynamicExclusion];
             let derived = traffic_runs(&configs, policies, addrs);
             for (&config, [dm, de]) in configs.iter().zip(derived) {
-                let expected_dm = simulate_policy(config, addrs, &mut DmPolicy);
-                let expected_de = simulate_policy(config, addrs, &mut DePolicy::new(config, addrs));
+                let mut dm_sim = DirectMapped::with_probe(config, CountingProbe::new());
+                let stats = run_addrs(&mut dm_sim, addrs.iter().copied());
+                let expected_dm = counted_traffic(stats, stats.misses(), dm_sim.probe());
+                let mut de_sim = DeCache::with_probe(config, CountingProbe::new());
+                let stats = run_addrs(&mut de_sim, addrs.iter().copied());
+                let expected_de = counted_traffic(stats, de_sim.de_stats().loads, de_sim.probe());
                 assert_eq!(dm, expected_dm, "dm, trace {t} @ {config}");
                 assert_eq!(de, expected_de, "de, trace {t} @ {config}");
                 writebacks[0] += dm.writebacks();

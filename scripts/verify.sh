@@ -8,9 +8,16 @@
 #                              # and resume diffs on the release binaries
 #   scripts/verify.sh --quick  # fmt + clippy + rustdoc + tests only
 #
-# The workspace is hermetic (no registry access needed); the property tests
-# are opt-in and NOT covered here. Speed is measured by the perfbench
-# ledger (BENCHMARK.json), never here.
+# The workspace is hermetic (no registry access needed). Six property suites
+# stay gated behind their crate's `proptest` feature, need the proptest
+# crate from a registry, and are NOT covered here:
+#   crates/trace/tests/prop_roundtrip.rs
+#   crates/cache/tests/prop_cache_laws.rs
+#   crates/core/tests/prop_de_laws.rs
+#   crates/core/tests/prop_fsm_table.rs
+#   crates/core/tests/prop_model_equivalences.rs
+#   crates/workload/tests/prop_workload.rs
+# Speed is measured by the perfbench ledger (BENCHMARK.json), never here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -34,8 +34,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use dynex::{DeCache, LastLineDeCache, OptimalDirectMapped, PerfectStore};
 use dynex_cache::{
     batch_ehc, batch_sweep, batch_sweep_probed, decode_addrs, run_addrs, simulate_policy,
-    BatchDeResult, CacheConfig, DirectMapped, EhcPolicy, Kernel, KindFilter, SplitMix64,
-    SweepPoint, SweepPointResult, SweepPolicy, CHUNK_LEN,
+    CacheConfig, CacheStats, DeStats, DirectMapped, EhcPolicy, Kernel, KindFilter, SplitMix64,
+    SweepPoint, SweepPolicy, CHUNK_LEN,
 };
 use dynex_engine::{execute, set_default_jobs, set_default_kernel, PolicyKind};
 use dynex_experiments::api::{self, run_triple, SimulationRequest};
@@ -64,11 +64,10 @@ const SIZES: [u32; 3] = [1024, 8 * 1024, 32 * 1024];
 const LINES: [u32; 2] = [4, 16];
 
 /// The fast kernel's DE point at `config`, swept alone.
-fn de_alone(config: CacheConfig, addrs: &[u32]) -> BatchDeResult {
+fn de_alone(config: CacheConfig, addrs: &[u32]) -> (CacheStats, DeStats) {
     let point = SweepPoint::new(config, SweepPolicy::DynamicExclusion);
-    batch_sweep(&[point], addrs)[0]
-        .de()
-        .expect("a DE point reports DE counters")
+    let (stats, de) = batch_sweep(&[point], addrs)[0];
+    (stats, de.expect("a DE point reports DE counters"))
 }
 
 /// Every workload profile × size × line × policy: batch == reference, and
@@ -136,10 +135,10 @@ fn de_exclusion_counters_agree_across_kernels() {
         let addrs = workloads.instr_addrs(name);
         let mut reference = DeCache::new(config);
         let ref_stats = run_addrs(&mut reference, addrs.iter().copied());
-        let batch = de_alone(config, &addrs);
-        assert_eq!(batch.stats, ref_stats, "{name}");
-        assert_eq!(batch.loads, reference.de_stats().loads, "{name}");
-        assert_eq!(batch.bypasses, reference.de_stats().bypasses, "{name}");
+        let (stats, de) = de_alone(config, &addrs);
+        assert_eq!(stats, ref_stats, "{name}");
+        assert_eq!(de.loads, reference.de_stats().loads, "{name}");
+        assert_eq!(de.bypasses, reference.de_stats().bypasses, "{name}");
     }
 }
 
@@ -160,10 +159,10 @@ fn probe_events_and_interval_csv_are_byte_identical() {
 
     let mut probes = [(Collector::new(WINDOW), EventLog::new())];
     let point = SweepPoint::new(config, SweepPolicy::DynamicExclusion);
-    let batch = batch_sweep_probed(&[point], &addrs, &mut probes)[0];
+    let (batch_stats, _) = batch_sweep_probed(&[point], &addrs, &mut probes)[0];
     let [(batch_collector, batch_log)] = probes;
 
-    assert_eq!(batch.stats(), ref_stats);
+    assert_eq!(batch_stats, ref_stats);
     let ref_events = ref_log.into_events();
     let batch_events = batch_log.into_events();
     assert_eq!(batch_events.len(), ref_events.len());
@@ -531,33 +530,22 @@ fn mixed_line_size_sweep_matches_reference_at_a_partial_last_chunk() {
 
     for ((point, got), log) in points.iter().zip(&swept).zip(&logs) {
         let config = point.config;
-        let what = format!("{} @ {config}", point.policy.name());
+        let what = format!("{:?} @ {config}", point.policy);
         let refs = addrs.iter().copied();
         let (expected, ref_events) = match point.policy {
             SweepPolicy::DirectMapped => {
                 let mut cache = DirectMapped::with_probe(config, EventLog::new());
                 let stats = run_addrs(&mut cache, refs);
-                (
-                    SweepPointResult::Dm(stats),
-                    cache.into_probe().into_events(),
-                )
+                ((stats, None), cache.into_probe().into_events())
             }
             SweepPolicy::DynamicExclusion => {
                 let mut cache = DeCache::with_probe(config, EventLog::new());
                 let stats = run_addrs(&mut cache, refs);
                 let de = cache.de_stats();
-                let result = BatchDeResult {
-                    stats,
-                    loads: de.loads,
-                    bypasses: de.bypasses,
-                };
-                (
-                    SweepPointResult::De(result),
-                    cache.into_probe().into_events(),
-                )
+                ((stats, Some(de)), cache.into_probe().into_events())
             }
             SweepPolicy::Optimal => (
-                SweepPointResult::Opt(OptimalDirectMapped::simulate(config, refs)),
+                (OptimalDirectMapped::simulate(config, refs), None),
                 Vec::new(),
             ),
             SweepPolicy::DeLastLine => {
@@ -568,18 +556,13 @@ fn mixed_line_size_sweep_matches_reference_at_a_partial_last_chunk() {
                 );
                 let stats = run_addrs(&mut cache, refs);
                 let de = cache.de_stats();
-                let result = BatchDeResult {
-                    stats,
-                    loads: de.loads,
-                    bypasses: de.bypasses,
-                };
-                (
-                    SweepPointResult::De(result),
-                    cache.into_probe().into_events(),
-                )
+                ((stats, Some(de)), cache.into_probe().into_events())
             }
             SweepPolicy::OptimalLastLine => (
-                SweepPointResult::Opt(OptimalDirectMapped::simulate_with_lastline(config, refs)),
+                (
+                    OptimalDirectMapped::simulate_with_lastline(config, refs),
+                    None,
+                ),
                 Vec::new(),
             ),
         };
@@ -621,17 +604,13 @@ fn oracles_agree_on_a_sparse_address_space() {
     for (&config, swept) in configs.iter().zip(&swept) {
         let reference = OptimalDirectMapped::simulate(config, addrs.iter().copied());
         let alone = batch_sweep(&[SweepPoint::new(config, SweepPolicy::Optimal)], &addrs);
-        assert_eq!(alone[0].stats(), reference, "batch opt @ {config}");
+        assert_eq!(alone[0].0, reference, "batch opt @ {config}");
         assert_eq!(
             run_triple(Kernel::Batch, config, &addrs).opt,
             reference,
             "triple opt @ {config}"
         );
-        assert_eq!(
-            *swept,
-            SweepPointResult::Opt(reference),
-            "sweep opt @ {config}"
-        );
+        assert_eq!(*swept, (reference, None), "sweep opt @ {config}");
 
         let mut ehc = EhcPolicy::new(config, &addrs);
         assert_eq!(
@@ -779,12 +758,15 @@ fn assert_forward_opt_is_belady(config: CacheConfig, addrs: &[u32], what: &str) 
     let refs = addrs.iter().copied();
     assert_eq!(
         swept[0],
-        SweepPointResult::Opt(OptimalDirectMapped::simulate(config, refs.clone())),
+        (OptimalDirectMapped::simulate(config, refs.clone()), None),
         "opt @ {config}: {what}"
     );
     assert_eq!(
         swept[1],
-        SweepPointResult::Opt(OptimalDirectMapped::simulate_with_lastline(config, refs)),
+        (
+            OptimalDirectMapped::simulate_with_lastline(config, refs),
+            None
+        ),
         "opt-lastline @ {config}: {what}"
     );
 }
@@ -859,7 +841,7 @@ fn forward_opt_edges_match_belady() {
     }
     // Opening repeats hit from the second reference on.
     let opt = batch_sweep(&[SweepPoint::new(word, SweepPolicy::Optimal)], &[0, 0, 0]);
-    assert_eq!(opt[0].stats().misses(), 1);
+    assert_eq!(opt[0].0.misses(), 1);
 
     // Set 0 of the 64 B cache holds a (0x0) and b (0x40); the filler keeps
     // to set 1. a is used at CHUNK_LEN - 1 and CHUNK_LEN + 1 with b between
