@@ -1,6 +1,6 @@
 //! Golden-file regression tests: reduced-budget figure sweeps against
 //! committed CSVs in `results/golden/`, plus a second pin of `conflicts`,
-//! `assoc`, `bwcost`, `fig8` and `fig9` at a larger budget in
+//! `assoc`, `ehc`, `bwcost`, `fig8` and `fig9` at a larger budget in
 //! `results/golden/50k/`.
 //!
 //! The batch kernel (PR 4) made the simulation path swappable, and the
@@ -30,13 +30,14 @@ use dynex_experiments::{figures, Workloads};
 /// enough that every workload's loop structure shows up in the numbers.
 const GOLDEN_REFS: usize = 12_000;
 
-/// Budget of the second pin of `conflicts`, `assoc`, `bwcost`, `fig8` and
-/// `fig9`. At [`GOLDEN_REFS`] their 16 KB to 64 KB rows are all compulsory
-/// misses, and every fig8 cell reads the same cold L2 miss rate; at this
-/// budget capacity and conflict misses appear there (doduc's 32 KB
-/// conflict share is 38.4%, and fig8's 32 KB L2 row splits the exclusive
-/// strategies apart), so the pin covers the LRU shadows, the associative
-/// columns, writebacks beyond the cold fills, and the L2 strategies.
+/// Budget of the second pin of `conflicts`, `assoc`, `ehc`, `bwcost`,
+/// `fig8` and `fig9`. At [`GOLDEN_REFS`] their 16 KB to 64 KB rows are all
+/// compulsory misses, and every fig8 cell reads the same cold L2 miss
+/// rate; at this budget capacity and conflict misses appear there
+/// (doduc's 32 KB conflict share is 38.4%, and fig8's 32 KB L2 row splits
+/// the exclusive strategies apart), so the pin covers the LRU shadows, the
+/// associative columns, writebacks beyond the cold fills, the EHC window
+/// sliding at every size, and the L2 strategies.
 const DEEP_REFS: usize = 50_000;
 
 fn workloads() -> &'static Workloads {
@@ -282,6 +283,14 @@ fn fig14_matches_golden() {
 fn fig15_matches_golden() {
     // The combined instruction and data triple.
     check_golden("fig15");
+}
+
+#[test]
+fn ehc_matches_deep_golden() {
+    // At the 12k budget the 16 and 32 KB rows hold only cold misses, and
+    // their EHC horizons (32,768 and 65,536 references) outrun the trace;
+    // here the window slides at every size.
+    check_deep_golden("ehc");
 }
 
 #[test]
