@@ -2,8 +2,8 @@
 //!
 //! The simulators in this workspace consume traces in two shapes: the
 //! reference path pulls one [`Access`] at a time through an iterator, while
-//! the fast kernels ([`crate::batch_sweep`], [`crate::batch_ehc`],
-//! [`crate::batch_bwcost`]) want flat `&[u32]` address slices. This module
+//! the fast kernels (the sweep, [`crate::batch_sweep`], and the hierarchy
+//! kernel in `dynex-core`) want flat `&[u32]` address slices. This module
 //! provides the bridge — [`decode_into`] appends the byte addresses of a
 //! run of packed words to a vector (the request API's loader calls it per
 //! chunk as it reads a file), and [`decode_addrs`] materializes a whole
@@ -28,11 +28,12 @@ pub const CHUNK_LEN: usize = 4096;
 /// output (`tests/kernel_differential.rs` enforces the matrix); the choice
 /// is purely a performance one. `Reference` runs the spec simulators and
 /// remains the differential oracle. `Batch` and `Sweep` are two names for
-/// one fast path: dm/de/opt run through [`crate::batch_sweep`] (a single
+/// one fast path: every direct-mapped policy (dm/de/opt, their last-line
+/// variants, ehc and bwcost) runs through [`crate::batch_sweep`] (a single
 /// point as a one-point sweep, a figure's many points sharing one trace
-/// walk), ehc/bwcost through their chunked kernels, every other policy
-/// through its reference simulator, and the Figures 7–9 hierarchy study
-/// through the one-pass kernel of `dynex::hierarchy_sweep`.
+/// walk), every other policy through its reference simulator, and the
+/// Figures 7–9 hierarchy study through the one-pass kernel of
+/// `dynex::hierarchy_sweep`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Per-reference `access()` simulators (the spec implementations).

@@ -1,6 +1,6 @@
-//! Building blocks of the fast kernels: the dm/de/opt sweep kernel in
-//! [`crate::sweep`] and the EHC / bandwidth-cost kernels in
-//! [`crate::policy`].
+//! Building blocks of the fast kernels: the sweep kernel in
+//! [`crate::sweep`], which runs every direct-mapped policy, and the
+//! hierarchy kernel in `dynex-core`.
 //!
 //! The reference simulators ([`crate::DirectMapped`], the DE cache in
 //! `dynex-core`, and its optimal oracle) are written for clarity: one
@@ -17,9 +17,9 @@
 //!   store's `HashMap<u32, bool>` with a bitmap over the trace's
 //!   line-address range ([`hit_last_words`], [`hit_last_bit`],
 //!   [`set_hit_last_bit`]; identical semantics: both start all-false and
-//!   are written only on displacement). [`HitLastArena`] is the growable
-//!   form, which the bandwidth-cost kernels use for their per-line reuse
-//!   bits.
+//!   are written only on displacement), and its bandwidth-cost points keep
+//!   their per-line reuse bits in the same layout. [`HitLastArena`] is the
+//!   growable form, which the bandwidth-cost spec policy uses.
 //! * **chunked decode** — [`decode_chunk`] turns one chunk of byte addresses
 //!   into a reusable line-address buffer (see [`crate::batch`]).
 //! * **32-bit positions** — the forward OPT rule and the EHC window keep

@@ -14,18 +14,18 @@
 //! * [`TwoLevel`] — a generic two-level hierarchy,
 //! * the [`CacheSim`] trait and [`run`] driver shared by every simulator in
 //!   the workspace (including the dynamic-exclusion caches in `dynex-core`),
-//! * the fast dm/de/opt kernel ([`batch_sweep`]) behind `--kernel batch`
-//!   and `--kernel sweep` — N geometries through a single trace traversal,
-//!   a single point being a one-point sweep — and the
-//!   [`Kernel`] selection and the [`decode_into`] decode machinery,
+//! * the fast kernel for every direct-mapped policy ([`batch_sweep`])
+//!   behind `--kernel batch` and `--kernel sweep` — N geometries through a
+//!   single trace traversal, a single point being a one-point sweep — and
+//!   the [`Kernel`] selection and the [`decode_into`] decode machinery,
 //! * the replacement-policy zoo ([`ReplacementPolicy`] + [`simulate_policy`])
 //!   — first-class stateful direct-mapped policies with per-set
-//!   lookup/install/fill hooks: Expected-Hit-Count ([`EhcPolicy`] /
-//!   [`batch_ehc`]) and bandwidth-aware selective fill ([`BwCostPolicy`] /
-//!   [`batch_bwcost`]). The paper's own dm/de/opt are not trait policies:
-//!   each has one spec simulator ([`DirectMapped`] here, `DeCache` and
-//!   `OptimalDirectMapped` in `dynex-core`), and [`DeStats`] carries DE's
-//!   load/bypass split from either them or the sweep kernel.
+//!   lookup/install/fill hooks: Expected-Hit-Count ([`EhcPolicy`]) and
+//!   bandwidth-aware selective fill ([`BwCostPolicy`]), whose fast path is
+//!   the sweep kernel too. The paper's own dm/de/opt are not trait
+//!   policies: each has one spec simulator ([`DirectMapped`] here,
+//!   `DeCache` and `OptimalDirectMapped` in `dynex-core`), and [`DeStats`]
+//!   carries DE's load/bypass split from either them or the sweep kernel.
 //!
 //! All simulators are miss-rate models: they track contents and replacement
 //! state, not timing, exactly like the paper's trace-driven evaluation. The
@@ -74,8 +74,7 @@ pub use fully::FullyAssociative;
 pub use hierarchy::{HierarchyStats, TwoLevel};
 pub use kernel::{de_fsm_index, DeFsmRow, DE_FSM_TABLE};
 pub use policy::{
-    batch_bwcost, batch_ehc, simulate_policy, BwCostPolicy, EhcPolicy, ReplacementPolicy,
-    EHC_HORIZON_FRAMES, STARVE_LIMIT,
+    simulate_policy, BwCostPolicy, EhcPolicy, ReplacementPolicy, EHC_HORIZON_FRAMES, STARVE_LIMIT,
 };
 pub use rng::SplitMix64;
 pub use setassoc::SetAssociative;

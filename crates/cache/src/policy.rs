@@ -14,14 +14,14 @@
 //!   pass that owns the tag array and the [`CacheStats`] accounting
 //!   (including the fills / writebacks / probes bandwidth counters) and
 //!   delegates every decision to the policy.
-//! * [`EhcPolicy`] / [`batch_ehc`] — Expected-Hit-Count replacement
-//!   ("Making Belady-Inspired Replacement Policies More Effective Using
-//!   Expected Hit Count", arXiv 1808.05024): rank the incoming block
-//!   against the resident by how many hits each would supply within a
-//!   capacity-scaled window ([`EHC_HORIZON_FRAMES`]) rather than by
-//!   time-to-next-use. Both read their hit counts from one sliding window
-//!   of per-line use counts (`EhcWindow`), filled a chunk at a time.
-//! * [`BwCostPolicy`] / [`batch_bwcost`] — a bandwidth-aware selective-fill
+//! * [`EhcPolicy`] — Expected-Hit-Count replacement ("Making
+//!   Belady-Inspired Replacement Policies More Effective Using Expected Hit
+//!   Count", arXiv 1808.05024): rank the incoming block against the
+//!   resident by how many hits each would supply within a capacity-scaled
+//!   window ([`EHC_HORIZON_FRAMES`]) rather than by time-to-next-use. It
+//!   reads its hit counts from a sliding window of per-line use counts
+//!   (`EhcWindow`), filled a chunk at a time, as the sweep's EHC points do.
+//! * [`BwCostPolicy`] — a bandwidth-aware selective-fill
 //!   policy in the spirit of "To Update or Not To Update?" (arXiv
 //!   1907.02167): a miss installs only when the block proved reuse during
 //!   its last residency (a per-line reuse bit with DE-style
@@ -30,13 +30,12 @@
 //!   never wedge shut. The payoff is measured in
 //!   [`CacheStats::bandwidth_transfers`], not miss rate.
 //!
-//! The paper's own policies each have one spec simulator, not a policy
-//! here: [`crate::DirectMapped`], and `DeCache` / `OptimalDirectMapped` in
-//! `dynex-core`, with [`crate::batch_sweep`] as their fast path.
-//!
-//! Like every kernel in this crate, the batch entry points here are
-//! bit-identical to the trait-driven reference path; the differential wall
-//! enforces it.
+//! [`simulate_policy`] with either policy is that policy's spec, as the
+//! paper's own policies each have one spec simulator ([`crate::DirectMapped`],
+//! and `DeCache` / `OptimalDirectMapped` in `dynex-core`). All of them
+//! share one fast path, the sweep kernel ([`crate::batch_sweep`]), whose
+//! EHC and bandwidth-cost points are bit-identical to this driver, traffic
+//! counters included; the differential wall enforces it.
 
 use dynex_obs::span;
 
@@ -97,7 +96,7 @@ pub trait ReplacementPolicy {
 ///
 /// # Panics
 ///
-/// Panics if `config.associativity() != 1`, like the batch kernels.
+/// Panics if `config.associativity() != 1`, like the sweep kernel.
 pub fn simulate_policy<P: ReplacementPolicy>(
     config: CacheConfig,
     addrs: &[u32],
@@ -249,8 +248,8 @@ pub const EHC_HORIZON_FRAMES: usize = 8;
 ///
 /// The policy borrows the trace it will be driven over and reads each
 /// chunk's hit counts, as the chunk begins, from a sliding window over it
-/// (the one [`batch_ehc`] uses), so [`simulate_policy`] must drive it over
-/// that same trace.
+/// (the one the sweep kernel's EHC points use), so [`simulate_policy`]
+/// must drive it over that same trace.
 #[derive(Debug, Clone)]
 pub struct EhcPolicy<'a> {
     window: EhcWindow<'a>,
@@ -290,7 +289,7 @@ impl<'a> EhcPolicy<'a> {
 
 /// The EHC counting window for one configuration:
 /// [`EHC_HORIZON_FRAMES`] references per cache frame.
-fn ehc_horizon(config: CacheConfig) -> usize {
+pub(crate) fn ehc_horizon(config: CacheConfig) -> usize {
     config.n_sets() as usize * config.associativity() as usize * EHC_HORIZON_FRAMES
 }
 
@@ -373,136 +372,6 @@ impl ReplacementPolicy for BwCostPolicy {
     }
 }
 
-/// Batch kernel for Expected-Hit-Count replacement: the specialized
-/// direct-mapped loop (flat per-set arrays, chunked decode), bit-identical
-/// to [`simulate_policy`] with [`EhcPolicy`] — including the bandwidth
-/// counters.
-///
-/// # Panics
-///
-/// Panics if `config.associativity() != 1`, like the other batch kernels,
-/// or if the trace has `u32::MAX` or more references.
-pub fn batch_ehc(config: CacheConfig, addrs: &[u32]) -> CacheStats {
-    assert_eq!(
-        config.associativity(),
-        1,
-        "the EHC batch kernel is specialized to direct-mapped caches"
-    );
-    let geometry = config.geometry();
-    let offset_bits = geometry.offset_bits();
-    let index_mask = (1u32 << geometry.index_bits()) - 1;
-    let mut window = {
-        let _next_use = span::span("kernel.next-use");
-        EhcWindow::new(addrs, offset_bits, ehc_horizon(config))
-    };
-
-    let n_sets = config.n_sets() as usize;
-    let mut resident = vec![INVALID_LINE; n_sets];
-    let mut resident_hits = vec![0u32; n_sets];
-    let mut misses = 0u64;
-    let mut fills = 0u64;
-    let mut writebacks = 0u64;
-    let mut line_buf = [0u32; CHUNK_LEN];
-    let mut hits_buf = [0u32; CHUNK_LEN];
-    for chunk in addrs.chunks(CHUNK_LEN) {
-        {
-            let _decode = span::span("kernel.decode");
-            decode_chunk(chunk, offset_bits, &mut line_buf);
-        }
-        let hits_left = &mut hits_buf[..chunk.len()];
-        {
-            let _next_use = span::span("kernel.next-use");
-            window.fill(hits_left);
-        }
-        let _simulate = span::span("kernel.simulate");
-        for (&line, &h) in line_buf.iter().zip(&*hits_left) {
-            let set = (line & index_mask) as usize;
-            if resident[set] == line {
-                resident_hits[set] = h;
-            } else {
-                misses += 1;
-                if h > resident_hits[set] {
-                    fills += 1;
-                    if resident[set] != INVALID_LINE {
-                        writebacks += 1;
-                    }
-                    resident[set] = line;
-                    resident_hits[set] = h;
-                }
-            }
-        }
-    }
-    CacheStats::from_traffic_counts(
-        addrs.len() as u64,
-        misses,
-        fills,
-        writebacks,
-        addrs.len() as u64,
-    )
-}
-
-/// Batch kernel for the bandwidth-aware selective-fill policy,
-/// bit-identical to [`simulate_policy`] with [`BwCostPolicy`] — including
-/// the bandwidth counters.
-///
-/// # Panics
-///
-/// Panics if `config.associativity() != 1`, like the other batch kernels.
-pub fn batch_bwcost(config: CacheConfig, addrs: &[u32]) -> CacheStats {
-    assert_eq!(
-        config.associativity(),
-        1,
-        "the bwcost batch kernel is specialized to direct-mapped caches"
-    );
-    let geometry = config.geometry();
-    let offset_bits = geometry.offset_bits();
-    let index_mask = (1u32 << geometry.index_bits()) - 1;
-    let n_sets = config.n_sets() as usize;
-    let mut resident = vec![INVALID_LINE; n_sets];
-    let mut r_copy = vec![false; n_sets];
-    let mut reuse = HitLastArena::new(max_line(addrs, offset_bits));
-    let mut starve = 0u8;
-    let mut misses = 0u64;
-    let mut fills = 0u64;
-    let mut writebacks = 0u64;
-    let mut line_buf = [0u32; CHUNK_LEN];
-    for chunk in addrs.chunks(CHUNK_LEN) {
-        {
-            let _decode = span::span("kernel.decode");
-            decode_chunk(chunk, offset_bits, &mut line_buf);
-        }
-        let _simulate = span::span("kernel.simulate");
-        for &line in &line_buf[..chunk.len()] {
-            let set = (line & index_mask) as usize;
-            let occupant = resident[set];
-            if occupant == line {
-                r_copy[set] = true;
-            } else {
-                misses += 1;
-                if occupant == INVALID_LINE || reuse.get(line) || starve >= STARVE_LIMIT {
-                    fills += 1;
-                    if occupant != INVALID_LINE {
-                        writebacks += 1;
-                        reuse.set(occupant, r_copy[set]);
-                    }
-                    resident[set] = line;
-                    r_copy[set] = false;
-                    starve = 0;
-                } else {
-                    starve = starve.saturating_add(1).min(STARVE_LIMIT);
-                }
-            }
-        }
-    }
-    CacheStats::from_traffic_counts(
-        addrs.len() as u64,
-        misses,
-        fills,
-        writebacks,
-        addrs.len() as u64,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,7 +434,7 @@ mod tests {
             let addrs = trace(30_000);
             let mut policy = EhcPolicy::new(config, &addrs);
             let via_trait = simulate_policy(config, &addrs, &mut policy);
-            let via_kernel = batch_ehc(config, &addrs);
+            let via_kernel = alone(SweepPolicy::ExpectedHitCount, config, &addrs);
             assert_eq!(via_trait, via_kernel, "S={size} b={line}");
         }
     }
@@ -577,7 +446,7 @@ mod tests {
             let addrs = trace(30_000);
             let mut policy = BwCostPolicy::new(config, &addrs);
             let via_trait = simulate_policy(config, &addrs, &mut policy);
-            let via_kernel = batch_bwcost(config, &addrs);
+            let via_kernel = alone(SweepPolicy::BandwidthCost, config, &addrs);
             assert_eq!(via_trait, via_kernel, "S={size} b={line}");
         }
     }
@@ -586,7 +455,7 @@ mod tests {
     fn opt_is_a_lower_bound_for_ehc() {
         let config = config(1024, 4);
         let addrs = trace(30_000);
-        let ehc = batch_ehc(config, &addrs);
+        let ehc = alone(SweepPolicy::ExpectedHitCount, config, &addrs);
         let opt = alone(SweepPolicy::Optimal, config, &addrs);
         let dm = alone(SweepPolicy::DirectMapped, config, &addrs);
         assert!(opt.misses() <= ehc.misses());
@@ -600,7 +469,10 @@ mod tests {
         // cold start and bypass `b`.
         let config = config(64, 4);
         let addrs = thrash();
-        assert_eq!(batch_ehc(config, &addrs).misses(), 21);
+        assert_eq!(
+            alone(SweepPolicy::ExpectedHitCount, config, &addrs).misses(),
+            21
+        );
         assert_eq!(alone(SweepPolicy::Optimal, config, &addrs).misses(), 21);
     }
 
@@ -608,7 +480,7 @@ mod tests {
     fn bwcost_saves_bandwidth_on_thrash() {
         let config = config(64, 4);
         let addrs = thrash();
-        let bw = batch_bwcost(config, &addrs);
+        let bw = alone(SweepPolicy::BandwidthCost, config, &addrs);
         let dm = dm_traffic(config, &addrs);
         // DM fills on all 40 thrashing misses; the selective-fill policy
         // refuses the never-reused alternation after the cold fill.
@@ -630,7 +502,7 @@ mod tests {
         // (STARVE_LIMIT+1)-th miss installs.
         let config = config(64, 4);
         let addrs: Vec<u32> = (0..100u32).map(|i| i * 64).collect();
-        let bw = batch_bwcost(config, &addrs);
+        let bw = alone(SweepPolicy::BandwidthCost, config, &addrs);
         assert_eq!(bw.misses(), 100);
         assert!(bw.fills() > 1, "starvation valve never opened");
         assert!(bw.fills() < bw.misses());

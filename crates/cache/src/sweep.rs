@@ -1,5 +1,5 @@
-//! The fast dm/de/opt kernel behind `--kernel batch` and `--kernel sweep`
-//! (two names for this one code path).
+//! The fast kernel for every direct-mapped policy, behind `--kernel batch`
+//! and `--kernel sweep` (two names for this one code path).
 //!
 //! Every figure in the paper replays *one* trace across *many* (size, line,
 //! policy) points. [`batch_sweep`] carries N such points through a single
@@ -17,6 +17,8 @@
 //!   line size that has an optimal point, shared by every optimal point at
 //!   that line size (plain and last-line alike). The table holds one `u32`
 //!   per touched line; nothing is sized by the trace length.
+//! * **one use-count window per EHC point** — its horizon scales with the
+//!   point's frames, so no two sizes share one; it fills a chunk at a time.
 //! * **last-line runs per line size** — the Section 6 last-line buffer
 //!   serves every reference that repeats the line before it, so a run
 //!   boundary (`line[i] != line[i-1]`) depends only on the line size. Each
@@ -29,24 +31,24 @@
 //!   bit, the resident block's hit-last copy: one 8-byte slot per
 //!   reference instead of three vectors) plus its own hit-last bitmap
 //!   over its line size's footprint (prescanned only for line sizes that
-//!   have a DE point).
-//! * **one hit-last allocation** — the DE bitmaps are disjoint views of
-//!   one zeroed allocation. A bitmap spans the trace's whole line range
-//!   (megabytes when a stack sits near the top of memory), yet only the
-//!   words of displaced lines are written: one large zeroed allocation
-//!   arrives as fresh pages that stay untouched until then, while separate
-//!   mid-size ones may come from recycled heap the allocator must clear,
-//!   making them resident in full (a bitmap per point tripled the peak RSS
-//!   of a two-worker figure pass).
+//!   have a DE or bandwidth-cost point, whose reuse bits use that layout).
+//! * **one hit-last allocation** — the DE and bandwidth-cost bitmaps are
+//!   disjoint views of one zeroed allocation. A bitmap spans the trace's
+//!   whole line range (megabytes when a stack sits near the top of memory),
+//!   yet only the words of displaced lines are written: one large zeroed
+//!   allocation arrives as fresh pages that stay untouched until then,
+//!   while separate mid-size ones may come from recycled heap the allocator
+//!   must clear, making them resident in full (a bitmap per point tripled
+//!   the peak RSS of a two-worker figure pass).
 //! * **hit-first, table-driven FSM** — every DE point steps through the
 //!   same precomputed eight-row [`DE_FSM_TABLE`](crate::DE_FSM_TABLE),
 //!   hit first. Figure 1's four hit rows are one row (set sticky, set the
 //!   block's hit-last bit), so a hit takes it after the tag compare and
 //!   reads neither the sticky bit nor the hit-last bitmap; only a miss
 //!   reads them and indexes the table.
-//! * **chunk-boundary merges** — per-point hit/miss tallies accumulate in
-//!   registers inside a chunk and merge into the per-point totals only at
-//!   chunk boundaries, where the observability spans open.
+//! * **chunk-boundary merges** — per-point tallies accumulate in registers
+//!   inside a chunk and merge into the per-point totals only at chunk
+//!   boundaries, where the observability spans open.
 //! * **out-of-line chunk loops** — each policy's chunk loop (and the
 //!   last-use scan) is its own `#[inline(never)]` function. It is called
 //!   once per chunk, so the call costs nothing, and the code generated for
@@ -55,15 +57,16 @@
 //!   rule joined them).
 //!
 //! Every point is **bit-identical** to the reference simulator of its
-//! policy ([`crate::DirectMapped`], and `DeCache` / `LastLineDeCache` /
-//! `OptimalDirectMapped` in `dynex-core`): same statistics, same load/bypass
-//! split ([`DeStats`], reported by the DE points only), and — through
-//! [`batch_sweep_probed`] — the same probe event stream in the same order.
-//! Points share no state, so each one also equals that point swept alone.
-//! `tests/kernel_differential.rs`, `crates/core/tests/de_sweep_lockstep.rs`
-//! (the DE points event for event, over all eight Figure 1 rows) and this
-//! module's tests (seeded random plans of all five policies, duplicates
-//! included) enforce this.
+//! policy ([`crate::DirectMapped`], `DeCache` / `LastLineDeCache` /
+//! `OptimalDirectMapped` in `dynex-core`, and [`crate::simulate_policy`]
+//! for ehc and bwcost): same statistics (traffic counters included for
+//! ehc and bwcost), the same load/bypass split ([`DeStats`], reported by
+//! the DE points only), and — through [`batch_sweep_probed`] — the same
+//! probe event stream in the same order. Points share no state, so each one also
+//! equals that point swept alone. `tests/kernel_differential.rs`,
+//! `crates/core/tests/de_sweep_lockstep.rs` (the DE points event for event,
+//! over all eight Figure 1 rows) and this module's tests (seeded random
+//! plans of all seven policies, duplicates included) enforce this.
 
 use dynex_obs::span;
 use dynex_obs::{Cause, Event, NoopProbe, Outcome, Probe};
@@ -75,13 +78,16 @@ use crate::kernel::{
     set_hit_last_bit, DeFsmRow, DE_FSM_TABLE,
 };
 use crate::line_table::LineTable;
+use crate::policy::{ehc_horizon, EhcWindow, STARVE_LIMIT};
 use crate::{CacheConfig, CacheStats, DeStats};
 
 /// The replacement/bypass policy of one sweep point.
 ///
-/// These are the three policies the paper's figures compare, and the
-/// Section 6 last-line variants of DE and OPT that Figures 11 and 12 use
-/// for multi-word lines.
+/// These are the three policies the paper's figures compare, the Section 6
+/// last-line variants of DE and OPT that Figures 11 and 12 use for
+/// multi-word lines, and the two direct-mapped policies the repository adds
+/// beside them: Expected-Hit-Count replacement and bandwidth-aware
+/// selective fill, which also count fills, writebacks and probes.
 ///
 /// ```
 /// use dynex_cache::{batch_sweep, CacheConfig, SweepPoint, SweepPolicy};
@@ -115,6 +121,10 @@ pub enum SweepPolicy {
     /// Optimal direct-mapped behind a last-line buffer
     /// (`OptimalDirectMapped::simulate_with_lastline`).
     OptimalLastLine,
+    /// Expected-Hit-Count replacement ([`crate::EhcPolicy`]).
+    ExpectedHitCount,
+    /// Bandwidth-aware selective fill ([`crate::BwCostPolicy`]).
+    BandwidthCost,
 }
 
 impl SweepPolicy {
@@ -129,6 +139,12 @@ impl SweepPolicy {
     /// Reads the last-use table of its line size.
     fn is_optimal(self) -> bool {
         matches!(self, SweepPolicy::Optimal | SweepPolicy::OptimalLastLine)
+    }
+
+    /// Owns a bitmap over its line size's footprint: DE's hit-last bits or
+    /// bwcost's reuse bits.
+    fn owns_bitmap(self) -> bool {
+        self.is_de() || self == SweepPolicy::BandwidthCost
     }
 }
 
@@ -478,6 +494,152 @@ impl OptSweep {
     }
 }
 
+/// The misses, fills and writebacks of an EHC or bandwidth-cost point, as
+/// [`crate::simulate_policy`] counts them (every access is a probe).
+#[derive(Clone, Copy, Default)]
+struct Traffic {
+    misses: u64,
+    fills: u64,
+    writebacks: u64,
+}
+
+impl Traffic {
+    fn stats(self, accesses: u64) -> CacheStats {
+        CacheStats::from_traffic_counts(
+            accesses,
+            self.misses,
+            self.fills,
+            self.writebacks,
+            accesses,
+        )
+    }
+}
+
+/// The per-set record of one EHC sweep point: the resident line and the
+/// hit count it has left within the horizon (0 for an empty set).
+#[derive(Clone, Copy)]
+struct EhcSet {
+    line: u32,
+    hits: u32,
+}
+
+/// Per-set state of one Expected-Hit-Count sweep point and its own window.
+struct EhcSweep<'a> {
+    sets: Vec<EhcSet>,
+    window: EhcWindow<'a>,
+    /// The windowed hit counts of the current chunk.
+    hits: Vec<u32>,
+    index_mask: u32,
+    traffic: Traffic,
+}
+
+impl<'a> EhcSweep<'a> {
+    fn new(n_sets: usize, index_mask: u32, window: EhcWindow<'a>) -> EhcSweep<'a> {
+        let empty = EhcSet {
+            line: INVALID_LINE,
+            hits: 0,
+        };
+        EhcSweep {
+            sets: vec![empty; n_sets],
+            window,
+            hits: vec![0; CHUNK_LEN],
+            index_mask,
+            traffic: Traffic::default(),
+        }
+    }
+
+    /// One chunk of EHC decisions over the chunk's counts in `hits`: a hit
+    /// refreshes the resident's count, and a miss installs only a block
+    /// with strictly more hits left than the resident.
+    #[inline(never)]
+    fn run_chunk(&mut self, lines: &[u32]) {
+        let mut traffic = self.traffic;
+        for (&line, &hits) in lines.iter().zip(&self.hits) {
+            let set = &mut self.sets[(line & self.index_mask) as usize];
+            if set.line == line {
+                set.hits = hits;
+            } else {
+                traffic.misses += 1;
+                if hits > set.hits {
+                    traffic.fills += 1;
+                    traffic.writebacks += (set.line != INVALID_LINE) as u64;
+                    *set = EhcSet { line, hits };
+                }
+            }
+        }
+        self.traffic = traffic;
+    }
+}
+
+/// The per-set record of one bandwidth-cost sweep point: the resident line
+/// and the live copy of its reuse bit (set once it hits).
+#[derive(Clone, Copy)]
+struct BwCostSet {
+    line: u32,
+    r_copy: bool,
+}
+
+/// Per-set state of one bandwidth-aware selective-fill sweep point, with
+/// its global starvation counter and its per-line reuse bitmap (a view of
+/// the sweep's one hit-last allocation).
+struct BwCostSweep<'a> {
+    sets: Vec<BwCostSet>,
+    reuse: &'a mut [u64],
+    starve: u8,
+    index_mask: u32,
+    traffic: Traffic,
+}
+
+impl<'a> BwCostSweep<'a> {
+    fn new(n_sets: usize, index_mask: u32, reuse: &'a mut [u64]) -> BwCostSweep<'a> {
+        let empty = BwCostSet {
+            line: INVALID_LINE,
+            r_copy: false,
+        };
+        BwCostSweep {
+            sets: vec![empty; n_sets],
+            reuse,
+            starve: 0,
+            index_mask,
+            traffic: Traffic::default(),
+        }
+    }
+
+    /// One chunk of selective fills: a miss installs into an empty set, a
+    /// block whose reuse bit is set, or any block once [`STARVE_LIMIT`]
+    /// misses in a row have bypassed; the victim's reuse copy goes back.
+    #[inline(never)]
+    fn run_chunk(&mut self, lines: &[u32]) {
+        let mut traffic = self.traffic;
+        let mut starve = self.starve;
+        for &line in lines {
+            let set = &mut self.sets[(line & self.index_mask) as usize];
+            if set.line == line {
+                set.r_copy = true;
+            } else {
+                traffic.misses += 1;
+                let empty = set.line == INVALID_LINE;
+                if empty || hit_last_bit(self.reuse, line) || starve >= STARVE_LIMIT {
+                    traffic.fills += 1;
+                    if !empty {
+                        traffic.writebacks += 1;
+                        set_hit_last_bit(self.reuse, set.line, set.r_copy);
+                    }
+                    *set = BwCostSet {
+                        line,
+                        r_copy: false,
+                    };
+                    starve = 0;
+                } else {
+                    starve += 1;
+                }
+            }
+        }
+        self.traffic = traffic;
+        self.starve = starve;
+    }
+}
+
 /// The previous uses of one line size's decoded chunks, carried across
 /// chunk boundaries in a per-line table of last uses: `prev[i]` is 1 + the
 /// trace position of the last earlier reference to the line of chunk
@@ -545,13 +707,17 @@ enum PointState<'a> {
     Opt(OptSweep),
     DeLastLine(DeSweep<'a>),
     OptLastLine(OptSweep),
+    Ehc(EhcSweep<'a>),
+    BwCost(BwCostSweep<'a>),
 }
 
 /// Carries N cache geometries through a single trace traversal.
 ///
 /// Returns each point's statistics, in point order, with the load/bypass
 /// split of the dynamic-exclusion points (`DynamicExclusion` and
-/// `DeLastLine`; `None` for the others).
+/// `DeLastLine`; `None` for the others). The `ExpectedHitCount` and
+/// `BandwidthCost` points also count fills, writebacks and probes, as
+/// [`crate::simulate_policy`] does.
 ///
 /// Bit-identical per point to the reference simulator of its policy; what
 /// the sweep buys is decoding each chunk once per distinct line size,
@@ -559,14 +725,14 @@ enum PointState<'a> {
 /// trace once for the whole plan instead of once per point.
 ///
 /// Points may repeat geometries (each keeps fully independent state) and
-/// may be a single point, which is how every one-point dm/de/opt
-/// simulation in the workspace runs.
+/// may be a single point, which is how every one-point direct-mapped
+/// simulation on the fast path runs.
 ///
 /// # Panics
 ///
 /// Panics if any point's `config.associativity() != 1`, like the reference
-/// simulators, or if an optimal point meets a trace of `u32::MAX` or more
-/// references.
+/// simulators, or if an optimal or EHC point meets a trace of `u32::MAX`
+/// or more references.
 ///
 /// # Examples
 ///
@@ -593,14 +759,14 @@ pub fn batch_sweep(points: &[SweepPoint], addrs: &[u32]) -> Vec<(CacheStats, Opt
 
 /// [`batch_sweep`] with per-point event emission: `probes[i]` receives
 /// exactly the events the reference simulator would emit for `points[i]`,
-/// in the same order (the optimal policy emits none, as in the reference
-/// path).
+/// in the same order (the optimal, EHC and bandwidth-cost policies emit
+/// none, as in the reference path).
 ///
 /// # Panics
 ///
 /// Panics if `probes.len() != points.len()`, if any point's associativity
-/// is not 1, or if an optimal point meets a trace of `u32::MAX` or more
-/// references.
+/// is not 1, or if an optimal or EHC point meets a trace of `u32::MAX` or
+/// more references.
 pub fn batch_sweep_probed<P: Probe>(
     points: &[SweepPoint],
     addrs: &[u32],
@@ -634,13 +800,13 @@ pub fn batch_sweep_probed<P: Probe>(
         .collect();
 
     // Per-line-size work, done only where a point needs it: the footprint
-    // prescan that sizes the DE bitmaps, the last-use table of the optimal
-    // points, and the run starts of the last-line points.
+    // prescan that sizes the DE and bwcost bitmaps, the last-use table of
+    // the optimal points, and the run starts of the last-line points.
     let mut max_by: Vec<Option<u32>> = vec![None; offsets.len()];
     let mut last_by: Vec<Option<LastUses>> = offsets.iter().map(|_| None).collect();
     let mut runs_by: Vec<Option<RunStarts>> = vec![None; offsets.len()];
     for (point, &oi) in points.iter().zip(&offset_of) {
-        if point.policy.is_de() && max_by[oi].is_none() {
+        if point.policy.owns_bitmap() && max_by[oi].is_none() {
             let _decode = span::span("kernel.decode");
             max_by[oi] = Some(max_line(addrs, offsets[oi]));
         }
@@ -656,17 +822,21 @@ pub fn batch_sweep_probed<P: Probe>(
             runs_by[oi] = Some(RunStarts::new());
         }
     }
-    let any_optimal = last_by.iter().any(Option::is_some);
+    // The oracle stage, `kernel.next-use`: the optimal points' previous-use
+    // scans and the EHC points' window fills.
+    let any_next_use = points
+        .iter()
+        .any(|p| p.policy.is_optimal() || p.policy == SweepPolicy::ExpectedHitCount);
 
-    // One zeroed allocation holds every DE point's bitmap (see the module
-    // docs); each point takes the next disjoint slice of it.
+    // One zeroed allocation holds every DE and bwcost point's bitmap (see
+    // the module docs); each point takes the next disjoint slice of it.
     let words_of = |oi: usize| {
-        hit_last_words(max_by[oi].expect("footprint prescanned for every DE line size"))
+        hit_last_words(max_by[oi].expect("footprint prescanned for every bitmap line size"))
     };
     let slab_words = points
         .iter()
         .zip(&offset_of)
-        .filter(|(point, _)| point.policy.is_de())
+        .filter(|(point, _)| point.policy.owns_bitmap())
         .map(|(_, &oi)| words_of(oi))
         .sum();
     let mut slab = vec![0u64; slab_words];
@@ -677,18 +847,32 @@ pub fn batch_sweep_probed<P: Probe>(
         .map(|(point, &oi)| {
             let n_sets = point.config.n_sets() as usize;
             let index_mask = (1u32 << point.config.geometry().index_bits()) - 1;
-            let mut de = || {
-                let (hit_last, rest) = std::mem::take(&mut unclaimed).split_at_mut(words_of(oi));
+            let mut bitmap = || {
+                let (bitmap, rest) = std::mem::take(&mut unclaimed).split_at_mut(words_of(oi));
                 unclaimed = rest;
-                DeSweep::new(n_sets, index_mask, hit_last)
+                bitmap
             };
             match point.policy {
                 SweepPolicy::DirectMapped => PointState::Dm(DmSweep::new(n_sets, index_mask)),
-                SweepPolicy::DynamicExclusion => PointState::De(de()),
+                SweepPolicy::DynamicExclusion => {
+                    PointState::De(DeSweep::new(n_sets, index_mask, bitmap()))
+                }
                 SweepPolicy::Optimal => PointState::Opt(OptSweep::new(n_sets, index_mask)),
-                SweepPolicy::DeLastLine => PointState::DeLastLine(de()),
+                SweepPolicy::DeLastLine => {
+                    PointState::DeLastLine(DeSweep::new(n_sets, index_mask, bitmap()))
+                }
                 SweepPolicy::OptimalLastLine => {
                     PointState::OptLastLine(OptSweep::new(n_sets, index_mask))
+                }
+                SweepPolicy::ExpectedHitCount => {
+                    let window = {
+                        let _next_use = span::span("kernel.next-use");
+                        EhcWindow::new(addrs, offsets[oi], ehc_horizon(point.config))
+                    };
+                    PointState::Ehc(EhcSweep::new(n_sets, index_mask, window))
+                }
+                SweepPolicy::BandwidthCost => {
+                    PointState::BwCost(BwCostSweep::new(n_sets, index_mask, bitmap()))
                 }
             }
         })
@@ -698,9 +882,7 @@ pub fn batch_sweep_probed<P: Probe>(
     // every point consumes it before the window advances, so each point's
     // per-set state is touched in trace order while the window stays in
     // cache. Spans open at chunk boundaries only (two relaxed atomic loads
-    // per chunk when tracing is off); the inner loops stay branchless. The
-    // optimal points' previous-use scan is the oracle stage,
-    // `kernel.next-use`, as EHC's window fill is.
+    // per chunk when tracing is off); the inner loops stay branchless.
     let mut line_bufs = vec![[0u32; CHUNK_LEN]; offsets.len()];
     for (pos, chunk) in (0..).step_by(CHUNK_LEN).zip(addrs.chunks(CHUNK_LEN)) {
         {
@@ -714,11 +896,16 @@ pub fn batch_sweep_probed<P: Probe>(
                 }
             }
         }
-        if any_optimal {
+        if any_next_use {
             let _next_use = span::span("kernel.next-use");
             for (last, buf) in last_by.iter_mut().zip(&line_bufs) {
                 if let Some(last) = last {
                     last.scan(&buf[..chunk.len()], pos as u32);
+                }
+            }
+            for point_state in &mut state {
+                if let PointState::Ehc(ehc) = point_state {
+                    ehc.window.fill(&mut ehc.hits[..chunk.len()]);
                 }
             }
         }
@@ -747,6 +934,8 @@ pub fn batch_sweep_probed<P: Probe>(
                 PointState::OptLastLine(opt) => {
                     opt.run_chunk_lastline(lines, prev(), starts(), pos as u32)
                 }
+                PointState::Ehc(ehc) => ehc.run_chunk(lines),
+                PointState::BwCost(bwcost) => bwcost.run_chunk(lines),
             }
         }
     }
@@ -767,6 +956,8 @@ pub fn batch_sweep_probed<P: Probe>(
                 };
                 (CacheStats::from_counts(accesses, de.misses), Some(counters))
             }
+            PointState::Ehc(EhcSweep { traffic, .. })
+            | PointState::BwCost(BwCostSweep { traffic, .. }) => (traffic.stats(accesses), None),
         })
         .collect()
 }
@@ -774,7 +965,7 @@ pub fn batch_sweep_probed<P: Probe>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SplitMix64;
+    use crate::{simulate_policy, BwCostPolicy, EhcPolicy, SplitMix64};
     use dynex_obs::EventLog;
 
     fn config(size: u32, line: u32) -> CacheConfig {
@@ -895,10 +1086,30 @@ mod tests {
         assert_matches_single(&points, &addrs);
     }
 
+    /// The spec of an EHC or bandwidth-cost point: [`simulate_policy`]
+    /// with its policy, traffic counters included.
+    fn spec_stats(point: SweepPoint, addrs: &[u32]) -> Option<CacheStats> {
+        let config = point.config;
+        match point.policy {
+            SweepPolicy::ExpectedHitCount => Some(simulate_policy(
+                config,
+                addrs,
+                &mut EhcPolicy::new(config, addrs),
+            )),
+            SweepPolicy::BandwidthCost => Some(simulate_policy(
+                config,
+                addrs,
+                &mut BwCostPolicy::new(config, addrs),
+            )),
+            _ => None,
+        }
+    }
+
     /// Every point of the probed sweep equals that point swept alone: the
     /// same statistics, DE counters on the DE points only, and the same
-    /// event stream (none for the optimal points). Returns the sweep's event
-    /// logs.
+    /// event stream (none for the optimal, EHC and bandwidth-cost points).
+    /// EHC and bandwidth-cost points also equal [`simulate_policy`], fills,
+    /// writebacks and probes included. Returns the sweep's event logs.
     fn assert_replays_alone(points: &[SweepPoint], addrs: &[u32], what: &str) -> Vec<EventLog> {
         let mut probes: Vec<EventLog> = points.iter().map(|_| EventLog::new()).collect();
         let results = batch_sweep_probed(points, addrs, &mut probes);
@@ -910,23 +1121,30 @@ mod tests {
             assert_eq!(*result, expected, "{what}");
             assert_eq!(log.events(), alone[0].events(), "{what}");
             assert_eq!(result.1.is_some(), point.policy.is_de(), "{what}");
-            if point.policy.is_optimal() {
-                assert!(log.events().is_empty(), "{what}: optimal emits no events");
+            let spec = spec_stats(*point, addrs);
+            if let Some(spec) = spec {
+                assert_eq!(result.0, spec, "{what}: simulate_policy");
+                assert_eq!(result.0.probes(), addrs.len() as u64, "{what}");
+            }
+            if point.policy.is_optimal() || spec.is_some() {
+                assert!(log.events().is_empty(), "{what}: emits no events");
             }
         }
         probes
     }
 
     /// A seeded plan of 1 to 8 points: 64 B to 4 KB caches with 4 to 32 B
-    /// lines under any of the five policies. The geometry space is small,
+    /// lines under any of the seven policies. The geometry space is small,
     /// so plans repeat points now and then.
     fn random_plan(rng: &mut SplitMix64) -> Vec<SweepPoint> {
-        const POLICIES: [SweepPolicy; 5] = [
+        const POLICIES: [SweepPolicy; 7] = [
             SweepPolicy::DirectMapped,
             SweepPolicy::DynamicExclusion,
             SweepPolicy::Optimal,
             SweepPolicy::DeLastLine,
             SweepPolicy::OptimalLastLine,
+            SweepPolicy::ExpectedHitCount,
+            SweepPolicy::BandwidthCost,
         ];
         (0..=rng.below(8))
             .map(|_| {
@@ -945,6 +1163,8 @@ mod tests {
             SweepPoint::new(config(256, 4), SweepPolicy::DirectMapped),
             SweepPoint::new(config(1024, 16), SweepPolicy::DynamicExclusion),
             SweepPoint::new(config(256, 4), SweepPolicy::Optimal),
+            SweepPoint::new(config(256, 4), SweepPolicy::ExpectedHitCount),
+            SweepPoint::new(config(1024, 16), SweepPolicy::BandwidthCost),
         ];
         let logs = assert_replays_alone(&points, &addrs, "fixed plan");
         assert!(logs[..2].iter().all(|log| !log.events().is_empty()));

@@ -11,15 +11,15 @@
 //! `simcache`'s probed runs) is its one-job or N-job case. Every kernel
 //! runs every policy: [`Kernel::Reference`] runs the spec simulators, and
 //! the fast path ([`Kernel::Batch`] and [`Kernel::Sweep`], two names for
-//! the same code) runs every dm/de/opt or last-line job of the call in one
-//! [`batch_sweep_probed`] traversal, ehc/bwcost through their chunked
-//! kernels, and every other policy through its reference simulator.
+//! the same code) runs every direct-mapped job of the call (dm/de/opt,
+//! their last-line variants, ehc and bwcost) in one [`batch_sweep_probed`]
+//! traversal, and every other policy through its reference simulator.
 
 use dynex::{DeCache, DeStats, LastLineDeCache, OptimalDirectMapped, PerfectStore};
 use dynex_cache::{
-    batch_bwcost, batch_ehc, batch_sweep_probed, run_addrs, simulate_policy, BwCostPolicy,
-    CacheConfig, CacheSim, CacheStats, DirectMapped, EhcPolicy, Kernel, SetAssociative,
-    StreamBuffer, SweepPoint, SweepPolicy, VictimCache,
+    batch_sweep_probed, run_addrs, simulate_policy, BwCostPolicy, CacheConfig, CacheSim,
+    CacheStats, DirectMapped, EhcPolicy, Kernel, SetAssociative, StreamBuffer, SweepPoint,
+    SweepPolicy, VictimCache,
 };
 use dynex_obs::{NoopProbe, Probe};
 
@@ -180,12 +180,12 @@ impl PolicyKind {
         }
     }
 
-    /// The sweep-kernel policy this policy maps to, if the fast dm/de/opt
-    /// kernel ([`batch_sweep_probed`]) runs it.
+    /// The sweep-kernel policy this policy maps to, if the fast
+    /// direct-mapped kernel ([`batch_sweep_probed`]) runs it.
     ///
-    /// `Some` for dm, de, opt and their last-line variants; `None` for the
-    /// EHC / bandwidth-cost members (their own chunked kernels) and the
-    /// set-associative and buffered comparisons.
+    /// `Some` for every direct-mapped member: dm, de, opt, their last-line
+    /// variants, ehc and bwcost; `None` for the set-associative and
+    /// buffered comparisons.
     pub fn sweep_policy(self) -> Option<SweepPolicy> {
         match self {
             PolicyKind::DirectMapped => Some(SweepPolicy::DirectMapped),
@@ -193,6 +193,8 @@ impl PolicyKind {
             PolicyKind::DeLastLine => Some(SweepPolicy::DeLastLine),
             PolicyKind::OptimalDm => Some(SweepPolicy::Optimal),
             PolicyKind::OptimalDmLastLine => Some(SweepPolicy::OptimalLastLine),
+            PolicyKind::ExpectedHitCount => Some(SweepPolicy::ExpectedHitCount),
+            PolicyKind::BandwidthCost => Some(SweepPolicy::BandwidthCost),
             _ => None,
         }
     }
@@ -244,22 +246,17 @@ impl PolicyKind {
         run_jobs(kernel, &[Job::new(config, self)], addrs, &mut [NoopProbe])[0]
     }
 
-    /// Runs one job outside the shared sweep traversal: on the fast path
-    /// ehc and bwcost run their chunked kernels, and every other policy
-    /// runs its spec simulator — the bit-exactness baseline every
-    /// specialized kernel is measured against — with `probe` attached.
+    /// Runs one job outside the shared sweep traversal: its spec
+    /// simulator — the bit-exactness baseline the sweep kernel is measured
+    /// against — with `probe` attached.
     fn run_alone<P: Probe>(
         self,
-        kernel: Kernel,
         config: CacheConfig,
         addrs: &[u32],
         probe: P,
     ) -> (CacheStats, Option<DeStats>) {
-        let fast = kernel != Kernel::Reference;
         let refs = addrs.iter().copied();
         let stats = match self {
-            PolicyKind::ExpectedHitCount if fast => batch_ehc(config, addrs),
-            PolicyKind::BandwidthCost if fast => batch_bwcost(config, addrs),
             PolicyKind::DirectMapped => {
                 run_addrs(&mut DirectMapped::with_probe(config, probe), refs)
             }
@@ -307,15 +304,15 @@ impl PolicyKind {
 /// which points share a trace walk; [`PolicyKind::run`], the figure triples,
 /// the coalesced service batches and `simcache`'s probed runs are its
 /// one-job or N-job cases. On the fast path ([`Kernel::Batch`] or
-/// [`Kernel::Sweep`]) every dm/de/opt or last-line job rides one
-/// [`batch_sweep_probed`] traversal — one decode per chunk and distinct
-/// line size, and for opt one forward scan of last uses per chunk and
-/// distinct line size, with no whole-trace oracle — ehc and bwcost run
-/// [`batch_ehc`] / [`batch_bwcost`] (EHC from a sliding window of use
-/// counts), and every other job runs its reference simulator. Under [`Kernel::Reference`] every job runs its
-/// spec simulator. Every kernel yields the same results, and each probe
-/// receives its job's reference event stream (opt, opt-lastline, ehc and
-/// bwcost emit none).
+/// [`Kernel::Sweep`]) every direct-mapped job (dm/de/opt, their last-line
+/// variants, ehc and bwcost) rides one [`batch_sweep_probed`] traversal —
+/// one decode per chunk and distinct line size, for opt one forward scan
+/// of last uses per chunk and distinct line size, and for each ehc job a
+/// sliding window of use counts, with no whole-trace oracle — and every
+/// other job runs its reference simulator. Under [`Kernel::Reference`]
+/// every job runs its spec simulator. Every kernel yields the same
+/// results, and each probe receives its job's reference event stream (opt,
+/// opt-lastline, ehc and bwcost emit none).
 ///
 /// # Panics
 ///
@@ -330,7 +327,7 @@ impl PolicyKind {
 ///
 /// let config = CacheConfig::direct_mapped(64, 4)?;
 /// let trace: Vec<u32> = (0..20).map(|i| if i % 2 == 0 { 0 } else { 64 }).collect();
-/// // dm and de share one traversal; ehc and 2way run alone inside the call.
+/// // dm, de and ehc share one traversal; 2way runs alone inside the call.
 /// let jobs = [
 ///     Job::new(config, PolicyKind::DirectMapped),
 ///     Job::new(config, PolicyKind::DynamicExclusion),
@@ -365,7 +362,7 @@ pub fn run_jobs<P: Probe>(
                 points.push(SweepPoint::new(job.config, policy));
                 sweep_probes.push(probe);
             }
-            None => runs[i] = Some(job.policy.run_alone(kernel, job.config, addrs, probe)),
+            None => runs[i] = Some(job.policy.run_alone(job.config, addrs, probe)),
         }
     }
     let results = batch_sweep_probed(&points, addrs, &mut sweep_probes);
@@ -499,8 +496,8 @@ mod tests {
 
     #[test]
     fn ehc_and_bwcost_on_sweep_match_reference() {
-        // The sweep kernel runs the EHC and bandwidth-cost policies through
-        // their fast kernels and agrees with the reference simulator.
+        // The sweep kernel runs the EHC and bandwidth-cost policies as
+        // sweep points and agrees with the reference simulator.
         let config = CacheConfig::direct_mapped(64, 4).unwrap();
         for policy in [PolicyKind::ExpectedHitCount, PolicyKind::BandwidthCost] {
             assert_eq!(
@@ -598,9 +595,9 @@ mod tests {
 
     #[test]
     fn one_pass_plan_declines_unfused_policies() {
-        // The shared traversal declines jobs without a sweep specialization;
-        // they run alone inside the same call, so a mixed plan equals
-        // per-job `PolicyKind::run` under every kernel.
+        // The shared traversal declines jobs without a sweep specialization
+        // (2way here); they run alone inside the same call, so a mixed plan
+        // equals per-job `PolicyKind::run` under every kernel.
         let addrs: Vec<u32> = (0..900).map(|i| (i % 11) * 4 + (i / 33 % 5) * 64).collect();
         let config = CacheConfig::direct_mapped(64, 16).unwrap();
         let jobs = [
@@ -631,9 +628,20 @@ mod tests {
             PolicyKind::OptimalDmLastLine.sweep_policy(),
             Some(SweepPolicy::OptimalLastLine)
         );
-        assert!(PolicyKind::ExpectedHitCount.sweep_policy().is_none());
-        assert!(PolicyKind::BandwidthCost.sweep_policy().is_none());
+        assert_eq!(
+            PolicyKind::ExpectedHitCount.sweep_policy(),
+            Some(SweepPolicy::ExpectedHitCount)
+        );
+        assert_eq!(
+            PolicyKind::BandwidthCost.sweep_policy(),
+            Some(SweepPolicy::BandwidthCost)
+        );
         assert!(PolicyKind::TwoWay.sweep_policy().is_none());
+        let swept = PolicyKind::ALL
+            .iter()
+            .filter(|p| p.sweep_policy().is_some())
+            .count();
+        assert_eq!(swept, 7, "every direct-mapped policy rides the sweep");
     }
 
     #[test]
@@ -706,6 +714,93 @@ mod tests {
             // optimal oracle emits no events.
             assert_eq!((dm.exclusion_loads, dm.exclusion_bypasses), (0, 0));
             assert_eq!(opt, EventCounts::default());
+        }
+    }
+
+    /// A JSONL span sink the test reads back.
+    #[derive(Clone, Default)]
+    struct SpanBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl std::io::Write for SpanBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn ehc_and_bwcost_figure_plans_walk_the_trace_once() {
+        // The per-benchmark plans of the ehc figure (six sizes x
+        // dm/de/ehc/opt) and the bwcost figure (six sizes x dm/de/bwcost):
+        // on the fast path one `run_jobs` call opens one `kernel.simulate`
+        // span per chunk of the trace, not one more per ehc or bwcost job.
+        use dynex_cache::CHUNK_LEN;
+        use dynex_obs::json::{self, Json};
+        use dynex_obs::span;
+
+        let chunks = 3;
+        let mut rng = dynex_cache::SplitMix64::new(47);
+        let addrs: Vec<u32> = (0..(chunks - 1) * CHUNK_LEN + 5)
+            .map(|_| (rng.below(16_384) as u32) * 4)
+            .collect();
+        let plans: [&[PolicyKind]; 2] = [
+            &[
+                PolicyKind::DirectMapped,
+                PolicyKind::DynamicExclusion,
+                PolicyKind::ExpectedHitCount,
+                PolicyKind::OptimalDm,
+            ],
+            &[
+                PolicyKind::DirectMapped,
+                PolicyKind::DynamicExclusion,
+                PolicyKind::BandwidthCost,
+            ],
+        ];
+        let buf = SpanBuf::default();
+        span::install_jsonl_writer(Box::new(buf.clone()));
+        let mut walks = Vec::new();
+        for policies in plans {
+            let jobs: Vec<Job> = [1u32, 2, 4, 8, 16, 32]
+                .into_iter()
+                .flat_map(|kb| {
+                    let config = CacheConfig::direct_mapped(kb * 1024, 4).unwrap();
+                    policies.iter().map(move |&p| Job::new(config, p))
+                })
+                .collect();
+            for kernel in [Kernel::Batch, Kernel::Sweep] {
+                let trace_id = span::fresh_trace_id();
+                let _root = span::root_span("plan", trace_id);
+                run_jobs(kernel, &jobs, &addrs, &mut noop_probes(&jobs));
+                walks.push((policies, kernel, trace_id));
+            }
+        }
+        let _ = span::take_jsonl_writer();
+
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let lines: Vec<Json> = text.lines().map(|l| json::parse(l).unwrap()).collect();
+        for (policies, kernel, trace_id) in walks {
+            let trace = span::trace_hex(trace_id);
+            let count = |stage: &str| {
+                lines
+                    .iter()
+                    .filter(|v| v.get("trace").and_then(Json::as_str) == Some(&trace))
+                    .filter(|v| v.get("stage").and_then(Json::as_str) == Some(stage))
+                    .count()
+            };
+            let what = format!("{policies:?} under {kernel}");
+            assert_eq!(count("kernel.simulate"), chunks, "{what}");
+            // Each of the six ehc jobs fills its window once up front, then
+            // every chunk's oracle stage is one span.
+            let next_use = if policies.contains(&PolicyKind::ExpectedHitCount) {
+                chunks + 6
+            } else {
+                0
+            };
+            assert_eq!(count("kernel.next-use"), next_use, "{what}");
         }
     }
 

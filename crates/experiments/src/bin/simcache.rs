@@ -22,10 +22,9 @@
 //! `--policy` selects a member of the replacement-policy zoo (`--org` is
 //! the legacy alias). `--kernel` selects between the reference simulators
 //! and the fast path, which `batch` and `sweep` both name (default
-//! `batch`): `dm`, `de`, `opt` and their last-line variants run as a
-//! one-point sweep, `ehc` and `bwcost` run their chunked kernels, and the
-//! `2way`/`4way`/`victim`/`stream` organizations always run their reference
-//! simulators. Plain, observed and `--sweep` runs all go through the
+//! `batch`): `dm`, `de`, `opt`, their last-line variants, `ehc` and
+//! `bwcost` run as a one-point sweep, and the `2way`/`4way`/`victim`/
+//! `stream` organizations always run their reference simulators. Plain, observed and `--sweep` runs all go through the
 //! engine's one dispatch (`dynex_engine::run_jobs`) under the requested
 //! kernel. Every policy runs on every kernel, and all combinations produce
 //! bit-identical statistics, exclusion counters, and observability output —
@@ -333,7 +332,8 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     };
-    if !saw_size {
+    // A --sweep run takes its sizes from the list, not from --size.
+    if !saw_size && sweep_sizes.is_none() {
         eprintln!("error: --size is required (e.g. --size 32K)");
         return ExitCode::FAILURE;
     }

@@ -1,5 +1,5 @@
 //! Policy-zoo figures: the headline comparisons of the two papers shipped
-//! through the PR-10 policy API.
+//! through the replacement-policy API.
 //!
 //! * [`ehc`] — the Expected-Hit-Count comparison (arXiv 1808.05024): EHC
 //!   scores a line by how many hits it is expected to deliver within a
@@ -49,9 +49,9 @@ pub fn ehc(workloads: &Workloads) -> Table {
     );
     let configs = dm_configs(&ZOO_SIZES_KB, 4);
     let per_bench = per_benchmark(workloads, |addrs| {
-        // One engine call per benchmark: on the fast path the dm/de/opt
-        // columns of every size share one trace walk, and EHC runs its
-        // windowed kernel per size.
+        // One engine call per benchmark: on the fast path every column of
+        // every size shares one trace walk, each EHC point with its own
+        // use-count window.
         let policies = [
             PolicyKind::DirectMapped,
             PolicyKind::DynamicExclusion,
@@ -82,7 +82,7 @@ pub fn ehc(workloads: &Workloads) -> Table {
 /// bypass cuts traffic hardest exactly where conflict pressure is worst.
 ///
 /// Every column comes from one engine call per benchmark, on the fast
-/// path one shared dm/de walk beside the BW kernel. The legacy hit/miss
+/// path one shared dm/de/bwcost walk. The legacy hit/miss
 /// kernels report no traffic (so old journals replay byte-identically);
 /// the DM and DE columns take theirs from the walk's counters through
 /// `runner::traffic_runs`, exactly as the traffic-accounting policy

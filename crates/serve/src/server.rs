@@ -703,11 +703,12 @@ impl Unit {
 }
 
 /// Plans a dispatcher batch into units: jobs whose policy has a sweep
-/// specialization and whose kernel is not `reference` are grouped by decoded
-/// trace content; a group of two or more becomes one fused unit so the whole
+/// specialization (every direct-mapped policy, ehc and bwcost included)
+/// and whose kernel is not `reference` are grouped by decoded trace
+/// content; a group of two or more becomes one fused unit so the whole
 /// group rides a single sweep-kernel traversal. Everything else (reference
-/// runs, policies without a sweep specialization, singleton groups) stays a
-/// per-job unit.
+/// runs, policies without a sweep specialization, singleton groups) stays
+/// a per-job unit.
 /// Grouping is by digest *and* a content check, so a digest collision can
 /// never fuse jobs over different traces.
 fn plan_units(batch: &[SimJob]) -> Vec<Unit> {
@@ -952,15 +953,18 @@ mod tests {
         let shared: Vec<u32> = (0..64).map(|i| i * 4).collect();
         let batch = vec![
             job("de", "reference", shared.clone()),
-            job("ehc", "batch", shared.clone()),
+            job("2way", "batch", shared.clone()),
             job("dm", "batch", shared.clone()),
-            job("de-lastline", "batch", shared),
+            job("de-lastline", "batch", shared.clone()),
+            job("ehc", "batch", shared.clone()),
+            job("bwcost", "sweep", shared),
         ];
         // The reference run and the unsweepable policy stay per-job
-        // units (in batch order, ahead of the groups); only 2/3 fuse.
+        // units (in batch order, ahead of the groups); the direct-mapped
+        // 2..=5 fuse.
         assert_eq!(
             shape(&plan_units(&batch)),
-            vec![vec![0], vec![1], vec![2, 3]]
+            vec![vec![0], vec![1], vec![2, 3, 4, 5]]
         );
     }
 

@@ -89,23 +89,25 @@ fi
 # Span report: a simcache --trace-out stream must aggregate through
 # scripts/span_report.sh in both output modes, and each report must name the
 # kernel's simulate stage and the digest stage that api::execute hashes the
-# trace in, beside the kernel. The opt and ehc runs must also name the
-# kernel.next-use stage: their forward oracles (OPT's last-use scan, EHC's
-# sliding window) run inside the chunk walk, and this keeps their time
-# attributed there. (That tracing changes no stdout byte is
+# trace in, beside the kernel. ehc and bwcost run as sweep points, and
+# perfbench reads their kernel.* stages by these names. The opt and ehc
+# runs must also name the kernel.next-use stage: their forward oracles
+# (OPT's last-use scan, EHC's sliding window) run inside the chunk walk,
+# and this keeps their time attributed there. (That tracing changes no
+# stdout byte is
 # tests/observability.rs::simcache_trace_out_changes_no_output_byte.)
 # (Skipped under --quick: needs the release binaries.)
 if [ "$quick" -eq 0 ]; then
     echo "==> span report (simcache --trace-out through span_report.sh, table and --json)"
     span_dir=$(mktemp -d)
     target/release/tracegen gcc --refs 100000 "$span_dir/gcc.dxt" >/dev/null
-    for policy in de opt ehc; do
+    for policy in de opt ehc bwcost; do
         target/release/simcache "$span_dir/gcc.dxt" --size 32K --policy "$policy" \
             --trace-out "$span_dir/$policy.jsonl" >/dev/null 2>&1
         table=$(scripts/span_report.sh "$span_dir/$policy.jsonl")
         json=$(scripts/span_report.sh --json "$span_dir/$policy.jsonl")
         stages="kernel.simulate digest"
-        if [ "$policy" != de ]; then
+        if [ "$policy" = opt ] || [ "$policy" = ehc ]; then
             stages="$stages kernel.next-use"
         fi
         for stage in $stages; do

@@ -179,9 +179,9 @@ fn ablate_sticky_matches_golden() {
 
 #[test]
 fn ehc_matches_golden() {
-    // PR 10 policy zoo: the Expected-Hit-Count headline comparison. The
-    // sweep kernel has no EHC fast path, so this also pins the declared
-    // reference fallback to the same bytes.
+    // Policy zoo: the Expected-Hit-Count headline comparison. Under batch
+    // and sweep every column rides one walk per benchmark; under reference
+    // EHC runs `simulate_policy`, pinned to the same bytes.
     check_golden("ehc");
 }
 

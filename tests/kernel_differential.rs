@@ -22,7 +22,8 @@
 //!   trace whose line addresses span past 2^26,
 //! * the forward OPT rule against Belady's reference on 20,000 random
 //!   traces, at every figure geometry, and at its encoding and chunk edges,
-//!   and EHC's window against its trait-driven reference across chunks.
+//!   and the sweep's EHC points against their trait-driven reference
+//!   across chunks.
 //!
 //! Tests that flip the session-wide kernel/jobs globals serialize behind
 //! [`GLOBALS`] and restore the defaults before releasing it, so the rest of
@@ -33,7 +34,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use dynex::{DeCache, LastLineDeCache, OptimalDirectMapped, PerfectStore};
 use dynex_cache::{
-    batch_ehc, batch_sweep, batch_sweep_probed, decode_addrs, run_addrs, simulate_policy,
+    batch_sweep, batch_sweep_probed, decode_addrs, run_addrs, simulate_policy, BwCostPolicy,
     CacheConfig, CacheStats, DeStats, DirectMapped, EhcPolicy, Kernel, KindFilter, SplitMix64,
     SweepPoint, SweepPolicy, CHUNK_LEN,
 };
@@ -494,12 +495,12 @@ fn decode_edge_cases_agree_across_all_kernels() {
     }
 }
 
-/// A sweep mixing 4-byte and 16-byte lines, with dm, de, opt and the
-/// last-line variants of de and opt at each line size, over a trace whose
-/// length is not a multiple of `CHUNK_LEN`: every line size is decoded
-/// chunk by chunk, the partial last chunk included, and each point must
-/// reproduce its reference simulator — statistics, DE counters and probe
-/// event stream.
+/// A sweep mixing 4-byte and 16-byte lines, with dm, de, opt, the
+/// last-line variants of de and opt, ehc and bwcost at each line size,
+/// over a trace whose length is not a multiple of `CHUNK_LEN`: every line
+/// size is decoded chunk by chunk, the partial last chunk included, and
+/// each point must reproduce its reference simulator — statistics, DE
+/// counters and probe event stream.
 #[test]
 fn mixed_line_size_sweep_matches_reference_at_a_partial_last_chunk() {
     let addrs: Vec<u32> = AppParams::new(11)
@@ -521,6 +522,8 @@ fn mixed_line_size_sweep_matches_reference_at_a_partial_last_chunk() {
             SweepPolicy::Optimal,
             SweepPolicy::DeLastLine,
             SweepPolicy::OptimalLastLine,
+            SweepPolicy::ExpectedHitCount,
+            SweepPolicy::BandwidthCost,
         ] {
             points.push(SweepPoint::new(config, policy));
         }
@@ -565,6 +568,20 @@ fn mixed_line_size_sweep_matches_reference_at_a_partial_last_chunk() {
                 ),
                 Vec::new(),
             ),
+            SweepPolicy::ExpectedHitCount => {
+                let mut ehc = EhcPolicy::new(config, &addrs);
+                (
+                    (simulate_policy(config, &addrs, &mut ehc), None),
+                    Vec::new(),
+                )
+            }
+            SweepPolicy::BandwidthCost => {
+                let mut bwcost = BwCostPolicy::new(config, &addrs);
+                (
+                    (simulate_policy(config, &addrs, &mut bwcost), None),
+                    Vec::new(),
+                )
+            }
         };
         assert_eq!(*got, expected, "{what}");
         assert_eq!(log.events(), &ref_events[..], "{what}");
@@ -576,8 +593,8 @@ fn mixed_line_size_sweep_matches_reference_at_a_partial_last_chunk() {
 /// addresses reach past 2^26 while it touches only a few thousand lines.
 /// Every fast opt path (the point swept alone, inside the fused triple, and
 /// inside a sweep sharing the last-use table per line size) must equal the
-/// reference `OptimalDirectMapped`, and the EHC batch kernel must equal its
-/// trait-driven reference.
+/// reference `OptimalDirectMapped`, and the EHC point swept alone must
+/// equal its trait-driven reference.
 #[test]
 fn oracles_agree_on_a_sparse_address_space() {
     let addrs: Vec<u32> = AppParams::new(7)
@@ -614,8 +631,11 @@ fn oracles_agree_on_a_sparse_address_space() {
 
         let mut ehc = EhcPolicy::new(config, &addrs);
         assert_eq!(
-            batch_ehc(config, &addrs),
-            simulate_policy(config, &addrs, &mut ehc),
+            batch_sweep(
+                &[SweepPoint::new(config, SweepPolicy::ExpectedHitCount)],
+                &addrs
+            )[0],
+            (simulate_policy(config, &addrs, &mut ehc), None),
             "ehc @ {config}"
         );
     }
@@ -861,10 +881,11 @@ fn forward_opt_edges_match_belady() {
     }
 }
 
-/// EHC's sliding window against its trait-driven reference, bit for bit
-/// with the traffic counters, at every size of the EHC figure and at 4-
-/// and 16-byte lines. The trace spans 26 chunks, so the 32 KB / 4 B window
-/// of 65,536 references (16 chunks) slides across chunk boundaries.
+/// The sweep's EHC points against their trait-driven reference, bit for
+/// bit with the traffic counters, at every size of the EHC figure and at 4-
+/// and 16-byte lines, each swept alone and all twelve in one sweep. The
+/// trace spans 26 chunks, so the 32 KB / 4 B window of 65,536 references
+/// (16 chunks) slides across chunk boundaries.
 #[test]
 fn ehc_window_batch_and_policy_agree_with_traffic_counters() {
     let addrs: Vec<u32> = AppParams::new(13)
@@ -873,15 +894,24 @@ fn ehc_window_batch_and_policy_agree_with_traffic_counters() {
         .iter()
         .map(|a| a.addr())
         .collect();
-    for kb in [1u32, 2, 4, 8, 16, 32] {
-        for line in [4u32, 16] {
-            let config = CacheConfig::direct_mapped(kb * 1024, line).unwrap();
-            let batch = batch_ehc(config, &addrs);
-            let via_trait = simulate_policy(config, &addrs, &mut EhcPolicy::new(config, &addrs));
-            assert_eq!(batch, via_trait, "ehc @ {config}");
-            assert_eq!(batch.fills(), via_trait.fills(), "ehc @ {config}");
-            assert_eq!(batch.writebacks(), via_trait.writebacks(), "ehc @ {config}");
-            assert_eq!(batch.probes(), addrs.len() as u64, "ehc @ {config}");
-        }
+    let points: Vec<SweepPoint> = [1u32, 2, 4, 8, 16, 32]
+        .into_iter()
+        .flat_map(|kb| {
+            [4u32, 16].map(|line| {
+                let config = CacheConfig::direct_mapped(kb * 1024, line).unwrap();
+                SweepPoint::new(config, SweepPolicy::ExpectedHitCount)
+            })
+        })
+        .collect();
+    let swept = batch_sweep(&points, &addrs);
+    for (point, &(swept, de)) in points.iter().zip(&swept) {
+        let config = point.config;
+        let batch = batch_sweep(&[*point], &addrs)[0].0;
+        let via_trait = simulate_policy(config, &addrs, &mut EhcPolicy::new(config, &addrs));
+        assert_eq!(batch, via_trait, "ehc @ {config}");
+        assert_eq!(batch.fills(), via_trait.fills(), "ehc @ {config}");
+        assert_eq!(batch.writebacks(), via_trait.writebacks(), "ehc @ {config}");
+        assert_eq!(batch.probes(), addrs.len() as u64, "ehc @ {config}");
+        assert_eq!((swept, de), (batch, None), "ehc @ {config} in the sweep");
     }
 }

@@ -129,9 +129,9 @@ fn unknown_policy_is_a_loud_structured_error() {
 
 #[test]
 fn ehc_and_bwcost_on_sweep_match_reference() {
-    // The sweep kernel is the fast path, which runs ehc and bwcost through
-    // their chunked kernels: through the full request API the response
-    // (label, statistics, content key) equals the reference kernel's.
+    // The sweep kernel is the fast path, which runs ehc and bwcost as
+    // sweep points: through the full request API the response (label,
+    // statistics, content key) equals the reference kernel's.
     for policy in ["ehc", "bwcost"] {
         let request = |kernel: &str| {
             let mut b = SimulationRequest::builder();

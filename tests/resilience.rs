@@ -412,6 +412,48 @@ fn simcache_lenient_tolerates_exactly_the_budgeted_corruption() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--sweep` takes its sizes from its list, so it needs no `--size`: the
+/// run exits 0 and prints the rows of the run with `--size 64K` added,
+/// while a plain run without `--size` still fails.
+#[test]
+fn simcache_sweep_needs_no_size() {
+    let dir = scratch("sweep-no-size");
+    let path = dir.join("t.dxt");
+    let trace: Trace = (0..3000u32)
+        .map(|i| Access::fetch((i % 700) * 4 + (i / 300 % 3) * 4096))
+        .collect();
+    let mut bytes = Vec::new();
+    write_binary(&mut bytes, &trace).unwrap();
+    std::fs::write(&path, &bytes).unwrap();
+
+    let run = |extra: &[&str]| {
+        simcache_cmd()
+            .arg(&path)
+            .args(["--line", "4"])
+            .args(extra)
+            .output()
+            .expect("simcache runs")
+    };
+    let bare = run(&["--sweep", "1K,2K"]);
+    assert!(
+        bare.status.success(),
+        "--sweep without --size failed:\n{}",
+        String::from_utf8_lossy(&bare.stderr)
+    );
+    let sized = run(&["--size", "64K", "--sweep", "1K,2K"]);
+    assert!(sized.status.success());
+    assert_eq!(bare.stdout, sized.stdout);
+    let rows = String::from_utf8(bare.stdout).unwrap();
+    assert_eq!(rows.lines().count(), 2, "{rows}");
+    assert!(rows.starts_with("1KB direct-mapped, 4B lines: "), "{rows}");
+
+    let plain = run(&[]);
+    assert!(!plain.status.success());
+    assert!(String::from_utf8_lossy(&plain.stderr).contains("--size is required"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn clis_reject_malformed_flags_and_environment() {
     let dir = scratch("hardening");

@@ -486,15 +486,19 @@ fn same_trace_batch_coalesces_into_one_sweep_pass() {
     let decoy_handle = std::thread::spawn(move || post_simulate(addr, &decoy));
     await_counter(&server, "sims-started", 1);
 
-    // Six same-trace jobs across all three sweepable organizations, plus
-    // one reference-kernel rider that must stay un-fused.
+    // Eight same-trace jobs across five sweepable organizations (ehc and
+    // bwcost ride the sweep beside dm/de/opt), plus two riders that must
+    // stay un-fused: a set-associative job and a reference-kernel job.
     let mut posts: Vec<String> = [
         ("dm", "1K"),
         ("de", "1K"),
         ("de", "4K"),
         ("opt", "2K"),
+        ("ehc", "2K"),
         ("de", "8K"),
+        ("bwcost", "1K"),
         ("dm", "4K"),
+        ("2way", "2K"),
     ]
     .iter()
     .map(|(org, size)| {
@@ -515,9 +519,9 @@ fn same_trace_batch_coalesces_into_one_sweep_pass() {
             std::thread::spawn(move || post_simulate(addr, &body))
         })
         .collect();
-    // All seven enqueued (the decoy's 1.5s budget dwarfs seven loopback
+    // All ten enqueued (the decoy's 1.5s budget dwarfs ten loopback
     // posts), so the next dispatch folds them into one batch.
-    await_counter(&server, "queued", 8);
+    await_counter(&server, "queued", 11);
 
     let mut served = Vec::new();
     for handle in handles {
@@ -538,8 +542,8 @@ fn same_trace_batch_coalesces_into_one_sweep_pass() {
     }
     assert_eq!(
         server.counter("fused-jobs"),
-        6,
-        "the six same-trace sweepable jobs rode one traversal"
+        8,
+        "the eight same-trace sweepable jobs rode one traversal"
     );
     server.shutdown();
     server.join();
